@@ -32,6 +32,10 @@ from postmax.noise import LabeledDataset
 from postmax.objective import (
     POSTERIOR_FLOOR,
     ObjectiveConfig,
+    _HEADS,
+    _check_labels,
+    _check_rates,
+    _simplex_logit_grad,
     bias_simplex_batch,
     corrected_grad_batch,
     corrected_jf_batch,
@@ -43,7 +47,6 @@ from postmax.objective import (
 from postmax.posterior import PosteriorMatrix, accuracy, posterior_correct, predict
 
 _ACTIVATIONS = ("relu", "tanh")
-_HEADS = ("raw_t", "simplex")
 
 SERIAL_VERSION = 1
 
@@ -328,9 +331,17 @@ def _cosine_lr(lr0: float, step: int, total_steps: int) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
 
 
-def _metrics(spec, params, cfg, dataset):
-    model = NetworkModel(spec, params)
-    return evaluate(model, dataset, cfg)
+def _layer_views(buf: np.ndarray, params) -> list:
+    """(W, b) views into one flat buffer, in the order and shapes of params."""
+    views = []
+    offset = 0
+    for layer in params:
+        pair = []
+        for arr in layer:
+            pair.append(buf[offset : offset + arr.size].reshape(arr.shape))
+            offset += arr.size
+        views.append(tuple(pair))
+    return views
 
 
 def train(
@@ -361,8 +372,19 @@ def train(
     e = _train_rates(objective_config, spec.k)
     X, y = dataset.features, dataset.labels
     n = dataset.n
-    params = [(W.copy(), b.copy()) for W, b in model.params]
-    velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+    simplex = spec.head == "simplex"
+    if simplex:
+        # Checked once here, so every step can run the unchecked kernel;
+        # softmax rows need no check, and a non-finite row surfaces as
+        # non-finite parameters at the same step.
+        y = _check_labels(y, n, spec.k)
+        if e is not None:
+            e = _check_rates(e, spec.k)
+    # Every parameter lives in one buffer, so the update and the
+    # finiteness guard are one pass each; params holds per-layer views.
+    theta = np.concatenate([a.ravel() for layer in model.params for a in layer])
+    params = _layer_views(theta, model.params)
+    velocity = np.zeros_like(theta)
 
     steps_per_epoch = math.ceil(n / train_config.batch_size)
     total_steps = train_config.epochs * steps_per_epoch
@@ -378,32 +400,30 @@ def train(
             try:
                 hs, zs, v = _forward_parts(spec, params, Xb)
                 out = _head_output(spec, v)
-                g_v = _head_grad_v(objective_config, out, v, yb, e)
+                if simplex:
+                    g_v = _simplex_logit_grad(
+                        objective_config.divergence, out, yb, e
+                    ) / out.shape[0]
+                else:
+                    g_v = _head_grad_v(objective_config, out, v, yb, e)
             except ValueError as err:
                 raise RuntimeError(
                     f"training diverged at epoch {epoch} step {step}: {err}"
                 ) from err
             grads = _backprop(spec, params, hs, zs, g_v)
             lr = _cosine_lr(train_config.lr0, step, total_steps)
-            for i, (gW, gb) in enumerate(grads):
-                vW, vb = velocity[i]
-                vW = train_config.momentum * vW + gW
-                vb = train_config.momentum * vb + gb
-                velocity[i] = (vW, vb)
-                W, b = params[i]
-                params[i] = (W + lr * vW, b + lr * vb)
+            velocity *= train_config.momentum
+            velocity += np.concatenate([g.ravel() for layer in grads for g in layer])
+            theta += lr * velocity
             step += 1
-            if not all(
-                np.all(np.isfinite(W)) and np.all(np.isfinite(b))
-                for W, b in params
-            ):
+            if not np.isfinite(theta).all():
                 raise RuntimeError(
                     f"parameters became non-finite at epoch {epoch} step "
                     f"{step - 1}; lower lr0 or check the data"
                 )
 
         try:
-            train_acc, obj = _metrics(spec, params, objective_config, dataset)
+            train_acc, obj = _evaluate(spec, params, objective_config, dataset)
         except ValueError as err:
             raise RuntimeError(
                 f"objective became unevaluable after epoch {epoch}: {err}"
@@ -415,7 +435,7 @@ def train(
         objectives.append(obj)
         train_accs.append(train_acc)
         if eval_dataset is not None:
-            test_acc, _ = _metrics(spec, params, objective_config, eval_dataset)
+            test_acc, _ = _evaluate(spec, params, objective_config, eval_dataset)
             test_accs.append(test_acc)
         if (
             train_config.snapshot_every > 0
@@ -440,16 +460,25 @@ def evaluate(model: NetworkModel, dataset: LabeledDataset, cfg: ObjectiveConfig)
     the uncorrected one the model was trained on in that mode.
     """
     _check_compat(model.spec, cfg)
-    out = forward(model, dataset.features)
-    e_train = _train_rates(cfg, model.spec.k)
-    obj = _batch_objective(cfg, out, dataset.labels, e_train)
+    if dataset.d != model.spec.d_in:
+        raise ValueError(
+            f"features must be N x {model.spec.d_in} for this architecture"
+        )
+    return _evaluate(model.spec, model.params, cfg, dataset)
+
+
+def _evaluate(spec: MlpSpec, params, cfg: ObjectiveConfig, dataset: LabeledDataset):
+    """evaluate() on bare parameters whose shapes the caller has checked."""
+    _, _, v = _forward_parts(spec, params, dataset.features)
+    out = _head_output(spec, v)
+    obj = _batch_objective(cfg, out, dataset.labels, _train_rates(cfg, spec.k))
     if cfg.head == "simplex":
         post = PosteriorMatrix(out, normalized=False)
     else:
         post = PosteriorMatrix(
             get_divergence(cfg.divergence).conj_prime(out), normalized=False
         )
-    e_eval = _eval_rates(cfg, model.spec.k)
+    e_eval = _eval_rates(cfg, spec.k)
     if e_eval is not None:
         post = posterior_correct(post, e_eval)
     preds = predict(post)

@@ -419,24 +419,35 @@ def jf_simplex_logit_grad_batch(div_id: str, D, labels, e=None) -> np.ndarray:
     if np.max(np.abs(D.sum(axis=1) - 1.0)) > 1e-6:
         raise ValueError("rows must lie on the simplex")
     labels = _check_labels(labels, D.shape[0], D.shape[1])
+    if e is not None:
+        e = _check_rates(e, D.shape[1])
+    return _simplex_logit_grad(spec.id, D, labels, e)
+
+
+def _simplex_logit_grad(div_id: str, D, labels, e) -> np.ndarray:
+    """jf_simplex_logit_grad_batch without input checks.
+
+    For callers that have validated labels and rates once and feed
+    softmax rows: a canonical divergence id, an N x K float matrix,
+    integer labels in [0, K), and a float rate vector or None.
+    """
     onehot = np.zeros_like(D)
     onehot[np.arange(D.shape[0]), labels] = 1.0
     # s = D * dJ/dD, written so the D factors cancel analytically.
-    if spec.id == "kl":
-        s = onehot.copy()
-    elif spec.id == "gan":
+    if div_id == "kl":
+        s = onehot
+    elif div_id == "gan":
         s = (onehot - D) / (1.0 + D)
-    elif spec.id == "sl":
+    elif div_id == "sl":
         s = D * (onehot - D) / (1.0 + D) ** 2
     else:
-        raise ValueError(f"unknown divergence id {spec.id!r}")
+        raise ValueError(f"unknown divergence id {div_id!r}")
     if e is not None:
-        e = _check_rates(e, D.shape[1])
         drift = e[None, :] - e.sum() * D
         # D * f''(D) per divergence, finite on the simplex boundary.
-        if spec.id == "kl":
+        if div_id == "kl":
             s -= drift
-        elif spec.id == "gan":
+        elif div_id == "gan":
             s -= drift / (1.0 + D)
         else:
             s -= D * drift / (1.0 + D) ** 2

@@ -331,6 +331,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="epochs"):
             parse_config(config_tree(train={"epochs": -1, "batch_size": 8}))
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"noise": {"kind": "symmetric", "eta": "abc"}}, "noise.eta"),
+            (
+                {
+                    "dataset": {
+                        "source": "synthetic", "k": 2, "n": 200, "d": "abc",
+                    }
+                },
+                "dataset.d",
+            ),
+            ({"noise": {"kind": "uniform_offdiag", "e": [0.6, 0.5]}}, "noise.e"),
+            ({"seeds": ["a"]}, "seeds"),
+        ],
+    )
+    def test_malformed_values_name_their_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(config_tree(**overrides))
+
     def test_load_config_yaml_errors(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("dataset: [unclosed\n")
@@ -400,6 +420,37 @@ class TestRunExperiment:
             for r in recs
         ]
         assert strip(a) == strip(b)
+
+    def test_one_noisy_training_for_none_and_posterior(self, monkeypatch):
+        import postmax.cli as cli_mod
+
+        calls = []
+        real_train = cli_mod.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "train", counting_train)
+        tree = config_tree(
+            objective={
+                "divergence": "kl",
+                "correction": ["none", "objective", "posterior"],
+            },
+            noise={"kind": "uniform_offdiag", "e": [0.1, 0.3]},
+            train={"epochs": 5, "batch_size": 32},
+            seeds=[0, 1],
+        )
+        records = run_experiment(parse_config(tree))
+        # per seed: the clean baseline, one noisy training shared by
+        # none and posterior, and one for the objective correction
+        assert len(calls) == 2 * (1 + 2)
+        by_mode = {(r.seed, r.correction): r for r in records}
+        for seed in (0, 1):
+            assert (
+                by_mode[seed, "none"].final_objective
+                == by_mode[seed, "posterior"].final_objective
+            )
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="accuracy"):
@@ -595,6 +646,18 @@ class TestCommandLine:
         )
         assert result.exit_code == 1
         assert "unknown key" in result.output
+
+    def test_malformed_value_exits_one_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            yaml.safe_dump(config_tree(noise={"kind": "symmetric", "eta": "abc"}))
+        )
+        runner = CliRunner()
+        result = runner.invoke(main, ["sweep", "--config", str(bad)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: invalid 'noise.eta'" in result.output
+        assert "Traceback" not in result.output
 
     def test_missing_config_exits_one(self, tmp_path):
         runner = CliRunner()

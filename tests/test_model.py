@@ -325,19 +325,27 @@ class TestTrain:
         assert trace.snapshots[0][1][0][0].shape == (2, 2)
 
     def test_divergence_aborts_with_diagnostic(self):
-        rng = np.random.default_rng(31)
-        ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.0]], scale=5.0)
-        model = init(
-            MlpSpec((2, 4, 2), head="raw_t", divergence="kl"), seed=3
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError):
-                train(
-                    model,
-                    ds,
-                    raw_cfg("kl"),
-                    TrainConfig(epochs=5, batch_size=8, lr0=1e9),
-                )
+        # The simplex head trains through an unchecked kernel, so its
+        # non-finite softmax rows must still stop training at the step
+        # where they appear.  The (epoch, step) pairs are where these
+        # seeds abort when every step re-validates its inputs.
+        cases = [
+            (MlpSpec((2, 4, 2), head="raw_t", divergence="kl"), raw_cfg("kl"), 0, 2),
+            (MlpSpec((2, 4, 2)), simplex_cfg("kl"), 4, 22),
+        ]
+        for spec, cfg, epoch, step in cases:
+            rng = np.random.default_rng(31)
+            ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.0]], scale=5.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(
+                    RuntimeError, match=rf"at epoch {epoch} step {step}\b"
+                ):
+                    train(
+                        init(spec, seed=3),
+                        ds,
+                        cfg,
+                        TrainConfig(epochs=5, batch_size=8, lr0=1e9),
+                    )
 
     def test_shape_mismatches_rejected(self):
         rng = np.random.default_rng(37)

@@ -40,6 +40,7 @@ from postmax.objective import (
     jf_simplex_sl,
     noisy_joint,
 )
+from postmax.objective import _simplex_logit_grad
 
 
 def random_T(div_id, rng, shape):
@@ -585,11 +586,35 @@ class TestSimplexLogitGrad:
                     fd[j] = (value(up) - value(dn)) / (2 * h)
                 np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    @pytest.mark.parametrize("rates", [None, [0.1, 0.05, 0.15, 0.02]])
+    def test_unchecked_kernel_matches_public(self, div_id, rates):
+        D, labels = self.interior_rows(141)
+        # rows with components that are exactly zero, as a saturated
+        # softmax produces them
+        D[:3] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.4, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        e = None if rates is None else np.array(rates)
+        assert np.array_equal(
+            _simplex_logit_grad(div_id, D, labels, e),
+            jf_simplex_logit_grad_batch(div_id, D, labels, rates),
+        )
+
     def test_rejects_off_simplex_rows(self):
         with pytest.raises(ValueError, match="simplex"):
             jf_simplex_logit_grad_batch("kl", [[0.5, 0.6]], [0])
         with pytest.raises(ValueError):
             jf_simplex_logit_grad_batch("kl", [[-0.1, 1.1]], [0])
+
+    def test_rejects_bad_labels_and_rates(self):
+        D = [[0.5, 0.5], [0.25, 0.75]]
+        with pytest.raises(ValueError, match="labels"):
+            jf_simplex_logit_grad_batch("kl", D, [0, 2])
+        with pytest.raises(ValueError, match="labels"):
+            jf_simplex_logit_grad_batch("kl", D, [0])
+        with pytest.raises(ValueError, match="flip rates"):
+            jf_simplex_logit_grad_batch("kl", D, [0, 1], [0.6, 0.5])
+        with pytest.raises(ValueError, match="flip rates"):
+            jf_simplex_logit_grad_batch("kl", D, [0, 1], [0.1, 0.1, 0.1])
 
 
 class TestDiscreteJoint:
