@@ -111,25 +111,42 @@ def rates_from_transition(tm: TransitionMatrix) -> np.ndarray:
     return e
 
 
-def _golden_section_max(g, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
-    a, b = lo, hi
+def _golden_section_max(spec, q, lo, hi, tol: float = GOLDEN_TOL) -> np.ndarray:
+    """Elementwise maximizer of q*t - f*(t) on [lo, hi].
+
+    Every element runs the scalar golden-section recurrence and stops on
+    its own test b - a > tol, so each result is independent of the
+    others in the batch.
+    """
+    a, b = lo.copy(), hi.copy()
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = g(c), g(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = g(d)
+    fc = q * c - spec.conj(c)
+    fd = q * d - spec.conj(d)
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        la, lb, lc, ld = a[live], b[live], c[live], d[live]
+        lfc, lfd = fc[live], fd[live]
+        left = lfc > lfd
+        # left keeps [a, d] with c as its upper interior point; right
+        # keeps [c, b] with d as its lower one
+        la = np.where(left, la, lc)
+        lb = np.where(left, ld, lb)
+        kept = np.where(left, lc, ld)
+        f_kept = np.where(left, lfc, lfd)
+        new = np.where(left, lb - _INVPHI * (lb - la), la + _INVPHI * (lb - la))
+        f_new = q[live] * new - spec.conj(new)
+        a[live], b[live] = la, lb
+        c[live] = np.where(left, new, kept)
+        fc[live] = np.where(left, f_new, f_kept)
+        d[live] = np.where(left, kept, new)
+        fd[live] = np.where(left, f_kept, f_new)
+        live = live[lb - la > tol]
     return 0.5 * (a + b)
 
 
-def _bracket(spec, q: float, guess: float):
-    """Interval around the maximizer of q*t - f*(t), found by sign changes.
+def _bracket(spec, q, guess):
+    """Intervals around the maximizers of q*t - f*(t), found by sign changes.
 
     The slope q - (f*)'(t) is strictly decreasing, so expand each side
     geometrically (halving the gap toward a finite domain edge) until the
@@ -137,25 +154,48 @@ def _bracket(spec, q: float, guess: float):
     """
     dom_lo, dom_hi = spec.conj_domain
 
-    def slope(t: float) -> float:
-        return q - float(spec.conj_prime(t))
-
     lo = guess - 1.0
-    if lo <= dom_lo:
-        lo = dom_lo + 0.5 * (guess - dom_lo)
-    while slope(lo) <= 0.0:
-        lo = guess - 2.0 * (guess - lo) if dom_lo == -math.inf else dom_lo + 0.5 * (
-            lo - dom_lo
-        )
+    if dom_lo > -math.inf:
+        lo = np.where(lo <= dom_lo, dom_lo + 0.5 * (guess - dom_lo), lo)
+    grow = np.flatnonzero(q - spec.conj_prime(lo) <= 0.0)
+    while grow.size:
+        if dom_lo == -math.inf:
+            lo[grow] = guess[grow] - 2.0 * (guess[grow] - lo[grow])
+        else:
+            lo[grow] = dom_lo + 0.5 * (lo[grow] - dom_lo)
+        grow = grow[q[grow] - spec.conj_prime(lo[grow]) <= 0.0]
 
     hi = guess + 1.0
-    if hi >= dom_hi:
-        hi = dom_hi - 0.5 * (dom_hi - guess)
-    while slope(hi) >= 0.0:
-        hi = guess + 2.0 * (hi - guess) if dom_hi == math.inf else dom_hi - 0.5 * (
-            dom_hi - hi
-        )
+    if dom_hi < math.inf:
+        hi = np.where(hi >= dom_hi, dom_hi - 0.5 * (dom_hi - guess), hi)
+    grow = np.flatnonzero(q - spec.conj_prime(hi) >= 0.0)
+    while grow.size:
+        if dom_hi == math.inf:
+            hi[grow] = guess[grow] + 2.0 * (hi[grow] - guess[grow])
+        else:
+            hi[grow] = dom_hi - 0.5 * (dom_hi - hi[grow])
+        grow = grow[q[grow] - spec.conj_prime(hi[grow]) >= 0.0]
     return lo, hi
+
+
+def _target_posterior(joint: DiscreteJoint, tm: Optional[TransitionMatrix]):
+    """Posterior over the labels the optimum sees: (1 - sum(e)) * p + e."""
+    if tm is None:
+        e = np.zeros(joint.k)
+    else:
+        if tm.k != joint.k:
+            raise ValueError("class counts differ")
+        e = rates_from_transition(tm)
+    return (1.0 - e.sum()) * joint.posterior + e
+
+
+def _solve_pointwise(spec, q) -> PointwiseSolution:
+    """Closed form f'(q) and the searched maximizer for each entry of q."""
+    closed = optimal_T_from_posterior(spec, q)
+    flat_q = q.ravel()
+    lo, hi = _bracket(spec, flat_q, closed.ravel())
+    searched = _golden_section_max(spec, flat_q, lo, hi).reshape(q.shape)
+    return PointwiseSolution(closed_form=closed, searched=searched)
 
 
 def solve_optimal_T_discrete(
@@ -167,28 +207,7 @@ def solve_optimal_T_discrete(
     with an independent golden-section maximization of each point's
     exact objective term.
     """
-    spec = _as_spec(spec)
-    if tm is None:
-        e = np.zeros(joint.k)
-    else:
-        if tm.k != joint.k:
-            raise ValueError("class counts differ")
-        e = rates_from_transition(tm)
-    q = (1.0 - e.sum()) * joint.posterior + e
-    closed = optimal_T_from_posterior(spec, q)
-
-    searched = np.empty_like(closed)
-    for m in range(joint.m):
-        for i in range(joint.k):
-            target = float(q[m, i])
-            guess = float(closed[m, i])
-
-            def g(t: float) -> float:
-                return target * t - float(spec.conj(t))
-
-            lo, hi = _bracket(spec, target, guess)
-            searched[m, i] = _golden_section_max(g, lo, hi)
-    return PointwiseSolution(closed_form=closed, searched=searched)
+    return _solve_pointwise(_as_spec(spec), _target_posterior(joint, tm))
 
 
 def taylor_bias_bound(spec, T_star, T_i) -> float:
@@ -211,6 +230,8 @@ def training_bias_expression(spec, p_star_clean, e, delta, T_star_noisy) -> np.n
 
     Component j combines the pure noise bias with a curvature term at
     the iterate: sum(e) * p_j - e_j + delta_j * (f*)''(T_noisy_j - delta_j).
+    Arguments may be stacks of rows; the last axis holds the classes and
+    each row's flip rates are checked on their own.
     """
     spec = _as_spec(spec)
     p = np.asarray(p_star_clean, dtype=float)
@@ -218,11 +239,12 @@ def training_bias_expression(spec, p_star_clean, e, delta, T_star_noisy) -> np.n
     delta = np.asarray(delta, dtype=float)
     T_star = np.asarray(T_star_noisy, dtype=float)
     if not (p.shape == e.shape == delta.shape == T_star.shape):
-        raise ValueError("all arguments must share one length")
-    if np.any(e < 0.0) or e.sum() >= 1.0:
+        raise ValueError("all arguments must share one shape")
+    e_total = e.sum(axis=-1, keepdims=True)
+    if np.any(e < 0.0) or np.any(e_total >= 1.0):
         raise ValueError("flip rates must be nonnegative and sum to less than 1")
     curv = conj_second(spec, T_star - delta)
-    return e.sum() * p - e + delta * curv
+    return e_total * p - e + delta * curv
 
 
 def make_convergence_record(spec, iteration: int, T_star_table, T_table):
@@ -298,10 +320,14 @@ def check_multiclass_identity(
 
 
 def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
-    """Closed form vs golden-section search, compared in posterior space."""
+    """Closed form vs golden-section search, compared in posterior space.
+
+    Each divergence's configs are drawn in turn, then solved as one batch.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for div_id in DIVERGENCE_IDS:
+        targets = []
         for _ in range(configs):
             m = int(rng.integers(2, 7))
             k = int(rng.integers(2, 5))
@@ -311,8 +337,9 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
                 tm = uniform_offdiag_matrix(e)
             else:
                 tm = None
-            sol = solve_optimal_T_discrete(div_id, joint, tm)
-            worst = max(worst, sol.max_posterior_gap(div_id))
+            targets.append(_target_posterior(joint, tm).ravel())
+        sol = _solve_pointwise(_as_spec(div_id), np.concatenate(targets))
+        worst = max(worst, sol.max_posterior_gap(div_id))
     return _report(
         "pointwise_optimum_consistency", configs * len(DIVERGENCE_IDS), worst, 1e-6
     )
@@ -401,20 +428,26 @@ def check_first_order_bias(seed: int, trials: int = 1_000) -> TheoremReport:
     worst_ratio = 0.0
     k = 3
     for div_id in DIVERGENCE_IDS:
-        res_full = np.empty(trials)
-        res_half = np.empty(trials)
+        # one trial's draws at a time, in the order a per-trial loop takes
+        p = np.empty((trials, k))
+        raw = np.empty((trials, k))
+        scale = np.empty((trials, 1))
+        delta = np.empty((trials, k))
         for t in range(trials):
-            p = rng.uniform(0.1, 1.0, size=k)
-            p /= p.sum()
-            raw = rng.uniform(0.0, 1.0, size=k)
-            e = raw / raw.sum() * rng.uniform(0.05, 0.4)
-            q = (1.0 - e.sum()) * p + e
-            T_noisy = optimal_T_from_posterior(div_id, q)
-            delta = rng.uniform(-1e-3, 1e-3, size=k)
-            for arr, d in ((res_full, delta), (res_half, delta / 2.0)):
-                expr = training_bias_expression(div_id, p, e, d, T_noisy)
-                direct = p - posterior_from_T(div_id, T_noisy - d)
-                arr[t] = np.max(np.abs(expr - direct))
+            p[t] = rng.uniform(0.1, 1.0, size=k)
+            raw[t] = rng.uniform(0.0, 1.0, size=k)
+            scale[t] = rng.uniform(0.05, 0.4)
+            delta[t] = rng.uniform(-1e-3, 1e-3, size=k)
+        p /= p.sum(axis=1, keepdims=True)
+        e = raw / raw.sum(axis=1, keepdims=True) * scale
+        q = (1.0 - e.sum(axis=1, keepdims=True)) * p + e
+        T_noisy = optimal_T_from_posterior(div_id, q)
+        residuals = []
+        for d in (delta, delta / 2.0):
+            expr = training_bias_expression(div_id, p, e, d, T_noisy)
+            direct = p - posterior_from_T(div_id, T_noisy - d)
+            residuals.append(np.max(np.abs(expr - direct), axis=1))
+        res_full, res_half = residuals
         ratio = float(res_half.mean() / res_full.mean())
         worst_ratio = max(worst_ratio, ratio)
     return _report(

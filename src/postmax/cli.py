@@ -260,12 +260,13 @@ def _check_keys(tree: dict, allowed: Sequence[str], section: str) -> None:
 def _field(tree: dict, section: Optional[str], key: str, convert, default=None):
     """convert(tree[key]), or convert(default) when the key is absent.
 
-    A ValueError or TypeError from the conversion, or from a constructor
-    it calls, becomes a ConfigError naming the key.
+    A ValueError, TypeError or OverflowError (int() of an infinite
+    float) from the conversion, or from a constructor it calls, becomes
+    a ConfigError naming the key.
     """
     try:
         return convert(tree.get(key, default))
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         name = key if section is None else f"{section}.{key}"
         raise ConfigError(f"invalid '{name}': {err}") from None
 

@@ -226,6 +226,24 @@ def posterior_from_T(spec, t: Scalar) -> Scalar:
     return conj_prime(spec, t)
 
 
+# The grid oracle's last (spec, u_max, n_grid) and its read-only grid u
+# and f(u); one slot, so at most one grid is held at a time.
+_oracle_grid_slot: list = []
+
+
+def _oracle_grid(spec: DivergenceSpec, u_max: float, n_grid: int):
+    key = (spec, u_max, n_grid)
+    if _oracle_grid_slot and _oracle_grid_slot[0][0] == key:
+        return _oracle_grid_slot[0][1]
+    _oracle_grid_slot.clear()  # free the old grid before building the next
+    u = np.logspace(-6.0, np.log10(u_max), n_grid)
+    fu = spec.f(u)
+    u.setflags(write=False)
+    fu.setflags(write=False)
+    _oracle_grid_slot.append((key, (u, fu)))
+    return u, fu
+
+
 def brute_force_conjugate(
     spec, t: float, u_max: float = 1e3, n_grid: int = 10**6
 ) -> float:
@@ -234,7 +252,8 @@ def brute_force_conjugate(
     Maximizes u*t - f(u) over a log-spaced grid of u in (1e-6, u_max).
     Used to cross-check conj and, through finite differences, conj_prime.
     Derivative comparisons are immune to any additive constant between
-    this supremum and the implemented conjugate formula.
+    this supremum and the implemented conjugate formula.  The grid and
+    f(u) of the last (spec, u_max, n_grid) are kept for the next call.
     """
     spec = _as_spec(spec)
     if n_grid < 10**4:
@@ -243,6 +262,7 @@ def brute_force_conjugate(
         raise ValueError("u_max must be positive")
     arr, _ = _prepare(t)
     _check_in_domain(spec, arr)
-    u = np.logspace(-6.0, np.log10(u_max), int(n_grid))
-    values = u * float(arr) - spec.f(u)
+    u, fu = _oracle_grid(spec, float(u_max), int(n_grid))
+    values = u * float(arr)
+    values -= fu
     return float(np.max(values))

@@ -34,7 +34,6 @@ from postmax.objective import (
     ObjectiveConfig,
     _HEADS,
     _check_labels,
-    _check_rates,
     _simplex_logit_grad,
     bias_simplex_batch,
     corrected_grad_batch,
@@ -44,7 +43,13 @@ from postmax.objective import (
     jf_simplex_batch,
     jf_simplex_logit_grad_batch,
 )
-from postmax.posterior import PosteriorMatrix, accuracy, posterior_correct, predict
+from postmax.posterior import (
+    PosteriorMatrix,
+    _check_rates,
+    accuracy,
+    posterior_correct,
+    predict,
+)
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -506,19 +511,24 @@ def save_model(model: NetworkModel, path) -> None:
 def load_model(path) -> NetworkModel:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("a model file must hold a JSON object")
     if payload.get("version") != SERIAL_VERSION:
         raise ValueError(
             f"unsupported model container version {payload.get('version')!r}"
         )
-    s = payload["spec"]
-    spec = MlpSpec(
-        layer_sizes=tuple(s["layer_sizes"]),
-        activation=s["activation"],
-        head=s["head"],
-        divergence=s["divergence"],
-    )
-    params = tuple(
-        (np.array(p["W"], dtype=float), np.array(p["b"], dtype=float))
-        for p in payload["params"]
-    )
+    try:
+        s = payload["spec"]
+        spec = MlpSpec(
+            layer_sizes=tuple(s["layer_sizes"]),
+            activation=s["activation"],
+            head=s["head"],
+            divergence=s["divergence"],
+        )
+        params = tuple(
+            (np.array(p["W"], dtype=float), np.array(p["b"], dtype=float))
+            for p in payload["params"]
+        )
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed model file: {err!r}") from None
     return NetworkModel(spec, params)

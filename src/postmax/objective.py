@@ -33,6 +33,7 @@ from postmax.divergence import (
     optimal_T_from_posterior,
 )
 from postmax.noise import NoiseParams, TransitionMatrix
+from postmax.posterior import _check_rates
 
 POSTERIOR_FLOOR = 1e-12  # degenerate posteriors are floored here by oracles
 
@@ -123,15 +124,6 @@ def _check_labels(labels, n: int, k: int) -> np.ndarray:
     if np.any(labs < 0) or np.any(labs >= k):
         raise ValueError(f"labels must lie in [0, {k})")
     return labs
-
-
-def _check_rates(e, k: int) -> np.ndarray:
-    e = np.asarray(e, dtype=float)
-    if e.ndim != 1 or e.shape[0] != k:
-        raise ValueError(f"flip rates must be a length-{k} vector")
-    if np.any(e < 0.0) or e.sum() >= 1.0:
-        raise ValueError("flip rates must be nonnegative and sum to less than 1")
-    return e
 
 
 def jf_batch(spec, T, labels) -> float:

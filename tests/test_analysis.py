@@ -8,6 +8,8 @@ import pytest
 
 from postmax.analysis import (
     ConvergenceRecord,
+    _solve_pointwise,
+    _target_posterior,
     check_argmax_invariance,
     check_binary_identity,
     check_correction_exactness,
@@ -25,6 +27,7 @@ from postmax.analysis import (
 )
 from postmax.divergence import (
     DIVERGENCE_IDS,
+    get_divergence,
     optimal_T_from_posterior,
     posterior_from_T,
 )
@@ -95,6 +98,25 @@ class TestSolveOptimalT:
             tm = uniform_offdiag_matrix([0.1, 0.05, 0.15])
             sol = solve_optimal_T_discrete(div_id, joint, tm)
             assert sol.max_posterior_gap(div_id) <= 1e-6
+
+    def test_batch_search_equals_one_joint_at_a_time(self):
+        # every element stops on its own test, so batching changes no bit
+        rng = np.random.default_rng(3)
+        joints = [
+            DiscreteJoint(pmf / pmf.sum())
+            for pmf in (rng.uniform(0.1, 1.0, size=(m, 3)) for m in (2, 5, 3))
+        ]
+        tm = uniform_offdiag_matrix([0.1, 0.05, 0.15])
+        for div_id in DIVERGENCE_IDS:
+            single = [solve_optimal_T_discrete(div_id, j, tm) for j in joints]
+            targets = np.concatenate([_target_posterior(j, tm) for j in joints])
+            batch = _solve_pointwise(get_divergence(div_id), targets)
+            np.testing.assert_array_equal(
+                batch.searched, np.concatenate([s.searched for s in single])
+            )
+            np.testing.assert_array_equal(
+                batch.closed_form, np.concatenate([s.closed_form for s in single])
+            )
 
     def test_class_count_mismatch(self):
         joint = DiscreteJoint([[0.5, 0.5]])
@@ -173,6 +195,27 @@ class TestTrainingBiasExpression:
                 direct = p - posterior_from_T(div_id, T_noisy - delta)
                 np.testing.assert_allclose(expr, direct, atol=1e-4)
 
+    def test_stacked_rows_match_row_by_row(self):
+        rng = np.random.default_rng(19)
+        p = rng.uniform(0.1, 1.0, size=(6, 3))
+        p /= p.sum(axis=1, keepdims=True)
+        raw = rng.uniform(0.0, 1.0, size=(6, 3))
+        # each row's rates sum below 1, all rows together do not
+        e = raw / raw.sum(axis=1, keepdims=True) * 0.4
+        delta = rng.uniform(-1e-3, 1e-3, size=(6, 3))
+        for div_id in DIVERGENCE_IDS:
+            q = (1.0 - e.sum(axis=1, keepdims=True)) * p + e
+            T = optimal_T_from_posterior(div_id, q)
+            stacked = training_bias_expression(div_id, p, e, delta, T)
+            rows = [
+                training_bias_expression(div_id, p[i], e[i], delta[i], T[i])
+                for i in range(6)
+            ]
+            np.testing.assert_array_equal(stacked, np.array(rows))
+        e[4] = [0.5, 0.3, 0.2]
+        with pytest.raises(ValueError, match="flip rates"):
+            training_bias_expression("kl", p, e, delta, T)
+
     def test_validation(self):
         T = optimal_T_from_posterior("kl", np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
@@ -207,7 +250,46 @@ class TestConvergenceRecord:
             )
 
 
+# repr(max_error) of each verify_theorems report, in report order, as the
+# per-trial scalar checks computed them before the checks were batched;
+# the batched checks draw in the same order and must reproduce every bit.
+PINNED_MAX_ERRORS = {
+    0: (
+        "8.881784197001252e-16",
+        "1.7763568394002505e-15",
+        "4.4996524506402125e-08",
+        "0.0",
+        "0.0",
+        "0.005",
+        "0.2500006419661718",
+    ),
+    1: (
+        "8.881784197001252e-16",
+        "2.6645352591003757e-15",
+        "4.673727205251055e-08",
+        "0.0",
+        "0.0",
+        "0.0035",
+        "0.2500142333456774",
+    ),
+    2: (
+        "8.881784197001252e-16",
+        "1.7763568394002505e-15",
+        "5.0497085846146206e-08",
+        "0.0",
+        "0.0",
+        "0.005",
+        "0.25001418164668493",
+    ),
+}
+
+
 class TestCheckDrivers:
+    @pytest.mark.parametrize("seed", sorted(PINNED_MAX_ERRORS))
+    def test_reports_pinned(self, seed):
+        got = tuple(repr(r.max_error) for r in verify_theorems(seed))
+        assert got == PINNED_MAX_ERRORS[seed]
+
     def test_all_pass_at_default_settings(self):
         assert check_binary_identity(0).passed
         assert check_multiclass_identity(1).passed

@@ -1,11 +1,14 @@
 """Dataset loading, experiment protocol, reporting, and the CLI surface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postmax.cli import (
     ConfigError,
@@ -256,6 +259,59 @@ def config_tree(**overrides):
     return tree
 
 
+# Values a YAML document can hold: scalars (YAML's .inf and .nan among
+# them), lists and mappings, with non-string keys.
+yaml_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+    | st.text(max_size=6)
+)
+yaml_trees = st.recursive(
+    yaml_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | st.integers(), inner, max_size=4),
+    max_leaves=12,
+)
+
+# scalars weighted up, so a leaf edit is mostly one wrong value
+yaml_values = yaml_scalars | yaml_trees
+
+CONFIG_KEYS = {
+    "dataset": ("source", "k", "n", "d", "class_separation", "split_seed"),
+    "model": ("hidden", "activation", "head"),
+    "objective": ("divergence", "correction"),
+    "noise": ("kind", "eta", "e"),
+    "train": ("epochs", "batch_size", "lr0", "momentum", "snapshot_every"),
+    "output": ("path", "format"),
+}
+# (section, key): key None replaces the whole section, section None is a
+# root-level key
+EDIT_PATHS = (
+    [(None, "seeds")]
+    + [(section, None) for section in CONFIG_KEYS]
+    + [(section, key) for section, keys in CONFIG_KEYS.items() for key in keys]
+)
+
+
+@st.composite
+def config_trees(draw):
+    """A valid tree with one to three entries set to arbitrary values."""
+    tree = config_tree(noise={"kind": "symmetric", "eta": 0.2})
+    edits = draw(st.lists(st.sampled_from(EDIT_PATHS), min_size=1, max_size=3))
+    for section, key in edits:
+        value = draw(yaml_values)
+        if section is None:
+            tree[key] = value
+        elif key is None:
+            tree[section] = value
+        elif isinstance(tree.get(section, {}), dict):
+            tree[section] = {**tree.get(section, {}), key: value}
+    return tree
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = parse_config(config_tree())
@@ -350,6 +406,14 @@ class TestConfig:
     def test_malformed_values_name_their_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             parse_config(config_tree(**overrides))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(tree=yaml_trees | config_trees())
+    def test_arbitrary_trees_raise_only_config_errors(self, tree):
+        try:
+            parse_config(tree)
+        except ConfigError:
+            pass
 
     def test_load_config_yaml_errors(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -588,6 +652,21 @@ class TestCommandLine:
         payload = json.loads(evaluated.output)
         reported = float(trained.output.split("test_accuracy=")[1].split()[0])
         assert payload["test_accuracy"] == pytest.approx(reported, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"version": 1}, [1, 2], {"version": 1, "spec": [], "params": []}],
+    )
+    def test_eval_malformed_model_exits_one(self, tmp_path, cli_config, payload):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        result = CliRunner().invoke(
+            main, ["eval", "--config", str(cli_config), "--model", str(model_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: " in result.output
+        assert "Traceback" not in result.output
 
     def test_sweep_then_report(self, tmp_path, cli_config):
         runner = CliRunner()

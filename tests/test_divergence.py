@@ -5,9 +5,12 @@ marked, cross-checked against the independent grid oracle before being
 frozen here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from postmax import divergence
 from postmax.divergence import (
     DIVERGENCE_IDS,
     brute_force_conjugate,
@@ -113,6 +116,54 @@ class TestConjugate:
     def test_grid_oracle_rejects_small_grid(self):
         with pytest.raises(ValueError):
             brute_force_conjugate("kl", 0.0, n_grid=100)
+
+
+def uncached_grid_max(spec, t, u_max, n_grid):
+    u = np.logspace(-6.0, np.log10(u_max), n_grid)
+    return float(np.max(u * t - spec.f(u)))
+
+
+class TestGridOracleCache:
+    def test_alternating_keys_match_uncached_grid(self):
+        calls = [
+            ("kl", 0.5, 1e3, 10**4),
+            ("kl", -1.0, 1e3, 10**4),
+            ("gan", -0.5, 1e3, 10**4),
+            ("kl", 0.5, 1e3, 10**4),
+            ("kl", 0.5, 50.0, 10**4),
+            ("kl", 0.5, 50.0, 2 * 10**4),
+            ("sl", -0.5, 50.0, 2 * 10**4),
+            ("sl", -0.2, 50.0, 2 * 10**4),
+        ]
+        for div_id, t, u_max, n_grid in calls:
+            got = brute_force_conjugate(div_id, t, u_max=u_max, n_grid=n_grid)
+            want = uncached_grid_max(get_divergence(div_id), t, u_max, n_grid)
+            assert got == want, (div_id, t, u_max, n_grid)
+
+    def test_custom_spec_with_registry_id_gets_its_own_grid(self):
+        kl = get_divergence("kl")
+        custom = dataclasses.replace(kl, f=lambda u: 2.0 * u * np.log(u))
+        assert custom.id == "kl"
+        registry_value = brute_force_conjugate("kl", 0.5, n_grid=10**4)
+        got = brute_force_conjugate(custom, 0.5, n_grid=10**4)
+        assert got == uncached_grid_max(custom, 0.5, 1e3, 10**4)
+        assert got != registry_value
+
+    def test_at_most_one_grid_held(self):
+        held_while_building = []
+
+        def f(u):
+            held_while_building.append(len(divergence._oracle_grid_slot))
+            return u * np.log(u)
+
+        custom = dataclasses.replace(get_divergence("kl"), f=f)
+        brute_force_conjugate("gan", -0.5, n_grid=10**4)
+        brute_force_conjugate(custom, 0.5, n_grid=10**4)
+        brute_force_conjugate(custom, 0.7, n_grid=10**4)
+        assert held_while_building == [0]
+        assert len(divergence._oracle_grid_slot) == 1
+        brute_force_conjugate("sl", -0.5, n_grid=10**4)
+        assert len(divergence._oracle_grid_slot) == 1
 
 
 class TestConjugateDerivatives:
