@@ -47,6 +47,9 @@ RECORD_COLUMNS = (
     "wall_seconds",
 )
 
+# JSON types each record column must have when read back
+_RECORD_TYPES = dict(zip(RECORD_COLUMNS, (int, str, str, str) + ((int, float),) * 4))
+
 TABLE_COLUMNS = ("No Cor.", "O.F. Cor.", "P. Cor.", "No Noise")
 
 
@@ -686,7 +689,10 @@ def report(records: Sequence[ResultRecord], format: str = "table") -> str:
 
 
 def parse_report(text: str, format: str) -> list[ResultRecord]:
-    """Read records back from report output (csv or json only)."""
+    """Read records back from report output (csv or json only).
+
+    A malformed record raises ValueError naming its 1-based position.
+    """
     records = []
     if format == "csv":
         lines = [
@@ -696,24 +702,48 @@ def parse_report(text: str, format: str) -> list[ResultRecord]:
         header = next(reader, None)
         if header != list(RECORD_COLUMNS):
             raise ValueError("unrecognized record csv header")
-        for row in reader:
-            records.append(
-                ResultRecord(
-                    seed=int(row[0]),
-                    divergence=row[1],
-                    noise=row[2],
-                    correction=row[3],
-                    clean_test_accuracy=float(row[4]),
-                    noisy_test_accuracy=float(row[5]),
-                    final_objective=float(row[6]),
-                    wall_seconds=float(row[7]),
+        for i, row in enumerate(reader, start=1):
+            if len(row) != len(RECORD_COLUMNS):
+                raise ValueError(
+                    f"record {i}: expected {len(RECORD_COLUMNS)} fields, "
+                    f"got {len(row)}"
                 )
-            )
+            try:
+                records.append(
+                    ResultRecord(
+                        seed=int(row[0]),
+                        divergence=row[1],
+                        noise=row[2],
+                        correction=row[3],
+                        clean_test_accuracy=float(row[4]),
+                        noisy_test_accuracy=float(row[5]),
+                        final_objective=float(row[6]),
+                        wall_seconds=float(row[7]),
+                    )
+                )
+            except ValueError as err:
+                raise ValueError(f"record {i}: {err}") from None
         return records
     if format == "json":
         payload = json.loads(text)
-        for row in payload["records"]:
-            records.append(ResultRecord(**row))
+        rows = payload.get("records") if isinstance(payload, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError("expected a JSON object with a 'records' list")
+        for i, row in enumerate(rows, start=1):
+            if not isinstance(row, dict) or sorted(row) != sorted(RECORD_COLUMNS):
+                raise ValueError(
+                    f"record {i}: expected an object with the keys "
+                    + ", ".join(RECORD_COLUMNS)
+                )
+            mistyped = [
+                c for c, t in _RECORD_TYPES.items() if not isinstance(row[c], t)
+            ]
+            if mistyped:
+                raise ValueError(f"record {i}: mistyped {', '.join(mistyped)}")
+            try:
+                records.append(ResultRecord(**row))
+            except ValueError as err:
+                raise ValueError(f"record {i}: {err}") from None
         return records
     raise ValueError("only csv and json reports can be parsed back")
 
@@ -725,6 +755,10 @@ def parse_report(text: str, format: str) -> list[ResultRecord]:
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
+
+
+def _fail_write(path, err: OSError) -> None:
+    _fail(f"cannot write {path}: {err.strerror or err}")
 
 
 def _config_from_flag(config_path) -> ExperimentConfig:
@@ -761,9 +795,12 @@ def corrupt_cmd(config_path, seed, out_path):
         noisy = corrupt(ds, cfg.noise.to_matrix(ds.k), seed=run_seed)
     except (ConfigError, ValueError) as err:
         _fail(str(err))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for x, y in zip(noisy.features, noisy.labels):
-            fh.write(",".join(repr(float(v)) for v in x) + f",{int(y)}\n")
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            for x, y in zip(noisy.features, noisy.labels):
+                fh.write(",".join(repr(float(v)) for v in x) + f",{int(y)}\n")
+    except OSError as err:
+        _fail_write(out_path, err)
     click.echo(f"wrote {noisy.n} rows to {out_path}")
 
 
@@ -787,7 +824,10 @@ def train_cmd(config_path, seed, out_path):
         acc, obj = evaluate(model, test_ds, ocfg)
     except (ConfigError, ValueError, RuntimeError) as err:
         _fail(str(err))
-    save_model(model, out_path)
+    try:
+        save_model(model, out_path)
+    except OSError as err:
+        _fail_write(out_path, err)
     click.echo(
         f"seed={run_seed} correction={mode} "
         f"test_accuracy={acc:.4f} objective={obj:.6f}"
@@ -826,7 +866,10 @@ def eval_cmd(config_path, model_path, out_format):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def verify_cmd(seed, out_path):
     """Check the library's core identities on fresh random trials."""
-    reports = verify_theorems(seed, report_path=out_path)
+    try:
+        reports = verify_theorems(seed, report_path=out_path)
+    except OSError as err:
+        _fail_write(out_path, err)
     width = max(len(r.theorem_id) for r in reports)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -860,8 +903,11 @@ def sweep_cmd(config_path, out_path, out_format):
     text = report(records, format=fmt)
     dest = out_path or cfg.out_path
     if dest is not None:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(dest, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            _fail_write(dest, err)
         click.echo(f"wrote {len(records)} records to {dest}")
         if fmt != "table":
             click.echo(report(records, format="table"), nl=False)

@@ -21,6 +21,21 @@ by an additive constant; only conjugate derivatives enter posteriors,
 gradients, and corrections, so value-level oracle checks are run on
 derivatives (see brute_force_conjugate).
 
+Each entry also carries what training needs of its divergence, so a new
+divergence is one new DivergenceSpec in the registry below.  A raw network
+output v is mapped into the conjugate domain by a smooth, strictly
+monotone link whose derivative enters backpropagation analytically:
+
+    kl   identity               (domain is the whole real line)
+    gan  -softplus(-v)          (strictly below 0)
+    sl   -1/(1 + softplus(v))   (inside (-1, 0))
+
+A simplex head (softmax rows D) trains on the objective at T = f'(D),
+written in D directly; the fused score s = D * dJ/dD and the drift
+D * f''(D) * (e - sum(e) * D) of the noise-bias gradient are written so
+every 1/D factor cancels, keeping them finite where a softmax component
+has underflowed to zero.
+
 All operations are pure.  Inputs outside the stated domains raise
 ValueError, and non-finite results are treated as domain errors rather
 than propagated.
@@ -38,7 +53,9 @@ Scalar = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """Bundle of a generator, its conjugate, and their derivatives."""
+    """Generator, conjugate and their derivatives, plus the raw-head link
+    and the simplex-head forms; the simplex fields take unchecked softmax
+    rows D and the label column Dy, one-hot labels, or the drift."""
 
     id: str
     f: Callable[[np.ndarray], np.ndarray]
@@ -47,6 +64,19 @@ class DivergenceSpec:
     conj_prime: Callable[[np.ndarray], np.ndarray]
     conj_second: Callable[[np.ndarray], np.ndarray]
     conj_domain: tuple[float, float]  # open interval of valid t
+    link: Callable[[np.ndarray], np.ndarray]  # raw output v -> t in domain
+    link_prime: Callable[[np.ndarray], np.ndarray]
+    simplex_value: Callable  # (D, Dy) -> per-row objective at T = f'(D)
+    simplex_score: Callable  # (D, onehot) -> s = D * dJ/dD
+    simplex_drift: Callable  # (D, drift) -> D * f''(D) * drift
+
+
+def _softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def _sigmoid(x):
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def _kl_f(u):
@@ -114,6 +144,11 @@ _KL = DivergenceSpec(
     conj_prime=_kl_conj,     # conjugate of u*log(u) is its own derivative
     conj_second=_kl_conj,
     conj_domain=(-np.inf, np.inf),
+    link=lambda v: v,
+    link_prime=np.ones_like,
+    simplex_value=lambda D, Dy: np.log(Dy) - 1.0,
+    simplex_score=lambda D, onehot: onehot,
+    simplex_drift=lambda D, drift: drift,
 )
 
 _GAN = DivergenceSpec(
@@ -124,6 +159,13 @@ _GAN = DivergenceSpec(
     conj_prime=_gan_conj_prime,
     conj_second=_gan_conj_second,
     conj_domain=(-np.inf, 0.0),
+    link=lambda v: -_softplus(-v),
+    link_prime=lambda v: _sigmoid(-v),
+    simplex_value=lambda D, Dy: (
+        np.log(Dy / (Dy + 1.0)) - np.log1p(D).sum(axis=1)
+    ),
+    simplex_score=lambda D, onehot: (onehot - D) / (1.0 + D),
+    simplex_drift=lambda D, drift: drift / (1.0 + D),
 )
 
 _SL = DivergenceSpec(
@@ -134,6 +176,13 @@ _SL = DivergenceSpec(
     conj_prime=_sl_conj_prime,
     conj_second=_sl_conj_second,
     conj_domain=(-1.0, 0.0),
+    link=lambda v: -1.0 / (1.0 + _softplus(v)),
+    link_prime=lambda v: _sigmoid(v) / (1.0 + _softplus(v)) ** 2,
+    simplex_value=lambda D, Dy: (
+        -1.0 / (Dy + 1.0) + (-1.0 / (D + 1.0) - np.log1p(D)).sum(axis=1)
+    ),
+    simplex_score=lambda D, onehot: D * (onehot - D) / (1.0 + D) ** 2,
+    simplex_drift=lambda D, drift: D * drift / (1.0 + D) ** 2,
 )
 
 _REGISTRY = {"kl": _KL, "gan": _GAN, "sl": _SL}

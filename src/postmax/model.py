@@ -5,12 +5,8 @@ one of two output heads.  The simplex head squashes the final linear
 outputs into a strictly positive probability row via exponential
 normalization and trains on the change-of-variable objectives; it is the
 default for multi-class problems.  The raw head maps final outputs into
-the conjugate domain of the chosen divergence through a smooth, strictly
-monotone link whose derivative enters backpropagation analytically:
-
-    kl   identity            (domain is the whole real line)
-    gan  -softplus(-v)       (strictly below 0)
-    sl   -1/(1 + softplus(v))  (inside (-1, 0))
+the conjugate domain of the chosen divergence through that divergence's
+link (see postmax.divergence).
 
 Training is plain mini-batch ascent with SGD momentum and a cosine
 learning-rate schedule annealed to zero, deterministic per seed.  All
@@ -27,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from postmax.divergence import get_divergence
+from postmax.divergence import DivergenceSpec, get_divergence
 from postmax.noise import LabeledDataset
 from postmax.objective import (
     POSTERIOR_FLOOR,
@@ -169,34 +165,6 @@ def init(spec: MlpSpec, seed: int) -> NetworkModel:
     return NetworkModel(spec, tuple(params))
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.exp(-np.logaddexp(0.0, -x))
-
-
-def _apply_link(divergence: str, v: np.ndarray) -> np.ndarray:
-    if divergence == "kl":
-        return v
-    if divergence == "gan":
-        return -_softplus(-v)
-    if divergence == "sl":
-        return -1.0 / (1.0 + _softplus(v))
-    raise ValueError(f"unknown divergence id {divergence!r}")
-
-
-def _link_deriv(divergence: str, v: np.ndarray) -> np.ndarray:
-    if divergence == "kl":
-        return np.ones_like(v)
-    if divergence == "gan":
-        return _sigmoid(-v)
-    if divergence == "sl":
-        return _sigmoid(v) / (1.0 + _softplus(v)) ** 2
-    raise ValueError(f"unknown divergence id {divergence!r}")
-
-
 def _softmax(v: np.ndarray) -> np.ndarray:
     z = np.exp(v - v.max(axis=1, keepdims=True))
     return z / z.sum(axis=1, keepdims=True)
@@ -226,10 +194,10 @@ def _forward_parts(spec: MlpSpec, params, X: np.ndarray):
     return hs, zs, v
 
 
-def _head_output(spec: MlpSpec, v: np.ndarray) -> np.ndarray:
+def _head_output(spec: MlpSpec, div: DivergenceSpec, v: np.ndarray) -> np.ndarray:
     if spec.head == "simplex":
         return _softmax(v)
-    return _apply_link(spec.divergence, v)
+    return div.link(v)
 
 
 def forward(model: NetworkModel, X) -> np.ndarray:
@@ -240,7 +208,9 @@ def forward(model: NetworkModel, X) -> np.ndarray:
             f"features must be N x {model.spec.d_in} for this architecture"
         )
     _, _, v = _forward_parts(model.spec, model.params, X)
-    return _head_output(model.spec, v)
+    if model.spec.head == "simplex":
+        return _softmax(v)
+    return get_divergence(model.spec.divergence).link(v)
 
 
 def _check_compat(spec: MlpSpec, cfg: ObjectiveConfig) -> None:
@@ -267,33 +237,36 @@ def _eval_rates(cfg: ObjectiveConfig, k: int) -> Optional[np.ndarray]:
     return None
 
 
-def _batch_objective(cfg: ObjectiveConfig, out: np.ndarray, labels, e) -> float:
+def _batch_objective(
+    cfg: ObjectiveConfig, div: DivergenceSpec, out: np.ndarray, labels, e
+) -> float:
     if cfg.head == "simplex":
         # Optimizers may legitimately drive off-label probabilities to
         # the simplex boundary; floor them so the logged value (not the
         # gradient) stays finite.
         safe = np.maximum(out, POSTERIOR_FLOOR)
-        value = jf_simplex_batch(cfg.divergence, safe, labels)
+        value = jf_simplex_batch(div, safe, labels)
         if e is not None:
-            value -= bias_simplex_batch(cfg.divergence, safe, e)
+            value -= bias_simplex_batch(div, safe, e)
         return value
     if e is not None:
-        return corrected_jf_batch(cfg.divergence, out, labels, e)
-    return jf_batch(cfg.divergence, out, labels)
+        return corrected_jf_batch(div, out, labels, e)
+    return jf_batch(div, out, labels)
 
 
 def _head_grad_v(
-    cfg: ObjectiveConfig, out: np.ndarray, v: np.ndarray, labels, e
+    cfg: ObjectiveConfig, div: DivergenceSpec, out: np.ndarray, v: np.ndarray,
+    labels, e,
 ) -> np.ndarray:
     """Gradient of the batch-mean objective w.r.t. final linear outputs."""
     if cfg.head == "simplex":
-        g_v = jf_simplex_logit_grad_batch(cfg.divergence, out, labels, e)
+        g_v = jf_simplex_logit_grad_batch(div, out, labels, e)
     else:
         if e is not None:
-            g = corrected_grad_batch(cfg.divergence, out, labels, e)
+            g = corrected_grad_batch(div, out, labels, e)
         else:
-            g = jf_grad_batch(cfg.divergence, out, labels)
-        g_v = g * _link_deriv(cfg.divergence, v)
+            g = jf_grad_batch(div, out, labels)
+        g_v = g * div.link_prime(v)
     return g_v / out.shape[0]
 
 
@@ -321,11 +294,12 @@ def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig
             f"features must be N x {model.spec.d_in} for this architecture"
         )
     labels = np.asarray(labels)
+    div = get_divergence(cfg.divergence)
     e = _train_rates(cfg, model.spec.k)
     hs, zs, v = _forward_parts(model.spec, model.params, X)
-    out = _head_output(model.spec, v)
-    value = _batch_objective(cfg, out, labels, e)
-    g_v = _head_grad_v(cfg, out, v, labels, e)
+    out = _head_output(model.spec, div, v)
+    value = _batch_objective(cfg, div, out, labels, e)
+    g_v = _head_grad_v(cfg, div, out, v, labels, e)
     grads = _backprop(model.spec, model.params, hs, zs, g_v)
     return value, grads
 
@@ -374,6 +348,7 @@ def train(
     ):
         raise ValueError("eval dataset shapes do not match the architecture")
 
+    div = get_divergence(objective_config.divergence)
     e = _train_rates(objective_config, spec.k)
     X, y = dataset.features, dataset.labels
     n = dataset.n
@@ -404,13 +379,11 @@ def train(
             Xb, yb = X[idx], y[idx]
             try:
                 hs, zs, v = _forward_parts(spec, params, Xb)
-                out = _head_output(spec, v)
+                out = _head_output(spec, div, v)
                 if simplex:
-                    g_v = _simplex_logit_grad(
-                        objective_config.divergence, out, yb, e
-                    ) / out.shape[0]
+                    g_v = _simplex_logit_grad(div, out, yb, e) / out.shape[0]
                 else:
-                    g_v = _head_grad_v(objective_config, out, v, yb, e)
+                    g_v = _head_grad_v(objective_config, div, out, v, yb, e)
             except ValueError as err:
                 raise RuntimeError(
                     f"training diverged at epoch {epoch} step {step}: {err}"
@@ -428,7 +401,7 @@ def train(
                 )
 
         try:
-            train_acc, obj = _evaluate(spec, params, objective_config, dataset)
+            train_acc, obj = _evaluate(spec, div, params, objective_config, dataset)
         except ValueError as err:
             raise RuntimeError(
                 f"objective became unevaluable after epoch {epoch}: {err}"
@@ -440,7 +413,9 @@ def train(
         objectives.append(obj)
         train_accs.append(train_acc)
         if eval_dataset is not None:
-            test_acc, _ = _evaluate(spec, params, objective_config, eval_dataset)
+            test_acc, _ = _evaluate(
+                spec, div, params, objective_config, eval_dataset
+            )
             test_accs.append(test_acc)
         if (
             train_config.snapshot_every > 0
@@ -469,20 +444,23 @@ def evaluate(model: NetworkModel, dataset: LabeledDataset, cfg: ObjectiveConfig)
         raise ValueError(
             f"features must be N x {model.spec.d_in} for this architecture"
         )
-    return _evaluate(model.spec, model.params, cfg, dataset)
+    div = get_divergence(cfg.divergence)
+    return _evaluate(model.spec, div, model.params, cfg, dataset)
 
 
-def _evaluate(spec: MlpSpec, params, cfg: ObjectiveConfig, dataset: LabeledDataset):
-    """evaluate() on bare parameters whose shapes the caller has checked."""
+def _evaluate(
+    spec: MlpSpec, div: DivergenceSpec, params, cfg: ObjectiveConfig,
+    dataset: LabeledDataset,
+):
+    """evaluate() on bare parameters whose shapes the caller has checked;
+    div is the spec of cfg.divergence."""
     _, _, v = _forward_parts(spec, params, dataset.features)
-    out = _head_output(spec, v)
-    obj = _batch_objective(cfg, out, dataset.labels, _train_rates(cfg, spec.k))
+    out = _head_output(spec, div, v)
+    obj = _batch_objective(cfg, div, out, dataset.labels, _train_rates(cfg, spec.k))
     if cfg.head == "simplex":
         post = PosteriorMatrix(out, normalized=False)
     else:
-        post = PosteriorMatrix(
-            get_divergence(cfg.divergence).conj_prime(out), normalized=False
-        )
+        post = PosteriorMatrix(div.conj_prime(out), normalized=False)
     e_eval = _eval_rates(cfg, spec.k)
     if e_eval is not None:
         post = posterior_correct(post, e_eval)

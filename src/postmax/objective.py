@@ -30,6 +30,7 @@ from postmax.divergence import (
     _check_in_domain,
     conj_prime,
     conj_second,
+    get_divergence,
     optimal_T_from_posterior,
 )
 from postmax.noise import NoiseParams, TransitionMatrix
@@ -51,7 +52,7 @@ class ObjectiveConfig:
     head: str = "simplex"
 
     def __post_init__(self):
-        _as_spec(self.divergence)
+        get_divergence(self.divergence)  # a registered id, not a spec object
         if self.correction not in _CORRECTIONS:
             raise ValueError(f"correction must be one of {_CORRECTIONS}")
         if self.head not in _HEADS:
@@ -158,17 +159,6 @@ def jf_grad_batch(spec, T, labels) -> np.ndarray:
     return grad
 
 
-def bias_binary(spec, T, e0: float, e1: float) -> float:
-    """Noise-induced bias of the two-class objective for flip rates e0, e1."""
-    e = _check_rates([e0, e1], 2)
-    spec = _as_spec(spec)
-    T = _check_T(spec, T)
-    if T.shape[1] != 2:
-        raise ValueError("binary bias needs two output columns")
-    per_sample = T @ e - e.sum() * spec.conj(T).sum(axis=1)
-    return float(np.mean(per_sample))
-
-
 def bias_multiclass(spec, T, e) -> float:
     """Noise-induced bias of the objective under per-class flip-in rates e."""
     spec = _as_spec(spec)
@@ -245,25 +235,6 @@ def jf_simplex_kl(D_row, label) -> float:
     return float(np.log(D[label]) - 1.0)
 
 
-def jf_simplex_gan(D_row, label) -> float:
-    """GAN objective of one sample expressed in the simplex variable."""
-    D = _check_simplex_row(D_row, require_simplex=False)
-    if np.any(D <= 0.0):
-        raise ValueError("components must be strictly positive")
-    label = int(label)
-    return float(np.log(D[label] / (D[label] + 1.0)) - np.log1p(D).sum())
-
-
-def jf_simplex_sl(D_row, label) -> float:
-    """SL objective of one sample expressed in the simplex variable."""
-    D = _check_simplex_row(D_row, require_simplex=False)
-    if np.any(D <= 0.0):
-        raise ValueError("components must be strictly positive")
-    label = int(label)
-    inv = 1.0 / (D + 1.0)
-    return float(-inv[label] + np.sum(-inv - np.log1p(D)))
-
-
 def cross_entropy(D_row, label) -> float:
     """Reference cross-entropy of one simplex row, for equivalence checks."""
     D = _check_simplex_row(D_row, require_simplex=True)
@@ -291,28 +262,6 @@ def jf_simplex_kl_logit_grad(D_row, label) -> np.ndarray:
     return D * (g - np.dot(g, D))
 
 
-def jf_simplex_grad_D(div_id, D_row, label) -> np.ndarray:
-    """Gradient of the per-sample simplex objective w.r.t. D itself."""
-    D = _check_simplex_row(D_row, require_simplex=False)
-    if np.any(D <= 0.0):
-        raise ValueError("components must be strictly positive")
-    label = int(label)
-    if div_id == "kl":
-        grad = np.zeros_like(D)
-        grad[label] = 1.0 / D[label]
-        return grad
-    if div_id == "gan":
-        grad = -1.0 / (D + 1.0)
-        grad[label] += 1.0 / D[label] - 1.0 / (D[label] + 1.0)
-        return grad
-    if div_id == "sl":
-        inv = 1.0 / (D + 1.0)
-        grad = inv * inv - inv
-        grad[label] += inv[label] * inv[label]
-        return grad
-    raise ValueError(f"unknown divergence id {div_id!r}")
-
-
 def generator_curvature(spec, u):
     """Second derivative of the generator at u, via the conjugate.
 
@@ -324,61 +273,31 @@ def generator_curvature(spec, u):
     return 1.0 / conj_second(spec, t)
 
 
-def _check_D_batch(div_id: str, D, simplex_rows: bool = True) -> np.ndarray:
+def _check_D_batch(D, simplex_rows: bool = True) -> np.ndarray:
     arr = np.asarray(D, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("expected an N x K matrix of simplex rows")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("components must be strictly positive and finite")
-    # dropping the constant in the kl form relies on rows summing to 1
-    if simplex_rows and div_id == "kl":
-        if np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValueError("rows must sum to 1 within 1e-9")
+    # the simplex-variable objectives assume rows on the simplex (kl
+    # drops a constant that only unit rows make exact)
+    if simplex_rows and np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
+        raise ValueError("rows must sum to 1 within 1e-9")
     return arr
 
 
-def jf_simplex_batch(div_id: str, D, labels) -> float:
+def jf_simplex_batch(div_id, D, labels) -> float:
     """Mean change-of-variable objective over a batch of simplex rows."""
-    D = _check_D_batch(div_id, D)
+    spec = _as_spec(div_id)
+    D = _check_D_batch(D)
     labels = _check_labels(labels, D.shape[0], D.shape[1])
-    n = np.arange(D.shape[0])
-    Dy = D[n, labels]
-    if div_id == "kl":
-        vals = np.log(Dy) - 1.0
-    elif div_id == "gan":
-        vals = np.log(Dy / (Dy + 1.0)) - np.log1p(D).sum(axis=1)
-    elif div_id == "sl":
-        inv = 1.0 / (D + 1.0)
-        vals = -inv[n, labels] + (-inv - np.log1p(D)).sum(axis=1)
-    else:
-        raise ValueError(f"unknown divergence id {div_id!r}")
-    return float(vals.mean())
+    Dy = D[np.arange(D.shape[0]), labels]
+    return float(spec.simplex_value(D, Dy).mean())
 
 
-def jf_simplex_grad_batch(div_id: str, D, labels) -> np.ndarray:
-    """Per-sample gradients of the simplex objective w.r.t. D, stacked."""
-    D = _check_D_batch(div_id, D)
-    labels = _check_labels(labels, D.shape[0], D.shape[1])
-    n = np.arange(D.shape[0])
-    if div_id == "kl":
-        grad = np.zeros_like(D)
-        grad[n, labels] = 1.0 / D[n, labels]
-    elif div_id == "gan":
-        grad = -1.0 / (D + 1.0)
-        Dy = D[n, labels]
-        grad[n, labels] += 1.0 / Dy - 1.0 / (Dy + 1.0)
-    elif div_id == "sl":
-        inv = 1.0 / (D + 1.0)
-        grad = inv * inv - inv
-        grad[n, labels] += inv[n, labels] ** 2
-    else:
-        raise ValueError(f"unknown divergence id {div_id!r}")
-    return grad
-
-
-def bias_simplex_batch(div_id: str, D, e) -> float:
+def bias_simplex_batch(div_id, D, e) -> float:
     """Mean noise bias over a batch, expressed in the simplex variable."""
-    D = _check_D_batch(div_id, D, simplex_rows=False)
+    D = _check_D_batch(D, simplex_rows=False)
     e = _check_rates(e, D.shape[1])
     spec = _as_spec(div_id)
     T = optimal_T_from_posterior(spec, D)
@@ -386,14 +305,7 @@ def bias_simplex_batch(div_id: str, D, e) -> float:
     return float(per_sample.mean())
 
 
-def bias_simplex_grad_batch(div_id: str, D, e) -> np.ndarray:
-    """Per-sample gradients of the simplex-variable bias w.r.t. D."""
-    D = _check_D_batch(div_id, D, simplex_rows=False)
-    e = _check_rates(e, D.shape[1])
-    return generator_curvature(div_id, D) * (e[None, :] - e.sum() * D)
-
-
-def jf_simplex_logit_grad_batch(div_id: str, D, labels, e=None) -> np.ndarray:
+def jf_simplex_logit_grad_batch(div_id, D, labels, e=None) -> np.ndarray:
     """Per-sample ascent gradients w.r.t. pre-softmax logits.
 
     Folding the softmax jacobian into the gradient cancels every 1/D
@@ -413,36 +325,22 @@ def jf_simplex_logit_grad_batch(div_id: str, D, labels, e=None) -> np.ndarray:
     labels = _check_labels(labels, D.shape[0], D.shape[1])
     if e is not None:
         e = _check_rates(e, D.shape[1])
-    return _simplex_logit_grad(spec.id, D, labels, e)
+    return _simplex_logit_grad(spec, D, labels, e)
 
 
-def _simplex_logit_grad(div_id: str, D, labels, e) -> np.ndarray:
+def _simplex_logit_grad(spec, D, labels, e) -> np.ndarray:
     """jf_simplex_logit_grad_batch without input checks.
 
     For callers that have validated labels and rates once and feed
-    softmax rows: a canonical divergence id, an N x K float matrix,
+    softmax rows: a divergence spec or id, an N x K float matrix,
     integer labels in [0, K), and a float rate vector or None.
     """
+    spec = _as_spec(spec)
     onehot = np.zeros_like(D)
     onehot[np.arange(D.shape[0]), labels] = 1.0
-    # s = D * dJ/dD, written so the D factors cancel analytically.
-    if div_id == "kl":
-        s = onehot
-    elif div_id == "gan":
-        s = (onehot - D) / (1.0 + D)
-    elif div_id == "sl":
-        s = D * (onehot - D) / (1.0 + D) ** 2
-    else:
-        raise ValueError(f"unknown divergence id {div_id!r}")
+    s = spec.simplex_score(D, onehot)
     if e is not None:
-        drift = e[None, :] - e.sum() * D
-        # D * f''(D) per divergence, finite on the simplex boundary.
-        if div_id == "kl":
-            s -= drift
-        elif div_id == "gan":
-            s -= drift / (1.0 + D)
-        else:
-            s -= D * drift / (1.0 + D) ** 2
+        s -= spec.simplex_drift(D, e[None, :] - e.sum() * D)
     return s - D * s.sum(axis=1, keepdims=True)
 
 

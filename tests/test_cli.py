@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postmax.cli import (
+    RECORD_COLUMNS,
     ConfigError,
     ExperimentConfig,
     ResultRecord,
@@ -693,6 +694,52 @@ class TestCommandLine:
         payload = json.loads(reported.output)
         assert len(payload["records"]) == 1
         assert payload["summary"][0]["noisy_std"] == 0.0
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("a.json", json.dumps({"records": [1]}), "record 1"),
+            ("b.json", json.dumps({"records": [{"seed": 0}]}), "record 1"),
+            (
+                "d.json",
+                json.dumps({"records": [dict(zip(RECORD_COLUMNS, ["0"] * 8))]}),
+                "record 1: mistyped seed, clean_test_accuracy",
+            ),
+            (
+                "c.csv",
+                ",".join(RECORD_COLUMNS) + "\n0,kl\n",
+                "record 1: expected 8 fields, got 2",
+            ),
+        ],
+        ids=["json-non-object", "json-missing-fields", "json-mistyped", "csv-short"],
+    )
+    def test_report_malformed_records_exit_one(self, tmp_path, name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["report", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: invalid records file: {where}" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["corrupt", "--config", "{config}"],
+            ["train", "--config", "{config}"],
+            ["sweep", "--config", "{config}"],
+            ["verify"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_unwritable_out_exits_one(self, tmp_path, cli_config, args):
+        out = tmp_path / "missing" / "out.txt"
+        argv = [a.format(config=cli_config) for a in args] + ["--out", str(out)]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {out}" in result.output
+        assert "Traceback" not in result.output
 
     def test_verify_passes(self):
         runner = CliRunner()

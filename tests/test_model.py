@@ -5,12 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from postmax.divergence import DIVERGENCE_IDS, optimal_T_from_posterior
+from postmax.divergence import (
+    DIVERGENCE_IDS,
+    get_divergence,
+    optimal_T_from_posterior,
+)
 from postmax.model import (
     MlpSpec,
     NetworkModel,
     TrainConfig,
+    _backprop,
     _cosine_lr,
+    _forward_parts,
     evaluate,
     forward,
     init,
@@ -20,7 +26,13 @@ from postmax.model import (
     train,
 )
 from postmax.noise import LabeledDataset, NoiseParams
-from postmax.objective import ObjectiveConfig
+from postmax.objective import (
+    ObjectiveConfig,
+    corrected_grad_batch,
+    corrected_jf_batch,
+    jf_batch,
+    jf_grad_batch,
+)
 
 
 def gaussian_blobs(rng, n_per_class, means, scale=1.0):
@@ -227,6 +239,32 @@ class TestBackprop:
         for (gW, gb), (fW, fb) in zip(grads, fd):
             np.testing.assert_allclose(gW, fW, rtol=1e-4, atol=1e-7)
             np.testing.assert_allclose(gb, fb, rtol=1e-4, atol=1e-7)
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    @pytest.mark.parametrize("correction", ["none", "objective"])
+    def test_raw_head_matches_id_route(self, div_id, correction):
+        # objective_and_gradients resolves the spec once and passes the
+        # object on; the same pieces called with the id give the same bits
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(9, 3))
+        y = rng.integers(0, 4, size=9)
+        noise = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15, 0.02])
+        cfg = raw_cfg(div_id, correction, noise if correction != "none" else None)
+        model = init(MlpSpec((3, 5, 4), head="raw_t", divergence=div_id), seed=4)
+        value, grads = objective_and_gradients(model, X, y, cfg)
+        hs, zs, v = _forward_parts(model.spec, model.params, X)
+        out = forward(model, X)
+        if correction == "none":
+            want = jf_batch(div_id, out, y)
+            g = jf_grad_batch(div_id, out, y)
+        else:
+            e = noise.flip_rates(4)
+            want = corrected_jf_batch(div_id, out, y, e)
+            g = corrected_grad_batch(div_id, out, y, e)
+        g_v = g * get_divergence(div_id).link_prime(v) / X.shape[0]
+        assert value == want
+        for got, ref in zip(grads, _backprop(model.spec, model.params, hs, zs, g_v)):
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     def test_head_mismatch_rejected(self):
         model = init(MlpSpec((3, 2)), seed=0)

@@ -5,6 +5,7 @@ import pytest
 
 from postmax.divergence import (
     DIVERGENCE_IDS,
+    _as_spec,
     fenchel_conjugate,
     get_divergence,
     optimal_T_from_posterior,
@@ -13,11 +14,13 @@ from postmax.noise import NoiseParams, TransitionMatrix, uniform_offdiag_matrix
 from postmax.objective import (
     DiscreteJoint,
     ObjectiveConfig,
+    _check_D_batch,
+    _check_labels,
+    _check_simplex_row,
+    _check_T,
     active_passive_split,
-    bias_binary,
     bias_multiclass,
     bias_simplex_batch,
-    bias_simplex_grad_batch,
     corrected_grad_batch,
     corrected_grad_sample,
     corrected_jf_batch,
@@ -31,16 +34,97 @@ from postmax.objective import (
     jf_grad_batch,
     jf_grad_sample,
     jf_simplex_batch,
-    jf_simplex_gan,
-    jf_simplex_grad_batch,
-    jf_simplex_grad_D,
     jf_simplex_kl,
     jf_simplex_kl_logit_grad,
     jf_simplex_logit_grad_batch,
-    jf_simplex_sl,
     noisy_joint,
 )
 from postmax.objective import _simplex_logit_grad
+from postmax.posterior import _check_rates
+
+# Reference formulas for the checks below, written from the closed forms
+# per divergence and never from the DivergenceSpec table, so comparing the
+# library against them is not circular.
+
+
+def bias_binary(spec, T, e0: float, e1: float) -> float:
+    """Noise-induced bias of the two-class objective for flip rates e0, e1."""
+    e = _check_rates([e0, e1], 2)
+    spec = _as_spec(spec)
+    T = _check_T(spec, T)
+    if T.shape[1] != 2:
+        raise ValueError("binary bias needs two output columns")
+    per_sample = T @ e - e.sum() * spec.conj(T).sum(axis=1)
+    return float(np.mean(per_sample))
+
+
+def jf_simplex_gan(D_row, label) -> float:
+    """GAN objective of one sample expressed in the simplex variable."""
+    D = _check_simplex_row(D_row, require_simplex=False)
+    if np.any(D <= 0.0):
+        raise ValueError("components must be strictly positive")
+    label = int(label)
+    return float(np.log(D[label] / (D[label] + 1.0)) - np.log1p(D).sum())
+
+
+def jf_simplex_sl(D_row, label) -> float:
+    """SL objective of one sample expressed in the simplex variable."""
+    D = _check_simplex_row(D_row, require_simplex=False)
+    if np.any(D <= 0.0):
+        raise ValueError("components must be strictly positive")
+    label = int(label)
+    inv = 1.0 / (D + 1.0)
+    return float(-inv[label] + np.sum(-inv - np.log1p(D)))
+
+
+def jf_simplex_grad_D(div_id, D_row, label) -> np.ndarray:
+    """Gradient of the per-sample simplex objective w.r.t. D itself."""
+    D = _check_simplex_row(D_row, require_simplex=False)
+    if np.any(D <= 0.0):
+        raise ValueError("components must be strictly positive")
+    label = int(label)
+    if div_id == "kl":
+        grad = np.zeros_like(D)
+        grad[label] = 1.0 / D[label]
+        return grad
+    if div_id == "gan":
+        grad = -1.0 / (D + 1.0)
+        grad[label] += 1.0 / D[label] - 1.0 / (D[label] + 1.0)
+        return grad
+    if div_id == "sl":
+        inv = 1.0 / (D + 1.0)
+        grad = inv * inv - inv
+        grad[label] += inv[label] * inv[label]
+        return grad
+    raise ValueError(f"unknown divergence id {div_id!r}")
+
+
+def jf_simplex_grad_batch(div_id: str, D, labels) -> np.ndarray:
+    """Per-sample gradients of the simplex objective w.r.t. D, stacked."""
+    D = _check_D_batch(D)
+    labels = _check_labels(labels, D.shape[0], D.shape[1])
+    n = np.arange(D.shape[0])
+    if div_id == "kl":
+        grad = np.zeros_like(D)
+        grad[n, labels] = 1.0 / D[n, labels]
+    elif div_id == "gan":
+        grad = -1.0 / (D + 1.0)
+        Dy = D[n, labels]
+        grad[n, labels] += 1.0 / Dy - 1.0 / (Dy + 1.0)
+    elif div_id == "sl":
+        inv = 1.0 / (D + 1.0)
+        grad = inv * inv - inv
+        grad[n, labels] += inv[n, labels] ** 2
+    else:
+        raise ValueError(f"unknown divergence id {div_id!r}")
+    return grad
+
+
+def bias_simplex_grad_batch(div_id: str, D, e) -> np.ndarray:
+    """Per-sample gradients of the simplex-variable bias w.r.t. D."""
+    D = _check_D_batch(D, simplex_rows=False)
+    e = _check_rates(e, D.shape[1])
+    return generator_curvature(div_id, D) * (e[None, :] - e.sum() * D)
 
 
 def random_T(div_id, rng, shape):
@@ -617,6 +701,28 @@ class TestSimplexLogitGrad:
             jf_simplex_logit_grad_batch("kl", D, [0, 1], [0.1, 0.1, 0.1])
 
 
+@pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+def test_spec_object_and_id_give_identical_results(div_id):
+    rng = np.random.default_rng(149)
+    spec = get_divergence(div_id)
+    D = rng.uniform(0.05, 1.0, size=(20, 4))
+    D /= D.sum(axis=1, keepdims=True)
+    labels = rng.integers(0, 4, size=20)
+    e = [0.1, 0.05, 0.15, 0.02]
+    T = random_T(div_id, rng, (20, 4))
+    for fn, args in (
+        (jf_simplex_batch, (D, labels)),
+        (bias_simplex_batch, (D, e)),
+        (jf_simplex_logit_grad_batch, (D, labels)),
+        (jf_simplex_logit_grad_batch, (D, labels, e)),
+        (jf_batch, (T, labels)),
+        (jf_grad_batch, (T, labels)),
+        (corrected_jf_batch, (T, labels, e)),
+        (corrected_grad_batch, (T, labels, e)),
+    ):
+        assert np.array_equal(fn(spec, *args), fn(div_id, *args)), fn.__name__
+
+
 class TestDiscreteJoint:
     def test_marginal_and_posterior(self):
         joint = DiscreteJoint([[0.28, 0.12], [0.18, 0.42]])
@@ -725,6 +831,12 @@ class TestObjectiveConfig:
             ObjectiveConfig(divergence="kl", correction="both")
         with pytest.raises(ValueError):
             ObjectiveConfig(divergence="kl", head="logits")
+
+    def test_rejects_spec_object(self):
+        # only a registered id is accepted; a spec object used to pass
+        # here and fail at the first training step
+        with pytest.raises(ValueError, match="unknown divergence id"):
+            ObjectiveConfig(get_divergence("kl"))
 
     def test_rejects_correction_without_noise(self):
         with pytest.raises(ValueError):
