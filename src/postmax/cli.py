@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -21,10 +22,12 @@ import numpy as np
 import yaml
 
 from .analysis import verify_theorems
+from .divergence import DIVERGENCE_IDS
 from .model import (
     MlpSpec,
     NetworkModel,
     TrainConfig,
+    _train_members,
     evaluate,
     init,
     load_model,
@@ -462,6 +465,10 @@ class ResultRecord:
     wall_seconds: float
 
     def __post_init__(self):
+        if self.divergence not in DIVERGENCE_IDS:
+            raise ValueError(f"unknown divergence {self.divergence!r}")
+        if self.correction not in _CORRECTIONS:
+            raise ValueError(f"unknown correction {self.correction!r}")
         for name in ("clean_test_accuracy", "noisy_test_accuracy"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -498,47 +505,52 @@ def _mlp_spec(cfg: ExperimentConfig, train_ds: LabeledDataset) -> MlpSpec:
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Run the experiment protocol and return one record per (seed, mode).
 
-    Per seed: train a clean baseline, corrupt the training split (the
-    test split is never corrupted), train once per distinct training
-    objective, and evaluate every correction mode on the clean test
-    split.  Posterior correction acts only at evaluation, so the `none`
-    and `posterior` modes share one noisy training; the wall time of
-    each of their records is that training plus the record's own
-    evaluation.  Identical configs and seeds give identical records
-    apart from wall time.
+    Per seed: corrupt the training split (the test split is never
+    corrupted), train the clean baseline and one network per distinct
+    training objective in one lockstep call, and evaluate every
+    correction mode on the clean test split.  Posterior correction acts
+    only at evaluation, so the `none` and `posterior` modes share one
+    noisy training.  The wall time of each record is its seed's lockstep
+    training plus the record's own evaluation.  Identical configs and
+    seeds give identical records apart from wall time.
     """
     train_ds, test_ds = _load_splits(cfg)
     spec = _mlp_spec(cfg, train_ds)
     plain = ObjectiveConfig(cfg.divergence, "none", None, cfg.head)
     noise_desc = describe_noise(cfg.noise)
+    # only the objective correction changes the gradient
+    train_mode = {
+        mode: "objective" if mode == "objective" else "none"
+        for mode in cfg.corrections
+    }
+    noisy_modes = []  # distinct training modes, in order of first use
+    if cfg.noise is not None:
+        noisy_modes = list(dict.fromkeys(train_mode.values()))
     records = []
     for seed in cfg.seeds:
-        tc = replace(cfg.train, seed=seed)
-        model0 = init(spec, seed=seed)
-        t0 = time.perf_counter()
-        clean_model, clean_trace = train(model0, train_ds, plain, tc)
-        clean_acc, clean_obj = evaluate(clean_model, test_ds, plain)
-        clean_wall = time.perf_counter() - t0
+        members = [(train_ds, plain)]
         if cfg.noise is not None:
-            tm = cfg.noise.to_matrix(train_ds.k)
-            noisy_train = corrupt(train_ds, tm, seed=seed)
-        trained = {}  # training mode -> (model, training seconds)
+            noisy_train = corrupt(train_ds, cfg.noise.to_matrix(train_ds.k), seed=seed)
+            members += [
+                (noisy_train, ObjectiveConfig(cfg.divergence, t, cfg.noise, cfg.head))
+                for t in noisy_modes
+            ]
+        t0 = time.perf_counter()
+        trained = _train_members(
+            init(spec, seed=seed), members, replace(cfg.train, seed=seed)
+        )
+        train_wall = time.perf_counter() - t0
+        noisy_models = dict(zip(noisy_modes, (m for m, _ in trained[1:])))
+        t0 = time.perf_counter()
+        clean_acc, clean_obj = evaluate(trained[0][0], test_ds, plain)
+        clean_wall = train_wall + time.perf_counter() - t0
         for mode in cfg.corrections:
             if cfg.noise is None:
                 acc, obj = clean_acc, clean_obj
                 wall = clean_wall
             else:
-                # only the objective correction changes the gradient
-                train_mode = "objective" if mode == "objective" else "none"
-                if train_mode not in trained:
-                    t0 = time.perf_counter()
-                    tcfg = ObjectiveConfig(
-                        cfg.divergence, train_mode, cfg.noise, cfg.head
-                    )
-                    m, _ = train(model0, noisy_train, tcfg, tc)
-                    trained[train_mode] = (m, time.perf_counter() - t0)
-                m, train_wall = trained[train_mode]
                 t0 = time.perf_counter()
+                m = noisy_models[train_mode[mode]]
                 ocfg = ObjectiveConfig(cfg.divergence, mode, cfg.noise, cfg.head)
                 acc, obj = evaluate(m, test_ds, ocfg)
                 wall = train_wall + time.perf_counter() - t0
@@ -761,6 +773,22 @@ def _fail_write(path, err: OSError) -> None:
     _fail(f"cannot write {path}: {err.strerror or err}")
 
 
+def _check_writable(path) -> None:
+    """Fail before a long run if path cannot be opened for writing.
+
+    An existing file keeps its contents, and a file the check creates is
+    removed again, so a run that fails later leaves no trace at path.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as err:
+        _fail_write(path, err)
+    if not existed:
+        os.remove(path)
+
+
 def _config_from_flag(config_path) -> ExperimentConfig:
     if config_path is None:
         _fail("--config is required for this command")
@@ -812,6 +840,7 @@ def train_cmd(config_path, seed, out_path):
     """Train one model (first correction mode) and save it as JSON."""
     cfg = _config_from_flag(config_path)
     run_seed = cfg.seeds[0] if seed is None else seed
+    _check_writable(out_path)
     try:
         train_ds, test_ds = _load_splits(cfg)
         spec = _mlp_spec(cfg, train_ds)
@@ -866,6 +895,8 @@ def eval_cmd(config_path, model_path, out_format):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def verify_cmd(seed, out_path):
     """Check the library's core identities on fresh random trials."""
+    if out_path is not None:
+        _check_writable(out_path)
     try:
         reports = verify_theorems(seed, report_path=out_path)
     except OSError as err:
@@ -895,13 +926,15 @@ def verify_cmd(seed, out_path):
 def sweep_cmd(config_path, out_path, out_format):
     """Run the full seeds x corrections experiment and report results."""
     cfg = _config_from_flag(config_path)
+    dest = out_path or cfg.out_path
+    if dest is not None:
+        _check_writable(dest)
     try:
         records = run_experiment(cfg)
     except (ConfigError, ValueError, RuntimeError) as err:
         _fail(str(err))
     fmt = out_format or cfg.out_format
     text = report(records, format=fmt)
-    dest = out_path or cfg.out_path
     if dest is not None:
         try:
             with open(dest, "w", encoding="utf-8") as fh:
@@ -934,7 +967,7 @@ def report_cmd(in_path, out_format):
     try:
         records = parse_report(text, in_format)
         out = report(records, format=out_format)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         _fail(f"invalid records file: {err}")
     click.echo(out, nl=False)
 

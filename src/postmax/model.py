@@ -12,6 +12,16 @@ Training is plain mini-batch ascent with SGD momentum and a cosine
 learning-rate schedule annealed to zero, deterministic per seed.  All
 gradients are propagated by hand and checked against central finite
 differences in the test suite.
+
+One loop trains M members in lockstep: networks that start from the same
+parameters and draw the same mini-batches but see their own labels and
+correction mode, such as the clean, noisy and corrected networks of one
+experiment seed.  Parameters, velocities and gradients are (M, P) arrays,
+one flat row per member; the forward pass and backprop run as batched
+matmuls over the member axis into workspaces of shape (M, batch, width)
+allocated once per training, and a ragged last batch uses a slice of them.
+A single-member call is train() itself, so each member ends bit for bit
+where its own train() call would.
 """
 
 from __future__ import annotations
@@ -29,7 +39,11 @@ from postmax.objective import (
     POSTERIOR_FLOOR,
     ObjectiveConfig,
     _HEADS,
+    _bias_simplex,
+    _check_D_batch,
     _check_labels,
+    _jf_simplex,
+    _onehot,
     _simplex_logit_grad,
     bias_simplex_batch,
     corrected_grad_batch,
@@ -165,32 +179,40 @@ def init(spec: MlpSpec, seed: int) -> NetworkModel:
     return NetworkModel(spec, tuple(params))
 
 
-def _softmax(v: np.ndarray) -> np.ndarray:
-    z = np.exp(v - v.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+def _softmax(v: np.ndarray, out=None) -> np.ndarray:
+    """Row softmax over the last axis, into out when given."""
+    z = np.subtract(v, v.max(axis=-1, keepdims=True), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) if name == "relu" else np.tanh(z)
+def _forward_into(activation: str, layers, hs, zs, v) -> None:
+    """Forward pass into given arrays, over any leading member axes.
 
-
-def _activate_deriv(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # relu's kink at 0 is measure-zero under continuous inputs
-    return (z > 0.0).astype(float) if name == "relu" else 1.0 - h * h
+    hs[0] holds the layer-0 inputs; hidden layer i writes its
+    pre-activation to zs[i] and its activation, the next layer's input,
+    to hs[i + 1]; the final linear outputs go to v.  layers are (W, b)
+    pairs whose b broadcasts against the layer's outputs.
+    """
+    for (W, b), h_in, z, h in zip(layers[:-1], hs, zs, hs[1:]):
+        np.matmul(h_in, W, out=z)
+        z += b
+        if activation == "relu":
+            np.maximum(z, 0.0, out=h)
+        else:
+            np.tanh(z, out=h)
+    W, b = layers[-1]
+    np.matmul(hs[-1], W, out=v)
+    v += b
 
 
 def _forward_parts(spec: MlpSpec, params, X: np.ndarray):
     """All layer inputs and pre-activations, plus final linear outputs."""
-    hs = [X]
-    zs = []
-    h = X
-    for W, b in params[:-1]:
-        z = h @ W + b
-        h = _activate(spec.activation, z)
-        zs.append(z)
-        hs.append(h)
-    W, b = params[-1]
-    v = h @ W + b
+    zs = [np.empty((X.shape[0], w)) for w in spec.layer_sizes[1:-1]]
+    hs = [X] + [np.empty_like(z) for z in zs]
+    v = np.empty((X.shape[0], spec.k))
+    _forward_into(spec.activation, params, hs, zs, v)
     return hs, zs, v
 
 
@@ -238,16 +260,25 @@ def _eval_rates(cfg: ObjectiveConfig, k: int) -> Optional[np.ndarray]:
 
 
 def _batch_objective(
-    cfg: ObjectiveConfig, div: DivergenceSpec, out: np.ndarray, labels, e
+    cfg: ObjectiveConfig, div: DivergenceSpec, out: np.ndarray, labels, e,
+    checked: bool = False,
 ) -> float:
+    """Mean objective of head outputs; checked means the caller has
+    checked labels and rates, so simplex rows get one check and the
+    unchecked kernels."""
     if cfg.head == "simplex":
         # Optimizers may legitimately drive off-label probabilities to
         # the simplex boundary; floor them so the logged value (not the
         # gradient) stays finite.
         safe = np.maximum(out, POSTERIOR_FLOOR)
-        value = jf_simplex_batch(div, safe, labels)
+        if checked:
+            _check_D_batch(safe)
+            jf, bias = _jf_simplex, _bias_simplex
+        else:
+            jf, bias = jf_simplex_batch, bias_simplex_batch
+        value = jf(div, safe, labels)
         if e is not None:
-            value -= bias_simplex_batch(div, safe, e)
+            value -= bias(div, safe, e)
         return value
     if e is not None:
         return corrected_jf_batch(div, out, labels, e)
@@ -270,14 +301,34 @@ def _head_grad_v(
     return g_v / out.shape[0]
 
 
-def _backprop(spec: MlpSpec, params, hs, zs, g_v):
-    grads = [None] * len(params)
+def _backprop_into(activation: str, layers, hs, zs, g_v, grads, deltas, derivs):
+    """Backpropagate the output gradient g_v, over any leading member axes.
+
+    hs and zs are _forward_into's; each layer's (dW, db) is written into
+    the arrays of grads, and deltas and derivs are scratch shaped like zs.
+    """
     g = g_v
-    for i in range(len(params) - 1, -1, -1):
-        W, _ = params[i]
-        grads[i] = (hs[i].T @ g, g.sum(axis=0))
+    for i in range(len(layers) - 1, -1, -1):
+        gW, gb = grads[i]
+        np.matmul(hs[i].swapaxes(-1, -2), g, out=gW)
+        np.add.reduce(g, axis=-2, out=gb)
         if i > 0:
-            g = (g @ W.T) * _activate_deriv(spec.activation, zs[i - 1], hs[i])
+            g = np.matmul(g, layers[i][0].swapaxes(-1, -2), out=deltas[i - 1])
+            d = derivs[i - 1]
+            if activation == "relu":
+                # relu's kink at 0 is measure-zero under continuous inputs
+                np.greater(zs[i - 1], 0.0, out=d)
+            else:
+                np.multiply(hs[i], hs[i], out=d)
+                np.subtract(1.0, d, out=d)
+            g *= d
+
+
+def _backprop(spec: MlpSpec, params, hs, zs, g_v):
+    """Per-layer (dW, db) of the output gradient g_v, in new arrays."""
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
+    scratch = [[np.empty_like(z) for z in zs] for _ in range(2)]
+    _backprop_into(spec.activation, params, hs, zs, g_v, grads, *scratch)
     return grads
 
 
@@ -311,13 +362,15 @@ def _cosine_lr(lr0: float, step: int, total_steps: int) -> float:
 
 
 def _layer_views(buf: np.ndarray, params) -> list:
-    """(W, b) views into one flat buffer, in the order and shapes of params."""
+    """(W, b) views into the last axis of a flat buffer, in the order and
+    shapes of params; leading axes of buf lead every view."""
+    lead = buf.shape[:-1]
     views = []
     offset = 0
     for layer in params:
         pair = []
         for arr in layer:
-            pair.append(buf[offset : offset + arr.size].reshape(arr.shape))
+            pair.append(buf[..., offset : offset + arr.size].reshape(lead + arr.shape))
             offset += arr.size
         views.append(tuple(pair))
     return views
@@ -337,62 +390,118 @@ def train(
     with parameter snapshots at the configured epoch interval.  Raises
     if the objective or any parameter stops being finite.
     """
+    return _train_members(
+        model, [(dataset, objective_config)], train_config, eval_dataset
+    )[0]
+
+
+def _train_members(model, members, train_config, eval_dataset=None) -> list:
+    """train() for M members in lockstep; one (model, trace) per member.
+
+    members are (dataset, objective config) pairs that share the features
+    and the divergence; each member's labels and correction mode are its
+    own.  All start from model and draw the same mini-batches, so each
+    result equals that member's train() call bit for bit.  The earliest
+    failure stops every member, with the message train() gives for it.
+    """
     spec = model.spec
-    _check_compat(spec, objective_config)
-    if dataset.k != spec.k:
-        raise ValueError("dataset class count does not match the output width")
-    if dataset.d != spec.d_in:
-        raise ValueError("dataset feature width does not match the input width")
+    X = members[0][0].features
+    for dataset, cfg in members:
+        _check_compat(spec, cfg)
+        if dataset.k != spec.k:
+            raise ValueError("dataset class count does not match the output width")
+        if dataset.d != spec.d_in:
+            raise ValueError("dataset feature width does not match the input width")
+        if not np.array_equal(dataset.features, X, equal_nan=True):
+            raise ValueError("members must share the training features")
+        if cfg.divergence != members[0][1].divergence:
+            raise ValueError("members must share the divergence")
     if eval_dataset is not None and (
         eval_dataset.k != spec.k or eval_dataset.d != spec.d_in
     ):
         raise ValueError("eval dataset shapes do not match the architecture")
 
-    div = get_divergence(objective_config.divergence)
-    e = _train_rates(objective_config, spec.k)
-    X, y = dataset.features, dataset.labels
-    n = dataset.n
+    div = get_divergence(members[0][1].divergence)
+    n, k, M = X.shape[0], spec.k, len(members)
     simplex = spec.head == "simplex"
+    # Labels and rates are checked once here; every simplex step then runs
+    # the unchecked kernel on one-hot rows built once.  Softmax rows need
+    # no check: a non-finite row surfaces as non-finite parameters at the
+    # same step.  The raw head keeps its checked per-member gradient.
+    labels = np.stack([_check_labels(ds.labels, n, k) for ds, _ in members])
+    rates = [_train_rates(cfg, k) for _, cfg in members]
     if simplex:
-        # Checked once here, so every step can run the unchecked kernel;
-        # softmax rows need no check, and a non-finite row surfaces as
-        # non-finite parameters at the same step.
-        y = _check_labels(y, n, spec.k)
-        if e is not None:
-            e = _check_rates(e, spec.k)
-    # Every parameter lives in one buffer, so the update and the
-    # finiteness guard are one pass each; params holds per-layer views.
-    theta = np.concatenate([a.ravel() for layer in model.params for a in layer])
-    params = _layer_views(theta, model.params)
+        rates = [None if e is None else _check_rates(e, k) for e in rates]
+        onehot = _onehot(labels, k)
+        # a zero rate row adds no drift, so one kernel call serves all
+        e_rows = None
+        if any(e is not None for e in rates):
+            e_rows = np.stack([np.zeros(k) if e is None else e for e in rates])
+
+    # Member m's parameters are row m of one (M, P) buffer, so the update
+    # and the finiteness guard are one pass each over all members.
+    flat = np.concatenate([a.ravel() for layer in model.params for a in layer])
+    theta = np.tile(flat, (M, 1))
     velocity = np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    scratch = np.empty_like(theta)
+    layers = [(W, b[:, None, :]) for W, b in _layer_views(theta, model.params)]
+    grad_layers = _layer_views(grad, model.params)
+    member_params = [_layer_views(row, model.params) for row in theta]
+
+    # Workspaces for the largest batch: layer inputs (the shared features
+    # first), pre-activations, deltas, activation derivatives, and final
+    # outputs, head outputs, one-hot labels and head gradients.  A ragged
+    # last batch uses the first rows of each.
+    B = min(train_config.batch_size, n)
+    hidden = spec.layer_sizes[1:-1]
+    workspaces = [
+        [np.empty((B, spec.d_in))] + [np.empty((M, B, w)) for w in hidden],
+        *([np.empty((M, B, w)) for w in hidden] for _ in range(3)),
+        [np.empty((M, B, k)) for _ in range(4)],
+    ]
+    views = {}  # batch rows -> views of that many rows of every workspace
 
     steps_per_epoch = math.ceil(n / train_config.batch_size)
     total_steps = train_config.epochs * steps_per_epoch
     rng = np.random.default_rng(train_config.seed)
 
-    objectives, train_accs, test_accs, snapshots = [], [], [], []
+    traces = [([], [], [], []) for _ in members]
     step = 0
     for epoch in range(train_config.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, train_config.batch_size):
             idx = perm[start : start + train_config.batch_size]
-            Xb, yb = X[idx], y[idx]
-            try:
-                hs, zs, v = _forward_parts(spec, params, Xb)
-                out = _head_output(spec, div, v)
-                if simplex:
-                    g_v = _simplex_logit_grad(div, out, yb, e) / out.shape[0]
-                else:
-                    g_v = _head_grad_v(objective_config, div, out, v, yb, e)
-            except ValueError as err:
-                raise RuntimeError(
-                    f"training diverged at epoch {epoch} step {step}: {err}"
-                ) from err
-            grads = _backprop(spec, params, hs, zs, g_v)
+            nb = idx.shape[0]
+            if nb not in views:
+                views[nb] = [[a[..., :nb, :] for a in ws] for ws in workspaces]
+            hs, zs, deltas, derivs, (v, out, y1, g_v) = views[nb]
+            X.take(idx, axis=0, out=hs[0], mode="clip")
+            _forward_into(spec.activation, layers, hs, zs, v)
+            if simplex:
+                _softmax(v, out=out)
+                onehot.take(idx, axis=1, out=y1, mode="clip")
+                _simplex_logit_grad(div, out, y1, e_rows, out=g_v)
+                g_v /= nb
+            else:
+                out = div.link(v)
+                try:
+                    for m, (_, cfg) in enumerate(members):
+                        g_v[m] = _head_grad_v(
+                            cfg, div, out[m], v[m], labels[m, idx], rates[m]
+                        )
+                except ValueError as err:
+                    raise RuntimeError(
+                        f"training diverged at epoch {epoch} step {step}: {err}"
+                    ) from err
+
+            _backprop_into(
+                spec.activation, layers, hs, zs, g_v, grad_layers, deltas, derivs
+            )
             lr = _cosine_lr(train_config.lr0, step, total_steps)
             velocity *= train_config.momentum
-            velocity += np.concatenate([g.ravel() for layer in grads for g in layer])
-            theta += lr * velocity
+            velocity += grad
+            theta += np.multiply(velocity, lr, out=scratch)
             step += 1
             if not np.isfinite(theta).all():
                 raise RuntimeError(
@@ -400,36 +509,47 @@ def train(
                     f"{step - 1}; lower lr0 or check the data"
                 )
 
-        try:
-            train_acc, obj = _evaluate(spec, div, params, objective_config, dataset)
-        except ValueError as err:
-            raise RuntimeError(
-                f"objective became unevaluable after epoch {epoch}: {err}"
-            ) from err
-        if not math.isfinite(obj):
-            raise RuntimeError(
-                f"objective became non-finite after epoch {epoch}: {obj}"
-            )
-        objectives.append(obj)
-        train_accs.append(train_acc)
-        if eval_dataset is not None:
-            test_acc, _ = _evaluate(
-                spec, div, params, objective_config, eval_dataset
-            )
-            test_accs.append(test_acc)
-        if (
-            train_config.snapshot_every > 0
-            and (epoch + 1) % train_config.snapshot_every == 0
-        ):
-            snapshots.append((epoch + 1, _freeze_params(params)))
+        for (dataset, cfg), params, trace in zip(members, member_params, traces):
+            objectives, train_accs, test_accs, snapshots = trace
+            try:
+                train_acc, obj = _evaluate(
+                    spec, div, params, cfg, dataset, checked=True
+                )
+            except ValueError as err:
+                raise RuntimeError(
+                    f"objective became unevaluable after epoch {epoch}: {err}"
+                ) from err
+            if not math.isfinite(obj):
+                raise RuntimeError(
+                    f"objective became non-finite after epoch {epoch}: {obj}"
+                )
+            objectives.append(obj)
+            train_accs.append(train_acc)
+            if eval_dataset is not None:
+                test_acc, _ = _evaluate(
+                    spec, div, params, cfg, eval_dataset, checked=True
+                )
+                test_accs.append(test_acc)
+            if (
+                train_config.snapshot_every > 0
+                and (epoch + 1) % train_config.snapshot_every == 0
+            ):
+                snapshots.append((epoch + 1, _freeze_params(params)))
 
-    trace = TrainTrace(
-        objective=tuple(objectives),
-        train_accuracy=tuple(train_accs),
-        test_accuracy=tuple(test_accs) if eval_dataset is not None else None,
-        snapshots=tuple(snapshots),
-    )
-    return NetworkModel(spec, tuple(params)), trace
+    return [
+        (
+            NetworkModel(spec, tuple(params)),
+            TrainTrace(
+                objective=tuple(objectives),
+                train_accuracy=tuple(train_accs),
+                test_accuracy=tuple(test_accs) if eval_dataset is not None else None,
+                snapshots=tuple(snapshots),
+            ),
+        )
+        for params, (objectives, train_accs, test_accs, snapshots) in zip(
+            member_params, traces
+        )
+    ]
 
 
 def evaluate(model: NetworkModel, dataset: LabeledDataset, cfg: ObjectiveConfig):
@@ -450,13 +570,15 @@ def evaluate(model: NetworkModel, dataset: LabeledDataset, cfg: ObjectiveConfig)
 
 def _evaluate(
     spec: MlpSpec, div: DivergenceSpec, params, cfg: ObjectiveConfig,
-    dataset: LabeledDataset,
+    dataset: LabeledDataset, checked: bool = False,
 ):
     """evaluate() on bare parameters whose shapes the caller has checked;
-    div is the spec of cfg.divergence."""
+    div is the spec of cfg.divergence, and checked is _batch_objective's."""
     _, _, v = _forward_parts(spec, params, dataset.features)
     out = _head_output(spec, div, v)
-    obj = _batch_objective(cfg, div, out, dataset.labels, _train_rates(cfg, spec.k))
+    obj = _batch_objective(
+        cfg, div, out, dataset.labels, _train_rates(cfg, spec.k), checked
+    )
     if cfg.head == "simplex":
         post = PosteriorMatrix(out, normalized=False)
     else:

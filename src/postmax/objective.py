@@ -291,6 +291,11 @@ def jf_simplex_batch(div_id, D, labels) -> float:
     spec = _as_spec(div_id)
     D = _check_D_batch(D)
     labels = _check_labels(labels, D.shape[0], D.shape[1])
+    return _jf_simplex(spec, D, labels)
+
+
+def _jf_simplex(spec: DivergenceSpec, D, labels) -> float:
+    """jf_simplex_batch on rows, labels and a spec the caller has checked."""
     Dy = D[np.arange(D.shape[0]), labels]
     return float(spec.simplex_value(D, Dy).mean())
 
@@ -301,6 +306,14 @@ def bias_simplex_batch(div_id, D, e) -> float:
     e = _check_rates(e, D.shape[1])
     spec = _as_spec(div_id)
     T = optimal_T_from_posterior(spec, D)
+    per_sample = T @ e - e.sum() * spec.conj(T).sum(axis=1)
+    return float(per_sample.mean())
+
+
+def _bias_simplex(spec: DivergenceSpec, D, e) -> float:
+    """bias_simplex_batch on rows and rates the caller has checked; the
+    registered f' are finite on strictly positive finite rows."""
+    T = spec.f_prime(D)
     per_sample = T @ e - e.sum() * spec.conj(T).sum(axis=1)
     return float(per_sample.mean())
 
@@ -325,23 +338,28 @@ def jf_simplex_logit_grad_batch(div_id, D, labels, e=None) -> np.ndarray:
     labels = _check_labels(labels, D.shape[0], D.shape[1])
     if e is not None:
         e = _check_rates(e, D.shape[1])
-    return _simplex_logit_grad(spec, D, labels, e)
+    return _simplex_logit_grad(spec, D, _onehot(labels, D.shape[1]), e)
 
 
-def _simplex_logit_grad(spec, D, labels, e) -> np.ndarray:
+def _onehot(labels, k: int) -> np.ndarray:
+    """Float one-hot rows, one per label along a new last axis."""
+    return (labels[..., None] == np.arange(k)).astype(float)
+
+
+def _simplex_logit_grad(spec: DivergenceSpec, D, onehot, e, out=None) -> np.ndarray:
     """jf_simplex_logit_grad_batch without input checks.
 
     For callers that have validated labels and rates once and feed
-    softmax rows: a divergence spec or id, an N x K float matrix,
-    integer labels in [0, K), and a float rate vector or None.
+    softmax rows: D and the one-hot label rows share a shape (..., N, K),
+    and e is None or one rate row per leading index, shape (..., K).  A
+    zero rate row adds no drift and leaves its rows' gradients unchanged
+    bit for bit.  The result goes to out when given.
     """
-    spec = _as_spec(spec)
-    onehot = np.zeros_like(D)
-    onehot[np.arange(D.shape[0]), labels] = 1.0
-    s = spec.simplex_score(D, onehot)
+    s = spec.simplex_score(D, onehot)  # may be onehot itself: not in place
     if e is not None:
-        s -= spec.simplex_drift(D, e[None, :] - e.sum() * D)
-    return s - D * s.sum(axis=1, keepdims=True)
+        drift = e[..., None, :] - e.sum(axis=-1)[..., None, None] * D
+        s = s - spec.simplex_drift(D, drift)
+    return np.subtract(s, D * s.sum(axis=-1, keepdims=True), out=out)
 
 
 def noisy_joint(joint: DiscreteJoint, tm: TransitionMatrix) -> DiscreteJoint:

@@ -490,13 +490,13 @@ class TestRunExperiment:
         import postmax.cli as cli_mod
 
         calls = []
-        real_train = cli_mod.train
+        real_train_members = cli_mod._train_members
 
-        def counting_train(*args, **kwargs):
-            calls.append(args)
-            return real_train(*args, **kwargs)
+        def counting_train_members(model, members, train_config):
+            calls.append([cfg.correction for _, cfg in members])
+            return real_train_members(model, members, train_config)
 
-        monkeypatch.setattr(cli_mod, "train", counting_train)
+        monkeypatch.setattr(cli_mod, "_train_members", counting_train_members)
         tree = config_tree(
             objective={
                 "divergence": "kl",
@@ -507,9 +507,11 @@ class TestRunExperiment:
             seeds=[0, 1],
         )
         records = run_experiment(parse_config(tree))
-        # per seed: the clean baseline, one noisy training shared by
-        # none and posterior, and one for the objective correction
-        assert len(calls) == 2 * (1 + 2)
+        # one lockstep call per seed, whose members are the clean baseline,
+        # one noisy training shared by none and posterior, and one for the
+        # objective correction
+        assert calls == [["none", "none", "objective"]] * 2
+        assert sum(len(members) for members in calls) == 2 * (1 + 2)
         by_mode = {(r.seed, r.correction): r for r in records}
         for seed in (0, 1):
             assert (
@@ -600,6 +602,11 @@ def cli_config(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(tree))
     return path
+
+
+RECORD_ROW = dict(
+    zip(RECORD_COLUMNS, (0, "kl", "none", "none", 1.0, 1.0, 0.0, 0.0))
+)
 
 
 class TestCommandLine:
@@ -710,8 +717,28 @@ class TestCommandLine:
                 ",".join(RECORD_COLUMNS) + "\n0,kl\n",
                 "record 1: expected 8 fields, got 2",
             ),
+            (
+                "e.json",
+                json.dumps(
+                    {"records": [RECORD_ROW, {**RECORD_ROW, "correction": "bogus"}]}
+                ),
+                "record 2: unknown correction 'bogus'",
+            ),
+            (
+                "f.csv",
+                ",".join(RECORD_COLUMNS) + "\n0,kl,none,none,1,1,0,0\n"
+                "1,js,none,none,1,1,0,0\n",
+                "record 2: unknown divergence 'js'",
+            ),
         ],
-        ids=["json-non-object", "json-missing-fields", "json-mistyped", "csv-short"],
+        ids=[
+            "json-non-object",
+            "json-missing-fields",
+            "json-mistyped",
+            "csv-short",
+            "json-unknown-correction",
+            "csv-unknown-divergence",
+        ],
     )
     def test_report_malformed_records_exit_one(self, tmp_path, name, text, where):
         path = tmp_path / name
@@ -732,7 +759,16 @@ class TestCommandLine:
         ],
         ids=lambda args: args[0],
     )
-    def test_unwritable_out_exits_one(self, tmp_path, cli_config, args):
+    def test_unwritable_out_exits_one(self, tmp_path, cli_config, args, monkeypatch):
+        import postmax.cli as cli_mod
+
+        # the path is checked before any training or theorem check runs,
+        # except for corrupt, which writes right after its fast draw
+        def never(*args, **kwargs):
+            raise AssertionError("ran before --out was checked")
+
+        for name in ("run_experiment", "train", "verify_theorems"):
+            monkeypatch.setattr(cli_mod, name, never)
         out = tmp_path / "missing" / "out.txt"
         argv = [a.format(config=cli_config) for a in args] + ["--out", str(out)]
         result = CliRunner().invoke(main, argv)
@@ -740,6 +776,33 @@ class TestCommandLine:
         assert isinstance(result.exception, SystemExit)
         assert f"error: cannot write {out}" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "args, runner_name",
+        [
+            (["train", "--config", "{config}"], "train"),
+            (["sweep", "--config", "{config}"], "run_experiment"),
+            (["verify"], "verify_theorems"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_failed_run_leaves_out_untouched(
+        self, tmp_path, cli_config, args, runner_name, monkeypatch
+    ):
+        import postmax.cli as cli_mod
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli_mod, runner_name, fail)
+        existing, new = tmp_path / "existing.txt", tmp_path / "new.txt"
+        existing.write_text("earlier results\n")
+        for out in (existing, new):
+            argv = [a.format(config=cli_config) for a in args] + ["--out", str(out)]
+            result = CliRunner().invoke(main, argv)
+            assert result.exit_code != 0
+        assert existing.read_text() == "earlier results\n"
+        assert not new.exists()
 
     def test_verify_passes(self):
         runner = CliRunner()

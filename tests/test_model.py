@@ -17,6 +17,7 @@ from postmax.model import (
     _backprop,
     _cosine_lr,
     _forward_parts,
+    _train_members,
     evaluate,
     forward,
     init,
@@ -25,7 +26,7 @@ from postmax.model import (
     save_model,
     train,
 )
-from postmax.noise import LabeledDataset, NoiseParams
+from postmax.noise import LabeledDataset, NoiseParams, corrupt, symmetric_matrix
 from postmax.objective import (
     ObjectiveConfig,
     corrected_grad_batch,
@@ -406,6 +407,84 @@ class TestTrain:
             TrainConfig(epochs=10, batch_size=16),
         )
         assert all(math.isfinite(v) for v in trace.objective)
+
+
+def assert_same_training(a, b):
+    """Two (model, trace) results agree bit for bit."""
+    (model_a, trace_a), (model_b, trace_b) = a, b
+
+    def same_params(pa, pb):
+        return all(
+            np.array_equal(x, y) for la, lb in zip(pa, pb) for x, y in zip(la, lb)
+        )
+
+    assert same_params(model_a.params, model_b.params)
+    assert trace_a.objective == trace_b.objective
+    assert trace_a.train_accuracy == trace_b.train_accuracy
+    assert trace_a.test_accuracy == trace_b.test_accuracy
+    assert [ep for ep, _ in trace_a.snapshots] == [ep for ep, _ in trace_b.snapshots]
+    for (_, pa), (_, pb) in zip(trace_a.snapshots, trace_b.snapshots):
+        assert same_params(pa, pb)
+
+
+class TestTrainMembers:
+    NOISE = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15])
+
+    def members(self, make_cfg, div_id):
+        """Clean, noisy, noisy-corrected and posterior members of one seed;
+        60 rows in batches of 16 leave a ragged last batch of 12."""
+        rng = np.random.default_rng(53)
+        ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.5], [0.0, -1.0]])
+        noisy = corrupt(ds, symmetric_matrix(3, 0.3), seed=2)
+        return [
+            (ds, make_cfg(div_id)),
+            (noisy, make_cfg(div_id)),
+            (noisy, make_cfg(div_id, "objective", self.NOISE)),
+            (noisy, make_cfg(div_id, "posterior", self.NOISE)),
+        ]
+
+    @pytest.mark.parametrize(
+        "make_cfg, div_id, layer_sizes, activation",
+        [
+            (simplex_cfg, "kl", (2, 6, 3), "relu"),
+            (simplex_cfg, "gan", (2, 6, 3), "relu"),
+            (simplex_cfg, "sl", (2, 6, 3), "relu"),
+            (simplex_cfg, "kl", (2, 5, 4, 3), "tanh"),
+            (simplex_cfg, "gan", (2, 3), "relu"),
+            (raw_cfg, "gan", (2, 6, 3), "relu"),
+            (raw_cfg, "gan", (2, 5, 4, 3), "tanh"),
+        ],
+    )
+    def test_each_member_equals_its_solo_training(
+        self, make_cfg, div_id, layer_sizes, activation
+    ):
+        spec = MlpSpec(
+            layer_sizes,
+            activation=activation,
+            head=make_cfg(div_id).head,
+            divergence=div_id if make_cfg is raw_cfg else None,
+        )
+        model = init(spec, seed=6)
+        members = self.members(make_cfg, div_id)
+        tc = TrainConfig(epochs=4, batch_size=16, seed=8, snapshot_every=2)
+        held = gaussian_blobs(
+            np.random.default_rng(59), 5, [[-1.0, 0.0], [1.0, 0.5], [0.0, -1.0]]
+        )
+        lockstep = _train_members(model, members, tc, eval_dataset=held)
+        assert len(lockstep) == len(members)
+        for (ds, cfg), result in zip(members, lockstep):
+            assert_same_training(result, train(model, ds, cfg, tc, eval_dataset=held))
+
+    def test_members_must_share_features_and_divergence(self):
+        members = self.members(simplex_cfg, "kl")
+        ds = members[0][0]
+        moved = LabeledDataset(ds.features + 1.0, ds.labels, k=3)
+        model = init(MlpSpec((2, 4, 3)), seed=0)
+        tc = TrainConfig(epochs=1, batch_size=16)
+        with pytest.raises(ValueError, match="share the training features"):
+            _train_members(model, members + [(moved, simplex_cfg("kl"))], tc)
+        with pytest.raises(ValueError, match="share the divergence"):
+            _train_members(model, members + [(ds, simplex_cfg("gan"))], tc)
 
 
 class TestEvaluate:

@@ -12,6 +12,7 @@ from postmax.divergence import (
 )
 from postmax.noise import NoiseParams, TransitionMatrix, uniform_offdiag_matrix
 from postmax.objective import (
+    POSTERIOR_FLOOR,
     DiscreteJoint,
     ObjectiveConfig,
     _check_D_batch,
@@ -39,7 +40,12 @@ from postmax.objective import (
     jf_simplex_logit_grad_batch,
     noisy_joint,
 )
-from postmax.objective import _simplex_logit_grad
+from postmax.objective import (
+    _bias_simplex,
+    _jf_simplex,
+    _onehot,
+    _simplex_logit_grad,
+)
 from postmax.posterior import _check_rates
 
 # Reference formulas for the checks below, written from the closed forms
@@ -579,6 +585,19 @@ class TestSimplexBatch:
                 ) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
 
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_unchecked_twins_match_public(self, div_id):
+        # floored softmax rows, as the per-epoch training objective sees them
+        rng = np.random.default_rng(167)
+        D = rng.uniform(0.05, 1.0, size=(30, 4))
+        D[:2] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]]
+        D = np.maximum(D / D.sum(axis=1, keepdims=True), POSTERIOR_FLOOR)
+        labels = rng.integers(0, 4, size=30)
+        e = np.array([0.1, 0.05, 0.15, 0.02])
+        spec = get_divergence(div_id)
+        assert _jf_simplex(spec, D, labels) == jf_simplex_batch(div_id, D, labels)
+        assert _bias_simplex(spec, D, e) == bias_simplex_batch(div_id, D, e)
+
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):
             jf_simplex_batch("kl", [[0.5, 0.6]], [0])
@@ -679,9 +698,25 @@ class TestSimplexLogitGrad:
         D[:3] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.4, 0.0], [0.0, 0.0, 0.0, 1.0]]
         e = None if rates is None else np.array(rates)
         assert np.array_equal(
-            _simplex_logit_grad(div_id, D, labels, e),
+            _simplex_logit_grad(get_divergence(div_id), D, _onehot(labels, 4), e),
             jf_simplex_logit_grad_batch(div_id, D, labels, rates),
         )
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_stacked_kernel_matches_each_slice(self, div_id):
+        # one call over (M, N, K) rows, with a zero rate row for a slice
+        # that has no rates, gives each slice's own gradient bit for bit
+        spec = get_divergence(div_id)
+        slices = [self.interior_rows(seed) for seed in (151, 157, 163)]
+        D = np.stack([rows for rows, _ in slices])
+        onehot = np.stack([_onehot(labels, 4) for _, labels in slices])
+        rates = [None, np.array([0.1, 0.05, 0.15, 0.02]), np.array([0.2, 0, 0.1, 0.1])]
+        e = np.stack([np.zeros(4) if r is None else r for r in rates])
+        stacked = _simplex_logit_grad(spec, D, onehot, e)
+        for m, ((rows, labels), r) in enumerate(zip(slices, rates)):
+            assert np.array_equal(
+                stacked[m], jf_simplex_logit_grad_batch(div_id, rows, labels, r)
+            )
 
     def test_rejects_off_simplex_rows(self):
         with pytest.raises(ValueError, match="simplex"):
