@@ -1,4 +1,4 @@
-"""Convergence diagnostics and the theorem-verification drivers.
+"""Pointwise optima, bias bounds, and the theorem-verification drivers.
 
 Two redundant routes to the per-point optimum anchor everything here: a
 closed form through the generator's derivative, and an independent 1-D
@@ -47,22 +47,6 @@ class PointwiseSolution:
         a = posterior_from_T(spec, self.closed_form)
         b = posterior_from_T(spec, self.searched)
         return float(np.max(np.abs(a - b)))
-
-
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    """Snapshot of a table mid-training against the known optimum."""
-
-    iteration: int
-    T_table: np.ndarray
-    posterior: np.ndarray
-    deltas: np.ndarray
-    bound: float
-    empirical_bias: float
-
-    def __post_init__(self):
-        if self.bound < 0.0 or self.empirical_bias < 0.0:
-            raise ValueError("bound and empirical bias must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -198,18 +182,6 @@ def _solve_pointwise(spec, q) -> PointwiseSolution:
     return PointwiseSolution(closed_form=closed, searched=searched)
 
 
-def solve_optimal_T_discrete(
-    spec, joint: DiscreteJoint, tm: Optional[TransitionMatrix] = None
-) -> PointwiseSolution:
-    """Per-point optimal T table under optional uniform off-diagonal noise.
-
-    Returns the closed form through the generator derivative together
-    with an independent golden-section maximization of each point's
-    exact objective term.
-    """
-    return _solve_pointwise(_as_spec(spec), _target_posterior(joint, tm))
-
-
 def taylor_bias_bound(spec, T_star, T_i) -> float:
     """First-order cap on the posterior gap between two output vectors."""
     spec = _as_spec(spec)
@@ -245,24 +217,6 @@ def training_bias_expression(spec, p_star_clean, e, delta, T_star_noisy) -> np.n
         raise ValueError("flip rates must be nonnegative and sum to less than 1")
     curv = conj_second(spec, T_star - delta)
     return e_total * p - e + delta * curv
-
-
-def make_convergence_record(spec, iteration: int, T_star_table, T_table):
-    """Bundle one snapshot's distance-to-optimum diagnostics."""
-    spec = _as_spec(spec)
-    T_star = np.asarray(T_star_table, dtype=float)
-    T_now = np.asarray(T_table, dtype=float)
-    posterior = posterior_from_T(spec, T_now)
-    bound = taylor_bias_bound(spec, T_star, T_now)
-    gap = float(np.sum(np.abs(posterior_from_T(spec, T_star) - posterior)))
-    return ConvergenceRecord(
-        iteration=int(iteration),
-        T_table=T_now,
-        posterior=posterior,
-        deltas=T_star - T_now,
-        bound=bound,
-        empirical_bias=gap,
-    )
 
 
 def _random_joint(rng, m: int, k: int) -> DiscreteJoint:
@@ -478,17 +432,3 @@ def save_reports(reports, path) -> None:
     with open(path, "w") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2)
 
-
-def load_reports(path) -> list:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return [
-        TheoremReport(
-            theorem_id=r["theorem_id"],
-            trials=r["trials"],
-            max_error=r["max_error"],
-            threshold=r["threshold"],
-            passed=r["pass"],
-        )
-        for r in raw
-    ]

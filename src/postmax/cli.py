@@ -387,18 +387,13 @@ def parse_config(tree: dict) -> ExperimentConfig:
     noise = _parse_noise(tree.get("noise"))
 
     train_tree = _require_mapping(tree.get("train", {}), "train")
-    _check_keys(
-        train_tree,
-        ("epochs", "batch_size", "lr0", "momentum", "snapshot_every"),
-        "train",
-    )
+    _check_keys(train_tree, ("epochs", "batch_size", "lr0", "momentum"), "train")
     try:
         train_config = TrainConfig(
             epochs=_field(train_tree, "train", "epochs", int, 100),
             batch_size=_field(train_tree, "train", "batch_size", int, 32),
             lr0=_field(train_tree, "train", "lr0", float, 0.02),
             momentum=_field(train_tree, "train", "momentum", float, 0.9),
-            snapshot_every=_field(train_tree, "train", "snapshot_every", int, 0),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -876,8 +871,13 @@ def eval_cmd(config_path, model_path, out_format):
     """Evaluate a saved model on the config's clean test split."""
     cfg = _config_from_flag(config_path)
     try:
-        _, test_ds = _load_splits(cfg)
         model = load_model(model_path)
+    except OSError as err:
+        _fail(f"cannot read model: {err}")
+    except ValueError as err:
+        _fail(str(err))
+    try:
+        _, test_ds = _load_splits(cfg)
         ocfg = ObjectiveConfig(
             cfg.divergence, cfg.corrections[0], cfg.noise, cfg.head
         )
@@ -895,6 +895,8 @@ def eval_cmd(config_path, model_path, out_format):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def verify_cmd(seed, out_path):
     """Check the library's core identities on fresh random trials."""
+    if seed < 0:
+        _fail(f"--seed must be a non-negative integer, got {seed}")
     if out_path is not None:
         _check_writable(out_path)
     try:
@@ -961,7 +963,7 @@ def report_cmd(in_path, out_format):
     try:
         with open(in_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         _fail(f"cannot read records: {err}")
     in_format = "json" if text.lstrip().startswith("{") else "csv"
     try:

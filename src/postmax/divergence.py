@@ -226,23 +226,6 @@ def _check_in_domain(spec: DivergenceSpec, t: np.ndarray) -> None:
         )
 
 
-def eval_generator(spec, u: Scalar) -> Scalar:
-    """Evaluate the generator f at u > 0."""
-    spec = _as_spec(spec)
-    arr, scalar = _prepare(u)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("generator argument must be a finite positive real")
-    return _finish(spec.f(arr), scalar, f"generator of {spec.id!r}")
-
-
-def fenchel_conjugate(spec, t: Scalar) -> Scalar:
-    """Evaluate the conjugate f* at t inside the conjugate domain."""
-    spec = _as_spec(spec)
-    arr, scalar = _prepare(t)
-    _check_in_domain(spec, arr)
-    return _finish(spec.conj(arr), scalar, f"conjugate of {spec.id!r}")
-
-
 def conj_prime(spec, t: Scalar) -> Scalar:
     """First derivative of the conjugate; inverts f'."""
     spec = _as_spec(spec)

@@ -113,7 +113,6 @@ class TrainConfig:
     lr0: float = 0.02
     momentum: float = 0.9
     seed: int = 0
-    snapshot_every: int = 0
 
     def __post_init__(self):
         if int(self.epochs) != self.epochs or self.epochs < 0:
@@ -124,18 +123,15 @@ class TrainConfig:
             raise ValueError("lr0 must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be nonnegative")
 
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """Per-epoch objective and accuracy, plus optional parameter snapshots."""
+    """Per-epoch objective, train accuracy and optional eval-set accuracy."""
 
     objective: tuple
     train_accuracy: tuple
     test_accuracy: Optional[tuple]
-    snapshots: tuple
 
 
 @dataclass(frozen=True)
@@ -386,9 +382,8 @@ def train(
     """Mini-batch ascent on the configured objective.
 
     Returns a new trained model and a trace of per-epoch objective and
-    accuracy (plus eval-set accuracy when a second dataset is supplied),
-    with parameter snapshots at the configured epoch interval.  Raises
-    if the objective or any parameter stops being finite.
+    accuracy (plus eval-set accuracy when a second dataset is supplied).
+    Raises if the objective or any parameter stops being finite.
     """
     return _train_members(
         model, [(dataset, objective_config)], train_config, eval_dataset
@@ -466,7 +461,7 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
     total_steps = train_config.epochs * steps_per_epoch
     rng = np.random.default_rng(train_config.seed)
 
-    traces = [([], [], [], []) for _ in members]
+    traces = [([], [], []) for _ in members]
     step = 0
     for epoch in range(train_config.epochs):
         perm = rng.permutation(n)
@@ -510,7 +505,7 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
                 )
 
         for (dataset, cfg), params, trace in zip(members, member_params, traces):
-            objectives, train_accs, test_accs, snapshots = trace
+            objectives, train_accs, test_accs = trace
             try:
                 train_acc, obj = _evaluate(
                     spec, div, params, cfg, dataset, checked=True
@@ -530,11 +525,6 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
                     spec, div, params, cfg, eval_dataset, checked=True
                 )
                 test_accs.append(test_acc)
-            if (
-                train_config.snapshot_every > 0
-                and (epoch + 1) % train_config.snapshot_every == 0
-            ):
-                snapshots.append((epoch + 1, _freeze_params(params)))
 
     return [
         (
@@ -543,10 +533,9 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
                 objective=tuple(objectives),
                 train_accuracy=tuple(train_accs),
                 test_accuracy=tuple(test_accs) if eval_dataset is not None else None,
-                snapshots=tuple(snapshots),
             ),
         )
-        for params, (objectives, train_accs, test_accs, snapshots) in zip(
+        for params, (objectives, train_accs, test_accs) in zip(
             member_params, traces
         )
     ]

@@ -1,4 +1,4 @@
-"""Label-noise models: transition matrices, dataset corruption, fixtures.
+"""Label-noise models: transition matrices and dataset corruption.
 
 Labels are 0-based integers everywhere.  A transition matrix entry
 entries[i][j] is the probability that a clean label i is observed as j.
@@ -9,7 +9,6 @@ position, so the outcome for a sample never depends on processing order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -216,77 +215,3 @@ def corrupt(ds: LabeledDataset, tm: TransitionMatrix, seed: int) -> LabeledDatas
         noise=params,
     )
 
-
-def empirical_transition(clean: LabeledDataset, noisy: LabeledDataset) -> TransitionMatrix:
-    """Row-normalized count matrix of (clean label -> noisy label) pairs.
-
-    Rows with no observations become one-hot on the diagonal so the result
-    is always a valid transition matrix.
-    """
-    if clean.n != noisy.n or clean.k != noisy.k:
-        raise ValueError("datasets must have the same size and class count")
-    if not np.array_equal(clean.features, noisy.features):
-        raise ValueError("datasets must share the same feature matrix")
-    k = clean.k
-    counts = np.zeros((k, k))
-    np.add.at(counts, (clean.labels, noisy.labels), 1.0)
-    totals = counts.sum(axis=1)
-    empty = totals == 0.0
-    counts[empty, :] = 0.0
-    counts[empty, np.arange(k)[empty]] = 1.0
-    totals = counts.sum(axis=1)
-    return TransitionMatrix(counts / totals[:, None])
-
-
-_CIFAR10_LOW = [
-    [0.82, 0.03, 0.01, 0.023, 0.017, 0.022, 0.021, 0.018, 0.019, 0.02],
-    [0.02, 0.83, 0.01, 0.023, 0.017, 0.022, 0.021, 0.018, 0.019, 0.02],
-    [0.02, 0.03, 0.81, 0.023, 0.017, 0.022, 0.021, 0.018, 0.019, 0.02],
-    [0.02, 0.03, 0.01, 0.823, 0.017, 0.022, 0.021, 0.018, 0.019, 0.02],
-    [0.02, 0.03, 0.01, 0.023, 0.817, 0.022, 0.021, 0.018, 0.019, 0.02],
-    [0.02, 0.03, 0.01, 0.023, 0.017, 0.822, 0.021, 0.018, 0.019, 0.02],
-    [0.02, 0.03, 0.01, 0.023, 0.017, 0.022, 0.821, 0.018, 0.019, 0.02],
-    [0.02, 0.03, 0.01, 0.023, 0.017, 0.022, 0.021, 0.818, 0.019, 0.02],
-    [0.02, 0.03, 0.01, 0.023, 0.017, 0.022, 0.021, 0.018, 0.819, 0.02],
-    [0.02, 0.03, 0.01, 0.023, 0.017, 0.022, 0.021, 0.018, 0.019, 0.82],
-]
-
-_CIFAR10_HIGH = [
-    [0.46, 0.07, 0.04, 0.05, 0.06, 0.04, 0.06, 0.07, 0.08, 0.07],
-    [0.05, 0.48, 0.04, 0.05, 0.06, 0.04, 0.06, 0.07, 0.08, 0.07],
-    [0.05, 0.07, 0.45, 0.05, 0.06, 0.04, 0.06, 0.07, 0.08, 0.07],
-    [0.05, 0.07, 0.04, 0.46, 0.06, 0.04, 0.06, 0.07, 0.08, 0.07],
-    [0.05, 0.07, 0.04, 0.05, 0.47, 0.04, 0.06, 0.07, 0.08, 0.07],
-    [0.05, 0.07, 0.04, 0.05, 0.06, 0.45, 0.06, 0.07, 0.08, 0.07],
-    [0.05, 0.07, 0.04, 0.05, 0.06, 0.04, 0.47, 0.07, 0.08, 0.07],
-    [0.05, 0.07, 0.04, 0.05, 0.06, 0.04, 0.06, 0.48, 0.08, 0.07],
-    [0.05, 0.07, 0.04, 0.05, 0.06, 0.04, 0.06, 0.07, 0.49, 0.07],
-    [0.05, 0.07, 0.04, 0.05, 0.06, 0.04, 0.06, 0.07, 0.08, 0.48],
-]
-
-_FIXTURES = {"cifar10_low": _CIFAR10_LOW, "cifar10_high": _CIFAR10_HIGH}
-
-
-def fixture_matrix(name: str) -> TransitionMatrix:
-    """Bundled 10-class uniform off-diagonal matrices used as test data."""
-    try:
-        return TransitionMatrix(np.array(_FIXTURES[name]))
-    except KeyError:
-        raise ValueError(
-            f"unknown fixture {name!r}; expected one of {sorted(_FIXTURES)}"
-        ) from None
-
-
-def save_matrix_csv(tm: TransitionMatrix, path: str) -> None:
-    """Write a transition matrix as K rows of comma-separated probabilities."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in tm.entries:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def load_matrix_csv(path: str) -> TransitionMatrix:
-    """Read a transition matrix written by save_matrix_csv, with validation."""
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    return TransitionMatrix(np.array(rows))

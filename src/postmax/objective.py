@@ -29,7 +29,7 @@ from postmax.divergence import (
     _as_spec,
     _check_in_domain,
     conj_prime,
-    conj_second,
+    conj_second,  # unused here; perfbench/spans.py wraps objective.conj_second
     get_divergence,
     optimal_T_from_posterior,
 )
@@ -260,17 +260,6 @@ def jf_simplex_kl_logit_grad(D_row, label) -> np.ndarray:
     g = np.zeros_like(D)
     g[label] = 1.0 / D[label]  # dJ/dD
     return D * (g - np.dot(g, D))
-
-
-def generator_curvature(spec, u):
-    """Second derivative of the generator at u, via the conjugate.
-
-    The conjugate's curvature at the matching slope is the reciprocal of
-    the generator's, so no separate formula is needed per divergence.
-    """
-    spec = _as_spec(spec)
-    t = optimal_T_from_posterior(spec, u)
-    return 1.0 / conj_second(spec, t)
 
 
 def _check_D_batch(D, simplex_rows: bool = True) -> np.ndarray:

@@ -11,7 +11,6 @@ when producing normalized rows for reporting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,17 +131,6 @@ def posterior_correct(noisy_p, e, rescale: bool = False) -> PosteriorMatrix:
     return PosteriorMatrix(corrected, normalized=False)
 
 
-def is_noise_tolerant_regime(k: int, eta: float) -> bool:
-    """Whether symmetric noise at rate eta keeps the argmax recoverable."""
-    k = int(k)
-    if k < 2:
-        raise ValueError("need at least two classes")
-    eta = float(eta)
-    if eta < 0.0:
-        raise ValueError("noise rate must be nonnegative")
-    return eta < (k - 1) / k
-
-
 def accuracy(preds, labels) -> float:
     """Fraction of exact label matches."""
     preds = np.asarray(preds)
@@ -153,11 +141,3 @@ def accuracy(preds, labels) -> float:
         raise ValueError("cannot score an empty batch")
     return float(np.mean(preds == labels))
 
-
-def save_posterior_csv(p: PosteriorMatrix, path) -> None:
-    """Write one row of posterior values per sample."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"class_{j}" for j in range(p.k)])
-        for row in p.values:
-            writer.writerow([repr(float(v)) for v in row])

@@ -1,4 +1,4 @@
-"""Tests for convergence diagnostics and theorem-verification drivers."""
+"""Tests for pointwise optima, bias bounds, and theorem-verification drivers."""
 
 import json
 import math
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from postmax.analysis import (
-    ConvergenceRecord,
     _solve_pointwise,
     _target_posterior,
     check_argmax_invariance,
@@ -17,10 +16,7 @@ from postmax.analysis import (
     check_multiclass_identity,
     check_pointwise_optimum,
     check_posterior_gap_bound,
-    load_reports,
-    make_convergence_record,
     rates_from_transition,
-    solve_optimal_T_discrete,
     taylor_bias_bound,
     training_bias_expression,
     verify_theorems,
@@ -33,6 +29,11 @@ from postmax.divergence import (
 )
 from postmax.noise import TransitionMatrix, symmetric_matrix, uniform_offdiag_matrix
 from postmax.objective import DiscreteJoint, exact_bias
+
+
+def solve_optimal_T_discrete(div_id, joint, tm=None):
+    """Closed-form and searched optimal T tables under optional noise."""
+    return _solve_pointwise(get_divergence(div_id), _target_posterior(joint, tm))
 
 
 class TestRatesFromTransition:
@@ -224,32 +225,6 @@ class TestTrainingBiasExpression:
             training_bias_expression("kl", [0.5, 0.5, 0.0], [0.0, 0.0], [0.0, 0.0], T)
 
 
-class TestConvergenceRecord:
-    def test_fields_computed(self):
-        rng = np.random.default_rng(17)
-        p = rng.uniform(0.1, 0.9, size=(3, 2))
-        p /= p.sum(axis=1, keepdims=True)
-        T_star = optimal_T_from_posterior("kl", p)
-        T_now = T_star - 0.01
-        rec = make_convergence_record("kl", 5, T_star, T_now)
-        assert rec.iteration == 5
-        assert rec.bound >= 0.0
-        assert rec.empirical_bias >= 0.0
-        np.testing.assert_array_equal(rec.deltas, T_star - T_now)
-        assert rec.empirical_bias <= rec.bound
-
-    def test_rejects_negative_diagnostics(self):
-        with pytest.raises(ValueError):
-            ConvergenceRecord(
-                iteration=0,
-                T_table=np.zeros((1, 2)),
-                posterior=np.zeros((1, 2)),
-                deltas=np.zeros((1, 2)),
-                bound=-1.0,
-                empirical_bias=0.0,
-            )
-
-
 # repr(max_error) of each verify_theorems report, in report order, as the
 # per-trial scalar checks computed them before the checks were batched;
 # the batched checks draw in the same order and must reproduce every bit.
@@ -321,6 +296,5 @@ class TestCheckDrivers:
             set(r) == {"theorem_id", "trials", "max_error", "threshold", "pass"}
             for r in raw
         )
-        loaded = load_reports(path)
-        assert [r.to_dict() for r in loaded] == [r.to_dict() for r in reports]
+        assert raw == [r.to_dict() for r in reports]
         assert all(r.passed for r in reports)

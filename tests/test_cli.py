@@ -285,7 +285,7 @@ CONFIG_KEYS = {
     "model": ("hidden", "activation", "head"),
     "objective": ("divergence", "correction"),
     "noise": ("kind", "eta", "e"),
-    "train": ("epochs", "batch_size", "lr0", "momentum", "snapshot_every"),
+    "train": ("epochs", "batch_size", "lr0", "momentum"),
     "output": ("path", "format"),
 }
 # (section, key): key None replaces the whole section, section None is a
@@ -340,6 +340,7 @@ class TestConfig:
             ("noise", {"kind": "symmetric", "eta": 0.1, "rate": 0.1}),
             ("train", {"epochs": 5, "optimizer": "adam"}),
             ("output", {"path": "x.csv", "mode": "w"}),
+            ("train", {"epochs": 5, "snapshot_every": 2}),
         ],
     )
     def test_unknown_keys_rejected_per_section(self, section, bad):
@@ -676,6 +677,24 @@ class TestCommandLine:
         assert "error: " in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "where, message",
+        [("missing.json", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_eval_unreadable_model_exits_one(
+        self, tmp_path, cli_config, where, message
+    ):
+        model_path = tmp_path / where
+        result = CliRunner().invoke(
+            main, ["eval", "--config", str(cli_config), "--model", str(model_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: cannot read model: " in result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+
     def test_sweep_then_report(self, tmp_path, cli_config):
         runner = CliRunner()
         records_path = tmp_path / "records.csv"
@@ -749,6 +768,15 @@ class TestCommandLine:
         assert f"error: invalid records file: {where}" in result.output
         assert "Traceback" not in result.output
 
+    def test_report_undecodable_records_exit_one(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"\xff\xfe" + ",".join(RECORD_COLUMNS).encode())
+        result = CliRunner().invoke(main, ["report", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: cannot read records: 'utf-8' codec can't decode" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -810,6 +838,19 @@ class TestCommandLine:
         assert result.exit_code == 0
         assert result.output.count("pass") >= 7
         assert "all checks passed" in result.output
+
+    def test_verify_negative_seed_exits_one(self, monkeypatch):
+        import postmax.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran with a negative seed")
+
+        monkeypatch.setattr(cli_mod, "verify_theorems", never)
+        result = CliRunner().invoke(main, ["verify", "--seed", "-1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: --seed must be a non-negative integer, got -1" in result.output
+        assert "Traceback" not in result.output
 
     def test_verify_failure_exits_two(self, monkeypatch):
         import postmax.cli as cli_mod

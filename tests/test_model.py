@@ -108,8 +108,6 @@ class TestTrainConfig:
             TrainConfig(epochs=1, batch_size=8, lr0=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=8, momentum=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=1, batch_size=8, snapshot_every=-1)
 
 
 class TestInit:
@@ -306,7 +304,6 @@ class TestTrain:
             np.testing.assert_array_equal(Wa, Wb)
             np.testing.assert_array_equal(ba, bb)
         assert trace.objective == ()
-        assert trace.snapshots == ()
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(17)
@@ -349,19 +346,6 @@ class TestTrain:
         )
         assert len(trace.test_accuracy) == 4
         assert len(trace.objective) == 4
-
-    def test_snapshot_cadence(self):
-        rng = np.random.default_rng(29)
-        ds = gaussian_blobs(rng, 10, [[-1.0, 0.0], [1.0, 0.0]])
-        model = init(MlpSpec((2, 2)), seed=3)
-        _, trace = train(
-            model,
-            ds,
-            simplex_cfg("kl"),
-            TrainConfig(epochs=7, batch_size=8, snapshot_every=3),
-        )
-        assert [ep for ep, _ in trace.snapshots] == [3, 6]
-        assert trace.snapshots[0][1][0][0].shape == (2, 2)
 
     def test_divergence_aborts_with_diagnostic(self):
         # The simplex head trains through an unchecked kernel, so its
@@ -422,9 +406,6 @@ def assert_same_training(a, b):
     assert trace_a.objective == trace_b.objective
     assert trace_a.train_accuracy == trace_b.train_accuracy
     assert trace_a.test_accuracy == trace_b.test_accuracy
-    assert [ep for ep, _ in trace_a.snapshots] == [ep for ep, _ in trace_b.snapshots]
-    for (_, pa), (_, pb) in zip(trace_a.snapshots, trace_b.snapshots):
-        assert same_params(pa, pb)
 
 
 class TestTrainMembers:
@@ -466,7 +447,7 @@ class TestTrainMembers:
         )
         model = init(spec, seed=6)
         members = self.members(make_cfg, div_id)
-        tc = TrainConfig(epochs=4, batch_size=16, seed=8, snapshot_every=2)
+        tc = TrainConfig(epochs=4, batch_size=16, seed=8)
         held = gaussian_blobs(
             np.random.default_rng(59), 5, [[-1.0, 0.0], [1.0, 0.5], [0.0, -1.0]]
         )

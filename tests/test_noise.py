@@ -1,4 +1,4 @@
-"""Tests for transition matrices, corruption, and the bundled fixtures."""
+"""Tests for transition matrices, noise parameters, and corruption."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,6 @@ from postmax.noise import (
     NoiseParams,
     TransitionMatrix,
     corrupt,
-    empirical_transition,
-    fixture_matrix,
-    load_matrix_csv,
-    save_matrix_csv,
     symmetric_matrix,
     uniform_offdiag_matrix,
 )
@@ -125,6 +121,16 @@ class TestCorrupt:
         flipped = np.mean(out.labels != ds.labels)
         assert abs(flipped - 0.4) <= 3.0 * np.sqrt(0.4 * 0.6 / n)
 
+    def test_recovers_generating_matrix(self):
+        n = 1_000_000
+        ds = make_dataset(n, 5, seed=1)
+        tm = symmetric_matrix(5, 0.3)
+        noisy = corrupt(ds, tm, seed=2)
+        counts = np.zeros((5, 5))
+        np.add.at(counts, (ds.labels, noisy.labels), 1.0)
+        est = counts / counts.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(est - tm.entries)) < 0.01
+
     def test_per_sample_draws_are_index_keyed(self):
         # corrupting a prefix of the dataset reproduces the prefix of the
         # full corruption, because each sample's draw depends only on
@@ -147,80 +153,6 @@ class TestCorrupt:
         ds = make_dataset(50, 2)
         with pytest.raises(ValueError):
             corrupt(ds, symmetric_matrix(3, 0.2), seed=0)
-
-
-class TestEmpiricalTransition:
-    def test_clean_vs_itself_is_identity(self):
-        ds = make_dataset(300, 4)
-        est = empirical_transition(ds, ds)
-        np.testing.assert_allclose(est.entries, np.eye(4))
-
-    def test_recovers_generating_matrix(self):
-        n = 1_000_000
-        ds = make_dataset(n, 5, seed=1)
-        tm = symmetric_matrix(5, 0.3)
-        noisy = corrupt(ds, tm, seed=2)
-        est = empirical_transition(ds, noisy)
-        assert np.max(np.abs(est.entries - tm.entries)) < 0.01
-
-    def test_single_sample_gives_one_hot_rows(self):
-        ds = LabeledDataset(np.zeros((1, 1)) + 1.0, np.array([2]), k=4)
-        est = empirical_transition(ds, ds)
-        expected = np.eye(4)
-        np.testing.assert_allclose(est.entries, expected)
-
-    def test_rejects_feature_mismatch(self):
-        a = make_dataset(50, 2, seed=0)
-        b = make_dataset(50, 2, seed=1)
-        with pytest.raises(ValueError):
-            empirical_transition(a, b)
-
-
-class TestFixtures:
-    def test_low_noise_first_row(self):
-        tm = fixture_matrix("cifar10_low")
-        np.testing.assert_allclose(
-            tm.entries[0],
-            [0.82, 0.03, 0.01, 0.023, 0.017, 0.022, 0.021, 0.018, 0.019, 0.02],
-        )
-
-    def test_high_noise_first_diagonal(self):
-        tm = fixture_matrix("cifar10_high")
-        assert tm.entries[0, 0] == pytest.approx(0.46)
-
-    def test_rows_sum_to_one(self):
-        for name in ("cifar10_low", "cifar10_high"):
-            tm = fixture_matrix(name)
-            np.testing.assert_allclose(tm.entries.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_uniform_offdiagonal_structure(self):
-        for name in ("cifar10_low", "cifar10_high"):
-            tm = fixture_matrix(name)
-            off = tm.entries.copy()
-            np.fill_diagonal(off, np.nan)
-            for j in range(tm.k):
-                col = off[:, j]
-                col = col[~np.isnan(col)]
-                assert np.ptp(col) == 0.0, (name, j)
-
-    def test_unknown_fixture(self):
-        with pytest.raises(ValueError):
-            fixture_matrix("cifar100_low")
-
-
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
-        tm = fixture_matrix("cifar10_low")
-        path = tmp_path / "tm.csv"
-        save_matrix_csv(tm, str(path))
-        back = load_matrix_csv(str(path))
-        np.testing.assert_array_equal(back.entries, tm.entries)
-
-    def test_load_validates_row_sums(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0.5,0.4\n0.1,0.9\n")
-        with pytest.raises(ValueError):
-            load_matrix_csv(str(path))
 
 
 class TestNoiseParams:

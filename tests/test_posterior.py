@@ -9,11 +9,9 @@ from postmax.posterior import (
     PosteriorMatrix,
     accuracy,
     estimate_posterior,
-    is_noise_tolerant_regime,
     noisy_posterior_forward,
     posterior_correct,
     predict,
-    save_posterior_csv,
 )
 
 
@@ -177,19 +175,6 @@ class TestNormalizedReporting:
             pm.values[0, 0] = 0.9
 
 
-class TestToleranceRegime:
-    def test_examples(self):
-        assert is_noise_tolerant_regime(10, 0.89) is True
-        assert is_noise_tolerant_regime(2, 0.5) is False
-        assert is_noise_tolerant_regime(2, 0.49) is True
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            is_noise_tolerant_regime(1, 0.1)
-        with pytest.raises(ValueError):
-            is_noise_tolerant_regime(2, -0.1)
-
-
 class TestAccuracy:
     def test_extremes_and_half(self):
         assert accuracy([0, 1, 2], [0, 1, 2]) == 1.0
@@ -233,15 +218,3 @@ class TestArgmaxInvariance:
         assert predict([[0.6, 0.4]]).tolist() == [0]
         assert predict([noisy]).tolist() == [1]
 
-
-class TestCsvExport:
-    def test_round_trip_values(self, tmp_path):
-        pm = PosteriorMatrix([[0.7, 0.3], [0.25, 0.75]])
-        path = tmp_path / "posterior.csv"
-        save_posterior_csv(pm, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "class_0,class_1"
-        loaded = np.array(
-            [[float(v) for v in line.split(",")] for line in rows[1:]]
-        )
-        np.testing.assert_array_equal(loaded, pm.values)
