@@ -25,7 +25,6 @@ from .analysis import verify_theorems
 from .divergence import DIVERGENCE_IDS
 from .model import (
     MlpSpec,
-    NetworkModel,
     TrainConfig,
     _train_members,
     evaluate,

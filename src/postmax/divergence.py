@@ -24,11 +24,17 @@ derivatives (see brute_force_conjugate).
 Each entry also carries what training needs of its divergence, so a new
 divergence is one new DivergenceSpec in the registry below.  A raw network
 output v is mapped into the conjugate domain by a smooth, strictly
-monotone link whose derivative enters backpropagation analytically:
+monotone link T = link(v).  The raw head trains on the link composed in
+closed form in v with the posterior (f*)'(T), the conjugate f*(T) and the
+score (f*)'(T) * link'(v), where s = softplus(v):
 
-    kl   identity               (domain is the whole real line)
-    gan  -softplus(-v)          (strictly below 0)
-    sl   -1/(1 + softplus(v))   (inside (-1, 0))
+         link           posterior  conjugate           score
+    kl   v              exp(v-1)   exp(v-1)            exp(v-1)
+    gan  -softplus(-v)  exp(v)     softplus(v)         sigmoid(v)
+    sl   -1/(1+s)       s          log1p(s) + 1/(1+s)  s*sigmoid(v)/(1+s)**2
+
+For gan and sl these stay finite for every finite v, even where the link
+rounds onto its domain's boundary; kl's forms overflow past v ~ 710.
 
 A simplex head (softmax rows D) trains on the objective at T = f'(D),
 written in D directly; the fused score s = D * dJ/dD and the drift
@@ -54,8 +60,9 @@ Scalar = Union[float, np.ndarray]
 @dataclass(frozen=True)
 class DivergenceSpec:
     """Generator, conjugate and their derivatives, plus the raw-head link
-    and the simplex-head forms; the simplex fields take unchecked softmax
-    rows D and the label column Dy, one-hot labels, or the drift."""
+    and v-forms and the simplex-head forms; the raw fields take unchecked
+    raw outputs v, the simplex fields unchecked softmax rows D and the
+    label column Dy, one-hot labels, or the drift."""
 
     id: str
     f: Callable[[np.ndarray], np.ndarray]
@@ -66,6 +73,9 @@ class DivergenceSpec:
     conj_domain: tuple[float, float]  # open interval of valid t
     link: Callable[[np.ndarray], np.ndarray]  # raw output v -> t in domain
     link_prime: Callable[[np.ndarray], np.ndarray]
+    raw_posterior: Callable  # v -> (f*)'(link(v))
+    raw_conj: Callable  # v -> f*(link(v))
+    raw_score: Callable  # v -> (f*)'(link(v)) * link'(v)
     simplex_value: Callable  # (D, Dy) -> per-row objective at T = f'(D)
     simplex_score: Callable  # (D, onehot) -> s = D * dJ/dD
     simplex_drift: Callable  # (D, drift) -> D * f''(D) * drift
@@ -136,6 +146,16 @@ def _sl_conj_second(t):
     return 1.0 / (t * t)
 
 
+def _sl_raw_conj(v):
+    s = _softplus(v)
+    return np.log1p(s) + 1.0 / (1.0 + s)
+
+
+def _sl_raw_score(v):
+    s = _softplus(v)
+    return s * _sigmoid(v) / (1.0 + s) ** 2
+
+
 _KL = DivergenceSpec(
     id="kl",
     f=_kl_f,
@@ -146,6 +166,9 @@ _KL = DivergenceSpec(
     conj_domain=(-np.inf, np.inf),
     link=lambda v: v,
     link_prime=np.ones_like,
+    raw_posterior=_kl_conj,
+    raw_conj=_kl_conj,
+    raw_score=_kl_conj,
     simplex_value=lambda D, Dy: np.log(Dy) - 1.0,
     simplex_score=lambda D, onehot: onehot,
     simplex_drift=lambda D, drift: drift,
@@ -161,6 +184,9 @@ _GAN = DivergenceSpec(
     conj_domain=(-np.inf, 0.0),
     link=lambda v: -_softplus(-v),
     link_prime=lambda v: _sigmoid(-v),
+    raw_posterior=np.exp,
+    raw_conj=_softplus,
+    raw_score=_sigmoid,
     simplex_value=lambda D, Dy: (
         np.log(Dy / (Dy + 1.0)) - np.log1p(D).sum(axis=1)
     ),
@@ -178,6 +204,9 @@ _SL = DivergenceSpec(
     conj_domain=(-1.0, 0.0),
     link=lambda v: -1.0 / (1.0 + _softplus(v)),
     link_prime=lambda v: _sigmoid(v) / (1.0 + _softplus(v)) ** 2,
+    raw_posterior=_softplus,
+    raw_conj=_sl_raw_conj,
+    raw_score=_sl_raw_score,
     simplex_value=lambda D, Dy: (
         -1.0 / (Dy + 1.0) + (-1.0 / (D + 1.0) - np.log1p(D)).sum(axis=1)
     ),

@@ -4,9 +4,12 @@ The network is a stack of linear layers with relu or tanh activations and
 one of two output heads.  The simplex head squashes the final linear
 outputs into a strictly positive probability row via exponential
 normalization and trains on the change-of-variable objectives; it is the
-default for multi-class problems.  The raw head maps final outputs into
-the conjugate domain of the chosen divergence through that divergence's
-link (see postmax.divergence).
+default for multi-class problems.  The raw head reads final outputs v
+as T = link(v) for the chosen divergence, and trains and evaluates on
+that divergence's closed forms in v (see postmax.divergence), so every
+finite v is evaluable for gan and sl.  Labels and rates are validated
+once, where datasets, noise parameters and bare labels enter; the step
+loop and the per-epoch metrics run unchecked kernels.
 
 Training is plain mini-batch ascent with SGD momentum and a cosine
 learning-rate schedule annealed to zero, deterministic per seed.  All
@@ -40,26 +43,21 @@ from postmax.objective import (
     ObjectiveConfig,
     _HEADS,
     _bias_simplex,
-    _check_D_batch,
     _check_labels,
     _jf_simplex,
     _onehot,
+    _raw_logit_grad,
+    _raw_value,
     _simplex_logit_grad,
-    bias_simplex_batch,
-    corrected_grad_batch,
-    corrected_jf_batch,
-    jf_batch,
-    jf_grad_batch,
-    jf_simplex_batch,
-    jf_simplex_logit_grad_batch,
 )
-from postmax.posterior import (
-    PosteriorMatrix,
-    _check_rates,
-    accuracy,
-    posterior_correct,
-    predict,
+from postmax.posterior import accuracy
+
+# Unused here; perfbench/spans.py wraps these names in this module.
+from postmax.objective import (
+    bias_simplex_batch, corrected_grad_batch, corrected_jf_batch, jf_batch,
+    jf_grad_batch, jf_simplex_batch, jf_simplex_logit_grad_batch,
 )
+from postmax.posterior import posterior_correct, predict
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -149,6 +147,8 @@ class NetworkModel:
         for i, (W, b) in enumerate(frozen):
             if W.shape != (widths[i], widths[i + 1]) or b.shape != (widths[i + 1],):
                 raise ValueError(f"layer {i} parameter shapes do not match spec")
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {i} parameters must be finite")
         object.__setattr__(self, "params", frozen)
 
 
@@ -212,23 +212,20 @@ def _forward_parts(spec: MlpSpec, params, X: np.ndarray):
     return hs, zs, v
 
 
-def _head_output(spec: MlpSpec, div: DivergenceSpec, v: np.ndarray) -> np.ndarray:
-    if spec.head == "simplex":
-        return _softmax(v)
-    return div.link(v)
-
-
 def forward(model: NetworkModel, X) -> np.ndarray:
-    """Head outputs for a feature matrix: simplex rows or in-domain T."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.spec.d_in:
-        raise ValueError(
-            f"features must be N x {model.spec.d_in} for this architecture"
-        )
+    """Head outputs for a feature matrix: simplex rows or T = link(v)."""
+    X = _check_features(model.spec, X)
     _, _, v = _forward_parts(model.spec, model.params, X)
     if model.spec.head == "simplex":
         return _softmax(v)
     return get_divergence(model.spec.divergence).link(v)
+
+
+def _check_features(spec: MlpSpec, X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != spec.d_in:
+        raise ValueError(f"features must be N x {spec.d_in} for this architecture")
+    return X
 
 
 def _check_compat(spec: MlpSpec, cfg: ObjectiveConfig) -> None:
@@ -242,59 +239,32 @@ def _check_compat(spec: MlpSpec, cfg: ObjectiveConfig) -> None:
         )
 
 
-def _train_rates(cfg: ObjectiveConfig, k: int) -> Optional[np.ndarray]:
-    # posterior correction acts at evaluation time, not on gradients
-    if cfg.correction == "objective":
-        return cfg.noise.flip_rates(k)
-    return None
+def _rates(cfg: ObjectiveConfig, k: int, mode: str) -> Optional[np.ndarray]:
+    """cfg's flip rates if it corrects in mode, else None: the "objective"
+    correction acts on gradients, "posterior" only at evaluation."""
+    return cfg.noise.flip_rates(k) if cfg.correction == mode else None
 
 
-def _eval_rates(cfg: ObjectiveConfig, k: int) -> Optional[np.ndarray]:
-    if cfg.correction == "posterior":
-        return cfg.noise.flip_rates(k)
-    return None
-
-
-def _batch_objective(
-    cfg: ObjectiveConfig, div: DivergenceSpec, out: np.ndarray, labels, e,
-    checked: bool = False,
-) -> float:
-    """Mean objective of head outputs; checked means the caller has
-    checked labels and rates, so simplex rows get one check and the
-    unchecked kernels."""
-    if cfg.head == "simplex":
-        # Optimizers may legitimately drive off-label probabilities to
-        # the simplex boundary; floor them so the logged value (not the
-        # gradient) stays finite.
-        safe = np.maximum(out, POSTERIOR_FLOOR)
-        if checked:
-            _check_D_batch(safe)
-            jf, bias = _jf_simplex, _bias_simplex
-        else:
-            jf, bias = jf_simplex_batch, bias_simplex_batch
-        value = jf(div, safe, labels)
-        if e is not None:
-            value -= bias(div, safe, e)
-        return value
+def _head_value(div: DivergenceSpec, v, D, labels, e) -> float:
+    """Mean objective of final outputs v with checked labels and rates;
+    D holds the simplex head's softmax rows and is None for the raw head."""
+    if D is None:
+        return _raw_value(div, v, labels, e)
+    # Optimizers may legitimately drive off-label probabilities to the
+    # simplex boundary; floor them so the logged value (not the
+    # gradient) stays finite.
+    safe = np.maximum(D, POSTERIOR_FLOOR)
+    value = _jf_simplex(div, safe, labels)
     if e is not None:
-        return corrected_jf_batch(div, out, labels, e)
-    return jf_batch(div, out, labels)
+        value -= _bias_simplex(div, safe, e)
+    return value
 
 
-def _head_grad_v(
-    cfg: ObjectiveConfig, div: DivergenceSpec, out: np.ndarray, v: np.ndarray,
-    labels, e,
-) -> np.ndarray:
-    """Gradient of the batch-mean objective w.r.t. final linear outputs."""
-    if cfg.head == "simplex":
-        g_v = jf_simplex_logit_grad_batch(div, out, labels, e)
-    else:
-        if e is not None:
-            g = corrected_grad_batch(div, out, labels, e)
-        else:
-            g = jf_grad_batch(div, out, labels)
-        g_v = g * div.link_prime(v)
-    return g_v / out.shape[0]
+def _head_grad(div: DivergenceSpec, v, D, onehot, e, out=None) -> np.ndarray:
+    """Summed-objective gradient w.r.t. final outputs v; D as _head_value's."""
+    if D is None:
+        return _raw_logit_grad(div, v, onehot, e, out=out)
+    return _simplex_logit_grad(div, D, onehot, e, out=out)
 
 
 def _backprop_into(activation: str, layers, hs, zs, g_v, grads, deltas, derivs):
@@ -335,18 +305,16 @@ def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig
     they can be compared against finite differences of the value.
     """
     _check_compat(model.spec, cfg)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.spec.d_in:
-        raise ValueError(
-            f"features must be N x {model.spec.d_in} for this architecture"
-        )
-    labels = np.asarray(labels)
+    X = _check_features(model.spec, X)
+    k = model.spec.k
+    labels = _check_labels(labels, X.shape[0], k)
     div = get_divergence(cfg.divergence)
-    e = _train_rates(cfg, model.spec.k)
+    e = _rates(cfg, k, "objective")
     hs, zs, v = _forward_parts(model.spec, model.params, X)
-    out = _head_output(model.spec, div, v)
-    value = _batch_objective(cfg, div, out, labels, e)
-    g_v = _head_grad_v(cfg, div, out, v, labels, e)
+    D = _softmax(v) if model.spec.head == "simplex" else None
+    value = _head_value(div, v, D, labels, e)
+    g_v = _head_grad(div, v, D, _onehot(labels, k), e)
+    g_v /= X.shape[0]
     grads = _backprop(model.spec, model.params, hs, zs, g_v)
     return value, grads
 
@@ -419,19 +387,16 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
     div = get_divergence(members[0][1].divergence)
     n, k, M = X.shape[0], spec.k, len(members)
     simplex = spec.head == "simplex"
-    # Labels and rates are checked once here; every simplex step then runs
-    # the unchecked kernel on one-hot rows built once.  Softmax rows need
-    # no check: a non-finite row surfaces as non-finite parameters at the
-    # same step.  The raw head keeps its checked per-member gradient.
-    labels = np.stack([_check_labels(ds.labels, n, k) for ds, _ in members])
-    rates = [_train_rates(cfg, k) for _, cfg in members]
-    if simplex:
-        rates = [None if e is None else _check_rates(e, k) for e in rates]
-        onehot = _onehot(labels, k)
-        # a zero rate row adds no drift, so one kernel call serves all
-        e_rows = None
-        if any(e is not None for e in rates):
-            e_rows = np.stack([np.zeros(k) if e is None else e for e in rates])
+    # Datasets and noise parameters validated the labels and rates, so
+    # every step runs the unchecked kernel on one-hot rows built once.
+    # Head outputs need no check: a non-finite one surfaces as non-finite
+    # parameters at the same step.  A zero rate row leaves its member's
+    # gradient unchanged bit for bit, so one kernel call serves all.
+    onehot = _onehot(np.stack([ds.labels for ds, _ in members]), k)
+    rates = [_rates(cfg, k, "objective") for _, cfg in members]
+    e_rows = None
+    if any(e is not None for e in rates):
+        e_rows = np.stack([np.zeros(k) if e is None else e for e in rates])
 
     # Member m's parameters are row m of one (M, P) buffer, so the update
     # and the finiteness guard are one pass each over all members.
@@ -470,25 +435,15 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
             nb = idx.shape[0]
             if nb not in views:
                 views[nb] = [[a[..., :nb, :] for a in ws] for ws in workspaces]
-            hs, zs, deltas, derivs, (v, out, y1, g_v) = views[nb]
+            hs, zs, deltas, derivs, (v, D, y1, g_v) = views[nb]
             X.take(idx, axis=0, out=hs[0], mode="clip")
             _forward_into(spec.activation, layers, hs, zs, v)
-            if simplex:
-                _softmax(v, out=out)
-                onehot.take(idx, axis=1, out=y1, mode="clip")
-                _simplex_logit_grad(div, out, y1, e_rows, out=g_v)
-                g_v /= nb
-            else:
-                out = div.link(v)
-                try:
-                    for m, (_, cfg) in enumerate(members):
-                        g_v[m] = _head_grad_v(
-                            cfg, div, out[m], v[m], labels[m, idx], rates[m]
-                        )
-                except ValueError as err:
-                    raise RuntimeError(
-                        f"training diverged at epoch {epoch} step {step}: {err}"
-                    ) from err
+            onehot.take(idx, axis=1, out=y1, mode="clip")
+            _head_grad(
+                div, v, _softmax(v, out=D) if simplex else None, y1, e_rows,
+                out=g_v,
+            )
+            g_v /= nb
 
             _backprop_into(
                 spec.activation, layers, hs, zs, g_v, grad_layers, deltas, derivs
@@ -506,14 +461,7 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
 
         for (dataset, cfg), params, trace in zip(members, member_params, traces):
             objectives, train_accs, test_accs = trace
-            try:
-                train_acc, obj = _evaluate(
-                    spec, div, params, cfg, dataset, checked=True
-                )
-            except ValueError as err:
-                raise RuntimeError(
-                    f"objective became unevaluable after epoch {epoch}: {err}"
-                ) from err
+            train_acc, obj = _evaluate(spec, div, params, cfg, dataset)
             if not math.isfinite(obj):
                 raise RuntimeError(
                     f"objective became non-finite after epoch {epoch}: {obj}"
@@ -521,10 +469,9 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
             objectives.append(obj)
             train_accs.append(train_acc)
             if eval_dataset is not None:
-                test_acc, _ = _evaluate(
-                    spec, div, params, cfg, eval_dataset, checked=True
+                test_accs.append(
+                    _evaluate(spec, div, params, cfg, eval_dataset, objective=False)[0]
                 )
-                test_accs.append(test_acc)
 
     return [
         (
@@ -549,34 +496,32 @@ def evaluate(model: NetworkModel, dataset: LabeledDataset, cfg: ObjectiveConfig)
     the uncorrected one the model was trained on in that mode.
     """
     _check_compat(model.spec, cfg)
-    if dataset.d != model.spec.d_in:
-        raise ValueError(
-            f"features must be N x {model.spec.d_in} for this architecture"
-        )
+    _check_features(model.spec, dataset.features)
+    if dataset.k != model.spec.k:
+        raise ValueError("dataset class count does not match the output width")
     div = get_divergence(cfg.divergence)
     return _evaluate(model.spec, div, model.params, cfg, dataset)
 
 
 def _evaluate(
     spec: MlpSpec, div: DivergenceSpec, params, cfg: ObjectiveConfig,
-    dataset: LabeledDataset, checked: bool = False,
+    dataset: LabeledDataset, objective: bool = True,
 ):
-    """evaluate() on bare parameters whose shapes the caller has checked;
-    div is the spec of cfg.divergence, and checked is _batch_objective's."""
+    """evaluate() on bare parameters and a dataset whose shapes the caller
+    has checked; div is cfg's divergence.  The objective is None unless
+    asked for."""
     _, _, v = _forward_parts(spec, params, dataset.features)
-    out = _head_output(spec, div, v)
-    obj = _batch_objective(
-        cfg, div, out, dataset.labels, _train_rates(cfg, spec.k), checked
-    )
-    if cfg.head == "simplex":
-        post = PosteriorMatrix(out, normalized=False)
-    else:
-        post = PosteriorMatrix(div.conj_prime(out), normalized=False)
-    e_eval = _eval_rates(cfg, spec.k)
+    D = _softmax(v) if spec.head == "simplex" else None
+    # every raw posterior map is increasing in v, so v has its argmax
+    scores = v if D is None else D
+    e_eval = _rates(cfg, spec.k, "posterior")
     if e_eval is not None:
-        post = posterior_correct(post, e_eval)
-    preds = predict(post)
-    return accuracy(preds, dataset.labels), obj
+        scores = (div.raw_posterior(v) if D is None else D) - e_eval
+    acc = accuracy(np.argmax(scores, axis=1), dataset.labels)
+    if not objective:
+        return acc, None
+    e = _rates(cfg, spec.k, "objective")
+    return acc, _head_value(div, v, D, dataset.labels, e)
 
 
 def save_model(model: NetworkModel, path) -> None:

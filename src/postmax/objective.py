@@ -351,6 +351,29 @@ def _simplex_logit_grad(spec: DivergenceSpec, D, onehot, e, out=None) -> np.ndar
     return np.subtract(s, D * s.sum(axis=-1, keepdims=True), out=out)
 
 
+def _raw_value(spec: DivergenceSpec, v, labels, e) -> float:
+    """Mean objective at T = link(v) of raw outputs v (N, K), minus the
+    bias of rate row e when given, without input checks; the conjugate
+    enters in closed form in v, so gan and sl take every finite v."""
+    T = spec.link(v)
+    conj = spec.raw_conj(v).sum(axis=1)
+    value = T[np.arange(v.shape[0]), labels] - conj
+    if e is not None:
+        value -= T @ e - e.sum() * conj
+    return float(value.mean())
+
+
+def _raw_logit_grad(spec: DivergenceSpec, v, onehot, e, out=None) -> np.ndarray:
+    """Ascent gradient of _raw_value's per-sample terms w.r.t. v, without
+    input checks: (onehot - e) * link'(v) - (1 - sum(e)) * raw_score(v).
+    Shapes, the zero rate row and out are _simplex_logit_grad's."""
+    score = spec.raw_score(v)
+    if e is not None:
+        onehot = onehot - e[..., None, :]
+        score = score * (1.0 - e.sum(axis=-1))[..., None, None]
+    return np.subtract(onehot * spec.link_prime(v), score, out=out)
+
+
 def noisy_joint(joint: DiscreteJoint, tm: TransitionMatrix) -> DiscreteJoint:
     """Joint over (x, noisy label) obtained by pushing labels through tm."""
     if joint.k != tm.k:

@@ -8,7 +8,6 @@ contract; do not relax them.
 import time
 
 import numpy as np
-import pytest
 
 from postmax.analysis import (
     check_argmax_invariance,

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from postmax.cli import (
     RECORD_COLUMNS,
     ConfigError,
-    ExperimentConfig,
     ResultRecord,
     describe_noise,
     load_config,
@@ -27,8 +26,8 @@ from postmax.cli import (
     split_dataset,
     summarize,
 )
-from postmax.model import load_model
-from postmax.noise import LabeledDataset, NoiseParams
+from postmax.model import MlpSpec, init, load_model, save_model
+from postmax.noise import NoiseParams
 from postmax.posterior import accuracy, predict
 
 
@@ -675,6 +674,18 @@ class TestCommandLine:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "error: " in result.output
+        assert "Traceback" not in result.output
+
+    def test_eval_class_count_mismatch_exits_one(self, tmp_path, cli_config):
+        # a 3-output model on the config's 2-class data
+        model_path = tmp_path / "model.json"
+        save_model(init(MlpSpec((3, 8, 3)), seed=0), model_path)
+        result = CliRunner().invoke(
+            main, ["eval", "--config", str(cli_config), "--model", str(model_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: dataset class count" in result.output
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(

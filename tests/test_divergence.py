@@ -6,6 +6,7 @@ frozen here.
 """
 
 import dataclasses
+import decimal
 
 import numpy as np
 import pytest
@@ -250,3 +251,46 @@ class TestLookup:
         out = conj_prime("kl", np.array([0.0, 1.0]))
         assert isinstance(out, np.ndarray)
         np.testing.assert_allclose(out, [np.exp(-1.0), 1.0])
+
+
+def _decimal_v_forms(v: float) -> dict:
+    """The raw head's v-forms from the links' definitions, in decimal.
+
+    Worked at 400 digits, so 1 + e^v keeps 50 significant digits of e^v
+    even at v = -700; each result is exact to far below double rounding.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        d = decimal.Decimal(v)
+        one = decimal.Decimal(1)
+        s = (one + d.exp()).ln()  # softplus(v)
+        sig = one / (one + (-d).exp())
+        t_gan = -(one + (-d).exp()).ln()  # -softplus(-v)
+        t_sl = -one / (one + s)
+        forms = {
+            # (f*)'(t), f*(t) and (f*)'(t) * link'(v), each in t = link(v)
+            "kl": ((d - one).exp(), (d - one).exp(), (d - one).exp()),
+            "gan": (
+                one / ((-t_gan).exp() - one),
+                -(one - t_gan.exp()).ln(),
+                one / ((-t_gan).exp() - one) * (one - sig),
+            ),
+            "sl": (
+                -one / t_sl - one,
+                -((-t_sl).ln() + t_sl),
+                (-one / t_sl - one) * sig / (one + s) ** 2,
+            ),
+        }
+        return {k: tuple(float(x) for x in vals) for k, vals in forms.items()}
+
+
+class TestRawVForms:
+    @pytest.mark.parametrize("v", [-700.0, -100.0, -30.0, 30.0, 100.0, 700.0])
+    def test_match_decimal_reference(self, v):
+        ref = _decimal_v_forms(v)
+        for spec in ALL_SPECS:
+            got = [
+                float(form(np.array(v)))
+                for form in (spec.raw_posterior, spec.raw_conj, spec.raw_score)
+            ]
+            np.testing.assert_allclose(got, ref[spec.id], rtol=1e-14, err_msg=spec.id)

@@ -1,5 +1,6 @@
 """Tests for the network, analytic backprop, and the training loop."""
 
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,9 @@ from postmax.model import (
 from postmax.noise import LabeledDataset, NoiseParams, corrupt, symmetric_matrix
 from postmax.objective import (
     ObjectiveConfig,
+    _onehot,
+    _raw_logit_grad,
+    _raw_value,
     corrected_grad_batch,
     corrected_jf_batch,
     jf_batch,
@@ -242,8 +246,9 @@ class TestBackprop:
     @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
     @pytest.mark.parametrize("correction", ["none", "objective"])
     def test_raw_head_matches_id_route(self, div_id, correction):
-        # objective_and_gradients resolves the spec once and passes the
-        # object on; the same pieces called with the id give the same bits
+        # objective_and_gradients runs the v-space kernels, bit for bit, and
+        # agrees with the checked T-space functions, called with the id and
+        # composed with the link
         rng = np.random.default_rng(17)
         X = rng.normal(size=(9, 3))
         y = rng.integers(0, 4, size=9)
@@ -252,18 +257,25 @@ class TestBackprop:
         model = init(MlpSpec((3, 5, 4), head="raw_t", divergence=div_id), seed=4)
         value, grads = objective_and_gradients(model, X, y, cfg)
         hs, zs, v = _forward_parts(model.spec, model.params, X)
+        spec = get_divergence(div_id)
+        e = None if correction == "none" else noise.flip_rates(4)
+        g_v = _raw_logit_grad(spec, v, _onehot(y, 4), e) / X.shape[0]
+        assert value == _raw_value(spec, v, y, e)
+        for got, ref in zip(grads, _backprop(model.spec, model.params, hs, zs, g_v)):
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
         out = forward(model, X)
-        if correction == "none":
+        if e is None:
             want = jf_batch(div_id, out, y)
             g = jf_grad_batch(div_id, out, y)
         else:
-            e = noise.flip_rates(4)
             want = corrected_jf_batch(div_id, out, y, e)
             g = corrected_grad_batch(div_id, out, y, e)
-        g_v = g * get_divergence(div_id).link_prime(v) / X.shape[0]
-        assert value == want
+        g_v = g * spec.link_prime(v) / X.shape[0]
+        assert value == pytest.approx(want, rel=1e-13)
         for got, ref in zip(grads, _backprop(model.spec, model.params, hs, zs, g_v)):
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            np.testing.assert_allclose(got[0], ref[0], rtol=1e-13)
+            np.testing.assert_allclose(got[1], ref[1], rtol=1e-13)
 
     def test_head_mismatch_rejected(self):
         model = init(MlpSpec((3, 2)), seed=0)
@@ -369,6 +381,29 @@ class TestTrain:
                         cfg,
                         TrainConfig(epochs=5, batch_size=8, lr0=1e9),
                     )
+
+    @pytest.mark.parametrize("div_id", ["gan", "sl"])
+    @pytest.mark.parametrize("correction", ["none", "objective"])
+    def test_raw_head_trains_at_large_outputs(self, div_id, correction):
+        # at |v| = 800 the gan and sl links round onto their domain's
+        # boundary (gan's to -0.0 at +800, sl's to -1.0 at -800); the
+        # closed v-forms still give finite values and gradients there
+        rng = np.random.default_rng(61)
+        ds = gaussian_blobs(rng, 10, [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        spec = MlpSpec((2, 4, 3), head="raw_t", divergence=div_id)
+        (W0, b0), (W1, _) = init(spec, seed=5).params
+        b1 = np.array([800.0, -800.0, 0.0])
+        model = NetworkModel(spec, ((W0, b0), (W1, b1)))
+        noise = NoiseParams.symmetric(0.2)
+        cfg = raw_cfg(div_id, correction, noise if correction != "none" else None)
+        v = _forward_parts(spec, model.params, ds.features)[2]
+        assert np.abs(v).max() >= 800.0
+        trained, trace = train(
+            model, ds, cfg, TrainConfig(epochs=2, batch_size=8, lr0=1e-3)
+        )
+        assert all(math.isfinite(obj) for obj in trace.objective)
+        v = _forward_parts(spec, trained.params, ds.features)[2]
+        assert np.abs(v).max() >= 790.0
 
     def test_shape_mismatches_rejected(self):
         rng = np.random.default_rng(37)
@@ -480,6 +515,13 @@ class TestEvaluate:
         )
         assert plain == corrected
 
+    def test_class_count_mismatch_rejected(self):
+        rng = np.random.default_rng(43)
+        ds = gaussian_blobs(rng, 15, [[-1.0, 0.0], [1.0, 0.0]])
+        model = init(MlpSpec((2, 4, 3)), seed=1)
+        with pytest.raises(ValueError, match="class count"):
+            evaluate(model, ds, simplex_cfg("kl"))
+
     def test_deterministic(self):
         rng = np.random.default_rng(47)
         ds = gaussian_blobs(rng, 15, [[-1.0, 0.0], [1.0, 0.0]])
@@ -531,6 +573,15 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         assert load_model(path).spec.divergence == "sl"
+
+    def test_load_rejects_non_finite_params(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init(MlpSpec((3, 2)), seed=2), path)
+        payload = json.loads(path.read_text())
+        payload["params"][0]["b"][1] = math.nan
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="finite"):
+            load_model(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"

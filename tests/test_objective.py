@@ -42,6 +42,7 @@ from postmax.objective import (
     _bias_simplex,
     _jf_simplex,
     _onehot,
+    _raw_logit_grad,
     _simplex_logit_grad,
 )
 from postmax.posterior import _check_rates
@@ -733,6 +734,25 @@ class TestSimplexLogitGrad:
             jf_simplex_logit_grad_batch("kl", D, [0, 1], [0.6, 0.5])
         with pytest.raises(ValueError, match="flip rates"):
             jf_simplex_logit_grad_batch("kl", D, [0, 1], [0.1, 0.1, 0.1])
+
+
+@pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+def test_raw_kernel_zero_rate_row_is_no_rates(div_id):
+    # one call over (M, N, K) raw outputs, with a zero rate row for a
+    # member that has no rates, gives each member's own gradient bit for bit
+    spec = get_divergence(div_id)
+    rng = np.random.default_rng(167)
+    v = rng.normal(scale=3.0, size=(3, 20, 4))
+    onehot = _onehot(rng.integers(0, 4, size=(3, 20)), 4)
+    rates = [None, np.array([0.1, 0.05, 0.15, 0.02]), np.array([0.2, 0, 0.1, 0.1])]
+    e = np.stack([np.zeros(4) if r is None else r for r in rates])
+    stacked = _raw_logit_grad(spec, v, onehot, e)
+    for m, r in enumerate(rates):
+        assert np.array_equal(stacked[m], _raw_logit_grad(spec, v[m], onehot[m], r))
+    assert np.array_equal(
+        _raw_logit_grad(spec, v, onehot, np.zeros((3, 4))),
+        _raw_logit_grad(spec, v, onehot, None),
+    )
 
 
 @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
