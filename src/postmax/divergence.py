@@ -35,6 +35,9 @@ score (f*)'(T) * link'(v), where s = softplus(v):
 
 For gan and sl these stay finite for every finite v, even where the link
 rounds onto its domain's boundary; kl's forms overflow past v ~ 710.
+Posterior correction ranks classes by posterior(v) - e, which raw_rank
+computes per row scaled so that kl's and gan's exponentials cannot
+overflow.
 
 A simplex head (softmax rows D) trains on the objective at T = f'(D),
 written in D directly; the fused score s = D * dJ/dD and the drift
@@ -74,6 +77,7 @@ class DivergenceSpec:
     link: Callable[[np.ndarray], np.ndarray]  # raw output v -> t in domain
     link_prime: Callable[[np.ndarray], np.ndarray]
     raw_posterior: Callable  # v -> (f*)'(link(v))
+    raw_rank: Callable  # (v, e) -> rows with the argmax of raw_posterior(v) - e
     raw_conj: Callable  # v -> f*(link(v))
     raw_score: Callable  # v -> (f*)'(link(v)) * link'(v)
     simplex_value: Callable  # (D, Dy) -> per-row objective at T = f'(D)
@@ -87,6 +91,18 @@ def _softplus(x):
 
 def _sigmoid(x):
     return np.exp(-np.logaddexp(0.0, -x))
+
+
+def _exp_rank(shift: float):
+    """raw_rank of a posterior exp(v - shift): the rows exp(v - shift) - e
+    scaled by exp(shift - s) > 0, s = max(shift, row max of v), so neither
+    exponential exceeds 1; rows with every v <= shift are left unscaled."""
+
+    def rank(v, e):
+        s = np.maximum(v.max(axis=-1, keepdims=True), shift)
+        return np.exp(v - s) - e * np.exp(shift - s)
+
+    return rank
 
 
 def _kl_f(u):
@@ -167,6 +183,7 @@ _KL = DivergenceSpec(
     link=lambda v: v,
     link_prime=np.ones_like,
     raw_posterior=_kl_conj,
+    raw_rank=_exp_rank(1.0),
     raw_conj=_kl_conj,
     raw_score=_kl_conj,
     simplex_value=lambda D, Dy: np.log(Dy) - 1.0,
@@ -185,6 +202,7 @@ _GAN = DivergenceSpec(
     link=lambda v: -_softplus(-v),
     link_prime=lambda v: _sigmoid(-v),
     raw_posterior=np.exp,
+    raw_rank=_exp_rank(0.0),
     raw_conj=_softplus,
     raw_score=_sigmoid,
     simplex_value=lambda D, Dy: (
@@ -205,6 +223,7 @@ _SL = DivergenceSpec(
     link=lambda v: -1.0 / (1.0 + _softplus(v)),
     link_prime=lambda v: _sigmoid(v) / (1.0 + _softplus(v)) ** 2,
     raw_posterior=_softplus,
+    raw_rank=lambda v, e: _softplus(v) - e,
     raw_conj=_sl_raw_conj,
     raw_score=_sl_raw_score,
     simplex_value=lambda D, Dy: (

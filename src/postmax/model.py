@@ -9,29 +9,37 @@ as T = link(v) for the chosen divergence, and trains and evaluates on
 that divergence's closed forms in v (see postmax.divergence), so every
 finite v is evaluable for gan and sl.  Labels and rates are validated
 once, where datasets, noise parameters and bare labels enter; the step
-loop and the per-epoch metrics run unchecked kernels.
+loop and the per-epoch metrics run unchecked kernels.  Posterior
+correction ranks raw outputs through the divergence's raw_rank, which
+cannot overflow.
 
 Training is plain mini-batch ascent with SGD momentum and a cosine
 learning-rate schedule annealed to zero, deterministic per seed.  All
 gradients are propagated by hand and checked against central finite
 differences in the test suite.
 
-One loop trains M members in lockstep: networks that start from the same
-parameters and draw the same mini-batches but see their own labels and
-correction mode, such as the clean, noisy and corrected networks of one
-experiment seed.  Parameters, velocities and gradients are (M, P) arrays,
-one flat row per member; the forward pass and backprop run as batched
-matmuls over the member axis into workspaces of shape (M, batch, width)
-allocated once per training, and a ragged last batch uses a slice of them.
-A single-member call is train() itself, so each member ends bit for bit
-where its own train() call would.
+One loop trains M members in lockstep: networks that share the
+architecture, the training features, the divergence and the schedule, but
+each with its own initial parameters, labels, correction mode and batch
+order, such as the clean, noisy and corrected networks of every seed of a
+sweep.  Members with one seed draw the same mini-batches.  Parameters,
+velocities and gradients are (M, P) arrays, one flat row per member; each
+step gathers every member's mini-batch with one (M, batch) index, and the
+forward pass and backprop run as batched matmuls over the member axis into
+workspaces of shape (M, batch, width) allocated once per training; a
+ragged last batch uses a slice of them.  Per-epoch metrics are computed
+only by an on_epoch consumer: train() installs the one that builds its
+TrainTrace, and a sweep installs none, so its members' training objective
+is computed and checked once, after the final epoch.  A single-member call
+is train() itself, so each member ends bit for bit where its own train()
+call would.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -353,92 +361,145 @@ def train(
     accuracy (plus eval-set accuracy when a second dataset is supplied).
     Raises if the objective or any parameter stops being finite.
     """
-    return _train_members(
-        model, [(dataset, objective_config)], train_config, eval_dataset
-    )[0]
-
-
-def _train_members(model, members, train_config, eval_dataset=None) -> list:
-    """train() for M members in lockstep; one (model, trace) per member.
-
-    members are (dataset, objective config) pairs that share the features
-    and the divergence; each member's labels and correction mode are its
-    own.  All start from model and draw the same mini-batches, so each
-    result equals that member's train() call bit for bit.  The earliest
-    failure stops every member, with the message train() gives for it.
-    """
     spec = model.spec
-    X = members[0][0].features
-    for dataset, cfg in members:
+    if eval_dataset is not None and (
+        eval_dataset.k != spec.k or eval_dataset.d != spec.d_in
+    ):
+        raise ValueError("eval dataset shapes do not match the architecture")
+    div = get_divergence(objective_config.divergence)
+    objectives, train_accs, test_accs = [], [], []
+
+    def record(epoch, member_params):
+        [params] = member_params
+        acc, obj = _checked_metrics(spec, div, params, objective_config, dataset, epoch)
+        objectives.append(obj)
+        train_accs.append(acc)
+        if eval_dataset is not None:
+            test_accs.append(
+                _evaluate(
+                    spec, div, params, objective_config, eval_dataset, objective=False
+                )[0]
+            )
+
+    member = (model, dataset, objective_config, train_config)
+    [trained] = _train_members([member], on_epoch=record)
+    return trained, TrainTrace(
+        objective=tuple(objectives),
+        train_accuracy=tuple(train_accs),
+        test_accuracy=tuple(test_accs) if eval_dataset is not None else None,
+    )
+
+
+def _checked_metrics(spec, div, params, cfg, dataset, epoch):
+    """Training-set accuracy and objective of one member after epoch;
+    raises if the objective is non-finite."""
+    acc, obj = _evaluate(spec, div, params, cfg, dataset)
+    if not math.isfinite(obj):
+        raise RuntimeError(f"objective became non-finite after epoch {epoch}: {obj}")
+    return acc, obj
+
+
+def _train_members(members, on_epoch=None) -> list:
+    """train() for M members in lockstep; one trained model per member.
+
+    members are train()'s (model, dataset, objective config, train config)
+    arguments.  They share the architecture, the training features, the
+    divergence and every train config field but the seed; initial
+    parameters, labels, correction mode and seed are each member's own,
+    and members with one seed draw one sequence of mini-batches.  Each
+    result equals that member's train() call bit for bit, and the earliest
+    failure stops every member, with the message train() gives for it.
+
+    After every epoch, on_epoch(epoch, member_params) receives each
+    member's parameters as (W, b) views that the next step overwrites.
+    Without a consumer, each member's training objective is computed once,
+    after the final epoch, and checked as train() checks it.
+    """
+    model0, dataset0, cfg0, tc = members[0]
+    spec, X = model0.spec, dataset0.features
+    for model, dataset, cfg, train_config in members:
+        if model.spec != spec:
+            raise ValueError("members must share the architecture")
         _check_compat(spec, cfg)
         if dataset.k != spec.k:
             raise ValueError("dataset class count does not match the output width")
         if dataset.d != spec.d_in:
             raise ValueError("dataset feature width does not match the input width")
-        if not np.array_equal(dataset.features, X, equal_nan=True):
+        if dataset.features is not X and not np.array_equal(
+            dataset.features, X, equal_nan=True
+        ):
             raise ValueError("members must share the training features")
-        if cfg.divergence != members[0][1].divergence:
+        if cfg.divergence != cfg0.divergence:
             raise ValueError("members must share the divergence")
-    if eval_dataset is not None and (
-        eval_dataset.k != spec.k or eval_dataset.d != spec.d_in
-    ):
-        raise ValueError("eval dataset shapes do not match the architecture")
+        if replace(train_config, seed=tc.seed) != tc:
+            raise ValueError("members must share the training schedule")
 
-    div = get_divergence(members[0][1].divergence)
+    div = get_divergence(cfg0.divergence)
     n, k, M = X.shape[0], spec.k, len(members)
     simplex = spec.head == "simplex"
     # Datasets and noise parameters validated the labels and rates, so
-    # every step runs the unchecked kernel on one-hot rows built once.
+    # every step runs the unchecked kernel on one-hot rows built once;
+    # member m's labels are rows m*n .. m*n+n-1 of one (M*n, k) array.
     # Head outputs need no check: a non-finite one surfaces as non-finite
     # parameters at the same step.  A zero rate row leaves its member's
     # gradient unchanged bit for bit, so one kernel call serves all.
-    onehot = _onehot(np.stack([ds.labels for ds, _ in members]), k)
-    rates = [_rates(cfg, k, "objective") for _, cfg in members]
+    onehot = _onehot(np.concatenate([ds.labels for _, ds, _, _ in members]), k)
+    rates = [_rates(cfg, k, "objective") for _, _, cfg, _ in members]
     e_rows = None
     if any(e is not None for e in rates):
         e_rows = np.stack([np.zeros(k) if e is None else e for e in rates])
 
     # Member m's parameters are row m of one (M, P) buffer, so the update
     # and the finiteness guard are one pass each over all members.
-    flat = np.concatenate([a.ravel() for layer in model.params for a in layer])
-    theta = np.tile(flat, (M, 1))
+    theta = np.stack(
+        [
+            np.concatenate([a.ravel() for layer in model.params for a in layer])
+            for model, _, _, _ in members
+        ]
+    )
     velocity = np.zeros_like(theta)
     grad = np.empty_like(theta)
     scratch = np.empty_like(theta)
-    layers = [(W, b[:, None, :]) for W, b in _layer_views(theta, model.params)]
-    grad_layers = _layer_views(grad, model.params)
-    member_params = [_layer_views(row, model.params) for row in theta]
+    layers = [(W, b[:, None, :]) for W, b in _layer_views(theta, model0.params)]
+    grad_layers = _layer_views(grad, model0.params)
+    member_params = [_layer_views(row, model0.params) for row in theta]
 
-    # Workspaces for the largest batch: layer inputs (the shared features
-    # first), pre-activations, deltas, activation derivatives, and final
-    # outputs, head outputs, one-hot labels and head gradients.  A ragged
-    # last batch uses the first rows of each.
-    B = min(train_config.batch_size, n)
+    # One generator per distinct seed, in order of first use; member m
+    # reads its mini-batches from row seed_row[m] of the epoch's orders.
+    seeds = list(dict.fromkeys(t.seed for _, _, _, t in members))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    seed_row = np.array([seeds.index(t.seed) for _, _, _, t in members])
+    label_offset = (np.arange(M) * n)[:, None]
+
+    # Workspaces for the largest batch: layer inputs (the gathered
+    # features first), pre-activations, deltas, activation derivatives,
+    # and final outputs, head outputs, one-hot labels and head gradients.
+    # A ragged last batch uses the first rows of each.
+    B = min(tc.batch_size, n)
     hidden = spec.layer_sizes[1:-1]
     workspaces = [
-        [np.empty((B, spec.d_in))] + [np.empty((M, B, w)) for w in hidden],
+        [np.empty((M, B, w)) for w in (spec.d_in, *hidden)],
         *([np.empty((M, B, w)) for w in hidden] for _ in range(3)),
         [np.empty((M, B, k)) for _ in range(4)],
     ]
     views = {}  # batch rows -> views of that many rows of every workspace
 
-    steps_per_epoch = math.ceil(n / train_config.batch_size)
-    total_steps = train_config.epochs * steps_per_epoch
-    rng = np.random.default_rng(train_config.seed)
-
-    traces = [([], [], []) for _ in members]
+    steps_per_epoch = math.ceil(n / tc.batch_size)
+    total_steps = tc.epochs * steps_per_epoch
     step = 0
-    for epoch in range(train_config.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, train_config.batch_size):
-            idx = perm[start : start + train_config.batch_size]
-            nb = idx.shape[0]
+    for epoch in range(tc.epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs])[seed_row]
+        label_order = order + label_offset
+        for start in range(0, n, tc.batch_size):
+            stop = start + tc.batch_size
+            idx = order[:, start:stop]
+            nb = idx.shape[1]
             if nb not in views:
-                views[nb] = [[a[..., :nb, :] for a in ws] for ws in workspaces]
+                views[nb] = [[a[:, :nb, :] for a in ws] for ws in workspaces]
             hs, zs, deltas, derivs, (v, D, y1, g_v) = views[nb]
             X.take(idx, axis=0, out=hs[0], mode="clip")
             _forward_into(spec.activation, layers, hs, zs, v)
-            onehot.take(idx, axis=1, out=y1, mode="clip")
+            onehot.take(label_order[:, start:stop], axis=0, out=y1, mode="clip")
             _head_grad(
                 div, v, _softmax(v, out=D) if simplex else None, y1, e_rows,
                 out=g_v,
@@ -448,8 +509,8 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
             _backprop_into(
                 spec.activation, layers, hs, zs, g_v, grad_layers, deltas, derivs
             )
-            lr = _cosine_lr(train_config.lr0, step, total_steps)
-            velocity *= train_config.momentum
+            lr = _cosine_lr(tc.lr0, step, total_steps)
+            velocity *= tc.momentum
             velocity += grad
             theta += np.multiply(velocity, lr, out=scratch)
             step += 1
@@ -458,34 +519,13 @@ def _train_members(model, members, train_config, eval_dataset=None) -> list:
                     f"parameters became non-finite at epoch {epoch} step "
                     f"{step - 1}; lower lr0 or check the data"
                 )
+        if on_epoch is not None:
+            on_epoch(epoch, member_params)
 
-        for (dataset, cfg), params, trace in zip(members, member_params, traces):
-            objectives, train_accs, test_accs = trace
-            train_acc, obj = _evaluate(spec, div, params, cfg, dataset)
-            if not math.isfinite(obj):
-                raise RuntimeError(
-                    f"objective became non-finite after epoch {epoch}: {obj}"
-                )
-            objectives.append(obj)
-            train_accs.append(train_acc)
-            if eval_dataset is not None:
-                test_accs.append(
-                    _evaluate(spec, div, params, cfg, eval_dataset, objective=False)[0]
-                )
-
-    return [
-        (
-            NetworkModel(spec, tuple(params)),
-            TrainTrace(
-                objective=tuple(objectives),
-                train_accuracy=tuple(train_accs),
-                test_accuracy=tuple(test_accs) if eval_dataset is not None else None,
-            ),
-        )
-        for params, (objectives, train_accs, test_accs) in zip(
-            member_params, traces
-        )
-    ]
+    if on_epoch is None and tc.epochs > 0:
+        for (_, dataset, cfg, _), params in zip(members, member_params):
+            _checked_metrics(spec, div, params, cfg, dataset, tc.epochs - 1)
+    return [NetworkModel(spec, tuple(params)) for params in member_params]
 
 
 def evaluate(model: NetworkModel, dataset: LabeledDataset, cfg: ObjectiveConfig):
@@ -516,7 +556,7 @@ def _evaluate(
     scores = v if D is None else D
     e_eval = _rates(cfg, spec.k, "posterior")
     if e_eval is not None:
-        scores = (div.raw_posterior(v) if D is None else D) - e_eval
+        scores = div.raw_rank(v, e_eval) if D is None else D - e_eval
     acc = accuracy(np.argmax(scores, axis=1), dataset.labels)
     if not objective:
         return acc, None

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -492,9 +493,9 @@ class TestRunExperiment:
         calls = []
         real_train_members = cli_mod._train_members
 
-        def counting_train_members(model, members, train_config):
-            calls.append([cfg.correction for _, cfg in members])
-            return real_train_members(model, members, train_config)
+        def counting_train_members(members):
+            calls.append([cfg.correction for _, _, cfg, _ in members])
+            return real_train_members(members)
 
         monkeypatch.setattr(cli_mod, "_train_members", counting_train_members)
         tree = config_tree(
@@ -507,10 +508,10 @@ class TestRunExperiment:
             seeds=[0, 1],
         )
         records = run_experiment(parse_config(tree))
-        # one lockstep call per seed, whose members are the clean baseline,
-        # one noisy training shared by none and posterior, and one for the
-        # objective correction
-        assert calls == [["none", "none", "objective"]] * 2
+        # one lockstep call per sweep, whose members are, per seed, the
+        # clean baseline, one noisy training shared by none and posterior,
+        # and one for the objective correction
+        assert calls == [["none", "none", "objective"] * 2]
         assert sum(len(members) for members in calls) == 2 * (1 + 2)
         by_mode = {(r.seed, r.correction): r for r in records}
         for seed in (0, 1):
@@ -518,6 +519,48 @@ class TestRunExperiment:
                 by_mode[seed, "none"].final_objective
                 == by_mode[seed, "posterior"].final_objective
             )
+
+    @pytest.mark.parametrize(
+        "model, objective, noise",
+        [
+            (
+                {"hidden": [8], "activation": "relu", "head": "simplex"},
+                {
+                    "divergence": "kl",
+                    "correction": ["none", "objective", "posterior"],
+                },
+                {"kind": "uniform_offdiag", "e": [0.1, 0.3]},
+            ),
+            (
+                {"hidden": [8], "activation": "tanh", "head": "raw_t"},
+                {"divergence": "gan", "correction": ["posterior", "objective"]},
+                {"kind": "symmetric", "eta": 0.2},
+            ),
+            (
+                {"hidden": [8], "activation": "relu", "head": "simplex"},
+                {"divergence": "sl", "correction": "none"},
+                None,
+            ),
+        ],
+    )
+    def test_multi_seed_sweep_equals_one_sweep_per_seed(
+        self, model, objective, noise
+    ):
+        # every seed's networks share one lockstep call, yet each seed's
+        # records are those of a sweep over that seed alone
+        seeds = [3, 0, 1]
+        tree = config_tree(
+            model=model, objective=objective, noise=noise,
+            train={"epochs": 4, "batch_size": 48}, seeds=seeds,
+        )
+        strip = lambda recs: [replace(r, wall_seconds=0.0) for r in recs]
+        joint = run_experiment(parse_config(tree))
+        alone = [
+            r
+            for seed in seeds
+            for r in run_experiment(parse_config({**tree, "seeds": [seed]}))
+        ]
+        assert strip(joint) == strip(alone)
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="accuracy"):

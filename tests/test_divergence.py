@@ -294,3 +294,30 @@ class TestRawVForms:
                 for form in (spec.raw_posterior, spec.raw_conj, spec.raw_score)
             ]
             np.testing.assert_allclose(got, ref[spec.id], rtol=1e-14, err_msg=spec.id)
+
+    def test_raw_rank_orders_as_posterior_minus_rates(self):
+        # where raw_posterior(v) - e is finite, raw_rank has the same row
+        # argmax; rows with every v at or below the shift keep its bits
+        rng = np.random.default_rng(71)
+        v = rng.uniform(-30.0, 30.0, size=(500, 4))
+        e = rng.uniform(0.0, 0.2, size=4)
+        for spec in ALL_SPECS:
+            want = spec.raw_posterior(v) - e
+            got = spec.raw_rank(v, e)
+            np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+            low = v - v.max(axis=1, keepdims=True) - 1.0
+            np.testing.assert_array_equal(
+                spec.raw_rank(low, e), spec.raw_posterior(low) - e
+            )
+
+    @pytest.mark.parametrize("scale", [1.0, -1.0])
+    def test_raw_rank_finite_at_large_outputs(self, scale):
+        e = np.array([0.2, 0.1, 0.0])
+        v = scale * np.array([[800.0, 790.0, 0.0], [790.0, 800.0, 700.0]])
+        for spec in ALL_SPECS:
+            got = spec.raw_rank(v, e)
+            assert np.isfinite(got).all(), spec.id
+            # at +800 the largest v wins whatever the rates; at -800 the
+            # posteriors vanish beside the rates, so the smallest rate wins
+            want = [0, 1] if scale > 0 else [2, 2]
+            assert list(got.argmax(axis=1)) == want, spec.id

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -428,16 +429,19 @@ class TestTrain:
         assert all(math.isfinite(v) for v in trace.objective)
 
 
+def same_params(model_a, model_b):
+    """Two models' parameters agree bit for bit."""
+    return all(
+        np.array_equal(x, y)
+        for la, lb in zip(model_a.params, model_b.params)
+        for x, y in zip(la, lb)
+    )
+
+
 def assert_same_training(a, b):
     """Two (model, trace) results agree bit for bit."""
     (model_a, trace_a), (model_b, trace_b) = a, b
-
-    def same_params(pa, pb):
-        return all(
-            np.array_equal(x, y) for la, lb in zip(pa, pb) for x, y in zip(la, lb)
-        )
-
-    assert same_params(model_a.params, model_b.params)
+    assert same_params(model_a, model_b)
     assert trace_a.objective == trace_b.objective
     assert trace_a.train_accuracy == trace_b.train_accuracy
     assert trace_a.test_accuracy == trace_b.test_accuracy
@@ -445,19 +449,46 @@ def assert_same_training(a, b):
 
 class TestTrainMembers:
     NOISE = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15])
+    MEANS = [[-1.0, 0.0], [1.0, 0.5], [0.0, -1.0]]
 
-    def members(self, make_cfg, div_id):
-        """Clean, noisy, noisy-corrected and posterior members of one seed;
-        60 rows in batches of 16 leave a ragged last batch of 12."""
+    def members(self, make_cfg, div_id, model, tc, rates=True):
+        """Clean and noisy members of one seed, plus noisy-corrected and
+        posterior ones when rates; 60 rows in batches of 16 leave a ragged
+        last batch of 12."""
         rng = np.random.default_rng(53)
-        ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.5], [0.0, -1.0]])
-        noisy = corrupt(ds, symmetric_matrix(3, 0.3), seed=2)
-        return [
-            (ds, make_cfg(div_id)),
-            (noisy, make_cfg(div_id)),
-            (noisy, make_cfg(div_id, "objective", self.NOISE)),
-            (noisy, make_cfg(div_id, "posterior", self.NOISE)),
-        ]
+        ds = gaussian_blobs(rng, 20, self.MEANS)
+        noisy = corrupt(ds, symmetric_matrix(3, 0.3), seed=tc.seed)
+        pairs = [(ds, make_cfg(div_id)), (noisy, make_cfg(div_id))]
+        if rates:
+            pairs += [
+                (noisy, make_cfg(div_id, "objective", self.NOISE)),
+                (noisy, make_cfg(div_id, "posterior", self.NOISE)),
+            ]
+        return [(model, ds, cfg, tc) for ds, cfg in pairs]
+
+    def assert_each_equals_its_solo_training(self, members):
+        """Every member's parameters after each epoch, and its trained
+        model with or without a consumer, equal those of its own training."""
+
+        def train_with_snapshots(members):
+            snapshots = [[] for _ in members]
+
+            def on_epoch(epoch, member_params):
+                for seen, params in zip(snapshots, member_params):
+                    seen.append(NetworkModel(members[0][0].spec, params))
+
+            return _train_members(members, on_epoch=on_epoch), snapshots
+
+        lockstep, snapshots = train_with_snapshots(members)
+        assert len(lockstep) == len(members)
+        unobserved = _train_members(members)
+        assert all(same_params(a, b) for a, b in zip(lockstep, unobserved))
+        for member, trained, seen in zip(members, lockstep, snapshots):
+            [solo], [solo_seen] = train_with_snapshots([member])
+            assert len(seen) == len(solo_seen) == member[3].epochs
+            assert all(same_params(a, b) for a, b in zip(seen, solo_seen))
+            assert same_params(trained, solo)
+            assert same_params(trained, train(*member)[0])
 
     @pytest.mark.parametrize(
         "make_cfg, div_id, layer_sizes, activation",
@@ -480,27 +511,85 @@ class TestTrainMembers:
             head=make_cfg(div_id).head,
             divergence=div_id if make_cfg is raw_cfg else None,
         )
-        model = init(spec, seed=6)
-        members = self.members(make_cfg, div_id)
         tc = TrainConfig(epochs=4, batch_size=16, seed=8)
-        held = gaussian_blobs(
-            np.random.default_rng(59), 5, [[-1.0, 0.0], [1.0, 0.5], [0.0, -1.0]]
+        members = self.members(make_cfg, div_id, init(spec, seed=6), tc)
+        self.assert_each_equals_its_solo_training(members)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize(
+        "make_cfg, div_id", [(simplex_cfg, "kl"), (raw_cfg, "gan")]
+    )
+    def test_members_of_several_seeds_equal_their_solo_trainings(
+        self, make_cfg, div_id, rates
+    ):
+        # every seed has its own initial network, noisy labels and batch
+        # order, as in one sweep over seeds
+        spec = MlpSpec(
+            (2, 6, 3),
+            head=make_cfg(div_id).head,
+            divergence=div_id if make_cfg is raw_cfg else None,
         )
-        lockstep = _train_members(model, members, tc, eval_dataset=held)
-        assert len(lockstep) == len(members)
-        for (ds, cfg), result in zip(members, lockstep):
-            assert_same_training(result, train(model, ds, cfg, tc, eval_dataset=held))
+        members = []
+        for seed in (8, 3, 11):
+            tc = TrainConfig(epochs=3, batch_size=16, seed=seed)
+            members += self.members(
+                make_cfg, div_id, init(spec, seed=seed), tc, rates=rates
+            )
+        self.assert_each_equals_its_solo_training(members)
 
     def test_members_must_share_features_and_divergence(self):
-        members = self.members(simplex_cfg, "kl")
-        ds = members[0][0]
-        moved = LabeledDataset(ds.features + 1.0, ds.labels, k=3)
         model = init(MlpSpec((2, 4, 3)), seed=0)
         tc = TrainConfig(epochs=1, batch_size=16)
-        with pytest.raises(ValueError, match="share the training features"):
-            _train_members(model, members + [(moved, simplex_cfg("kl"))], tc)
-        with pytest.raises(ValueError, match="share the divergence"):
-            _train_members(model, members + [(ds, simplex_cfg("gan"))], tc)
+        members = self.members(simplex_cfg, "kl", model, tc)
+        ds = members[0][1]
+        moved = LabeledDataset(ds.features + 1.0, ds.labels, k=3)
+        wider = init(MlpSpec((2, 5, 3)), seed=0)
+        longer = replace(tc, epochs=2)
+        cases = [
+            ("share the training features", (model, moved, simplex_cfg("kl"), tc)),
+            ("share the divergence", (model, ds, simplex_cfg("gan"), tc)),
+            ("share the architecture", (wider, ds, simplex_cfg("kl"), tc)),
+            ("share the training schedule", (model, ds, simplex_cfg("kl"), longer)),
+        ]
+        for message, extra in cases:
+            with pytest.raises(ValueError, match=message):
+                _train_members(members + [extra])
+        # the seed alone may differ
+        reseeded = replace(tc, seed=5)
+        _train_members(members + [(model, ds, simplex_cfg("kl"), reseeded)])
+
+    def test_without_consumer_aborts_as_train_does(self):
+        # the cases of TestTrain.test_divergence_aborts_with_diagnostic
+        cases = [
+            (MlpSpec((2, 4, 2), head="raw_t", divergence="kl"), raw_cfg("kl")),
+            (MlpSpec((2, 4, 2)), simplex_cfg("kl")),
+        ]
+        for spec, cfg in cases:
+            rng = np.random.default_rng(31)
+            ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.0]], scale=5.0)
+            member = (init(spec, seed=3), ds, cfg,
+                      TrainConfig(epochs=5, batch_size=8, lr0=1e9))
+            errors = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for run in (lambda: train(*member), lambda: _train_members([member])):
+                    with pytest.raises(RuntimeError, match="step") as err:
+                        run()
+                    errors.append(str(err.value))
+            assert errors[0] == errors[1]
+
+    def test_without_consumer_checks_the_final_objective(self, monkeypatch):
+        import postmax.model as model_mod
+
+        rng = np.random.default_rng(31)
+        ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.0]])
+        member = (init(MlpSpec((2, 4, 2)), seed=3), ds, simplex_cfg("kl"),
+                  TrainConfig(epochs=3, batch_size=8))
+        monkeypatch.setattr(model_mod, "_evaluate", lambda *a, **kw: (1.0, math.nan))
+        with pytest.raises(RuntimeError, match=r"non-finite after epoch 0: nan"):
+            train(*member)
+        # no per-epoch pass: the check runs once, after the final epoch
+        with pytest.raises(RuntimeError, match=r"non-finite after epoch 2: nan"):
+            _train_members([member])
 
 
 class TestEvaluate:
@@ -514,6 +603,20 @@ class TestEvaluate:
             model, ds, simplex_cfg("kl", correction="posterior", noise=zero)
         )
         assert plain == corrected
+
+    def test_posterior_correction_at_large_raw_outputs(self):
+        # exp(800) overflows; ranking must still pick the largest output
+        # (and emit no overflow warning, an error in this suite)
+        rng = np.random.default_rng(43)
+        ds = gaussian_blobs(rng, 5, [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        ds = LabeledDataset(ds.features, np.zeros(15, dtype=int), k=3)
+        spec = MlpSpec((2, 3), head="raw_t", divergence="gan")
+        b = np.array([800.0, 790.0, 0.0])
+        model = NetworkModel(spec, ((np.zeros((2, 3)), b),))
+        noise = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15])
+        acc, obj = evaluate(model, ds, raw_cfg("gan", "posterior", noise))
+        assert acc == 1.0
+        assert math.isfinite(obj)
 
     def test_class_count_mismatch_rejected(self):
         rng = np.random.default_rng(43)
