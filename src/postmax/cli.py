@@ -193,8 +193,11 @@ def make_synthetic(
     features, labels = features[order], labels[order]
 
     # Exact mixture posterior: unit-variance components with priors
-    # proportional to the class counts.
-    sq = ((features[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    # proportional to the class counts.  Squared distances go one class
+    # at a time, so no (n, k, d) difference is held.
+    sq = np.empty((n, k))
+    for c in range(k):
+        sq[:, c] = ((features - means[c]) ** 2).sum(axis=1)
     logits = -0.5 * sq + np.log(counts / n)
     logits -= logits.max(axis=1, keepdims=True)
     posterior = np.exp(logits)

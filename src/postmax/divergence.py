@@ -306,19 +306,33 @@ def posterior_from_T(spec, t: Scalar) -> Scalar:
     return conj_prime(spec, t)
 
 
-# The grid oracle's last (spec, u_max, n_grid) and its read-only grid u
-# and f(u); one slot, so at most one grid is held at a time.
+# The grid oracle's last log grid u, keyed on (u_max, n_grid), and its
+# last f(u), keyed on (spec, u_max, n_grid): one slot each, read-only, so
+# at most one of each is held at a time.  Grids are scanned in chunks of
+# _ORACLE_CHUNK points through one buffer.
+_oracle_u_slot: list = []
 _oracle_grid_slot: list = []
+_ORACLE_CHUNK = 2**16
+
+
+def _oracle_u(u_max: float, n_grid: int) -> np.ndarray:
+    key = (u_max, n_grid)
+    if _oracle_u_slot and _oracle_u_slot[0][0] == key:
+        return _oracle_u_slot[0][1]
+    _oracle_u_slot.clear()
+    u = np.logspace(-6.0, np.log10(u_max), n_grid)
+    u.setflags(write=False)
+    _oracle_u_slot.append((key, u))
+    return u
 
 
 def _oracle_grid(spec: DivergenceSpec, u_max: float, n_grid: int):
     key = (spec, u_max, n_grid)
     if _oracle_grid_slot and _oracle_grid_slot[0][0] == key:
         return _oracle_grid_slot[0][1]
-    _oracle_grid_slot.clear()  # free the old grid before building the next
-    u = np.logspace(-6.0, np.log10(u_max), n_grid)
+    _oracle_grid_slot.clear()  # free the old f(u) before building the next
+    u = _oracle_u(u_max, n_grid)
     fu = spec.f(u)
-    u.setflags(write=False)
     fu.setflags(write=False)
     _oracle_grid_slot.append((key, (u, fu)))
     return u, fu
@@ -332,8 +346,9 @@ def brute_force_conjugate(
     Maximizes u*t - f(u) over a log-spaced grid of u in (1e-6, u_max).
     Used to cross-check conj and, through finite differences, conj_prime.
     Derivative comparisons are immune to any additive constant between
-    this supremum and the implemented conjugate formula.  The grid and
-    f(u) of the last (spec, u_max, n_grid) are kept for the next call.
+    this supremum and the implemented conjugate formula.  The grid of the
+    last (u_max, n_grid) and f(u) of the last (spec, u_max, n_grid) are
+    kept for the next call.  A NaN anywhere on the grid gives NaN.
     """
     spec = _as_spec(spec)
     if n_grid < 10**4:
@@ -343,6 +358,12 @@ def brute_force_conjugate(
     arr, _ = _prepare(t)
     _check_in_domain(spec, arr)
     u, fu = _oracle_grid(spec, float(u_max), int(n_grid))
-    values = u * float(arr)
-    values -= fu
-    return float(np.max(values))
+    t = float(arr)
+    buf = np.empty(min(_ORACLE_CHUNK, u.shape[0]))
+    maxima = []
+    for start in range(0, u.shape[0], _ORACLE_CHUNK):
+        u_chunk = u[start : start + _ORACLE_CHUNK]
+        values = np.multiply(u_chunk, t, out=buf[: u_chunk.shape[0]])
+        values -= fu[start : start + _ORACLE_CHUNK]
+        maxima.append(values.max())
+    return float(np.max(maxima))

@@ -114,7 +114,12 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix with integer labels in [0, K)."""
+    """Feature matrix with integer labels in [0, K).
+
+    Features are held read-only.  An array the caller can still write
+    through is copied; a read-only one that owns its memory, such as
+    another dataset's features, is shared.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -139,8 +144,9 @@ class LabeledDataset:
             raise ValueError(f"labels must lie in [0, {self.k})")
         if self.provenance not in ("clean", "corrupted"):
             raise ValueError("provenance must be 'clean' or 'corrupted'")
-        feats = feats.copy()
-        feats.setflags(write=False)
+        if feats.flags.writeable or feats.base is not None:
+            feats = feats.copy()
+            feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
@@ -195,7 +201,8 @@ def _counter_uniforms(seed: int, n: int) -> np.ndarray:
 def corrupt(ds: LabeledDataset, tm: TransitionMatrix, seed: int) -> LabeledDataset:
     """Replace each label by a draw from its transition-matrix row.
 
-    Features are carried over untouched.  The same (dataset, matrix, seed)
+    Features are carried over untouched: the result shares the input's
+    read-only feature array.  The same (dataset, matrix, seed)
     always produces the same output, and the draw for sample i does not
     depend on any other sample.
     """

@@ -381,13 +381,25 @@ def noisy_joint(joint: DiscreteJoint, tm: TransitionMatrix) -> DiscreteJoint:
     return DiscreteJoint(joint.pmf @ tm.entries)
 
 
-def exact_jf(spec, joint: DiscreteJoint, T_table) -> float:
-    """Closed-sum objective value on a finite domain; no sampling."""
+def _checked_table(spec, joint: DiscreteJoint, T_table):
+    """The spec and T table of an exact oracle, checked against the joint."""
     spec = _as_spec(spec)
     T = _check_T(spec, T_table)
     if T.shape != joint.pmf.shape:
         raise ValueError("T table must match the joint's shape")
-    return float(np.sum(joint.pmf * T) - np.dot(joint.p_x, spec.conj(T).sum(axis=1)))
+    return spec, T
+
+
+def exact_jf(spec, joint: DiscreteJoint, T_table) -> float:
+    """Closed-sum objective value on a finite domain; no sampling."""
+    spec, T = _checked_table(spec, joint, T_table)
+    return _exact_jf(joint.pmf, T, spec.conj(T).sum(axis=1))
+
+
+def _exact_jf(pmf, T, conj_rows) -> float:
+    """exact_jf on a pmf and T table the caller has checked, given each
+    row's summed conjugate conj_rows = spec.conj(T).sum(axis=1)."""
+    return float(np.sum(pmf * T) - np.dot(pmf.sum(axis=1), conj_rows))
 
 
 def exact_jf_noisy(spec, joint: DiscreteJoint, tm: TransitionMatrix, T_table) -> float:
@@ -397,10 +409,12 @@ def exact_jf_noisy(spec, joint: DiscreteJoint, tm: TransitionMatrix, T_table) ->
 
 def exact_bias(spec, joint: DiscreteJoint, T_table, e) -> float:
     """Closed-sum noise bias on a finite domain, for identity oracles."""
-    spec = _as_spec(spec)
-    T = _check_T(spec, T_table)
-    if T.shape != joint.pmf.shape:
-        raise ValueError("T table must match the joint's shape")
+    spec, T = _checked_table(spec, joint, T_table)
     e = _check_rates(e, joint.k)
-    per_point = T @ e - e.sum() * spec.conj(T).sum(axis=1)
-    return float(np.dot(joint.p_x, per_point))
+    return _exact_bias(joint.pmf, T, spec.conj(T).sum(axis=1), e)
+
+
+def _exact_bias(pmf, T, conj_rows, e) -> float:
+    """exact_bias on a pmf, T table and rates the caller has checked, with
+    conj_rows as in _exact_jf."""
+    return float(np.dot(pmf.sum(axis=1), T @ e - e.sum() * conj_rows))

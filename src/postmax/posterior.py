@@ -106,10 +106,19 @@ def noisy_posterior_forward(clean_p, e) -> np.ndarray:
     if rows.shape[1] < 2:
         raise ValueError("expected rows of length K >= 2")
     e = _check_rates(e, rows.shape[1])
+    _check_probability_rows(rows)
+    out = _noisy_forward(rows, e)
+    return out[0] if p.ndim == 1 else out
+
+
+def _check_probability_rows(rows) -> None:
     if np.any(rows < 0.0) or np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("rows must be probability vectors")
-    out = (1.0 - e.sum()) * rows + e
-    return out[0] if p.ndim == 1 else out
+
+
+def _noisy_forward(rows, e) -> np.ndarray:
+    """noisy_posterior_forward on rows and rates the caller has checked."""
+    return (1.0 - e.sum()) * rows + e
 
 
 def posterior_correct(noisy_p, e, rescale: bool = False) -> PosteriorMatrix:

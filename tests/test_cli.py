@@ -206,6 +206,28 @@ class TestMakeSynthetic:
             stated = float(post[mask, 0].mean())
             assert freq == pytest.approx(stated, abs=0.04)
 
+    @pytest.mark.parametrize(
+        "k, n, d, seed", [(2, 1000, 10, 0), (10, 5000, 100, 1)], ids=["desk", "wide"]
+    )
+    def test_posterior_equals_broadcast_formula(self, k, n, d, seed):
+        ds, post = make_synthetic(k=k, n=n, d=d, class_separation=4.0, seed=seed)
+        # the generator's draws, replayed to recover the class means
+        rng = np.random.default_rng(seed)
+        u, s, _ = np.linalg.svd(np.eye(k) - 1.0 / k)
+        frame, _ = np.linalg.qr(rng.normal(size=(d, k - 1)))
+        means = (4.0 / np.sqrt(2.0)) * (u[:, : k - 1] * s[: k - 1]) @ frame.T
+        counts = np.bincount(ds.labels, minlength=k)
+        labels = np.repeat(np.arange(k), counts)
+        features = means[labels] + rng.normal(size=(n, d))
+        np.testing.assert_array_equal(ds.features, features[rng.permutation(n)])
+        # the (n, k, d) difference the per-class loop replaces
+        sq = ((ds.features[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        logits = -0.5 * sq + np.log(counts / n)
+        logits -= logits.max(axis=1, keepdims=True)
+        want = np.exp(logits)
+        want /= want.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(post, want)
+
     def test_deterministic(self):
         a, pa = make_synthetic(k=2, n=50, d=3, class_separation=1.0, seed=9)
         b, pb = make_synthetic(k=2, n=50, d=3, class_separation=1.0, seed=9)

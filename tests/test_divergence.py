@@ -7,6 +7,7 @@ frozen here.
 
 import dataclasses
 import decimal
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +133,26 @@ class TestGridOracleCache:
             got = brute_force_conjugate(div_id, t, u_max=u_max, n_grid=n_grid)
             want = uncached_grid_max(get_divergence(div_id), t, u_max, n_grid)
             assert got == want, (div_id, t, u_max, n_grid)
+
+    def test_maximum_in_a_last_partial_chunk(self):
+        chunk = divergence._ORACLE_CHUNK
+        n_grid = 2 * chunk + chunk // 3
+        # kl's maximizer is u = exp(t - 1) = 500, near the top of the grid
+        t = 1.0 + np.log(500.0)
+        u = np.logspace(-6.0, np.log10(1e3), n_grid)
+        assert np.argmax(u * t - KL.f(u)) >= 2 * chunk
+        got = brute_force_conjugate("kl", t, n_grid=n_grid)
+        assert got == uncached_grid_max(KL, t, 1e3, n_grid)
+
+    def test_nan_on_the_grid_propagates(self):
+        chunk = divergence._ORACLE_CHUNK
+        n_grid = 2 * chunk + 17
+        u = np.logspace(-6.0, np.log10(1e3), n_grid)
+        bad = u[chunk + 5]
+        custom = dataclasses.replace(
+            KL, f=lambda u: np.where(u == bad, np.nan, u * np.log(u))
+        )
+        assert math.isnan(brute_force_conjugate(custom, 0.5, n_grid=n_grid))
 
     def test_custom_spec_with_registry_id_gets_its_own_grid(self):
         kl = get_divergence("kl")

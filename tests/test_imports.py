@@ -8,6 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Bound on purpose and unused: perfbench/spans.py replaces these names in
 # their modules with timing wrappers, so they must stay bound there.
 WRAPPED_BY_NAME = {
+    "src/postmax/analysis.py": {"exact_bias", "exact_jf", "exact_jf_noisy"},
     "src/postmax/objective.py": {"conj_second"},
     "src/postmax/model.py": {
         "bias_simplex_batch",

@@ -114,6 +114,12 @@ class TestCorrupt:
         out = corrupt(ds, symmetric_matrix(2, 0.4), seed=0)
         assert np.array_equal(out.features, ds.features)
 
+    def test_shares_the_clean_feature_array(self):
+        ds = make_dataset(200, 3)
+        out = corrupt(ds, symmetric_matrix(3, 0.4), seed=0)
+        assert out.features is ds.features
+        assert not out.features.flags.writeable
+
     def test_flip_fraction_concentrates(self):
         n = 100_000
         ds = make_dataset(n, 2, seed=5)
@@ -190,3 +196,14 @@ class TestLabeledDataset:
             ds.features[0, 0] = 99.0
         with pytest.raises(ValueError):
             ds.labels[0] = 1
+
+    def test_writable_features_are_copied(self):
+        feats = np.ones((3, 2))
+        view = feats[:]
+        view.setflags(write=False)  # read-only, but feats still writes it
+        for given in (feats, view):
+            ds = LabeledDataset(given, np.array([0, 1, 0]), k=2)
+            assert not np.shares_memory(ds.features, feats)
+            assert not ds.features.flags.writeable
+        feats[0, 0] = 99.0
+        assert ds.features[0, 0] == 1.0

@@ -40,6 +40,8 @@ from postmax.objective import (
 )
 from postmax.objective import (
     _bias_simplex,
+    _exact_bias,
+    _exact_jf,
     _jf_simplex,
     _onehot,
     _raw_logit_grad,
@@ -856,6 +858,24 @@ class TestExactOracles:
             assert corrected == pytest.approx(
                 (1.0 - e.sum()) * exact_jf(div_id, joint, T), abs=1e-12
             )
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_unchecked_twins_equal_public_functions(self, div_id):
+        rng = np.random.default_rng(101)
+        spec = get_divergence(div_id)
+        for m, k in ((8, 2), (8, 5), (3, 4)):
+            joint = random_joint(rng, m, k)
+            T = random_T(div_id, rng, (m, k))
+            e = rng.uniform(0.01, 0.9 / k, size=k)
+            conj_rows = spec.conj(T).sum(axis=1)
+            assert _exact_jf(joint.pmf, T, conj_rows) == exact_jf(div_id, joint, T)
+            assert _exact_bias(joint.pmf, T, conj_rows, e) == exact_bias(
+                div_id, joint, T, e
+            )
+            tm = uniform_offdiag_matrix(e)
+            assert _exact_jf(
+                joint.pmf @ tm.entries, T, conj_rows
+            ) == exact_jf_noisy(div_id, joint, tm, T)
 
     def test_shape_mismatch_rejected(self):
         joint = DiscreteJoint([[0.5, 0.5]])

@@ -7,6 +7,7 @@ from postmax.divergence import DIVERGENCE_IDS, optimal_T_from_posterior
 from postmax.noise import NoiseParams, TransitionMatrix
 from postmax.posterior import (
     PosteriorMatrix,
+    _noisy_forward,
     accuracy,
     estimate_posterior,
     noisy_posterior_forward,
@@ -89,6 +90,15 @@ class TestNoisyForward:
         for i in range(20):
             np.testing.assert_array_equal(
                 out[i], noisy_posterior_forward(rows[i], e)
+            )
+
+    def test_unchecked_twin_equals_public_function(self):
+        rng = np.random.default_rng(13)
+        for k in (2, 5, 10):
+            rows = random_simplex(rng, 300, k)
+            e = rng.uniform(0.01, 0.9 / k, size=k)
+            np.testing.assert_array_equal(
+                _noisy_forward(rows, e), noisy_posterior_forward(rows, e)
             )
 
     def test_rejects_bad_rates(self):
