@@ -298,7 +298,10 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
         for _ in range(configs):
             m = int(rng.integers(2, 7))
             k = int(rng.integers(2, 5))
-            target = _random_joint(rng, m, k).posterior
+            # _random_joint's draw and posterior, without building a joint
+            pmf = rng.uniform(0.1, 1.0, size=(m, k))
+            joint = pmf / pmf.sum()
+            target = joint / joint.sum(axis=1)[:, None]
             if rng.random() < 0.5:
                 e = rng.uniform(0.01, 0.9 / k, size=k)
                 target = (1.0 - e.sum()) * target + e

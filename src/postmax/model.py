@@ -33,6 +33,16 @@ TrainTrace, and a sweep installs none, so its members' training objective
 is computed and checked once, after the final epoch.  A single-member call
 is train() itself, so each member ends bit for bit where its own train()
 call would.
+
+A desk-sized step is bound by per-call overhead, not arithmetic, so its
+head allocates nothing: the softmax, the drift of the rate terms (built
+once per training) and the head gradient write into (M, batch, K) and
+(M, batch, 1) workspaces.  Their reductions over the class axis run as
+column passes: the row max as a running np.maximum over the K columns,
+the row sum as a running np.add while K <= 7.  numpy sums a last axis of
+up to 7 entries left to right and a longer one pairwise, so the running
+add gives its bits only up to K = 7; from K = 8 the sum is numpy's
+reduction.  The cutoff depends on the class count alone.
 """
 
 from __future__ import annotations
@@ -54,8 +64,11 @@ from postmax.objective import (
     _check_labels,
     _jf_simplex,
     _onehot,
+    _rate_terms,
     _raw_logit_grad,
     _raw_value,
+    _row_max,
+    _row_sum,
     _simplex_logit_grad,
 )
 from postmax.posterior import accuracy
@@ -183,11 +196,12 @@ def init(spec: MlpSpec, seed: int) -> NetworkModel:
     return NetworkModel(spec, tuple(params))
 
 
-def _softmax(v: np.ndarray, out=None) -> np.ndarray:
-    """Row softmax over the last axis, into out when given."""
-    z = np.subtract(v, v.max(axis=-1, keepdims=True), out=out)
+def _softmax(v: np.ndarray, out=None, col=None) -> np.ndarray:
+    """Row softmax over the last axis, into out when given; col is a
+    scratch column shaped (..., 1) for the row max and then the row sum."""
+    z = np.subtract(v, _row_max(v, out=col), out=out)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= _row_sum(z, out=col)
     return z
 
 
@@ -268,26 +282,38 @@ def _head_value(div: DivergenceSpec, v, D, labels, e) -> float:
     return value
 
 
-def _head_grad(div: DivergenceSpec, v, D, onehot, e, out=None) -> np.ndarray:
-    """Summed-objective gradient w.r.t. final outputs v; D as _head_value's."""
+def _head_grad(
+    div: DivergenceSpec, v, D, onehot, rates, out=None, work=(None, None)
+) -> np.ndarray:
+    """Summed-objective gradient w.r.t. final outputs v, with the
+    _rate_terms rates; D as _head_value's, work as _simplex_logit_grad's."""
     if D is None:
-        return _raw_logit_grad(div, v, onehot, e, out=out)
-    return _simplex_logit_grad(div, D, onehot, e, out=out)
+        return _raw_logit_grad(div, v, onehot, rates, out=out)
+    return _simplex_logit_grad(div, D, onehot, rates, out=out, work=work)
 
 
-def _backprop_into(activation: str, layers, hs, zs, g_v, grads, deltas, derivs):
+def _transposed(arrays) -> list:
+    """Views of arrays with their last two axes swapped."""
+    return [a.swapaxes(-1, -2) for a in arrays]
+
+
+def _backprop_into(
+    activation: str, weights_t, hs, hs_t, zs, g_v, grads, deltas, derivs
+):
     """Backpropagate the output gradient g_v, over any leading member axes.
 
-    hs and zs are _forward_into's; each layer's (dW, db) is written into
-    the arrays of grads, and deltas and derivs are scratch shaped like zs.
+    hs and zs are _forward_into's and hs_t their _transposed views;
+    weights_t are the _transposed layer weights.  Each layer's (dW, db) is
+    written into the arrays of grads, and deltas and derivs are scratch
+    shaped like zs.
     """
     g = g_v
-    for i in range(len(layers) - 1, -1, -1):
+    for i in range(len(weights_t) - 1, -1, -1):
         gW, gb = grads[i]
-        np.matmul(hs[i].swapaxes(-1, -2), g, out=gW)
+        np.matmul(hs_t[i], g, out=gW)
         np.add.reduce(g, axis=-2, out=gb)
         if i > 0:
-            g = np.matmul(g, layers[i][0].swapaxes(-1, -2), out=deltas[i - 1])
+            g = np.matmul(g, weights_t[i], out=deltas[i - 1])
             d = derivs[i - 1]
             if activation == "relu":
                 # relu's kink at 0 is measure-zero under continuous inputs
@@ -302,7 +328,10 @@ def _backprop(spec: MlpSpec, params, hs, zs, g_v):
     """Per-layer (dW, db) of the output gradient g_v, in new arrays."""
     grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
     scratch = [[np.empty_like(z) for z in zs] for _ in range(2)]
-    _backprop_into(spec.activation, params, hs, zs, g_v, grads, *scratch)
+    weights_t = _transposed(W for W, _ in params)
+    _backprop_into(
+        spec.activation, weights_t, hs, _transposed(hs), zs, g_v, grads, *scratch
+    )
     return grads
 
 
@@ -321,7 +350,7 @@ def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig
     hs, zs, v = _forward_parts(model.spec, model.params, X)
     D = _softmax(v) if model.spec.head == "simplex" else None
     value = _head_value(div, v, D, labels, e)
-    g_v = _head_grad(div, v, D, _onehot(labels, k), e)
+    g_v = _head_grad(div, v, D, _onehot(labels, k), _rate_terms(e))
     g_v /= X.shape[0]
     grads = _backprop(model.spec, model.params, hs, zs, g_v)
     return value, grads
@@ -445,9 +474,10 @@ def _train_members(members, on_epoch=None) -> list:
     # gradient unchanged bit for bit, so one kernel call serves all.
     onehot = _onehot(np.concatenate([ds.labels for _, ds, _, _ in members]), k)
     rates = [_rates(cfg, k, "objective") for _, _, cfg, _ in members]
-    e_rows = None
+    e_terms = None
     if any(e is not None for e in rates):
         e_rows = np.stack([np.zeros(k) if e is None else e for e in rates])
+        e_terms = _rate_terms(e_rows)
 
     # Member m's parameters are row m of one (M, P) buffer, so the update
     # and the finiteness guard are one pass each over all members.
@@ -461,6 +491,7 @@ def _train_members(members, on_epoch=None) -> list:
     grad = np.empty_like(theta)
     scratch = np.empty_like(theta)
     layers = [(W, b[:, None, :]) for W, b in _layer_views(theta, model0.params)]
+    weights_t = _transposed(W for W, _ in layers)
     grad_layers = _layer_views(grad, model0.params)
     member_params = [_layer_views(row, model0.params) for row in theta]
 
@@ -473,19 +504,22 @@ def _train_members(members, on_epoch=None) -> list:
 
     # Workspaces for the largest batch: layer inputs (the gathered
     # features first), pre-activations, deltas, activation derivatives,
-    # and final outputs, head outputs, one-hot labels and head gradients.
+    # final outputs, head outputs, one-hot labels, head gradients and the
+    # head's scratch, and one (M, B, 1) column for row maxima and sums.
     # A ragged last batch uses the first rows of each.
     B = min(tc.batch_size, n)
     hidden = spec.layer_sizes[1:-1]
     workspaces = [
         [np.empty((M, B, w)) for w in (spec.d_in, *hidden)],
         *([np.empty((M, B, w)) for w in hidden] for _ in range(3)),
-        [np.empty((M, B, k)) for _ in range(4)],
+        [np.empty((M, B, k)) for _ in range(5)] + [np.empty((M, B, 1))],
     ]
-    views = {}  # batch rows -> views of that many rows of every workspace
+    # batch rows -> views of that many rows of every workspace, and the
+    # transposed views of the layer inputs
+    views = {}
 
-    steps_per_epoch = math.ceil(n / tc.batch_size)
-    total_steps = tc.epochs * steps_per_epoch
+    total_steps = tc.epochs * math.ceil(n / tc.batch_size)
+    lrs = [_cosine_lr(tc.lr0, step, total_steps) for step in range(total_steps)]
     step = 0
     for epoch in range(tc.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])[seed_row]
@@ -495,24 +529,25 @@ def _train_members(members, on_epoch=None) -> list:
             idx = order[:, start:stop]
             nb = idx.shape[1]
             if nb not in views:
-                views[nb] = [[a[:, :nb, :] for a in ws] for ws in workspaces]
-            hs, zs, deltas, derivs, (v, D, y1, g_v) = views[nb]
+                ws = [[a[:, :nb, :] for a in group] for group in workspaces]
+                views[nb] = ws, _transposed(ws[0])
+            (hs, zs, deltas, derivs, (v, D, y1, g_v, tmp, col)), hs_t = views[nb]
             X.take(idx, axis=0, out=hs[0], mode="clip")
             _forward_into(spec.activation, layers, hs, zs, v)
             onehot.take(label_order[:, start:stop], axis=0, out=y1, mode="clip")
             _head_grad(
-                div, v, _softmax(v, out=D) if simplex else None, y1, e_rows,
-                out=g_v,
+                div, v, _softmax(v, out=D, col=col) if simplex else None, y1,
+                e_terms, out=g_v, work=(tmp, col),
             )
             g_v /= nb
 
             _backprop_into(
-                spec.activation, layers, hs, zs, g_v, grad_layers, deltas, derivs
+                spec.activation, weights_t, hs, hs_t, zs, g_v, grad_layers,
+                deltas, derivs,
             )
-            lr = _cosine_lr(tc.lr0, step, total_steps)
             velocity *= tc.momentum
             velocity += grad
-            theta += np.multiply(velocity, lr, out=scratch)
+            theta += np.multiply(velocity, lrs[step], out=scratch)
             step += 1
             if not np.isfinite(theta).all():
                 raise RuntimeError(

@@ -327,7 +327,7 @@ def jf_simplex_logit_grad_batch(div_id, D, labels, e=None) -> np.ndarray:
     labels = _check_labels(labels, D.shape[0], D.shape[1])
     if e is not None:
         e = _check_rates(e, D.shape[1])
-    return _simplex_logit_grad(spec, D, _onehot(labels, D.shape[1]), e)
+    return _simplex_logit_grad(spec, D, _onehot(labels, D.shape[1]), _rate_terms(e))
 
 
 def _onehot(labels, k: int) -> np.ndarray:
@@ -335,20 +335,63 @@ def _onehot(labels, k: int) -> np.ndarray:
     return (labels[..., None] == np.arange(k)).astype(float)
 
 
-def _simplex_logit_grad(spec: DivergenceSpec, D, onehot, e, out=None) -> np.ndarray:
+def _row_max(a, out=None) -> np.ndarray:
+    """np.maximum.reduce over the last axis, keeping it, as a running
+    np.maximum over the K column views; max does not depend on order."""
+    out = np.maximum(a[..., 0:1], a[..., 1:2], out=out)
+    for j in range(2, a.shape[-1]):
+        np.maximum(out, a[..., j : j + 1], out=out)
+    return out
+
+
+def _row_sum(a, out=None) -> np.ndarray:
+    """np.add.reduce over the last axis, keeping it, bit for bit.
+
+    numpy sums a last axis of fewer than 8 entries left to right and a
+    longer one pairwise in blocks of 8, so up to 7 columns this is a
+    running np.add over the column views, which costs less per call than
+    a reduction; from 8 it is the reduction itself.
+    """
+    k = a.shape[-1]
+    if k >= 8:
+        return np.add.reduce(a, axis=-1, keepdims=True, out=out)
+    out = np.add(a[..., 0:1], a[..., 1:2], out=out)
+    for j in range(2, k):
+        np.add(out, a[..., j : j + 1], out=out)
+    return out
+
+
+def _rate_terms(e):
+    """The terms of rate rows e, shape (..., K), that the logit gradients
+    read: (e[..., None, :], sum(e)[..., None, None], 1 - sum(e) likewise),
+    or None for no rates; built once per training."""
+    if e is None:
+        return None
+    total = e.sum(axis=-1)[..., None, None]
+    return e[..., None, :], total, 1.0 - total
+
+
+def _simplex_logit_grad(
+    spec: DivergenceSpec, D, onehot, rates, out=None, work=(None, None)
+) -> np.ndarray:
     """jf_simplex_logit_grad_batch without input checks.
 
     For callers that have validated labels and rates once and feed
     softmax rows: D and the one-hot label rows share a shape (..., N, K),
-    and e is None or one rate row per leading index, shape (..., K).  A
-    zero rate row adds no drift and leaves its rows' gradients unchanged
-    bit for bit.  The result goes to out when given.
+    and rates is None or _rate_terms of one rate row per leading index,
+    shape (..., K).  A zero rate row adds no drift and leaves its rows'
+    gradients unchanged bit for bit.  The result goes to out when given,
+    which must not be onehot; work is a (..., N, K) and a (..., N, 1)
+    scratch array, or Nones.
     """
+    tmp, col = work
     s = spec.simplex_score(D, onehot)  # may be onehot itself: not in place
-    if e is not None:
-        drift = e[..., None, :] - e.sum(axis=-1)[..., None, None] * D
-        s = s - spec.simplex_drift(D, drift)
-    return np.subtract(s, D * s.sum(axis=-1, keepdims=True), out=out)
+    if rates is not None:
+        row, total, _ = rates
+        drift = np.subtract(row, np.multiply(total, D, out=tmp), out=tmp)
+        s = np.subtract(s, spec.simplex_drift(D, drift), out=tmp)
+    out = np.multiply(D, _row_sum(s, out=col), out=out)
+    return np.subtract(s, out, out=out)
 
 
 def _raw_value(spec: DivergenceSpec, v, labels, e) -> float:
@@ -363,14 +406,15 @@ def _raw_value(spec: DivergenceSpec, v, labels, e) -> float:
     return float(value.mean())
 
 
-def _raw_logit_grad(spec: DivergenceSpec, v, onehot, e, out=None) -> np.ndarray:
+def _raw_logit_grad(spec: DivergenceSpec, v, onehot, rates, out=None) -> np.ndarray:
     """Ascent gradient of _raw_value's per-sample terms w.r.t. v, without
     input checks: (onehot - e) * link'(v) - (1 - sum(e)) * raw_score(v).
-    Shapes, the zero rate row and out are _simplex_logit_grad's."""
+    Shapes, rates, the zero rate row and out are _simplex_logit_grad's."""
     score = spec.raw_score(v)
-    if e is not None:
-        onehot = onehot - e[..., None, :]
-        score = score * (1.0 - e.sum(axis=-1))[..., None, None]
+    if rates is not None:
+        row, _, keep = rates
+        onehot = onehot - row
+        score = score * keep
     return np.subtract(onehot * spec.link_prime(v), score, out=out)
 
 

@@ -19,6 +19,8 @@ from postmax.model import (
     _backprop,
     _cosine_lr,
     _forward_parts,
+    _head_grad,
+    _softmax,
     _train_members,
     evaluate,
     forward,
@@ -32,6 +34,7 @@ from postmax.noise import LabeledDataset, NoiseParams, corrupt, symmetric_matrix
 from postmax.objective import (
     ObjectiveConfig,
     _onehot,
+    _rate_terms,
     _raw_logit_grad,
     _raw_value,
     corrected_grad_batch,
@@ -260,7 +263,7 @@ class TestBackprop:
         hs, zs, v = _forward_parts(model.spec, model.params, X)
         spec = get_divergence(div_id)
         e = None if correction == "none" else noise.flip_rates(4)
-        g_v = _raw_logit_grad(spec, v, _onehot(y, 4), e) / X.shape[0]
+        g_v = _raw_logit_grad(spec, v, _onehot(y, 4), _rate_terms(e)) / X.shape[0]
         assert value == _raw_value(spec, v, y, e)
         for got, ref in zip(grads, _backprop(model.spec, model.params, hs, zs, g_v)):
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
@@ -289,6 +292,102 @@ class TestBackprop:
         model = init(MlpSpec((3, 2), head="raw_t", divergence="gan"), seed=0)
         with pytest.raises(ValueError):
             objective_and_gradients(model, np.zeros((2, 3)), [0, 1], raw_cfg("kl"))
+
+
+# The head formulas of the step as it was with numpy's max and sum
+# reductions, each divergence's forms written from its closed form.
+SIMPLEX_SCORE = {
+    "kl": lambda D, y: y,
+    "gan": lambda D, y: (y - D) / (1.0 + D),
+    "sl": lambda D, y: D * (y - D) / (1.0 + D) ** 2,
+}
+SIMPLEX_DRIFT = {
+    "kl": lambda D, drift: drift,
+    "gan": lambda D, drift: drift / (1.0 + D),
+    "sl": lambda D, drift: D * drift / (1.0 + D) ** 2,
+}
+
+
+def reference_sigmoid(x):
+    return np.exp(-np.logaddexp(0.0, -x))
+
+
+def reference_raw_forms(div_id, v):
+    """link'(v) and the raw score of each divergence."""
+    if div_id == "kl":
+        return np.ones_like(v), np.exp(v - 1.0)
+    if div_id == "gan":
+        return reference_sigmoid(-v), reference_sigmoid(v)
+    s = np.logaddexp(0.0, v)
+    return (
+        reference_sigmoid(v) / (1.0 + s) ** 2,
+        s * reference_sigmoid(v) / (1.0 + s) ** 2,
+    )
+
+
+def reference_softmax(v):
+    z = np.exp(v - v.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+def reference_simplex_grad(div_id, D, y, e):
+    s = SIMPLEX_SCORE[div_id](D, y)
+    if e is not None:
+        drift = e[..., None, :] - e.sum(axis=-1)[..., None, None] * D
+        s = s - SIMPLEX_DRIFT[div_id](D, drift)
+    return s - D * s.sum(axis=-1, keepdims=True)
+
+
+def reference_raw_grad(div_id, v, y, e):
+    link_prime, score = reference_raw_forms(div_id, v)
+    if e is not None:
+        y = y - e[..., None, :]
+        score = score * (1.0 - e.sum(axis=-1))[..., None, None]
+    return y * link_prime - score
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+class TestStepHead:
+    """The lockstep step's head, run as the step runs it, into views of
+    (M, B, K) and (M, B, 1) workspaces, for a full and a ragged batch."""
+
+    M, B = 3, 32
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 10])
+    @pytest.mark.parametrize("with_rates", [False, True])
+    @pytest.mark.parametrize("head", ["simplex", "raw_t"])
+    def test_equals_reference_formula(self, div_id, k, with_rates, head):
+        rng = np.random.default_rng(191 + k)
+        e_rows = None
+        if with_rates:
+            # a member without rates has a zero row, as in the step
+            e_rows = rng.uniform(0.01, 0.9 / k, size=(self.M, k))
+            e_rows[0] = 0.0
+        rates = _rate_terms(e_rows)
+        spec = get_divergence(div_id)
+        workspaces = [np.empty((self.M, self.B, k)) for _ in range(5)]
+        workspaces.append(np.empty((self.M, self.B, 1)))
+        for nb in (self.B, 7):
+            v, D, y, g, tmp, col = (a[:, :nb, :] for a in workspaces)
+            v[...] = rng.normal(scale=4.0, size=v.shape)
+            y[...] = _onehot(rng.integers(0, k, size=(self.M, nb)), k)
+            if head == "simplex":
+                _softmax(v, out=D, col=col)
+                want_D = reference_softmax(v)
+                assert same_bits(D, want_D)
+                want = reference_simplex_grad(div_id, want_D, y, e_rows)
+            else:
+                D = None
+                want = reference_raw_grad(div_id, v, y, e_rows)
+            got = _head_grad(spec, v, D, y, rates, out=g, work=(tmp, col))
+            assert got is g and same_bits(got, want)
 
 
 class TestCosineSchedule:

@@ -44,7 +44,10 @@ from postmax.objective import (
     _exact_jf,
     _jf_simplex,
     _onehot,
+    _rate_terms,
     _raw_logit_grad,
+    _row_max,
+    _row_sum,
     _simplex_logit_grad,
 )
 from postmax.posterior import _check_rates
@@ -700,7 +703,9 @@ class TestSimplexLogitGrad:
         D[:3] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.4, 0.0], [0.0, 0.0, 0.0, 1.0]]
         e = None if rates is None else np.array(rates)
         assert np.array_equal(
-            _simplex_logit_grad(get_divergence(div_id), D, _onehot(labels, 4), e),
+            _simplex_logit_grad(
+                get_divergence(div_id), D, _onehot(labels, 4), _rate_terms(e)
+            ),
             jf_simplex_logit_grad_batch(div_id, D, labels, rates),
         )
 
@@ -714,7 +719,7 @@ class TestSimplexLogitGrad:
         onehot = np.stack([_onehot(labels, 4) for _, labels in slices])
         rates = [None, np.array([0.1, 0.05, 0.15, 0.02]), np.array([0.2, 0, 0.1, 0.1])]
         e = np.stack([np.zeros(4) if r is None else r for r in rates])
-        stacked = _simplex_logit_grad(spec, D, onehot, e)
+        stacked = _simplex_logit_grad(spec, D, onehot, _rate_terms(e))
         for m, ((rows, labels), r) in enumerate(zip(slices, rates)):
             assert np.array_equal(
                 stacked[m], jf_simplex_logit_grad_batch(div_id, rows, labels, r)
@@ -738,6 +743,64 @@ class TestSimplexLogitGrad:
             jf_simplex_logit_grad_batch("kl", D, [0, 1], [0.1, 0.1, 0.1])
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bit patterns, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+def left_to_right_sum(a):
+    """((a0 + a1) + a2) + ... over the last axis, keeping it."""
+    total = a[..., :1] + a[..., 1:2]
+    for j in range(2, a.shape[-1]):
+        total = total + a[..., j : j + 1]
+    return total
+
+
+class TestRowReductions:
+    """_row_max and _row_sum against numpy's own last-axis reductions.
+
+    Entries span 16 decades, so sums taken in different orders round
+    differently: these tests fail if numpy changes its summation order.
+    """
+
+    def spread(self, rng, shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+    def arrays(self, k):
+        # (M, B, K) rows, the first rows of one as a ragged last batch
+        # reads them, and (N, K) rows
+        rng = np.random.default_rng(181 + k)
+        full = self.spread(rng, (3, 32, k))
+        return [full, full[:, :7, :], self.spread(rng, (15, 32, k))[:, :31],
+                self.spread(rng, (800, k)), self.spread(rng, (1, 1, k))]
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_row_max_equals_maximum_reduce(self, k):
+        for a in self.arrays(k):
+            want = np.maximum.reduce(a, axis=-1, keepdims=True)
+            assert same_bits(_row_max(a), want)
+            out = np.empty(a.shape[:-1] + (1,))
+            assert _row_max(a, out=out) is out and same_bits(out, want)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_row_sum_equals_add_reduce(self, k):
+        for a in self.arrays(k):
+            want = np.add.reduce(a, axis=-1, keepdims=True)
+            assert same_bits(_row_sum(a), want)
+            out = np.empty(a.shape[:-1] + (1,))
+            assert _row_sum(a, out=out) is out and same_bits(out, want)
+
+    @pytest.mark.parametrize("k", range(8, 13))
+    def test_data_tells_the_summation_orders_apart(self, k):
+        # from K = 8 a running sum would differ from numpy's on these rows
+        for a in self.arrays(k)[:4]:
+            want = a.sum(axis=-1, keepdims=True)
+            assert not np.array_equal(left_to_right_sum(a), want)
+
+
 @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
 def test_raw_kernel_zero_rate_row_is_no_rates(div_id):
     # one call over (M, N, K) raw outputs, with a zero rate row for a
@@ -748,11 +811,13 @@ def test_raw_kernel_zero_rate_row_is_no_rates(div_id):
     onehot = _onehot(rng.integers(0, 4, size=(3, 20)), 4)
     rates = [None, np.array([0.1, 0.05, 0.15, 0.02]), np.array([0.2, 0, 0.1, 0.1])]
     e = np.stack([np.zeros(4) if r is None else r for r in rates])
-    stacked = _raw_logit_grad(spec, v, onehot, e)
+    stacked = _raw_logit_grad(spec, v, onehot, _rate_terms(e))
     for m, r in enumerate(rates):
-        assert np.array_equal(stacked[m], _raw_logit_grad(spec, v[m], onehot[m], r))
+        assert np.array_equal(
+            stacked[m], _raw_logit_grad(spec, v[m], onehot[m], _rate_terms(r))
+        )
     assert np.array_equal(
-        _raw_logit_grad(spec, v, onehot, np.zeros((3, 4))),
+        _raw_logit_grad(spec, v, onehot, _rate_terms(np.zeros((3, 4)))),
         _raw_logit_grad(spec, v, onehot, None),
     )
 

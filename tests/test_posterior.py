@@ -1,5 +1,7 @@
 """Tests for posterior estimation, prediction, and noise correction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ class TestNoisyForward:
             np.testing.assert_array_equal(
                 _noisy_forward(rows, e), noisy_posterior_forward(rows, e)
             )
+
+    def test_dyadic_rows_and_rates_exact(self):
+        # every product and sum is a dyadic rational with few bits, so
+        # (1 - sum(e)) * p + e rounds nowhere and the bits are pinned
+        rows = [[0.25, 0.5, 0.25], [0.125, 0.375, 0.5], [1.0, 0.0, 0.0]]
+        e = [0.125, 0.0625, 0.0625]
+        keep = 1 - sum(Fraction(x) for x in e)
+        want = np.array(
+            [[float(keep * Fraction(p) + Fraction(x)) for p, x in zip(row, e)]
+             for row in rows]
+        )
+        assert want[0].tolist() == [0.3125, 0.4375, 0.25]
+        assert np.array_equal(noisy_posterior_forward(rows, e), want)
+        assert np.array_equal(noisy_posterior_forward(rows[1], e), want[1])
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
