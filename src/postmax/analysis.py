@@ -222,9 +222,14 @@ def training_bias_expression(spec, p_star_clean, e, delta, T_star_noisy) -> np.n
     return e_total * p - e + delta * curv
 
 
-def _random_joint(rng, m: int, k: int) -> DiscreteJoint:
+def _random_pmf(rng, m: int, k: int) -> np.ndarray:
+    """An m x K joint pmf drawn from rng, every entry positive."""
     pmf = rng.uniform(0.1, 1.0, size=(m, k))
-    return DiscreteJoint(pmf / pmf.sum())
+    return pmf / pmf.sum()
+
+
+def _random_joint(rng, m: int, k: int) -> DiscreteJoint:
+    return DiscreteJoint(_random_pmf(rng, m, k))
 
 
 def _identity_gap(rng, joint, tm, e, scale, bias_fn) -> float:
@@ -298,9 +303,8 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
         for _ in range(configs):
             m = int(rng.integers(2, 7))
             k = int(rng.integers(2, 5))
-            # _random_joint's draw and posterior, without building a joint
-            pmf = rng.uniform(0.1, 1.0, size=(m, k))
-            joint = pmf / pmf.sum()
+            # DiscreteJoint.posterior, without validating a joint
+            joint = _random_pmf(rng, m, k)
             target = joint / joint.sum(axis=1)[:, None]
             if rng.random() < 0.5:
                 e = rng.uniform(0.01, 0.9 / k, size=k)

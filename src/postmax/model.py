@@ -37,12 +37,11 @@ call would.
 A desk-sized step is bound by per-call overhead, not arithmetic, so its
 head allocates nothing: the softmax, the drift of the rate terms (built
 once per training) and the head gradient write into (M, batch, K) and
-(M, batch, 1) workspaces.  Their reductions over the class axis run as
-column passes: the row max as a running np.maximum over the K columns,
-the row sum as a running np.add while K <= 7.  numpy sums a last axis of
-up to 7 entries left to right and a longer one pairwise, so the running
-add gives its bits only up to K = 7; from K = 8 the sum is numpy's
-reduction.  The cutoff depends on the class count alone.
+(M, batch, 1) workspaces.  Over two classes, its row max and row sums
+are one np.maximum or np.add of the two column views, about 2 us a call
+against 3-6 us for a reduction over the class axis; from three classes
+the sum is faster as a reduction at a step's few rows, so every
+reduction over K >= 3 classes is numpy's, written into the workspace.
 """
 
 from __future__ import annotations
@@ -292,28 +291,19 @@ def _head_grad(
     return _simplex_logit_grad(div, D, onehot, rates, out=out, work=work)
 
 
-def _transposed(arrays) -> list:
-    """Views of arrays with their last two axes swapped."""
-    return [a.swapaxes(-1, -2) for a in arrays]
-
-
-def _backprop_into(
-    activation: str, weights_t, hs, hs_t, zs, g_v, grads, deltas, derivs
-):
+def _backprop_into(activation: str, layers, hs, zs, g_v, grads, deltas, derivs):
     """Backpropagate the output gradient g_v, over any leading member axes.
 
-    hs and zs are _forward_into's and hs_t their _transposed views;
-    weights_t are the _transposed layer weights.  Each layer's (dW, db) is
-    written into the arrays of grads, and deltas and derivs are scratch
-    shaped like zs.
+    hs and zs are _forward_into's; each layer's (dW, db) is written into
+    the arrays of grads, and deltas and derivs are scratch shaped like zs.
     """
     g = g_v
-    for i in range(len(weights_t) - 1, -1, -1):
+    for i in range(len(layers) - 1, -1, -1):
         gW, gb = grads[i]
-        np.matmul(hs_t[i], g, out=gW)
+        np.matmul(hs[i].swapaxes(-1, -2), g, out=gW)
         np.add.reduce(g, axis=-2, out=gb)
         if i > 0:
-            g = np.matmul(g, weights_t[i], out=deltas[i - 1])
+            g = np.matmul(g, layers[i][0].swapaxes(-1, -2), out=deltas[i - 1])
             d = derivs[i - 1]
             if activation == "relu":
                 # relu's kink at 0 is measure-zero under continuous inputs
@@ -328,10 +318,7 @@ def _backprop(spec: MlpSpec, params, hs, zs, g_v):
     """Per-layer (dW, db) of the output gradient g_v, in new arrays."""
     grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
     scratch = [[np.empty_like(z) for z in zs] for _ in range(2)]
-    weights_t = _transposed(W for W, _ in params)
-    _backprop_into(
-        spec.activation, weights_t, hs, _transposed(hs), zs, g_v, grads, *scratch
-    )
+    _backprop_into(spec.activation, params, hs, zs, g_v, grads, *scratch)
     return grads
 
 
@@ -491,7 +478,6 @@ def _train_members(members, on_epoch=None) -> list:
     grad = np.empty_like(theta)
     scratch = np.empty_like(theta)
     layers = [(W, b[:, None, :]) for W, b in _layer_views(theta, model0.params)]
-    weights_t = _transposed(W for W, _ in layers)
     grad_layers = _layer_views(grad, model0.params)
     member_params = [_layer_views(row, model0.params) for row in theta]
 
@@ -514,12 +500,10 @@ def _train_members(members, on_epoch=None) -> list:
         *([np.empty((M, B, w)) for w in hidden] for _ in range(3)),
         [np.empty((M, B, k)) for _ in range(5)] + [np.empty((M, B, 1))],
     ]
-    # batch rows -> views of that many rows of every workspace, and the
-    # transposed views of the layer inputs
-    views = {}
+    views = {}  # batch rows -> views of that many rows of every workspace
 
-    total_steps = tc.epochs * math.ceil(n / tc.batch_size)
-    lrs = [_cosine_lr(tc.lr0, step, total_steps) for step in range(total_steps)]
+    steps_per_epoch = math.ceil(n / tc.batch_size)
+    total_steps = tc.epochs * steps_per_epoch
     step = 0
     for epoch in range(tc.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])[seed_row]
@@ -529,9 +513,8 @@ def _train_members(members, on_epoch=None) -> list:
             idx = order[:, start:stop]
             nb = idx.shape[1]
             if nb not in views:
-                ws = [[a[:, :nb, :] for a in group] for group in workspaces]
-                views[nb] = ws, _transposed(ws[0])
-            (hs, zs, deltas, derivs, (v, D, y1, g_v, tmp, col)), hs_t = views[nb]
+                views[nb] = [[a[:, :nb, :] for a in ws] for ws in workspaces]
+            hs, zs, deltas, derivs, (v, D, y1, g_v, tmp, col) = views[nb]
             X.take(idx, axis=0, out=hs[0], mode="clip")
             _forward_into(spec.activation, layers, hs, zs, v)
             onehot.take(label_order[:, start:stop], axis=0, out=y1, mode="clip")
@@ -542,12 +525,12 @@ def _train_members(members, on_epoch=None) -> list:
             g_v /= nb
 
             _backprop_into(
-                spec.activation, weights_t, hs, hs_t, zs, g_v, grad_layers,
-                deltas, derivs,
+                spec.activation, layers, hs, zs, g_v, grad_layers, deltas, derivs
             )
+            lr = _cosine_lr(tc.lr0, step, total_steps)
             velocity *= tc.momentum
             velocity += grad
-            theta += np.multiply(velocity, lrs[step], out=scratch)
+            theta += np.multiply(velocity, lr, out=scratch)
             step += 1
             if not np.isfinite(theta).all():
                 raise RuntimeError(

@@ -336,29 +336,24 @@ def _onehot(labels, k: int) -> np.ndarray:
 
 
 def _row_max(a, out=None) -> np.ndarray:
-    """np.maximum.reduce over the last axis, keeping it, as a running
-    np.maximum over the K column views; max does not depend on order."""
-    out = np.maximum(a[..., 0:1], a[..., 1:2], out=out)
-    for j in range(2, a.shape[-1]):
-        np.maximum(out, a[..., j : j + 1], out=out)
-    return out
+    """np.maximum.reduce over the last axis, keeping it; see _row_sum."""
+    if a.shape[-1] == 2:
+        return np.maximum(a[..., :1], a[..., 1:], out=out)
+    return np.maximum.reduce(a, axis=-1, keepdims=True, out=out)
 
 
 def _row_sum(a, out=None) -> np.ndarray:
-    """np.add.reduce over the last axis, keeping it, bit for bit.
+    """np.add.reduce over the last axis, keeping it.
 
-    numpy sums a last axis of fewer than 8 entries left to right and a
-    longer one pairwise in blocks of 8, so up to 7 columns this is a
-    running np.add over the column views, which costs less per call than
-    a reduction; from 8 it is the reduction itself.
+    Two columns are one np.add of the column views, which costs less per
+    call than a reduction at every row count; from three the reduction
+    is faster at a step's few rows.  The reduction starts from +0.0, so
+    a row of two -0.0 sums to -0.0 here and to +0.0 there; every other
+    row gets the reduction's bits.
     """
-    k = a.shape[-1]
-    if k >= 8:
-        return np.add.reduce(a, axis=-1, keepdims=True, out=out)
-    out = np.add(a[..., 0:1], a[..., 1:2], out=out)
-    for j in range(2, k):
-        np.add(out, a[..., j : j + 1], out=out)
-    return out
+    if a.shape[-1] == 2:
+        return np.add(a[..., :1], a[..., 1:], out=out)
+    return np.add.reduce(a, axis=-1, keepdims=True, out=out)
 
 
 def _rate_terms(e):
