@@ -91,24 +91,6 @@ def _report(theorem_id: str, trials: int, max_error: float, threshold: float):
     )
 
 
-def rates_from_transition(tm: TransitionMatrix) -> np.ndarray:
-    """Extract per-class flip-in rates from a uniform off-diagonal matrix."""
-    ent = tm.entries
-    k = tm.k
-    e = np.empty(k)
-    for j in range(k):
-        col = np.delete(ent[:, j], j)
-        if np.ptp(col) > 1e-12:
-            raise ValueError(
-                "transition matrix is not uniform off-diagonal: "
-                f"column {j} has unequal off-diagonal entries"
-            )
-        e[j] = col[0]
-    if e.sum() >= 1.0:
-        raise ValueError("total flip-in mass must be below 1")
-    return e
-
-
 def _golden_section_max(spec, q, lo, hi, tol: float = GOLDEN_TOL) -> np.ndarray:
     """Elementwise maximizer of q*t - f*(t) on [lo, hi].
 
@@ -183,21 +165,6 @@ def _solve_pointwise(spec, q) -> PointwiseSolution:
     lo, hi = _bracket(spec, flat_q, closed.ravel())
     searched = _golden_section_max(spec, flat_q, lo, hi).reshape(q.shape)
     return PointwiseSolution(closed_form=closed, searched=searched)
-
-
-def taylor_bias_bound(spec, T_star, T_i) -> float:
-    """First-order cap on the posterior gap between two output vectors."""
-    spec = _as_spec(spec)
-    T_star = np.asarray(T_star, dtype=float).ravel()
-    T_i = np.asarray(T_i, dtype=float).ravel()
-    if T_star.shape != T_i.shape:
-        raise ValueError("vectors must have equal length")
-    curv = conj_second(spec, T_i)
-    posterior_from_T(spec, T_star)  # domain check on the other argument
-    diff = T_star - T_i
-    return float(
-        math.sqrt(np.dot(diff, diff)) * math.sqrt(np.dot(curv, curv))
-    )
 
 
 def training_bias_expression(spec, p_star_clean, e, delta, T_star_noisy) -> np.ndarray:
@@ -317,9 +284,13 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
     )
 
 
-def _random_simplex(rng, n: int, k: int) -> np.ndarray:
+def _untied_simplex(rng, n: int, k: int) -> np.ndarray:
+    """n simplex rows drawn from rng, less those whose two largest
+    components lie within 1e-9 of each other."""
     rows = rng.uniform(0.01, 1.0, size=(n, k))
-    return rows / rows.sum(axis=1, keepdims=True)
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    sorted_rows = np.sort(rows, axis=1)
+    return rows[sorted_rows[:, -1] - sorted_rows[:, -2] > 1e-9]
 
 
 def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport:
@@ -332,10 +303,7 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
     total = 0
     mismatched = 0
     for k in range(2, 11):
-        rows = _random_simplex(rng, n_vectors, k)
-        sorted_rows = np.sort(rows, axis=1)
-        unique = sorted_rows[:, -1] - sorted_rows[:, -2] > 1e-9
-        rows = rows[unique]
+        rows = _untied_simplex(rng, n_vectors, k)
         _check_probability_rows(rows)
         clean = predict(rows)
         edge = (k - 1) / k
@@ -354,10 +322,7 @@ def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport
     total = 0
     mismatched = 0
     for k in range(2, 11):
-        rows = _random_simplex(rng, per_k, k)
-        sorted_rows = np.sort(rows, axis=1)
-        unique = sorted_rows[:, -1] - sorted_rows[:, -2] > 1e-9
-        rows = rows[unique]
+        rows = _untied_simplex(rng, per_k, k)
         clean = predict(rows)
         raw = rng.uniform(0.0, 1.0, size=k)
         e = raw / raw.sum() * rng.uniform(0.1, 0.95)

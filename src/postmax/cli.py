@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import click
@@ -37,20 +37,6 @@ from .noise import LabeledDataset, NoiseParams, corrupt
 from .objective import _CORRECTIONS, ObjectiveConfig
 
 TEST_FRACTION = 0.2
-
-RECORD_COLUMNS = (
-    "seed",
-    "divergence",
-    "noise",
-    "correction",
-    "clean_test_accuracy",
-    "noisy_test_accuracy",
-    "final_objective",
-    "wall_seconds",
-)
-
-# JSON types each record column must have when read back
-_RECORD_TYPES = dict(zip(RECORD_COLUMNS, (int, str, str, str) + ((int, float),) * 4))
 
 TABLE_COLUMNS = ("No Cor.", "O.F. Cor.", "P. Cor.", "No Noise")
 
@@ -146,7 +132,7 @@ def split_dataset(
     """80/20 train/test partition of a dataset by a seeded permutation."""
     train_idx, test_idx = _split_indices(ds.n, seed)
     make = lambda idx: LabeledDataset(
-        ds.features[idx], ds.labels[idx], ds.k, ds.provenance, ds.noise
+        ds.features[idx], ds.labels[idx], ds.k, ds.provenance
     )
     return make(train_idx), make(test_idx)
 
@@ -172,8 +158,8 @@ def make_synthetic(
         raise ConfigError(
             f"equidistant means for {k} classes need at least {k - 1} dimensions"
         )
-    if class_separation < 0.0:
-        raise ConfigError("class_separation must be nonnegative")
+    if not (np.isfinite(class_separation) and class_separation >= 0.0):
+        raise ConfigError("class_separation must be finite and nonnegative")
 
     rng = np.random.default_rng(seed)
     # Regular simplex with unit-free coordinates: center the k standard
@@ -472,6 +458,14 @@ class ResultRecord:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
+# How a record field of each type is read back: the CSV cell's converter
+# and the JSON value's types (JSON writes 1.0 as 1, so a float field takes
+# an int); a JSON bool, though an int in Python, fits no field.
+_READ_AS = {"int": (int, int), "str": (str, str), "float": (float, (int, float))}
+_RECORD_TYPES = {f.name: _READ_AS[f.type] for f in fields(ResultRecord)}
+RECORD_COLUMNS = tuple(_RECORD_TYPES)
+
+
 def describe_noise(noise: Optional[NoiseParams]) -> str:
     if noise is None:
         return "none"
@@ -619,18 +613,7 @@ def _records_to_csv(records: Sequence[ResultRecord]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RECORD_COLUMNS)
     for rec in _sorted_records(records):
-        writer.writerow(
-            [
-                rec.seed,
-                rec.divergence,
-                rec.noise,
-                rec.correction,
-                repr(rec.clean_test_accuracy),
-                repr(rec.noisy_test_accuracy),
-                repr(rec.final_objective),
-                repr(rec.wall_seconds),
-            ]
-        )
+        writer.writerow(asdict(rec).values())  # floats as repr
     for row in summarize(records):
         out.write(
             "# summary,{divergence},{noise},{correction},runs={runs},"
@@ -642,19 +625,7 @@ def _records_to_csv(records: Sequence[ResultRecord]) -> str:
 
 def _records_to_json(records: Sequence[ResultRecord]) -> str:
     payload = {
-        "records": [
-            {
-                "seed": rec.seed,
-                "divergence": rec.divergence,
-                "noise": rec.noise,
-                "correction": rec.correction,
-                "clean_test_accuracy": rec.clean_test_accuracy,
-                "noisy_test_accuracy": rec.noisy_test_accuracy,
-                "final_objective": rec.final_objective,
-                "wall_seconds": rec.wall_seconds,
-            }
-            for rec in _sorted_records(records)
-        ],
+        "records": [asdict(rec) for rec in _sorted_records(records)],
         "summary": summarize(records),
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -722,19 +693,9 @@ def parse_report(text: str, format: str) -> list[ResultRecord]:
                     f"record {i}: expected {len(RECORD_COLUMNS)} fields, "
                     f"got {len(row)}"
                 )
+            cells = zip(_RECORD_TYPES.values(), row)
             try:
-                records.append(
-                    ResultRecord(
-                        seed=int(row[0]),
-                        divergence=row[1],
-                        noise=row[2],
-                        correction=row[3],
-                        clean_test_accuracy=float(row[4]),
-                        noisy_test_accuracy=float(row[5]),
-                        final_objective=float(row[6]),
-                        wall_seconds=float(row[7]),
-                    )
-                )
+                records.append(ResultRecord(*(read(c) for (read, _), c in cells)))
             except ValueError as err:
                 raise ValueError(f"record {i}: {err}") from None
         return records
@@ -750,7 +711,9 @@ def parse_report(text: str, format: str) -> list[ResultRecord]:
                     + ", ".join(RECORD_COLUMNS)
                 )
             mistyped = [
-                c for c, t in _RECORD_TYPES.items() if not isinstance(row[c], t)
+                c
+                for c, (_, types) in _RECORD_TYPES.items()
+                if not isinstance(row[c], types) or isinstance(row[c], bool)
             ]
             if mistyped:
                 raise ValueError(f"record {i}: mistyped {', '.join(mistyped)}")

@@ -9,6 +9,7 @@ position, so the outcome for a sample never depends on processing order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,7 +28,7 @@ class TransitionMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise ValueError("transition matrix must be square with K >= 2")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN lies in neither
             raise ValueError("transition probabilities must lie in [0, 1]")
         if np.any(np.abs(arr.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise ValueError(f"each row must sum to 1 within {ROW_SUM_TOL}")
@@ -49,24 +50,25 @@ class NoiseParams:
     probability e[j] regardless of the source class.  Custom wraps an
     arbitrary transition matrix; corrections reject it because the
     correction formulas are defined only for the first two models.
+    Every rate must be finite.  The parameters describe the noise only:
+    the seed of a draw is corrupt's argument.
     """
 
     kind: str  # "symmetric" | "uniform_offdiag" | "custom"
     eta: Optional[float] = None
     e: Optional[tuple[float, ...]] = None
     matrix: Optional[TransitionMatrix] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind == "symmetric":
-            if self.eta is None or self.eta < 0.0:
-                raise ValueError("symmetric noise requires eta >= 0")
+            if self.eta is None or not (math.isfinite(self.eta) and self.eta >= 0.0):
+                raise ValueError("symmetric noise requires a finite eta >= 0")
         elif self.kind == "uniform_offdiag":
             if self.e is None:
                 raise ValueError("uniform off-diagonal noise requires a rate vector e")
             e = tuple(float(v) for v in self.e)
-            if any(v < 0.0 for v in e):
-                raise ValueError("flip rates must be nonnegative")
+            if not all(math.isfinite(v) and v >= 0.0 for v in e):
+                raise ValueError("flip rates must be finite and nonnegative")
             if sum(e) >= 1.0:
                 raise ValueError("flip rates must sum to less than 1")
             object.__setattr__(self, "e", e)
@@ -77,16 +79,16 @@ class NoiseParams:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
     @classmethod
-    def symmetric(cls, eta: float, seed: int = 0) -> "NoiseParams":
-        return cls(kind="symmetric", eta=float(eta), seed=seed)
+    def symmetric(cls, eta: float) -> "NoiseParams":
+        return cls(kind="symmetric", eta=float(eta))
 
     @classmethod
-    def uniform_offdiag(cls, e: Sequence[float], seed: int = 0) -> "NoiseParams":
-        return cls(kind="uniform_offdiag", e=tuple(float(v) for v in e), seed=seed)
+    def uniform_offdiag(cls, e: Sequence[float]) -> "NoiseParams":
+        return cls(kind="uniform_offdiag", e=tuple(float(v) for v in e))
 
     @classmethod
-    def custom(cls, matrix: TransitionMatrix, seed: int = 0) -> "NoiseParams":
-        return cls(kind="custom", matrix=matrix, seed=seed)
+    def custom(cls, matrix: TransitionMatrix) -> "NoiseParams":
+        return cls(kind="custom", matrix=matrix)
 
     def to_matrix(self, k: int) -> TransitionMatrix:
         if self.kind == "symmetric":
@@ -118,14 +120,14 @@ class LabeledDataset:
 
     Features are held read-only.  An array the caller can still write
     through is copied; a read-only one that owns its memory, such as
-    another dataset's features, is shared.
+    another dataset's features, is shared.  provenance records whether
+    corrupt produced the labels; which noise did is not kept.
     """
 
     features: np.ndarray
     labels: np.ndarray
     k: int
     provenance: str = "clean"  # "clean" | "corrupted"
-    noise: Optional[NoiseParams] = None
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -164,7 +166,7 @@ def symmetric_matrix(k: int, eta: float) -> TransitionMatrix:
     """Matrix that keeps a label with probability 1-eta and spreads eta evenly."""
     if k < 2:
         raise ValueError("need at least two classes")
-    if eta < 0.0 or eta >= (k - 1) / k:
+    if not 0.0 <= eta < (k - 1) / k:  # NaN fails too
         raise ValueError("eta must satisfy 0 <= eta < (K-1)/K")
     off = eta / (k - 1)
     entries = np.full((k, k), off)
@@ -177,8 +179,8 @@ def uniform_offdiag_matrix(e: Sequence[float]) -> TransitionMatrix:
     e = np.asarray(e, dtype=float)
     if e.ndim != 1 or e.shape[0] < 2:
         raise ValueError("e must be a vector of length K >= 2")
-    if np.any(e < 0.0):
-        raise ValueError("flip rates must be nonnegative")
+    if not np.all(np.isfinite(e)) or np.any(e < 0.0):
+        raise ValueError("flip rates must be finite and nonnegative")
     if e.sum() >= 1.0:
         raise ValueError("flip rates must sum to less than 1")
     k = e.shape[0]
@@ -202,9 +204,10 @@ def corrupt(ds: LabeledDataset, tm: TransitionMatrix, seed: int) -> LabeledDatas
     """Replace each label by a draw from its transition-matrix row.
 
     Features are carried over untouched: the result shares the input's
-    read-only feature array.  The same (dataset, matrix, seed)
-    always produces the same output, and the draw for sample i does not
-    depend on any other sample.
+    read-only feature array and is marked provenance="corrupted"; the
+    matrix and seed are not stored on it.  The same (dataset, matrix,
+    seed) always produces the same output, and the draw for sample i
+    does not depend on any other sample.
     """
     if ds.k != tm.k:
         raise ValueError(f"dataset has {ds.k} classes but the matrix has {tm.k}")
@@ -213,12 +216,5 @@ def corrupt(ds: LabeledDataset, tm: TransitionMatrix, seed: int) -> LabeledDatas
     u = _counter_uniforms(seed, ds.n)
     cum = np.cumsum(tm.entries, axis=1)[ds.labels]
     new_labels = np.minimum((u[:, None] >= cum).sum(axis=1), ds.k - 1)
-    params = NoiseParams.custom(tm, seed=seed)
-    return LabeledDataset(
-        features=ds.features,
-        labels=new_labels,
-        k=ds.k,
-        provenance="corrupted",
-        noise=params,
-    )
+    return LabeledDataset(ds.features, new_labels, ds.k, provenance="corrupted")
 

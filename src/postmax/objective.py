@@ -31,7 +31,6 @@ from postmax.divergence import (
     conj_prime,
     conj_second,  # unused here; perfbench/spans.py wraps objective.conj_second
     get_divergence,
-    optimal_T_from_posterior,
 )
 from postmax.noise import NoiseParams, TransitionMatrix
 from postmax.posterior import _check_rates
@@ -293,10 +292,7 @@ def bias_simplex_batch(div_id, D, e) -> float:
     """Mean noise bias over a batch, expressed in the simplex variable."""
     D = _check_D_batch(D, simplex_rows=False)
     e = _check_rates(e, D.shape[1])
-    spec = _as_spec(div_id)
-    T = optimal_T_from_posterior(spec, D)
-    per_sample = T @ e - e.sum() * spec.conj(T).sum(axis=1)
-    return float(per_sample.mean())
+    return _bias_simplex(_as_spec(div_id), D, e)
 
 
 def _bias_simplex(spec: DivergenceSpec, D, e) -> float:

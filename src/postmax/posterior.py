@@ -90,8 +90,10 @@ def _check_rates(e, k: int) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     if e.ndim != 1 or e.shape[0] != k:
         raise ValueError(f"flip rates must be a length-{k} vector")
-    if np.any(e < 0.0) or e.sum() >= 1.0:
-        raise ValueError("flip rates must be nonnegative and sum to less than 1")
+    if not (np.all(e >= 0.0) and e.sum() < 1.0):  # NaN fails both
+        raise ValueError(
+            "flip rates must be finite, nonnegative and sum to less than 1"
+        )
     return e
 
 

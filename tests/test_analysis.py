@@ -1,7 +1,6 @@
 """Tests for pointwise optima, bias bounds, and theorem-verification drivers."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -15,8 +14,6 @@ from postmax.analysis import (
     check_multiclass_identity,
     check_pointwise_optimum,
     check_posterior_gap_bound,
-    rates_from_transition,
-    taylor_bias_bound,
     training_bias_expression,
     verify_theorems,
 )
@@ -26,46 +23,28 @@ from postmax.divergence import (
     optimal_T_from_posterior,
     posterior_from_T,
 )
-from postmax.noise import TransitionMatrix, symmetric_matrix, uniform_offdiag_matrix
+from postmax.noise import TransitionMatrix, uniform_offdiag_matrix
 from postmax.objective import DiscreteJoint, _exact_bias
 
 
 def _target_posterior(joint, tm):
-    """Posterior over the labels the optimum sees: (1 - sum(e)) * p + e."""
-    if tm is None:
-        e = np.zeros(joint.k)
-    else:
+    """Posterior over the labels the optimum sees: (1 - sum(e)) * p + e.
+
+    tm is None or uniform off-diagonal, so every off-diagonal entry of
+    its column j is e_j; the one below the diagonal (wrapping) is read.
+    """
+    e = np.zeros(joint.k)
+    if tm is not None:
         if tm.k != joint.k:
             raise ValueError("class counts differ")
-        e = rates_from_transition(tm)
+        cols = np.arange(tm.k)
+        e = tm.entries[(cols + 1) % tm.k, cols]
     return (1.0 - e.sum()) * joint.posterior + e
 
 
 def solve_optimal_T_discrete(div_id, joint, tm=None):
     """Closed-form and searched optimal T tables under optional noise."""
     return _solve_pointwise(get_divergence(div_id), _target_posterior(joint, tm))
-
-
-class TestRatesFromTransition:
-    def test_extracts_uniform_offdiag(self):
-        tm = uniform_offdiag_matrix([0.1, 0.05, 0.2])
-        np.testing.assert_allclose(rates_from_transition(tm), [0.1, 0.05, 0.2])
-
-    def test_symmetric_is_a_special_case(self):
-        tm = symmetric_matrix(4, 0.3)
-        np.testing.assert_allclose(rates_from_transition(tm), np.full(4, 0.1))
-
-    def test_rejects_non_uniform_structure(self):
-        tm = TransitionMatrix(
-            [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]]
-        )
-        with pytest.raises(ValueError):
-            rates_from_transition(tm)
-
-    def test_rejects_total_mass_one(self):
-        tm = TransitionMatrix([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            rates_from_transition(tm)
 
 
 class TestSolveOptimalT:
@@ -133,47 +112,6 @@ class TestSolveOptimalT:
         joint = DiscreteJoint([[0.5, 0.5]])
         with pytest.raises(ValueError):
             solve_optimal_T_discrete("kl", joint, TransitionMatrix(np.eye(3)))
-
-
-class TestTaylorBiasBound:
-    def test_zero_at_equality(self):
-        T = np.array([1.0, 1.0])
-        assert taylor_bias_bound("kl", T, T) == 0.0
-
-    def test_frozen_kl_value(self):
-        # norms computed by hand: sqrt(0.02) * sqrt(e^0.2 + e^-0.2)
-        got = taylor_bias_bound("kl", [1.0, 1.0], [1.1, 0.9])
-        want = math.sqrt(0.02) * math.sqrt(math.exp(0.2) + math.exp(-0.2))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            taylor_bias_bound("sl", [-0.5, -0.5], [-0.5, 0.5])
-        with pytest.raises(ValueError):
-            taylor_bias_bound("sl", [-0.5, 0.5], [-0.5, -0.5])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            taylor_bias_bound("kl", [1.0, 1.0], [1.0, 1.0, 1.0])
-
-    def test_dominates_small_posterior_gaps(self):
-        # quick version of the near-convergence sweep
-        rng = np.random.default_rng(11)
-        for div_id in DIVERGENCE_IDS:
-            held = 0
-            for _ in range(500):
-                p = rng.uniform(0.05, 0.95, size=4)
-                T_star = optimal_T_from_posterior(div_id, p)
-                T_i = T_star - rng.uniform(-1e-2, 1e-2, size=4)
-                bound = taylor_bias_bound(div_id, T_star, T_i)
-                gap = np.sum(
-                    np.abs(
-                        posterior_from_T(div_id, T_star)
-                        - posterior_from_T(div_id, T_i)
-                    )
-                )
-                held += gap <= bound
-            assert held >= 495
 
 
 class TestTrainingBiasExpression:

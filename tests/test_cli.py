@@ -246,6 +246,9 @@ class TestMakeSynthetic:
             make_synthetic(k=4, n=10, d=2, class_separation=1.0, seed=0)
         with pytest.raises(ConfigError):
             make_synthetic(k=2, n=10, d=2, class_separation=-1.0, seed=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                make_synthetic(k=2, n=10, d=2, class_separation=bad, seed=0)
 
 
 class TestSplitDataset:
@@ -656,6 +659,75 @@ class TestReport:
             == "uniform_offdiag(e=0.1,0.3)"
         )
 
+    def test_pinned_bytes(self):
+        # integer accuracies, as a JSON file may hold them, and a noise
+        # string with a comma, which CSV must quote
+        recs = [
+            ResultRecord(
+                1, "sl", "uniform_offdiag(e=0.1,0.3)", "posterior",
+                0.8125, 2 / 3, -0.123456789012345, 1 / 3,
+            ),
+            ResultRecord(0, "gan", "none", "none", 1, 0, -2.5, 0.25),
+        ]
+        assert report(recs, "csv") == (
+            "seed,divergence,noise,correction,clean_test_accuracy,"
+            "noisy_test_accuracy,final_objective,wall_seconds\n"
+            "0,gan,none,none,1,0,-2.5,0.25\n"
+            '1,sl,"uniform_offdiag(e=0.1,0.3)",posterior,0.8125,'
+            "0.6666666666666666,-0.123456789012345,0.3333333333333333\n"
+            "# summary,gan,none,none,runs=1,noisy=0.0+-0.0,clean=1.0+-0.0\n"
+            "# summary,sl,uniform_offdiag(e=0.1,0.3),posterior,runs=1,"
+            "noisy=0.6666666666666666+-0.0,clean=0.8125+-0.0\n"
+        )
+        assert report(recs, "json") == """\
+{
+  "records": [
+    {
+      "seed": 0,
+      "divergence": "gan",
+      "noise": "none",
+      "correction": "none",
+      "clean_test_accuracy": 1,
+      "noisy_test_accuracy": 0,
+      "final_objective": -2.5,
+      "wall_seconds": 0.25
+    },
+    {
+      "seed": 1,
+      "divergence": "sl",
+      "noise": "uniform_offdiag(e=0.1,0.3)",
+      "correction": "posterior",
+      "clean_test_accuracy": 0.8125,
+      "noisy_test_accuracy": 0.6666666666666666,
+      "final_objective": -0.123456789012345,
+      "wall_seconds": 0.3333333333333333
+    }
+  ],
+  "summary": [
+    {
+      "divergence": "gan",
+      "noise": "none",
+      "correction": "none",
+      "runs": 1,
+      "noisy_mean": 0.0,
+      "noisy_std": 0.0,
+      "clean_mean": 1.0,
+      "clean_std": 0.0
+    },
+    {
+      "divergence": "sl",
+      "noise": "uniform_offdiag(e=0.1,0.3)",
+      "correction": "posterior",
+      "runs": 1,
+      "noisy_mean": 0.6666666666666666,
+      "noisy_std": 0.0,
+      "clean_mean": 0.8125,
+      "clean_std": 0.0
+    }
+  ]
+}
+"""
+
 
 @pytest.fixture
 def cli_config(tmp_path):
@@ -688,6 +760,28 @@ class TestCommandLine:
         )
         flips = (noisy != ds.labels).mean()
         assert 0.1 < flips < 0.3
+
+    @pytest.mark.parametrize("command", ["corrupt", "sweep"])
+    @pytest.mark.parametrize(
+        "noise, key",
+        [
+            ({"kind": "symmetric", "eta": math.nan}, "noise.eta"),
+            ({"kind": "uniform_offdiag", "e": [0.1, math.nan]}, "noise.e"),
+        ],
+        ids=["eta", "e"],
+    )
+    def test_nan_noise_rate_exits_one(self, tmp_path, command, noise, key):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(config_tree(noise=noise)))
+        out = tmp_path / "out.csv"
+        result = CliRunner().invoke(
+            main, [command, "--config", str(path), "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: invalid '{key}': " in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     def test_corrupt_seed_override_changes_output(self, tmp_path, cli_config):
         runner = CliRunner()
@@ -808,6 +902,17 @@ class TestCommandLine:
                 "record 1: mistyped seed, clean_test_accuracy",
             ),
             (
+                "g.json",
+                json.dumps(
+                    {
+                        "records": [
+                            {**RECORD_ROW, "seed": True, "noisy_test_accuracy": False}
+                        ]
+                    }
+                ),
+                "record 1: mistyped seed, noisy_test_accuracy",
+            ),
+            (
                 "c.csv",
                 ",".join(RECORD_COLUMNS) + "\n0,kl\n",
                 "record 1: expected 8 fields, got 2",
@@ -830,6 +935,7 @@ class TestCommandLine:
             "json-non-object",
             "json-missing-fields",
             "json-mistyped",
+            "json-bool",
             "csv-short",
             "json-unknown-correction",
             "csv-unknown-divergence",

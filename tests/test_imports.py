@@ -1,7 +1,9 @@
 """Every name a module in src/ or tests/ imports is used in that module."""
 
 import ast
+import importlib.util
 from pathlib import Path
+from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,6 +56,25 @@ def test_no_unused_imports():
         if names:
             found[rel] = sorted(names)
     assert found == {}
+
+
+def test_allowlist_rows_are_still_wrapped():
+    # an entry whose row leaves the span table must leave here too, and
+    # its import with it
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    rows = {
+        (module.__name__, name)
+        for module, name, _ in spans.boundaries(ModuleType("workloads"))
+    }
+    allowed = {
+        (rel.removeprefix("src/").removesuffix(".py").replace("/", "."), name)
+        for rel, names in WRAPPED_BY_NAME.items()
+        for name in names
+    }
+    assert allowed - rows == set()
 
 
 def test_detects_an_unused_import():

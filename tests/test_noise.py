@@ -41,6 +41,8 @@ class TestSymmetricMatrix:
             symmetric_matrix(2, 0.5)
         with pytest.raises(ValueError):
             symmetric_matrix(2, -0.1)
+        with pytest.raises(ValueError):
+            symmetric_matrix(2, float("nan"))
         symmetric_matrix(10, 0.89)  # just under (K-1)/K
 
     def test_rows_stochastic(self):
@@ -67,6 +69,8 @@ class TestUniformOffdiagMatrix:
             uniform_offdiag_matrix([0.5, 0.5])
         with pytest.raises(ValueError):
             uniform_offdiag_matrix([-0.1, 0.2])
+        with pytest.raises(ValueError, match="finite"):
+            uniform_offdiag_matrix([float("nan"), 0.2])
 
 
 class TestTransitionMatrixValidation:
@@ -77,6 +81,10 @@ class TestTransitionMatrixValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             TransitionMatrix(np.array([[1.1, -0.1], [0.0, 1.0]]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            TransitionMatrix(np.full((2, 2), np.nan))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -183,6 +191,11 @@ class TestNoiseParams:
             NoiseParams.symmetric(-0.1)
         with pytest.raises(ValueError):
             NoiseParams(kind="mystery")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseParams.symmetric(bad)
+            with pytest.raises(ValueError, match="finite"):
+                NoiseParams.uniform_offdiag([0.1, bad])
 
 
 class TestLabeledDataset:

@@ -974,6 +974,6 @@ class TestObjectiveConfig:
 
     def test_rejects_correction_with_custom_noise(self):
         tm = TransitionMatrix([[0.9, 0.1], [0.3, 0.7]])
-        noise = NoiseParams.custom(tm, seed=0)
+        noise = NoiseParams.custom(tm)
         with pytest.raises(ValueError):
             ObjectiveConfig(divergence="kl", correction="posterior", noise=noise)

@@ -124,6 +124,10 @@ class TestNoisyForward:
             noisy_posterior_forward([0.5, 0.5], [-0.1, 0.2])
         with pytest.raises(ValueError):
             noisy_posterior_forward([0.5, 0.5], [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="finite"):
+            noisy_posterior_forward([0.5, 0.5], [np.nan, 0.2])
+        with pytest.raises(ValueError, match="finite"):
+            posterior_correct([[0.5, 0.5]], [0.1, np.nan])
 
     def test_rejects_non_simplex_input(self):
         with pytest.raises(ValueError):
@@ -162,7 +166,7 @@ class TestPosteriorCorrect:
     def test_rejects_custom_params(self):
         tm = TransitionMatrix([[0.9, 0.1], [0.3, 0.7]])
         with pytest.raises(ValueError):
-            posterior_correct([[0.5, 0.5]], NoiseParams.custom(tm, seed=0))
+            posterior_correct([[0.5, 0.5]], NoiseParams.custom(tm))
 
     def test_negatives_preserved_for_prediction(self):
         # an undershooting estimate goes below zero after subtraction and
