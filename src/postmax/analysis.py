@@ -183,8 +183,11 @@ def training_bias_expression(spec, p_star_clean, e, delta, T_star_noisy) -> np.n
     if not (p.shape == e.shape == delta.shape == T_star.shape):
         raise ValueError("all arguments must share one shape")
     e_total = e.sum(axis=-1, keepdims=True)
-    if np.any(e < 0.0) or np.any(e_total >= 1.0):
-        raise ValueError("flip rates must be nonnegative and sum to less than 1")
+    # NaN fails every comparison, so a NaN rate fails this check
+    if not (np.all(e >= 0.0) and np.all(e_total < 1.0)):
+        raise ValueError(
+            "flip rates must be finite, nonnegative and sum to less than 1"
+        )
     curv = conj_second(spec, T_star - delta)
     return e_total * p - e + delta * curv
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -673,6 +674,14 @@ def report(records: Sequence[ResultRecord], format: str = "table") -> str:
     raise ValueError("format must be csv, json, or table")
 
 
+def _check_finite(record: ResultRecord) -> None:
+    """Reject a non-finite objective or wall time, which no sweep writes."""
+    for name in ("final_objective", "wall_seconds"):
+        v = getattr(record, name)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 def parse_report(text: str, format: str) -> list[ResultRecord]:
     """Read records back from report output (csv or json only).
 
@@ -695,9 +704,11 @@ def parse_report(text: str, format: str) -> list[ResultRecord]:
                 )
             cells = zip(_RECORD_TYPES.values(), row)
             try:
-                records.append(ResultRecord(*(read(c) for (read, _), c in cells)))
+                record = ResultRecord(*(read(c) for (read, _), c in cells))
+                _check_finite(record)
             except ValueError as err:
                 raise ValueError(f"record {i}: {err}") from None
+            records.append(record)
         return records
     if format == "json":
         payload = json.loads(text)
@@ -718,9 +729,11 @@ def parse_report(text: str, format: str) -> list[ResultRecord]:
             if mistyped:
                 raise ValueError(f"record {i}: mistyped {', '.join(mistyped)}")
             try:
-                records.append(ResultRecord(**row))
+                record = ResultRecord(**row)
+                _check_finite(record)
             except ValueError as err:
                 raise ValueError(f"record {i}: {err}") from None
+            records.append(record)
         return records
     raise ValueError("only csv and json reports can be parsed back")
 

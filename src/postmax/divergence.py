@@ -39,6 +39,13 @@ Posterior correction ranks classes by posterior(v) - e, which raw_rank
 computes per row scaled so that kl's and gan's exponentials cannot
 overflow.
 
+Softplus and sigmoid are computed from t = exp(-|v|), which never
+overflows: softplus(v) = max(v, 0) + log1p(t), and sigmoid(v) is
+r = 1/(1 + t) for v >= 0 and t*r below, each side computed directly
+rather than as one minus the other, which would cancel in the tail
+(M. Maechler, "Accurately computing log(1 - exp(-|a|))", Rmpfr
+vignette, 2012).
+
 A simplex head (softmax rows D) trains on the objective at T = f'(D),
 written in D directly; the fused score s = D * dJ/dD and the drift
 D * f''(D) * (e - sum(e) * D) of the noise-bias gradient are written so
@@ -86,11 +93,16 @@ class DivergenceSpec:
 
 
 def _softplus(x):
-    return np.logaddexp(0.0, x)
+    # log(1 + e^x) = max(x, 0) + log1p(e^-|x|)
+    t = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(t)
 
 
 def _sigmoid(x):
-    return np.exp(-np.logaddexp(0.0, -x))
+    # 1 / (1 + e^-x) = r for x >= 0 and e^x * r below, r = 1 / (1 + e^-|x|)
+    t = np.exp(-np.abs(x))
+    r = 1.0 / (1.0 + t)
+    return np.where(x >= 0.0, r, t * r)
 
 
 def _exp_rank(shift: float):

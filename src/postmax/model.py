@@ -27,12 +27,16 @@ velocities and gradients are (M, P) arrays, one flat row per member; each
 step gathers every member's mini-batch with one (M, batch) index, and the
 forward pass and backprop run as batched matmuls over the member axis into
 workspaces of shape (M, batch, width) allocated once per training; a
-ragged last batch uses a slice of them.  Per-epoch metrics are computed
-only by an on_epoch consumer: train() installs the one that builds its
-TrainTrace, and a sweep installs none, so its members' training objective
-is computed and checked once, after the final epoch.  A single-member call
-is train() itself, so each member ends bit for bit where its own train()
-call would.
+ragged last batch uses a slice of them.  Each hidden layer has one
+activation workspace: its linear output is written there and the
+activation applied in place, so no pre-activation is kept.  Backprop
+reads relu's derivative off the activation as a bool mask, relu(z) > 0
+being z > 0 bit for bit, and tanh's as 1 - h**2.  Per-epoch metrics are
+computed only by an on_epoch consumer: train() installs the one that
+builds its TrainTrace, and a sweep installs none, so its members'
+training objective is computed and checked once, after the final epoch.
+A single-member call is train() itself, so each member ends bit for bit
+where its own train() call would.
 
 A desk-sized step is bound by per-call overhead, not arithmetic, so its
 head allocates nothing: the softmax, the drift of the rate terms (built
@@ -204,39 +208,39 @@ def _softmax(v: np.ndarray, out=None, col=None) -> np.ndarray:
     return z
 
 
-def _forward_into(activation: str, layers, hs, zs, v) -> None:
+def _forward_into(activation: str, layers, hs, v) -> None:
     """Forward pass into given arrays, over any leading member axes.
 
-    hs[0] holds the layer-0 inputs; hidden layer i writes its
-    pre-activation to zs[i] and its activation, the next layer's input,
-    to hs[i + 1]; the final linear outputs go to v.  layers are (W, b)
-    pairs whose b broadcasts against the layer's outputs.
+    hs[0] holds the layer-0 inputs; hidden layer i writes its linear
+    output to hs[i + 1] and applies the activation there in place, so
+    hs[i + 1] ends as the next layer's input; the final linear outputs go
+    to v.  layers are (W, b) pairs whose b broadcasts against the layer's
+    outputs.
     """
-    for (W, b), h_in, z, h in zip(layers[:-1], hs, zs, hs[1:]):
-        np.matmul(h_in, W, out=z)
-        z += b
+    for (W, b), h_in, h in zip(layers[:-1], hs, hs[1:]):
+        np.matmul(h_in, W, out=h)
+        h += b
         if activation == "relu":
-            np.maximum(z, 0.0, out=h)
+            np.maximum(h, 0.0, out=h)
         else:
-            np.tanh(z, out=h)
+            np.tanh(h, out=h)
     W, b = layers[-1]
     np.matmul(hs[-1], W, out=v)
     v += b
 
 
 def _forward_parts(spec: MlpSpec, params, X: np.ndarray):
-    """All layer inputs and pre-activations, plus final linear outputs."""
-    zs = [np.empty((X.shape[0], w)) for w in spec.layer_sizes[1:-1]]
-    hs = [X] + [np.empty_like(z) for z in zs]
+    """All layer inputs, plus final linear outputs."""
+    hs = [X] + [np.empty((X.shape[0], w)) for w in spec.layer_sizes[1:-1]]
     v = np.empty((X.shape[0], spec.k))
-    _forward_into(spec.activation, params, hs, zs, v)
-    return hs, zs, v
+    _forward_into(spec.activation, params, hs, v)
+    return hs, v
 
 
 def forward(model: NetworkModel, X) -> np.ndarray:
     """Head outputs for a feature matrix: simplex rows or T = link(v)."""
     X = _check_features(model.spec, X)
-    _, _, v = _forward_parts(model.spec, model.params, X)
+    _, v = _forward_parts(model.spec, model.params, X)
     if model.spec.head == "simplex":
         return _softmax(v)
     return get_divergence(model.spec.divergence).link(v)
@@ -291,11 +295,12 @@ def _head_grad(
     return _simplex_logit_grad(div, D, onehot, rates, out=out, work=work)
 
 
-def _backprop_into(activation: str, layers, hs, zs, g_v, grads, deltas, derivs):
+def _backprop_into(activation: str, layers, hs, g_v, grads, deltas, masks):
     """Backpropagate the output gradient g_v, over any leading member axes.
 
-    hs and zs are _forward_into's; each layer's (dW, db) is written into
-    the arrays of grads, and deltas and derivs are scratch shaped like zs.
+    hs are _forward_into's; each layer's (dW, db) is written into the
+    arrays of grads, and deltas and masks are scratch shaped like the
+    hidden layers' hs, masks bool for relu and float for tanh.
     """
     g = g_v
     for i in range(len(layers) - 1, -1, -1):
@@ -304,21 +309,25 @@ def _backprop_into(activation: str, layers, hs, zs, g_v, grads, deltas, derivs):
         np.add.reduce(g, axis=-2, out=gb)
         if i > 0:
             g = np.matmul(g, layers[i][0].swapaxes(-1, -2), out=deltas[i - 1])
-            d = derivs[i - 1]
+            d = masks[i - 1]
             if activation == "relu":
-                # relu's kink at 0 is measure-zero under continuous inputs
-                np.greater(zs[i - 1], 0.0, out=d)
+                # relu(z) > 0 exactly where z > 0, NaN and -0.0 included;
+                # the kink at 0 is measure-zero under continuous inputs
+                np.greater(hs[i], 0.0, out=d)
             else:
                 np.multiply(hs[i], hs[i], out=d)
                 np.subtract(1.0, d, out=d)
             g *= d
 
 
-def _backprop(spec: MlpSpec, params, hs, zs, g_v):
+def _backprop(spec: MlpSpec, params, hs, g_v):
     """Per-layer (dW, db) of the output gradient g_v, in new arrays."""
     grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
-    scratch = [[np.empty_like(z) for z in zs] for _ in range(2)]
-    _backprop_into(spec.activation, params, hs, zs, g_v, grads, *scratch)
+    hidden = hs[1:]
+    deltas = [np.empty_like(h) for h in hidden]
+    mask_type = bool if spec.activation == "relu" else float
+    masks = [np.empty(h.shape, mask_type) for h in hidden]
+    _backprop_into(spec.activation, params, hs, g_v, grads, deltas, masks)
     return grads
 
 
@@ -334,12 +343,12 @@ def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig
     labels = _check_labels(labels, X.shape[0], k)
     div = get_divergence(cfg.divergence)
     e = _rates(cfg, k, "objective")
-    hs, zs, v = _forward_parts(model.spec, model.params, X)
+    hs, v = _forward_parts(model.spec, model.params, X)
     D = _softmax(v) if model.spec.head == "simplex" else None
     value = _head_value(div, v, D, labels, e)
     g_v = _head_grad(div, v, D, _onehot(labels, k), _rate_terms(e))
     g_v /= X.shape[0]
-    grads = _backprop(model.spec, model.params, hs, zs, g_v)
+    grads = _backprop(model.spec, model.params, hs, g_v)
     return value, grads
 
 
@@ -489,15 +498,18 @@ def _train_members(members, on_epoch=None) -> list:
     label_offset = (np.arange(M) * n)[:, None]
 
     # Workspaces for the largest batch: layer inputs (the gathered
-    # features first), pre-activations, deltas, activation derivatives,
-    # final outputs, head outputs, one-hot labels, head gradients and the
-    # head's scratch, and one (M, B, 1) column for row maxima and sums.
-    # A ragged last batch uses the first rows of each.
+    # features first, then each hidden layer's activations), deltas,
+    # activation derivatives (relu's as a bool mask), final outputs, head
+    # outputs, one-hot labels, head gradients and the head's scratch, and
+    # one (M, B, 1) column for row maxima and sums.  A ragged last batch
+    # uses the first rows of each.
     B = min(tc.batch_size, n)
     hidden = spec.layer_sizes[1:-1]
+    mask_type = bool if spec.activation == "relu" else float
     workspaces = [
         [np.empty((M, B, w)) for w in (spec.d_in, *hidden)],
-        *([np.empty((M, B, w)) for w in hidden] for _ in range(3)),
+        [np.empty((M, B, w)) for w in hidden],
+        [np.empty((M, B, w), mask_type) for w in hidden],
         [np.empty((M, B, k)) for _ in range(5)] + [np.empty((M, B, 1))],
     ]
     views = {}  # batch rows -> views of that many rows of every workspace
@@ -514,9 +526,9 @@ def _train_members(members, on_epoch=None) -> list:
             nb = idx.shape[1]
             if nb not in views:
                 views[nb] = [[a[:, :nb, :] for a in ws] for ws in workspaces]
-            hs, zs, deltas, derivs, (v, D, y1, g_v, tmp, col) = views[nb]
+            hs, deltas, masks, (v, D, y1, g_v, tmp, col) = views[nb]
             X.take(idx, axis=0, out=hs[0], mode="clip")
-            _forward_into(spec.activation, layers, hs, zs, v)
+            _forward_into(spec.activation, layers, hs, v)
             onehot.take(label_order[:, start:stop], axis=0, out=y1, mode="clip")
             _head_grad(
                 div, v, _softmax(v, out=D, col=col) if simplex else None, y1,
@@ -525,7 +537,7 @@ def _train_members(members, on_epoch=None) -> list:
             g_v /= nb
 
             _backprop_into(
-                spec.activation, layers, hs, zs, g_v, grad_layers, deltas, derivs
+                spec.activation, layers, hs, g_v, grad_layers, deltas, masks
             )
             lr = _cosine_lr(tc.lr0, step, total_steps)
             velocity *= tc.momentum
@@ -568,7 +580,7 @@ def _evaluate(
     """evaluate() on bare parameters and a dataset whose shapes the caller
     has checked; div is cfg's divergence.  The objective is None unless
     asked for."""
-    _, _, v = _forward_parts(spec, params, dataset.features)
+    _, v = _forward_parts(spec, params, dataset.features)
     D = _softmax(v) if spec.head == "simplex" else None
     # every raw posterior map is increasing in v, so v has its argmax
     scores = v if D is None else D

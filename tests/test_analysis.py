@@ -1,6 +1,7 @@
 """Tests for pointwise optima, bias bounds, and theorem-verification drivers."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -171,6 +172,18 @@ class TestTrainingBiasExpression:
             training_bias_expression("kl", [0.5, 0.5], [0.6, 0.5], [0.0, 0.0], T)
         with pytest.raises(ValueError):
             training_bias_expression("kl", [0.5, 0.5, 0.0], [0.0, 0.0], [0.0, 0.0], T)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        T = optimal_T_from_posterior("kl", np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="flip rates"):
+            training_bias_expression("kl", [0.5, 0.5], [bad, 0.1], [0.0, 0.0], T)
+        # in any row of a stack
+        p = np.full((3, 2), 0.5)
+        e = np.full((3, 2), 0.1)
+        e[1, 1] = bad
+        with pytest.raises(ValueError, match="flip rates"):
+            training_bias_expression("kl", p, e, np.zeros((3, 2)), np.tile(T, (3, 1)))
 
 
 # repr(max_error) of each verify_theorems report, in report order, as the

@@ -930,6 +930,22 @@ class TestCommandLine:
                 "1,js,none,none,1,1,0,0\n",
                 "record 2: unknown divergence 'js'",
             ),
+            (
+                "g.json",
+                json.dumps(
+                    {
+                        "records": [
+                            RECORD_ROW, {**RECORD_ROW, "final_objective": math.nan}
+                        ]
+                    }
+                ),
+                "record 2: final_objective must be finite, got nan",
+            ),
+            (
+                "h.csv",
+                ",".join(RECORD_COLUMNS) + "\n0,kl,none,none,0.9,0.9,0.5,-inf\n",
+                "record 1: wall_seconds must be finite, got -inf",
+            ),
         ],
         ids=[
             "json-non-object",
@@ -939,6 +955,8 @@ class TestCommandLine:
             "csv-short",
             "json-unknown-correction",
             "csv-unknown-divergence",
+            "json-nan-objective",
+            "csv-infinite-wall",
         ],
     )
     def test_report_malformed_records_exit_one(self, tmp_path, name, text, where):

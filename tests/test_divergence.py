@@ -305,8 +305,29 @@ def _decimal_v_forms(v: float) -> dict:
         return {k: tuple(float(x) for x in vals) for k, vals in forms.items()}
 
 
+def _decimal_links(v: float) -> dict:
+    """Each divergence's link(v) and link'(v) in decimal, as above."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        d = decimal.Decimal(v)
+        one = decimal.Decimal(1)
+        s = (one + d.exp()).ln()  # softplus(v)
+        sig = one / (one + (-d).exp())
+        links = {
+            "kl": (d, one),
+            "gan": (-(one + (-d).exp()).ln(), one / (one + d.exp())),
+            "sl": (-one / (one + s), sig / (one + s) ** 2),
+        }
+        return {k: tuple(float(x) for x in vals) for k, vals in links.items()}
+
+
+# |v| in {0, 1e-8, 1} straddles x = 0, where the exp(-|x|) forms of
+# softplus and sigmoid switch branch
+RAW_V = [-700.0, -100.0, -30.0, -1.0, -1e-8, 0.0, 1e-8, 1.0, 30.0, 100.0, 700.0]
+
+
 class TestRawVForms:
-    @pytest.mark.parametrize("v", [-700.0, -100.0, -30.0, 30.0, 100.0, 700.0])
+    @pytest.mark.parametrize("v", RAW_V)
     def test_match_decimal_reference(self, v):
         ref = _decimal_v_forms(v)
         for spec in ALL_SPECS:
@@ -315,6 +336,12 @@ class TestRawVForms:
                 for form in (spec.raw_posterior, spec.raw_conj, spec.raw_score)
             ]
             np.testing.assert_allclose(got, ref[spec.id], rtol=1e-14, err_msg=spec.id)
+        ref_links = _decimal_links(v)
+        for spec in ALL_SPECS:
+            got = [float(form(np.array(v))) for form in (spec.link, spec.link_prime)]
+            np.testing.assert_allclose(
+                got, ref_links[spec.id], rtol=1e-14, err_msg=spec.id
+            )
 
     def test_raw_rank_orders_as_posterior_minus_rates(self):
         # where raw_posterior(v) - e is finite, raw_rank has the same row

@@ -17,7 +17,9 @@ from postmax.model import (
     NetworkModel,
     TrainConfig,
     _backprop,
+    _backprop_into,
     _cosine_lr,
+    _forward_into,
     _forward_parts,
     _head_grad,
     _softmax,
@@ -260,12 +262,12 @@ class TestBackprop:
         cfg = raw_cfg(div_id, correction, noise if correction != "none" else None)
         model = init(MlpSpec((3, 5, 4), head="raw_t", divergence=div_id), seed=4)
         value, grads = objective_and_gradients(model, X, y, cfg)
-        hs, zs, v = _forward_parts(model.spec, model.params, X)
+        hs, v = _forward_parts(model.spec, model.params, X)
         spec = get_divergence(div_id)
         e = None if correction == "none" else noise.flip_rates(4)
         g_v = _raw_logit_grad(spec, v, _onehot(y, 4), _rate_terms(e)) / X.shape[0]
         assert value == _raw_value(spec, v, y, e)
-        for got, ref in zip(grads, _backprop(model.spec, model.params, hs, zs, g_v)):
+        for got, ref in zip(grads, _backprop(model.spec, model.params, hs, g_v)):
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
         out = forward(model, X)
@@ -277,7 +279,7 @@ class TestBackprop:
             g = corrected_grad_batch(div_id, out, y, e)
         g_v = g * spec.link_prime(v) / X.shape[0]
         assert value == pytest.approx(want, rel=1e-13)
-        for got, ref in zip(grads, _backprop(model.spec, model.params, hs, zs, g_v)):
+        for got, ref in zip(grads, _backprop(model.spec, model.params, hs, g_v)):
             np.testing.assert_allclose(got[0], ref[0], rtol=1e-13)
             np.testing.assert_allclose(got[1], ref[1], rtol=1e-13)
 
@@ -308,17 +310,23 @@ SIMPLEX_DRIFT = {
 }
 
 
+def reference_softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def reference_sigmoid(x):
-    return np.exp(-np.logaddexp(0.0, -x))
+    t = np.exp(-np.abs(x))
+    r = 1.0 / (1.0 + t)
+    return np.where(x >= 0.0, r, t * r)
 
 
 def reference_raw_forms(div_id, v):
-    """link'(v) and the raw score of each divergence."""
+    """link'(v) and the raw score of each divergence, on exp(-|v|)."""
     if div_id == "kl":
         return np.ones_like(v), np.exp(v - 1.0)
     if div_id == "gan":
         return reference_sigmoid(-v), reference_sigmoid(v)
-    s = np.logaddexp(0.0, v)
+    s = reference_softplus(v)
     return (
         reference_sigmoid(v) / (1.0 + s) ** 2,
         s * reference_sigmoid(v) / (1.0 + s) ** 2,
@@ -388,6 +396,130 @@ class TestStepHead:
                 want = reference_raw_grad(div_id, v, y, e_rows)
             got = _head_grad(spec, v, D, y, rates, out=g, work=(tmp, col))
             assert got is g and same_bits(got, want)
+
+
+def reference_forward(activation, layers, X):
+    """The forward pass as it was with a separate pre-activation array
+    per hidden layer: layer inputs hs, pre-activations zs and outputs v."""
+    hs, zs = [X], []
+    for W, b in layers[:-1]:
+        z = np.matmul(hs[-1], W)
+        z += b
+        zs.append(z)
+        hs.append(np.maximum(z, 0.0) if activation == "relu" else np.tanh(z))
+    W, b = layers[-1]
+    v = np.matmul(hs[-1], W)
+    v += b
+    return hs, zs, v
+
+
+def reference_backprop(activation, layers, hs, zs, g_v):
+    """Backprop as it was: relu's derivative a float mask of z > 0."""
+    grads = [None] * len(layers)
+    g = g_v
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = (
+            np.matmul(hs[i].swapaxes(-1, -2), g), np.add.reduce(g, axis=-2)
+        )
+        if i > 0:
+            g = np.matmul(g, layers[i][0].swapaxes(-1, -2))
+            if activation == "relu":
+                d = (zs[i - 1] > 0.0).astype(float)
+            else:
+                d = 1.0 - hs[i] * hs[i]
+            g *= d
+    return grads
+
+
+class TestInPlaceActivations:
+    """Activations applied in place, with relu's derivative read off the
+    activation as a bool mask, keep the bits of separate pre-activations
+    and a float mask."""
+
+    M, B = 3, 16
+
+    @staticmethod
+    def signed_zero_layers(rng, sizes, lead):
+        """Layers whose first pre-activations are +0.0 and -0.0 on rows
+        of tiny features: their products underflow to zeros of the sum's
+        sign, and a -0.0 bias keeps a -0.0."""
+        layers = []
+        for i, (a, b) in enumerate(zip(sizes, sizes[1:])):
+            W = rng.normal(size=lead + (a, b))
+            bias = rng.normal(scale=0.5, size=lead + (1, b))
+            if i == 0:
+                W *= 1e-30
+                bias[..., :2] = -0.0
+                bias[..., 2] = 0.0
+            layers.append((W, bias))
+        return layers
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 4)])
+    def test_step_keeps_the_bits_of_separate_pre_activations(
+        self, activation, hidden
+    ):
+        rng = np.random.default_rng(83 + len(hidden))
+        sizes = (5, *hidden, 3)
+        M, B = self.M, self.B
+        layers = self.signed_zero_layers(rng, sizes, (M,))
+        mask_type = bool if activation == "relu" else float
+        hs_ws = [np.empty((M, B, w)) for w in sizes[:-1]]
+        deltas_ws = [np.empty((M, B, w)) for w in hidden]
+        masks_ws = [np.empty((M, B, w), mask_type) for w in hidden]
+        v_ws = np.empty((M, B, sizes[-1]))
+        grads = [(np.empty_like(W), np.empty(b.shape[:1] + b.shape[2:]))
+                 for W, b in layers]
+        for nb in (B, 7):
+            hs, deltas, masks = (
+                [a[:, :nb, :] for a in ws] for ws in (hs_ws, deltas_ws, masks_ws)
+            )
+            v = v_ws[:, :nb, :]
+            hs[0][...] = rng.normal(scale=2.0, size=hs[0].shape)
+            hs[0][:, :3, :] *= 1e-300  # first pre-activations round to +-0.0
+            g_v = rng.normal(size=v.shape)
+            ref_hs, ref_zs, ref_v = reference_forward(activation, layers, hs[0])
+            if hidden:
+                z0 = ref_zs[0][:, :3, :2]
+                assert (z0 == 0.0).all()
+                assert np.signbit(z0).any() and not np.signbit(z0).all()
+            ref_grads = reference_backprop(
+                activation, layers, ref_hs, ref_zs, g_v
+            )
+
+            _forward_into(activation, layers, hs, v)
+            assert same_bits(v, ref_v)
+            for h, ref in zip(hs, ref_hs):
+                assert same_bits(h, ref)
+            _backprop_into(activation, layers, hs, g_v, grads, deltas, masks)
+            for (gW, gb), (rW, rb) in zip(grads, ref_grads):
+                assert same_bits(gW, rW) and same_bits(gb, rb)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 4)])
+    def test_unbatched_passes_keep_their_bits(self, activation, hidden):
+        rng = np.random.default_rng(89 + len(hidden))
+        sizes = (5, *hidden, 3)
+        layers = [
+            (W, b[0]) for W, b in self.signed_zero_layers(rng, sizes, ())
+        ]
+        spec = MlpSpec(sizes, activation=activation)
+        X = rng.normal(scale=2.0, size=(11, 5))
+        X[:3] *= 1e-300
+        g_v = rng.normal(size=(11, 3))
+        ref_hs, ref_zs, ref_v = reference_forward(activation, layers, X)
+        if hidden:
+            z0 = ref_zs[0][:3, :2]
+            assert (z0 == 0.0).all()
+            assert np.signbit(z0).any() and not np.signbit(z0).all()
+        hs, v = _forward_parts(spec, layers, X)
+        assert same_bits(v, ref_v)
+        for h, ref in zip(hs, ref_hs):
+            assert same_bits(h, ref)
+        grads = _backprop(spec, layers, hs, g_v)
+        ref_grads = reference_backprop(activation, layers, ref_hs, ref_zs, g_v)
+        for (gW, gb), (rW, rb) in zip(grads, ref_grads):
+            assert same_bits(gW, rW) and same_bits(gb, rb)
 
 
 class TestCosineSchedule:
@@ -496,13 +628,13 @@ class TestTrain:
         model = NetworkModel(spec, ((W0, b0), (W1, b1)))
         noise = NoiseParams.symmetric(0.2)
         cfg = raw_cfg(div_id, correction, noise if correction != "none" else None)
-        v = _forward_parts(spec, model.params, ds.features)[2]
+        v = _forward_parts(spec, model.params, ds.features)[1]
         assert np.abs(v).max() >= 800.0
         trained, trace = train(
             model, ds, cfg, TrainConfig(epochs=2, batch_size=8, lr0=1e-3)
         )
         assert all(math.isfinite(obj) for obj in trace.objective)
-        v = _forward_parts(spec, trained.params, ds.features)[2]
+        v = _forward_parts(spec, trained.params, ds.features)[1]
         assert np.abs(v).max() >= 790.0
 
     def test_shape_mismatches_rejected(self):
