@@ -399,8 +399,8 @@ class TestStepHead:
 
 
 def reference_forward(activation, layers, X):
-    """The forward pass as it was with a separate pre-activation array
-    per hidden layer: layer inputs hs, pre-activations zs and outputs v."""
+    """Forward pass with a separate pre-activation array per hidden layer:
+    layer inputs hs, pre-activations zs and final outputs v."""
     hs, zs = [X], []
     for W, b in layers[:-1]:
         z = np.matmul(hs[-1], W)
@@ -414,7 +414,8 @@ def reference_forward(activation, layers, X):
 
 
 def reference_backprop(activation, layers, hs, zs, g_v):
-    """Backprop as it was: relu's derivative a float mask of z > 0."""
+    """Backprop from reference_forward's arrays, relu's derivative a float
+    mask of z > 0."""
     grads = [None] * len(layers)
     g = g_v
     for i in range(len(layers) - 1, -1, -1):
