@@ -24,9 +24,9 @@ from postmax.divergence import (
     optimal_T_from_posterior,
     posterior_from_T,
 )
-from postmax.noise import TransitionMatrix, uniform_offdiag_matrix
+from postmax.noise import _check_stochastic, _offdiag_entries
 from postmax.objective import (
-    DiscreteJoint,
+    _check_pmf,
     _exact_bias,
     _exact_jf,
     # unused here; perfbench/spans.py wraps analysis.<name> for these three
@@ -198,26 +198,84 @@ def _random_pmf(rng, m: int, k: int) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _random_joint(rng, m: int, k: int) -> DiscreteJoint:
-    return DiscreteJoint(_random_pmf(rng, m, k))
+def _uniform(u, low: float, high: float) -> np.ndarray:
+    """Generator.uniform(low, high)'s values from its random() variates u."""
+    return low + (high - low) * u
 
 
-def _identity_gap(rng, joint, tm, e, scale, bias_fn) -> float:
-    """Largest |noisy objective - (scale * clean objective + bias)| over
-    the divergences, each at a T table f'(p) of posteriors p drawn from
-    rng.  The joint and tm arrive validated and f'(p) is in every domain,
-    so the oracles run unchecked and share each T's summed conjugate."""
-    pmf = joint.pmf
-    noisy = pmf @ tm.entries
-    worst = 0.0
-    for div_id in DIVERGENCE_IDS:
+def _check_count(name: str, value: int, least: int = 1) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+_IDENTITY_POINTS = 8  # points x of each identity trial's joint
+
+
+def _identity_draws(rng, trials: int, k: int, e_high: float):
+    """Every trial's draws, taken in one call.
+
+    Row t of the variates holds what a per-trial loop draws, in its
+    order: the rates uniform(0.01, e_high, k), the joint's
+    uniform(0.1, 1, (8, K)), then one uniform(0.05, 0.95, (8, K)) of
+    posteriors per divergence in DIVERGENCE_IDS order; Generator.uniform
+    is _uniform of random().  Returns the rates (trials, K), the joint
+    pmfs (trials, 8, K) and the posterior tables, one per divergence.
+    """
+    mk = _IDENTITY_POINTS * k
+    u = rng.random((trials, k + (1 + len(DIVERGENCE_IDS)) * mk))
+
+    def table(i, low, high):  # the i-th (8, K) table after the rates
+        cols = u[:, k + i * mk : k + (i + 1) * mk]
+        return _uniform(cols, low, high).reshape(trials, _IDENTITY_POINTS, k)
+
+    raw = table(0, 0.1, 1.0)
+    pmf = raw / raw.sum(axis=(1, 2), keepdims=True)
+    posteriors = [table(i, 0.05, 0.95) for i in range(1, 1 + len(DIVERGENCE_IDS))]
+    return _uniform(u[:, :k], 0.01, e_high), pmf, posteriors
+
+
+def _identity_gaps(pmf, entries, e, scale, posteriors, bias_fn) -> np.ndarray:
+    """|noisy objective - (scale * clean objective + bias)| of every trial
+    (rows) at every divergence (columns), each at the T table f'(p) of
+    its posteriors p.
+
+    The stacked joints pmf and transition matrices entries get the
+    checks DiscreteJoint and TransitionMatrix make; f'(p) is in every
+    domain, so the oracles run unchecked and share each T's summed
+    conjugate.
+    """
+    _check_pmf(pmf)
+    _check_stochastic(entries)
+    noisy = np.matmul(pmf, entries)
+    gaps = []
+    for div_id, p in zip(DIVERGENCE_IDS, posteriors):
         spec = get_divergence(div_id)
-        T = spec.f_prime(rng.uniform(0.05, 0.95, size=pmf.shape))
-        conj_rows = spec.conj(T).sum(axis=1)
+        T = spec.f_prime(p)
+        conj_rows = spec.conj(T).sum(axis=-1)
         lhs = _exact_jf(noisy, T, conj_rows)
         rhs = scale * _exact_jf(pmf, T, conj_rows) + bias_fn(pmf, T, conj_rows, e)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        gaps.append(np.abs(lhs - rhs))
+    return np.stack(gaps, axis=1)
+
+
+def _binary_identity_gaps(seed: int, trials: int, bias_fn=_exact_bias) -> np.ndarray:
+    """check_binary_identity's gaps, one row per trial."""
+    e, pmf, posteriors = _identity_draws(np.random.default_rng(seed), trials, 2, 0.45)
+    e0, e1 = e[:, 0], e[:, 1]
+    entries = np.stack([1.0 - e1, e1, e0, 1.0 - e0], axis=1).reshape(trials, 2, 2)
+    return _identity_gaps(pmf, entries, e, 1.0 - e0 - e1, posteriors, bias_fn)
+
+
+def _multiclass_identity_gaps(
+    seed: int, trials: int, k: int, bias_fn=_exact_bias
+) -> np.ndarray:
+    """check_multiclass_identity's gaps, one row per trial."""
+    e, pmf, posteriors = _identity_draws(
+        np.random.default_rng(seed), trials, k, 0.9 / k
+    )
+    return _identity_gaps(
+        pmf, _offdiag_entries(e), e, 1.0 - e.sum(axis=1), posteriors, bias_fn
+    )
 
 
 def check_binary_identity(
@@ -225,38 +283,24 @@ def check_binary_identity(
 ) -> TheoremReport:
     """Noisy objective = scaled clean objective + bias, two classes.
 
-    bias_fn(pmf, T, conj_rows, e) is objective._exact_bias's signature.
+    bias_fn(pmf, T, conj_rows, e) is objective._exact_bias's signature and
+    takes every trial at once: pmf and T (trials, 8, K), conj_rows
+    (trials, 8) and e (trials, K), returning one bias per trial.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        e = rng.uniform(0.01, 0.45, size=2)
-        e0, e1 = e
-        tm = TransitionMatrix([[1.0 - e1, e1], [e0, 1.0 - e0]])
-        joint = _random_joint(rng, 8, 2)
-        gap = _identity_gap(rng, joint, tm, e, 1.0 - e0 - e1, bias_fn)
-        worst = max(worst, gap)
-    return _report(
-        "binary_objective_identity", trials * len(DIVERGENCE_IDS), worst, 1e-12
-    )
+    _check_count("trials", trials)
+    gaps = _binary_identity_gaps(seed, trials, bias_fn)
+    return _report("binary_objective_identity", gaps.size, np.max(gaps), 1e-12)
 
 
 def check_multiclass_identity(
     seed: int, trials: int = 100, k: int = 5, bias_fn=_exact_bias
 ) -> TheoremReport:
     """Same decomposition under uniform off-diagonal noise, K classes;
-    bias_fn as in check_binary_identity."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        e = rng.uniform(0.01, 0.9 / k, size=k)
-        tm = uniform_offdiag_matrix(e)
-        joint = _random_joint(rng, 8, k)
-        gap = _identity_gap(rng, joint, tm, e, 1.0 - e.sum(), bias_fn)
-        worst = max(worst, gap)
-    return _report(
-        "multiclass_objective_identity", trials * len(DIVERGENCE_IDS), worst, 1e-12
-    )
+    bias_fn takes stacked trials as in check_binary_identity."""
+    _check_count("trials", trials)
+    _check_count("k", k, least=2)
+    gaps = _multiclass_identity_gaps(seed, trials, k, bias_fn)
+    return _report("multiclass_objective_identity", gaps.size, np.max(gaps), 1e-12)
 
 
 def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
@@ -266,6 +310,7 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
     Half the configs target the noisy posterior (1 - sum(e)) * p + e of
     drawn flip-in rates e, the rest the clean posterior p.
     """
+    _check_count("configs", configs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for div_id in DIVERGENCE_IDS:
@@ -302,6 +347,7 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
     Each k's rows are checked once and pushed through every eta's noise
     unchecked; every eta lies below the edge by construction.
     """
+    _check_count("n_vectors", n_vectors)
     rng = np.random.default_rng(seed)
     total = 0
     mismatched = 0
@@ -320,6 +366,7 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
 
 def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport:
     """Subtracting flip-in rates restores the clean argmax exactly."""
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     per_k = max(1, -(-trials // 9))  # ceil: never undershoot the request
     total = 0
@@ -339,6 +386,7 @@ def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport
 
 def check_posterior_gap_bound(seed: int, trials: int = 10_000) -> TheoremReport:
     """The curvature bound covers the posterior gap near convergence."""
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     worst_fraction = 0.0
     k = 4
@@ -362,17 +410,13 @@ def check_posterior_gap_bound(seed: int, trials: int = 10_000) -> TheoremReport:
     )
 
 
-def _uniform(u, low: float, high: float) -> np.ndarray:
-    """Generator.uniform(low, high)'s values from its random() variates u."""
-    return low + (high - low) * u
-
-
 def check_first_order_bias(seed: int, trials: int = 1_000) -> TheoremReport:
     """Halving the iterate gap shrinks the expression's residual ~4x.
 
     The expression drops quadratic terms, so its residual against the
     directly computed bias must fall at least 3x when delta is halved.
     """
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     k = 3

@@ -320,11 +320,14 @@ def posterior_from_T(spec, t: Scalar) -> Scalar:
 
 # The grid oracle's last log grid u, keyed on (u_max, n_grid), and its
 # last f(u), keyed on (spec, u_max, n_grid): one slot each, read-only, so
-# at most one of each is held at a time.  Grids are scanned in chunks of
-# _ORACLE_CHUNK points through one buffer.
+# at most one of each is held at a time.  The grid is cut into blocks of
+# _ORACLE_CHUNK points, and the f(u) slot also holds each block's least
+# f(u) and least and greatest u, from which brute_force_conjugate bounds
+# the block's values u*t - f(u) without reading them (rounding is
+# monotone; see there).  A block is scanned through one buffer.
 _oracle_u_slot: list = []
 _oracle_grid_slot: list = []
-_ORACLE_CHUNK = 2**16
+_ORACLE_CHUNK = 2**13
 
 
 def _oracle_u(u_max: float, n_grid: int) -> np.ndarray:
@@ -339,15 +342,25 @@ def _oracle_u(u_max: float, n_grid: int) -> np.ndarray:
 
 
 def _oracle_grid(spec: DivergenceSpec, u_max: float, n_grid: int):
+    """(u, f(u), and per block: least f(u), least u, greatest u)."""
     key = (spec, u_max, n_grid)
     if _oracle_grid_slot and _oracle_grid_slot[0][0] == key:
         return _oracle_grid_slot[0][1]
     _oracle_grid_slot.clear()  # free the old f(u) before building the next
     u = _oracle_u(u_max, n_grid)
     fu = spec.f(u)
-    fu.setflags(write=False)
-    _oracle_grid_slot.append((key, (u, fu)))
-    return u, fu
+    starts = np.arange(0, n_grid, _ORACLE_CHUNK)
+    grid = (
+        u,
+        fu,
+        np.minimum.reduceat(fu, starts),
+        np.minimum.reduceat(u, starts),
+        np.maximum.reduceat(u, starts),
+    )
+    for arr in grid:
+        arr.setflags(write=False)
+    _oracle_grid_slot.append((key, grid))
+    return grid
 
 
 def brute_force_conjugate(
@@ -361,6 +374,14 @@ def brute_force_conjugate(
     this supremum and the implemented conjugate formula.  The grid of the
     last (u_max, n_grid) and f(u) of the last (spec, u_max, n_grid) are
     kept for the next call.  A NaN anywhere on the grid gives NaN.
+
+    The result is the maximum of every grid value, computed as
+    fl(fl(u*t) - f(u)), but not every value is read.  Rounding is
+    monotone, so a block's values are at most its bound
+    fl(fl(u_end*t) - min f), with u_end its greatest u for t >= 0 and its
+    least u below.  Blocks are scanned in descending bound order until a
+    bound is at most the best value found.  A NaN value makes its block's
+    bound NaN or +inf, so every such block is scanned first.
     """
     spec = _as_spec(spec)
     if n_grid < 10**4:
@@ -369,13 +390,23 @@ def brute_force_conjugate(
         raise ValueError("u_max must be positive")
     arr, _ = _prepare(t)
     _check_in_domain(spec, arr)
-    u, fu = _oracle_grid(spec, float(u_max), int(n_grid))
+    u, fu, f_min, u_lo, u_hi = _oracle_grid(spec, float(u_max), int(n_grid))
     t = float(arr)
+    bounds = (u_hi if t >= 0.0 else u_lo) * t
+    bounds -= f_min
+    # NaN and +inf bounds sort first and never stop the scan
+    order = np.argsort(np.where(bounds < np.inf, -bounds, -np.inf), kind="stable")
     buf = np.empty(min(_ORACLE_CHUNK, u.shape[0]))
-    maxima = []
-    for start in range(0, u.shape[0], _ORACLE_CHUNK):
-        u_chunk = u[start : start + _ORACLE_CHUNK]
-        values = np.multiply(u_chunk, t, out=buf[: u_chunk.shape[0]])
+    best = -np.inf
+    for block in order:
+        if bounds[block] <= best and bounds[block] < np.inf:
+            break
+        start = block * _ORACLE_CHUNK
+        u_block = u[start : start + _ORACLE_CHUNK]
+        values = np.multiply(u_block, t, out=buf[: u_block.shape[0]])
         values -= fu[start : start + _ORACLE_CHUNK]
-        maxima.append(values.max())
-    return float(np.max(maxima))
+        top = values.max()
+        if np.isnan(top):
+            return float(top)
+        best = max(best, top)
+    return float(best)

@@ -18,6 +18,15 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 
 
+def _check_stochastic(entries: np.ndarray) -> None:
+    """TransitionMatrix's value checks on the K x K matrix on the last two
+    axes of entries, for each leading index."""
+    if not np.all((entries >= 0.0) & (entries <= 1.0)):  # NaN lies in neither
+        raise ValueError("transition probabilities must lie in [0, 1]")
+    if np.any(np.abs(entries.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
+        raise ValueError(f"each row must sum to 1 within {ROW_SUM_TOL}")
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """K x K row-stochastic matrix of label-flip probabilities."""
@@ -28,10 +37,7 @@ class TransitionMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise ValueError("transition matrix must be square with K >= 2")
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN lies in neither
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.any(np.abs(arr.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-            raise ValueError(f"each row must sum to 1 within {ROW_SUM_TOL}")
+        _check_stochastic(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -183,11 +189,18 @@ def uniform_offdiag_matrix(e: Sequence[float]) -> TransitionMatrix:
         raise ValueError("flip rates must be finite and nonnegative")
     if e.sum() >= 1.0:
         raise ValueError("flip rates must sum to less than 1")
-    k = e.shape[0]
-    entries = np.tile(e, (k, 1))
+    return TransitionMatrix(_offdiag_entries(e))
+
+
+def _offdiag_entries(e: np.ndarray) -> np.ndarray:
+    """uniform_offdiag_matrix's entries for rate rows e (..., K), unchecked:
+    one (..., K, K) matrix per row."""
+    k = e.shape[-1]
+    entries = np.repeat(e[..., None, :], k, axis=-2)
     # row i keeps the label with probability 1 - sum_{j != i} e_j
-    np.fill_diagonal(entries, 1.0 - (e.sum() - e))
-    return TransitionMatrix(entries)
+    diag = np.arange(k)
+    entries[..., diag, diag] = 1.0 - (e.sum(axis=-1, keepdims=True) - e)
+    return entries
 
 
 def _counter_uniforms(seed: int, n: int) -> np.ndarray:

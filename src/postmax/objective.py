@@ -66,6 +66,17 @@ class ObjectiveConfig:
                 )
 
 
+def _check_pmf(pmf: np.ndarray) -> None:
+    """DiscreteJoint's value checks on the M x K pmf on the last two axes
+    of pmf, for each leading index; a NaN total fails them."""
+    if np.any(pmf < 0.0):
+        raise ValueError("pmf entries must be nonnegative")
+    if not np.all(np.abs(pmf.sum(axis=(-2, -1)) - 1.0) <= 1e-12):
+        raise ValueError("pmf must sum to 1 within 1e-12")
+    if np.any(pmf.sum(axis=-1) <= 0.0):
+        raise ValueError("every point must carry positive probability")
+
+
 @dataclass(frozen=True)
 class DiscreteJoint:
     """Joint distribution on M abstract points and K classes.
@@ -81,12 +92,7 @@ class DiscreteJoint:
         arr = np.asarray(self.pmf, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ValueError("pmf must be an M x K matrix with K >= 2")
-        if np.any(arr < 0.0):
-            raise ValueError("pmf entries must be nonnegative")
-        if abs(arr.sum() - 1.0) > 1e-12:
-            raise ValueError("pmf must sum to 1 within 1e-12")
-        if np.any(arr.sum(axis=1) <= 0.0):
-            raise ValueError("every point must carry positive probability")
+        _check_pmf(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "pmf", arr)
@@ -428,13 +434,23 @@ def _checked_table(spec, joint: DiscreteJoint, T_table):
 def exact_jf(spec, joint: DiscreteJoint, T_table) -> float:
     """Closed-sum objective value on a finite domain; no sampling."""
     spec, T = _checked_table(spec, joint, T_table)
-    return _exact_jf(joint.pmf, T, spec.conj(T).sum(axis=1))
+    return float(_exact_jf(joint.pmf, T, spec.conj(T).sum(axis=1)))
 
 
-def _exact_jf(pmf, T, conj_rows) -> float:
+def _exact_jf(pmf, T, conj_rows):
     """exact_jf on a pmf and T table the caller has checked, given each
-    row's summed conjugate conj_rows = spec.conj(T).sum(axis=1)."""
-    return float(np.sum(pmf * T) - np.dot(pmf.sum(axis=1), conj_rows))
+    row's summed conjugate conj_rows = spec.conj(T).sum(axis=-1).
+
+    pmf and T are (..., M, K), one table per leading index, and the result
+    is one value per leading index; every table gets the bits it gets alone.
+    """
+    return np.sum(pmf * T, axis=(-2, -1)) - _row_dot(pmf.sum(axis=-1), conj_rows)
+
+
+def _row_dot(a, b):
+    """np.dot of the last axes of a and b, one per leading index: matmul
+    of a 1 x M by an M x 1 matrix is the one BLAS ddot np.dot makes."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def exact_jf_noisy(spec, joint: DiscreteJoint, tm: TransitionMatrix, T_table) -> float:
@@ -446,10 +462,14 @@ def exact_bias(spec, joint: DiscreteJoint, T_table, e) -> float:
     """Closed-sum noise bias on a finite domain, for identity oracles."""
     spec, T = _checked_table(spec, joint, T_table)
     e = _check_rates(e, joint.k)
-    return _exact_bias(joint.pmf, T, spec.conj(T).sum(axis=1), e)
+    return float(_exact_bias(joint.pmf, T, spec.conj(T).sum(axis=1), e))
 
 
-def _exact_bias(pmf, T, conj_rows, e) -> float:
+def _exact_bias(pmf, T, conj_rows, e):
     """exact_bias on a pmf, T table and rates the caller has checked, with
-    conj_rows as in _exact_jf."""
-    return float(np.dot(pmf.sum(axis=1), T @ e - e.sum() * conj_rows))
+    conj_rows and leading indices as in _exact_jf and one rate row e
+    (..., K) per table."""
+    # T @ e per table, through the gemv that 2-D T @ e makes
+    per_point = np.matmul(T, e[..., :, None])[..., 0]
+    per_point -= e.sum(axis=-1, keepdims=True) * conj_rows
+    return _row_dot(pmf.sum(axis=-1), per_point)

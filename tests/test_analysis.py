@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from postmax.analysis import (
+    _binary_identity_gaps,
+    _multiclass_identity_gaps,
     _solve_pointwise,
     check_argmax_invariance,
     check_binary_identity,
@@ -25,7 +27,13 @@ from postmax.divergence import (
     posterior_from_T,
 )
 from postmax.noise import TransitionMatrix, uniform_offdiag_matrix
-from postmax.objective import DiscreteJoint, _exact_bias
+from postmax.objective import (
+    DiscreteJoint,
+    _exact_bias,
+    exact_bias,
+    exact_jf,
+    noisy_joint,
+)
 
 
 def _target_posterior(joint, tm):
@@ -288,3 +296,107 @@ class TestCheckDrivers:
         )
         assert raw == [r.to_dict() for r in reports]
         assert all(r.passed for r in reports)
+
+
+def reference_identity_gaps(seed, trials, k, binary):
+    """The identity checks' gaps, one trial at a time through the public
+    validating oracles, drawing each trial's variates with rng.uniform."""
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for _ in range(trials):
+        if binary:
+            e = rng.uniform(0.01, 0.45, size=2)
+            e0, e1 = e
+            tm = TransitionMatrix([[1.0 - e1, e1], [e0, 1.0 - e0]])
+            scale = 1.0 - e0 - e1
+        else:
+            e = rng.uniform(0.01, 0.9 / k, size=k)
+            tm = uniform_offdiag_matrix(e)
+            scale = 1.0 - e.sum()
+        pmf = rng.uniform(0.1, 1.0, size=(8, k))
+        joint = DiscreteJoint(pmf / pmf.sum())
+        noisy = noisy_joint(joint, tm)
+        row = []
+        for div_id in DIVERGENCE_IDS:
+            T = optimal_T_from_posterior(div_id, rng.uniform(0.05, 0.95, size=(8, k)))
+            lhs = exact_jf(div_id, noisy, T)
+            rhs = scale * exact_jf(div_id, joint, T) + exact_bias(div_id, joint, T, e)
+            row.append(abs(lhs - rhs))
+        gaps.append(row)
+    return np.array(gaps)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+class TestBatchedIdentityChecks:
+    """Every trial's gap, at every divergence, against the per-trial loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_binary_gaps_match_per_trial_reference(self, seed):
+        got = _binary_identity_gaps(seed, 100)
+        assert same_bits(got, reference_identity_gaps(seed, 100, 2, binary=True))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_multiclass_gaps_match_per_trial_reference(self, seed, k):
+        got = _multiclass_identity_gaps(seed, 100, k)
+        assert same_bits(got, reference_identity_gaps(seed, 100, k, binary=False))
+
+    def test_report_is_the_largest_gap(self):
+        report = check_multiclass_identity(3, trials=7, k=4)
+        gaps = reference_identity_gaps(3, 7, 4, binary=False)
+        assert report.trials == gaps.size == 7 * len(DIVERGENCE_IDS)
+        assert report.max_error == gaps.max()
+
+    def test_bias_fn_gets_stacked_trials(self):
+        shapes = []
+
+        def recording(pmf, T, conj_rows, e):
+            shapes.append((pmf.shape, T.shape, conj_rows.shape, e.shape))
+            return _exact_bias(pmf, T, conj_rows, e)
+
+        assert check_multiclass_identity(0, trials=6, k=3, bias_fn=recording).passed
+        assert shapes == [((6, 8, 3), (6, 8, 3), (6, 8), (6, 3))] * len(
+            DIVERGENCE_IDS
+        )
+
+    def test_nan_bias_fails(self):
+        def nan_bias(pmf, T, conj_rows, e):
+            out = _exact_bias(pmf, T, conj_rows, e)
+            out[3] = np.nan
+            return out
+
+        report = check_binary_identity(0, trials=5, bias_fn=nan_bias)
+        assert math.isnan(report.max_error) and not report.passed
+
+
+COUNT_CASES = [
+    (check_binary_identity, {"trials": 0}, "trials"),
+    (check_binary_identity, {"trials": -3}, "trials"),
+    (check_multiclass_identity, {"trials": 0}, "trials"),
+    (check_multiclass_identity, {"k": 1}, "k"),
+    (check_pointwise_optimum, {"configs": 0}, "configs"),
+    (check_argmax_invariance, {"n_vectors": 0}, "n_vectors"),
+    (check_correction_exactness, {"trials": 0}, "trials"),
+    (check_posterior_gap_bound, {"trials": 0}, "trials"),
+    (check_first_order_bias, {"trials": 0}, "trials"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, kwargs, name",
+    COUNT_CASES,
+    ids=[f"{c.__name__}-{next(iter(kw.items()))}" for c, kw, _ in COUNT_CASES],
+)
+def test_check_rejects_count_before_drawing(monkeypatch, check, kwargs, name):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking its counts")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=rf"^{name} must be at least"):
+        check(0, **kwargs)

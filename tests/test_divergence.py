@@ -180,6 +180,89 @@ class TestGridOracleCache:
         assert len(divergence._oracle_grid_slot) == 1
 
 
+# t windows that put the grid maximizer anywhere from the bottom of the
+# grid to its top, wider than ORACLE_T_RANGES
+SCAN_T_WINDOWS = {"kl": (-8.0, 8.0), "gan": (-8.0, -1e-3), "sl": (-0.999, -1e-3)}
+
+
+class TestBoundedScan:
+    """brute_force_conjugate skips the blocks its bounds rule out, and must
+    still return the full scan's value."""
+
+    @pytest.mark.parametrize(
+        "n_grid", [10**4, 2 * divergence._ORACLE_CHUNK + 17, 10**6]
+    )
+    def test_equals_full_scan(self, n_grid):
+        rng = np.random.default_rng(n_grid)
+        u = np.logspace(-6.0, np.log10(1e3), n_grid)
+        for spec in ALL_SPECS:
+            ts = list(rng.uniform(*SCAN_T_WINDOWS[spec.id], size=100))
+            if spec.id == "kl":
+                ts.append(0.0)
+            # uncached_grid_max's values, with f(u) made once
+            fu = spec.f(u)
+            values = np.empty_like(u)
+            for t in ts:
+                np.multiply(u, t, out=values)
+                want = float(np.subtract(values, fu, out=values).max())
+                assert brute_force_conjugate(spec, t, n_grid=n_grid) == want, t
+
+    def test_minus_inf_f_gives_plus_inf(self):
+        u = np.logspace(-6.0, np.log10(1e3), 3 * divergence._ORACLE_CHUNK)
+        bad = u[divergence._ORACLE_CHUNK + 7]
+        custom = dataclasses.replace(
+            KL, f=lambda u: np.where(u == bad, -np.inf, u * np.log(u))
+        )
+        for t in (-2.0, 0.0, 2.0):
+            got = brute_force_conjugate(custom, t, n_grid=u.shape[0])
+            assert got == np.inf == uncached_grid_max(custom, t, 1e3, u.shape[0])
+
+    def test_plus_inf_f_over_a_block(self):
+        chunk = divergence._ORACLE_CHUNK
+        u = np.logspace(-6.0, np.log10(1e3), 3 * chunk)
+        # kl's maximizer u = exp(t - 1) lies in the middle block, where
+        # f is +inf, so the maximum comes from a neighbouring block
+        t = 1.0 + np.log(u[chunk + chunk // 2])
+        lo, hi = u[chunk], u[2 * chunk - 1]
+        custom = dataclasses.replace(
+            KL, f=lambda u: np.where((u >= lo) & (u <= hi), np.inf, u * np.log(u))
+        )
+        got = brute_force_conjugate(custom, t, n_grid=u.shape[0])
+        assert got == uncached_grid_max(custom, t, 1e3, u.shape[0])
+        assert got < brute_force_conjugate("kl", t, n_grid=u.shape[0])
+        everywhere = dataclasses.replace(KL, f=lambda u: np.full_like(u, np.inf))
+        assert brute_force_conjugate(everywhere, t, n_grid=u.shape[0]) == -np.inf
+
+    def test_nan_in_a_block_its_bound_would_skip(self):
+        chunk = divergence._ORACLE_CHUNK
+        n_grid = 2 * chunk + 17
+        u = np.logspace(-6.0, np.log10(1e3), n_grid)
+        bad = u[5]
+        custom = dataclasses.replace(
+            KL, f=lambda u: np.where(u == bad, np.nan, u * np.log(u))
+        )
+        # kl's maximizer at t = 0.5 is u = exp(-0.5), past the NaN's block
+        assert np.argmax(u * 0.5 - KL.f(u)) >= chunk
+        assert math.isnan(brute_force_conjugate(custom, 0.5, n_grid=n_grid))
+
+    def test_nan_from_overflow_beside_an_infinite_value(self):
+        # u*t overflows to +inf where f is +inf, so those values are NaN;
+        # another block holds a +inf value, and the NaN must still win
+        n_grid = 10**4
+        u = np.logspace(-6.0, 300.0, n_grid)
+        low = u[5]
+        custom = dataclasses.replace(
+            KL,
+            f=lambda u: np.where(
+                u == low, -np.inf, np.where(u > 1e299, np.inf, u * np.log(u))
+            ),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(uncached_grid_max(custom, 1e10, 1e300, n_grid))
+            got = brute_force_conjugate(custom, 1e10, u_max=1e300, n_grid=n_grid)
+        assert math.isnan(got)
+
+
 class TestConjugateDerivatives:
     def test_frozen_values(self):
         assert conj_prime("kl", 1.0) == pytest.approx(1.0, abs=1e-15)

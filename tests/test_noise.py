@@ -7,6 +7,7 @@ from postmax.noise import (
     LabeledDataset,
     NoiseParams,
     TransitionMatrix,
+    _check_stochastic,
     corrupt,
     symmetric_matrix,
     uniform_offdiag_matrix,
@@ -85,6 +86,19 @@ class TestTransitionMatrixValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             TransitionMatrix(np.full((2, 2), np.nan))
+
+    def test_stacked_checks_every_matrix(self):
+        good = np.stack([np.eye(3), symmetric_matrix(3, 0.3).entries])
+        _check_stochastic(good)
+        for index, value, match in (
+            ((1, 2, 0), -0.1, r"\[0, 1\]"),
+            ((0, 1, 1), np.nan, r"\[0, 1\]"),
+            ((1, 0, 0), 0.5, "sum to 1"),
+        ):
+            bad = good.copy()
+            bad[index] = value
+            with pytest.raises(ValueError, match=match):
+                _check_stochastic(bad)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -40,6 +40,7 @@ from postmax.objective import (
 )
 from postmax.objective import (
     _bias_simplex,
+    _check_pmf,
     _exact_bias,
     _exact_jf,
     _jf_simplex,
@@ -170,6 +171,24 @@ def random_T(div_id, rng, shape):
 def random_joint(rng, m, k):
     pmf = rng.uniform(0.1, 1.0, size=(m, k))
     return DiscreteJoint(pmf / pmf.sum())
+
+
+# (divergence, M, K) -> float.hex of _exact_jf and _exact_bias on the
+# tables test_unchecked_twins_keep_their_bits draws
+EXACT_TWIN_PINS = {
+    ("gan", 1, 2): ("-0x1.fc00a604b4094p+0", "-0x1.42a29ba1f975cp+0"),
+    ("kl", 1, 2): ("-0x1.89a11ecb350fcp+0", "-0x1.10bcb2656dd50p-1"),
+    ("sl", 1, 2): ("-0x1.6c968aca8271fp+1", "-0x1.09aac97611cf3p+1"),
+    ("gan", 8, 2): ("-0x1.f66e320cee1bap+0", "-0x1.ad9b5a5b026a6p-1"),
+    ("kl", 8, 2): ("-0x1.069a7469d7e48p+0", "-0x1.641ed694f929ep-2"),
+    ("sl", 8, 2): ("-0x1.6a08506d9f032p+1", "-0x1.c54c2d21b408ep-1"),
+    ("gan", 8, 5): ("-0x1.9f85b55435770p+1", "-0x1.0dfaca8c6c15fp+1"),
+    ("kl", 8, 5): ("-0x1.35db39a8359d8p+1", "-0x1.3976e495b294ap+0"),
+    ("sl", 8, 5): ("-0x1.847840b27fdbbp+2", "-0x1.6ec4624812560p+1"),
+    ("gan", 8, 9): ("-0x1.2d87423dc2a7bp+2", "-0x1.310867e93ac92p+1"),
+    ("kl", 8, 9): ("-0x1.22820caf09d0bp+2", "-0x1.13862f5a9ea95p+1"),
+    ("sl", 8, 9): ("-0x1.4da55713b5462p+3", "-0x1.aeb064f41cab7p+2"),
+}
 
 
 class TestJfBatch:
@@ -851,6 +870,28 @@ class TestDiscreteJoint:
         with pytest.raises(ValueError):
             DiscreteJoint([0.5, 0.5])
 
+    def test_rejects_nan(self):
+        # NaN fails every comparison, so the total's test must fail on it
+        with pytest.raises(ValueError, match="sum to 1"):
+            DiscreteJoint([[np.nan, 0.5], [0.25, 0.25]])
+
+    def test_stacked_pmf_checks_every_table(self):
+        good = np.full((4, 3, 2), 1.0 / 6.0)
+        _check_pmf(good)
+        for index, value, match in (
+            ((2, 0, 0), -1e-3, "nonnegative"),
+            ((3, 1, 1), 0.5, "sum to 1"),
+            ((1, 0, 0), np.nan, "sum to 1"),
+        ):
+            bad = good.copy()
+            bad[index] = value
+            with pytest.raises(ValueError, match=match):
+                _check_pmf(bad)
+        empty_point = np.zeros((2, 2, 2))
+        empty_point[:, 0] = 0.5
+        with pytest.raises(ValueError, match="positive probability"):
+            _check_pmf(empty_point)
+
     def test_pmf_read_only(self):
         joint = DiscreteJoint([[0.5, 0.5]])
         with pytest.raises(ValueError):
@@ -932,6 +973,42 @@ class TestExactOracles:
             assert _exact_jf(
                 joint.pmf @ tm.entries, T, conj_rows
             ) == exact_jf_noisy(div_id, joint, tm, T)
+
+    def test_unchecked_twins_keep_their_bits(self):
+        # float.hex of _exact_jf and _exact_bias per (divergence, M, K) as
+        # the 2-D forms computed them before they took leading axes
+        rng = np.random.default_rng(113)
+        for (div_id, m, k), want in EXACT_TWIN_PINS.items():
+            spec = get_divergence(div_id)
+            pmf = rng.uniform(0.1, 1.0, size=(m, k))
+            pmf /= pmf.sum()
+            T = spec.f_prime(rng.uniform(0.05, 0.95, size=(m, k)))
+            e = rng.uniform(0.01, 0.9 / k, size=k)
+            conj_rows = spec.conj(T).sum(axis=1)
+            got = (
+                float(_exact_jf(pmf, T, conj_rows)).hex(),
+                float(_exact_bias(pmf, T, conj_rows, e)).hex(),
+            )
+            assert got == want, (div_id, m, k)
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_unchecked_twins_stack_table_by_table(self, div_id):
+        rng = np.random.default_rng(127)
+        spec = get_divergence(div_id)
+        for shape in ((6, 8, 3), (2, 3, 4, 2), (1, 1, 2)):
+            pmf = rng.uniform(0.1, 1.0, size=shape)
+            pmf /= pmf.sum(axis=(-2, -1), keepdims=True)
+            T = random_T(div_id, rng, shape)
+            e = rng.uniform(0.01, 0.9 / shape[-1], size=shape[:-2] + shape[-1:])
+            conj_rows = spec.conj(T).sum(axis=-1)
+            jf = _exact_jf(pmf, T, conj_rows)
+            bias = _exact_bias(pmf, T, conj_rows, e)
+            assert jf.shape == bias.shape == shape[:-2]
+            for i in np.ndindex(*shape[:-2]):
+                assert same_bits(jf[i], _exact_jf(pmf[i], T[i], conj_rows[i]))
+                assert same_bits(
+                    bias[i], _exact_bias(pmf[i], T[i], conj_rows[i], e[i])
+                )
 
     def test_shape_mismatch_rejected(self):
         joint = DiscreteJoint([[0.5, 0.5]])
