@@ -295,8 +295,11 @@ def check_binary_identity(
 def check_multiclass_identity(
     seed: int, trials: int = 100, k: int = 5, bias_fn=_exact_bias
 ) -> TheoremReport:
-    """Same decomposition under uniform off-diagonal noise, K classes;
-    bias_fn takes stacked trials as in check_binary_identity."""
+    """Same decomposition under uniform off-diagonal noise, K classes.
+
+    bias_fn gets every trial at once, pmf and T (trials, 8, K), conj_rows
+    (trials, 8) and e (trials, K), and returns one bias per trial.
+    """
     _check_count("trials", trials)
     _check_count("k", k, least=2)
     gaps = _multiclass_identity_gaps(seed, trials, k, bias_fn)

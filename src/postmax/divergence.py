@@ -386,8 +386,8 @@ def brute_force_conjugate(
     spec = _as_spec(spec)
     if n_grid < 10**4:
         raise ValueError("n_grid must be at least 10^4")
-    if not (u_max > 0.0):
-        raise ValueError("u_max must be positive")
+    if not (1e-6 < u_max < np.inf):  # the grid runs up from 1e-6; NaN fails
+        raise ValueError("u_max must be finite and above 1e-6")
     arr, _ = _prepare(t)
     _check_in_domain(spec, arr)
     u, fu, f_min, u_lo, u_hi = _oracle_grid(spec, float(u_max), int(n_grid))
@@ -395,7 +395,7 @@ def brute_force_conjugate(
     bounds = (u_hi if t >= 0.0 else u_lo) * t
     bounds -= f_min
     # NaN and +inf bounds sort first and never stop the scan
-    order = np.argsort(np.where(bounds < np.inf, -bounds, -np.inf), kind="stable")
+    order = np.argsort(np.where(bounds < np.inf, -bounds, -np.inf))
     buf = np.empty(min(_ORACLE_CHUNK, u.shape[0]))
     best = -np.inf
     for block in order:

@@ -111,6 +111,13 @@ class TestConjugate:
         with pytest.raises(ValueError):
             brute_force_conjugate("kl", 0.0, n_grid=100)
 
+    @pytest.mark.parametrize("u_max", [1e-9, 1e-6, 0.0, -1.0, math.inf, math.nan])
+    def test_grid_oracle_rejects_u_max_off_the_grid(self, u_max):
+        # u_max = inf made a grid of NaN and inf, and u_max <= 1e-6 ran
+        # the grid downward, below its documented (1e-6, u_max)
+        with pytest.raises(ValueError, match="u_max"):
+            brute_force_conjugate("kl", 0.5, u_max=u_max, n_grid=10**4)
+
 
 def uncached_grid_max(spec, t, u_max, n_grid):
     u = np.logspace(-6.0, np.log10(u_max), n_grid)
