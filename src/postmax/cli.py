@@ -77,6 +77,8 @@ def _parse_csv_rows(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ConfigError(
                     f"{path}: line {lineno}: non-numeric value"
                 ) from None
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{path}: line {lineno}: non-finite value")
             if width is None:
                 width = len(values)
             elif len(values) != width:
@@ -354,8 +356,15 @@ def parse_config(tree: dict) -> ExperimentConfig:
     _check_keys(model_tree, ("hidden", "activation", "head"), "model")
     if not isinstance(model_tree.get("hidden", []), (list, tuple)):
         raise ConfigError("'hidden' must be a list of layer widths")
-    hidden = _field(model_tree, "model", "hidden", _int_tuple, [32])
-    activation = str(model_tree.get("activation", "relu"))
+    # MlpSpec's own checks, with stand-in input and output widths
+    hidden = _field(
+        model_tree, "model", "hidden",
+        lambda h: MlpSpec((1, *_int_tuple(h), 2)).layer_sizes[1:-1], [32],
+    )
+    activation = _field(
+        model_tree, "model", "activation",
+        lambda a: MlpSpec((1, 2), str(a)).activation, "relu",
+    )
     head = str(model_tree.get("head", "simplex"))
 
     if "objective" not in tree:
@@ -457,6 +466,10 @@ class ResultRecord:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
+        for name in ("final_objective", "wall_seconds"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
 
 
 # How a record field of each type is read back: the CSV cell's converter
@@ -472,10 +485,8 @@ def describe_noise(noise: Optional[NoiseParams]) -> str:
         return "none"
     if noise.kind == "symmetric":
         return f"symmetric(eta={noise.eta!r})"
-    if noise.kind == "uniform_offdiag":
-        rates = ",".join(repr(float(v)) for v in noise.e)
-        return f"uniform_offdiag(e={rates})"
-    return "custom"
+    rates = ",".join(repr(float(v)) for v in noise.e)
+    return f"uniform_offdiag(e={rates})"
 
 
 def _load_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
@@ -674,14 +685,6 @@ def report(records: Sequence[ResultRecord], format: str = "table") -> str:
     raise ValueError("format must be csv, json, or table")
 
 
-def _check_finite(record: ResultRecord) -> None:
-    """Reject a non-finite objective or wall time, which no sweep writes."""
-    for name in ("final_objective", "wall_seconds"):
-        v = getattr(record, name)
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-
-
 def parse_report(text: str, format: str) -> list[ResultRecord]:
     """Read records back from report output (csv or json only).
 
@@ -705,7 +708,6 @@ def parse_report(text: str, format: str) -> list[ResultRecord]:
             cells = zip(_RECORD_TYPES.values(), row)
             try:
                 record = ResultRecord(*(read(c) for (read, _), c in cells))
-                _check_finite(record)
             except ValueError as err:
                 raise ValueError(f"record {i}: {err}") from None
             records.append(record)
@@ -730,7 +732,6 @@ def parse_report(text: str, format: str) -> list[ResultRecord]:
                 raise ValueError(f"record {i}: mistyped {', '.join(mistyped)}")
             try:
                 record = ResultRecord(**row)
-                _check_finite(record)
             except ValueError as err:
                 raise ValueError(f"record {i}: {err}") from None
             records.append(record)

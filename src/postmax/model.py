@@ -104,7 +104,7 @@ class MlpSpec:
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError("layer_sizes needs input and output widths >= 1")
+            raise ValueError("layer_sizes needs at least two widths, each >= 1")
         if sizes[-1] < 2:
             raise ValueError("output width must be at least 2 classes")
         object.__setattr__(self, "layer_sizes", sizes)

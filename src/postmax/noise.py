@@ -2,6 +2,8 @@
 
 Labels are 0-based integers everywhere.  A transition matrix entry
 entries[i][j] is the probability that a clean label i is observed as j.
+NoiseParams describes symmetric or uniform off-diagonal noise, the two
+models with per-class flip-in rates; corrupt takes any transition matrix.
 Corruption draws one uniform variate per sample from a counter-based
 generator keyed on the seed, with the sample index selecting the stream
 position, so the outcome for a sample never depends on processing order.
@@ -49,21 +51,19 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Noise model description: symmetric, uniform off-diagonal, or custom.
+    """Noise model description: symmetric or uniform off-diagonal.
 
     Symmetric noise flips a label to each other class with probability
     eta/(K-1).  Uniform off-diagonal noise flips into class j with
-    probability e[j] regardless of the source class.  Custom wraps an
-    arbitrary transition matrix; corrections reject it because the
-    correction formulas are defined only for the first two models.
-    Every rate must be finite.  The parameters describe the noise only:
-    the seed of a draw is corrupt's argument.
+    probability e[j] regardless of the source class.  Both have the
+    per-class flip-in rates the correction formulas take.  Every rate
+    must be finite.  The parameters describe the noise only: the seed of
+    a draw is corrupt's argument.
     """
 
-    kind: str  # "symmetric" | "uniform_offdiag" | "custom"
+    kind: str  # "symmetric" | "uniform_offdiag"
     eta: Optional[float] = None
     e: Optional[tuple[float, ...]] = None
-    matrix: Optional[TransitionMatrix] = None
 
     def __post_init__(self):
         if self.kind == "symmetric":
@@ -78,9 +78,6 @@ class NoiseParams:
             if sum(e) >= 1.0:
                 raise ValueError("flip rates must sum to less than 1")
             object.__setattr__(self, "e", e)
-        elif self.kind == "custom":
-            if self.matrix is None:
-                raise ValueError("custom noise requires a transition matrix")
         else:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
@@ -92,18 +89,12 @@ class NoiseParams:
     def uniform_offdiag(cls, e: Sequence[float]) -> "NoiseParams":
         return cls(kind="uniform_offdiag", e=tuple(float(v) for v in e))
 
-    @classmethod
-    def custom(cls, matrix: TransitionMatrix) -> "NoiseParams":
-        return cls(kind="custom", matrix=matrix)
-
     def to_matrix(self, k: int) -> TransitionMatrix:
         if self.kind == "symmetric":
             return symmetric_matrix(k, self.eta)
-        if self.kind == "uniform_offdiag":
-            if len(self.e) != k:
-                raise ValueError(f"rate vector has length {len(self.e)}, expected {k}")
-            return uniform_offdiag_matrix(self.e)
-        return self.matrix
+        if len(self.e) != k:
+            raise ValueError(f"rate vector has length {len(self.e)}, expected {k}")
+        return uniform_offdiag_matrix(self.e)
 
     def flip_rates(self, k: int) -> np.ndarray:
         """Per-class flip-in rates e for the correction formulas."""
@@ -113,11 +104,9 @@ class NoiseParams:
             if self.eta >= (k - 1) / k:
                 raise ValueError("eta must be below (K-1)/K")
             return np.full(k, self.eta / (k - 1))
-        if self.kind == "uniform_offdiag":
-            if len(self.e) != k:
-                raise ValueError(f"rate vector has length {len(self.e)}, expected {k}")
-            return np.asarray(self.e, dtype=float)
-        raise ValueError("corrections support only symmetric or uniform off-diagonal noise")
+        if len(self.e) != k:
+            raise ValueError(f"rate vector has length {len(self.e)}, expected {k}")
+        return np.asarray(self.e, dtype=float)
 
 
 @dataclass(frozen=True)

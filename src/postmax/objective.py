@@ -59,11 +59,6 @@ class ObjectiveConfig:
         if self.correction != "none":
             if self.noise is None:
                 raise ValueError("a correction mode requires noise parameters")
-            if self.noise.kind not in ("symmetric", "uniform_offdiag"):
-                raise ValueError(
-                    "corrections are defined only for symmetric or "
-                    "uniform off-diagonal noise"
-                )
 
 
 def _check_pmf(pmf: np.ndarray) -> None:
@@ -221,8 +216,8 @@ def _check_simplex_row(D_row, require_simplex: bool) -> np.ndarray:
     D = np.asarray(D_row, dtype=float)
     if D.ndim != 1 or D.shape[0] < 2:
         raise ValueError("expected one simplex row of length K >= 2")
-    if np.any(D < 0.0):
-        raise ValueError("simplex components must be nonnegative")
+    if np.any(D < 0.0) or not np.all(np.isfinite(D)):
+        raise ValueError("simplex components must be nonnegative and finite")
     if require_simplex and abs(D.sum() - 1.0) > 1e-9:
         raise ValueError("row must sum to 1 within 1e-9")
     return D

@@ -133,6 +133,15 @@ class TestLoadCsv:
         with pytest.raises(ConfigError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        # float() parses these, and one such cell would turn its whole
+        # column non-finite once the training split is standardized
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1.0,2.0,0\n1.0,{cell},1\n3.0,4.0,0\n")
+        with pytest.raises(ConfigError, match="line 2: non-finite value"):
+            load_csv(path)
+
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("1.0,2.0,0\n1.0,2.0,-1\n")
@@ -428,6 +437,9 @@ class TestConfig:
             ),
             ({"noise": {"kind": "uniform_offdiag", "e": [0.6, 0.5]}}, "noise.e"),
             ({"seeds": ["a"]}, "seeds"),
+            ({"model": {"hidden": [8], "activation": "sigmoid"}}, "model.activation"),
+            ({"model": {"hidden": [0]}}, "model.hidden"),
+            ({"model": {"hidden": [-4]}}, "model.hidden"),
         ],
     )
     def test_malformed_values_name_their_key(self, overrides, key):

@@ -1,7 +1,10 @@
-"""Every name a module in src/ or tests/ imports is used in that module."""
+"""Every name a module in src/ or tests/ imports is used in that module,
+and every name src/ defines at module level is named somewhere else."""
 
 import ast
 import importlib.util
+import re
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
@@ -83,3 +86,61 @@ def test_detects_an_unused_import():
         "__all__ = ['c']\nnp.zeros(1)\n"
     )
     assert unused_imports(tree) == {"os", "b"}
+
+
+def _defined_names(node: ast.stmt) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        # click reaches a decorated *_cmd command through its decorator
+        if node.name.endswith("_cmd") and node.decorator_list:
+            return []
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    names = []
+    for t in targets:
+        elts = t.elts if isinstance(t, ast.Tuple) else [t]
+        names += [e.id for e in elts if isinstance(e, ast.Name)]
+    return names
+
+
+def unnamed_definitions(text: str, words: Counter) -> set:
+    """Module-level definitions in text whose name occurs in words only
+    inside the definition itself; dunder names are exempt."""
+    lines = text.splitlines()
+    dead = set()
+    for node in ast.parse(text).body:
+        span = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+        own = Counter(re.findall(r"\w+", span))
+        for name in _defined_names(node):
+            if not name.startswith("__") and words[name] == own[name]:
+                dead.add(name)
+    return dead
+
+
+def test_every_definition_is_named_elsewhere():
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    others = (
+        sorted((ROOT / "tests").glob("*.py"))
+        + sorted((ROOT / "perfbench").glob("*.py"))
+        + sorted((ROOT / "perfbench").glob("*.md"))
+        + [ROOT / "README.md"]
+    )
+    texts = {p: p.read_text(encoding="utf-8") for p in sources + others}
+    words = Counter(re.findall(r"\w+", "\n".join(texts.values())))
+    found = {}
+    for path in sources:
+        dead = unnamed_definitions(texts[path], words)
+        if dead:
+            found[path.relative_to(ROOT).as_posix()] = sorted(dead)
+    assert found == {}
+
+
+def test_detects_an_unnamed_definition():
+    text = (
+        "TOL = 1e-6\n__version__ = '1'\nA, B = 1, TOL\n"
+        "def f():\n    return f()\n\n"
+        "@main.command()\ndef run_cmd():\n    pass\n"
+    )
+    words = Counter(re.findall(r"\w+", text + "\nprint(B)\n"))
+    assert unnamed_definitions(text, words) == {"A", "f"}

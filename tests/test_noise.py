@@ -193,11 +193,6 @@ class TestNoiseParams:
         p = NoiseParams.uniform_offdiag([0.1, 0.3])
         np.testing.assert_allclose(p.flip_rates(2), [0.1, 0.3])
 
-    def test_custom_rejected_for_corrections(self):
-        p = NoiseParams.custom(symmetric_matrix(2, 0.2))
-        with pytest.raises(ValueError):
-            p.flip_rates(2)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseParams.uniform_offdiag([0.6, 0.5])

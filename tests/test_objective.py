@@ -536,6 +536,12 @@ class TestSimplexForms:
     def test_kl_rejects_non_simplex(self):
         with pytest.raises(ValueError):
             jf_simplex_kl([0.5, 0.6], 0)
+        # a NaN component passes both the sign and the sum comparison
+        for fn in (jf_simplex_kl, cross_entropy, jf_simplex_kl_logit_grad,
+                   cross_entropy_logit_grad):
+            for row in ([np.nan, 1.0], [np.inf, 1.0]):
+                with pytest.raises(ValueError, match="finite"):
+                    fn(row, 1)
 
     def test_grad_D_rejects_unknown_id(self):
         with pytest.raises(ValueError):
@@ -1048,9 +1054,3 @@ class TestObjectiveConfig:
     def test_rejects_correction_without_noise(self):
         with pytest.raises(ValueError):
             ObjectiveConfig(divergence="kl", correction="objective")
-
-    def test_rejects_correction_with_custom_noise(self):
-        tm = TransitionMatrix([[0.9, 0.1], [0.3, 0.7]])
-        noise = NoiseParams.custom(tm)
-        with pytest.raises(ValueError):
-            ObjectiveConfig(divergence="kl", correction="posterior", noise=noise)

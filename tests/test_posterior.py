@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from postmax.divergence import DIVERGENCE_IDS, optimal_T_from_posterior
-from postmax.noise import NoiseParams, TransitionMatrix
+from postmax.noise import NoiseParams
 from postmax.posterior import (
-    PosteriorMatrix,
     _noisy_forward,
     accuracy,
     estimate_posterior,
@@ -30,12 +29,11 @@ class TestEstimatePosterior:
         for div_id in DIVERGENCE_IDS:
             T = optimal_T_from_posterior(div_id, P)
             est = estimate_posterior(div_id, T)
-            assert not est.normalized
-            np.testing.assert_allclose(est.values, P, rtol=1e-9)
+            np.testing.assert_allclose(est, P, rtol=1e-9)
 
     def test_kl_frozen_unnormalized(self):
         est = estimate_posterior("kl", [[1.0, 1.0]])
-        np.testing.assert_allclose(est.values, [[1.0, 1.0]])
+        np.testing.assert_allclose(est, [[1.0, 1.0]])
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -59,10 +57,6 @@ class TestPredict:
         rows = random_simplex(rng, 100, 4)
         scales = rng.uniform(0.1, 10.0, size=(100, 1))
         np.testing.assert_array_equal(predict(rows), predict(rows * scales))
-
-    def test_accepts_posterior_matrix(self):
-        pm = PosteriorMatrix([[0.1, 0.9], [0.8, 0.2]])
-        assert predict(pm).tolist() == [1, 0]
 
 
 class TestNoisyForward:
@@ -134,12 +128,15 @@ class TestNoisyForward:
             noisy_posterior_forward([0.5, 0.6], [0.1, 0.1])
         with pytest.raises(ValueError):
             noisy_posterior_forward([1.2, -0.2], [0.1, 0.1])
+        for bad in ([np.nan, 0.5], [np.nan, np.nan], [[0.5, 0.5], [0.5, np.nan]]):
+            with pytest.raises(ValueError, match="probability vectors"):
+                noisy_posterior_forward(bad, [0.1, 0.1])
 
 
 class TestPosteriorCorrect:
     def test_frozen_binary(self):
         corrected = posterior_correct([[0.52, 0.48]], [0.1, 0.3])
-        np.testing.assert_allclose(corrected.values, [[0.42, 0.18]], atol=1e-15)
+        np.testing.assert_allclose(corrected, [[0.42, 0.18]], atol=1e-15)
         assert predict(corrected).tolist() == [0]
 
     def test_rescaled_inverts_forward(self):
@@ -148,61 +145,36 @@ class TestPosteriorCorrect:
         e = [0.1, 0.05, 0.2, 0.15]
         noisy = noisy_posterior_forward(P, e)
         back = posterior_correct(noisy, e, rescale=True)
-        np.testing.assert_allclose(back.values, P, rtol=1e-12)
+        np.testing.assert_allclose(back, P, rtol=1e-12)
 
     def test_zero_rates_unchanged(self):
         rows = [[0.3, 0.7], [0.9, 0.1]]
         out = posterior_correct(rows, [0.0, 0.0])
-        np.testing.assert_array_equal(out.values, rows)
+        np.testing.assert_array_equal(out, rows)
 
     def test_accepts_symmetric_params(self):
-        # symmetric parameters expand to the equal flip-in vector
-        noise = NoiseParams.symmetric(0.3)
-        out = posterior_correct([[0.5, 0.3, 0.2]], noise)
-        np.testing.assert_allclose(
-            out.values, [[0.35, 0.15, 0.05]], atol=1e-15
-        )
-
-    def test_rejects_custom_params(self):
-        tm = TransitionMatrix([[0.9, 0.1], [0.3, 0.7]])
-        with pytest.raises(ValueError):
-            posterior_correct([[0.5, 0.5]], NoiseParams.custom(tm))
+        # symmetric parameters expand to the equal flip-in vector, which
+        # is what evaluation passes
+        rates = NoiseParams.symmetric(0.3).flip_rates(3)
+        out = posterior_correct([[0.5, 0.3, 0.2]], rates)
+        np.testing.assert_allclose(out, [[0.35, 0.15, 0.05]], atol=1e-15)
 
     def test_negatives_preserved_for_prediction(self):
         # an undershooting estimate goes below zero after subtraction and
         # must stay there: clamping could flip the argmax
         corrected = posterior_correct([[0.05, 0.95]], [0.1, 0.3])
-        np.testing.assert_allclose(corrected.values, [[-0.05, 0.65]], atol=1e-15)
+        np.testing.assert_allclose(corrected, [[-0.05, 0.65]], atol=1e-15)
         assert predict(corrected).tolist() == [1]
 
-    def test_accepts_posterior_matrix_input(self):
-        pm = PosteriorMatrix([[0.52, 0.48]])
-        out = posterior_correct(pm, [0.1, 0.3])
-        np.testing.assert_allclose(out.values, [[0.42, 0.18]], atol=1e-15)
+    def test_rejects_non_finite_rows(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                posterior_correct([[0.5, 0.5], [bad, 0.5]], [0.1, 0.1])
 
-
-class TestNormalizedReporting:
-    def test_clamps_and_normalizes(self):
-        pm = PosteriorMatrix([[-0.05, 0.65]])
-        norm = pm.to_normalized()
-        assert norm.normalized
-        np.testing.assert_allclose(norm.values, [[0.0, 1.0]])
-
-    def test_normalized_flag_validated(self):
-        with pytest.raises(ValueError):
-            PosteriorMatrix([[0.5, 0.6]], normalized=True)
-        with pytest.raises(ValueError):
-            PosteriorMatrix([[-0.1, 1.1]], normalized=True)
-
-    def test_all_negative_row_rejected(self):
-        pm = PosteriorMatrix([[-0.2, -0.3]])
-        with pytest.raises(ValueError):
-            pm.to_normalized()
-
-    def test_values_read_only(self):
-        pm = PosteriorMatrix([[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            pm.values[0, 0] = 0.9
+    def test_rejects_non_matrix(self):
+        for bad in ([0.5, 0.5], [[[0.5, 0.5]]], [[1.0]], 0.5):
+            with pytest.raises(ValueError, match="N x K matrix"):
+                posterior_correct(bad, [0.1, 0.1])
 
 
 class TestAccuracy:
