@@ -36,7 +36,6 @@ from postmax.objective import (
 )
 from postmax.posterior import (
     _check_probability_rows,
-    _noisy_forward,
     noisy_posterior_forward,
     posterior_correct,
     predict,
@@ -337,18 +336,48 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
 
 def _untied_simplex(rng, n: int, k: int) -> np.ndarray:
     """n simplex rows drawn from rng, less those whose two largest
-    components lie within 1e-9 of each other."""
+    components lie within 1e-9 of each other.
+
+    The top two come from a running max/min over the K column views:
+    numpy runs a per-row op, such as a sort along axis 1, as one short
+    inner loop per row, while each column op is one long pass.
+    """
     rows = rng.uniform(0.01, 1.0, size=(n, k))
     rows = rows / rows.sum(axis=1, keepdims=True)
-    sorted_rows = np.sort(rows, axis=1)
-    return rows[sorted_rows[:, -1] - sorted_rows[:, -2] > 1e-9]
+    top = np.maximum(rows[:, 0], rows[:, 1])
+    second = np.minimum(rows[:, 0], rows[:, 1])
+    below_top = np.empty_like(top)
+    for j in range(2, k):
+        np.minimum(top, rows[:, j], out=below_top)
+        np.maximum(second, below_top, out=second)
+        np.maximum(top, rows[:, j], out=top)
+    return rows.compress(top - second > 1e-9, axis=0)
+
+
+def _first_max(cols) -> np.ndarray:
+    """np.argmax(cols.T, axis=1) of finite class-major (K, n) rows.
+
+    Ties resolve to the lowest class index: a row's index is the number
+    of leading classes strictly below its max.
+    """
+    peak = cols.max(axis=0)
+    below = cols[0] < peak
+    index = below.astype(np.intp)
+    for col in cols[1:-1]:
+        below &= col < peak
+        index += below
+    return index
 
 
 def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport:
     """Symmetric noise below the tolerance edge never moves the argmax.
 
     Each k's rows are checked once and pushed through every eta's noise
-    unchecked; every eta lies below the edge by construction.
+    unchecked; every eta lies below the edge by construction.  The rows
+    are held class-major, a (k, n) array, because numpy runs an op along
+    a short last axis as one inner loop per row; the noise map is the
+    same two IEEE operations, (1 - sum(e)) * p then + e, as
+    noisy_posterior_forward's.
     """
     _check_count("n_vectors", n_vectors)
     rng = np.random.default_rng(seed)
@@ -357,12 +386,16 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
     for k in range(2, 11):
         rows = _untied_simplex(rng, n_vectors, k)
         _check_probability_rows(rows)
-        clean = predict(rows)
+        cols = np.ascontiguousarray(rows.T)
+        clean = _first_max(cols)
+        noisy = np.empty_like(cols)
         edge = (k - 1) / k
         for eta in (0.1, 0.3, 0.5 * edge, 0.99 * edge):
-            noisy = _noisy_forward(rows, np.full(k, eta / (k - 1)))
-            mismatched += int(np.sum(predict(noisy) != clean))
-            total += rows.shape[0]
+            e = np.full(k, eta / (k - 1))
+            np.multiply(1.0 - e.sum(), cols, out=noisy)
+            noisy += e[:, None]
+            mismatched += int(np.count_nonzero(_first_max(noisy) != clean))
+            total += cols.shape[1]
     frac = mismatched / total
     return _report("symmetric_argmax_invariance", total, frac, 0.0)
 

@@ -224,17 +224,15 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a nonempty list")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        _modes(self.corrections)
         for mode in self.corrections:
-            if mode not in _CORRECTIONS:
-                raise ConfigError(f"correction must be one of {_CORRECTIONS}")
             if mode != "none" and self.noise is None:
                 raise ConfigError(
                     f"correction '{mode}' requires a noise section"
                 )
         if not self.corrections:
             raise ConfigError("at least one correction mode is required")
-        if self.out_format not in ("csv", "json", "table"):
-            raise ConfigError("output format must be csv, json, or table")
+        _out_format(self.out_format)
         # Objective-level validation (divergence id, head name).
         ObjectiveConfig(self.divergence, "none", None, self.head)
 
@@ -270,6 +268,40 @@ def _field(tree: dict, section: Optional[str], key: str, convert, default=None):
 
 def _int_tuple(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
+
+
+def _modes(value) -> tuple[str, ...]:
+    """One correction mode, or a list of them, as a tuple of modes."""
+    if isinstance(value, str):
+        value = [value]
+    elif not isinstance(value, (list, tuple)):
+        raise ConfigError("expected a mode or a list of modes")
+    modes = tuple(str(m) for m in value)
+    for mode in modes:
+        if mode not in _CORRECTIONS:
+            raise ConfigError(f"correction must be one of {_CORRECTIONS}")
+    return modes
+
+
+_TRAIN_PROBE = {"epochs": 0, "batch_size": 1}  # stand-ins that TrainConfig accepts
+
+
+def _train_field(tree: dict, key: str, convert, default):
+    """_field of a train key, put through TrainConfig's own checks with
+    stand-ins for the other fields."""
+
+    def checked(value):
+        probe = TrainConfig(**{**_TRAIN_PROBE, key: convert(value)})
+        return getattr(probe, key)
+
+    return _field(tree, "train", key, checked, default)
+
+
+def _out_format(value) -> str:
+    value = str(value)
+    if value not in ("csv", "json", "table"):
+        raise ConfigError("output format must be csv, json, or table")
+    return value
 
 
 def _parse_noise(tree) -> Optional[NoiseParams]:
@@ -365,7 +397,11 @@ def parse_config(tree: dict) -> ExperimentConfig:
         model_tree, "model", "activation",
         lambda a: MlpSpec((1, 2), str(a)).activation, "relu",
     )
-    head = str(model_tree.get("head", "simplex"))
+    # ObjectiveConfig's own checks, with a stand-in divergence
+    head = _field(
+        model_tree, "model", "head",
+        lambda h: ObjectiveConfig(DIVERGENCE_IDS[0], head=str(h)).head, "simplex",
+    )
 
     if "objective" not in tree:
         raise ConfigError("section 'objective' is required")
@@ -373,28 +409,21 @@ def parse_config(tree: dict) -> ExperimentConfig:
     _check_keys(obj, ("divergence", "correction"), "objective")
     if "divergence" not in obj:
         raise ConfigError("objective requires 'divergence'")
-    divergence = str(obj["divergence"])
-    correction = obj.get("correction", "none")
-    if isinstance(correction, str):
-        corrections = (correction,)
-    elif isinstance(correction, (list, tuple)):
-        corrections = tuple(str(m) for m in correction)
-    else:
-        raise ConfigError("'correction' must be a mode or a list of modes")
+    divergence = _field(
+        obj, "objective", "divergence", lambda d: ObjectiveConfig(str(d)).divergence
+    )
+    corrections = _field(obj, "objective", "correction", _modes, "none")
 
     noise = _parse_noise(tree.get("noise"))
 
     train_tree = _require_mapping(tree.get("train", {}), "train")
     _check_keys(train_tree, ("epochs", "batch_size", "lr0", "momentum"), "train")
-    try:
-        train_config = TrainConfig(
-            epochs=_field(train_tree, "train", "epochs", int, 100),
-            batch_size=_field(train_tree, "train", "batch_size", int, 32),
-            lr0=_field(train_tree, "train", "lr0", float, 0.02),
-            momentum=_field(train_tree, "train", "momentum", float, 0.9),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    train_config = TrainConfig(
+        epochs=_train_field(train_tree, "epochs", int, 100),
+        batch_size=_train_field(train_tree, "batch_size", int, 32),
+        lr0=_train_field(train_tree, "lr0", float, 0.02),
+        momentum=_train_field(train_tree, "momentum", float, 0.9),
+    )
 
     if not isinstance(tree.get("seeds", []), (list, tuple)):
         raise ConfigError("'seeds' must be a list of integers")
@@ -403,7 +432,7 @@ def parse_config(tree: dict) -> ExperimentConfig:
     out_tree = _require_mapping(tree.get("output", {}), "output")
     _check_keys(out_tree, ("path", "format"), "output")
     out_path = out_tree.get("path")
-    out_format = str(out_tree.get("format", "table"))
+    out_format = _field(out_tree, "output", "format", _out_format, "table")
 
     try:
         return ExperimentConfig(

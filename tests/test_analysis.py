@@ -8,8 +8,10 @@ import pytest
 
 from postmax.analysis import (
     _binary_identity_gaps,
+    _first_max,
     _multiclass_identity_gaps,
     _solve_pointwise,
+    _untied_simplex,
     check_argmax_invariance,
     check_binary_identity,
     check_correction_exactness,
@@ -256,12 +258,18 @@ PINNED_MAX_ERRORS = {
     ),
 }
 
+# each report's trials, the same at every pinned seed: the argmax sweep
+# keeps all 9 x 4 x 10^4 of its rows and the correction check all
+# 9 x 1112 of its rows, so a tie filter that drops a row shows here
+PINNED_TRIALS = (300, 300, 300, 360_000, 10_008, 30_000, 3_000)
+
 
 class TestCheckDrivers:
     @pytest.mark.parametrize("seed", sorted(PINNED_MAX_ERRORS))
     def test_reports_pinned(self, seed):
-        got = tuple(repr(r.max_error) for r in verify_theorems(seed))
-        assert got == PINNED_MAX_ERRORS[seed]
+        reports = verify_theorems(seed)
+        assert tuple(repr(r.max_error) for r in reports) == PINNED_MAX_ERRORS[seed]
+        assert tuple(r.trials for r in reports) == PINNED_TRIALS
 
     def test_all_pass_at_default_settings(self):
         assert check_binary_identity(0).passed
@@ -369,6 +377,72 @@ class TestBatchedIdentityChecks:
 
         report = check_binary_identity(0, trials=5, bias_fn=nan_bias)
         assert math.isnan(report.max_error) and not report.passed
+
+
+# finite values rich in exact ties at the max, signed zeros and subnormals
+TIE_VALUES = (-1.5, -5e-324, -0.0, 0.0, 5e-324, 2.5e-310, 0.5, 1.0)
+
+
+class TestFirstMax:
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("n", [0, 1, 7, 10_000])
+    def test_matches_argmax(self, k, n):
+        rng = np.random.default_rng(100 * k + n)
+        for rows in (rng.choice(TIE_VALUES, size=(n, k)), rng.random((n, k))):
+            got = _first_max(np.ascontiguousarray(rows.T))
+            assert np.array_equal(got, np.argmax(rows, axis=1))
+
+    def test_ties_signed_zeros_and_subnormals(self):
+        rows = np.array(
+            [
+                [-0.0, 0.0, -1.0],
+                [0.0, -0.0, -0.0],
+                [-1.0, -0.0, 0.0],
+                [5e-324, 0.0, 5e-324],
+                [0.0, 5e-324, 5e-324],
+                [2.5e-310, 5e-324, 2.5e-310],
+                [0.5, 1.0, 1.0],
+            ]
+        )
+        got = _first_max(np.ascontiguousarray(rows.T))
+        assert got.tolist() == [0, 0, 1, 0, 1, 0, 1]
+        assert np.array_equal(got, np.argmax(rows, axis=1))
+
+
+def untied_simplex_by_sort(rng, n, k):
+    """_untied_simplex as it was written first: each row sorted in full."""
+    rows = rng.uniform(0.01, 1.0, size=(n, k))
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    sorted_rows = np.sort(rows, axis=1)
+    return rows[sorted_rows[:, -1] - sorted_rows[:, -2] > 1e-9]
+
+
+class TenthsRng:
+    """A generator whose uniform draws are rounded up to tenths, so many
+    rows tie at their top two and the filter drops them."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high, size):
+        return np.ceil(self._rng.uniform(low, high, size) * 10.0) / 10.0
+
+
+class TestUntiedSimplex:
+    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_keeps_the_sorted_filters_rows(self, k, seed):
+        for make in (np.random.default_rng, TenthsRng):
+            got = _untied_simplex(make(seed), 2_000, k)
+            want = untied_simplex_by_sort(make(seed), 2_000, k)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_tied_rows_are_dropped(self, k):
+        rows = _untied_simplex(TenthsRng(0), 2_000, k)
+        assert 0 < rows.shape[0] < 2_000
+        top_two = np.sort(rows, axis=1)[:, -2:]
+        assert np.all(top_two[:, 1] - top_two[:, 0] > 1e-9)
 
 
 COUNT_CASES = [

@@ -440,6 +440,21 @@ class TestConfig:
             ({"model": {"hidden": [8], "activation": "sigmoid"}}, "model.activation"),
             ({"model": {"hidden": [0]}}, "model.hidden"),
             ({"model": {"hidden": [-4]}}, "model.hidden"),
+            ({"model": {"hidden": [8], "head": "logits"}}, "model.head"),
+            ({"objective": {"divergence": "bogus"}}, "objective.divergence"),
+            (
+                {"objective": {"divergence": "kl", "correction": ["none", "bogus"]}},
+                "objective.correction",
+            ),
+            (
+                {"objective": {"divergence": "kl", "correction": "bogus"}},
+                "objective.correction",
+            ),
+            ({"train": {"epochs": -1}}, "train.epochs"),
+            ({"train": {"batch_size": 0}}, "train.batch_size"),
+            ({"train": {"lr0": 0}}, "train.lr0"),
+            ({"train": {"momentum": 1.5}}, "train.momentum"),
+            ({"output": {"format": "xml"}}, "output.format"),
         ],
     )
     def test_malformed_values_name_their_key(self, overrides, key):

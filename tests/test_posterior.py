@@ -132,6 +132,18 @@ class TestNoisyForward:
             with pytest.raises(ValueError, match="probability vectors"):
                 noisy_posterior_forward(bad, [0.1, 0.1])
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, -0.1, 0.9, 1.0 + 1e-8]
+    )
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_rejects_any_bad_entry(self, bad, k):
+        # the bad value replaces the last entry of the last row, and the
+        # other rows stay valid
+        rows = random_simplex(np.random.default_rng(k), 6, k)
+        rows[-1, -1] = bad
+        with pytest.raises(ValueError, match="probability"):
+            noisy_posterior_forward(rows, np.zeros(k))
+
 
 class TestPosteriorCorrect:
     def test_frozen_binary(self):
