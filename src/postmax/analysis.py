@@ -95,33 +95,37 @@ def _golden_section_max(spec, q, lo, hi, tol: float = GOLDEN_TOL) -> np.ndarray:
 
     Every element runs the scalar golden-section recurrence and stops on
     its own test b - a > tol, so each result is independent of the
-    others in the batch.
+    others in the batch.  The state of the unfinished elements is held
+    compacted, in arrays that are stepped whole; they are compressed only
+    in an iteration where some bracket closes, and each element's
+    midpoint 0.5 * (a + b) is written into the result once, when it does.
     """
-    a, b = lo.copy(), hi.copy()
+    out = 0.5 * (lo + hi)
+    live = np.flatnonzero(hi - lo > tol)
+    a, b, q = lo[live], hi[live], q[live]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = q * c - spec.conj(c)
     fd = q * d - spec.conj(d)
-    live = np.flatnonzero(b - a > tol)
     while live.size:
-        la, lb, lc, ld = a[live], b[live], c[live], d[live]
-        lfc, lfd = fc[live], fd[live]
-        left = lfc > lfd
-        # left keeps [a, d] with c as its upper interior point; right
-        # keeps [c, b] with d as its lower one
-        la = np.where(left, la, lc)
-        lb = np.where(left, ld, lb)
-        kept = np.where(left, lc, ld)
-        f_kept = np.where(left, lfc, lfd)
-        new = np.where(left, lb - _INVPHI * (lb - la), la + _INVPHI * (lb - la))
-        f_new = q[live] * new - spec.conj(new)
-        a[live], b[live] = la, lb
-        c[live] = np.where(left, new, kept)
-        fc[live] = np.where(left, f_new, f_kept)
-        d[live] = np.where(left, kept, new)
-        fd[live] = np.where(left, f_kept, f_new)
-        live = live[lb - la > tol]
-    return 0.5 * (a + b)
+        left = fc > fd
+        # left keeps [a, d] with the old c as its upper interior point and
+        # probes a new lower one; right keeps [c, b] with the old d as its
+        # lower interior point and probes a new upper one
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        f_new = q * new - spec.conj(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+        still_open = b - a > tol
+        if not still_open.all():
+            closed = ~still_open
+            out[live[closed]] = 0.5 * (a[closed] + b[closed])
+            live, a, b, c, d, fc, fd, q = (
+                x[still_open] for x in (live, a, b, c, d, fc, fd, q)
+            )
+    return out
 
 
 def _bracket(spec, q, guess):
@@ -338,12 +342,21 @@ def _untied_simplex(rng, n: int, k: int) -> np.ndarray:
     """n simplex rows drawn from rng, less those whose two largest
     components lie within 1e-9 of each other.
 
-    The top two come from a running max/min over the K column views:
-    numpy runs a per-row op, such as a sort along axis 1, as one short
-    inner loop per row, while each column op is one long pass.
+    The row sums below K = 8 and the top two come from running ops over
+    the K column views: numpy runs a per-row op, such as a sum or a sort
+    along axis 1, as one short inner loop per row, while each column op
+    is one long pass.  numpy adds a last axis shorter than 8 from left to
+    right, so the running add gives its bits; from 8 it keeps eight
+    partial sums.
     """
     rows = rng.uniform(0.01, 1.0, size=(n, k))
-    rows = rows / rows.sum(axis=1, keepdims=True)
+    if k < 8:
+        total = rows[:, 0] + rows[:, 1]
+        for j in range(2, k):
+            total += rows[:, j]
+        rows = rows / total[:, None]
+    else:
+        rows = rows / rows.sum(axis=1, keepdims=True)
     top = np.maximum(rows[:, 0], rows[:, 1])
     second = np.minimum(rows[:, 0], rows[:, 1])
     below_top = np.empty_like(top)

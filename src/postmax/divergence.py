@@ -279,7 +279,9 @@ def _finish(arr: np.ndarray, scalar: bool, what: str) -> Scalar:
 
 def _check_in_domain(spec: DivergenceSpec, t: np.ndarray) -> None:
     lo, hi = spec.conj_domain
-    if not np.all(np.isfinite(t)) or np.any(t <= lo) or np.any(t >= hi):
+    # a NaN min or max fails its comparison, and an infinite one is not
+    # inside its own domain end; an empty t has nothing to check
+    if t.size and not (lo < t.min() and t.max() < hi):
         raise ValueError(
             f"value outside the open conjugate domain ({lo}, {hi}) "
             f"of divergence {spec.id!r}"
@@ -320,14 +322,18 @@ def posterior_from_T(spec, t: Scalar) -> Scalar:
 
 # The grid oracle's last log grid u, keyed on (u_max, n_grid), and its
 # last f(u), keyed on (spec, u_max, n_grid): one slot each, read-only, so
-# at most one of each is held at a time.  The grid is cut into blocks of
-# _ORACLE_CHUNK points, and the f(u) slot also holds each block's least
-# f(u) and least and greatest u, from which brute_force_conjugate bounds
-# the block's values u*t - f(u) without reading them (rounding is
-# monotone; see there).  A block is scanned through one buffer.
+# at most one of each is held at a time.  f(u) is built into one array,
+# _ORACLE_BUILD points at a time, so f's temporaries are block-sized and
+# stay in cache; f is elementwise, so the bits are those of one call on
+# the whole grid.  The grid is cut into blocks of _ORACLE_CHUNK points,
+# and the f(u) slot also holds each block's least f(u) and least and
+# greatest u, from which brute_force_conjugate bounds the block's values
+# u*t - f(u) without reading them (rounding is monotone; see there).  A
+# block is scanned through one buffer.
 _oracle_u_slot: list = []
 _oracle_grid_slot: list = []
 _ORACLE_CHUNK = 2**13
+_ORACLE_BUILD = 2**15
 
 
 def _oracle_u(u_max: float, n_grid: int) -> np.ndarray:
@@ -348,7 +354,10 @@ def _oracle_grid(spec: DivergenceSpec, u_max: float, n_grid: int):
         return _oracle_grid_slot[0][1]
     _oracle_grid_slot.clear()  # free the old f(u) before building the next
     u = _oracle_u(u_max, n_grid)
-    fu = spec.f(u)
+    fu = np.empty_like(u)
+    for start in range(0, n_grid, _ORACLE_BUILD):
+        block = slice(start, start + _ORACLE_BUILD)
+        fu[block] = spec.f(u[block])
     starts = np.arange(0, n_grid, _ORACLE_CHUNK)
     grid = (
         u,

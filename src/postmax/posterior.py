@@ -66,8 +66,8 @@ def _check_probability_rows(rows) -> None:
     sums = rows[:, 0].copy()
     for j in range(1, rows.shape[1]):
         sums += rows[:, j]
-    # NaN fails both
-    if not (np.all(rows >= 0.0) and np.max(np.abs(sums - 1.0)) <= 1e-9):
+    # NaN fails both; a stack of no rows passes
+    if not (np.all(rows >= 0.0) and np.all(np.abs(sums - 1.0) <= 1e-9)):
         raise ValueError("rows must be probability vectors")
 
 

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from postmax.analysis import (
+    _INVPHI,
     _binary_identity_gaps,
+    _bracket,
     _first_max,
+    _golden_section_max,
     _multiclass_identity_gaps,
     _solve_pointwise,
     _untied_simplex,
@@ -123,6 +126,82 @@ class TestSolveOptimalT:
         joint = DiscreteJoint([[0.5, 0.5]])
         with pytest.raises(ValueError):
             solve_optimal_T_discrete("kl", joint, TransitionMatrix(np.eye(3)))
+
+
+def golden_section_by_scatter(spec, q, lo, hi, tol):
+    """_golden_section_max as it was first written: full-size state arrays,
+    gathered and scattered through the live index every iteration."""
+    a, b = lo.copy(), hi.copy()
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = q * c - spec.conj(c)
+    fd = q * d - spec.conj(d)
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        la, lb, lc, ld = a[live], b[live], c[live], d[live]
+        lfc, lfd = fc[live], fd[live]
+        left = lfc > lfd
+        la = np.where(left, la, lc)
+        lb = np.where(left, ld, lb)
+        kept = np.where(left, lc, ld)
+        f_kept = np.where(left, lfc, lfd)
+        new = np.where(left, lb - _INVPHI * (lb - la), la + _INVPHI * (lb - la))
+        f_new = q[live] * new - spec.conj(new)
+        a[live], b[live] = la, lb
+        c[live] = np.where(left, new, kept)
+        fc[live] = np.where(left, f_new, f_kept)
+        d[live] = np.where(left, kept, new)
+        fd[live] = np.where(left, f_kept, f_new)
+        live = live[lb - la > tol]
+    return 0.5 * (a + b)
+
+
+class TestGoldenSectionMax:
+    TOL = 1e-10
+
+    def _cases(self, div_id):
+        """q with brackets of every width: from the search's own bracket
+        down to closed and below-tolerance ones, so entries finish at
+        different iterations or never start."""
+        spec = get_divergence(div_id)
+        rng = np.random.default_rng(11)
+        q = rng.uniform(0.01, 0.99, size=400)
+        lo, hi = _bracket(spec, q, optimal_T_from_posterior(spec, q))
+        # shrink each bracket toward its maximizer by a factor 1 .. 1e-12
+        mid = optimal_T_from_posterior(spec, q)
+        shrink = 10.0 ** -rng.uniform(0.0, 12.0, size=q.size)
+        lo = mid - (mid - lo) * shrink
+        hi = mid + (hi - mid) * shrink
+        lo[:20] = hi[:20]  # closed
+        hi[20:40] = lo[20:40] + 0.5 * self.TOL  # open but within tol
+        hi[40:60] = lo[40:60] + self.TOL  # exactly at tol
+        return spec, q, lo, hi
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_equals_the_scatter_loop(self, div_id):
+        spec, q, lo, hi = self._cases(div_id)
+        got = _golden_section_max(spec, q, lo, hi, self.TOL)
+        want = golden_section_by_scatter(spec, q, lo, hi, self.TOL)
+        assert np.array_equal(got, want)
+        # the widths above make entries close at many different steps
+        steps = np.ceil(np.log((hi - lo)[60:] / self.TOL) / -np.log(_INVPHI))
+        assert np.unique(steps[steps > 0]).size > 20
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_inputs_are_not_written(self, div_id):
+        spec, q, lo, hi = self._cases(div_id)
+        before = (q.copy(), lo.copy(), hi.copy())
+        _golden_section_max(spec, q, lo, hi, self.TOL)
+        assert all(map(np.array_equal, before, (q, lo, hi)))
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_empty_and_all_closed(self, div_id):
+        spec = get_divergence(div_id)
+        empty = np.empty(0)
+        assert _golden_section_max(spec, empty, empty, empty, self.TOL).shape == (0,)
+        spec, q, lo, hi = self._cases(div_id)
+        got = _golden_section_max(spec, q[:40], lo[:40], hi[:40], self.TOL)
+        assert np.array_equal(got, 0.5 * (lo[:40] + hi[:40]))
 
 
 class TestTrainingBiasExpression:
@@ -417,6 +496,18 @@ def untied_simplex_by_sort(rng, n, k):
     return rows[sorted_rows[:, -1] - sorted_rows[:, -2] > 1e-9]
 
 
+def untied_simplex_as_before(rng, n, k):
+    """_untied_simplex before its running row sum: rows.sum(axis=1)."""
+    rows = rng.uniform(0.01, 1.0, size=(n, k))
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    top = np.maximum(rows[:, 0], rows[:, 1])
+    second = np.minimum(rows[:, 0], rows[:, 1])
+    for j in range(2, k):
+        second = np.maximum(second, np.minimum(top, rows[:, j]))
+        top = np.maximum(top, rows[:, j])
+    return rows.compress(top - second > 1e-9, axis=0)
+
+
 class TenthsRng:
     """A generator whose uniform draws are rounded up to tenths, so many
     rows tie at their top two and the filter drops them."""
@@ -436,6 +527,13 @@ class TestUntiedSimplex:
             got = _untied_simplex(make(seed), 2_000, k)
             want = untied_simplex_by_sort(make(seed), 2_000, k)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("n", [1, 7, 10_000])
+    def test_rows_equal_the_summed_normalisation(self, k, n):
+        for make in (np.random.default_rng, TenthsRng):
+            got = _untied_simplex(make(k), n, k)
+            assert np.array_equal(got, untied_simplex_as_before(make(k), n, k))
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_tied_rows_are_dropped(self, k):

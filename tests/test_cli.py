@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import postmax
 from postmax.cli import (
     RECORD_COLUMNS,
     ConfigError,
@@ -1065,6 +1070,19 @@ class TestCommandLine:
         assert result.exit_code == 0
         assert result.output.count("pass") >= 7
         assert "all checks passed" in result.output
+
+    def test_python_dash_m_postmax_runs_without_warnings(self):
+        # the package's own __main__, so runpy finds no half-imported cli
+        env = dict(os.environ)
+        src = str(Path(postmax.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "postmax", "verify", "--seed", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "all checks passed" in done.stdout
 
     def test_verify_negative_seed_exits_one(self, monkeypatch):
         import postmax.cli as cli_mod

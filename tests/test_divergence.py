@@ -107,6 +107,24 @@ class TestConjugate:
         with pytest.raises(ValueError):
             conj_second("gan", 1.0)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=DIVERGENCE_IDS)
+    def test_domain_check_rejects_ends_and_non_finite(self, spec):
+        lo, hi = spec.conj_domain
+        inside = -0.5
+        message = (
+            rf"value outside the open conjugate domain \({lo}, {hi}\) "
+            rf"of divergence '{spec.id}'"
+        )
+        for bad in (lo, hi, math.nan, math.inf, -math.inf):
+            for t in (np.array(bad), np.array([inside, bad]), np.array([[bad, inside]])):
+                with pytest.raises(ValueError, match=message):
+                    divergence._check_in_domain(spec, t)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=DIVERGENCE_IDS)
+    def test_domain_check_accepts_inside_and_empty(self, spec):
+        for t in (np.array(-0.5), np.array([-0.5, -0.25]), np.empty(0), np.empty((0, 3))):
+            divergence._check_in_domain(spec, t)
+
     def test_grid_oracle_rejects_small_grid(self):
         with pytest.raises(ValueError):
             brute_force_conjugate("kl", 0.0, n_grid=100)
@@ -170,6 +188,27 @@ class TestGridOracleCache:
         assert got == uncached_grid_max(custom, 0.5, 1e3, 10**4)
         assert got != registry_value
 
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_blockwise_f_equals_one_call(self, div_id):
+        spec = get_divergence(div_id)
+        u, fu, *_ = divergence._oracle_grid(spec, 1e3, 10**6)
+        assert fu.shape == (10**6,)
+        assert np.array_equal(fu, spec.f(np.logspace(-6.0, 3.0, 10**6)))
+
+    def test_f_sees_blocks_and_no_held_grid(self):
+        seen = []
+
+        def f(u):
+            seen.append((u.shape[0], len(divergence._oracle_grid_slot)))
+            return u * np.log(u)
+
+        block = divergence._ORACLE_BUILD
+        n_grid = 2 * block + 17
+        custom = dataclasses.replace(KL, f=f)
+        got = brute_force_conjugate(custom, 0.5, n_grid=n_grid)
+        assert seen == [(block, 0), (block, 0), (17, 0)]
+        assert got == uncached_grid_max(KL, 0.5, 1e3, n_grid)
+
     def test_at_most_one_grid_held(self):
         held_while_building = []
 
@@ -181,7 +220,7 @@ class TestGridOracleCache:
         brute_force_conjugate("gan", -0.5, n_grid=10**4)
         brute_force_conjugate(custom, 0.5, n_grid=10**4)
         brute_force_conjugate(custom, 0.7, n_grid=10**4)
-        assert held_while_building == [0]
+        assert held_while_building and set(held_while_building) == {0}
         assert len(divergence._oracle_grid_slot) == 1
         brute_force_conjugate("sl", -0.5, n_grid=10**4)
         assert len(divergence._oracle_grid_slot) == 1

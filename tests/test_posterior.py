@@ -189,6 +189,15 @@ class TestPosteriorCorrect:
                 posterior_correct(bad, [0.1, 0.1])
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_empty_stack_of_rows_gives_empty_results(k):
+    rows = np.empty((0, k))
+    e = np.full(k, 0.1)
+    assert predict(rows).shape == (0,)
+    assert posterior_correct(rows, e).shape == (0, k)
+    assert noisy_posterior_forward(rows, e).shape == (0, k)
+
+
 class TestAccuracy:
     def test_extremes_and_half(self):
         assert accuracy([0, 1, 2], [0, 1, 2]) == 1.0
