@@ -166,9 +166,9 @@ class TestGoldenSectionMax:
         spec = get_divergence(div_id)
         rng = np.random.default_rng(11)
         q = rng.uniform(0.01, 0.99, size=400)
-        lo, hi = _bracket(spec, q, optimal_T_from_posterior(spec, q))
-        # shrink each bracket toward its maximizer by a factor 1 .. 1e-12
         mid = optimal_T_from_posterior(spec, q)
+        lo, hi = _bracket(spec, q, mid)
+        # shrink each bracket toward its maximizer by a factor 1 .. 1e-12
         shrink = 10.0 ** -rng.uniform(0.0, 12.0, size=q.size)
         lo = mid - (mid - lo) * shrink
         hi = mid + (hi - mid) * shrink
