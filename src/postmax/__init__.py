@@ -7,98 +7,107 @@ chain end to end: generator/conjugate pairs with grid oracles, label
 noise models, the training objective with its noise corrections, MAP
 prediction with posterior correction, theorem-level verification
 drivers, and a small CLI for reproducible experiments.
+
+Importing the package loads none of its modules: each name in __all__ is
+imported from its module the first time it is read (PEP 562).
 """
 
-from postmax.analysis import (
-    TheoremReport,
-    check_argmax_invariance,
-    check_binary_identity,
-    check_correction_exactness,
-    check_first_order_bias,
-    check_multiclass_identity,
-    check_pointwise_optimum,
-    check_posterior_gap_bound,
-    save_reports,
-    training_bias_expression,
-    verify_theorems,
-)
-from postmax.cli import (
-    ExperimentConfig,
-    ResultRecord,
-    describe_noise,
-    load_config,
-    load_csv,
-    main,
-    make_synthetic,
-    parse_config,
-    parse_report,
-    report,
-    run_experiment,
-    split_dataset,
-    summarize,
-)
-from postmax.divergence import (
-    DIVERGENCE_IDS,
-    DivergenceSpec,
-    brute_force_conjugate,
-    conj_prime,
-    conj_second,
-    get_divergence,
-    optimal_T_from_posterior,
-    posterior_from_T,
-)
-from postmax.model import (
-    MlpSpec,
-    NetworkModel,
-    TrainConfig,
-    TrainTrace,
-    evaluate,
-    forward,
-    init,
-    load_model,
-    objective_and_gradients,
-    save_model,
-    train,
-)
-from postmax.noise import (
-    LabeledDataset,
-    NoiseParams,
-    TransitionMatrix,
-    corrupt,
-    symmetric_matrix,
-    uniform_offdiag_matrix,
-)
-from postmax.objective import (
-    POSTERIOR_FLOOR,
-    DiscreteJoint,
-    ObjectiveConfig,
-    active_passive_split,
-    bias_multiclass,
-    bias_simplex_batch,
-    corrected_grad_sample,
-    corrected_jf_batch,
-    cross_entropy,
-    cross_entropy_logit_grad,
-    exact_bias,
-    exact_jf,
-    jf_batch,
-    jf_grad_batch,
-    jf_grad_sample,
-    jf_simplex_batch,
-    jf_simplex_kl,
-    jf_simplex_kl_logit_grad,
-    jf_simplex_logit_grad_batch,
-    noisy_joint,
-)
-from postmax.posterior import (
-    accuracy,
-    estimate_posterior,
-    noisy_posterior_forward,
-    posterior_correct,
-    predict,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# The module, under this package, that each public name comes from.
+_SOURCES = {
+    "analysis": (
+        "TheoremReport",
+        "check_argmax_invariance",
+        "check_binary_identity",
+        "check_correction_exactness",
+        "check_first_order_bias",
+        "check_multiclass_identity",
+        "check_pointwise_optimum",
+        "check_posterior_gap_bound",
+        "save_reports",
+        "training_bias_expression",
+        "verify_theorems",
+    ),
+    "cli": (
+        "ExperimentConfig",
+        "ResultRecord",
+        "describe_noise",
+        "load_config",
+        "load_csv",
+        "make_synthetic",
+        "parse_config",
+        "parse_report",
+        "report",
+        "run_experiment",
+        "split_dataset",
+        "summarize",
+    ),
+    "commands": ("main",),
+    "divergence": (
+        "DIVERGENCE_IDS",
+        "DivergenceSpec",
+        "brute_force_conjugate",
+        "conj_prime",
+        "conj_second",
+        "get_divergence",
+        "optimal_T_from_posterior",
+        "posterior_from_T",
+    ),
+    "model": (
+        "MlpSpec",
+        "NetworkModel",
+        "TrainConfig",
+        "TrainTrace",
+        "evaluate",
+        "forward",
+        "init",
+        "load_model",
+        "objective_and_gradients",
+        "save_model",
+        "train",
+    ),
+    "noise": (
+        "LabeledDataset",
+        "NoiseParams",
+        "TransitionMatrix",
+        "corrupt",
+        "symmetric_matrix",
+        "uniform_offdiag_matrix",
+    ),
+    "objective": (
+        "POSTERIOR_FLOOR",
+        "DiscreteJoint",
+        "ObjectiveConfig",
+        "active_passive_split",
+        "bias_multiclass",
+        "bias_simplex_batch",
+        "corrected_grad_sample",
+        "corrected_jf_batch",
+        "cross_entropy",
+        "cross_entropy_logit_grad",
+        "exact_bias",
+        "exact_jf",
+        "jf_batch",
+        "jf_grad_batch",
+        "jf_grad_sample",
+        "jf_simplex_batch",
+        "jf_simplex_kl",
+        "jf_simplex_kl_logit_grad",
+        "jf_simplex_logit_grad_batch",
+        "noisy_joint",
+    ),
+    "posterior": (
+        "accuracy",
+        "estimate_posterior",
+        "noisy_posterior_forward",
+        "posterior_correct",
+        "predict",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __all__ = [
     "DIVERGENCE_IDS",
@@ -176,3 +185,16 @@ __all__ = [
     "uniform_offdiag_matrix",
     "verify_theorems",
 ]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -207,7 +207,8 @@ def active_passive_split(spec, T_row, label) -> tuple[float, float]:
         raise ValueError("label out of range")
     conj_vals = spec.conj(T_row)
     active = float(T_row[label] - conj_vals[label])
-    others = np.delete(conj_vals, label)  # never touches the label output
+    # every output but the label's, in order; never touches the label output
+    others = np.concatenate((conj_vals[:label], conj_vals[label + 1 :]))
     passive = float(-others.sum())
     return active, passive
 

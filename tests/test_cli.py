@@ -23,7 +23,6 @@ from postmax.cli import (
     describe_noise,
     load_config,
     load_csv,
-    main,
     make_synthetic,
     parse_config,
     parse_report,
@@ -32,8 +31,10 @@ from postmax.cli import (
     split_dataset,
     summarize,
 )
-from postmax.model import MlpSpec, init, load_model, save_model
-from postmax.noise import NoiseParams
+from postmax.commands import main
+from postmax.model import MlpSpec, init, load_model, save_model, train
+from postmax.noise import NoiseParams, corrupt
+from postmax.objective import ObjectiveConfig
 from postmax.posterior import accuracy, predict
 
 
@@ -852,6 +853,31 @@ class TestCommandLine:
         reported = float(trained.output.split("test_accuracy=")[1].split()[0])
         assert payload["test_accuracy"] == pytest.approx(reported, abs=1e-4)
 
+    def test_train_writes_the_model_train_returns(self, tmp_path):
+        # postmax train skips train()'s per-epoch metrics, not its bits
+        tree = config_tree(
+            objective={"divergence": "gan", "correction": ["objective", "none"]},
+            noise={"kind": "uniform_offdiag", "e": [0.1, 0.3]},
+            train={"epochs": 6, "batch_size": 24},
+        )
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out = tmp_path / "model.json"
+        argv = ["train", "--config", str(config), "--seed", "3", "--out", str(out)]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+
+        cfg = parse_config(tree)
+        clean, _ = make_synthetic(seed=cfg.split_seed, **cfg.synthetic)
+        train_ds, _ = split_dataset(clean, seed=cfg.split_seed)
+        noisy = corrupt(train_ds, cfg.noise.to_matrix(2), seed=3)
+        spec = MlpSpec((3, 8, 2), activation="relu", head="simplex")
+        ocfg = ObjectiveConfig("gan", "objective", cfg.noise, "simplex")
+        model, _ = train(init(spec, seed=3), noisy, ocfg, replace(cfg.train, seed=3))
+        reference = tmp_path / "reference.json"
+        save_model(model, reference)
+        assert out.read_bytes() == reference.read_bytes()
+
     @pytest.mark.parametrize(
         "payload",
         [{"version": 1}, [1, 2], {"version": 1, "spec": [], "params": []}],
@@ -1020,15 +1046,17 @@ class TestCommandLine:
         ids=lambda args: args[0],
     )
     def test_unwritable_out_exits_one(self, tmp_path, cli_config, args, monkeypatch):
-        import postmax.cli as cli_mod
-
         # the path is checked before any training or theorem check runs,
         # except for corrupt, which writes right after its fast draw
         def never(*args, **kwargs):
             raise AssertionError("ran before --out was checked")
 
-        for name in ("run_experiment", "train", "verify_theorems"):
-            monkeypatch.setattr(cli_mod, name, never)
+        for runner in (
+            "postmax.cli.run_experiment",
+            "postmax.model._train_members",
+            "postmax.analysis.verify_theorems",
+        ):
+            monkeypatch.setattr(runner, never)
         out = tmp_path / "missing" / "out.txt"
         argv = [a.format(config=cli_config) for a in args] + ["--out", str(out)]
         result = CliRunner().invoke(main, argv)
@@ -1038,23 +1066,21 @@ class TestCommandLine:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
-        "args, runner_name",
+        "args, runner",
         [
-            (["train", "--config", "{config}"], "train"),
-            (["sweep", "--config", "{config}"], "run_experiment"),
-            (["verify"], "verify_theorems"),
+            (["train", "--config", "{config}"], "postmax.model._train_members"),
+            (["sweep", "--config", "{config}"], "postmax.cli.run_experiment"),
+            (["verify"], "postmax.analysis.verify_theorems"),
         ],
-        ids=lambda v: v if isinstance(v, str) else v[0],
+        ids=lambda v: v.rsplit(".", 1)[-1] if isinstance(v, str) else v[0],
     )
     def test_failed_run_leaves_out_untouched(
-        self, tmp_path, cli_config, args, runner_name, monkeypatch
+        self, tmp_path, cli_config, args, runner, monkeypatch
     ):
-        import postmax.cli as cli_mod
-
         def fail(*args, **kwargs):
             raise RuntimeError("run failed")
 
-        monkeypatch.setattr(cli_mod, runner_name, fail)
+        monkeypatch.setattr(runner, fail)
         existing, new = tmp_path / "existing.txt", tmp_path / "new.txt"
         existing.write_text("earlier results\n")
         for out in (existing, new):
@@ -1085,12 +1111,10 @@ class TestCommandLine:
         assert "all checks passed" in done.stdout
 
     def test_verify_negative_seed_exits_one(self, monkeypatch):
-        import postmax.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("ran with a negative seed")
 
-        monkeypatch.setattr(cli_mod, "verify_theorems", never)
+        monkeypatch.setattr("postmax.analysis.verify_theorems", never)
         result = CliRunner().invoke(main, ["verify", "--seed", "-1"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -1098,7 +1122,6 @@ class TestCommandLine:
         assert "Traceback" not in result.output
 
     def test_verify_failure_exits_two(self, monkeypatch):
-        import postmax.cli as cli_mod
         from postmax.analysis import TheoremReport
 
         def fake_verify(seed, report_path=None):
@@ -1106,7 +1129,7 @@ class TestCommandLine:
                 TheoremReport("binary_objective_identity", 10, 1.0, 1e-12, False)
             ]
 
-        monkeypatch.setattr(cli_mod, "verify_theorems", fake_verify)
+        monkeypatch.setattr("postmax.analysis.verify_theorems", fake_verify)
         runner = CliRunner()
         result = runner.invoke(main, ["verify"])
         assert result.exit_code == 2

@@ -2,13 +2,17 @@
 
 Every head x divergence x K in {2, 3} sweep, one uniform off-diagonal
 sweep and one TrainTrace per head are pinned in golden_records.json:
-accuracies exactly and objectives by repr.  numpy picks its SIMD exp and
+accuracies exactly and objectives by repr.  So is one step's simplex head
+gradient per divergence x K x rates, by the SHA-256 of its bits: a
+one-ulp change there can vanish once the update adds it to much larger
+weights.  numpy picks its SIMD exp and
 log kernels by CPU, so the numpy version and CPU the pins were taken on
 are written beside them and shown when a pin fails.  A change that moves
 a pin on purpose regenerates the file with `python tests/test_golden.py`
 and says in CHANGES.md which cases moved and why.
 """
 
+import hashlib
 import json
 import platform
 import re
@@ -22,7 +26,7 @@ from postmax.cli import make_synthetic, parse_config, run_experiment, split_data
 from postmax.divergence import DIVERGENCE_IDS
 from postmax.model import MlpSpec, TrainConfig, init, train
 from postmax.noise import NoiseParams, corrupt
-from postmax.objective import ObjectiveConfig
+from postmax.objective import ObjectiveConfig, jf_simplex_logit_grad_batch
 
 PINS = Path(__file__).with_name("golden_records.json")
 HEADS = ("simplex", "raw_t")
@@ -94,6 +98,35 @@ def trace_pins(head):
     }
 
 
+GRAD_ROWS = 64
+GRAD_RATES = {2: (0.1, 0.3), 3: (0.1, 0.2, 0.05)}
+
+
+def head_grad_cases():
+    """name -> (divergence, K, flip-in rates or None) of every pinned step."""
+    return {
+        f"{div_id}-k{k}{suffix}": (div_id, k, rates)
+        for div_id in DIVERGENCE_IDS
+        for k in (2, 3)
+        for suffix, rates in (("", None), ("-rates", GRAD_RATES[k]))
+    }
+
+
+def head_grad_pin(div_id, k, rates):
+    """SHA-256 of one step's simplex logit gradients on fixed rows.
+
+    The rows are drawn and normalized without exp, so their bits do not
+    depend on numpy's SIMD kernels; the fourth power puts some components
+    near zero, where the gan and sl forms cancel.
+    """
+    rng = np.random.default_rng(k)
+    u = rng.random((GRAD_ROWS, k)) ** 4
+    rows = u / u.sum(axis=1, keepdims=True)
+    labels = rng.integers(0, k, GRAD_ROWS)
+    grad = jf_simplex_logit_grad_batch(div_id, rows, labels, rates)
+    return hashlib.sha256(np.ascontiguousarray(grad, dtype=float).tobytes()).hexdigest()
+
+
 def host():
     cpu = platform.processor()
     try:
@@ -111,6 +144,9 @@ def current_pins():
     return {
         "sweeps": {name: sweep_pins(tree) for name, tree in sweep_cases().items()},
         "traces": {head: trace_pins(head) for head in HEADS},
+        "head_grads": {
+            name: head_grad_pin(*case) for name, case in head_grad_cases().items()
+        },
     }
 
 
@@ -127,6 +163,8 @@ def test_pins_cover_every_case(pinned):
     assert set(pinned["sweeps"]) == set(sweep_cases())
     assert len(pinned["sweeps"]) == 2 * len(DIVERGENCE_IDS) * 2 + 1
     assert set(pinned["traces"]) == set(HEADS)
+    assert set(pinned["head_grads"]) == set(head_grad_cases())
+    assert len(pinned["head_grads"]) == len(DIVERGENCE_IDS) * 2 * 2
 
 
 @pytest.mark.parametrize("name", sorted(sweep_cases()))
@@ -141,6 +179,12 @@ def test_train_trace_pinned(pinned, head):
     got = trace_pins(head)
     assert len(got["objective"]) == EPOCHS
     assert got == pinned["traces"][head], _where(pinned)
+
+
+@pytest.mark.parametrize("name", sorted(head_grad_cases()))
+def test_head_grad_pinned(pinned, name):
+    got = head_grad_pin(*head_grad_cases()[name])
+    assert got == pinned["head_grads"][name], _where(pinned)
 
 
 if __name__ == "__main__":

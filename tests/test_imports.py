@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # their modules with timing wrappers, so they must stay bound there.
 WRAPPED_BY_NAME = {
     "src/postmax/analysis.py": {"exact_bias", "exact_jf", "exact_jf_noisy"},
+    "src/postmax/cli.py": {"train"},
     "src/postmax/objective.py": {"conj_second"},
     "src/postmax/model.py": {
         "bias_simplex_batch",

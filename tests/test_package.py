@@ -1,11 +1,23 @@
-"""Tests for the package's documented surface: README's example and __all__."""
+"""Tests for the package's documented surface: README's example, __all__,
+the console script, and what importing the package and running a command
+loads."""
 
+import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import click
+import pytest
+import yaml
 
 import postmax
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_runs():
@@ -24,3 +36,85 @@ def test_all_is_sorted_unique_and_resolves():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(postmax, name)]
     assert missing == []
+
+
+def test_all_is_listed_by_dir_and_unknown_names_raise():
+    assert set(postmax.__all__) <= set(dir(postmax))
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        postmax.nonexistent
+
+
+def test_console_script_names_the_click_group():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    [(script, module, name)] = re.findall(
+        r'^(\w+) = "([\w.]+):(\w+)"$', section.group(1), re.M
+    )
+    assert script == "postmax"
+    assert isinstance(getattr(importlib.import_module(module), name), click.Group)
+
+
+def modules_after(code: str) -> set:
+    """The modules a fresh interpreter has loaded once it has run code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def run_command(argv: list) -> str:
+    """Code that runs `python -m postmax *argv` and requires exit code 0."""
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = ['postmax', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('postmax', run_name='__main__')\n"
+        "except SystemExit as stop:\n"
+        "    assert not stop.code, stop.code\n"
+    )
+
+
+def test_import_postmax_loads_no_module_of_the_package():
+    loaded = modules_after(
+        "import postmax\nassert set(postmax.__all__) <= set(dir(postmax))"
+    )
+    assert {m for m in loaded if m.startswith("postmax.")} == set()
+    assert {"click", "yaml"} & loaded == set()
+
+
+def test_import_cli_loads_neither_click_yaml_nor_analysis():
+    loaded = modules_after("import postmax.cli")
+    assert "postmax.model" in loaded
+    assert {"click", "yaml", "postmax.analysis"} & loaded == set()
+
+
+def test_verify_command_loads_neither_config_nor_training_code():
+    loaded = modules_after(run_command(["verify", "--seed", "0"]))
+    assert "postmax.analysis" in loaded
+    assert {"yaml", "postmax.cli", "postmax.model"} & loaded == set()
+
+
+def test_sweep_command_does_not_load_the_theorem_checks(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        yaml.safe_dump(
+            {
+                "dataset": {"source": "synthetic", "k": 2, "n": 60, "d": 2},
+                "model": {"hidden": [4]},
+                "objective": {"divergence": "kl", "correction": "none"},
+                "train": {"epochs": 1, "batch_size": 16},
+                "seeds": [0],
+            }
+        )
+    )
+    loaded = modules_after(run_command(["sweep", "--config", str(config)]))
+    assert {"yaml", "postmax.model"} <= loaded
+    assert "postmax.analysis" not in loaded
