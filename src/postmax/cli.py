@@ -20,19 +20,23 @@ import numpy as np
 
 from .divergence import DIVERGENCE_IDS
 from .model import (
+    _ACTIVATIONS,
     MlpSpec,
     TrainConfig,
+    _check,
     _train_members,
     evaluate,
     init,
     train,
 )
 from .noise import LabeledDataset, NoiseParams, corrupt
-from .objective import _CORRECTIONS, ObjectiveConfig
+from .objective import _CORRECTIONS, _HEADS, ObjectiveConfig
 
 TEST_FRACTION = 0.2
 
 TABLE_COLUMNS = ("No Cor.", "O.F. Cor.", "P. Cor.", "No Noise")
+
+_FORMATS = ("csv", "json", "table")  # what report writes
 
 
 class ConfigError(ValueError):
@@ -193,7 +197,11 @@ def make_synthetic(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A full experiment: data source, objective, noise, net, and seeds."""
+    """A full experiment: data source, objective, noise, net, and seeds.
+
+    parse_config checks each value under its key; this checks only what
+    spans fields.
+    """
 
     source: str  # "csv" | "synthetic"
     csv_path: Optional[str]
@@ -211,121 +219,169 @@ class ExperimentConfig:
     out_format: str
 
     def __post_init__(self):
-        if self.source not in ("csv", "synthetic"):
-            raise ConfigError("dataset source must be 'csv' or 'synthetic'")
         if not self.seeds:
             raise ConfigError("seeds must be a nonempty list")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        _modes(self.corrections)
+        if not self.corrections:
+            raise ConfigError("at least one correction mode is required")
         for mode in self.corrections:
             if mode != "none" and self.noise is None:
                 raise ConfigError(
                     f"correction '{mode}' requires a noise section"
                 )
-        if not self.corrections:
-            raise ConfigError("at least one correction mode is required")
-        _out_format(self.out_format)
-        # Objective-level validation (divergence id, head name).
-        ObjectiveConfig(self.divergence, "none", None, self.head)
 
 
-def _require_mapping(tree, section: str) -> dict:
-    if not isinstance(tree, dict):
-        raise ConfigError(f"section '{section}' must be a mapping")
-    return tree
+# Converters from a config value to a field value.  Each takes the value
+# as YAML gives it and raises ValueError naming what it expected.
 
 
-def _check_keys(tree: dict, allowed: Sequence[str], section: str) -> None:
-    unknown = sorted(str(key) for key in set(tree) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"unknown key '{unknown[0]}' in section '{section}' "
-            f"(allowed: {', '.join(sorted(allowed))})"
-        )
+def _integer(value) -> int:
+    """An int or an integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _field(tree: dict, section: Optional[str], key: str, convert, default=None):
-    """convert(tree[key]), or convert(default) when the key is absent.
+def _number(value) -> float:
+    """An int, a float or a string float() reads, never a bool.  PyYAML
+    reads an exponent without a point, such as 1e-3, as a string."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, str, np.integer)
+    ):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
-    A ValueError, TypeError or OverflowError (int() of an infinite
-    float) from the conversion, or from a constructor it calls, becomes
-    a ConfigError naming the key.
-    """
+
+def _seed(value) -> int:
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(f"expected an integer >= 0, got {seed}")
+    return seed
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _readable_path(value) -> str:
+    path = _string(value)
     try:
-        return convert(tree.get(key, default))
-    except (TypeError, ValueError, OverflowError) as err:
-        name = key if section is None else f"{section}.{key}"
-        raise ConfigError(f"invalid '{name}': {err}") from None
+        with open(path, "r", encoding="utf-8"):
+            pass
+    except OSError as err:
+        raise ValueError(f"not readable: {err}") from None
+    return path
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _list(convert):
+    def convert_list(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(map(convert, value))
+
+    return convert_list
+
+
+def _choice(options: tuple[str, ...]):
+    def convert(value) -> str:
+        if not (isinstance(value, str) and value in options):
+            raise ValueError(f"must be one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return convert
 
 
 def _modes(value) -> tuple[str, ...]:
     """One correction mode, or a list of them, as a tuple of modes."""
-    if isinstance(value, str):
-        value = [value]
-    elif not isinstance(value, (list, tuple)):
-        raise ConfigError("expected a mode or a list of modes")
-    modes = tuple(str(m) for m in value)
-    for mode in modes:
-        if mode not in _CORRECTIONS:
-            raise ConfigError(f"correction must be one of {_CORRECTIONS}")
-    return modes
+    mode = _choice(_CORRECTIONS)
+    return (mode(value),) if isinstance(value, str) else _list(mode)(value)
 
 
-_TRAIN_PROBE = {"epochs": 0, "batch_size": 1}  # stand-ins that TrainConfig accepts
+def _ruled(rule: str, convert):
+    """convert, then model.py's single-field rule of that name."""
+    return lambda value: _check(rule, convert(value))
 
 
-def _train_field(tree: dict, key: str, convert, default):
-    """_field of a train key, put through TrainConfig's own checks with
-    stand-ins for the other fields."""
-
-    def checked(value):
-        probe = TrainConfig(**{**_TRAIN_PROBE, key: convert(value)})
-        return getattr(probe, key)
-
-    return _field(tree, "train", key, checked, default)
+def _rates(value) -> NoiseParams:
+    rates = _list(_number)(value)
+    if not rates:
+        raise ValueError("expected a nonempty list of rates")
+    return NoiseParams.uniform_offdiag(rates)
 
 
-def _out_format(value) -> str:
-    value = str(value)
-    if value not in ("csv", "json", "table"):
-        raise ConfigError("output format must be csv, json, or table")
-    return value
+_REQUIRED = object()  # the default of a key that every config gives
+
+# (section, key) -> (converter, default, variant); section None is the
+# root.  A key with a variant (key, value) is read only when its section
+# gives that key that value, and is unknown otherwise.
+_CONFIG = {
+    (None, "seeds"): (_list(_seed), (0,), None),
+    ("dataset", "source"): (_choice(("csv", "synthetic")), _REQUIRED, None),
+    ("dataset", "path"): (_readable_path, _REQUIRED, ("source", "csv")),
+    ("dataset", "k"): (_integer, 2, ("source", "synthetic")),
+    ("dataset", "n"): (_integer, 600, ("source", "synthetic")),
+    ("dataset", "d"): (_integer, 10, ("source", "synthetic")),
+    ("dataset", "class_separation"): (_number, 4.0, ("source", "synthetic")),
+    ("dataset", "split_seed"): (_seed, 0, None),
+    ("model", "hidden"): (_list(_ruled("width", _integer)), (32,), None),
+    ("model", "activation"): (_choice(_ACTIVATIONS), "relu", None),
+    ("model", "head"): (_choice(_HEADS), "simplex", None),
+    ("objective", "divergence"): (_choice(DIVERGENCE_IDS), _REQUIRED, None),
+    ("objective", "correction"): (_modes, ("none",), None),
+    ("noise", "kind"): (_choice(("symmetric", "uniform_offdiag")), _REQUIRED, None),
+    ("noise", "eta"): (
+        lambda eta: NoiseParams.symmetric(_number(eta)),
+        _REQUIRED,
+        ("kind", "symmetric"),
+    ),
+    ("noise", "e"): (_rates, _REQUIRED, ("kind", "uniform_offdiag")),
+    ("train", "epochs"): (_ruled("epochs", _integer), 100, None),
+    ("train", "batch_size"): (_ruled("batch_size", _integer), 32, None),
+    ("train", "lr0"): (_ruled("lr0", _number), 0.02, None),
+    ("train", "momentum"): (_ruled("momentum", _number), 0.9, None),
+    ("output", "path"): (_string, None, None),
+    ("output", "format"): (_choice(_FORMATS), "table", None),
+}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _CONFIG if section))
 
 
-def _parse_noise(tree) -> Optional[NoiseParams]:
-    if tree is None:
-        return None
-    tree = _require_mapping(tree, "noise")
-    _check_keys(tree, ("kind", "eta", "e"), "noise")
-    kind = tree.get("kind")
-    if kind == "symmetric":
-        if "eta" not in tree:
-            raise ConfigError("symmetric noise requires 'eta'")
-        if "e" in tree:
-            raise ConfigError("symmetric noise takes 'eta', not 'e'")
-        return _field(
-            tree, "noise", "eta", lambda eta: NoiseParams.symmetric(float(eta))
+def _read(tree: dict, section: Optional[str]) -> dict:
+    """The converted values of one section of tree, or of its root keys,
+    with defaults filled in; an absent section reads as an empty one."""
+    where = section or "<root>"
+    if section is not None:
+        tree = tree.get(section, {})
+    if not isinstance(tree, dict):
+        raise ConfigError(f"section '{where}' must be a mapping")
+    values = {}
+    for (in_section, key), (convert, default, variant) in _CONFIG.items():
+        if in_section != section or (
+            variant is not None and values[variant[0]] != variant[1]
+        ):
+            continue
+        if key not in tree:
+            if default is _REQUIRED:
+                raise ConfigError(f"section '{where}' requires '{key}'")
+            values[key] = default
+            continue
+        try:
+            values[key] = convert(tree[key])
+        except (ValueError, OverflowError) as err:  # float() of a huge int
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigError(f"invalid '{name}': {err}") from None
+    allowed = set(values) | set(_SECTIONS if section is None else ())
+    unknown = sorted(str(key) for key in set(tree) - allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown key '{unknown[0]}' in section '{where}' "
+            f"(allowed: {', '.join(sorted(allowed))})"
         )
-    if kind == "uniform_offdiag":
-        if "e" not in tree:
-            raise ConfigError("uniform_offdiag noise requires 'e'")
-        if "eta" in tree:
-            raise ConfigError("uniform_offdiag noise takes 'e', not 'eta'")
-        e = tree["e"]
-        if not isinstance(e, (list, tuple)) or not e:
-            raise ConfigError("'e' must be a nonempty list of rates")
-        return _field(
-            tree,
-            "noise",
-            "e",
-            lambda e: NoiseParams.uniform_offdiag(tuple(float(v) for v in e)),
-        )
-    raise ConfigError("noise kind must be 'symmetric' or 'uniform_offdiag'")
+    return values
 
 
 def parse_config(tree: dict) -> ExperimentConfig:
@@ -334,118 +390,36 @@ def parse_config(tree: dict) -> ExperimentConfig:
     Unknown keys anywhere in the tree are hard errors, and every
     malformed value is reported as a ConfigError naming its key.
     """
-    tree = _require_mapping(tree, "<root>")
-    _check_keys(
-        tree,
-        ("dataset", "model", "objective", "noise", "train", "seeds", "output"),
-        "<root>",
+    root = _read(tree, None)
+    dataset = _read(tree, "dataset")
+    model = _read(tree, "model")
+    objective = _read(tree, "objective")
+    output = _read(tree, "output")
+    noise = None  # no noise section, or a null one: clean labels
+    if tree.get("noise") is not None:
+        rates = _read(tree, "noise")
+        noise = rates.get("eta", rates.get("e"))  # each reads as NoiseParams
+    synthetic = {
+        key: value
+        for key, value in dataset.items()
+        if _CONFIG["dataset", key][2] == ("source", "synthetic")
+    }
+    return ExperimentConfig(
+        source=dataset["source"],
+        csv_path=dataset.get("path"),
+        synthetic=synthetic or None,
+        split_seed=dataset["split_seed"],
+        divergence=objective["divergence"],
+        corrections=objective["correction"],
+        noise=noise,
+        hidden=model["hidden"],
+        activation=model["activation"],
+        head=model["head"],
+        train=TrainConfig(**_read(tree, "train")),
+        seeds=root["seeds"],
+        out_path=output["path"],
+        out_format=output["format"],
     )
-
-    if "dataset" not in tree:
-        raise ConfigError("section 'dataset' is required")
-    ds = _require_mapping(tree["dataset"], "dataset")
-    source = ds.get("source")
-    csv_path = None
-    synthetic = None
-    split_seed = 0
-    if source == "csv":
-        _check_keys(ds, ("source", "path", "split_seed"), "dataset")
-        if "path" not in ds:
-            raise ConfigError("csv datasets require 'path'")
-        csv_path = str(ds["path"])
-        split_seed = _field(ds, "dataset", "split_seed", int, 0)
-        try:
-            with open(csv_path, "r", encoding="utf-8"):
-                pass
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"dataset path is not readable: {err}") from None
-    elif source == "synthetic":
-        _check_keys(
-            ds,
-            ("source", "k", "n", "d", "class_separation", "split_seed"),
-            "dataset",
-        )
-        synthetic = {
-            "k": _field(ds, "dataset", "k", int, 2),
-            "n": _field(ds, "dataset", "n", int, 600),
-            "d": _field(ds, "dataset", "d", int, 10),
-            "class_separation": _field(
-                ds, "dataset", "class_separation", float, 4.0
-            ),
-        }
-        split_seed = _field(ds, "dataset", "split_seed", int, 0)
-    else:
-        raise ConfigError("dataset source must be 'csv' or 'synthetic'")
-
-    model_tree = _require_mapping(tree.get("model", {}), "model")
-    _check_keys(model_tree, ("hidden", "activation", "head"), "model")
-    if not isinstance(model_tree.get("hidden", []), (list, tuple)):
-        raise ConfigError("'hidden' must be a list of layer widths")
-    # MlpSpec's own checks, with stand-in input and output widths
-    hidden = _field(
-        model_tree, "model", "hidden",
-        lambda h: MlpSpec((1, *_int_tuple(h), 2)).layer_sizes[1:-1], [32],
-    )
-    activation = _field(
-        model_tree, "model", "activation",
-        lambda a: MlpSpec((1, 2), str(a)).activation, "relu",
-    )
-    # ObjectiveConfig's own checks, with a stand-in divergence
-    head = _field(
-        model_tree, "model", "head",
-        lambda h: ObjectiveConfig(DIVERGENCE_IDS[0], head=str(h)).head, "simplex",
-    )
-
-    if "objective" not in tree:
-        raise ConfigError("section 'objective' is required")
-    obj = _require_mapping(tree["objective"], "objective")
-    _check_keys(obj, ("divergence", "correction"), "objective")
-    if "divergence" not in obj:
-        raise ConfigError("objective requires 'divergence'")
-    divergence = _field(
-        obj, "objective", "divergence", lambda d: ObjectiveConfig(str(d)).divergence
-    )
-    corrections = _field(obj, "objective", "correction", _modes, "none")
-
-    noise = _parse_noise(tree.get("noise"))
-
-    train_tree = _require_mapping(tree.get("train", {}), "train")
-    _check_keys(train_tree, ("epochs", "batch_size", "lr0", "momentum"), "train")
-    train_config = TrainConfig(
-        epochs=_train_field(train_tree, "epochs", int, 100),
-        batch_size=_train_field(train_tree, "batch_size", int, 32),
-        lr0=_train_field(train_tree, "lr0", float, 0.02),
-        momentum=_train_field(train_tree, "momentum", float, 0.9),
-    )
-
-    if not isinstance(tree.get("seeds", []), (list, tuple)):
-        raise ConfigError("'seeds' must be a list of integers")
-    seeds = _field(tree, None, "seeds", _int_tuple, [0])
-
-    out_tree = _require_mapping(tree.get("output", {}), "output")
-    _check_keys(out_tree, ("path", "format"), "output")
-    out_path = out_tree.get("path")
-    out_format = _field(out_tree, "output", "format", _out_format, "table")
-
-    try:
-        return ExperimentConfig(
-            source=source,
-            csv_path=csv_path,
-            synthetic=synthetic,
-            split_seed=split_seed,
-            divergence=divergence,
-            corrections=corrections,
-            noise=noise,
-            hidden=hidden,
-            activation=activation,
-            head=head,
-            train=train_config,
-            seeds=seeds,
-            out_path=str(out_path) if out_path is not None else None,
-            out_format=out_format,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -706,7 +680,7 @@ def report(records: Sequence[ResultRecord], format: str = "table") -> str:
         return _records_to_json(records)
     if format == "table":
         return _records_to_table(records)
-    raise ValueError("format must be csv, json, or table")
+    raise ValueError(f"format must be one of {', '.join(_FORMATS)}")
 
 
 def parse_report(text: str, format: str) -> list[ResultRecord]:

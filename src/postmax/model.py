@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -102,9 +102,9 @@ class MlpSpec:
     divergence: Optional[str] = None
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError("layer_sizes needs at least two widths, each >= 1")
+        sizes = tuple(_check("width", int(s)) for s in self.layer_sizes)
+        if len(sizes) < 2:
+            raise ValueError("layer_sizes needs at least two widths")
         if sizes[-1] < 2:
             raise ValueError("output width must be at least 2 classes")
         object.__setattr__(self, "layer_sizes", sizes)
@@ -137,14 +137,29 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.epochs) != self.epochs or self.epochs < 0:
-            raise ValueError("epochs must be a nonnegative integer")
-        if int(self.batch_size) != self.batch_size or self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
-        if not self.lr0 > 0.0:
-            raise ValueError("lr0 must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+        for f in fields(self):
+            if f.name in _RULES:
+                _check(f.name, getattr(self, f.name))
+
+
+# Single-field rules, name -> (test, what the value must be).  MlpSpec
+# checks each layer width and TrainConfig each field that has a rule; the
+# config reader checks a config value by the same rule.
+_RULES = {
+    "width": (lambda v: v >= 1, "at least 1"),
+    "epochs": (lambda v: int(v) == v and v >= 0, "a nonnegative integer"),
+    "batch_size": (lambda v: int(v) == v and v >= 1, "a positive integer"),
+    "lr0": (lambda v: v > 0.0, "positive"),
+    "momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+}
+
+
+def _check(rule: str, value):
+    """value, or a ValueError if it breaks the rule of that name."""
+    test, requirement = _RULES[rule]
+    if not test(value):
+        raise ValueError(f"{rule} must be {requirement}")
+    return value
 
 
 @dataclass(frozen=True)

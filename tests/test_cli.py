@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import postmax
 from postmax.cli import (
+    _CONFIG,
     RECORD_COLUMNS,
     ConfigError,
     ResultRecord,
@@ -461,11 +462,47 @@ class TestConfig:
             ({"train": {"lr0": 0}}, "train.lr0"),
             ({"train": {"momentum": 1.5}}, "train.momentum"),
             ({"output": {"format": "xml"}}, "output.format"),
+            ({"train": {"epochs": 2.7}}, "train.epochs"),
+            ({"model": {"hidden": [8.9]}}, "model.hidden"),
+            ({"train": {"epochs": True}}, "train.epochs"),
+            ({"train": {"lr0": True}}, "train.lr0"),
+            ({"output": {"path": {"a": 1}}}, "output.path"),
+            ({"dataset": {"source": "csv", "path": 5}}, "dataset.path"),
+            ({"seeds": [-1]}, "seeds"),
+            (
+                {"dataset": {"source": "synthetic", "split_seed": -3}},
+                "dataset.split_seed",
+            ),
         ],
     )
     def test_malformed_values_name_their_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             parse_config(config_tree(**overrides))
+
+    def test_integral_floats_and_exponent_strings_read_as_numbers(self):
+        cfg = parse_config(
+            config_tree(
+                model={"hidden": [8.0]},
+                train={"epochs": 2.0, "batch_size": 32, "lr0": "1e-3"},
+            )
+        )
+        assert cfg.hidden == (8,) and cfg.train.epochs == 2
+        assert cfg.train.lr0 == 1e-3
+
+    @pytest.mark.parametrize("section,key", list(_CONFIG))
+    def test_every_table_key_names_itself_in_errors(self, section, key):
+        tree = config_tree(noise={"kind": "symmetric", "eta": 0.2})
+        variant = _CONFIG[section, key][2]
+        if section is None:
+            target = tree
+        elif variant is None:
+            target = tree.setdefault(section, {})
+        else:
+            target = tree[section] = dict([variant])
+        target[key] = {"a": 1}
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=f"^invalid '{name}': "):
+            parse_config(tree)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(tree=yaml_trees | config_trees())

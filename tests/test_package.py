@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import postmax
+from postmax.cli import _CONFIG, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -28,6 +29,20 @@ def test_readme_library_example_runs():
     exec(compile(code, str(README), "exec"), namespace)
     assert len(namespace["trace"].objective) == 60
     assert namespace["test_accuracy"] >= 0.9
+
+
+def test_readme_config_reference_covers_the_config_table():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```yaml\n(.*?)```", section, flags=re.S)
+    tree = yaml.safe_load(block)
+    parse_config(tree)
+    for (name, key), (_, _, variant) in _CONFIG.items():
+        given = tree if name is None else tree[name]
+        # a key of the variant the example does not take is a comment
+        assert key in given or (
+            variant is not None and re.search(rf"# {key}: ", block)
+        ), (name, key)
 
 
 def test_all_is_sorted_unique_and_resolves():
