@@ -1,7 +1,8 @@
 """Golden training records: the exact bits of small sweeps and traces.
 
 Every head x divergence x K in {2, 3} sweep, one uniform off-diagonal
-sweep and one TrainTrace per head are pinned in golden_records.json:
+sweep, two sweeps whose last mini-batch is ragged and one TrainTrace per
+head are pinned in golden_records.json:
 accuracies exactly and objectives by repr.  So is one step's simplex head
 gradient per divergence x K x rates, by the SHA-256 of its bits: a
 one-ulp change there can vanish once the update adds it to much larger
@@ -39,13 +40,13 @@ def _activation(k):
     return "relu" if k == 2 else "tanh"
 
 
-def _sweep_tree(head, div_id, k, noise):
+def _sweep_tree(head, div_id, k, noise, batch=BATCH):
     return {
         "dataset": {"source": "synthetic", "k": k, "n": N, "d": D},
         "model": {"hidden": [HIDDEN], "activation": _activation(k), "head": head},
         "objective": {"divergence": div_id, "correction": list(MODES)},
         "noise": noise,
-        "train": {"epochs": EPOCHS, "batch_size": BATCH},
+        "train": {"epochs": EPOCHS, "batch_size": batch},
         "seeds": list(SEEDS),
     }
 
@@ -60,6 +61,14 @@ def sweep_cases():
                 cases[f"{head}-{div_id}-k{k}"] = _sweep_tree(head, div_id, k, symmetric)
     offdiag = {"kind": "uniform_offdiag", "e": [0.1, 0.3]}
     cases["simplex-kl-k2-offdiag"] = _sweep_tree("simplex", "kl", 2, offdiag)
+    # batches of 24 split the 160 training rows 6 x 24 + 16, so the last
+    # step of every epoch runs on the first rows of the step's workspaces
+    cases["simplex-kl-k2-offdiag-b24"] = _sweep_tree(
+        "simplex", "kl", 2, offdiag, batch=24
+    )
+    cases["raw_t-gan-k3-b24"] = _sweep_tree(
+        "raw_t", "gan", 3, {"kind": "symmetric", "eta": 0.2}, batch=24
+    )
     return cases
 
 
@@ -161,7 +170,7 @@ def _where(pinned):
 
 def test_pins_cover_every_case(pinned):
     assert set(pinned["sweeps"]) == set(sweep_cases())
-    assert len(pinned["sweeps"]) == 2 * len(DIVERGENCE_IDS) * 2 + 1
+    assert len(pinned["sweeps"]) == 2 * len(DIVERGENCE_IDS) * 2 + 3
     assert set(pinned["traces"]) == set(HEADS)
     assert set(pinned["head_grads"]) == set(head_grad_cases())
     assert len(pinned["head_grads"]) == len(DIVERGENCE_IDS) * 2 * 2
