@@ -297,9 +297,25 @@ def _choice(options: tuple[str, ...]):
 
 
 def _modes(value) -> tuple[str, ...]:
-    """One correction mode, or a list of them, as a tuple of modes."""
+    """One correction mode, or a list of distinct ones, as a tuple of
+    modes: a repeated mode would repeat its records in every mean."""
     mode = _choice(_CORRECTIONS)
-    return (mode(value),) if isinstance(value, str) else _list(mode)(value)
+    modes = (mode(value),) if isinstance(value, str) else _list(mode)(value)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"modes must be distinct, got {list(modes)}")
+    return modes
+
+
+def _such_that(convert, test, requirement: str):
+    """convert, then a check that test holds of the value."""
+
+    def convert_checked(value):
+        converted = convert(value)
+        if not test(converted):
+            raise ValueError(f"must be {requirement}, got {converted!r}")
+        return converted
+
+    return convert_checked
 
 
 def _ruled(rule: str, convert):
@@ -323,10 +339,18 @@ _CONFIG = {
     (None, "seeds"): (_list(_seed), (0,), None),
     ("dataset", "source"): (_choice(("csv", "synthetic")), _REQUIRED, None),
     ("dataset", "path"): (_readable_path, _REQUIRED, ("source", "csv")),
-    ("dataset", "k"): (_integer, 2, ("source", "synthetic")),
+    ("dataset", "k"): (
+        _such_that(_integer, lambda k: k >= 2, "at least 2"),
+        2,
+        ("source", "synthetic"),
+    ),
     ("dataset", "n"): (_integer, 600, ("source", "synthetic")),
     ("dataset", "d"): (_integer, 10, ("source", "synthetic")),
-    ("dataset", "class_separation"): (_number, 4.0, ("source", "synthetic")),
+    ("dataset", "class_separation"): (
+        _such_that(_number, lambda c: 0.0 <= c < math.inf, "finite and nonnegative"),
+        4.0,
+        ("source", "synthetic"),
+    ),
     ("dataset", "split_seed"): (_seed, 0, None),
     ("model", "hidden"): (_list(_ruled("width", _integer)), (32,), None),
     ("model", "activation"): (_choice(_ACTIVATIONS), "relu", None),
@@ -404,6 +428,16 @@ def parse_config(tree: dict) -> ExperimentConfig:
         for key, value in dataset.items()
         if _CONFIG["dataset", key][2] == ("source", "synthetic")
     }
+    if synthetic:
+        k = synthetic["k"]
+        # make_synthetic's rules across keys: k classes need k rows, and
+        # k - 1 dimensions for their equidistant means
+        for key, least in (("n", k), ("d", k - 1)):
+            if synthetic[key] < least:
+                raise ConfigError(
+                    f"invalid 'dataset.{key}': must be at least {least} "
+                    f"for k = {k}, got {synthetic[key]}"
+                )
     return ExperimentConfig(
         source=dataset["source"],
         csv_path=dataset.get("path"),

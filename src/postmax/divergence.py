@@ -35,6 +35,9 @@ score (f*)'(T) * link'(v), where s = softplus(v):
 
 For gan and sl these stay finite for every finite v, even where the link
 rounds onto its domain's boundary; kl's forms overflow past v ~ 710.
+The raw-head gradient reads link'(v) and the score together from one
+entry, raw_slopes, which builds what the two share once: gan's one
+exponential, sl's softplus, sigmoid and (1+s)**2.
 Posterior correction ranks classes by posterior(v) - e, which raw_rank
 computes per row scaled so that kl's and gan's exponentials cannot
 overflow.
@@ -82,14 +85,21 @@ class DivergenceSpec:
     conj_second: Callable[[np.ndarray], np.ndarray]
     conj_domain: tuple[float, float]  # open interval of valid t
     link: Callable[[np.ndarray], np.ndarray]  # raw output v -> t in domain
-    link_prime: Callable[[np.ndarray], np.ndarray]
+    raw_slopes: Callable  # v -> (link'(v), (f*)'(link(v)) * link'(v))
     raw_posterior: Callable  # v -> (f*)'(link(v))
     raw_rank: Callable  # (v, e) -> rows with the argmax of raw_posterior(v) - e
     raw_conj: Callable  # v -> f*(link(v))
-    raw_score: Callable  # v -> (f*)'(link(v)) * link'(v)
     simplex_value: Callable  # (D, Dy) -> per-row objective at T = f'(D)
     simplex_score: Callable  # (D, onehot) -> s = D * dJ/dD
     simplex_drift: Callable  # (D, drift) -> D * f''(D) * drift
+
+    def link_prime(self, v):
+        """link'(v), the first of raw_slopes."""
+        return self.raw_slopes(v)[0]
+
+    def raw_score(self, v):
+        """(f*)'(link(v)) * link'(v), the second of raw_slopes."""
+        return self.raw_slopes(v)[1]
 
 
 def _softplus(x):
@@ -179,9 +189,24 @@ def _sl_raw_conj(v):
     return np.log1p(s) + 1.0 / (1.0 + s)
 
 
-def _sl_raw_score(v):
+def _kl_raw_slopes(v):
+    return np.ones_like(v), _kl_conj(v)
+
+
+def _gan_raw_slopes(v):
+    # sigmoid(-v) and sigmoid(v) from one t = exp(-|v|): -v >= 0 is v <= 0,
+    # for signed zeros and NaN alike
+    t = np.exp(-np.abs(v))
+    r = 1.0 / (1.0 + t)
+    tr = t * r
+    return np.where(v <= 0.0, r, tr), np.where(v >= 0.0, r, tr)
+
+
+def _sl_raw_slopes(v):
     s = _softplus(v)
-    return s * _sigmoid(v) / (1.0 + s) ** 2
+    sig = _sigmoid(v)
+    sq = (1.0 + s) ** 2
+    return sig / sq, s * sig / sq
 
 
 _KL = DivergenceSpec(
@@ -193,11 +218,10 @@ _KL = DivergenceSpec(
     conj_second=_kl_conj,
     conj_domain=(-np.inf, np.inf),
     link=lambda v: v,
-    link_prime=np.ones_like,
+    raw_slopes=_kl_raw_slopes,
     raw_posterior=_kl_conj,
     raw_rank=_exp_rank(1.0),
     raw_conj=_kl_conj,
-    raw_score=_kl_conj,
     simplex_value=lambda D, Dy: np.log(Dy) - 1.0,
     simplex_score=lambda D, onehot: onehot,
     simplex_drift=lambda D, drift: drift,
@@ -212,11 +236,10 @@ _GAN = DivergenceSpec(
     conj_second=_gan_conj_second,
     conj_domain=(-np.inf, 0.0),
     link=lambda v: -_softplus(-v),
-    link_prime=lambda v: _sigmoid(-v),
+    raw_slopes=_gan_raw_slopes,
     raw_posterior=np.exp,
     raw_rank=_exp_rank(0.0),
     raw_conj=_softplus,
-    raw_score=_sigmoid,
     simplex_value=lambda D, Dy: (
         np.log(Dy / (Dy + 1.0)) - np.log1p(D).sum(axis=1)
     ),
@@ -233,11 +256,10 @@ _SL = DivergenceSpec(
     conj_second=_sl_conj_second,
     conj_domain=(-1.0, 0.0),
     link=lambda v: -1.0 / (1.0 + _softplus(v)),
-    link_prime=lambda v: _sigmoid(v) / (1.0 + _softplus(v)) ** 2,
+    raw_slopes=_sl_raw_slopes,
     raw_posterior=_softplus,
     raw_rank=lambda v, e: _softplus(v) - e,
     raw_conj=_sl_raw_conj,
-    raw_score=_sl_raw_score,
     simplex_value=lambda D, Dy: (
         -1.0 / (Dy + 1.0) + (-1.0 / (D + 1.0) - np.log1p(D)).sum(axis=1)
     ),

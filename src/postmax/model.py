@@ -38,9 +38,20 @@ training objective is computed and checked once, after the final epoch.
 A single-member call is train() itself, so each member ends bit for bit
 where its own train() call would.
 
-A desk-sized step is bound by per-call overhead, not arithmetic, so its
-head allocates nothing: the softmax, the drift of the rate terms (built
-once per training) and the head gradient write into (M, batch, K) and
+A desk-sized step is bound by per-call overhead, not arithmetic, and a
+numpy call costs more when it broadcasts an operand or converts a Python
+scalar, and more again when a view must be made for it first: at
+(3, 32, 2) a broadcast subtract takes about 2.4 us against 0.9 us for
+equal shapes (2-vCPU Xeon, numpy 2.4).  So the step only runs kernels
+over operands built before it.  Once per training: the rate terms at the
+step's (M, batch, K) shape, the transposed weights, the momentum as a
+float64 and the finiteness guard's bool buffer.  Once per batch size:
+views of the workspaces, each layer's forward and backprop operands over
+them, and the batch size as a float64.  Once per epoch: the batch
+orders, every member's labels in that order as rows of the K x K
+identity, which a step reads as slices, and the learning rates as
+float64s.  The head allocates nothing: the softmax, the drift of the
+rate terms and the head gradient write into (M, batch, K) and
 (M, batch, 1) workspaces.  Over two classes, its row max and row sums
 are one np.maximum or np.add of the two column views, about 2 us a call
 against 3-6 us for a reduction over the class axis; from three classes
@@ -223,24 +234,37 @@ def _softmax(v: np.ndarray, out=None, col=None) -> np.ndarray:
     return z
 
 
-def _forward_into(activation: str, layers, hs, v) -> None:
-    """Forward pass into given arrays, over any leading member axes.
+_ZERO = np.float64(0.0)
+_ONE = np.float64(1.0)
 
-    hs[0] holds the layer-0 inputs; hidden layer i writes its linear
-    output to hs[i + 1] and applies the activation there in place, so
-    hs[i + 1] ends as the next layer's input; the final linear outputs go
-    to v.  layers are (W, b) pairs whose b broadcasts against the layer's
-    outputs.
+
+def _forward_ops(layers, hs, v):
+    """_forward_into's operands: (W, b, input, output) of each hidden
+    layer, and of the output layer.
+
+    layers are (W, b) pairs whose b broadcasts against the layer's
+    outputs; hs are the layer inputs, hs[0] the features, and v takes the
+    final linear outputs.
     """
-    for (W, b), h_in, h in zip(layers[:-1], hs, hs[1:]):
+    ops = [(W, b, h_in, h) for (W, b), h_in, h in zip(layers, hs, [*hs[1:], v])]
+    return ops[:-1], ops[-1]
+
+
+def _forward_into(activation: str, hidden, last) -> None:
+    """Forward pass over _forward_ops' operands, over any leading member
+    axes: each hidden layer writes its linear output to its output array
+    and applies the activation there in place, so that array ends as the
+    next layer's input; the output layer writes the final linear outputs.
+    """
+    for W, b, h_in, h in hidden:
         np.matmul(h_in, W, out=h)
         h += b
         if activation == "relu":
-            np.maximum(h, 0.0, out=h)
+            np.maximum(h, _ZERO, out=h)
         else:
             np.tanh(h, out=h)
-    W, b = layers[-1]
-    np.matmul(hs[-1], W, out=v)
+    W, b, h_in, v = last
+    np.matmul(h_in, W, out=v)
     v += b
 
 
@@ -248,7 +272,7 @@ def _forward_parts(spec: MlpSpec, params, X: np.ndarray):
     """All layer inputs, plus final linear outputs."""
     hs = [X] + [np.empty((X.shape[0], w)) for w in spec.layer_sizes[1:-1]]
     v = np.empty((X.shape[0], spec.k))
-    _forward_into(spec.activation, params, hs, v)
+    _forward_into(spec.activation, *_forward_ops(params, hs, v))
     return hs, v
 
 
@@ -310,29 +334,42 @@ def _head_grad(
     return _simplex_logit_grad(div, D, onehot, rates, out=out, work=work)
 
 
-def _backprop_into(activation: str, layers, hs, g_v, grads, deltas, masks):
-    """Backpropagate the output gradient g_v, over any leading member axes.
+def _backprop_ops(weights_T, hs, g_v, grads, deltas, masks) -> list:
+    """_backprop_into's operands, from the output layer down: per layer
+    (input^T, output gradient, dW, db, down), down being None for layer
+    0 and (W^T, input, derivative, input gradient) above it.
 
-    hs are _forward_into's; each layer's (dW, db) is written into the
-    arrays of grads, and deltas and masks are scratch shaped like the
-    hidden layers' hs, masks bool for relu and float for tanh.
+    weights_T are the layers' transposed weights (layer 0's is not
+    read), hs are _forward_into's layer inputs and g_v the output
+    gradient; each layer's (dW, db) is written into the arrays of grads,
+    and deltas and masks are scratch shaped like the hidden layers' hs,
+    masks bool for relu and float for tanh.
     """
-    g = g_v
-    for i in range(len(layers) - 1, -1, -1):
-        gW, gb = grads[i]
-        np.matmul(hs[i].swapaxes(-1, -2), g, out=gW)
+    outputs = [*deltas, g_v]
+    ops = []
+    for i in range(len(grads) - 1, -1, -1):
+        down = None if i == 0 else (weights_T[i], hs[i], masks[i - 1], deltas[i - 1])
+        ops.append((hs[i].swapaxes(-1, -2), outputs[i], *grads[i], down))
+    return ops
+
+
+def _backprop_into(activation: str, ops) -> None:
+    """Backpropagate over _backprop_ops' operands, over any leading member
+    axes."""
+    for h_T, g, gW, gb, down in ops:
+        np.matmul(h_T, g, out=gW)
         np.add.reduce(g, axis=-2, out=gb)
-        if i > 0:
-            g = np.matmul(g, layers[i][0].swapaxes(-1, -2), out=deltas[i - 1])
-            d = masks[i - 1]
+        if down is not None:
+            W_T, h, d, delta = down
+            np.matmul(g, W_T, out=delta)
             if activation == "relu":
                 # relu(z) > 0 exactly where z > 0, NaN and -0.0 included;
                 # the kink at 0 is measure-zero under continuous inputs
-                np.greater(hs[i], 0.0, out=d)
+                np.greater(h, _ZERO, out=d)
             else:
-                np.multiply(hs[i], hs[i], out=d)
-                np.subtract(1.0, d, out=d)
-            g *= d
+                np.multiply(h, h, out=d)
+                np.subtract(_ONE, d, out=d)
+            delta *= d
 
 
 def _backprop(spec: MlpSpec, params, hs, g_v):
@@ -342,7 +379,10 @@ def _backprop(spec: MlpSpec, params, hs, g_v):
     deltas = [np.empty_like(h) for h in hidden]
     mask_type = bool if spec.activation == "relu" else float
     masks = [np.empty(h.shape, mask_type) for h in hidden]
-    _backprop_into(spec.activation, params, hs, g_v, grads, deltas, masks)
+    weights_T = [W.swapaxes(-1, -2) for W, _ in params]
+    _backprop_into(
+        spec.activation, _backprop_ops(weights_T, hs, g_v, grads, deltas, masks)
+    )
     return grads
 
 
@@ -477,18 +517,19 @@ def _train_members(members, on_epoch=None) -> list:
     div = get_divergence(cfg0.divergence)
     n, k, M = X.shape[0], spec.k, len(members)
     simplex = spec.head == "simplex"
+    B = min(tc.batch_size, n)
     # Datasets and noise parameters validated the labels and rates, so
-    # every step runs the unchecked kernel on one-hot rows built once;
-    # member m's labels are rows m*n .. m*n+n-1 of one (M*n, k) array.
-    # Head outputs need no check: a non-finite one surfaces as non-finite
-    # parameters at the same step.  A zero rate row leaves its member's
-    # gradient unchanged bit for bit, so one kernel call serves all.
-    onehot = _onehot(np.concatenate([ds.labels for _, ds, _, _ in members]), k)
+    # every step runs the unchecked kernels.  Head outputs need no check:
+    # a non-finite one surfaces as non-finite parameters at the same step.
+    # A zero rate row leaves its member's gradient unchanged bit for bit,
+    # so one kernel call serves all, with the rate terms at the step's
+    # (M, B, k) shape.
+    labels = np.stack([ds.labels for _, ds, _, _ in members])
     rates = [_rates(cfg, k, "objective") for _, _, cfg, _ in members]
     e_terms = None
     if any(e is not None for e in rates):
         e_rows = np.stack([np.zeros(k) if e is None else e for e in rates])
-        e_terms = _rate_terms(e_rows)
+        e_terms = _rate_terms(e_rows, B)
 
     # Member m's parameters are row m of one (M, P) buffer, so the update
     # and the finiteness guard are one pass each over all members.
@@ -501,65 +542,88 @@ def _train_members(members, on_epoch=None) -> list:
     velocity = np.zeros_like(theta)
     grad = np.empty_like(theta)
     scratch = np.empty_like(theta)
+    finite = np.empty(theta.shape, bool)
+    momentum = np.float64(tc.momentum)
     layers = [(W, b[:, None, :]) for W, b in _layer_views(theta, model0.params)]
+    weights_T = [W.swapaxes(-1, -2) for W, _ in layers]
     grad_layers = _layer_views(grad, model0.params)
     member_params = [_layer_views(row, model0.params) for row in theta]
 
     # One generator per distinct seed, in order of first use; member m
     # reads its mini-batches from row seed_row[m] of the epoch's orders.
+    # Each epoch writes the orders into `order` and the members' labels,
+    # in that order, as rows of the k x k identity into `onehot`, so a
+    # step reads its indices and one-hot labels as slices of the two.
     seeds = list(dict.fromkeys(t.seed for _, _, _, t in members))
     rngs = [np.random.default_rng(s) for s in seeds]
     seed_row = np.array([seeds.index(t.seed) for _, _, _, t in members])
-    label_offset = (np.arange(M) * n)[:, None]
+    order = np.empty((M, n), dtype=np.intp)
+    onehot = np.empty((M, n, k))
+    identity = np.eye(k)
 
     # Workspaces for the largest batch: layer inputs (the gathered
     # features first, then each hidden layer's activations), deltas,
     # activation derivatives (relu's as a bool mask), final outputs, head
-    # outputs, one-hot labels, head gradients and the head's scratch, and
-    # one (M, B, 1) column for row maxima and sums.  A ragged last batch
-    # uses the first rows of each.
-    B = min(tc.batch_size, n)
+    # outputs, head gradients and the head's scratch, and one (M, B, 1)
+    # column for row maxima and sums.  A ragged last batch uses the first
+    # rows of each, and of the rate terms.
     hidden = spec.layer_sizes[1:-1]
     mask_type = bool if spec.activation == "relu" else float
     workspaces = [
         [np.empty((M, B, w)) for w in (spec.d_in, *hidden)],
         [np.empty((M, B, w)) for w in hidden],
         [np.empty((M, B, w), mask_type) for w in hidden],
-        [np.empty((M, B, k)) for _ in range(5)] + [np.empty((M, B, 1))],
+        [np.empty((M, B, k)) for _ in range(4)] + [np.empty((M, B, 1))],
     ]
-    views = {}  # batch rows -> views of that many rows of every workspace
+    # Every operand a step reads, built once per batch size: views of
+    # that many rows of the workspaces and rate terms, the forward and
+    # backprop operands over them, and the size as a float64 divisor.
+    sized = {}
+    batches = []  # per step of an epoch: (indices, one-hot rows, operands)
+    for start in range(0, n, tc.batch_size):
+        stop = min(start + tc.batch_size, n)
+        nb = stop - start
+        if nb not in sized:
+            hs, deltas, masks, (v, D, g_v, tmp, col) = (
+                [a[:, :nb, :] for a in ws] for ws in workspaces
+            )
+            sized[nb] = (
+                hs[0],
+                _forward_ops(layers, hs, v),
+                v, D, col, g_v, (tmp, col),
+                None if e_terms is None else tuple(t[:, :nb, :] for t in e_terms),
+                np.float64(nb),
+                _backprop_ops(weights_T, hs, g_v, grad_layers, deltas, masks),
+            )
+        batches.append((order[:, start:stop], onehot[:, start:stop, :], sized[nb]))
 
-    steps_per_epoch = math.ceil(n / tc.batch_size)
-    total_steps = tc.epochs * steps_per_epoch
+    total_steps = tc.epochs * len(batches)
     step = 0
     for epoch in range(tc.epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])[seed_row]
-        label_order = order + label_offset
-        for start in range(0, n, tc.batch_size):
-            stop = start + tc.batch_size
-            idx = order[:, start:stop]
-            nb = idx.shape[1]
-            if nb not in views:
-                views[nb] = [[a[:, :nb, :] for a in ws] for ws in workspaces]
-            hs, deltas, masks, (v, D, y1, g_v, tmp, col) = views[nb]
-            X.take(idx, axis=0, out=hs[0], mode="clip")
-            _forward_into(spec.activation, layers, hs, v)
-            onehot.take(label_order[:, start:stop], axis=0, out=y1, mode="clip")
+        np.stack([rng.permutation(n) for rng in rngs]).take(seed_row, axis=0, out=order)
+        identity.take(
+            np.take_along_axis(labels, order, axis=1), axis=0, out=onehot, mode="clip"
+        )
+        lrs = [
+            np.float64(_cosine_lr(tc.lr0, s, total_steps))
+            for s in range(step, step + len(batches))
+        ]
+        for (idx, y, operands), lr in zip(batches, lrs):
+            x, forward_ops, v, D, col, g_v, work, e_nb, nb, backprop_ops = operands
+            X.take(idx, axis=0, out=x, mode="clip")
+            _forward_into(spec.activation, *forward_ops)
             _head_grad(
-                div, v, _softmax(v, out=D, col=col) if simplex else None, y1,
-                e_terms, out=g_v, work=(tmp, col),
+                div, v, _softmax(v, out=D, col=col) if simplex else None, y,
+                e_nb, out=g_v, work=work,
             )
             g_v /= nb
-
-            _backprop_into(
-                spec.activation, layers, hs, g_v, grad_layers, deltas, masks
-            )
-            lr = _cosine_lr(tc.lr0, step, total_steps)
-            velocity *= tc.momentum
+            _backprop_into(spec.activation, backprop_ops)
+            velocity *= momentum
             velocity += grad
             theta += np.multiply(velocity, lr, out=scratch)
             step += 1
-            if not np.isfinite(theta).all():
+            np.isfinite(theta, out=finite)
+            if not np.logical_and.reduce(finite, axis=None):
                 raise RuntimeError(
                     f"parameters became non-finite at epoch {epoch} step "
                     f"{step - 1}; lower lr0 or check the data"

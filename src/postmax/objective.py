@@ -354,14 +354,20 @@ def _row_sum(a, out=None) -> np.ndarray:
     return np.add.reduce(a, axis=-1, keepdims=True, out=out)
 
 
-def _rate_terms(e):
+def _rate_terms(e, rows=None):
     """The terms of rate rows e, shape (..., K), that the logit gradients
     read: (e[..., None, :], sum(e)[..., None, None], 1 - sum(e) likewise),
-    or None for no rates; built once per training."""
+    or None for no rates.  Given rows, each term is a new (..., rows, K)
+    array of those values instead, so the kernels multiply and subtract
+    it without broadcasting; the step builds these once per training."""
     if e is None:
         return None
     total = e.sum(axis=-1)[..., None, None]
-    return e[..., None, :], total, 1.0 - total
+    terms = e[..., None, :], total, 1.0 - total
+    if rows is None:
+        return terms
+    shape = e.shape[:-1] + (rows, e.shape[-1])
+    return tuple(np.broadcast_to(t, shape).copy() for t in terms)
 
 
 def _simplex_logit_grad(
@@ -372,10 +378,10 @@ def _simplex_logit_grad(
     For callers that have validated labels and rates once and feed
     softmax rows: D and the one-hot label rows share a shape (..., N, K),
     and rates is None or _rate_terms of one rate row per leading index,
-    shape (..., K).  A zero rate row adds no drift and leaves its rows'
-    gradients unchanged bit for bit.  The result goes to out when given,
-    which must not be onehot; work is a (..., N, K) and a (..., N, 1)
-    scratch array, or Nones.
+    shape (..., K), broadcast or at D's shape.  A zero rate row adds no
+    drift and leaves its rows' gradients unchanged bit for bit.  The
+    result goes to out when given, which must not be onehot; work is a
+    (..., N, K) and a (..., N, 1) scratch array, or Nones.
     """
     tmp, col = work
     s = spec.simplex_score(D, onehot)  # may be onehot itself: not in place
@@ -403,12 +409,12 @@ def _raw_logit_grad(spec: DivergenceSpec, v, onehot, rates, out=None) -> np.ndar
     """Ascent gradient of _raw_value's per-sample terms w.r.t. v, without
     input checks: (onehot - e) * link'(v) - (1 - sum(e)) * raw_score(v).
     Shapes, rates, the zero rate row and out are _simplex_logit_grad's."""
-    score = spec.raw_score(v)
+    link_prime, score = spec.raw_slopes(v)
     if rates is not None:
         row, _, keep = rates
         onehot = onehot - row
         score = score * keep
-    return np.subtract(onehot * spec.link_prime(v), score, out=out)
+    return np.subtract(onehot * link_prime, score, out=out)
 
 
 def noisy_joint(joint: DiscreteJoint, tm: TransitionMatrix) -> DiscreteJoint:

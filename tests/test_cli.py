@@ -473,6 +473,17 @@ class TestConfig:
                 {"dataset": {"source": "synthetic", "split_seed": -3}},
                 "dataset.split_seed",
             ),
+            (
+                {"objective": {"divergence": "kl", "correction": ["none", "none"]}},
+                "objective.correction",
+            ),
+            ({"dataset": {"source": "synthetic", "k": 1}}, "dataset.k"),
+            (
+                {"dataset": {"source": "synthetic", "class_separation": math.inf}},
+                "dataset.class_separation",
+            ),
+            ({"dataset": {"source": "synthetic", "k": 5, "n": 3}}, "dataset.n"),
+            ({"dataset": {"source": "synthetic", "k": 5, "d": 3}}, "dataset.d"),
         ],
     )
     def test_malformed_values_name_their_key(self, overrides, key):

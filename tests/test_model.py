@@ -18,8 +18,10 @@ from postmax.model import (
     TrainConfig,
     _backprop,
     _backprop_into,
+    _backprop_ops,
     _cosine_lr,
     _forward_into,
+    _forward_ops,
     _forward_parts,
     _head_grad,
     _softmax,
@@ -363,13 +365,15 @@ def same_bits(a, b) -> bool:
 
 class TestStepHead:
     """The lockstep step's head, run as the step runs it, into views of
-    (M, B, K) and (M, B, 1) workspaces, for a full and a ragged batch."""
+    (M, B, K) and (M, B, 1) workspaces, for a full and a ragged batch;
+    with_rates "step" builds the rate terms at the step's (M, B, K) shape
+    and reads their first rows for the ragged batch, as the step does."""
 
     M, B = 3, 32
 
     @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
     @pytest.mark.parametrize("k", [2, 3, 7, 8, 10])
-    @pytest.mark.parametrize("with_rates", [False, True])
+    @pytest.mark.parametrize("with_rates", [False, True, "step"])
     @pytest.mark.parametrize("head", ["simplex", "raw_t"])
     def test_equals_reference_formula(self, div_id, k, with_rates, head):
         rng = np.random.default_rng(191 + k)
@@ -379,10 +383,15 @@ class TestStepHead:
             e_rows = rng.uniform(0.01, 0.9 / k, size=(self.M, k))
             e_rows[0] = 0.0
         rates = _rate_terms(e_rows)
+        if with_rates == "step":
+            step_rates = _rate_terms(e_rows, self.B)
+            assert all(t.shape == (self.M, self.B, k) for t in step_rates)
         spec = get_divergence(div_id)
         workspaces = [np.empty((self.M, self.B, k)) for _ in range(5)]
         workspaces.append(np.empty((self.M, self.B, 1)))
         for nb in (self.B, 7):
+            if with_rates == "step":
+                rates = tuple(t[:, :nb, :] for t in step_rates)
             v, D, y, g, tmp, col = (a[:, :nb, :] for a in workspaces)
             v[...] = rng.normal(scale=4.0, size=v.shape)
             y[...] = _onehot(rng.integers(0, k, size=(self.M, nb)), k)
@@ -488,11 +497,15 @@ class TestInPlaceActivations:
                 activation, layers, ref_hs, ref_zs, g_v
             )
 
-            _forward_into(activation, layers, hs, v)
+            _forward_into(activation, *_forward_ops(layers, hs, v))
             assert same_bits(v, ref_v)
             for h, ref in zip(hs, ref_hs):
                 assert same_bits(h, ref)
-            _backprop_into(activation, layers, hs, g_v, grads, deltas, masks)
+            weights_T = [W.swapaxes(-1, -2) for W, _ in layers]
+            _backprop_into(
+                activation,
+                _backprop_ops(weights_T, hs, g_v, grads, deltas, masks),
+            )
             for (gW, gb), (rW, rb) in zip(grads, ref_grads):
                 assert same_bits(gW, rW) and same_bits(gb, rb)
 
