@@ -101,7 +101,6 @@ _SOURCES = {
     ),
     "posterior": (
         "accuracy",
-        "estimate_posterior",
         "noisy_posterior_forward",
         "posterior_correct",
         "predict",
@@ -109,82 +108,7 @@ _SOURCES = {
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
-__all__ = [
-    "DIVERGENCE_IDS",
-    "DiscreteJoint",
-    "DivergenceSpec",
-    "ExperimentConfig",
-    "LabeledDataset",
-    "MlpSpec",
-    "NetworkModel",
-    "NoiseParams",
-    "ObjectiveConfig",
-    "POSTERIOR_FLOOR",
-    "ResultRecord",
-    "TheoremReport",
-    "TrainConfig",
-    "TrainTrace",
-    "TransitionMatrix",
-    "accuracy",
-    "active_passive_split",
-    "bias_multiclass",
-    "bias_simplex_batch",
-    "brute_force_conjugate",
-    "check_argmax_invariance",
-    "check_binary_identity",
-    "check_correction_exactness",
-    "check_first_order_bias",
-    "check_multiclass_identity",
-    "check_pointwise_optimum",
-    "check_posterior_gap_bound",
-    "conj_prime",
-    "conj_second",
-    "corrected_grad_sample",
-    "corrected_jf_batch",
-    "corrupt",
-    "cross_entropy",
-    "cross_entropy_logit_grad",
-    "describe_noise",
-    "estimate_posterior",
-    "evaluate",
-    "exact_bias",
-    "exact_jf",
-    "forward",
-    "get_divergence",
-    "init",
-    "jf_batch",
-    "jf_grad_batch",
-    "jf_grad_sample",
-    "jf_simplex_batch",
-    "jf_simplex_kl",
-    "jf_simplex_kl_logit_grad",
-    "jf_simplex_logit_grad_batch",
-    "load_config",
-    "load_csv",
-    "load_model",
-    "main",
-    "make_synthetic",
-    "noisy_joint",
-    "noisy_posterior_forward",
-    "objective_and_gradients",
-    "optimal_T_from_posterior",
-    "parse_config",
-    "parse_report",
-    "posterior_correct",
-    "posterior_from_T",
-    "predict",
-    "report",
-    "run_experiment",
-    "save_model",
-    "save_reports",
-    "split_dataset",
-    "summarize",
-    "symmetric_matrix",
-    "train",
-    "training_bias_expression",
-    "uniform_offdiag_matrix",
-    "verify_theorems",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

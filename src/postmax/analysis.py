@@ -24,7 +24,7 @@ from postmax.divergence import (
     optimal_T_from_posterior,
     posterior_from_T,
 )
-from postmax.noise import _check_stochastic, _offdiag_entries
+from postmax.noise import _check_rates, _check_stochastic, _offdiag_entries
 from postmax.objective import (
     _check_pmf,
     _exact_bias,
@@ -180,17 +180,14 @@ def training_bias_expression(spec, p_star_clean, e, delta, T_star_noisy) -> np.n
     """
     spec = _as_spec(spec)
     p = np.asarray(p_star_clean, dtype=float)
-    e = np.asarray(e, dtype=float)
+    if p.ndim == 0:
+        raise ValueError("arguments must hold the classes on their last axis")
+    e = _check_rates(e, p.shape[-1], p.shape[:-1])
     delta = np.asarray(delta, dtype=float)
     T_star = np.asarray(T_star_noisy, dtype=float)
-    if not (p.shape == e.shape == delta.shape == T_star.shape):
+    if not (p.shape == delta.shape == T_star.shape):
         raise ValueError("all arguments must share one shape")
     e_total = e.sum(axis=-1, keepdims=True)
-    # NaN fails every comparison, so a NaN rate fails this check
-    if not (np.all(e >= 0.0) and np.all(e_total < 1.0)):
-        raise ValueError(
-            "flip rates must be finite, nonnegative and sum to less than 1"
-        )
     curv = conj_second(spec, T_star - delta)
     return e_total * p - e + delta * curv
 

@@ -438,6 +438,13 @@ def parse_config(tree: dict) -> ExperimentConfig:
                     f"invalid 'dataset.{key}': must be at least {least} "
                     f"for k = {k}, got {synthetic[key]}"
                 )
+        # the noise rules that read K; a CSV's K is known only once it is read
+        if noise is not None:
+            try:
+                noise._check_classes(k)
+            except ValueError as err:
+                key = "eta" if noise.kind == "symmetric" else "e"
+                raise ConfigError(f"invalid 'noise.{key}': {err} for k = {k}") from None
     return ExperimentConfig(
         source=dataset["source"],
         csv_path=dataset.get("path"),

@@ -93,14 +93,6 @@ class DivergenceSpec:
     simplex_score: Callable  # (D, onehot) -> s = D * dJ/dD
     simplex_drift: Callable  # (D, drift) -> D * f''(D) * drift
 
-    def link_prime(self, v):
-        """link'(v), the first of raw_slopes."""
-        return self.raw_slopes(v)[0]
-
-    def raw_score(self, v):
-        """(f*)'(link(v)) * link'(v), the second of raw_slopes."""
-        return self.raw_slopes(v)[1]
-
 
 def _softplus(x):
     # log(1 + e^x) = max(x, 0) + log1p(e^-|x|)

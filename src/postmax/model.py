@@ -69,13 +69,12 @@ from typing import Optional
 import numpy as np
 
 from postmax.divergence import DivergenceSpec, get_divergence
-from postmax.noise import LabeledDataset
+from postmax.noise import LabeledDataset, _check_labels
 from postmax.objective import (
     POSTERIOR_FLOOR,
     ObjectiveConfig,
     _HEADS,
     _bias_simplex,
-    _check_labels,
     _jf_simplex,
     _onehot,
     _rate_terms,

@@ -4,6 +4,9 @@ Labels are 0-based integers everywhere.  A transition matrix entry
 entries[i][j] is the probability that a clean label i is observed as j.
 NoiseParams describes symmetric or uniform off-diagonal noise, the two
 models with per-class flip-in rates; corrupt takes any transition matrix.
+The two inputs the corrections read besides the network each have one
+rule, owned here: _check_labels for labels and _check_rates for flip-in
+rates.  Every library entry point that takes either calls them.
 Corruption draws one uniform variate per sample from a counter-based
 generator keyed on the seed, with the sample index selecting the stream
 position, so the outcome for a sample never depends on processing order.
@@ -18,6 +21,44 @@ from typing import Optional, Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
+
+
+def _check_labels(labels, n: int, k: int) -> np.ndarray:
+    """The label rule: n labels, one per sample, each an integer in [0, k).
+
+    Integer and bool arrays pass as they are; float arrays, and object
+    arrays of numbers, must hold integral values.  Range and integrality
+    are tested before any cast, so NaN, infinities and huge floats fail
+    here rather than in numpy's cast.  Returns a new int64 array.
+    """
+    labs = np.asarray(labels)
+    if labs.ndim != 1 or labs.shape[0] != n:
+        raise ValueError("labels must be one integer per sample")
+    if labs.dtype.kind in "biu":
+        valid = not (np.any(labs < 0) or np.any(labs >= k))
+    elif labs.dtype.kind in "fO":
+        vals = labs.astype(float)
+        valid = np.all((vals >= 0.0) & (vals < k) & (np.floor(vals) == vals))
+    else:
+        valid = False
+    if not valid:
+        raise ValueError(f"labels must be integers in [0, {k})")
+    return labs.astype(np.int64)
+
+
+def _check_rates(e, k: int, lead: tuple = ()) -> np.ndarray:
+    """The flip-rate rule: k finite, nonnegative rates that sum to less
+    than 1.  e has shape lead + (k,), one rate vector along the last axis
+    per leading index, each checked on its own.  Returns e as floats."""
+    e = np.asarray(e, dtype=float)
+    if e.shape != (*lead, k):
+        raise ValueError(f"flip rates must have shape {(*lead, k)}, got {e.shape}")
+    # NaN fails both comparisons, and an infinite rate sums to inf or NaN
+    if not (np.all(e >= 0.0) and np.all(e.sum(axis=-1) < 1.0)):
+        raise ValueError(
+            "flip rates must be finite, nonnegative and sum to less than 1"
+        )
+    return e
 
 
 def _check_stochastic(entries: np.ndarray) -> None:
@@ -73,10 +114,7 @@ class NoiseParams:
             if self.e is None:
                 raise ValueError("uniform off-diagonal noise requires a rate vector e")
             e = tuple(float(v) for v in self.e)
-            if not all(math.isfinite(v) and v >= 0.0 for v in e):
-                raise ValueError("flip rates must be finite and nonnegative")
-            if sum(e) >= 1.0:
-                raise ValueError("flip rates must sum to less than 1")
+            _check_rates(e, len(e))
             object.__setattr__(self, "e", e)
         else:
             raise ValueError(f"unknown noise kind {self.kind!r}")
@@ -89,23 +127,27 @@ class NoiseParams:
     def uniform_offdiag(cls, e: Sequence[float]) -> "NoiseParams":
         return cls(kind="uniform_offdiag", e=tuple(float(v) for v in e))
 
+    def _check_classes(self, k: int) -> None:
+        """The rules that read the class count k, allocating nothing."""
+        if k < 2:
+            raise ValueError("need at least two classes")
+        if self.kind == "symmetric":
+            if self.eta >= (k - 1) / k:
+                raise ValueError("eta must satisfy 0 <= eta < (K-1)/K")
+        elif len(self.e) != k:
+            raise ValueError(f"flip rates have length {len(self.e)}, expected {k}")
+
     def to_matrix(self, k: int) -> TransitionMatrix:
+        self._check_classes(k)
         if self.kind == "symmetric":
             return symmetric_matrix(k, self.eta)
-        if len(self.e) != k:
-            raise ValueError(f"rate vector has length {len(self.e)}, expected {k}")
         return uniform_offdiag_matrix(self.e)
 
     def flip_rates(self, k: int) -> np.ndarray:
         """Per-class flip-in rates e for the correction formulas."""
+        self._check_classes(k)
         if self.kind == "symmetric":
-            if k < 2:
-                raise ValueError("need at least two classes")
-            if self.eta >= (k - 1) / k:
-                raise ValueError("eta must be below (K-1)/K")
             return np.full(k, self.eta / (k - 1))
-        if len(self.e) != k:
-            raise ValueError(f"rate vector has length {len(self.e)}, expected {k}")
         return np.asarray(self.e, dtype=float)
 
 
@@ -126,19 +168,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        labs = np.asarray(self.labels)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError("features must be a nonempty N x D matrix")
-        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-            raise ValueError("labels must be one integer per sample")
-        if not np.issubdtype(labs.dtype, np.integer):
-            if not np.all(labs == labs.astype(np.int64)):
-                raise ValueError("labels must be integers")
-        labs = labs.astype(np.int64)
         if self.k < 2:
             raise ValueError("need at least two classes")
-        if np.any(labs < 0) or np.any(labs >= self.k):
-            raise ValueError(f"labels must lie in [0, {self.k})")
+        labs = _check_labels(self.labels, feats.shape[0], self.k)
         if self.provenance not in ("clean", "corrupted"):
             raise ValueError("provenance must be 'clean' or 'corrupted'")
         if feats.flags.writeable or feats.base is not None:
@@ -173,12 +207,8 @@ def uniform_offdiag_matrix(e: Sequence[float]) -> TransitionMatrix:
     """Matrix whose off-diagonal column j is constant e[j]."""
     e = np.asarray(e, dtype=float)
     if e.ndim != 1 or e.shape[0] < 2:
-        raise ValueError("e must be a vector of length K >= 2")
-    if not np.all(np.isfinite(e)) or np.any(e < 0.0):
-        raise ValueError("flip rates must be finite and nonnegative")
-    if e.sum() >= 1.0:
-        raise ValueError("flip rates must sum to less than 1")
-    return TransitionMatrix(_offdiag_entries(e))
+        raise ValueError("flip rates must be a vector of length K >= 2")
+    return TransitionMatrix(_offdiag_entries(_check_rates(e, e.shape[0])))
 
 
 def _offdiag_entries(e: np.ndarray) -> np.ndarray:

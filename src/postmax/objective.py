@@ -32,8 +32,12 @@ from postmax.divergence import (
     conj_second,  # unused here; perfbench/spans.py wraps objective.conj_second
     get_divergence,
 )
-from postmax.noise import NoiseParams, TransitionMatrix
-from postmax.posterior import _check_rates
+from postmax.noise import (
+    NoiseParams,
+    TransitionMatrix,
+    _check_labels,
+    _check_rates,
+)
 
 POSTERIOR_FLOOR = 1e-12  # degenerate posteriors are floored here by oracles
 
@@ -117,16 +121,6 @@ def _check_T(spec: DivergenceSpec, T: np.ndarray, expect_rows: bool = True) -> n
     return arr
 
 
-def _check_labels(labels, n: int, k: int) -> np.ndarray:
-    labs = np.asarray(labels)
-    if labs.ndim != 1 or labs.shape[0] != n:
-        raise ValueError("labels must be one integer per sample")
-    labs = labs.astype(np.int64)
-    if np.any(labs < 0) or np.any(labs >= k):
-        raise ValueError(f"labels must lie in [0, {k})")
-    return labs
-
-
 def jf_batch(spec, T, labels) -> float:
     """Sample mean of T at the label minus the summed conjugate of T."""
     spec = _as_spec(spec)
@@ -141,9 +135,7 @@ def jf_grad_sample(spec, T_row, label) -> np.ndarray:
     spec = _as_spec(spec)
     T_row = np.asarray(T_row, dtype=float)
     _check_in_domain(spec, T_row)
-    label = int(label)
-    if label < 0 or label >= T_row.shape[0]:
-        raise ValueError("label out of range")
+    (label,) = _check_labels([label], 1, T_row.shape[0])
     grad = -spec.conj_prime(T_row)
     grad[label] += 1.0
     return grad
@@ -202,9 +194,7 @@ def active_passive_split(spec, T_row, label) -> tuple[float, float]:
     spec = _as_spec(spec)
     T_row = np.asarray(T_row, dtype=float)
     _check_in_domain(spec, T_row)
-    label = int(label)
-    if label < 0 or label >= T_row.shape[0]:
-        raise ValueError("label out of range")
+    (label,) = _check_labels([label], 1, T_row.shape[0])
     conj_vals = spec.conj(T_row)
     active = float(T_row[label] - conj_vals[label])
     # every output but the label's, in order; never touches the label output
@@ -213,15 +203,21 @@ def active_passive_split(spec, T_row, label) -> tuple[float, float]:
     return active, passive
 
 
-def _check_simplex_row(D_row, require_simplex: bool) -> np.ndarray:
+def _check_simplex_row(D_row, label) -> tuple[np.ndarray, np.int64]:
+    """One simplex row and its label, checked; the per-row references
+    divide by or take the log of the label's component, so it must be
+    positive."""
     D = np.asarray(D_row, dtype=float)
     if D.ndim != 1 or D.shape[0] < 2:
         raise ValueError("expected one simplex row of length K >= 2")
     if np.any(D < 0.0) or not np.all(np.isfinite(D)):
         raise ValueError("simplex components must be nonnegative and finite")
-    if require_simplex and abs(D.sum() - 1.0) > 1e-9:
+    if abs(D.sum() - 1.0) > 1e-9:
         raise ValueError("row must sum to 1 within 1e-9")
-    return D
+    (label,) = _check_labels([label], 1, D.shape[0])
+    if D[label] == 0.0:
+        raise ValueError("the row's component at the label must be positive")
+    return D, label
 
 
 def jf_simplex_kl(D_row, label) -> float:
@@ -231,22 +227,21 @@ def jf_simplex_kl(D_row, label) -> float:
     cross-entropy minus one; the raw substitution T = log(D)+1 gives a
     value one unit higher, a constant that never affects maximization.
     """
-    D = _check_simplex_row(D_row, require_simplex=True)
-    label = int(label)
+    D, label = _check_simplex_row(D_row, label)
     return float(np.log(D[label]) - 1.0)
 
 
 def cross_entropy(D_row, label) -> float:
     """Reference cross-entropy of one simplex row, for equivalence checks."""
-    D = _check_simplex_row(D_row, require_simplex=True)
-    return float(-np.log(D[int(label)]))
+    D, label = _check_simplex_row(D_row, label)
+    return float(-np.log(D[label]))
 
 
 def cross_entropy_logit_grad(D_row, label) -> np.ndarray:
     """Gradient of the cross-entropy w.r.t. pre-softmax logits."""
-    D = _check_simplex_row(D_row, require_simplex=True)
+    D, label = _check_simplex_row(D_row, label)
     grad = D.copy()
-    grad[int(label)] -= 1.0
+    grad[label] -= 1.0
     return grad
 
 
@@ -256,8 +251,7 @@ def jf_simplex_kl_logit_grad(D_row, label) -> np.ndarray:
     Derived through the generic chain dJ/dD -> softmax, independently of
     the cross-entropy shortcut, so the two can be compared.
     """
-    D = _check_simplex_row(D_row, require_simplex=True)
-    label = int(label)
+    D, label = _check_simplex_row(D_row, label)
     g = np.zeros_like(D)
     g[label] = 1.0 / D[label]  # dJ/dD
     return D * (g - np.dot(g, D))

@@ -1,7 +1,8 @@
-"""Posterior estimation, MAP prediction, and test-time noise correction.
+"""MAP prediction and test-time noise correction.
 
 A trained network's outputs T convert to class-posterior estimates via
-the conjugate derivative of the divergence generator.  Under uniform
+the conjugate derivative of the divergence generator, which
+divergence.posterior_from_T computes.  Under uniform
 off-diagonal label noise the estimated posterior is an affine map of the
 clean one, so subtracting the per-class flip-in rates recovers a vector
 with the clean argmax.  Posterior rows and flip rates are plain arrays.
@@ -13,15 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from postmax.divergence import conj_prime
-
-
-def estimate_posterior(spec, T_outputs) -> np.ndarray:
-    """Map network outputs to posterior estimates via the conjugate slope."""
-    T = np.asarray(T_outputs, dtype=float)
-    if T.ndim != 2 or T.shape[1] < 2:
-        raise ValueError("network outputs must form an N x K matrix")
-    return conj_prime(spec, T)
+from postmax.divergence import conj_prime  # unused here; perfbench/spans.py wraps it
+from postmax.noise import _check_rates
 
 
 def predict(p) -> np.ndarray:
@@ -30,17 +24,6 @@ def predict(p) -> np.ndarray:
     if vals.ndim != 2:
         raise ValueError("expected an N x K matrix")
     return np.argmax(vals, axis=1).astype(np.int64)
-
-
-def _check_rates(e, k: int) -> np.ndarray:
-    e = np.asarray(e, dtype=float)
-    if e.ndim != 1 or e.shape[0] != k:
-        raise ValueError(f"flip rates must be a length-{k} vector")
-    if not (np.all(e >= 0.0) and e.sum() < 1.0):  # NaN fails both
-        raise ValueError(
-            "flip rates must be finite, nonnegative and sum to less than 1"
-        )
-    return e
 
 
 def noisy_posterior_forward(clean_p, e) -> np.ndarray:

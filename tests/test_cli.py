@@ -484,6 +484,21 @@ class TestConfig:
             ),
             ({"dataset": {"source": "synthetic", "k": 5, "n": 3}}, "dataset.n"),
             ({"dataset": {"source": "synthetic", "k": 5, "d": 3}}, "dataset.d"),
+            (
+                {
+                    "dataset": {"source": "synthetic", "k": 3},
+                    "noise": {"kind": "uniform_offdiag", "e": [0.1, 0.1]},
+                },
+                "noise.e",
+            ),
+            ({"noise": {"kind": "symmetric", "eta": 0.7}}, "noise.eta"),
+            (
+                {
+                    "dataset": {"source": "synthetic", "k": 3},
+                    "noise": {"kind": "symmetric", "eta": 0.7},
+                },
+                "noise.eta",
+            ),
         ],
     )
     def test_malformed_values_name_their_key(self, overrides, key):

@@ -459,15 +459,15 @@ class TestRawVForms:
     @pytest.mark.parametrize("v", RAW_V)
     def test_match_decimal_reference(self, v):
         ref = _decimal_v_forms(v)
+        x = np.array(v)
         for spec in ALL_SPECS:
-            got = [
-                float(form(np.array(v)))
-                for form in (spec.raw_posterior, spec.raw_conj, spec.raw_score)
-            ]
+            _, score = spec.raw_slopes(x)
+            got = [float(spec.raw_posterior(x)), float(spec.raw_conj(x)), float(score)]
             np.testing.assert_allclose(got, ref[spec.id], rtol=1e-14, err_msg=spec.id)
         ref_links = _decimal_links(v)
         for spec in ALL_SPECS:
-            got = [float(form(np.array(v))) for form in (spec.link, spec.link_prime)]
+            link_prime, _ = spec.raw_slopes(x)
+            got = [float(spec.link(x)), float(link_prime)]
             np.testing.assert_allclose(
                 got, ref_links[spec.id], rtol=1e-14, err_msg=spec.id
             )

@@ -16,6 +16,7 @@ WRAPPED_BY_NAME = {
     "src/postmax/analysis.py": {"exact_bias", "exact_jf", "exact_jf_noisy"},
     "src/postmax/cli.py": {"train"},
     "src/postmax/objective.py": {"conj_second"},
+    "src/postmax/posterior.py": {"conj_prime"},
     "src/postmax/model.py": {
         "bias_simplex_batch",
         "corrected_grad_batch",
@@ -32,7 +33,8 @@ WRAPPED_BY_NAME = {
 
 def unused_imports(tree: ast.Module) -> set:
     """Names bound by imports that nothing in the module reads; names
-    listed in __all__ count as read."""
+    listed in a literal __all__ count as read (a computed one lists no
+    imported names)."""
     imported = set()
     used = set()
     for node in ast.walk(tree):
@@ -44,7 +46,9 @@ def unused_imports(tree: ast.Module) -> set:
             used.add(node.id)
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = getattr(node, "targets", None) or [node.target]
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            if isinstance(node.value, (ast.List, ast.Tuple)) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+            ):
                 used.update(ast.literal_eval(node.value))
     return imported - used
 

@@ -15,8 +15,6 @@ from postmax.objective import (
     DiscreteJoint,
     ObjectiveConfig,
     _check_D_batch,
-    _check_labels,
-    _check_simplex_row,
     _check_T,
     active_passive_split,
     bias_multiclass,
@@ -51,7 +49,7 @@ from postmax.objective import (
     _row_sum,
     _simplex_logit_grad,
 )
-from postmax.posterior import _check_rates
+from postmax.noise import _check_labels, _check_rates
 
 # Reference formulas for the checks below, written from the closed forms
 # per divergence and never from the DivergenceSpec table, so comparing the
@@ -69,31 +67,29 @@ def bias_binary(spec, T, e0: float, e1: float) -> float:
     return float(np.mean(per_sample))
 
 
+def positive_row(D_row, label):
+    """One strictly positive finite row, on the simplex or off it, and its
+    label, checked as the batch functions check theirs."""
+    D = _check_D_batch([D_row], simplex_rows=False)[0]
+    return D, _check_labels([label], 1, D.shape[0])[0]
+
+
 def jf_simplex_gan(D_row, label) -> float:
     """GAN objective of one sample expressed in the simplex variable."""
-    D = _check_simplex_row(D_row, require_simplex=False)
-    if np.any(D <= 0.0):
-        raise ValueError("components must be strictly positive")
-    label = int(label)
+    D, label = positive_row(D_row, label)
     return float(np.log(D[label] / (D[label] + 1.0)) - np.log1p(D).sum())
 
 
 def jf_simplex_sl(D_row, label) -> float:
     """SL objective of one sample expressed in the simplex variable."""
-    D = _check_simplex_row(D_row, require_simplex=False)
-    if np.any(D <= 0.0):
-        raise ValueError("components must be strictly positive")
-    label = int(label)
+    D, label = positive_row(D_row, label)
     inv = 1.0 / (D + 1.0)
     return float(-inv[label] + np.sum(-inv - np.log1p(D)))
 
 
 def jf_simplex_grad_D(div_id, D_row, label) -> np.ndarray:
     """Gradient of the per-sample simplex objective w.r.t. D itself."""
-    D = _check_simplex_row(D_row, require_simplex=False)
-    if np.any(D <= 0.0):
-        raise ValueError("components must be strictly positive")
-    label = int(label)
+    D, label = positive_row(D_row, label)
     if div_id == "kl":
         grad = np.zeros_like(D)
         grad[label] = 1.0 / D[label]

@@ -5,12 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from postmax.divergence import DIVERGENCE_IDS, optimal_T_from_posterior
+from postmax.divergence import (
+    DIVERGENCE_IDS,
+    optimal_T_from_posterior,
+    posterior_from_T,
+)
 from postmax.noise import NoiseParams
 from postmax.posterior import (
     _noisy_forward,
     accuracy,
-    estimate_posterior,
     noisy_posterior_forward,
     posterior_correct,
     predict,
@@ -28,20 +31,16 @@ class TestEstimatePosterior:
         P = random_simplex(rng, 200, 5)
         for div_id in DIVERGENCE_IDS:
             T = optimal_T_from_posterior(div_id, P)
-            est = estimate_posterior(div_id, T)
+            est = posterior_from_T(div_id, T)
             np.testing.assert_allclose(est, P, rtol=1e-9)
 
     def test_kl_frozen_unnormalized(self):
-        est = estimate_posterior("kl", [[1.0, 1.0]])
+        est = posterior_from_T("kl", [[1.0, 1.0]])
         np.testing.assert_allclose(est, [[1.0, 1.0]])
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            estimate_posterior("sl", [[0.5, -0.5]])
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError):
-            estimate_posterior("kl", [1.0, 1.0])
+            posterior_from_T("sl", [[0.5, -0.5]])
 
 
 class TestPredict:
