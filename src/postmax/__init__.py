@@ -74,30 +74,22 @@ _SOURCES = {
         "NoiseParams",
         "TransitionMatrix",
         "corrupt",
-        "symmetric_matrix",
         "uniform_offdiag_matrix",
     ),
     "objective": (
         "POSTERIOR_FLOOR",
         "DiscreteJoint",
         "ObjectiveConfig",
-        "active_passive_split",
-        "bias_multiclass",
         "bias_simplex_batch",
-        "corrected_grad_sample",
         "corrected_jf_batch",
         "cross_entropy",
-        "cross_entropy_logit_grad",
         "exact_bias",
         "exact_jf",
         "jf_batch",
         "jf_grad_batch",
-        "jf_grad_sample",
         "jf_simplex_batch",
         "jf_simplex_kl",
-        "jf_simplex_kl_logit_grad",
         "jf_simplex_logit_grad_batch",
-        "noisy_joint",
     ),
     "posterior": (
         "accuracy",

@@ -21,6 +21,7 @@ import numpy as np
 from .divergence import DIVERGENCE_IDS
 from .model import (
     _ACTIVATIONS,
+    _HEADS,
     MlpSpec,
     TrainConfig,
     _check,
@@ -30,7 +31,7 @@ from .model import (
     train,
 )
 from .noise import LabeledDataset, NoiseParams, corrupt
-from .objective import _CORRECTIONS, _HEADS, ObjectiveConfig
+from .objective import _CORRECTIONS, ObjectiveConfig
 
 TEST_FRACTION = 0.2
 
@@ -47,16 +48,20 @@ class ConfigError(ValueError):
 # datasets
 
 
-def _parse_csv_rows(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read feature rows and integer labels from a CSV file.
+def _csv_dataset(path) -> LabeledDataset:
+    """Read a CSV file into a dataset of K = largest label + 1 classes.
 
-    The last column is the label; a single header line is allowed.  Any
-    malformed content is reported with its line number.
+    The last column is the label; a single header line is allowed.  K
+    must be at least 2 and at most the number of data rows, so a label
+    must be below that number.  Any malformed content is reported with
+    its line number.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
     width: Optional[int] = None
-    with open(path, "r", encoding="utf-8") as fh:
+    top = (-1.0, 0, "")  # the largest label so far, its line and its cell
+    # utf-8-sig drops a byte order mark, which would make line 1 a header
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -88,21 +93,21 @@ def _parse_csv_rows(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ConfigError(
                     f"{path}: line {lineno}: label must be a nonnegative integer"
                 )
+            if label > top[0]:
+                top = (label, lineno, parts[-1])
             rows.append(values[:-1])
             labels.append(int(label))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float), np.asarray(labels, dtype=int)
-
-
-def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    n_test = int(round(TEST_FRACTION * n))
-    if n_test < 1 or n - n_test < 1:
+    largest, lineno, cell = top
+    if largest >= len(rows):
         raise ConfigError(
-            f"cannot split {n} rows into nonempty train and test parts"
+            f"{path}: line {lineno}: label {cell} makes more classes than "
+            f"the {len(rows)} data rows"
         )
-    perm = np.random.default_rng(seed).permutation(n)
-    return perm[n_test:], perm[:n_test]
+    if largest < 1:
+        raise ConfigError(f"{path}: labels must cover at least two classes")
+    return LabeledDataset(np.asarray(rows, dtype=float), labels, int(largest) + 1)
 
 
 def load_csv(path, seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
@@ -112,29 +117,25 @@ def load_csv(path, seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
     are standardized per column using statistics of the training split
     only; constant columns are left unscaled.
     """
-    features, labels = _parse_csv_rows(path)
-    train_idx, test_idx = _split_indices(len(labels), seed)
-    k = int(labels.max()) + 1
-    if k < 2:
-        raise ConfigError(f"{path}: labels must cover at least two classes")
-    mean = features[train_idx].mean(axis=0)
-    std = features[train_idx].std(axis=0)
+    train_ds, test_ds = split_dataset(_csv_dataset(path), seed)
+    mean = train_ds.features.mean(axis=0)
+    std = train_ds.features.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
-    scaled = (features - mean) / std
-    train_ds = LabeledDataset(scaled[train_idx], labels[train_idx], k)
-    test_ds = LabeledDataset(scaled[test_idx], labels[test_idx], k)
-    return train_ds, test_ds
+    return tuple(
+        replace(ds, features=(ds.features - mean) / std) for ds in (train_ds, test_ds)
+    )
 
 
 def split_dataset(
     ds: LabeledDataset, seed: int = 0
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """80/20 train/test partition of a dataset by a seeded permutation."""
-    train_idx, test_idx = _split_indices(ds.n, seed)
-    make = lambda idx: LabeledDataset(
-        ds.features[idx], ds.labels[idx], ds.k, ds.provenance
-    )
-    return make(train_idx), make(test_idx)
+    n_test = int(round(TEST_FRACTION * ds.n))
+    if n_test < 1 or ds.n - n_test < 1:
+        raise ConfigError(f"cannot split {ds.n} rows into nonempty train and test parts")
+    perm = np.random.default_rng(seed).permutation(ds.n)
+    make = lambda idx: replace(ds, features=ds.features[idx], labels=ds.labels[idx])
+    return make(perm[n_test:]), make(perm[:n_test])
 
 
 def make_synthetic(
@@ -199,8 +200,8 @@ def make_synthetic(
 class ExperimentConfig:
     """A full experiment: data source, objective, noise, net, and seeds.
 
-    parse_config checks each value under its key; this checks only what
-    spans fields.
+    parse_config checks every value, and every rule across values, under
+    a key it names.
     """
 
     source: str  # "csv" | "synthetic"
@@ -217,19 +218,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     out_path: Optional[str]
     out_format: str
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds must be a nonempty list")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
-        if not self.corrections:
-            raise ConfigError("at least one correction mode is required")
-        for mode in self.corrections:
-            if mode != "none" and self.noise is None:
-                raise ConfigError(
-                    f"correction '{mode}' requires a noise section"
-                )
 
 
 # Converters from a config value to a field value.  Each takes the value
@@ -296,14 +284,18 @@ def _choice(options: tuple[str, ...]):
     return convert
 
 
+def _distinct(values: tuple) -> tuple:
+    """values, if nonempty and free of repeats: a repeated seed or
+    correction mode would repeat its records in every mean."""
+    if not values or len(set(values)) != len(values):
+        raise ValueError(f"expected nonempty and distinct values, got {list(values)}")
+    return values
+
+
 def _modes(value) -> tuple[str, ...]:
-    """One correction mode, or a list of distinct ones, as a tuple of
-    modes: a repeated mode would repeat its records in every mean."""
+    """One correction mode, or a list of distinct ones, as a tuple."""
     mode = _choice(_CORRECTIONS)
-    modes = (mode(value),) if isinstance(value, str) else _list(mode)(value)
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"modes must be distinct, got {list(modes)}")
-    return modes
+    return _distinct((mode(value),) if isinstance(value, str) else _list(mode)(value))
 
 
 def _such_that(convert, test, requirement: str):
@@ -336,7 +328,7 @@ _REQUIRED = object()  # the default of a key that every config gives
 # root.  A key with a variant (key, value) is read only when its section
 # gives that key that value, and is unknown otherwise.
 _CONFIG = {
-    (None, "seeds"): (_list(_seed), (0,), None),
+    (None, "seeds"): (lambda seeds: _distinct(_list(_seed)(seeds)), (0,), None),
     ("dataset", "source"): (_choice(("csv", "synthetic")), _REQUIRED, None),
     ("dataset", "path"): (_readable_path, _REQUIRED, ("source", "csv")),
     ("dataset", "k"): (
@@ -423,6 +415,11 @@ def parse_config(tree: dict) -> ExperimentConfig:
     if tree.get("noise") is not None:
         rates = _read(tree, "noise")
         noise = rates.get("eta", rates.get("e"))  # each reads as NoiseParams
+    for mode in objective["correction"]:
+        if mode != "none" and noise is None:
+            raise ConfigError(
+                f"invalid 'objective.correction': '{mode}' requires a noise section"
+            )
     synthetic = {
         key: value
         for key, value in dataset.items()
@@ -559,7 +556,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     """
     train_ds, test_ds = _load_splits(cfg)
     spec = _mlp_spec(cfg, train_ds)
-    plain = ObjectiveConfig(cfg.divergence, "none", None, cfg.head)
+    plain = ObjectiveConfig(cfg.divergence)
     noise_desc = describe_noise(cfg.noise)
     # only the objective correction changes the gradient
     train_mode = {
@@ -569,9 +566,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     noisy_modes = []  # distinct training modes, in order of first use
     if cfg.noise is not None:
         noisy_modes = list(dict.fromkeys(train_mode.values()))
-    noisy_cfgs = [
-        ObjectiveConfig(cfg.divergence, t, cfg.noise, cfg.head) for t in noisy_modes
-    ]
+    noisy_cfgs = [ObjectiveConfig(cfg.divergence, t, cfg.noise) for t in noisy_modes]
     members = []  # per seed: the clean baseline, then each noisy mode
     for seed in cfg.seeds:
         model0 = init(spec, seed=seed)
@@ -598,7 +593,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
             else:
                 t0 = time.perf_counter()
                 m = noisy_models[train_mode[mode]]
-                ocfg = ObjectiveConfig(cfg.divergence, mode, cfg.noise, cfg.head)
+                ocfg = ObjectiveConfig(cfg.divergence, mode, cfg.noise)
                 acc, obj = evaluate(m, test_ds, ocfg)
                 wall = train_wall + time.perf_counter() - t0
             records.append(

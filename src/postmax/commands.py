@@ -67,8 +67,8 @@ def main():
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def corrupt_cmd(config_path, seed, out_path):
     """Corrupt a dataset's labels and write the result as CSV."""
-    from .cli import ConfigError, _parse_csv_rows, make_synthetic
-    from .noise import LabeledDataset, corrupt
+    from .cli import ConfigError, _csv_dataset, make_synthetic
+    from .noise import corrupt
 
     cfg = _config_from_flag(config_path)
     if cfg.noise is None:
@@ -76,9 +76,7 @@ def corrupt_cmd(config_path, seed, out_path):
     run_seed = cfg.seeds[0] if seed is None else seed
     try:
         if cfg.source == "csv":
-            features, labels = _parse_csv_rows(cfg.csv_path)
-            k = int(labels.max()) + 1
-            ds = LabeledDataset(features, labels, k)
+            ds = _csv_dataset(cfg.csv_path)
         else:
             ds, _ = make_synthetic(seed=cfg.split_seed, **cfg.synthetic)
         noisy = corrupt(ds, cfg.noise.to_matrix(ds.k), seed=run_seed)
@@ -111,7 +109,7 @@ def train_cmd(config_path, seed, out_path):
         train_ds, test_ds = _load_splits(cfg)
         spec = _mlp_spec(cfg, train_ds)
         mode = cfg.corrections[0]
-        ocfg = ObjectiveConfig(cfg.divergence, mode, cfg.noise, cfg.head)
+        ocfg = ObjectiveConfig(cfg.divergence, mode, cfg.noise)
         if cfg.noise is not None:
             train_ds = corrupt(train_ds, cfg.noise.to_matrix(train_ds.k), run_seed)
         model0 = init(spec, seed=run_seed)
@@ -156,9 +154,7 @@ def eval_cmd(config_path, model_path, out_format):
         _fail(str(err))
     try:
         _, test_ds = _load_splits(cfg)
-        ocfg = ObjectiveConfig(
-            cfg.divergence, cfg.corrections[0], cfg.noise, cfg.head
-        )
+        ocfg = ObjectiveConfig(cfg.divergence, cfg.corrections[0], cfg.noise)
         acc, obj = evaluate(model, test_ds, ocfg)
     except (ConfigError, ValueError, RuntimeError) as err:
         _fail(str(err))

@@ -73,7 +73,6 @@ from postmax.noise import LabeledDataset, _check_labels
 from postmax.objective import (
     POSTERIOR_FLOOR,
     ObjectiveConfig,
-    _HEADS,
     _bias_simplex,
     _jf_simplex,
     _onehot,
@@ -94,6 +93,7 @@ from postmax.objective import (
 from postmax.posterior import posterior_correct, predict
 
 _ACTIVATIONS = ("relu", "tanh")
+_HEADS = ("raw_t", "simplex")
 
 SERIAL_VERSION = 1
 
@@ -292,10 +292,6 @@ def _check_features(spec: MlpSpec, X) -> np.ndarray:
 
 
 def _check_compat(spec: MlpSpec, cfg: ObjectiveConfig) -> None:
-    if spec.head != cfg.head:
-        raise ValueError(
-            f"model head {spec.head!r} does not match objective head {cfg.head!r}"
-        )
     if spec.head == "raw_t" and spec.divergence != cfg.divergence:
         raise ValueError(
             "the raw head's link divergence must match the objective divergence"

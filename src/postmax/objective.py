@@ -28,13 +28,14 @@ from postmax.divergence import (
     DivergenceSpec,
     _as_spec,
     _check_in_domain,
-    conj_prime,
-    conj_second,  # unused here; perfbench/spans.py wraps objective.conj_second
+    conj_prime,  # unused here, like conj_second; perfbench/spans.py wraps both
+    conj_second,
     get_divergence,
 )
 from postmax.noise import (
     NoiseParams,
     TransitionMatrix,
+    _check_label,
     _check_labels,
     _check_rates,
 )
@@ -42,27 +43,23 @@ from postmax.noise import (
 POSTERIOR_FLOOR = 1e-12  # degenerate posteriors are floored here by oracles
 
 _CORRECTIONS = ("none", "objective", "posterior")
-_HEADS = ("raw_t", "simplex")
 
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """What to train: divergence, correction mode, and output head."""
+    """What to train: divergence, correction mode and noise.  The output
+    head is the model's, named by its MlpSpec."""
 
     divergence: str
     correction: str = "none"
     noise: Optional[NoiseParams] = None
-    head: str = "simplex"
 
     def __post_init__(self):
         get_divergence(self.divergence)  # a registered id, not a spec object
         if self.correction not in _CORRECTIONS:
             raise ValueError(f"correction must be one of {_CORRECTIONS}")
-        if self.head not in _HEADS:
-            raise ValueError(f"head must be one of {_HEADS}")
-        if self.correction != "none":
-            if self.noise is None:
-                raise ValueError("a correction mode requires noise parameters")
+        if self.correction != "none" and self.noise is None:
+            raise ValueError("a correction mode requires noise parameters")
 
 
 def _check_pmf(pmf: np.ndarray) -> None:
@@ -113,12 +110,21 @@ class DiscreteJoint:
         return self.pmf / self.p_x[:, None]
 
 
-def _check_T(spec: DivergenceSpec, T: np.ndarray, expect_rows: bool = True) -> np.ndarray:
+def _check_T(spec: DivergenceSpec, T: np.ndarray) -> np.ndarray:
     arr = np.asarray(T, dtype=float)
-    if expect_rows and arr.ndim != 2:
+    if arr.ndim != 2:
         raise ValueError("network outputs must form an N x K matrix")
     _check_in_domain(spec, arr)
     return arr
+
+
+def _check_T_row(spec: DivergenceSpec, T_row, label) -> tuple[np.ndarray, int]:
+    """One row of network outputs and its label, checked."""
+    T = np.asarray(T_row, dtype=float)
+    if T.ndim != 1 or T.shape[0] < 2:
+        raise ValueError("expected one row of network outputs of length K >= 2")
+    _check_in_domain(spec, T)
+    return T, _check_label(label, T.shape[0])
 
 
 def jf_batch(spec, T, labels) -> float:
@@ -133,10 +139,8 @@ def jf_batch(spec, T, labels) -> float:
 def jf_grad_sample(spec, T_row, label) -> np.ndarray:
     """Ascent gradient of one sample's objective term in T."""
     spec = _as_spec(spec)
-    T_row = np.asarray(T_row, dtype=float)
-    _check_in_domain(spec, T_row)
-    (label,) = _check_labels([label], 1, T_row.shape[0])
-    grad = -spec.conj_prime(T_row)
+    T, label = _check_T_row(spec, T_row, label)
+    grad = -spec.conj_prime(T)
     grad[label] += 1.0
     return grad
 
@@ -168,10 +172,11 @@ def corrected_jf_batch(spec, T, labels, e) -> float:
 def corrected_grad_sample(spec, T_row, label, e) -> np.ndarray:
     """Ascent gradient of one sample's bias-corrected objective term."""
     spec = _as_spec(spec)
-    T_row = np.asarray(T_row, dtype=float)
-    e = _check_rates(e, T_row.shape[0])
-    cp = conj_prime(spec, T_row)
-    grad = jf_grad_sample(spec, T_row, label)
+    T, label = _check_T_row(spec, T_row, label)
+    e = _check_rates(e, T.shape[0])
+    cp = spec.conj_prime(T)
+    grad = -cp
+    grad[label] += 1.0
     return grad - (e - e.sum() * cp)
 
 
@@ -192,21 +197,19 @@ def active_passive_split(spec, T_row, label) -> tuple[float, float]:
     sample's objective term exactly.
     """
     spec = _as_spec(spec)
-    T_row = np.asarray(T_row, dtype=float)
-    _check_in_domain(spec, T_row)
-    (label,) = _check_labels([label], 1, T_row.shape[0])
-    conj_vals = spec.conj(T_row)
-    active = float(T_row[label] - conj_vals[label])
+    T, label = _check_T_row(spec, T_row, label)
+    conj_vals = spec.conj(T)
+    active = float(T[label] - conj_vals[label])
     # every output but the label's, in order; never touches the label output
     others = np.concatenate((conj_vals[:label], conj_vals[label + 1 :]))
     passive = float(-others.sum())
     return active, passive
 
 
-def _check_simplex_row(D_row, label) -> tuple[np.ndarray, np.int64]:
-    """One simplex row and its label, checked; the per-row references
-    divide by or take the log of the label's component, so it must be
-    positive."""
+def _check_simplex_row(D_row, label) -> tuple[np.ndarray, int]:
+    """One simplex row and its label, checked, as _check_T_row checks a
+    row of outputs; the per-row references divide by or take the log of
+    the label's component, so it must be positive."""
     D = np.asarray(D_row, dtype=float)
     if D.ndim != 1 or D.shape[0] < 2:
         raise ValueError("expected one simplex row of length K >= 2")
@@ -214,7 +217,7 @@ def _check_simplex_row(D_row, label) -> tuple[np.ndarray, np.int64]:
         raise ValueError("simplex components must be nonnegative and finite")
     if abs(D.sum() - 1.0) > 1e-9:
         raise ValueError("row must sum to 1 within 1e-9")
-    (label,) = _check_labels([label], 1, D.shape[0])
+    label = _check_label(label, D.shape[0])
     if D[label] == 0.0:
         raise ValueError("the row's component at the label must be positive")
     return D, label

@@ -304,7 +304,6 @@ def test_09_gradient_suite():
                     div_id,
                     correction,
                     noise if correction != "none" else None,
-                    head,
                 )
                 worst_net = max(
                     worst_net, _fd_param_grads(model, X, labels, cfg)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from postmax.cli import (
 )
 from postmax.commands import main
 from postmax.model import MlpSpec, init, load_model, save_model, train
-from postmax.noise import NoiseParams, corrupt
+from postmax.noise import LabeledDataset, NoiseParams, corrupt
 from postmax.objective import ObjectiveConfig
 from postmax.posterior import accuracy, predict
 
@@ -45,6 +46,10 @@ def write_csv(path, features, labels, header=None):
             fh.write(header + "\n")
         for x, y in zip(features, labels):
             fh.write(",".join(repr(float(v)) for v in x) + f",{int(y)}\n")
+
+
+# six data rows after a header; line 4 holds the label to test
+SIX_ROWS = "x,y\n0.5,0\n1.5,1\n2.5,{label}\n3.5,0\n4.5,1\n5.5,0\n"
 
 
 @pytest.fixture
@@ -116,6 +121,13 @@ class TestLoadCsv:
         train, _ = load_csv(path, seed=0)
         assert np.allclose(train.features[:, 1], 0.0)
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        headless = SIX_ROWS.split("\n", 1)[1].format(label=1)
+        path.write_bytes(b"\xef\xbb\xbf" + headless.encode())
+        train, test = load_csv(path)
+        assert train.n + test.n == 6
+
     def test_parse_error_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,0\n1.0,oops,1\n")
@@ -156,10 +168,31 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_single_row_rejected(self, tmp_path):
+        # one row holds one class, so the class rule rejects it first
         path = tmp_path / "one.csv"
         path.write_text("1.0,2.0,0\n")
+        with pytest.raises(ConfigError, match="two classes"):
+            load_csv(path)
+
+    def test_two_rows_rejected_by_the_split(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("1.0,2.0,0\n3.0,4.0,1\n")
         with pytest.raises(ConfigError, match="split"):
             load_csv(path)
+
+    @pytest.mark.parametrize("label", ["6", "1e6", "1e30"])
+    def test_label_at_or_past_the_row_count_rejected(self, tmp_path, label):
+        # K = largest label + 1 may not exceed the six data rows
+        path = tmp_path / "big.csv"
+        path.write_text(SIX_ROWS.format(label=label))
+        with pytest.raises(ConfigError, match=f"line 4: label {label} makes more"):
+            load_csv(path)
+
+    def test_label_below_the_row_count_accepted(self, tmp_path):
+        path = tmp_path / "k6.csv"
+        path.write_text(SIX_ROWS.format(label=5))
+        train, test = load_csv(path)
+        assert train.k == test.k == 6
 
     def test_single_class_rejected(self, tmp_path):
         path = tmp_path / "mono.csv"
@@ -498,6 +531,16 @@ class TestConfig:
                     "noise": {"kind": "symmetric", "eta": 0.7},
                 },
                 "noise.eta",
+            ),
+            ({"seeds": []}, "seeds"),
+            ({"seeds": [1, 1]}, "seeds"),
+            (
+                {"objective": {"divergence": "kl", "correction": []}},
+                "objective.correction",
+            ),
+            (  # a correction other than none, and no noise section
+                {"objective": {"divergence": "kl", "correction": ["none", "posterior"]}},
+                "objective.correction",
             ),
         ],
     )
@@ -879,6 +922,52 @@ class TestCommandLine:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_corrupt_reads_a_csv_source(self, tmp_path, csv_569):
+        data, features, labels = csv_569
+        noise = {"kind": "symmetric", "eta": 0.2}
+        tree = config_tree(dataset={"source": "csv", "path": str(data)}, noise=noise)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        out = tmp_path / "noisy.csv"
+        result = CliRunner().invoke(
+            main, ["corrupt", "--config", str(path), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        rows = np.loadtxt(out, delimiter=",")
+        # the file's own features, unstandardized, and every row
+        assert np.array_equal(rows[:, :-1], features)
+        clean = LabeledDataset(features, labels, 2)
+        want = corrupt(clean, NoiseParams.symmetric(0.2).to_matrix(2), seed=0)
+        assert np.array_equal(rows[:, -1], want.labels)
+
+    @pytest.mark.parametrize("command", ["corrupt", "sweep"])
+    @pytest.mark.parametrize("label", ["1e6", "1e30"])
+    def test_csv_label_past_the_row_count_exits_one(self, tmp_path, command, label):
+        data = tmp_path / "big.csv"
+        data.write_text(SIX_ROWS.format(label=label))
+        tree = config_tree(
+            dataset={"source": "csv", "path": str(data)},
+            noise={"kind": "symmetric", "eta": 0.2},
+        )
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            result = CliRunner().invoke(
+                main, [command, "--config", str(path), "--out", str(out)]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: {data}: line 4: label {label} ")
+        assert "Traceback" not in result.output
+        assert not out.exists()
+        # nothing sized by the label: a 1e6-class output layer alone is 64 MB
+        assert peak < 2**20
+
     def test_corrupt_seed_override_changes_output(self, tmp_path, cli_config):
         runner = CliRunner()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -935,7 +1024,7 @@ class TestCommandLine:
         train_ds, _ = split_dataset(clean, seed=cfg.split_seed)
         noisy = corrupt(train_ds, cfg.noise.to_matrix(2), seed=3)
         spec = MlpSpec((3, 8, 2), activation="relu", head="simplex")
-        ocfg = ObjectiveConfig("gan", "objective", cfg.noise, "simplex")
+        ocfg = ObjectiveConfig("gan", "objective", cfg.noise)
         model, _ = train(init(spec, seed=3), noisy, ocfg, replace(cfg.train, seed=3))
         reference = tmp_path / "reference.json"
         save_model(model, reference)

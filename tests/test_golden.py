@@ -97,7 +97,7 @@ def trace_pins(head):
         (D, HIDDEN, k), _activation(k), head=head,
         divergence=div_id if head == "raw_t" else None,
     )
-    ocfg = ObjectiveConfig(div_id, "objective", noise, head)
+    ocfg = ObjectiveConfig(div_id, "objective", noise)
     tc = replace(TrainConfig(epochs=EPOCHS, batch_size=BATCH), seed=3)
     _, trace = train(init(spec, seed=3), noisy, ocfg, tc, eval_dataset=test_ds)
     return {

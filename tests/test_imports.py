@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WRAPPED_BY_NAME = {
     "src/postmax/analysis.py": {"exact_bias", "exact_jf", "exact_jf_noisy"},
     "src/postmax/cli.py": {"train"},
-    "src/postmax/objective.py": {"conj_second"},
+    "src/postmax/objective.py": {"conj_prime", "conj_second"},
     "src/postmax/posterior.py": {"conj_prime"},
     "src/postmax/model.py": {
         "bias_simplex_batch",

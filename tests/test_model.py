@@ -59,16 +59,14 @@ def gaussian_blobs(rng, n_per_class, means, scale=1.0):
     return LabeledDataset(X, y, k=k, provenance="clean")
 
 
+# One config under two names: the head is the model's, and the name says
+# in a parametrized test's id which head the test's model has.
 def simplex_cfg(div_id, correction="none", noise=None):
-    return ObjectiveConfig(
-        divergence=div_id, correction=correction, noise=noise, head="simplex"
-    )
+    return ObjectiveConfig(divergence=div_id, correction=correction, noise=noise)
 
 
 def raw_cfg(div_id, correction="none", noise=None):
-    return ObjectiveConfig(
-        divergence=div_id, correction=correction, noise=noise, head="raw_t"
-    )
+    return ObjectiveConfig(divergence=div_id, correction=correction, noise=noise)
 
 
 class TestMlpSpec:
@@ -285,12 +283,17 @@ class TestBackprop:
             np.testing.assert_allclose(got[0], ref[0], rtol=1e-13)
             np.testing.assert_allclose(got[1], ref[1], rtol=1e-13)
 
-    def test_head_mismatch_rejected(self):
-        model = init(MlpSpec((3, 2)), seed=0)
-        with pytest.raises(ValueError):
-            objective_and_gradients(
-                model, np.zeros((2, 3)), [0, 1], raw_cfg("kl")
-            )
+    def test_raw_head_model_takes_a_config_without_a_head(self):
+        # the head is named once, on the MlpSpec
+        rng = np.random.default_rng(2)
+        ds = LabeledDataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20), 2)
+        model = init(MlpSpec((3, 4, 2), head="raw_t", divergence="gan"), seed=0)
+        cfg = ObjectiveConfig("gan", "objective", NoiseParams.symmetric(0.2))
+        model, trace = train(model, ds, cfg, TrainConfig(epochs=2, batch_size=8))
+        assert len(trace.objective) == 2
+        acc, obj = evaluate(model, ds, cfg)
+        value, _ = objective_and_gradients(model, ds.features, ds.labels, cfg)
+        assert 0.0 <= acc <= 1.0 and value == obj
 
     def test_link_divergence_mismatch_rejected(self):
         model = init(MlpSpec((3, 2), head="raw_t", divergence="gan"), seed=0)
@@ -753,7 +756,7 @@ class TestTrainMembers:
         spec = MlpSpec(
             layer_sizes,
             activation=activation,
-            head=make_cfg(div_id).head,
+            head="raw_t" if make_cfg is raw_cfg else "simplex",
             divergence=div_id if make_cfg is raw_cfg else None,
         )
         tc = TrainConfig(epochs=4, batch_size=16, seed=8)
@@ -771,7 +774,7 @@ class TestTrainMembers:
         # order, as in one sweep over seeds
         spec = MlpSpec(
             (2, 6, 3),
-            head=make_cfg(div_id).head,
+            head="raw_t" if make_cfg is raw_cfg else "simplex",
             divergence=div_id if make_cfg is raw_cfg else None,
         )
         members = []

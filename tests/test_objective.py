@@ -1,5 +1,7 @@
 """Tests for the training objective, bias terms, and exact-sum oracles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -387,6 +389,21 @@ class TestCorrections:
                 corrected_grad_sample("sl", T[n], labels[n], e),
                 rtol=1e-14,
             )
+
+
+@pytest.mark.parametrize("row", [[[1.0, 1.0], [1.0, 1.0]], [1.0]], ids=["2-D", "K=1"])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda T: jf_grad_sample("kl", T, 0),
+        lambda T: corrected_grad_sample("kl", T, 0, [0.1, 0.1]),
+        lambda T: active_passive_split("kl", T, 0),
+    ],
+    ids=["jf_grad_sample", "corrected_grad_sample", "active_passive_split"],
+)
+def test_T_row_references_reject_anything_but_one_row(fn, row):
+    with pytest.raises(ValueError, match="one row of network outputs"):
+        fn(row)
 
 
 class TestActivePassive:
@@ -1024,12 +1041,13 @@ class TestObjectiveConfig:
     def test_accepts_plain_training(self):
         cfg = ObjectiveConfig(divergence="kl")
         assert cfg.correction == "none"
-        assert cfg.head == "simplex"
+        # the head is the model's MlpSpec's, not the objective's
+        assert [f.name for f in fields(cfg)] == ["divergence", "correction", "noise"]
 
     def test_accepts_correction_with_noise(self):
         noise = NoiseParams.uniform_offdiag([0.1, 0.3])
         cfg = ObjectiveConfig(
-            divergence="gan", correction="objective", noise=noise, head="raw_t"
+            divergence="gan", correction="objective", noise=noise
         )
         assert cfg.noise is noise
 
@@ -1038,8 +1056,6 @@ class TestObjectiveConfig:
             ObjectiveConfig(divergence="js")
         with pytest.raises(ValueError):
             ObjectiveConfig(divergence="kl", correction="both")
-        with pytest.raises(ValueError):
-            ObjectiveConfig(divergence="kl", head="logits")
 
     def test_rejects_spec_object(self):
         # only a registered id is accepted; a spec object used to pass

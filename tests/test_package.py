@@ -53,6 +53,28 @@ def test_all_is_sorted_unique_and_resolves():
     assert missing == []
 
 
+# module -> per-row references and oracles that only tests read
+NOT_EXPORTED = {
+    "noise": ("symmetric_matrix",),
+    "objective": (
+        "active_passive_split",
+        "bias_multiclass",
+        "corrected_grad_sample",
+        "cross_entropy_logit_grad",
+        "jf_grad_sample",
+        "jf_simplex_kl_logit_grad",
+        "noisy_joint",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", list(NOT_EXPORTED))
+def test_test_only_names_are_importable_but_not_exported(module):
+    for name in NOT_EXPORTED[module]:
+        assert name not in postmax.__all__
+        assert callable(getattr(importlib.import_module(f"postmax.{module}"), name))
+
+
 def test_all_is_listed_by_dir_and_unknown_names_raise():
     assert set(postmax.__all__) <= set(dir(postmax))
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
