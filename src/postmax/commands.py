@@ -152,6 +152,11 @@ def eval_cmd(config_path, model_path, out_format):
         _fail(f"cannot read model: {err}")
     except ValueError as err:
         _fail(str(err))
+    if model.spec.head != cfg.head:
+        _fail(
+            f"the model's head is {model.spec.head!r}, "
+            f"but the config's model.head is {cfg.head!r}"
+        )
     try:
         _, test_ds = _load_splits(cfg)
         ocfg = ObjectiveConfig(cfg.divergence, cfg.corrections[0], cfg.noise)

@@ -5,9 +5,8 @@ entries[i][j] is the probability that a clean label i is observed as j.
 NoiseParams describes symmetric or uniform off-diagonal noise, the two
 models with per-class flip-in rates; corrupt takes any transition matrix.
 The two inputs the corrections read besides the network each have one
-rule, owned here: _check_labels for labels (_check_label for one) and
-_check_rates for flip-in rates.  Every library entry point that takes
-either calls them.
+rule, owned here: _check_labels for labels and _check_rates for flip-in
+rates.  Every library entry point that takes either calls them.
 Corruption draws one uniform variate per sample from a counter-based
 generator keyed on the seed, with the sample index selecting the stream
 position, so the outcome for a sample never depends on processing order.
@@ -45,19 +44,6 @@ def _check_labels(labels, n: int, k: int) -> np.ndarray:
     if not valid:
         raise ValueError(f"labels must be integers in [0, {k})")
     return labs.astype(np.int64)
-
-
-def _check_label(label, k: int) -> int:
-    """_check_labels for one label, without building an array: an integer
-    or bool, or an integral float, gets a range test; anything else goes
-    through _check_labels, so both accept and reject alike."""
-    if isinstance(label, (int, np.integer, np.bool_)) or (
-        isinstance(label, (float, np.floating)) and label.is_integer()
-    ):
-        if 0 <= label < k:
-            return int(label)
-        raise ValueError(f"labels must be integers in [0, {k})")
-    return int(_check_labels([label], 1, k)[0])
 
 
 def _check_rates(e, k: int, lead: tuple = ()) -> np.ndarray:

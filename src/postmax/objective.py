@@ -28,6 +28,7 @@ from postmax.divergence import (
     DivergenceSpec,
     _as_spec,
     _check_in_domain,
+    _finish,
     conj_prime,  # unused here, like conj_second; perfbench/spans.py wraps both
     conj_second,
     get_divergence,
@@ -35,7 +36,6 @@ from postmax.divergence import (
 from postmax.noise import (
     NoiseParams,
     TransitionMatrix,
-    _check_label,
     _check_labels,
     _check_rates,
 )
@@ -118,13 +118,14 @@ def _check_T(spec: DivergenceSpec, T: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_T_row(spec: DivergenceSpec, T_row, label) -> tuple[np.ndarray, int]:
+def _check_T_row(spec: DivergenceSpec, T_row, label) -> tuple[np.ndarray, np.int64]:
     """One row of network outputs and its label, checked."""
     T = np.asarray(T_row, dtype=float)
     if T.ndim != 1 or T.shape[0] < 2:
         raise ValueError("expected one row of network outputs of length K >= 2")
     _check_in_domain(spec, T)
-    return T, _check_label(label, T.shape[0])
+    (label,) = _check_labels([label], 1, T.shape[0])
+    return T, label
 
 
 def jf_batch(spec, T, labels) -> float:
@@ -174,7 +175,7 @@ def corrected_grad_sample(spec, T_row, label, e) -> np.ndarray:
     spec = _as_spec(spec)
     T, label = _check_T_row(spec, T_row, label)
     e = _check_rates(e, T.shape[0])
-    cp = spec.conj_prime(T)
+    cp = _finish(spec.conj_prime(T), False, f"conjugate derivative of {spec.id!r}")
     grad = -cp
     grad[label] += 1.0
     return grad - (e - e.sum() * cp)
@@ -206,7 +207,7 @@ def active_passive_split(spec, T_row, label) -> tuple[float, float]:
     return active, passive
 
 
-def _check_simplex_row(D_row, label) -> tuple[np.ndarray, int]:
+def _check_simplex_row(D_row, label) -> tuple[np.ndarray, np.int64]:
     """One simplex row and its label, checked, as _check_T_row checks a
     row of outputs; the per-row references divide by or take the log of
     the label's component, so it must be positive."""
@@ -217,7 +218,7 @@ def _check_simplex_row(D_row, label) -> tuple[np.ndarray, int]:
         raise ValueError("simplex components must be nonnegative and finite")
     if abs(D.sum() - 1.0) > 1e-9:
         raise ValueError("row must sum to 1 within 1e-9")
-    label = _check_label(label, D.shape[0])
+    (label,) = _check_labels([label], 1, D.shape[0])
     if D[label] == 0.0:
         raise ValueError("the row's component at the label must be positive")
     return D, label

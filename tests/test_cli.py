@@ -1058,6 +1058,34 @@ class TestCommandLine:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
+        "model_spec, config_head",
+        [
+            (MlpSpec((3, 8, 2)), "raw_t"),
+            (MlpSpec((3, 8, 2), head="raw_t", divergence="kl"), "simplex"),
+        ],
+        ids=["simplex-model", "raw_t-model"],
+    )
+    def test_eval_head_mismatch_exits_one(self, tmp_path, model_spec, config_head):
+        # the model file names its head; a config naming another is an error
+        model_path = tmp_path / "model.json"
+        save_model(init(model_spec, seed=0), model_path)
+        tree = config_tree(
+            model={"hidden": [8], "activation": "relu", "head": config_head}
+        )
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        result = CliRunner().invoke(
+            main, ["eval", "--config", str(config), "--model", str(model_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(
+            f"error: the model's head is {model_spec.head!r}, "
+            f"but the config's model.head is {config_head!r}"
+        )
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
         "where, message",
         [("missing.json", "No such file or directory"), (".", "Is a directory")],
         ids=["missing", "directory"],

@@ -1,7 +1,5 @@
 """Tests for transition matrices, noise parameters, and corruption."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from postmax.noise import (
     LabeledDataset,
     NoiseParams,
     TransitionMatrix,
-    _check_label,
-    _check_labels,
     _check_stochastic,
     corrupt,
     symmetric_matrix,
@@ -25,23 +21,6 @@ def make_dataset(n, k, seed=0):
         labels=rng.integers(0, k, n),
         k=k,
     )
-
-
-@pytest.mark.parametrize(
-    "label",
-    [0, 2, -1, 3, 10**30, True, np.True_, np.int8(2), np.uint64(1), np.int64(-1),
-     1.0, np.float32(2.0), 3.0, 1.5, float("nan"), float("inf"), 1e30,
-     np.array(1), np.array([1]), "1"],
-    ids=repr,
-)
-def test_check_label_is_check_labels_for_one_label(label):
-    try:
-        (want,) = _check_labels([label], 1, 3)
-    except ValueError as err:
-        with pytest.raises(ValueError, match=re.escape(str(err))):
-            _check_label(label, 3)
-    else:
-        assert _check_label(label, 3) == want
 
 
 class TestSymmetricMatrix:

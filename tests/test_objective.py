@@ -406,6 +406,14 @@ def test_T_row_references_reject_anything_but_one_row(fn, row):
         fn(row)
 
 
+def test_corrected_grad_sample_rejects_a_non_finite_gradient():
+    # exp overflows past kl's outputs near 710: the row is in the domain,
+    # and the gradient it gives is not finite
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="conjugate derivative of 'kl' produced"):
+            corrected_grad_sample("kl", [800.0, 0.0], 0, [0.1, 0.1])
+
+
 class TestActivePassive:
     def test_parts_sum_to_sample_term(self):
         rng = np.random.default_rng(43)
