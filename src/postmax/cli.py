@@ -316,10 +316,7 @@ def _ruled(rule: str, convert):
 
 
 def _rates(value) -> NoiseParams:
-    rates = _list(_number)(value)
-    if not rates:
-        raise ValueError("expected a nonempty list of rates")
-    return NoiseParams.uniform_offdiag(rates)
+    return NoiseParams.uniform_offdiag(_list(_number)(value))
 
 
 _REQUIRED = object()  # the default of a key that every config gives

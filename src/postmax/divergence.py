@@ -302,6 +302,12 @@ def _check_in_domain(spec: DivergenceSpec, t: np.ndarray) -> None:
         )
 
 
+def _check_positive(u: np.ndarray) -> None:
+    """The domain of every registered f': finite, strictly positive values."""
+    if not np.all(np.isfinite(u)) or np.any(u <= 0.0):
+        raise ValueError("f' takes finite and strictly positive values only")
+
+
 def conj_prime(spec, t: Scalar) -> Scalar:
     """First derivative of the conjugate; inverts f'."""
     spec = _as_spec(spec)
@@ -324,8 +330,7 @@ def optimal_T_from_posterior(spec, p: Scalar) -> Scalar:
     """Output value a perfectly trained network takes at posterior p: f'(p)."""
     spec = _as_spec(spec)
     arr, scalar = _prepare(p)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("posterior values must be finite and positive")
+    _check_positive(arr)
     return _finish(spec.f_prime(arr), scalar, f"optimal output map of {spec.id!r}")
 
 

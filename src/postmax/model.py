@@ -291,6 +291,14 @@ def _check_features(spec: MlpSpec, X) -> np.ndarray:
     return X
 
 
+def _check_fits(spec: MlpSpec, dataset: LabeledDataset, what: str = "dataset") -> None:
+    """The dataset fits the network: K outputs and d_in inputs."""
+    if dataset.k != spec.k:
+        raise ValueError(f"{what} class count does not match the output width")
+    if dataset.d != spec.d_in:
+        raise ValueError(f"{what} feature width does not match the input width")
+
+
 def _check_compat(spec: MlpSpec, cfg: ObjectiveConfig) -> None:
     if spec.head == "raw_t" and spec.divergence != cfg.divergence:
         raise ValueError(
@@ -437,10 +445,8 @@ def train(
     Raises if the objective or any parameter stops being finite.
     """
     spec = model.spec
-    if eval_dataset is not None and (
-        eval_dataset.k != spec.k or eval_dataset.d != spec.d_in
-    ):
-        raise ValueError("eval dataset shapes do not match the architecture")
+    if eval_dataset is not None:
+        _check_fits(spec, eval_dataset, "eval dataset")
     div = get_divergence(objective_config.divergence)
     objectives, train_accs, test_accs = [], [], []
 
@@ -496,10 +502,7 @@ def _train_members(members, on_epoch=None) -> list:
         if model.spec != spec:
             raise ValueError("members must share the architecture")
         _check_compat(spec, cfg)
-        if dataset.k != spec.k:
-            raise ValueError("dataset class count does not match the output width")
-        if dataset.d != spec.d_in:
-            raise ValueError("dataset feature width does not match the input width")
+        _check_fits(spec, dataset)
         if dataset.features is not X and not np.array_equal(
             dataset.features, X, equal_nan=True
         ):
@@ -640,9 +643,7 @@ def evaluate(model: NetworkModel, dataset: LabeledDataset, cfg: ObjectiveConfig)
     the uncorrected one the model was trained on in that mode.
     """
     _check_compat(model.spec, cfg)
-    _check_features(model.spec, dataset.features)
-    if dataset.k != model.spec.k:
-        raise ValueError("dataset class count does not match the output width")
+    _check_fits(model.spec, dataset)
     div = get_divergence(cfg.divergence)
     return _evaluate(model.spec, div, model.params, cfg, dataset)
 

@@ -4,9 +4,11 @@ Labels are 0-based integers everywhere.  A transition matrix entry
 entries[i][j] is the probability that a clean label i is observed as j.
 NoiseParams describes symmetric or uniform off-diagonal noise, the two
 models with per-class flip-in rates; corrupt takes any transition matrix.
-The two inputs the corrections read besides the network each have one
-rule, owned here: _check_labels for labels and _check_rates for flip-in
-rates.  Every library entry point that takes either calls them.
+The two inputs the corrections read besides the network's rows each
+have one rule, owned here: _check_labels for labels and _check_rates for
+flip-in rates, whose length K >= 2 NoiseParams checks when it is built.
+Every library entry point that takes either calls them; the row rules
+are posterior._check_probability_rows and objective._check_T.
 Corruption draws one uniform variate per sample from a counter-based
 generator keyed on the seed, with the sample index selecting the stream
 position, so the outcome for a sample never depends on processing order.
@@ -28,8 +30,9 @@ def _check_labels(labels, n: int, k: int) -> np.ndarray:
 
     Integer and bool arrays pass as they are; float arrays, and object
     arrays of numbers, must hold integral values.  Range and integrality
-    are tested before any cast, so NaN, infinities and huge floats fail
-    here rather than in numpy's cast.  Returns a new int64 array.
+    are tested before any cast to int, so NaN, infinities, huge floats and
+    Python ints past float's range fail here rather than in numpy's cast.
+    Returns a new int64 array.
     """
     labs = np.asarray(labels)
     if labs.ndim != 1 or labs.shape[0] != n:
@@ -37,13 +40,24 @@ def _check_labels(labels, n: int, k: int) -> np.ndarray:
     if labs.dtype.kind in "biu":
         valid = not ((labs < 0).any() or (labs >= k).any())
     elif labs.dtype.kind in "fO":
-        vals = labs.astype(float)
+        try:
+            vals = labs.astype(float)
+        except OverflowError:  # an object array's int past float's range
+            vals = np.nan  # fails the range test, as a huge float does
         valid = ((vals >= 0.0) & (vals < k) & (np.floor(vals) == vals)).all()
     else:
         valid = False
     if not valid:
         raise ValueError(f"labels must be integers in [0, {k})")
     return labs.astype(np.int64)
+
+
+def _row_labels(labels, rows: np.ndarray):
+    """The label rule for checked rows of K >= 2 entries: one label, as an
+    np.int64, for one row; one per row, as an int64 array, for a matrix."""
+    if rows.ndim == 1:
+        return _check_labels([labels], 1, rows.shape[0])[0]
+    return _check_labels(labels, rows.shape[0], rows.shape[1])
 
 
 def _check_rates(e, k: int, lead: tuple = ()) -> np.ndarray:
@@ -113,9 +127,10 @@ class NoiseParams:
         elif self.kind == "uniform_offdiag":
             if self.e is None:
                 raise ValueError("uniform off-diagonal noise requires a rate vector e")
-            e = tuple(float(v) for v in self.e)
-            _check_rates(e, len(e))
-            object.__setattr__(self, "e", e)
+            e = np.asarray(self.e, dtype=float)
+            if e.ndim != 1 or e.shape[0] < 2:
+                raise ValueError("flip rates must be a vector of length K >= 2")
+            object.__setattr__(self, "e", tuple(_check_rates(e, e.shape[0]).tolist()))
         else:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
@@ -125,7 +140,7 @@ class NoiseParams:
 
     @classmethod
     def uniform_offdiag(cls, e: Sequence[float]) -> "NoiseParams":
-        return cls(kind="uniform_offdiag", e=tuple(float(v) for v in e))
+        return cls(kind="uniform_offdiag", e=e)
 
     def _check_classes(self, k: int) -> None:
         """The rules that read the class count k, allocating nothing."""
@@ -140,8 +155,10 @@ class NoiseParams:
     def to_matrix(self, k: int) -> TransitionMatrix:
         self._check_classes(k)
         if self.kind == "symmetric":
-            return symmetric_matrix(k, self.eta)
-        return uniform_offdiag_matrix(self.e)
+            entries = np.full((k, k), self.eta / (k - 1))
+            np.fill_diagonal(entries, 1.0 - self.eta)
+            return TransitionMatrix(entries)
+        return TransitionMatrix(_offdiag_entries(np.asarray(self.e)))
 
     def flip_rates(self, k: int) -> np.ndarray:
         """Per-class flip-in rates e for the correction formulas."""
@@ -193,22 +210,13 @@ class LabeledDataset:
 
 def symmetric_matrix(k: int, eta: float) -> TransitionMatrix:
     """Matrix that keeps a label with probability 1-eta and spreads eta evenly."""
-    if k < 2:
-        raise ValueError("need at least two classes")
-    if not 0.0 <= eta < (k - 1) / k:  # NaN fails too
-        raise ValueError("eta must satisfy 0 <= eta < (K-1)/K")
-    off = eta / (k - 1)
-    entries = np.full((k, k), off)
-    np.fill_diagonal(entries, 1.0 - eta)
-    return TransitionMatrix(entries)
+    return NoiseParams.symmetric(eta).to_matrix(k)
 
 
 def uniform_offdiag_matrix(e: Sequence[float]) -> TransitionMatrix:
     """Matrix whose off-diagonal column j is constant e[j]."""
-    e = np.asarray(e, dtype=float)
-    if e.ndim != 1 or e.shape[0] < 2:
-        raise ValueError("flip rates must be a vector of length K >= 2")
-    return TransitionMatrix(_offdiag_entries(_check_rates(e, e.shape[0])))
+    params = NoiseParams.uniform_offdiag(e)
+    return params.to_matrix(len(params.e))
 
 
 def _offdiag_entries(e: np.ndarray) -> np.ndarray:

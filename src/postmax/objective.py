@@ -11,6 +11,12 @@ of this objective decomposes into a scaled clean value plus a bias that
 depends only on the flip rates; subtracting an estimate of that bias
 during training makes the noisy maximizer coincide with the clean one.
 
+Each row input has one rule.  Network outputs pass _check_T (one row or
+an N x K matrix, K >= 2, in the conjugate domain); simplex rows pass
+posterior._check_probability_rows, which also rejects a zero at the
+label where a function takes its log or divides by it; the rows of
+bias_simplex_batch, off the simplex, lie in the domain of f'.
+
 The per-sample gradients here are derived analytically and validated
 against centered finite differences in the test suite rather than
 trusted.  DiscreteJoint supports exact (closed-sum) expectations on
@@ -28,6 +34,7 @@ from postmax.divergence import (
     DivergenceSpec,
     _as_spec,
     _check_in_domain,
+    _check_positive,
     _finish,
     conj_prime,  # unused here, like conj_second; perfbench/spans.py wraps both
     conj_second,
@@ -38,7 +45,9 @@ from postmax.noise import (
     TransitionMatrix,
     _check_labels,
     _check_rates,
+    _row_labels,
 )
+from postmax.posterior import _as_rows, _check_probability_rows
 
 POSTERIOR_FLOOR = 1e-12  # degenerate posteriors are floored here by oracles
 
@@ -110,29 +119,19 @@ class DiscreteJoint:
         return self.pmf / self.p_x[:, None]
 
 
-def _check_T(spec: DivergenceSpec, T: np.ndarray) -> np.ndarray:
-    arr = np.asarray(T, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("network outputs must form an N x K matrix")
-    _check_in_domain(spec, arr)
-    return arr
-
-
-def _check_T_row(spec: DivergenceSpec, T_row, label) -> tuple[np.ndarray, np.int64]:
-    """One row of network outputs and its label, checked."""
-    T = np.asarray(T_row, dtype=float)
-    if T.ndim != 1 or T.shape[0] < 2:
-        raise ValueError("expected one row of network outputs of length K >= 2")
+def _check_T(spec: DivergenceSpec, T, labels=None, ndim: int = 2):
+    """The network-output rule: T is one row or an N x K matrix (_as_rows)
+    inside spec's open conjugate domain.  Returns T as floats, and with
+    labels given, one per row (one for one row), them checked too."""
+    T = _as_rows(T, "network outputs", ndim)
     _check_in_domain(spec, T)
-    (label,) = _check_labels([label], 1, T.shape[0])
-    return T, label
+    return T if labels is None else (T, _row_labels(labels, T))
 
 
 def jf_batch(spec, T, labels) -> float:
     """Sample mean of T at the label minus the summed conjugate of T."""
     spec = _as_spec(spec)
-    T = _check_T(spec, T)
-    labels = _check_labels(labels, T.shape[0], T.shape[1])
+    T, labels = _check_T(spec, T, labels)
     n = np.arange(T.shape[0])
     return float(np.mean(T[n, labels] - spec.conj(T).sum(axis=1)))
 
@@ -140,7 +139,7 @@ def jf_batch(spec, T, labels) -> float:
 def jf_grad_sample(spec, T_row, label) -> np.ndarray:
     """Ascent gradient of one sample's objective term in T."""
     spec = _as_spec(spec)
-    T, label = _check_T_row(spec, T_row, label)
+    T, label = _check_T(spec, T_row, label, ndim=1)
     grad = -spec.conj_prime(T)
     grad[label] += 1.0
     return grad
@@ -149,8 +148,7 @@ def jf_grad_sample(spec, T_row, label) -> np.ndarray:
 def jf_grad_batch(spec, T, labels) -> np.ndarray:
     """Per-sample ascent gradients, one row per sample."""
     spec = _as_spec(spec)
-    T = _check_T(spec, T)
-    labels = _check_labels(labels, T.shape[0], T.shape[1])
+    T, labels = _check_T(spec, T, labels)
     grad = -spec.conj_prime(T)
     grad[np.arange(T.shape[0]), labels] += 1.0
     return grad
@@ -173,7 +171,7 @@ def corrected_jf_batch(spec, T, labels, e) -> float:
 def corrected_grad_sample(spec, T_row, label, e) -> np.ndarray:
     """Ascent gradient of one sample's bias-corrected objective term."""
     spec = _as_spec(spec)
-    T, label = _check_T_row(spec, T_row, label)
+    T, label = _check_T(spec, T_row, label, ndim=1)
     e = _check_rates(e, T.shape[0])
     cp = _finish(spec.conj_prime(T), False, f"conjugate derivative of {spec.id!r}")
     grad = -cp
@@ -198,30 +196,13 @@ def active_passive_split(spec, T_row, label) -> tuple[float, float]:
     sample's objective term exactly.
     """
     spec = _as_spec(spec)
-    T, label = _check_T_row(spec, T_row, label)
+    T, label = _check_T(spec, T_row, label, ndim=1)
     conj_vals = spec.conj(T)
     active = float(T[label] - conj_vals[label])
     # every output but the label's, in order; never touches the label output
     others = np.concatenate((conj_vals[:label], conj_vals[label + 1 :]))
     passive = float(-others.sum())
     return active, passive
-
-
-def _check_simplex_row(D_row, label) -> tuple[np.ndarray, np.int64]:
-    """One simplex row and its label, checked, as _check_T_row checks a
-    row of outputs; the per-row references divide by or take the log of
-    the label's component, so it must be positive."""
-    D = np.asarray(D_row, dtype=float)
-    if D.ndim != 1 or D.shape[0] < 2:
-        raise ValueError("expected one simplex row of length K >= 2")
-    if np.any(D < 0.0) or not np.all(np.isfinite(D)):
-        raise ValueError("simplex components must be nonnegative and finite")
-    if abs(D.sum() - 1.0) > 1e-9:
-        raise ValueError("row must sum to 1 within 1e-9")
-    (label,) = _check_labels([label], 1, D.shape[0])
-    if D[label] == 0.0:
-        raise ValueError("the row's component at the label must be positive")
-    return D, label
 
 
 def jf_simplex_kl(D_row, label) -> float:
@@ -231,19 +212,19 @@ def jf_simplex_kl(D_row, label) -> float:
     cross-entropy minus one; the raw substitution T = log(D)+1 gives a
     value one unit higher, a constant that never affects maximization.
     """
-    D, label = _check_simplex_row(D_row, label)
+    D, label = _check_probability_rows(D_row, label, ndim=1)
     return float(np.log(D[label]) - 1.0)
 
 
 def cross_entropy(D_row, label) -> float:
     """Reference cross-entropy of one simplex row, for equivalence checks."""
-    D, label = _check_simplex_row(D_row, label)
+    D, label = _check_probability_rows(D_row, label, ndim=1)
     return float(-np.log(D[label]))
 
 
 def cross_entropy_logit_grad(D_row, label) -> np.ndarray:
     """Gradient of the cross-entropy w.r.t. pre-softmax logits."""
-    D, label = _check_simplex_row(D_row, label)
+    D, label = _check_probability_rows(D_row, label, ndim=1)
     grad = D.copy()
     grad[label] -= 1.0
     return grad
@@ -255,30 +236,16 @@ def jf_simplex_kl_logit_grad(D_row, label) -> np.ndarray:
     Derived through the generic chain dJ/dD -> softmax, independently of
     the cross-entropy shortcut, so the two can be compared.
     """
-    D, label = _check_simplex_row(D_row, label)
+    D, label = _check_probability_rows(D_row, label, ndim=1)
     g = np.zeros_like(D)
     g[label] = 1.0 / D[label]  # dJ/dD
     return D * (g - np.dot(g, D))
 
 
-def _check_D_batch(D, simplex_rows: bool = True) -> np.ndarray:
-    arr = np.asarray(D, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise ValueError("expected an N x K matrix of simplex rows")
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("components must be strictly positive and finite")
-    # the simplex-variable objectives assume rows on the simplex (kl
-    # drops a constant that only unit rows make exact)
-    if simplex_rows and np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
-        raise ValueError("rows must sum to 1 within 1e-9")
-    return arr
-
-
 def jf_simplex_batch(div_id, D, labels) -> float:
     """Mean change-of-variable objective over a batch of simplex rows."""
     spec = _as_spec(div_id)
-    D = _check_D_batch(D)
-    labels = _check_labels(labels, D.shape[0], D.shape[1])
+    D, labels = _check_probability_rows(D, labels)
     return _jf_simplex(spec, D, labels)
 
 
@@ -289,8 +256,9 @@ def _jf_simplex(spec: DivergenceSpec, D, labels) -> float:
 
 
 def bias_simplex_batch(div_id, D, e) -> float:
-    """Mean noise bias over a batch, expressed in the simplex variable."""
-    D = _check_D_batch(D, simplex_rows=False)
+    """Mean noise bias over rows in the domain of f', in the simplex variable."""
+    D = _as_rows(D, "positive values")
+    _check_positive(D)
     e = _check_rates(e, D.shape[1])
     return _bias_simplex(_as_spec(div_id), D, e)
 
@@ -313,13 +281,7 @@ def jf_simplex_logit_grad_batch(div_id, D, labels, e=None) -> np.ndarray:
     gradient when flip-in rates are given.
     """
     spec = _as_spec(div_id)
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2 or D.shape[1] < 2:
-        raise ValueError("expected an N x K matrix of simplex rows")
-    if np.any(D < 0.0) or not np.all(np.isfinite(D)):
-        raise ValueError("components must be nonnegative and finite")
-    if np.max(np.abs(D.sum(axis=1) - 1.0)) > 1e-6:
-        raise ValueError("rows must lie on the simplex")
+    D = _check_probability_rows(D)
     labels = _check_labels(labels, D.shape[0], D.shape[1])
     if e is not None:
         e = _check_rates(e, D.shape[1])

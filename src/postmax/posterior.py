@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from postmax.divergence import conj_prime  # unused here; perfbench/spans.py wraps it
-from postmax.noise import _check_rates
+from postmax.noise import _check_rates, _row_labels
 
 
 def predict(p) -> np.ndarray:
@@ -33,25 +33,54 @@ def noisy_posterior_forward(clean_p, e) -> np.ndarray:
     (1 - sum(e)) * p_i + e_i, which stays on the simplex.
     """
     p = np.asarray(clean_p, dtype=float)
+    p = _check_probability_rows(p, ndim=1 if p.ndim == 1 else 2)
+    return _noisy_forward(p, _check_rates(e, p.shape[-1]))
+
+
+def _as_rows(x, what: str, ndim: int = 2) -> np.ndarray:
+    """The shape rule of every row input: x as floats, if it is one row
+    (ndim 1) or an N x K matrix (ndim 2) of K >= 2 entries."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != ndim or arr.shape[-1] < 2:
+        shape = "one row" if ndim == 1 else "an N x K matrix"
+        raise ValueError(f"expected {shape} of {what} with K >= 2")
+    return arr
+
+
+def _check_probability_rows(p, labels=None, ndim: int = 2):
+    """The probability-row rule, the one check of every input that must
+    lie on the simplex: p is one row or an N x K matrix (_as_rows), every
+    entry is >= 0 and each row sums to 1 within 1e-9; NaN and +-inf fail.
+
+    Returns p as floats.  Given labels, one per row (one for one row), it
+    also returns them checked, and each row's component at its label must
+    be positive: the callers that pass labels divide by it or take its log.
+    """
+    p = _as_rows(p, "probabilities", ndim)
     rows = np.atleast_2d(p)
-    if rows.shape[1] < 2:
-        raise ValueError("expected rows of length K >= 2")
-    e = _check_rates(e, rows.shape[1])
-    _check_probability_rows(rows)
-    out = _noisy_forward(rows, e)
-    return out[0] if p.ndim == 1 else out
-
-
-def _check_probability_rows(rows) -> None:
-    # the sums run over column views, one long pass per class, since
-    # numpy sums along a short last axis one inner loop per row; only
-    # the tolerance reads them, so their order reaches no output
-    sums = rows[:, 0].copy()
-    for j in range(1, rows.shape[1]):
-        sums += rows[:, j]
-    # NaN fails both; a stack of no rows passes
-    if not (np.all(rows >= 0.0) and np.all(np.abs(sums - 1.0) <= 1e-9)):
-        raise ValueError("rows must be probability vectors")
+    # NaN and -inf fail the sign test, so no sum meets them; +inf and a
+    # sum that overflows fail the tolerance; a stack of no rows passes
+    valid = np.all(rows >= 0.0)
+    if valid:
+        # the sums run over column views, one long pass per class, since
+        # numpy sums along a short last axis one inner loop per row; only
+        # the tolerance reads them, so their order reaches no output
+        sums = rows[:, 0].copy()
+        with np.errstate(over="ignore"):
+            for j in range(1, rows.shape[1]):
+                sums += rows[:, j]
+        valid = np.all(np.abs(sums - 1.0) <= 1e-9)
+    if not valid:
+        raise ValueError(
+            "rows must be probability vectors: finite, nonnegative and on "
+            "the simplex within 1e-9"
+        )
+    if labels is None:
+        return p
+    labels = _row_labels(labels, p)
+    if not np.all(rows[np.arange(rows.shape[0]), labels] > 0.0):
+        raise ValueError("the row's component at the label must be positive")
+    return p, labels
 
 
 def _noisy_forward(rows, e) -> np.ndarray:
@@ -67,9 +96,7 @@ def posterior_correct(noisy_p, e, rescale: bool = False) -> np.ndarray:
     predictions are unchanged either way.  Negative components are
     preserved: clamping before the argmax could flip predictions.
     """
-    vals = np.asarray(noisy_p, dtype=float)
-    if vals.ndim != 2 or vals.shape[1] < 2:
-        raise ValueError("expected an N x K matrix with K >= 2")
+    vals = _as_rows(noisy_p, "posterior estimates")
     if not np.all(np.isfinite(vals)):
         raise ValueError("posterior estimates must be finite")
     e = _check_rates(e, vals.shape[1])

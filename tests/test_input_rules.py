@@ -1,7 +1,9 @@
 """Every public entry point that takes labels or flip rates applies the
 one label rule of noise._check_labels and the one rate rule of
-noise._check_rates.  pyproject.toml turns warnings into errors, so a
-case that raised a numpy warning instead of a ValueError fails here."""
+noise._check_rates; every one that takes probability rows applies
+posterior._check_probability_rows, and every one that takes network
+outputs objective._check_T.  pyproject.toml turns warnings into errors,
+so a case that raised a numpy warning instead of a ValueError fails here."""
 
 import math
 
@@ -24,6 +26,7 @@ from postmax.objective import (
     cross_entropy,
     cross_entropy_logit_grad,
     exact_bias,
+    exact_jf,
     jf_batch,
     jf_grad_batch,
     jf_grad_sample,
@@ -65,7 +68,7 @@ SCALAR_LABEL = {
     "cross_entropy_logit_grad": lambda y: cross_entropy_logit_grad(D[0], y),
     "jf_simplex_kl_logit_grad": lambda y: jf_simplex_kl_logit_grad(D[0], y),
 }
-BAD_LABELS = [1.5, -1, K, math.nan, math.inf, 1e30]
+BAD_LABELS = [1.5, -1, K, math.nan, math.inf, 1e30, 10**400]
 
 # entry point -> function of one rate vector for K classes
 RATES = {
@@ -97,6 +100,101 @@ BAD_RATES = {
 }
 
 
+# entry point -> (function of probability rows, the rows' ndim: one row
+# or an N x K matrix); the label is 0 throughout
+SIMPLEX_ROWS = {
+    "jf_simplex_kl": (lambda p: jf_simplex_kl(p, 0), 1),
+    "cross_entropy": (lambda p: cross_entropy(p, 0), 1),
+    "cross_entropy_logit_grad": (lambda p: cross_entropy_logit_grad(p, 0), 1),
+    "jf_simplex_kl_logit_grad": (lambda p: jf_simplex_kl_logit_grad(p, 0), 1),
+    "jf_simplex_batch": (lambda p: jf_simplex_batch("gan", p, [0] * len(p)), 2),
+    "jf_simplex_logit_grad_batch": (
+        lambda p: jf_simplex_logit_grad_batch("kl", p, [0] * len(p)),
+        2,
+    ),
+    # takes one row too, so only ndim 3 and up is wrong for it
+    "noisy_posterior_forward": (
+        lambda p: noisy_posterior_forward(p, np.zeros(p.shape[-1])),
+        2,
+    ),
+}
+SIMPLEX_RULE = "K >= 2|probability vectors"
+
+
+def defect(rows, value, at=(0, -1)) -> np.ndarray:
+    """rows with one entry of the first row replaced by value."""
+    rows = np.array(rows, dtype=float)
+    rows[at] = value
+    return rows
+
+
+# the first row carries each defect, so the one-row entry points see it
+BAD_SIMPLEX = {
+    "nan": defect(D, math.nan),
+    "inf": defect(D, math.inf),
+    "-inf": defect(D, -math.inf),
+    "negative": defect(defect(D, -0.1), 0.4, (0, 1)),
+    "off_by_1e-8": defect(D, D[0, -1] + 1e-8),
+    "overflowing_sum": defect(defect(D, 1e308), 1e308, (0, 1)),
+    "one_class": np.ones((2, 1)),
+    "wrong_ndim": D[None],
+}
+GOOD_SIMPLEX = {
+    "interior": D,
+    "zero_away_from_label": [[0.5, 0.0, 0.5], [0.3, 0.7, 0.0]],
+    "vertex": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+    "off_by_1e-10": defect(D, D[0, -1] + 1e-10),
+    "two_classes": [[0.25, 0.75], [0.5, 0.5]],
+}
+
+# entry point -> (function of sl network outputs, their ndim), as above
+T_SL = optimal_T_from_posterior("sl", D)  # inside (-1, 0)
+JOINT = DiscreteJoint(D / 2.0)
+OUTPUT_ROWS = {
+    "jf_batch": (lambda T: jf_batch("sl", T, [0] * len(T)), 2),
+    "jf_grad_batch": (lambda T: jf_grad_batch("sl", T, [0] * len(T)), 2),
+    "bias_multiclass": (lambda T: bias_multiclass("sl", T, E), 2),
+    "corrected_jf_batch": (lambda T: corrected_jf_batch("sl", T, [0] * len(T), E), 2),
+    "corrected_grad_batch": (
+        lambda T: corrected_grad_batch("sl", T, [0] * len(T), E),
+        2,
+    ),
+    "exact_jf": (lambda T: exact_jf("sl", JOINT, T), 2),
+    "exact_bias": (lambda T: exact_bias("sl", JOINT, T, E), 2),
+    "jf_grad_sample": (lambda T: jf_grad_sample("sl", T, 0), 1),
+    "corrected_grad_sample": (lambda T: corrected_grad_sample("sl", T, 0, E), 1),
+    "active_passive_split": (lambda T: active_passive_split("sl", T, 0), 1),
+}
+OUTPUT_RULE = "K >= 2|conjugate domain"
+BAD_OUTPUTS = {
+    "nan": defect(T_SL, math.nan),
+    "inf": defect(T_SL, math.inf),
+    "-inf": defect(T_SL, -math.inf),
+    "domain_top": defect(T_SL, 0.0),
+    "domain_bottom": defect(T_SL, -1.0),
+    "one_class": T_SL[:, :1],
+    "wrong_ndim": T_SL[None],
+}
+GOOD_OUTPUTS = {
+    "posterior_map": T_SL,
+    "near_domain_top": defect(T_SL, -1e-300),
+    "near_domain_bottom": defect(T_SL, -1.0 + 1e-15),
+}
+
+
+def as_taken(rows, ndim: int) -> np.ndarray:
+    """rows in the form an entry point of that ndim takes: the first row
+    for one row, all of them for a matrix."""
+    rows = np.asarray(rows, dtype=float)
+    return rows[0] if ndim == 1 else rows
+
+
+def label_id(label) -> str:
+    """A label's test id: its repr, or its digit count for a long int."""
+    text = repr(label)
+    return text if len(text) <= 20 else f"int_of_{len(text)}_digits"
+
+
 def flat(out) -> np.ndarray:
     """Every number in a result of nested tuples, lists and arrays."""
     if isinstance(out, (tuple, list)):
@@ -104,14 +202,14 @@ def flat(out) -> np.ndarray:
     return np.ravel(np.asarray(out, dtype=float))
 
 
-@pytest.mark.parametrize("bad", BAD_LABELS, ids=repr)
+@pytest.mark.parametrize("bad", BAD_LABELS, ids=label_id)
 @pytest.mark.parametrize("entry", list(BATCH_LABELS))
 def test_batch_entry_rejects_bad_label(entry, bad):
     with pytest.raises(ValueError, match="labels"):
         BATCH_LABELS[entry](np.array([0, bad]))
 
 
-@pytest.mark.parametrize("bad", BAD_LABELS, ids=repr)
+@pytest.mark.parametrize("bad", BAD_LABELS, ids=label_id)
 @pytest.mark.parametrize("entry", list(SCALAR_LABEL))
 def test_scalar_entry_rejects_bad_label(entry, bad):
     with pytest.raises(ValueError, match="labels"):
@@ -154,3 +252,33 @@ def test_rate_entry_rejects_bad_rates(entry, case):
 @pytest.mark.parametrize("entry", list(RATES))
 def test_rate_entry_takes_good_rates(entry):
     RATES[entry](E)
+
+
+@pytest.mark.parametrize("case", list(BAD_SIMPLEX))
+@pytest.mark.parametrize("entry", list(SIMPLEX_ROWS))
+def test_simplex_entry_rejects_bad_rows(entry, case):
+    fn, ndim = SIMPLEX_ROWS[entry]
+    with pytest.raises(ValueError, match=SIMPLEX_RULE):
+        fn(as_taken(BAD_SIMPLEX[case], ndim))
+
+
+@pytest.mark.parametrize("case", list(GOOD_SIMPLEX))
+@pytest.mark.parametrize("entry", list(SIMPLEX_ROWS))
+def test_simplex_entry_takes_good_rows(entry, case):
+    fn, ndim = SIMPLEX_ROWS[entry]
+    assert np.all(np.isfinite(flat(fn(as_taken(GOOD_SIMPLEX[case], ndim)))))
+
+
+@pytest.mark.parametrize("case", list(BAD_OUTPUTS))
+@pytest.mark.parametrize("entry", list(OUTPUT_ROWS))
+def test_output_entry_rejects_bad_rows(entry, case):
+    fn, ndim = OUTPUT_ROWS[entry]
+    with pytest.raises(ValueError, match=OUTPUT_RULE):
+        fn(as_taken(BAD_OUTPUTS[case], ndim))
+
+
+@pytest.mark.parametrize("case", list(GOOD_OUTPUTS))
+@pytest.mark.parametrize("entry", list(OUTPUT_ROWS))
+def test_output_entry_takes_good_rows(entry, case):
+    fn, ndim = OUTPUT_ROWS[entry]
+    assert np.all(np.isfinite(flat(fn(as_taken(GOOD_OUTPUTS[case], ndim)))))

@@ -59,14 +59,14 @@ def gaussian_blobs(rng, n_per_class, means, scale=1.0):
     return LabeledDataset(X, y, k=k, provenance="clean")
 
 
-# One config under two names: the head is the model's, and the name says
-# in a parametrized test's id which head the test's model has.
-def simplex_cfg(div_id, correction="none", noise=None):
-    return ObjectiveConfig(divergence=div_id, correction=correction, noise=noise)
-
-
-def raw_cfg(div_id, correction="none", noise=None):
-    return ObjectiveConfig(divergence=div_id, correction=correction, noise=noise)
+def head_spec(layer_sizes, head, div_id, activation="relu"):
+    """An MlpSpec with the named head; the raw head links through div_id."""
+    return MlpSpec(
+        layer_sizes,
+        activation=activation,
+        head=head,
+        divergence=div_id if head == "raw_t" else None,
+    )
 
 
 class TestMlpSpec:
@@ -211,20 +211,10 @@ class TestBackprop:
         y = rng.integers(0, 2, size=8)
         noise = NoiseParams.uniform_offdiag([0.1, 0.3])
         for div_id in DIVERGENCE_IDS:
-            for make_cfg, spec in (
-                (simplex_cfg, MlpSpec((2, 3, 2), activation="tanh")),
-                (
-                    raw_cfg,
-                    MlpSpec(
-                        (2, 3, 2),
-                        activation="tanh",
-                        head="raw_t",
-                        divergence=div_id,
-                    ),
-                ),
-            ):
+            for head in ("simplex", "raw_t"):
+                spec = head_spec((2, 3, 2), head, div_id, activation="tanh")
                 for correction in ("none", "objective"):
-                    cfg = make_cfg(
+                    cfg = ObjectiveConfig(
                         div_id,
                         correction=correction,
                         noise=noise if correction != "none" else None,
@@ -242,7 +232,7 @@ class TestBackprop:
         X = rng.normal(size=(6, 3)) + 0.25
         y = rng.integers(0, 2, size=6)
         model = init(MlpSpec((3, 4, 2)), seed=11)
-        cfg = simplex_cfg("kl")
+        cfg = ObjectiveConfig("kl")
         _, grads = objective_and_gradients(model, X, y, cfg)
         fd = self.finite_difference(model, X, y, cfg, h=1e-7)
         for (gW, gb), (fW, fb) in zip(grads, fd):
@@ -259,7 +249,7 @@ class TestBackprop:
         X = rng.normal(size=(9, 3))
         y = rng.integers(0, 4, size=9)
         noise = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15, 0.02])
-        cfg = raw_cfg(div_id, correction, noise if correction != "none" else None)
+        cfg = ObjectiveConfig(div_id, correction, noise if correction != "none" else None)
         model = init(MlpSpec((3, 5, 4), head="raw_t", divergence=div_id), seed=4)
         value, grads = objective_and_gradients(model, X, y, cfg)
         hs, v = _forward_parts(model.spec, model.params, X)
@@ -298,7 +288,7 @@ class TestBackprop:
     def test_link_divergence_mismatch_rejected(self):
         model = init(MlpSpec((3, 2), head="raw_t", divergence="gan"), seed=0)
         with pytest.raises(ValueError):
-            objective_and_gradients(model, np.zeros((2, 3)), [0, 1], raw_cfg("kl"))
+            objective_and_gradients(model, np.zeros((2, 3)), [0, 1], ObjectiveConfig("kl"))
 
 
 # The head formulas of the step as it was with numpy's max and sum
@@ -559,7 +549,7 @@ class TestTrain:
         ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.0]])
         model = init(MlpSpec((2, 4, 2)), seed=3)
         trained, trace = train(
-            model, ds, simplex_cfg("kl"), TrainConfig(epochs=0, batch_size=8)
+            model, ds, ObjectiveConfig("kl"), TrainConfig(epochs=0, batch_size=8)
         )
         for (Wa, ba), (Wb, bb) in zip(model.params, trained.params):
             np.testing.assert_array_equal(Wa, Wb)
@@ -573,7 +563,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = init(MlpSpec((2, 4, 2)), seed=3)
-            trained, trace = train(model, ds, simplex_cfg("kl"), cfg)
+            trained, trace = train(model, ds, ObjectiveConfig("kl"), cfg)
             runs.append((trained, trace))
         assert runs[0][1].objective == runs[1][1].objective
         assert runs[0][1].train_accuracy == runs[1][1].train_accuracy
@@ -588,7 +578,7 @@ class TestTrain:
         trained, trace = train(
             model,
             ds,
-            simplex_cfg("kl"),
+            ObjectiveConfig("kl"),
             TrainConfig(epochs=100, batch_size=32, seed=0),
         )
         assert trace.train_accuracy[-1] >= 0.99
@@ -601,7 +591,7 @@ class TestTrain:
         _, trace = train(
             model,
             ds,
-            simplex_cfg("kl"),
+            ObjectiveConfig("kl"),
             TrainConfig(epochs=4, batch_size=8),
             eval_dataset=held,
         )
@@ -614,8 +604,8 @@ class TestTrain:
         # where they appear.  The (epoch, step) pairs are where these
         # seeds abort when every step re-validates its inputs.
         cases = [
-            (MlpSpec((2, 4, 2), head="raw_t", divergence="kl"), raw_cfg("kl"), 0, 2),
-            (MlpSpec((2, 4, 2)), simplex_cfg("kl"), 4, 22),
+            (MlpSpec((2, 4, 2), head="raw_t", divergence="kl"), ObjectiveConfig("kl"), 0, 2),
+            (MlpSpec((2, 4, 2)), ObjectiveConfig("kl"), 4, 22),
         ]
         for spec, cfg, epoch, step in cases:
             rng = np.random.default_rng(31)
@@ -644,7 +634,7 @@ class TestTrain:
         b1 = np.array([800.0, -800.0, 0.0])
         model = NetworkModel(spec, ((W0, b0), (W1, b1)))
         noise = NoiseParams.symmetric(0.2)
-        cfg = raw_cfg(div_id, correction, noise if correction != "none" else None)
+        cfg = ObjectiveConfig(div_id, correction, noise if correction != "none" else None)
         v = _forward_parts(spec, model.params, ds.features)[1]
         assert np.abs(v).max() >= 800.0
         trained, trace = train(
@@ -659,9 +649,9 @@ class TestTrain:
         ds = gaussian_blobs(rng, 10, [[-1.0, 0.0], [1.0, 0.0]])
         cfg = TrainConfig(epochs=1, batch_size=8)
         with pytest.raises(ValueError):
-            train(init(MlpSpec((3, 2)), 0), ds, simplex_cfg("kl"), cfg)
+            train(init(MlpSpec((3, 2)), 0), ds, ObjectiveConfig("kl"), cfg)
         with pytest.raises(ValueError):
-            train(init(MlpSpec((2, 3)), 0), ds, simplex_cfg("kl"), cfg)
+            train(init(MlpSpec((2, 3)), 0), ds, ObjectiveConfig("kl"), cfg)
 
     def test_corrected_objective_trains(self):
         rng = np.random.default_rng(41)
@@ -671,7 +661,7 @@ class TestTrain:
         _, trace = train(
             model,
             ds,
-            simplex_cfg("kl", correction="objective", noise=noise),
+            ObjectiveConfig("kl", correction="objective", noise=noise),
             TrainConfig(epochs=10, batch_size=16),
         )
         assert all(math.isfinite(v) for v in trace.objective)
@@ -699,18 +689,18 @@ class TestTrainMembers:
     NOISE = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15])
     MEANS = [[-1.0, 0.0], [1.0, 0.5], [0.0, -1.0]]
 
-    def members(self, make_cfg, div_id, model, tc, rates=True):
+    def members(self, div_id, model, tc, rates=True):
         """Clean and noisy members of one seed, plus noisy-corrected and
         posterior ones when rates; 60 rows in batches of 16 leave a ragged
         last batch of 12."""
         rng = np.random.default_rng(53)
         ds = gaussian_blobs(rng, 20, self.MEANS)
         noisy = corrupt(ds, symmetric_matrix(3, 0.3), seed=tc.seed)
-        pairs = [(ds, make_cfg(div_id)), (noisy, make_cfg(div_id))]
+        pairs = [(ds, ObjectiveConfig(div_id)), (noisy, ObjectiveConfig(div_id))]
         if rates:
             pairs += [
-                (noisy, make_cfg(div_id, "objective", self.NOISE)),
-                (noisy, make_cfg(div_id, "posterior", self.NOISE)),
+                (noisy, ObjectiveConfig(div_id, "objective", self.NOISE)),
+                (noisy, ObjectiveConfig(div_id, "posterior", self.NOISE)),
             ]
         return [(model, ds, cfg, tc) for ds, cfg in pairs]
 
@@ -739,78 +729,67 @@ class TestTrainMembers:
             assert same_params(trained, train(*member)[0])
 
     @pytest.mark.parametrize(
-        "make_cfg, div_id, layer_sizes, activation",
+        "head, div_id, layer_sizes, activation",
         [
-            (simplex_cfg, "kl", (2, 6, 3), "relu"),
-            (simplex_cfg, "gan", (2, 6, 3), "relu"),
-            (simplex_cfg, "sl", (2, 6, 3), "relu"),
-            (simplex_cfg, "kl", (2, 5, 4, 3), "tanh"),
-            (simplex_cfg, "gan", (2, 3), "relu"),
-            (raw_cfg, "gan", (2, 6, 3), "relu"),
-            (raw_cfg, "gan", (2, 5, 4, 3), "tanh"),
+            ("simplex", "kl", (2, 6, 3), "relu"),
+            ("simplex", "gan", (2, 6, 3), "relu"),
+            ("simplex", "sl", (2, 6, 3), "relu"),
+            ("simplex", "kl", (2, 5, 4, 3), "tanh"),
+            ("simplex", "gan", (2, 3), "relu"),
+            ("raw_t", "gan", (2, 6, 3), "relu"),
+            ("raw_t", "gan", (2, 5, 4, 3), "tanh"),
         ],
     )
     def test_each_member_equals_its_solo_training(
-        self, make_cfg, div_id, layer_sizes, activation
+        self, head, div_id, layer_sizes, activation
     ):
-        spec = MlpSpec(
-            layer_sizes,
-            activation=activation,
-            head="raw_t" if make_cfg is raw_cfg else "simplex",
-            divergence=div_id if make_cfg is raw_cfg else None,
-        )
+        spec = head_spec(layer_sizes, head, div_id, activation)
         tc = TrainConfig(epochs=4, batch_size=16, seed=8)
-        members = self.members(make_cfg, div_id, init(spec, seed=6), tc)
+        members = self.members(div_id, init(spec, seed=6), tc)
         self.assert_each_equals_its_solo_training(members)
 
     @pytest.mark.parametrize("rates", [False, True])
     @pytest.mark.parametrize(
-        "make_cfg, div_id", [(simplex_cfg, "kl"), (raw_cfg, "gan")]
+        "head, div_id", [("simplex", "kl"), ("raw_t", "gan")]
     )
     def test_members_of_several_seeds_equal_their_solo_trainings(
-        self, make_cfg, div_id, rates
+        self, head, div_id, rates
     ):
         # every seed has its own initial network, noisy labels and batch
         # order, as in one sweep over seeds
-        spec = MlpSpec(
-            (2, 6, 3),
-            head="raw_t" if make_cfg is raw_cfg else "simplex",
-            divergence=div_id if make_cfg is raw_cfg else None,
-        )
+        spec = head_spec((2, 6, 3), head, div_id)
         members = []
         for seed in (8, 3, 11):
             tc = TrainConfig(epochs=3, batch_size=16, seed=seed)
-            members += self.members(
-                make_cfg, div_id, init(spec, seed=seed), tc, rates=rates
-            )
+            members += self.members(div_id, init(spec, seed=seed), tc, rates=rates)
         self.assert_each_equals_its_solo_training(members)
 
     def test_members_must_share_features_and_divergence(self):
         model = init(MlpSpec((2, 4, 3)), seed=0)
         tc = TrainConfig(epochs=1, batch_size=16)
-        members = self.members(simplex_cfg, "kl", model, tc)
+        members = self.members("kl", model, tc)
         ds = members[0][1]
         moved = LabeledDataset(ds.features + 1.0, ds.labels, k=3)
         wider = init(MlpSpec((2, 5, 3)), seed=0)
         longer = replace(tc, epochs=2)
         cases = [
-            ("share the training features", (model, moved, simplex_cfg("kl"), tc)),
-            ("share the divergence", (model, ds, simplex_cfg("gan"), tc)),
-            ("share the architecture", (wider, ds, simplex_cfg("kl"), tc)),
-            ("share the training schedule", (model, ds, simplex_cfg("kl"), longer)),
+            ("share the training features", (model, moved, ObjectiveConfig("kl"), tc)),
+            ("share the divergence", (model, ds, ObjectiveConfig("gan"), tc)),
+            ("share the architecture", (wider, ds, ObjectiveConfig("kl"), tc)),
+            ("share the training schedule", (model, ds, ObjectiveConfig("kl"), longer)),
         ]
         for message, extra in cases:
             with pytest.raises(ValueError, match=message):
                 _train_members(members + [extra])
         # the seed alone may differ
         reseeded = replace(tc, seed=5)
-        _train_members(members + [(model, ds, simplex_cfg("kl"), reseeded)])
+        _train_members(members + [(model, ds, ObjectiveConfig("kl"), reseeded)])
 
     def test_without_consumer_aborts_as_train_does(self):
         # the cases of TestTrain.test_divergence_aborts_with_diagnostic
         cases = [
-            (MlpSpec((2, 4, 2), head="raw_t", divergence="kl"), raw_cfg("kl")),
-            (MlpSpec((2, 4, 2)), simplex_cfg("kl")),
+            (MlpSpec((2, 4, 2), head="raw_t", divergence="kl"), ObjectiveConfig("kl")),
+            (MlpSpec((2, 4, 2)), ObjectiveConfig("kl")),
         ]
         for spec, cfg in cases:
             rng = np.random.default_rng(31)
@@ -830,7 +809,7 @@ class TestTrainMembers:
 
         rng = np.random.default_rng(31)
         ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.0]])
-        member = (init(MlpSpec((2, 4, 2)), seed=3), ds, simplex_cfg("kl"),
+        member = (init(MlpSpec((2, 4, 2)), seed=3), ds, ObjectiveConfig("kl"),
                   TrainConfig(epochs=3, batch_size=8))
         monkeypatch.setattr(model_mod, "_evaluate", lambda *a, **kw: (1.0, math.nan))
         with pytest.raises(RuntimeError, match=r"non-finite after epoch 0: nan"):
@@ -845,10 +824,10 @@ class TestEvaluate:
         rng = np.random.default_rng(43)
         ds = gaussian_blobs(rng, 15, [[-1.0, 0.0], [1.0, 0.0]])
         model = init(MlpSpec((2, 4, 2)), seed=1)
-        plain = evaluate(model, ds, simplex_cfg("kl"))
+        plain = evaluate(model, ds, ObjectiveConfig("kl"))
         zero = NoiseParams.uniform_offdiag([0.0, 0.0])
         corrected = evaluate(
-            model, ds, simplex_cfg("kl", correction="posterior", noise=zero)
+            model, ds, ObjectiveConfig("kl", correction="posterior", noise=zero)
         )
         assert plain == corrected
 
@@ -862,7 +841,7 @@ class TestEvaluate:
         b = np.array([800.0, 790.0, 0.0])
         model = NetworkModel(spec, ((np.zeros((2, 3)), b),))
         noise = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15])
-        acc, obj = evaluate(model, ds, raw_cfg("gan", "posterior", noise))
+        acc, obj = evaluate(model, ds, ObjectiveConfig("gan", "posterior", noise))
         assert acc == 1.0
         assert math.isfinite(obj)
 
@@ -871,14 +850,14 @@ class TestEvaluate:
         ds = gaussian_blobs(rng, 15, [[-1.0, 0.0], [1.0, 0.0]])
         model = init(MlpSpec((2, 4, 3)), seed=1)
         with pytest.raises(ValueError, match="class count"):
-            evaluate(model, ds, simplex_cfg("kl"))
+            evaluate(model, ds, ObjectiveConfig("kl"))
 
     def test_deterministic(self):
         rng = np.random.default_rng(47)
         ds = gaussian_blobs(rng, 15, [[-1.0, 0.0], [1.0, 0.0]])
         model = init(MlpSpec((2, 4, 2)), seed=1)
-        assert evaluate(model, ds, simplex_cfg("kl")) == evaluate(
-            model, ds, simplex_cfg("kl")
+        assert evaluate(model, ds, ObjectiveConfig("kl")) == evaluate(
+            model, ds, ObjectiveConfig("kl")
         )
 
     def test_enumerated_bayes_accuracy(self):
@@ -903,7 +882,7 @@ class TestEvaluate:
 
         spec = MlpSpec((4, 3), head="raw_t", divergence="kl")
         model = NetworkModel(spec, ((T_table, np.zeros(3)),))
-        acc, _ = evaluate(model, ds, raw_cfg("kl"))
+        acc, _ = evaluate(model, ds, ObjectiveConfig("kl"))
         bayes = counts.max(axis=1).sum() / n
         assert acc == bayes == 0.6
 

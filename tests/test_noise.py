@@ -206,6 +206,13 @@ class TestNoiseParams:
             with pytest.raises(ValueError, match="finite"):
                 NoiseParams.uniform_offdiag([0.1, bad])
 
+    @pytest.mark.parametrize("e", [[], [0.2], [[0.1, 0.2]], 0.1])
+    def test_construction_rejects_anything_but_k_rates(self, e):
+        # the length rule K >= 2 holds when the parameters are built, not
+        # first when they meet a class count
+        with pytest.raises(ValueError, match="vector of length K >= 2"):
+            NoiseParams.uniform_offdiag(e)
+
 
 class TestLabeledDataset:
     def test_label_range_enforced(self):

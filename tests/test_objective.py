@@ -8,6 +8,7 @@ import pytest
 from postmax.divergence import (
     DIVERGENCE_IDS,
     _as_spec,
+    _check_positive,
     get_divergence,
     optimal_T_from_posterior,
 )
@@ -16,7 +17,6 @@ from postmax.objective import (
     POSTERIOR_FLOOR,
     DiscreteJoint,
     ObjectiveConfig,
-    _check_D_batch,
     _check_T,
     active_passive_split,
     bias_multiclass,
@@ -51,7 +51,8 @@ from postmax.objective import (
     _row_sum,
     _simplex_logit_grad,
 )
-from postmax.noise import _check_labels, _check_rates
+from postmax.noise import _check_rates, _row_labels
+from postmax.posterior import _as_rows, _check_probability_rows
 
 # Reference formulas for the checks below, written from the closed forms
 # per divergence and never from the DivergenceSpec table, so comparing the
@@ -71,9 +72,10 @@ def bias_binary(spec, T, e0: float, e1: float) -> float:
 
 def positive_row(D_row, label):
     """One strictly positive finite row, on the simplex or off it, and its
-    label, checked as the batch functions check theirs."""
-    D = _check_D_batch([D_row], simplex_rows=False)[0]
-    return D, _check_labels([label], 1, D.shape[0])[0]
+    label, checked as bias_simplex_batch checks its rows."""
+    D = _as_rows(D_row, "positive values", ndim=1)
+    _check_positive(D)
+    return D, _row_labels(label, D)
 
 
 def jf_simplex_gan(D_row, label) -> float:
@@ -110,8 +112,7 @@ def jf_simplex_grad_D(div_id, D_row, label) -> np.ndarray:
 
 def jf_simplex_grad_batch(div_id: str, D, labels) -> np.ndarray:
     """Per-sample gradients of the simplex objective w.r.t. D, stacked."""
-    D = _check_D_batch(D)
-    labels = _check_labels(labels, D.shape[0], D.shape[1])
+    D, labels = _check_probability_rows(D, labels)
     n = np.arange(D.shape[0])
     if div_id == "kl":
         grad = np.zeros_like(D)
@@ -155,7 +156,8 @@ def generator_curvature(div_id: str, u):
 
 def bias_simplex_grad_batch(div_id: str, D, e) -> np.ndarray:
     """Per-sample gradients of the simplex-variable bias w.r.t. D."""
-    D = _check_D_batch(D, simplex_rows=False)
+    D = _as_rows(D, "positive values")
+    _check_positive(D)
     e = _check_rates(e, D.shape[1])
     return generator_curvature(div_id, D) * (e[None, :] - e.sum() * D)
 
@@ -653,9 +655,16 @@ class TestSimplexBatch:
         with pytest.raises(ValueError):
             jf_simplex_batch("kl", [[0.5, 0.6]], [0])
         with pytest.raises(ValueError):
-            jf_simplex_batch("gan", [[1.0, 0.0]], [0])
+            jf_simplex_batch("gan", [[0.0, 1.0]], [0])
         with pytest.raises(ValueError):
             jf_simplex_batch("js", [[0.5, 0.5]], [0])
+
+    def test_zero_away_from_the_label_matches_the_per_row_reference(self):
+        # the label-positivity rule reads the label's component only
+        row = [1.0, 0.0, 0.0]
+        assert jf_simplex_batch("kl", [row], [0]) == jf_simplex_kl(row, 0) == -1.0
+        with pytest.raises(ValueError, match="component at the label"):
+            jf_simplex_batch("kl", [row], [1])
 
 
 class TestSimplexLogitGrad:
