@@ -39,6 +39,11 @@ TABLE_COLUMNS = ("No Cor.", "O.F. Cor.", "P. Cor.", "No Noise")
 
 _FORMATS = ("csv", "json", "table")  # what report writes
 
+# The most classes a CSV may hold.  Training holds every network's labels
+# one-hot, n x K floats each, and the noise matrix is K x K, so bounding K
+# keeps memory linear in the file.
+MAX_CSV_CLASSES = 1000
+
 
 class ConfigError(ValueError):
     """A config file or config tree is malformed."""
@@ -52,9 +57,9 @@ def _csv_dataset(path) -> LabeledDataset:
     """Read a CSV file into a dataset of K = largest label + 1 classes.
 
     The last column is the label; a single header line is allowed.  K
-    must be at least 2 and at most the number of data rows, so a label
-    must be below that number.  Any malformed content is reported with
-    its line number.
+    must be at least 2 and at most both the number of data rows and
+    MAX_CSV_CLASSES, so a label must be below both.  Any malformed
+    content is reported with its line number.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -104,6 +109,11 @@ def _csv_dataset(path) -> LabeledDataset:
         raise ConfigError(
             f"{path}: line {lineno}: label {cell} makes more classes than "
             f"the {len(rows)} data rows"
+        )
+    if largest >= MAX_CSV_CLASSES:
+        raise ConfigError(
+            f"{path}: line {lineno}: label {cell} makes more than the "
+            f"{MAX_CSV_CLASSES} classes a CSV may hold"
         )
     if largest < 1:
         raise ConfigError(f"{path}: labels must cover at least two classes")

@@ -57,6 +57,31 @@ are one np.maximum or np.add of the two column views, about 2 us a call
 against 3-6 us for a reduction over the class axis; from three classes
 the sum is faster as a reduction at a step's few rows, so every
 reduction over K >= 3 classes is numpy's, written into the workspace.
+
+Each layer input in the step's workspaces ends in a column of ones: the
+gathered features, written into the first d_in columns (X itself is not
+copied), then each hidden layer's activations.  A member's W and b are
+adjacent in its parameter row, so a layer's [W; b] is one (d_in + 1,
+d_out) view of it.  A hidden layer's forward pass is then one matmul,
+bias included, and every layer's dW and db are one matmul of the input's
+transpose with the output gradient, in place of an add and a reduction
+per layer.  relu runs over the whole activation array, since relu(1) = 1
+keeps the ones column and an elementwise call on a strided view costs
+two to three times as much at the wide shape; tanh acts on the first
+columns only.  The output layer keeps its separate bias add, which
+folded would round differently at the benchmark's shapes (at K = 2
+about half the outputs move), and the input gradients multiply by W^T
+alone, which keeps their bits at every shape.  Whether a folded sum
+rounds as the add and the reduction did depends on the BLAS kernel that
+serves the shape.  With OpenBLAS 0.3.31 (SkylakeX kernels) the records
+equal the unfolded step's at the desk shape (10-16-2, batches of 32),
+the wide shape (100-256-10, batches of 256 and 160) and the golden pins'
+shapes (5-8-K, batches of 16 and 24).  A scan of 1 to 100 features,
+hidden widths from 8 to 256 and eight batch sizes from 1 to 512 rows
+found three exceptions: batches over 384 rows, where dgemm sums db in
+blocks; a hidden layer with 16 or more inputs whose width is 1 to 4 mod
+8 (9-12, 20 or 100, say); and, under ten features, batches of one or two
+rows, and with one feature most batches.
 """
 
 from __future__ import annotations
@@ -238,15 +263,23 @@ _ONE = np.float64(1.0)
 
 
 def _forward_ops(layers, hs, v):
-    """_forward_into's operands: (W, b, input, output) of each hidden
-    layer, and of the output layer.
+    """_forward_into's operands: (W, b, input, output, activation array)
+    of each hidden layer, and (W, b, input, output) of the output layer.
 
     layers are (W, b) pairs whose b broadcasts against the layer's
     outputs; hs are the layer inputs, hs[0] the features, and v takes the
-    final linear outputs.
+    final linear outputs.  An input may end in a column of ones: its
+    layer's b is then None and its W the (d_in + 1, d_out) block [W; b],
+    so the matmul adds the bias.  A hidden layer writes the first d_out
+    columns of the next input and takes its activation over all of it.
     """
-    ops = [(W, b, h_in, h) for (W, b), h_in, h in zip(layers, hs, [*hs[1:], v])]
-    return ops[:-1], ops[-1]
+    ops = []
+    for (W, b), h_in, h in zip(layers, hs, [*hs[1:], v]):
+        if b is not None:
+            h_in = h_in[..., : W.shape[-2]]
+        ops.append((W, b, h_in, h[..., : W.shape[-1]], h))
+    *hidden, (W, b, h_in, v, _) = ops
+    return hidden, (W, b, h_in, v)
 
 
 def _forward_into(activation: str, hidden, last) -> None:
@@ -255,13 +288,14 @@ def _forward_into(activation: str, hidden, last) -> None:
     and applies the activation there in place, so that array ends as the
     next layer's input; the output layer writes the final linear outputs.
     """
-    for W, b, h_in, h in hidden:
-        np.matmul(h_in, W, out=h)
-        h += b
+    for W, b, h_in, z, h in hidden:
+        np.matmul(h_in, W, out=z)
+        if b is not None:
+            z += b
         if activation == "relu":
-            np.maximum(h, _ZERO, out=h)
+            np.maximum(h, _ZERO, out=h)  # relu(1) = 1 keeps a ones column
         else:
-            np.tanh(h, out=h)
+            np.tanh(z, out=z)
     W, b, h_in, v = last
     np.matmul(h_in, W, out=v)
     v += b
@@ -340,19 +374,28 @@ def _head_grad(
 def _backprop_ops(weights_T, hs, g_v, grads, deltas, masks) -> list:
     """_backprop_into's operands, from the output layer down: per layer
     (input^T, output gradient, dW, db, down), down being None for layer
-    0 and (W^T, input, derivative, input gradient) above it.
+    0 and (W^T, input, derivative, input gradient, its first d_in
+    columns) above it.
 
     weights_T are the layers' transposed weights (layer 0's is not
     read), hs are _forward_into's layer inputs and g_v the output
     gradient; each layer's (dW, db) is written into the arrays of grads,
     and deltas and masks are scratch shaped like the hidden layers' hs,
-    masks bool for relu and float for tanh.
+    masks bool for relu and float for tanh.  Where a layer's input ends
+    in a column of ones, its db is None and its dW the (d_in + 1, d_out)
+    block [dW; db], so one matmul writes both; the input gradient's
+    column under the ones, which the caller zeroes, stays zero.
     """
     outputs = [*deltas, g_v]
     ops = []
     for i in range(len(grads) - 1, -1, -1):
-        down = None if i == 0 else (weights_T[i], hs[i], masks[i - 1], deltas[i - 1])
-        ops.append((hs[i].swapaxes(-1, -2), outputs[i], *grads[i], down))
+        gW, gb = grads[i]
+        down = None
+        if i > 0:
+            W_T, delta = weights_T[i], deltas[i - 1]
+            down = (W_T, hs[i], masks[i - 1], delta, delta[..., : W_T.shape[-1]])
+        g = outputs[i][..., : gW.shape[-1]]
+        ops.append((hs[i].swapaxes(-1, -2), g, gW, gb, down))
     return ops
 
 
@@ -361,10 +404,11 @@ def _backprop_into(activation: str, ops) -> None:
     axes."""
     for h_T, g, gW, gb, down in ops:
         np.matmul(h_T, g, out=gW)
-        np.add.reduce(g, axis=-2, out=gb)
+        if gb is not None:
+            np.add.reduce(g, axis=-2, out=gb)
         if down is not None:
-            W_T, h, d, delta = down
-            np.matmul(g, W_T, out=delta)
+            W_T, h, d, delta, delta_in = down
+            np.matmul(g, W_T, out=delta_in)
             if activation == "relu":
                 # relu(z) > 0 exactly where z > 0, NaN and -0.0 included;
                 # the kink at 0 is measure-zero under continuous inputs
@@ -392,8 +436,10 @@ def _backprop(spec: MlpSpec, params, hs, g_v):
 def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig):
     """Batch-mean objective and its ascent gradient for every parameter.
 
-    The returned gradients are exactly what one training step uses, so
-    they can be compared against finite differences of the value.
+    The returned gradients are the ones a training step takes, so they
+    can be compared against finite differences of the value; the step's
+    folded bias can round them differently in the last bits at some
+    layer shapes (see the module docstring).
     """
     _check_compat(model.spec, cfg)
     X = _check_features(model.spec, X)
@@ -416,19 +462,35 @@ def _cosine_lr(lr0: float, step: int, total_steps: int) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
 
 
-def _layer_views(buf: np.ndarray, params) -> list:
-    """(W, b) views into the last axis of a flat buffer, in the order and
-    shapes of params; leading axes of buf lead every view."""
+def _layer_blocks(buf: np.ndarray, params) -> list:
+    """Each layer's (W, b) as one (d_in + 1, d_out) view [W; b] into the
+    last axis of a flat buffer, in the order and shapes of params; leading
+    axes of buf lead every view."""
     lead = buf.shape[:-1]
-    views = []
+    blocks = []
     offset = 0
-    for layer in params:
-        pair = []
-        for arr in layer:
-            pair.append(buf[..., offset : offset + arr.size].reshape(lead + arr.shape))
-            offset += arr.size
-        views.append(tuple(pair))
-    return views
+    for W, b in params:
+        size = W.size + b.size
+        shape = (W.shape[0] + 1, W.shape[1])
+        blocks.append(buf[..., offset : offset + size].reshape(lead + shape))
+        offset += size
+    return blocks
+
+
+def _folded_layers(blocks):
+    """_forward_ops' layers and _backprop_ops' transposed weights over
+    _layer_blocks' blocks, for layer inputs that end in a column of ones:
+    each hidden layer's bias is added by its matmul, and the output
+    layer's by an add, as the matmul would round it differently.  The
+    input gradients take W^T alone, for the same reason."""
+    *hidden, last = blocks
+    layers = [(W, None) for W in hidden] + [(last[..., :-1, :], last[..., -1:, :])]
+    return layers, [W[..., :-1, :].swapaxes(-1, -2) for W in blocks]
+
+
+def _layer_views(buf: np.ndarray, params) -> list:
+    """(W, b) views into the last axis of a flat buffer, as _layer_blocks'."""
+    return [(blk[..., :-1, :], blk[..., -1, :]) for blk in _layer_blocks(buf, params)]
 
 
 def train(
@@ -542,9 +604,10 @@ def _train_members(members, on_epoch=None) -> list:
     scratch = np.empty_like(theta)
     finite = np.empty(theta.shape, bool)
     momentum = np.float64(tc.momentum)
-    layers = [(W, b[:, None, :]) for W, b in _layer_views(theta, model0.params)]
-    weights_T = [W.swapaxes(-1, -2) for W, _ in layers]
-    grad_layers = _layer_views(grad, model0.params)
+    # Each layer input ends in a column of ones (see the workspaces), so a
+    # layer's [W; b] block serves as its weights and its gradient.
+    layers, weights_T = _folded_layers(_layer_blocks(theta, model0.params))
+    grad_layers = [(g, None) for g in _layer_blocks(grad, model0.params)]
     member_params = [_layer_views(row, model0.params) for row in theta]
 
     # One generator per distinct seed, in order of first use; member m
@@ -560,17 +623,19 @@ def _train_members(members, on_epoch=None) -> list:
     identity = np.eye(k)
 
     # Workspaces for the largest batch: layer inputs (the gathered
-    # features first, then each hidden layer's activations), deltas,
-    # activation derivatives (relu's as a bool mask), final outputs, head
-    # outputs, head gradients and the head's scratch, and one (M, B, 1)
-    # column for row maxima and sums.  A ragged last batch uses the first
-    # rows of each, and of the rate terms.
+    # features first, then each hidden layer's activations), each with
+    # its ones column; deltas, zeroed as no matmul writes their last
+    # column, and activation derivatives (relu's as a bool mask) of the
+    # same widths; final outputs, head outputs, head gradients and the
+    # head's scratch, and one (M, B, 1) column for row maxima and sums.
+    # A ragged last batch uses the first rows of each, and of the rate
+    # terms.
     hidden = spec.layer_sizes[1:-1]
     mask_type = bool if spec.activation == "relu" else float
     workspaces = [
-        [np.empty((M, B, w)) for w in (spec.d_in, *hidden)],
-        [np.empty((M, B, w)) for w in hidden],
-        [np.empty((M, B, w), mask_type) for w in hidden],
+        [np.ones((M, B, w + 1)) for w in spec.layer_sizes[:-1]],
+        [np.zeros((M, B, w + 1)) for w in hidden],
+        [np.empty((M, B, w + 1), mask_type) for w in hidden],
         [np.empty((M, B, k)) for _ in range(4)] + [np.empty((M, B, 1))],
     ]
     # Every operand a step reads, built once per batch size: views of
@@ -586,7 +651,7 @@ def _train_members(members, on_epoch=None) -> list:
                 [a[:, :nb, :] for a in ws] for ws in workspaces
             )
             sized[nb] = (
-                hs[0],
+                hs[0][..., : spec.d_in],
                 _forward_ops(layers, hs, v),
                 v, D, col, g_v, (tmp, col),
                 None if e_terms is None else tuple(t[:, :nb, :] for t in e_terms),

@@ -131,7 +131,11 @@ def _check_T(spec: DivergenceSpec, T, labels=None, ndim: int = 2):
 def jf_batch(spec, T, labels) -> float:
     """Sample mean of T at the label minus the summed conjugate of T."""
     spec = _as_spec(spec)
-    T, labels = _check_T(spec, T, labels)
+    return _jf(spec, *_check_T(spec, T, labels))
+
+
+def _jf(spec: DivergenceSpec, T, labels) -> float:
+    """jf_batch on outputs, labels and a spec the caller has checked."""
     n = np.arange(T.shape[0])
     return float(np.mean(T[n, labels] - spec.conj(T).sum(axis=1)))
 
@@ -148,7 +152,11 @@ def jf_grad_sample(spec, T_row, label) -> np.ndarray:
 def jf_grad_batch(spec, T, labels) -> np.ndarray:
     """Per-sample ascent gradients, one row per sample."""
     spec = _as_spec(spec)
-    T, labels = _check_T(spec, T, labels)
+    return _jf_grad(spec, *_check_T(spec, T, labels))
+
+
+def _jf_grad(spec: DivergenceSpec, T, labels) -> np.ndarray:
+    """jf_grad_batch on outputs, labels and a spec the caller has checked."""
     grad = -spec.conj_prime(T)
     grad[np.arange(T.shape[0]), labels] += 1.0
     return grad
@@ -158,14 +166,20 @@ def bias_multiclass(spec, T, e) -> float:
     """Noise-induced bias of the objective under per-class flip-in rates e."""
     spec = _as_spec(spec)
     T = _check_T(spec, T)
-    e = _check_rates(e, T.shape[1])
+    return _bias(spec, T, _check_rates(e, T.shape[1]))
+
+
+def _bias(spec: DivergenceSpec, T, e) -> float:
+    """bias_multiclass on outputs, rates and a spec the caller has checked."""
     per_sample = T @ e - e.sum() * spec.conj(T).sum(axis=1)
     return float(np.mean(per_sample))
 
 
 def corrected_jf_batch(spec, T, labels, e) -> float:
     """Objective on noisy labels minus the estimated bias, same batch."""
-    return jf_batch(spec, T, labels) - bias_multiclass(spec, T, e)
+    spec = _as_spec(spec)
+    T, labels = _check_T(spec, T, labels)
+    return _jf(spec, T, labels) - _bias(spec, T, _check_rates(e, T.shape[1]))
 
 
 def corrected_grad_sample(spec, T_row, label, e) -> np.ndarray:
@@ -184,7 +198,7 @@ def corrected_grad_batch(spec, T, labels, e) -> np.ndarray:
     spec = _as_spec(spec)
     T = _check_T(spec, T)
     e = _check_rates(e, T.shape[1])
-    grad = jf_grad_batch(spec, T, labels)
+    grad = _jf_grad(spec, T, _row_labels(labels, T))
     return grad - (e[None, :] - e.sum() * spec.conj_prime(T))
 
 
@@ -266,9 +280,7 @@ def bias_simplex_batch(div_id, D, e) -> float:
 def _bias_simplex(spec: DivergenceSpec, D, e) -> float:
     """bias_simplex_batch on rows and rates the caller has checked; the
     registered f' are finite on strictly positive finite rows."""
-    T = spec.f_prime(D)
-    per_sample = T @ e - e.sum() * spec.conj(T).sum(axis=1)
-    return float(per_sample.mean())
+    return _bias(spec, spec.f_prime(D), e)
 
 
 def jf_simplex_logit_grad_batch(div_id, D, labels, e=None) -> np.ndarray:

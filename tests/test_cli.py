@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import postmax
 from postmax.cli import (
     _CONFIG,
+    MAX_CSV_CLASSES,
     RECORD_COLUMNS,
     ConfigError,
     ResultRecord,
@@ -186,6 +187,17 @@ class TestLoadCsv:
         path = tmp_path / "big.csv"
         path.write_text(SIX_ROWS.format(label=label))
         with pytest.raises(ConfigError, match=f"line 4: label {label} makes more"):
+            load_csv(path)
+
+    def test_class_maximum(self, tmp_path):
+        # more rows than the maximum, so only the class bound applies
+        path = tmp_path / "k.csv"
+        rows = "0.5,0\n" * MAX_CSV_CLASSES
+        path.write_text(rows + f"0.5,{MAX_CSV_CLASSES - 1}\n")
+        assert load_csv(path)[0].k == MAX_CSV_CLASSES
+        path.write_text(rows + f"0.5,{MAX_CSV_CLASSES}\n")
+        line = MAX_CSV_CLASSES + 1
+        with pytest.raises(ConfigError, match=f"line {line}: .* more than the"):
             load_csv(path)
 
     def test_label_below_the_row_count_accepted(self, tmp_path):
@@ -967,6 +979,31 @@ class TestCommandLine:
         assert not out.exists()
         # nothing sized by the label: a 1e6-class output layer alone is 64 MB
         assert peak < 2**20
+
+    @pytest.mark.parametrize("command", ["corrupt", "sweep"])
+    def test_csv_label_past_the_class_maximum_exits_one(self, tmp_path, command):
+        # 600 KB: 100,000 rows, so K = 100,000 passes the row bound, and a
+        # one-hot label buffer or a K x K noise matrix would be 80 GB
+        data = tmp_path / "wide.csv"
+        data.write_text("0.5,0\n" * 99_999 + "0.5,99999\n")
+        tree = config_tree(
+            dataset={"source": "csv", "path": str(data)},
+            noise={"kind": "symmetric", "eta": 0.2},
+        )
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        out = tmp_path / "out.csv"
+        result = CliRunner().invoke(
+            main, [command, "--config", str(path), "--out", str(out)]
+        )
+        # the reader's error, so nothing sized by K was built
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: {data}: line 100000: label 99999 makes more than the "
+            f"{MAX_CSV_CLASSES} classes a CSV may hold\n"
+        )
+        assert not out.exists()
 
     def test_corrupt_seed_override_changes_output(self, tmp_path, cli_config):
         runner = CliRunner()

@@ -20,10 +20,12 @@ from postmax.model import (
     _backprop_into,
     _backprop_ops,
     _cosine_lr,
+    _folded_layers,
     _forward_into,
     _forward_ops,
     _forward_parts,
     _head_grad,
+    _layer_blocks,
     _softmax,
     _train_members,
     evaluate,
@@ -527,6 +529,75 @@ class TestInPlaceActivations:
         ref_grads = reference_backprop(activation, layers, ref_hs, ref_zs, g_v)
         for (gW, gb), (rW, rb) in zip(grads, ref_grads):
             assert same_bits(gW, rW) and same_bits(gb, rb)
+
+
+class TestOnesColumnStep:
+    """The step's kernels over layer inputs that end in a column of ones,
+    with each layer's [W; b] block as its weights, keep the bits of
+    separate bias adds and db reductions at the desk and wide shapes and
+    their ragged batches, and leave every ones column at 1."""
+
+    M = 3
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize(
+        "sizes, B, ragged",
+        [
+            ((10, 16, 2), 32, 8),
+            ((100, 256, 10), 256, 160),
+            ((100, 256, 16, 10), 256, 160),
+            ((100, 10), 256, 160),
+        ],
+    )
+    def test_folded_step_keeps_the_bits_of_bias_adds(
+        self, activation, sizes, B, ragged
+    ):
+        rng = np.random.default_rng(97 + len(sizes))
+        M = self.M
+        layers = TestInPlaceActivations.signed_zero_layers(rng, sizes, (M,))
+        shapes = [(W[0], b[0, 0]) for W, b in layers]
+        theta = np.concatenate(
+            [a.reshape(M, -1) for layer in layers for a in layer], axis=1
+        )
+        folded, weights_T = _folded_layers(_layer_blocks(theta, shapes))
+        grad_blocks = _layer_blocks(np.empty_like(theta), shapes)
+        grads = [(g, None) for g in grad_blocks]
+        mask_type = bool if activation == "relu" else float
+        hs_ws = [np.ones((M, B, w + 1)) for w in sizes[:-1]]
+        deltas_ws = [np.zeros((M, B, w + 1)) for w in sizes[1:-1]]
+        masks_ws = [np.empty((M, B, w + 1), mask_type) for w in sizes[1:-1]]
+        v_ws = np.empty((M, B, sizes[-1]))
+        for nb in (B, ragged):
+            hs, deltas, masks = (
+                [a[:, :nb, :] for a in ws] for ws in (hs_ws, deltas_ws, masks_ws)
+            )
+            v = v_ws[:, :nb, :]
+            x = hs[0][..., : sizes[0]]
+            x[...] = rng.normal(scale=2.0, size=x.shape)
+            x[:, :3, :] *= 1e-300  # first pre-activations round to zeros
+            g_v = rng.normal(size=v.shape)
+            ref_hs, ref_zs, ref_v = reference_forward(
+                activation, layers, np.ascontiguousarray(x)
+            )
+            if len(sizes) > 2:
+                z0 = ref_zs[0][:, :3, :2]
+                assert (z0 == 0.0).all()
+                # BLAS sums 100 inputs' tiny products to +0.0, so only the
+                # desk shape's zeros keep the sign of their -0.0 bias
+                if sizes[0] == 10:
+                    assert np.signbit(z0).any() and not np.signbit(z0).all()
+            ref_grads = reference_backprop(activation, layers, ref_hs, ref_zs, g_v)
+
+            _forward_into(activation, *_forward_ops(folded, hs, v))
+            assert same_bits(v, ref_v)
+            for h, ref in zip(hs, ref_hs):
+                assert same_bits(h[..., :-1], ref) and (h[..., -1] == 1.0).all()
+            _backprop_into(
+                activation,
+                _backprop_ops(weights_T, hs, g_v, grads, deltas, masks),
+            )
+            for g, (rW, rb) in zip(grad_blocks, ref_grads):
+                assert same_bits(g[:, :-1, :], rW) and same_bits(g[:, -1, :], rb)
 
 
 class TestCosineSchedule:

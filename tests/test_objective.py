@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from postmax import objective
 from postmax.divergence import (
     DIVERGENCE_IDS,
     _as_spec,
@@ -391,6 +392,25 @@ class TestCorrections:
                 corrected_grad_sample("sl", T[n], labels[n], e),
                 rtol=1e-14,
             )
+
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda T, y, e: corrected_jf_batch("sl", T, y, e),
+            lambda T, y, e: corrected_grad_batch("sl", T, y, e),
+        ],
+        ids=["corrected_jf_batch", "corrected_grad_batch"],
+    )
+    def test_outputs_checked_once_per_call(self, fn, monkeypatch):
+        calls = []
+        check = objective._check_in_domain
+        monkeypatch.setattr(
+            objective, "_check_in_domain", lambda *a: calls.append(1) or check(*a)
+        )
+        rng = np.random.default_rng(43)
+        fn(random_T("sl", rng, (6, 3)), rng.integers(0, 3, size=6), [0.05, 0.1, 0.02])
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("row", [[[1.0, 1.0], [1.0, 1.0]], [1.0]], ids=["2-D", "K=1"])
