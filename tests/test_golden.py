@@ -1,8 +1,10 @@
 """Golden training records: the exact bits of small sweeps and traces.
 
 Every head x divergence x K in {2, 3} sweep, one uniform off-diagonal
-sweep, two sweeps whose last mini-batch is ragged and one TrainTrace per
-head are pinned in golden_records.json:
+sweep, two sweeps whose last mini-batch is ragged, one sweep at the
+benchmark's wide shape (100-256-10, batches of 256 and a ragged 64), one
+at odd widths (16-20-2, batches of 32) and one TrainTrace per head are
+pinned in golden_records.json:
 accuracies exactly and objectives by repr.  So is one step's simplex head
 gradient per divergence x K x rates, by the SHA-256 of its bits: a
 one-ulp change there can vanish once the update adds it to much larger
@@ -40,10 +42,13 @@ def _activation(k):
     return "relu" if k == 2 else "tanh"
 
 
-def _sweep_tree(head, div_id, k, noise, batch=BATCH):
+def _sweep_tree(
+    head, div_id, k, noise, batch=BATCH, n=N, d=D, hidden=HIDDEN, activation=None
+):
+    activation = activation or _activation(k)
     return {
-        "dataset": {"source": "synthetic", "k": k, "n": N, "d": D},
-        "model": {"hidden": [HIDDEN], "activation": _activation(k), "head": head},
+        "dataset": {"source": "synthetic", "k": k, "n": n, "d": d},
+        "model": {"hidden": [hidden], "activation": activation, "head": head},
         "objective": {"divergence": div_id, "correction": list(MODES)},
         "noise": noise,
         "train": {"epochs": EPOCHS, "batch_size": batch},
@@ -68,6 +73,16 @@ def sweep_cases():
     )
     cases["raw_t-gan-k3-b24"] = _sweep_tree(
         "raw_t", "gan", 3, {"kind": "symmetric", "eta": 0.2}, batch=24
+    )
+    # the benchmark's wide shape, 100-256-10, on 320 training rows: a
+    # batch of 256 and a ragged one of 64
+    cases["raw_t-gan-k10-wide-b256"] = _sweep_tree(
+        "raw_t", "gan", 10, {"kind": "symmetric", "eta": 0.3}, batch=256,
+        n=400, d=100, hidden=256, activation="relu",
+    )
+    # odd widths, 16-20-2, where BLAS serves the layers with other kernels
+    cases["simplex-kl-k2-odd-b32"] = _sweep_tree(
+        "simplex", "kl", 2, offdiag, batch=32, d=16, hidden=20
     )
     return cases
 
@@ -170,7 +185,7 @@ def _where(pinned):
 
 def test_pins_cover_every_case(pinned):
     assert set(pinned["sweeps"]) == set(sweep_cases())
-    assert len(pinned["sweeps"]) == 2 * len(DIVERGENCE_IDS) * 2 + 3
+    assert len(pinned["sweeps"]) == 2 * len(DIVERGENCE_IDS) * 2 + 5
     assert set(pinned["traces"]) == set(HEADS)
     assert set(pinned["head_grads"]) == set(head_grad_cases())
     assert len(pinned["head_grads"]) == len(DIVERGENCE_IDS) * 2 * 2
