@@ -22,12 +22,21 @@ One loop trains M members in lockstep: networks that share the
 architecture, the training features, the divergence and the schedule, but
 each with its own initial parameters, labels, correction mode and batch
 order, such as the clean, noisy and corrected networks of every seed of a
-sweep.  Members with one seed draw the same mini-batches.  Parameters,
-velocities and gradients are (M, P) arrays, one flat row per member; each
-step gathers every member's mini-batch with one (M, batch) index, and the
-forward pass and backprop run as batched matmuls over the member axis into
-workspaces of shape (M, batch, width) allocated once per training; a
-ragged last batch uses a slice of them.  Each hidden layer has one
+sweep.  Members with one seed draw the same mini-batches.  When the
+members come in equal consecutive runs of one seed, as a sweep lists each
+seed's networks, they form S groups of G members, one per run; otherwise
+G = 1 and every member is a group of its own, through the same code.
+Parameters, velocities and gradients are (M, P) arrays, one flat row per
+member, which the update and the finiteness guard read whole.  The
+forward pass and backprop run as batched matmuls over leading axes
+(S, G), free reshapes of those rows, into workspaces of shape
+(S, G, batch, width) allocated once per training; a ragged last batch
+uses a slice of them.  Each step gathers one mini-batch per group with
+one (S, batch) index into an (S, 1, batch, d_in + 1) input, which matmul
+broadcasts over the group in the first layer's forward pass and in its
+gradient, so a sweep of three networks per seed gathers a third of the
+rows it would per member, and each member's matmul still reads the same
+operands.  Each hidden layer has one
 activation workspace: its linear output is written there and the
 activation applied in place, so no pre-activation is kept.  Backprop
 reads relu's derivative off the activation as a bool mask, relu(z) > 0
@@ -86,6 +95,7 @@ rows, and with one feature most batches.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -542,6 +552,15 @@ def _checked_metrics(spec, div, params, cfg, dataset, epoch):
     return acc, obj
 
 
+def _seed_groups(seeds) -> tuple:
+    """(S, G) for members with these seeds: S groups of G consecutive
+    members each, G the length of the seeds' runs when every run of one
+    seed has the same length, and 1 otherwise."""
+    runs = {len(list(run)) for _, run in itertools.groupby(seeds)}
+    G = runs.pop() if len(runs) == 1 else 1
+    return len(seeds) // G, G
+
+
 def _train_members(members, on_epoch=None) -> list:
     """train() for M members in lockstep; one trained model per member.
 
@@ -549,9 +568,10 @@ def _train_members(members, on_epoch=None) -> list:
     arguments.  They share the architecture, the training features, the
     divergence and every train config field but the seed; initial
     parameters, labels, correction mode and seed are each member's own,
-    and members with one seed draw one sequence of mini-batches.  Each
-    result equals that member's train() call bit for bit, and the earliest
-    failure stops every member, with the message train() gives for it.
+    and members with one seed draw one sequence of mini-batches, which
+    each step gathers once per group of _seed_groups.  Each result equals
+    that member's train() call bit for bit, and the earliest failure stops
+    every member, with the message train() gives for it.
 
     After every epoch, on_epoch(epoch, member_params) receives each
     member's parameters as (W, b) views that the next step overwrites.
@@ -578,18 +598,23 @@ def _train_members(members, on_epoch=None) -> list:
     n, k, M = X.shape[0], spec.k, len(members)
     simplex = spec.head == "simplex"
     B = min(tc.batch_size, n)
+    # The members form S groups of G that share a seed, so the step
+    # gathers one mini-batch per group; every other operand leads with
+    # the axes (S, G), free reshapes of per-member arrays.
+    member_seeds = [t.seed for _, _, _, t in members]
+    S, G = _seed_groups(member_seeds)
     # Datasets and noise parameters validated the labels and rates, so
     # every step runs the unchecked kernels.  Head outputs need no check:
     # a non-finite one surfaces as non-finite parameters at the same step.
     # A zero rate row leaves its member's gradient unchanged bit for bit,
     # so one kernel call serves all, with the rate terms at the step's
-    # (M, B, k) shape.
-    labels = np.stack([ds.labels for _, ds, _, _ in members])
+    # (S, G, B, k) shape.
+    labels = np.stack([ds.labels for _, ds, _, _ in members]).reshape(S, G, n)
     rates = [_rates(cfg, k, "objective") for _, _, cfg, _ in members]
     e_terms = None
     if any(e is not None for e in rates):
         e_rows = np.stack([np.zeros(k) if e is None else e for e in rates])
-        e_terms = _rate_terms(e_rows, B)
+        e_terms = _rate_terms(e_rows.reshape(S, G, k), B)
 
     # Member m's parameters are row m of one (M, P) buffer, so the update
     # and the finiteness guard are one pass each over all members.
@@ -606,37 +631,45 @@ def _train_members(members, on_epoch=None) -> list:
     momentum = np.float64(tc.momentum)
     # Each layer input ends in a column of ones (see the workspaces), so a
     # layer's [W; b] block serves as its weights and its gradient.
-    layers, weights_T = _folded_layers(_layer_blocks(theta, model0.params))
-    grad_layers = [(g, None) for g in _layer_blocks(grad, model0.params)]
+    layers, weights_T = _folded_layers(
+        _layer_blocks(theta.reshape(S, G, -1), model0.params)
+    )
+    grad_layers = [
+        (g, None) for g in _layer_blocks(grad.reshape(S, G, -1), model0.params)
+    ]
     member_params = [_layer_views(row, model0.params) for row in theta]
 
-    # One generator per distinct seed, in order of first use; member m
-    # reads its mini-batches from row seed_row[m] of the epoch's orders.
+    # One generator per distinct seed, in order of first use; group s
+    # reads its mini-batches from row seed_row[s] of the epoch's orders.
     # Each epoch writes the orders into `order` and the members' labels,
-    # in that order, as rows of the k x k identity into `onehot`, so a
-    # step reads its indices and one-hot labels as slices of the two.
-    seeds = list(dict.fromkeys(t.seed for _, _, _, t in members))
+    # in their group's order, as rows of the k x k identity into
+    # `onehot`, so a step reads its indices and one-hot labels as slices
+    # of the two.
+    group_seeds = member_seeds[::G]
+    seeds = list(dict.fromkeys(group_seeds))
     rngs = [np.random.default_rng(s) for s in seeds]
-    seed_row = np.array([seeds.index(t.seed) for _, _, _, t in members])
-    order = np.empty((M, n), dtype=np.intp)
-    onehot = np.empty((M, n, k))
+    seed_row = np.array([seeds.index(s) for s in group_seeds])
+    order = np.empty((S, n), dtype=np.intp)
+    onehot = np.empty((S, G, n, k))
     identity = np.eye(k)
 
-    # Workspaces for the largest batch: layer inputs (the gathered
-    # features first, then each hidden layer's activations), each with
-    # its ones column; deltas, zeroed as no matmul writes their last
-    # column, and activation derivatives (relu's as a bool mask) of the
-    # same widths; final outputs, head outputs, head gradients and the
-    # head's scratch, and one (M, B, 1) column for row maxima and sums.
-    # A ragged last batch uses the first rows of each, and of the rate
+    # Workspaces for the largest batch: layer inputs, each with its ones
+    # column: the gathered features, one (S, 1, B, d_in + 1) buffer that
+    # matmul broadcasts over each group, then each hidden layer's
+    # activations; deltas, zeroed as no matmul writes their last column,
+    # and activation derivatives (relu's as a bool mask) of the same
+    # widths; final outputs, head outputs, head gradients and the head's
+    # scratch, and one (S, G, B, 1) column for row maxima and sums.  A
+    # ragged last batch uses the first rows of each, and of the rate
     # terms.
     hidden = spec.layer_sizes[1:-1]
     mask_type = bool if spec.activation == "relu" else float
     workspaces = [
-        [np.ones((M, B, w + 1)) for w in spec.layer_sizes[:-1]],
-        [np.zeros((M, B, w + 1)) for w in hidden],
-        [np.empty((M, B, w + 1), mask_type) for w in hidden],
-        [np.empty((M, B, k)) for _ in range(4)] + [np.empty((M, B, 1))],
+        [np.ones((S, 1, B, spec.d_in + 1))]
+        + [np.ones((S, G, B, w + 1)) for w in hidden],
+        [np.zeros((S, G, B, w + 1)) for w in hidden],
+        [np.empty((S, G, B, w + 1), mask_type) for w in hidden],
+        [np.empty((S, G, B, k)) for _ in range(4)] + [np.empty((S, G, B, 1))],
     ]
     # Every operand a step reads, built once per batch size: views of
     # that many rows of the workspaces and rate terms, the forward and
@@ -648,24 +681,25 @@ def _train_members(members, on_epoch=None) -> list:
         nb = stop - start
         if nb not in sized:
             hs, deltas, masks, (v, D, g_v, tmp, col) = (
-                [a[:, :nb, :] for a in ws] for ws in workspaces
+                [a[..., :nb, :] for a in ws] for ws in workspaces
             )
             sized[nb] = (
-                hs[0][..., : spec.d_in],
+                hs[0][:, 0, :, : spec.d_in],
                 _forward_ops(layers, hs, v),
                 v, D, col, g_v, (tmp, col),
-                None if e_terms is None else tuple(t[:, :nb, :] for t in e_terms),
+                None if e_terms is None else tuple(t[..., :nb, :] for t in e_terms),
                 np.float64(nb),
                 _backprop_ops(weights_T, hs, g_v, grad_layers, deltas, masks),
             )
-        batches.append((order[:, start:stop], onehot[:, start:stop, :], sized[nb]))
+        batches.append((order[:, start:stop], onehot[..., start:stop, :], sized[nb]))
 
     total_steps = tc.epochs * len(batches)
     step = 0
     for epoch in range(tc.epochs):
         np.stack([rng.permutation(n) for rng in rngs]).take(seed_row, axis=0, out=order)
         identity.take(
-            np.take_along_axis(labels, order, axis=1), axis=0, out=onehot, mode="clip"
+            np.take_along_axis(labels, order[:, None, :], axis=2),
+            axis=0, out=onehot, mode="clip",
         )
         lrs = [
             np.float64(_cosine_lr(tc.lr0, s, total_steps))

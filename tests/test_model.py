@@ -27,6 +27,7 @@ from postmax.model import (
     _head_grad,
     _layer_blocks,
     _softmax,
+    _seed_groups,
     _train_members,
     evaluate,
     forward,
@@ -833,6 +834,31 @@ class TestTrainMembers:
         for seed in (8, 3, 11):
             tc = TrainConfig(epochs=3, batch_size=16, seed=seed)
             members += self.members(div_id, init(spec, seed=seed), tc, rates=rates)
+        self.assert_each_equals_its_solo_training(members)
+
+    @pytest.mark.parametrize(
+        "seeds, groups",
+        [([0, 0, 0, 1, 1, 1], (2, 3)), ([8, 3, 8, 3], (4, 1)), ([0, 0, 1], (3, 1)),
+         ([5], (1, 1))],
+    )
+    def test_seed_groups(self, seeds, groups):
+        assert _seed_groups(seeds) == groups
+
+    @pytest.mark.parametrize(
+        "seeds", [(8, 3, 8, 3), (8, 8, 3)], ids=["interleaved", "unequal-runs"]
+    )
+    @pytest.mark.parametrize("head, div_id", [("simplex", "kl"), ("raw_t", "gan")])
+    def test_members_in_groups_of_one_equal_their_solo_trainings(
+        self, head, div_id, seeds
+    ):
+        # the seeds come in no equal runs, so each member is its own group;
+        # every member has its own initial network and correction mode
+        spec = head_spec((2, 6, 3), head, div_id)
+        members = []
+        for i, seed in enumerate(seeds):
+            tc = TrainConfig(epochs=3, batch_size=16, seed=seed)
+            members.append(self.members(div_id, init(spec, seed=i), tc)[i])
+        assert _seed_groups(seeds) == (len(seeds), 1)
         self.assert_each_equals_its_solo_training(members)
 
     def test_members_must_share_features_and_divergence(self):
