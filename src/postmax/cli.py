@@ -44,6 +44,11 @@ _FORMATS = ("csv", "json", "table")  # what report writes
 # keeps memory linear in the file.
 MAX_CSV_CLASSES = 1000
 
+# The most bytes a sweep's one-hot training labels may take: one n x K
+# float64 row block per network of every seed, built by the lockstep
+# training step.
+MAX_ONEHOT_BYTES = 2**30
+
 
 class ConfigError(ValueError):
     """A config file or config tree is malformed."""
@@ -159,6 +164,25 @@ def make_synthetic(
     posterior of each sample under the generating mixture, so learned
     posteriors can be compared against the best achievable ones.
     """
+    ds, means, counts = _sample_synthetic(k, n, d, class_separation, seed)
+    # Exact mixture posterior: unit-variance components with priors
+    # proportional to the class counts.  Squared distances go one class
+    # at a time, so no (n, k, d) difference is held.
+    sq = np.empty((n, k))
+    for c in range(k):
+        sq[:, c] = ((ds.features - means[c]) ** 2).sum(axis=1)
+    logits = -0.5 * sq + np.log(counts / n)
+    logits -= logits.max(axis=1, keepdims=True)
+    posterior = np.exp(logits)
+    posterior /= posterior.sum(axis=1, keepdims=True)
+    return ds, posterior
+
+
+def _sample_synthetic(
+    k: int, n: int, d: int, class_separation: float, seed: int
+) -> tuple[LabeledDataset, np.ndarray, np.ndarray]:
+    """make_synthetic's dataset, with the class means and counts that its
+    posterior reads; for callers that need the samples only."""
     if k < 2:
         raise ConfigError("k must be at least 2")
     if n < k:
@@ -187,19 +211,7 @@ def make_synthetic(
     labels = np.repeat(np.arange(k), counts)
     features = means[labels] + rng.normal(size=(n, d))
     order = rng.permutation(n)
-    features, labels = features[order], labels[order]
-
-    # Exact mixture posterior: unit-variance components with priors
-    # proportional to the class counts.  Squared distances go one class
-    # at a time, so no (n, k, d) difference is held.
-    sq = np.empty((n, k))
-    for c in range(k):
-        sq[:, c] = ((features - means[c]) ** 2).sum(axis=1)
-    logits = -0.5 * sq + np.log(counts / n)
-    logits -= logits.max(axis=1, keepdims=True)
-    posterior = np.exp(logits)
-    posterior /= posterior.sum(axis=1, keepdims=True)
-    return LabeledDataset(features, labels, k), posterior
+    return LabeledDataset(features[order], labels[order], k), means, counts
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +547,7 @@ def describe_noise(noise: Optional[NoiseParams]) -> str:
 def _load_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     if cfg.source == "csv":
         return load_csv(cfg.csv_path, seed=cfg.split_seed)
-    ds, _ = make_synthetic(seed=cfg.split_seed, **cfg.synthetic)
+    ds, _, _ = _sample_synthetic(seed=cfg.split_seed, **cfg.synthetic)
     return split_dataset(ds, seed=cfg.split_seed)
 
 
@@ -559,7 +571,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     networks train in one lockstep call, with no per-epoch metrics.  The
     wall time of each record is that call's time divided by the number of
     seeds, plus the record's own evaluation.  Identical configs and seeds
-    give identical records apart from wall time.
+    give identical records apart from wall time.  A sweep whose one-hot
+    training labels would take more than MAX_ONEHOT_BYTES is refused with
+    a ConfigError before any seed's labels are corrupted.
     """
     train_ds, test_ds = _load_splits(cfg)
     spec = _mlp_spec(cfg, train_ds)
@@ -574,6 +588,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     if cfg.noise is not None:
         noisy_modes = list(dict.fromkeys(train_mode.values()))
     noisy_cfgs = [ObjectiveConfig(cfg.divergence, t, cfg.noise) for t in noisy_modes]
+    per_seed = 1 + len(noisy_modes)
+    networks = len(cfg.seeds) * per_seed
+    onehot_bytes = networks * train_ds.n * train_ds.k * 8
+    if onehot_bytes > MAX_ONEHOT_BYTES:
+        raise ConfigError(
+            f"one-hot training labels of {networks} networks x {train_ds.n} rows "
+            f"x {train_ds.k} classes would take {onehot_bytes / 1e9:.1f} GB, over "
+            f"the {MAX_ONEHOT_BYTES / 1e9:.1f} GB a sweep may use"
+        )
     members = []  # per seed: the clean baseline, then each noisy mode
     for seed in cfg.seeds:
         model0 = init(spec, seed=seed)
@@ -585,7 +608,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     t0 = time.perf_counter()
     trained = _train_members(members)
     train_wall = (time.perf_counter() - t0) / len(cfg.seeds)
-    per_seed = 1 + len(noisy_modes)
     records = []
     for i, seed in enumerate(cfg.seeds):
         clean_model, *noisy = trained[i * per_seed : (i + 1) * per_seed]

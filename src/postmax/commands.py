@@ -67,7 +67,7 @@ def main():
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def corrupt_cmd(config_path, seed, out_path):
     """Corrupt a dataset's labels and write the result as CSV."""
-    from .cli import ConfigError, _csv_dataset, make_synthetic
+    from .cli import ConfigError, _csv_dataset, _sample_synthetic
     from .noise import corrupt
 
     cfg = _config_from_flag(config_path)
@@ -78,7 +78,7 @@ def corrupt_cmd(config_path, seed, out_path):
         if cfg.source == "csv":
             ds = _csv_dataset(cfg.csv_path)
         else:
-            ds, _ = make_synthetic(seed=cfg.split_seed, **cfg.synthetic)
+            ds, _, _ = _sample_synthetic(seed=cfg.split_seed, **cfg.synthetic)
         noisy = corrupt(ds, cfg.noise.to_matrix(ds.k), seed=run_seed)
     except (ConfigError, ValueError) as err:
         _fail(str(err))

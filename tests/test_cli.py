@@ -20,6 +20,7 @@ import postmax
 from postmax.cli import (
     _CONFIG,
     MAX_CSV_CLASSES,
+    MAX_ONEHOT_BYTES,
     RECORD_COLUMNS,
     ConfigError,
     ResultRecord,
@@ -31,6 +32,7 @@ from postmax.cli import (
     parse_report,
     report,
     run_experiment,
+    _sample_synthetic,
     split_dataset,
     summarize,
 )
@@ -288,6 +290,17 @@ class TestMakeSynthetic:
         want = np.exp(logits)
         want /= want.sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(post, want)
+
+    @pytest.mark.parametrize(
+        "k, n, d, seed", [(2, 1000, 10, 0), (10, 5000, 100, 1)], ids=["desk", "wide"]
+    )
+    def test_sampler_draws_the_same_dataset(self, k, n, d, seed):
+        ds, _ = make_synthetic(k=k, n=n, d=d, class_separation=4.0, seed=seed)
+        sampled, means, counts = _sample_synthetic(k, n, d, 4.0, seed)
+        assert sampled.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(sampled.labels, ds.labels) and sampled.k == k
+        assert means.shape == (k, d)
+        assert counts.tolist() == np.bincount(ds.labels, minlength=k).tolist()
 
     def test_deterministic(self):
         a, pa = make_synthetic(k=2, n=50, d=3, class_separation=1.0, seed=9)
@@ -1004,6 +1017,41 @@ class TestCommandLine:
             f"{MAX_CSV_CLASSES} classes a CSV may hold\n"
         )
         assert not out.exists()
+
+    def test_sweep_past_the_onehot_bound_exits_one(self, tmp_path, monkeypatch):
+        import postmax.cli as cli_mod
+
+        # 100,000 rows of K = 1000 classes: a five-seed, three-network sweep
+        # would hold 15 x 80,000 x 1000 one-hot floats, 9.6 GB
+        data = tmp_path / "classes.csv"
+        data.write_text("".join(f"0.5,{i % 1000}\n" for i in range(100_000)))
+        tree = config_tree(
+            dataset={"source": "csv", "path": str(data)},
+            objective={
+                "divergence": "kl", "correction": ["none", "objective", "posterior"]
+            },
+            noise={"kind": "symmetric", "eta": 0.2},
+            seeds=[0, 1, 2, 3, 4],
+        )
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        out = tmp_path / "out.csv"
+        called = []
+        for name in ("corrupt", "init", "_train_members"):
+            monkeypatch.setattr(
+                cli_mod, name, lambda *a, name=name, **k: called.append(name)
+            )
+        result = CliRunner().invoke(
+            main, ["sweep", "--config", str(path), "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "error: one-hot training labels of 15 networks x 80000 rows x 1000 "
+            f"classes would take 9.6 GB, over the {MAX_ONEHOT_BYTES / 1e9:.1f} GB "
+            "a sweep may use\n"
+        )
+        assert called == [] and not out.exists()
 
     def test_corrupt_seed_override_changes_output(self, tmp_path, cli_config):
         runner = CliRunner()
