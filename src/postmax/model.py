@@ -595,7 +595,7 @@ def _train_members(members, on_epoch=None) -> list:
             raise ValueError("members must share the training schedule")
 
     div = get_divergence(cfg0.divergence)
-    n, k, M = X.shape[0], spec.k, len(members)
+    n, k = X.shape[0], spec.k
     simplex = spec.head == "simplex"
     B = min(tc.batch_size, n)
     # The members form S groups of G that share a seed, so the step
