@@ -24,6 +24,7 @@ from postmax.cli import (
     RECORD_COLUMNS,
     ConfigError,
     ResultRecord,
+    _sample_synthetic,
     describe_noise,
     load_config,
     load_csv,
@@ -32,7 +33,6 @@ from postmax.cli import (
     parse_report,
     report,
     run_experiment,
-    _sample_synthetic,
     split_dataset,
     summarize,
 )

@@ -26,8 +26,8 @@ from postmax.model import (
     _forward_parts,
     _head_grad,
     _layer_blocks,
-    _softmax,
     _seed_groups,
+    _softmax,
     _train_members,
     evaluate,
     forward,
