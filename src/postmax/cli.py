@@ -178,23 +178,38 @@ def make_synthetic(
     return ds, posterior
 
 
+# The synthetic draw's rules, checked in this order: key -> (its least
+# value given k, what it must be); every value must also be finite, and k
+# equidistant means span k - 1 dimensions.  _sample_synthetic and
+# parse_config both check by this table.
+_SYNTHETIC = {
+    "k": (lambda k: 2, "at least 2"),
+    "n": (lambda k: k, "at least {least} for k = {k}"),
+    "d": (lambda k: max(1, k - 1), "at least {least} dimensions for k = {k}"),
+    "class_separation": (lambda k: 0.0, "finite and nonnegative"),
+}
+
+
+def _synthetic_fault(params: dict) -> Optional[tuple[str, str]]:
+    """(key, what it must be) of the first _SYNTHETIC rule params break."""
+    k = params["k"]
+    for key, (least, requirement) in _SYNTHETIC.items():
+        bound = least(k)
+        if not bound <= params[key] < math.inf:  # NaN fails too
+            what = requirement.format(least=bound, k=k)
+            return key, f"must be {what}, got {params[key]!r}"
+    return None
+
+
 def _sample_synthetic(
     k: int, n: int, d: int, class_separation: float, seed: int
 ) -> tuple[LabeledDataset, np.ndarray, np.ndarray]:
     """make_synthetic's dataset, with the class means and counts that its
-    posterior reads; for callers that need the samples only."""
-    if k < 2:
-        raise ConfigError("k must be at least 2")
-    if n < k:
-        raise ConfigError("n must be at least k")
-    if d < 1:
-        raise ConfigError("d must be at least 1")
-    if d < k - 1:
-        raise ConfigError(
-            f"equidistant means for {k} classes need at least {k - 1} dimensions"
-        )
-    if not (np.isfinite(class_separation) and class_separation >= 0.0):
-        raise ConfigError("class_separation must be finite and nonnegative")
+    posterior reads; for callers that need the samples only.  A parameter
+    that breaks its _SYNTHETIC rule raises ConfigError naming it."""
+    fault = _synthetic_fault(dict(k=k, n=n, d=d, class_separation=class_separation))
+    if fault:
+        raise ConfigError(" ".join(fault))
 
     rng = np.random.default_rng(seed)
     # Regular simplex with unit-free coordinates: center the k standard
@@ -320,18 +335,6 @@ def _modes(value) -> tuple[str, ...]:
     return _distinct((mode(value),) if isinstance(value, str) else _list(mode)(value))
 
 
-def _such_that(convert, test, requirement: str):
-    """convert, then a check that test holds of the value."""
-
-    def convert_checked(value):
-        converted = convert(value)
-        if not test(converted):
-            raise ValueError(f"must be {requirement}, got {converted!r}")
-        return converted
-
-    return convert_checked
-
-
 def _ruled(rule: str, convert):
     """convert, then model.py's single-field rule of that name."""
     return lambda value: _check(rule, convert(value))
@@ -350,18 +353,10 @@ _CONFIG = {
     (None, "seeds"): (lambda seeds: _distinct(_list(_seed)(seeds)), (0,), None),
     ("dataset", "source"): (_choice(("csv", "synthetic")), _REQUIRED, None),
     ("dataset", "path"): (_readable_path, _REQUIRED, ("source", "csv")),
-    ("dataset", "k"): (
-        _such_that(_integer, lambda k: k >= 2, "at least 2"),
-        2,
-        ("source", "synthetic"),
-    ),
+    ("dataset", "k"): (_integer, 2, ("source", "synthetic")),
     ("dataset", "n"): (_integer, 600, ("source", "synthetic")),
     ("dataset", "d"): (_integer, 10, ("source", "synthetic")),
-    ("dataset", "class_separation"): (
-        _such_that(_number, lambda c: 0.0 <= c < math.inf, "finite and nonnegative"),
-        4.0,
-        ("source", "synthetic"),
-    ),
+    ("dataset", "class_separation"): (_number, 4.0, ("source", "synthetic")),
     ("dataset", "split_seed"): (_seed, 0, None),
     ("model", "hidden"): (_list(_ruled("width", _integer)), (32,), None),
     ("model", "activation"): (_choice(_ACTIVATIONS), "relu", None),
@@ -423,7 +418,9 @@ def parse_config(tree: dict) -> ExperimentConfig:
     """Validate a config tree and build an ExperimentConfig.
 
     Unknown keys anywhere in the tree are hard errors, and every
-    malformed value is reported as a ConfigError naming its key.
+    malformed value is reported as a ConfigError naming its key.  A
+    synthetic source's keys are checked against _SYNTHETIC, the rules
+    the draw itself checks, once the whole dataset section is read.
     """
     root = _read(tree, None)
     dataset = _read(tree, "dataset")
@@ -439,21 +436,13 @@ def parse_config(tree: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"invalid 'objective.correction': '{mode}' requires a noise section"
             )
-    synthetic = {
-        key: value
-        for key, value in dataset.items()
-        if _CONFIG["dataset", key][2] == ("source", "synthetic")
-    }
-    if synthetic:
+    synthetic = None
+    if dataset["source"] == "synthetic":
+        synthetic = {key: dataset[key] for key in _SYNTHETIC}
+        fault = _synthetic_fault(synthetic)
+        if fault:
+            raise ConfigError("invalid 'dataset.{}': {}".format(*fault))
         k = synthetic["k"]
-        # make_synthetic's rules across keys: k classes need k rows, and
-        # k - 1 dimensions for their equidistant means
-        for key, least in (("n", k), ("d", k - 1)):
-            if synthetic[key] < least:
-                raise ConfigError(
-                    f"invalid 'dataset.{key}': must be at least {least} "
-                    f"for k = {k}, got {synthetic[key]}"
-                )
         # the noise rules that read K; a CSV's K is known only once it is read
         if noise is not None:
             try:
@@ -464,7 +453,7 @@ def parse_config(tree: dict) -> ExperimentConfig:
     return ExperimentConfig(
         source=dataset["source"],
         csv_path=dataset.get("path"),
-        synthetic=synthetic or None,
+        synthetic=synthetic,
         split_seed=dataset["split_seed"],
         divergence=objective["divergence"],
         corrections=objective["correction"],

@@ -2,8 +2,10 @@
 one label rule of noise._check_labels and the one rate rule of
 noise._check_rates; every one that takes probability rows applies
 posterior._check_probability_rows, and every one that takes network
-outputs objective._check_T.  pyproject.toml turns warnings into errors,
-so a case that raised a numpy warning instead of a ValueError fails here."""
+outputs objective._check_T.  The config reader and the synthetic sampler
+refuse the same synthetic parameters by one rule table.  pyproject.toml
+turns warnings into errors, so a case that raised a numpy warning instead
+of a ValueError fails here."""
 
 import math
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from postmax.analysis import training_bias_expression
+from postmax.cli import ConfigError, make_synthetic, parse_config
 from postmax.divergence import optimal_T_from_posterior
 from postmax.model import MlpSpec, init, objective_and_gradients
 from postmax.noise import LabeledDataset, NoiseParams, uniform_offdiag_matrix
@@ -181,6 +184,17 @@ GOOD_OUTPUTS = {
     "near_domain_bottom": defect(T_SL, -1.0 + 1e-15),
 }
 
+# case -> make_synthetic's parameters, every combination of k in {1, 2, 3},
+# n at k - 1 and k, d at 0, k - 2 and k - 1, and a class separation of
+# -1, 0, NaN or infinity
+SYNTHETIC = {
+    f"k{k}-n{n}-d{d}-sep{sep}": {"k": k, "n": n, "d": d, "class_separation": sep}
+    for k in (1, 2, 3)
+    for n in (k - 1, k)
+    for d in (0, k - 2, k - 1)
+    for sep in (-1.0, 0.0, math.nan, math.inf)
+}
+
 
 def as_taken(rows, ndim: int) -> np.ndarray:
     """rows in the form an entry point of that ndim takes: the first row
@@ -282,3 +296,33 @@ def test_output_entry_rejects_bad_rows(entry, case):
 def test_output_entry_takes_good_rows(entry, case):
     fn, ndim = OUTPUT_ROWS[entry]
     assert np.all(np.isfinite(flat(fn(as_taken(GOOD_OUTPUTS[case], ndim)))))
+
+
+def synthetic_tree(params) -> dict:
+    """The smallest config tree that draws params."""
+    return {
+        "dataset": {"source": "synthetic", **params},
+        "objective": {"divergence": "kl"},
+    }
+
+
+@pytest.mark.parametrize("case", list(SYNTHETIC))
+def test_synthetic_config_and_sampler_share_one_rule(case):
+    params = SYNTHETIC[case]
+    try:
+        make_synthetic(**params, seed=0)
+    except ConfigError as err:
+        key, _, requirement = str(err).partition(" must be ")
+        with pytest.raises(ConfigError) as refused:
+            parse_config(synthetic_tree(params))
+        assert str(refused.value) == f"invalid 'dataset.{key}': must be {requirement}"
+    else:
+        assert parse_config(synthetic_tree(params)).synthetic == params
+
+
+@pytest.mark.parametrize("case", ["k2-n2-d1-sep0.0", "k3-n3-d2-sep0.0"])
+def test_synthetic_good_cases_are_taken(case):
+    params = SYNTHETIC[case]
+    ds, _ = make_synthetic(**params, seed=0)
+    assert (ds.n, ds.d, ds.k) == (params["n"], params["d"], params["k"])
+    assert parse_config(synthetic_tree(params)).synthetic == params
