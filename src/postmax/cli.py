@@ -549,6 +549,17 @@ def _mlp_spec(cfg: ExperimentConfig, train_ds: LabeledDataset) -> MlpSpec:
     )
 
 
+def _check_onehot(networks: int, rows: int, k: int) -> None:
+    """ConfigError unless networks x rows x k one-hot floats fit MAX_ONEHOT_BYTES."""
+    onehot_bytes = networks * rows * k * 8
+    if onehot_bytes > MAX_ONEHOT_BYTES:
+        raise ConfigError(
+            f"one-hot training labels of {networks} networks x {rows} rows "
+            f"x {k} classes would take {onehot_bytes / 1e9:.1f} GB, over "
+            f"the {MAX_ONEHOT_BYTES / 1e9:.1f} GB a sweep may use"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Run the experiment protocol and return one record per (seed, mode).
 
@@ -562,12 +573,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     seeds, plus the record's own evaluation.  Identical configs and seeds
     give identical records apart from wall time.  A sweep whose one-hot
     training labels would take more than MAX_ONEHOT_BYTES is refused with
-    a ConfigError before any seed's labels are corrupted.
+    a ConfigError: before the draw for a synthetic source, whose shape the
+    config gives, and once the file is read for a CSV one.
     """
-    train_ds, test_ds = _load_splits(cfg)
-    spec = _mlp_spec(cfg, train_ds)
-    plain = ObjectiveConfig(cfg.divergence)
-    noise_desc = describe_noise(cfg.noise)
     # only the objective correction changes the gradient
     train_mode = {
         mode: "objective" if mode == "objective" else "none"
@@ -579,13 +587,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     noisy_cfgs = [ObjectiveConfig(cfg.divergence, t, cfg.noise) for t in noisy_modes]
     per_seed = 1 + len(noisy_modes)
     networks = len(cfg.seeds) * per_seed
-    onehot_bytes = networks * train_ds.n * train_ds.k * 8
-    if onehot_bytes > MAX_ONEHOT_BYTES:
-        raise ConfigError(
-            f"one-hot training labels of {networks} networks x {train_ds.n} rows "
-            f"x {train_ds.k} classes would take {onehot_bytes / 1e9:.1f} GB, over "
-            f"the {MAX_ONEHOT_BYTES / 1e9:.1f} GB a sweep may use"
-        )
+    if cfg.synthetic is not None:
+        n, k = cfg.synthetic["n"], cfg.synthetic["k"]
+        _check_onehot(networks, n - int(round(TEST_FRACTION * n)), k)
+    train_ds, test_ds = _load_splits(cfg)
+    _check_onehot(networks, train_ds.n, train_ds.k)  # a CSV's shape, once read
+    spec = _mlp_spec(cfg, train_ds)
+    plain = ObjectiveConfig(cfg.divergence)
+    noise_desc = describe_noise(cfg.noise)
     members = []  # per seed: the clean baseline, then each noisy mode
     for seed in cfg.seeds:
         model0 = init(spec, seed=seed)

@@ -1053,6 +1053,40 @@ class TestCommandLine:
         )
         assert called == [] and not out.exists()
 
+    def test_synthetic_sweep_past_the_onehot_bound_is_refused_undrawn(
+        self, monkeypatch
+    ):
+        import postmax.cli as cli_mod
+
+        # 203 rows split into 162 training rows (41 test rows, 20% rounded):
+        # 15 networks x 162 rows x 2 classes x 8 bytes = 38,880 bytes
+        cfg = parse_config(
+            config_tree(
+                dataset={"source": "synthetic", "k": 2, "n": 203, "d": 1},
+                objective={
+                    "divergence": "kl",
+                    "correction": ["none", "objective", "posterior"],
+                },
+                noise={"kind": "symmetric", "eta": 0.2},
+                seeds=[0, 1, 2, 3, 4],
+            )
+        )
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("drew the synthetic data")
+
+        monkeypatch.setattr(cli_mod, "_sample_synthetic", drawn)
+        monkeypatch.setattr(cli_mod, "MAX_ONEHOT_BYTES", 38_879)
+        with pytest.raises(ConfigError) as refused:
+            run_experiment(cfg)
+        assert str(refused.value) == (
+            "one-hot training labels of 15 networks x 162 rows x 2 classes "
+            "would take 0.0 GB, over the 0.0 GB a sweep may use"
+        )
+        monkeypatch.setattr(cli_mod, "MAX_ONEHOT_BYTES", 38_880)
+        with pytest.raises(AssertionError, match="drew"):
+            run_experiment(cfg)
+
     def test_corrupt_seed_override_changes_output(self, tmp_path, cli_config):
         runner = CliRunner()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
