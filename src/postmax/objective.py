@@ -274,7 +274,10 @@ def bias_simplex_batch(div_id, D, e) -> float:
     D = _as_rows(D, "positive values")
     _check_positive(D)
     e = _check_rates(e, D.shape[1])
-    return _bias_simplex(_as_spec(div_id), D, e)
+    spec = _as_spec(div_id)
+    with np.errstate(all="ignore"):  # a conjugate that overflows fails _finish
+        bias = _bias_simplex(spec, D, e)
+    return _finish(bias, True, f"noise bias of {spec.id!r}")
 
 
 def _bias_simplex(spec: DivergenceSpec, D, e) -> float:

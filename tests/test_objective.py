@@ -639,6 +639,15 @@ class TestSimplexBatch:
                 bias_multiclass(div_id, T, e), rel=1e-12
             )
 
+    def test_bias_rejects_an_overflowing_conjugate(self):
+        # rows inside f''s domain whose conjugate overflows; pyproject.toml
+        # turns a numpy warning into an error, so these must be ValueErrors
+        D, e = [[1e308, 1e308]], [0.1, 0.1]
+        for div_id in ("kl", "gan"):
+            with pytest.raises(ValueError, match="non-finite"):
+                bias_simplex_batch(div_id, D, e)
+        assert bias_simplex_batch("sl", D, e) == pytest.approx(-283.678, rel=1e-5)
+
     def test_bias_grad_finite_difference(self):
         rng = np.random.default_rng(127)
         h = 1e-7
