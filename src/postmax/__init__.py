@@ -27,7 +27,6 @@ _SOURCES = {
         "check_multiclass_identity",
         "check_pointwise_optimum",
         "check_posterior_gap_bound",
-        "save_reports",
         "training_bias_expression",
         "verify_theorems",
     ),

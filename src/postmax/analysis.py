@@ -507,11 +507,7 @@ def verify_theorems(seed: int, report_path=None) -> list:
         check_first_order_bias(seed + 6),
     ]
     if report_path is not None:
-        save_reports(reports, report_path)
+        with open(report_path, "w") as fh:
+            json.dump([r.to_dict() for r in reports], fh, indent=2)
     return reports
-
-
-def save_reports(reports, path) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
 
