@@ -424,6 +424,12 @@ def parse_config(tree: dict) -> ExperimentConfig:
     """
     root = _read(tree, None)
     dataset = _read(tree, "dataset")
+    synthetic = None
+    if dataset["source"] == "synthetic":
+        synthetic = {key: dataset[key] for key in _SYNTHETIC}
+        fault = _synthetic_fault(synthetic)
+        if fault:
+            raise ConfigError("invalid 'dataset.{}': {}".format(*fault))
     model = _read(tree, "model")
     objective = _read(tree, "objective")
     output = _read(tree, "output")
@@ -436,20 +442,14 @@ def parse_config(tree: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"invalid 'objective.correction': '{mode}' requires a noise section"
             )
-    synthetic = None
-    if dataset["source"] == "synthetic":
-        synthetic = {key: dataset[key] for key in _SYNTHETIC}
-        fault = _synthetic_fault(synthetic)
-        if fault:
-            raise ConfigError("invalid 'dataset.{}': {}".format(*fault))
+    # the noise rules that read K; a CSV's K is known only once it is read
+    if synthetic is not None and noise is not None:
         k = synthetic["k"]
-        # the noise rules that read K; a CSV's K is known only once it is read
-        if noise is not None:
-            try:
-                noise._check_classes(k)
-            except ValueError as err:
-                key = "eta" if noise.kind == "symmetric" else "e"
-                raise ConfigError(f"invalid 'noise.{key}': {err} for k = {k}") from None
+        try:
+            noise._check_classes(k)
+        except ValueError as err:
+            key = "eta" if noise.kind == "symmetric" else "e"
+            raise ConfigError(f"invalid 'noise.{key}': {err} for k = {k}") from None
     return ExperimentConfig(
         source=dataset["source"],
         csv_path=dataset.get("path"),
