@@ -168,37 +168,45 @@ def make_synthetic(
     # Exact mixture posterior: unit-variance components with priors
     # proportional to the class counts.  Squared distances go one class
     # at a time, so no (n, k, d) difference is held.
-    sq = np.empty((n, k))
-    for c in range(k):
+    sq = np.empty((ds.n, ds.k))
+    for c in range(ds.k):
         sq[:, c] = ((ds.features - means[c]) ** 2).sum(axis=1)
-    logits = -0.5 * sq + np.log(counts / n)
+    logits = -0.5 * sq + np.log(counts / ds.n)
     logits -= logits.max(axis=1, keepdims=True)
     posterior = np.exp(logits)
     posterior /= posterior.sum(axis=1, keepdims=True)
     return ds, posterior
 
 
-# The synthetic draw's rules, checked in this order: key -> (its least
-# value given k, what it must be); every value must also be finite, and k
-# equidistant means span k - 1 dimensions.  _sample_synthetic and
-# parse_config both check by this table.
+# The synthetic draw's rules, checked in this order: key -> (its type,
+# its least value given k, what it must be); every value must also be
+# finite and equal its value as that type, and k equidistant means span
+# k - 1 dimensions.  _sample_synthetic and parse_config both check by
+# this table.
 _SYNTHETIC = {
-    "k": (lambda k: 2, "at least 2"),
-    "n": (lambda k: k, "at least {least} for k = {k}"),
-    "d": (lambda k: max(1, k - 1), "at least {least} dimensions for k = {k}"),
-    "class_separation": (lambda k: 0.0, "finite and nonnegative"),
+    "k": (int, lambda k: 2, "an integer of at least 2"),
+    "n": (int, lambda k: k, "an integer of at least {least} for k = {k}"),
+    "d": (int, lambda k: max(1, k - 1),
+          "an integer of at least {least} dimensions for k = {k}"),
+    "class_separation": (float, lambda k: 0.0, "finite and nonnegative"),
 }
 
 
 def _synthetic_fault(params: dict) -> Optional[tuple[str, str]]:
     """(key, what it must be) of the first _SYNTHETIC rule params break."""
     k = params["k"]
-    for key, (least, requirement) in _SYNTHETIC.items():
-        bound = least(k)
-        if not bound <= params[key] < math.inf:  # NaN fails too
+    for key, (kind, least, requirement) in _SYNTHETIC.items():
+        bound, value = least(k), params[key]
+        # NaN fails the range, so only a finite value reaches kind()
+        if not (bound <= value < math.inf and kind(value) == value):
             what = requirement.format(least=bound, k=k)
-            return key, f"must be {what}, got {params[key]!r}"
+            return key, f"must be {what}, got {value!r}"
     return None
+
+
+def _synthetic_params(params: dict) -> dict:
+    """params as their _SYNTHETIC types, once _synthetic_fault passes them."""
+    return {key: kind(params[key]) for key, (kind, _, _) in _SYNTHETIC.items()}
 
 
 def _sample_synthetic(
@@ -207,9 +215,11 @@ def _sample_synthetic(
     """make_synthetic's dataset, with the class means and counts that its
     posterior reads; for callers that need the samples only.  A parameter
     that breaks its _SYNTHETIC rule raises ConfigError naming it."""
-    fault = _synthetic_fault(dict(k=k, n=n, d=d, class_separation=class_separation))
+    params = dict(k=k, n=n, d=d, class_separation=class_separation)
+    fault = _synthetic_fault(params)
     if fault:
         raise ConfigError(" ".join(fault))
+    k, n, d, class_separation = _synthetic_params(params).values()
 
     rng = np.random.default_rng(seed)
     # Regular simplex with unit-free coordinates: center the k standard
@@ -268,6 +278,14 @@ def _integer(value) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _real(value):
+    """An int or a float as it is, never a bool; for the keys whose rules
+    read integrality, which _SYNTHETIC states."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
 
 
 def _number(value) -> float:
@@ -353,9 +371,9 @@ _CONFIG = {
     (None, "seeds"): (lambda seeds: _distinct(_list(_seed)(seeds)), (0,), None),
     ("dataset", "source"): (_choice(("csv", "synthetic")), _REQUIRED, None),
     ("dataset", "path"): (_readable_path, _REQUIRED, ("source", "csv")),
-    ("dataset", "k"): (_integer, 2, ("source", "synthetic")),
-    ("dataset", "n"): (_integer, 600, ("source", "synthetic")),
-    ("dataset", "d"): (_integer, 10, ("source", "synthetic")),
+    ("dataset", "k"): (_real, 2, ("source", "synthetic")),
+    ("dataset", "n"): (_real, 600, ("source", "synthetic")),
+    ("dataset", "d"): (_real, 10, ("source", "synthetic")),
     ("dataset", "class_separation"): (_number, 4.0, ("source", "synthetic")),
     ("dataset", "split_seed"): (_seed, 0, None),
     ("model", "hidden"): (_list(_ruled("width", _integer)), (32,), None),
@@ -430,6 +448,7 @@ def parse_config(tree: dict) -> ExperimentConfig:
         fault = _synthetic_fault(synthetic)
         if fault:
             raise ConfigError("invalid 'dataset.{}': {}".format(*fault))
+        synthetic = _synthetic_params(synthetic)
     model = _read(tree, "model")
     objective = _read(tree, "objective")
     output = _read(tree, "output")

@@ -53,7 +53,9 @@ A simplex head (softmax rows D) trains on the objective at T = f'(D),
 written in D directly; the fused score s = D * dJ/dD and the drift
 D * f''(D) * (e - sum(e) * D) of the noise-bias gradient are written so
 every 1/D factor cancels, keeping them finite where a softmax component
-has underflowed to zero.
+has underflowed to zero.  For kl the score is the one-hot label rows and
+the drift term the drift itself, so its entry holds None for both and
+the head gradient runs plain ufunc calls in their place.
 
 All operations are pure.  Inputs outside the stated domains raise
 ValueError, and non-finite results are treated as domain errors rather
@@ -63,7 +65,7 @@ than propagated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -90,8 +92,10 @@ class DivergenceSpec:
     raw_rank: Callable  # (v, e) -> rows with the argmax of raw_posterior(v) - e
     raw_conj: Callable  # v -> f*(link(v))
     simplex_value: Callable  # (D, Dy) -> per-row objective at T = f'(D)
-    simplex_score: Callable  # (D, onehot) -> s = D * dJ/dD
-    simplex_drift: Callable  # (D, drift) -> D * f''(D) * drift
+    # (D, onehot) -> s = D * dJ/dD and (D, drift) -> D * f''(D) * drift;
+    # both None where they are the one-hot rows and the drift themselves
+    simplex_score: Optional[Callable]
+    simplex_drift: Optional[Callable]
 
 
 def _softplus(x):
@@ -215,8 +219,8 @@ _KL = DivergenceSpec(
     raw_rank=_exp_rank(1.0),
     raw_conj=_kl_conj,
     simplex_value=lambda D, Dy: np.log(Dy) - 1.0,
-    simplex_score=lambda D, onehot: onehot,
-    simplex_drift=lambda D, drift: drift,
+    simplex_score=None,  # s = onehot
+    simplex_drift=None,  # the drift itself
 )
 
 _GAN = DivergenceSpec(

@@ -47,25 +47,39 @@ training objective is computed and checked once, after the final epoch.
 A single-member call is train() itself, so each member ends bit for bit
 where its own train() call would.
 
-A desk-sized step is bound by per-call overhead, not arithmetic, and a
+A desk-sized step is bound by per-call overhead, not arithmetic.  A
 numpy call costs more when it broadcasts an operand or converts a Python
 scalar, and more again when a view must be made for it first: at
 (3, 32, 2) a broadcast subtract takes about 2.4 us against 0.9 us for
-equal shapes (2-vCPU Xeon, numpy 2.4).  So the step only runs kernels
-over operands built before it.  Once per training: the rate terms at the
-step's (M, batch, K) shape, the transposed weights, the momentum as a
-float64 and the finiteness guard's bool buffer.  Once per batch size:
-views of the workspaces, each layer's forward and backprop operands over
-them, and the batch size as a float64.  Once per epoch: the batch
-orders, every member's labels in that order as rows of the K x K
-identity, which a step reads as slices, and the learning rates as
-float64s.  The head allocates nothing: the softmax, the drift of the
-rate terms and the head gradient write into (M, batch, K) and
-(M, batch, 1) workspaces.  Over two classes, its row max and row sums
-are one np.maximum or np.add of the two column views, about 2 us a call
-against 3-6 us for a reduction over the class axis; from three classes
-the sum is faster as a reduction at a step's few rows, so every
-reduction over K >= 3 classes is numpy's, written into the workspace.
+equal shapes (2-vCPU Xeon, numpy 2.4).  Python glue around the calls
+(nested kernel calls, operand unpacking, activation and class-count
+tests) costs too.  So each step is a program built once per training: a
+tuple of zero-argument functools.partial calls, each a numpy function
+with every operand and out bound, which the step runs in order before
+the finiteness guard, and nothing else.  It holds the gather, the
+forward pass, the softmax, the head gradient, the division by the batch
+size, backprop and the momentum update.  Built with it, once per
+training, are the rate terms at the step's (M, batch, K) shape, the
+transposed weights, the momentum as a float64 and the guard's bool
+buffer, and once per batch size the workspace views, each layer's
+operands over them and the batch size as a float64.  Each epoch refills
+in place the batch orders, every member's labels in that order as rows
+of the K x K identity, and the learning rates, which the programs read
+as slices and 0-d views.
+_forward_into, _backprop_into, _softmax and objective._simplex_logit_grad
+run the programs their builders return, so the direct callers run the
+step's arithmetic.  out is bound positionally, about 0.35 us a call
+cheaper than by keyword, except for np.maximum and np.minimum, where
+numpy 2.4 deprecates a third positional argument and each warning costs
+about 1.4 us.  The kl head allocates nothing: the softmax, the drift of
+the rate terms and the head gradient are ufunc calls into (M, batch, K)
+and (M, batch, 1) workspaces, while the gan and sl simplex forms and the
+raw forms allocate, and each runs as one call.  Over two classes, the
+row max and row sums are one np.maximum or np.add of the two column
+views, about 2 us a call against 3-6 us for a reduction over the class
+axis; from three classes the sum is faster as a reduction at a step's
+few rows, so every reduction over K >= 3 classes is numpy's, written
+into the workspace.
 
 Each layer input in the step's workspaces ends in a column of ones: the
 gathered features, written into the first d_in columns (X itself is not
@@ -99,6 +113,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -114,9 +129,10 @@ from postmax.objective import (
     _rate_terms,
     _raw_logit_grad,
     _raw_value,
-    _row_max,
-    _row_sum,
-    _simplex_logit_grad,
+    _row_max_op,
+    _row_sum_op,
+    _run,
+    _simplex_logit_grad_program,
 )
 from postmax.posterior import accuracy
 
@@ -262,10 +278,21 @@ def init(spec: MlpSpec, seed: int) -> NetworkModel:
 def _softmax(v: np.ndarray, out=None, col=None) -> np.ndarray:
     """Row softmax over the last axis, into out when given; col is a
     scratch column shaped (..., 1) for the row max and then the row sum."""
-    z = np.subtract(v, _row_max(v, out=col), out=out)
-    np.exp(z, out=z)
-    z /= _row_sum(z, out=col)
-    return z
+    out = np.empty(v.shape) if out is None else out
+    col = np.empty(v.shape[:-1] + (1,)) if col is None else col
+    _run(_softmax_program(v, out, col))
+    return out
+
+
+def _softmax_program(v, out, col) -> tuple:
+    """_softmax's program over given out and col."""
+    return (
+        _row_max_op(v, col),
+        partial(np.subtract, v, col, out),
+        partial(np.exp, out, out),
+        _row_sum_op(out, col),
+        partial(np.divide, out, col, out),
+    )
 
 
 _ZERO = np.float64(0.0)
@@ -298,17 +325,22 @@ def _forward_into(activation: str, hidden, last) -> None:
     and applies the activation there in place, so that array ends as the
     next layer's input; the output layer writes the final linear outputs.
     """
+    _run(_forward_program(activation, hidden, last))
+
+
+def _forward_program(activation: str, hidden, last) -> tuple:
+    """_forward_into's program."""
+    ops = []
     for W, b, h_in, z, h in hidden:
-        np.matmul(h_in, W, out=z)
+        ops.append(partial(np.matmul, h_in, W, z))
         if b is not None:
-            z += b
-        if activation == "relu":
-            np.maximum(h, _ZERO, out=h)  # relu(1) = 1 keeps a ones column
+            ops.append(partial(np.add, z, b, z))
+        if activation == "relu":  # relu(1) = 1 keeps a ones column
+            ops.append(partial(np.maximum, h, _ZERO, out=h))
         else:
-            np.tanh(z, out=z)
+            ops.append(partial(np.tanh, z, z))
     W, b, h_in, v = last
-    np.matmul(h_in, W, out=v)
-    v += b
+    return (*ops, partial(np.matmul, h_in, W, v), partial(np.add, v, b, v))
 
 
 def _forward_parts(spec: MlpSpec, params, X: np.ndarray):
@@ -371,14 +403,14 @@ def _head_value(div: DivergenceSpec, v, D, labels, e) -> float:
     return value
 
 
-def _head_grad(
-    div: DivergenceSpec, v, D, onehot, rates, out=None, work=(None, None)
-) -> np.ndarray:
-    """Summed-objective gradient w.r.t. final outputs v, with the
-    _rate_terms rates; D as _head_value's, work as _simplex_logit_grad's."""
+def _head_grad_program(div: DivergenceSpec, v, D, onehot, rates, out, work) -> tuple:
+    """The program that writes the summed-objective gradient w.r.t. final
+    outputs v, with the _rate_terms rates, into out; D as _head_value's,
+    work as _simplex_logit_grad's, both arrays given.  raw_slopes
+    allocates, so the raw head is one call."""
     if D is None:
-        return _raw_logit_grad(div, v, onehot, rates, out=out)
-    return _simplex_logit_grad(div, D, onehot, rates, out=out, work=work)
+        return (partial(_raw_logit_grad, div, v, onehot, rates, out),)
+    return _simplex_logit_grad_program(div, D, onehot, rates, out, work)
 
 
 def _backprop_ops(weights_T, hs, g_v, grads, deltas, masks) -> list:
@@ -412,21 +444,28 @@ def _backprop_ops(weights_T, hs, g_v, grads, deltas, masks) -> list:
 def _backprop_into(activation: str, ops) -> None:
     """Backpropagate over _backprop_ops' operands, over any leading member
     axes."""
+    _run(_backprop_program(activation, ops))
+
+
+def _backprop_program(activation: str, ops) -> tuple:
+    """_backprop_into's program."""
+    calls = []
     for h_T, g, gW, gb, down in ops:
-        np.matmul(h_T, g, out=gW)
+        calls.append(partial(np.matmul, h_T, g, gW))
         if gb is not None:
-            np.add.reduce(g, axis=-2, out=gb)
+            calls.append(partial(np.add.reduce, g, -2, None, gb))
         if down is not None:
             W_T, h, d, delta, delta_in = down
-            np.matmul(g, W_T, out=delta_in)
+            calls.append(partial(np.matmul, g, W_T, delta_in))
             if activation == "relu":
                 # relu(z) > 0 exactly where z > 0, NaN and -0.0 included;
                 # the kink at 0 is measure-zero under continuous inputs
-                np.greater(h, _ZERO, out=d)
+                calls.append(partial(np.greater, h, _ZERO, d))
             else:
-                np.multiply(h, h, out=d)
-                np.subtract(_ONE, d, out=d)
-            delta *= d
+                calls.append(partial(np.multiply, h, h, d))
+                calls.append(partial(np.subtract, _ONE, d, d))
+            calls.append(partial(np.multiply, delta, d, delta))
+    return tuple(calls)
 
 
 def _backprop(spec: MlpSpec, params, hs, g_v):
@@ -460,7 +499,9 @@ def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig
     hs, v = _forward_parts(model.spec, model.params, X)
     D = _softmax(v) if model.spec.head == "simplex" else None
     value = _head_value(div, v, D, labels, e)
-    g_v = _head_grad(div, v, D, _onehot(labels, k), _rate_terms(e))
+    g_v = np.empty(v.shape)
+    work = np.empty(v.shape), np.empty((X.shape[0], 1))
+    _run(_head_grad_program(div, v, D, _onehot(labels, k), _rate_terms(e), g_v, work))
     g_v /= X.shape[0]
     grads = _backprop(model.spec, model.params, hs, g_v)
     return value, grads
@@ -644,14 +685,18 @@ def _train_members(members, on_epoch=None) -> list:
     # Each epoch writes the orders into `order` and the members' labels,
     # in their group's order, as rows of the k x k identity into
     # `onehot`, so a step reads its indices and one-hot labels as slices
-    # of the two.
+    # of the two.  Member (s, g)'s labels start at offsets[s, g, 0] of
+    # the flat labels, so one take gathers every member's in order.
     group_seeds = member_seeds[::G]
     seeds = list(dict.fromkeys(group_seeds))
     rngs = [np.random.default_rng(s) for s in seeds]
     seed_row = np.array([seeds.index(s) for s in group_seeds])
+    perms = np.empty((len(seeds), n), dtype=np.intp)
     order = np.empty((S, n), dtype=np.intp)
     onehot = np.empty((S, G, n, k))
     identity = np.eye(k)
+    flat_labels = labels.ravel()
+    offsets = n * np.arange(S * G).reshape(S, G, 1)
 
     # Workspaces for the largest batch: layer inputs, each with its ones
     # column: the gathered features, one (S, 1, B, d_in + 1) buffer that
@@ -671,59 +716,74 @@ def _train_members(members, on_epoch=None) -> list:
         [np.empty((S, G, B, w + 1), mask_type) for w in hidden],
         [np.empty((S, G, B, k)) for _ in range(4)] + [np.empty((S, G, B, 1))],
     ]
-    # Every operand a step reads, built once per batch size: views of
-    # that many rows of the workspaces and rate terms, the forward and
-    # backprop operands over them, and the size as a float64 divisor.
+    # One program per step of an epoch: every call of the step, with its
+    # operands bound, built once per training.  Views of the workspaces
+    # and rate terms, and the forward, softmax and backprop programs over
+    # them, are built once per batch size; each step binds its slices of
+    # `order` and `onehot` and its element of `lrs`, which every epoch
+    # refills in place.  The update is four passes over the (M, P) rows.
+    starts = range(0, n, tc.batch_size)
+    lrs = np.empty(len(starts))
     sized = {}
-    batches = []  # per step of an epoch: (indices, one-hot rows, operands)
-    for start in range(0, n, tc.batch_size):
+    programs = []
+    for i, start in enumerate(starts):
         stop = min(start + tc.batch_size, n)
         nb = stop - start
         if nb not in sized:
             hs, deltas, masks, (v, D, g_v, tmp, col) = (
                 [a[..., :nb, :] for a in ws] for ws in workspaces
             )
+            e_nb = None if e_terms is None else tuple(t[..., :nb, :] for t in e_terms)
             sized[nb] = (
                 hs[0][:, 0, :, : spec.d_in],
-                _forward_ops(layers, hs, v),
-                v, D, col, g_v, (tmp, col),
-                None if e_terms is None else tuple(t[..., :nb, :] for t in e_terms),
-                np.float64(nb),
-                _backprop_ops(weights_T, hs, g_v, grad_layers, deltas, masks),
+                _forward_program(spec.activation, *_forward_ops(layers, hs, v))
+                + (_softmax_program(v, D, col) if simplex else ()),
+                # the head's program, given the step's one-hot rows
+                partial(
+                    _head_grad_program, div, v, D if simplex else None,
+                    rates=e_nb, out=g_v, work=(tmp, col),
+                ),
+                (partial(np.divide, g_v, np.float64(nb), g_v),)
+                + _backprop_program(
+                    spec.activation,
+                    _backprop_ops(weights_T, hs, g_v, grad_layers, deltas, masks),
+                ),
             )
-        batches.append((order[:, start:stop], onehot[..., start:stop, :], sized[nb]))
+        x, forward, head, backward = sized[nb]
+        programs.append((
+            partial(X.take, order[:, start:stop], 0, x, "clip"),
+            *forward,
+            *head(onehot[..., start:stop, :]),
+            *backward,
+            partial(np.multiply, velocity, momentum, velocity),
+            partial(np.add, velocity, grad, velocity),
+            partial(np.multiply, velocity, lrs[i, ...], scratch),
+            partial(np.add, theta, scratch, theta),
+            partial(np.isfinite, theta, finite),
+        ))
+    all_finite = partial(np.logical_and.reduce, finite, None)
 
-    total_steps = tc.epochs * len(batches)
-    step = 0
+    total_steps = tc.epochs * len(programs)
+    # Plain loops, not comprehensions: an epoch calls no Python function
+    # but one _cosine_lr per step.
     for epoch in range(tc.epochs):
-        np.stack([rng.permutation(n) for rng in rngs]).take(seed_row, axis=0, out=order)
+        first = epoch * len(programs)
+        for r, rng in enumerate(rngs):
+            perms[r] = rng.permutation(n)
+        perms.take(seed_row, axis=0, out=order)
         identity.take(
-            np.take_along_axis(labels, order[:, None, :], axis=2),
+            flat_labels.take(offsets + order[:, None, :]),
             axis=0, out=onehot, mode="clip",
         )
-        lrs = [
-            np.float64(_cosine_lr(tc.lr0, s, total_steps))
-            for s in range(step, step + len(batches))
-        ]
-        for (idx, y, operands), lr in zip(batches, lrs):
-            x, forward_ops, v, D, col, g_v, work, e_nb, nb, backprop_ops = operands
-            X.take(idx, axis=0, out=x, mode="clip")
-            _forward_into(spec.activation, *forward_ops)
-            _head_grad(
-                div, v, _softmax(v, out=D, col=col) if simplex else None, y,
-                e_nb, out=g_v, work=work,
-            )
-            g_v /= nb
-            _backprop_into(spec.activation, backprop_ops)
-            velocity *= momentum
-            velocity += grad
-            theta += np.multiply(velocity, lr, out=scratch)
-            step += 1
-            np.isfinite(theta, out=finite)
-            if not np.logical_and.reduce(finite, axis=None):
+        for i in range(len(programs)):
+            lrs[i] = _cosine_lr(tc.lr0, first + i, total_steps)
+        for i, program in enumerate(programs):
+            for op in program:
+                op()
+            if not all_finite():
                 raise RuntimeError(
                     f"parameters became non-finite at epoch {epoch} step "
-                    f"{step - 1}; lower lr0 or check the data"
+                    f"{first + i}; lower lr0 or check the data"
                 )
         if on_epoch is not None:
             on_epoch(epoch, member_params)

@@ -26,6 +26,7 @@ finite domains, which is what the identity oracles are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -308,15 +309,25 @@ def _onehot(labels, k: int) -> np.ndarray:
     return (labels[..., None] == np.arange(k)).astype(float)
 
 
-def _row_max(a, out=None) -> np.ndarray:
-    """np.maximum.reduce over the last axis, keeping it; see _row_sum."""
+def _run(program) -> None:
+    """Run a program: a sequence of zero-argument calls, in order."""
+    for op in program:
+        op()
+
+
+def _row_max_op(a, out=None):
+    """A call that writes np.maximum.reduce over the last axis of a,
+    keeping it, into out (a new array for None) and returns it; see
+    _row_sum_op.  np.maximum takes out by keyword only: numpy 2.4
+    deprecates a third positional argument there."""
     if a.shape[-1] == 2:
-        return np.maximum(a[..., :1], a[..., 1:], out=out)
-    return np.maximum.reduce(a, axis=-1, keepdims=True, out=out)
+        return partial(np.maximum, a[..., :1], a[..., 1:], out=out)
+    return partial(np.maximum.reduce, a, -1, None, out, True)
 
 
-def _row_sum(a, out=None) -> np.ndarray:
-    """np.add.reduce over the last axis, keeping it.
+def _row_sum_op(a, out=None):
+    """A call that writes np.add.reduce over the last axis of a, keeping
+    it, into out (a new array for None) and returns it.
 
     Two columns are one np.add of the column views, which costs less per
     call than a reduction at every row count; from three the reduction
@@ -325,8 +336,8 @@ def _row_sum(a, out=None) -> np.ndarray:
     row gets the reduction's bits.
     """
     if a.shape[-1] == 2:
-        return np.add(a[..., :1], a[..., 1:], out=out)
-    return np.add.reduce(a, axis=-1, keepdims=True, out=out)
+        return partial(np.add, a[..., :1], a[..., 1:], out)
+    return partial(np.add.reduce, a, -1, None, out, True)
 
 
 def _rate_terms(e, rows=None):
@@ -359,13 +370,49 @@ def _simplex_logit_grad(
     (..., N, K) and a (..., N, 1) scratch array, or Nones.
     """
     tmp, col = work
-    s = spec.simplex_score(D, onehot)  # may be onehot itself: not in place
+    out = np.empty(D.shape) if out is None else out
+    tmp = np.empty(D.shape) if tmp is None else tmp
+    col = np.empty(D.shape[:-1] + (1,)) if col is None else col
+    _run(_simplex_logit_grad_program(spec, D, onehot, rates, out, (tmp, col)))
+    return out
+
+
+def _simplex_logit_grad_program(spec: DivergenceSpec, D, onehot, rates, out, work):
+    """_simplex_logit_grad into out, as a program over bound operands;
+    work's two scratch arrays are given.  kl's identity forms add no call,
+    so its program is plain ufunc calls; the gan and sl forms allocate,
+    and run as one call that writes the drifted score into the scratch."""
+    tmp, col = work
+    ops = []
     if rates is not None:
         row, total, _ = rates
-        drift = np.subtract(row, np.multiply(total, D, out=tmp), out=tmp)
-        s = np.subtract(s, spec.simplex_drift(D, drift), out=tmp)
-    out = np.multiply(D, _row_sum(s, out=col), out=out)
-    return np.subtract(s, out, out=out)
+        ops += [
+            partial(np.multiply, total, D, tmp),
+            partial(np.subtract, row, tmp, tmp),
+        ]
+    s = tmp
+    if spec.simplex_score is not None:
+        ops.append(partial(_simplex_forms, spec, D, onehot, rates is not None, tmp))
+    elif rates is not None:
+        ops.append(partial(np.subtract, onehot, tmp, tmp))
+    else:
+        s = onehot
+    return (
+        *ops,
+        _row_sum_op(s, col),
+        partial(np.multiply, D, col, out),
+        partial(np.subtract, s, out, out),
+    )
+
+
+def _simplex_forms(spec: DivergenceSpec, D, onehot, drifted: bool, out) -> None:
+    """out = the score s of D and onehot, minus the drift form of the
+    drift held in out when drifted."""
+    s = spec.simplex_score(D, onehot)
+    if drifted:
+        np.subtract(s, spec.simplex_drift(D, out), out=out)
+    else:
+        np.copyto(out, s)
 
 
 def _raw_value(spec: DivergenceSpec, v, labels, e) -> float:

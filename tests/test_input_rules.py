@@ -189,10 +189,18 @@ GOOD_OUTPUTS = {
 # -1, 0, NaN or infinity
 SYNTHETIC = {
     f"k{k}-n{n}-d{d}-sep{sep}": {"k": k, "n": n, "d": d, "class_separation": sep}
-    for k in (1, 2, 3)
-    for n in (k - 1, k)
-    for d in (0, k - 2, k - 1)
-    for sep in (-1.0, 0.0, math.nan, math.inf)
+    for k, n, d, sep in [
+        *(
+            (k, n, d, sep)
+            for k in (1, 2, 3)
+            for n in (k - 1, k)
+            for d in (0, k - 2, k - 1)
+            for sep in (-1.0, 0.0, math.nan, math.inf)
+        ),
+        # a fractional size breaks its key's rule, and an integral float keeps it
+        (2.5, 3, 2, 1.0), (3, 10.5, 2, 1.0), (3, 3, 2.5, 1.0),
+        (3.0, 3, 2, 1.0), (3, 4.0, 2, 1.0), (3, 3, 2.0, 1.0),
+    ]
 }
 
 

@@ -2,11 +2,15 @@
 
 import json
 import math
+import sys
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import postmax
 from postmax.divergence import (
     DIVERGENCE_IDS,
     get_divergence,
@@ -24,7 +28,7 @@ from postmax.model import (
     _forward_into,
     _forward_ops,
     _forward_parts,
-    _head_grad,
+    _head_grad_program,
     _layer_blocks,
     _seed_groups,
     _softmax,
@@ -399,8 +403,9 @@ class TestStepHead:
             else:
                 D = None
                 want = reference_raw_grad(div_id, v, y, e_rows)
-            got = _head_grad(spec, v, D, y, rates, out=g, work=(tmp, col))
-            assert got is g and same_bits(got, want)
+            for op in _head_grad_program(spec, v, D, y, rates, g, (tmp, col)):
+                op()
+            assert same_bits(g, want)
 
 
 def reference_forward(activation, layers, X):
@@ -914,6 +919,93 @@ class TestTrainMembers:
         # no per-epoch pass: the check runs once, after the final epoch
         with pytest.raises(RuntimeError, match=r"non-finite after epoch 2: nan"):
             _train_members([member])
+
+
+class TestStepProgram:
+    """A kl step is one prebuilt program of numpy calls: no postmax
+    Python function runs inside it."""
+
+    def test_a_kl_step_calls_no_postmax_function(self):
+        rng = np.random.default_rng(61)
+        ds = gaussian_blobs(rng, 50, rng.normal(size=(2, 10)))  # 100 rows
+        noisy = corrupt(ds, symmetric_matrix(2, 0.2), seed=0)
+        rates = NoiseParams.uniform_offdiag([0.1, 0.1])
+        model = init(MlpSpec((10, 16, 2)), seed=0)
+        package = str(Path(postmax.__file__).parent)
+
+        def calls(epochs):
+            """Calls of postmax functions, by name, in one training."""
+            tc = TrainConfig(epochs=epochs, batch_size=32, seed=0)
+            members = [
+                (model, ds, ObjectiveConfig("kl"), tc),
+                (model, noisy, ObjectiveConfig("kl"), tc),
+                (model, noisy, ObjectiveConfig("kl", "objective", rates), tc),
+            ]
+            seen = Counter()
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code.co_filename.startswith(package):
+                    seen[frame.f_code.co_name] += 1
+
+            sys.setprofile(profile)
+            try:
+                _train_members(members)
+            finally:
+                sys.setprofile(None)
+            return seen
+
+        two, three = calls(2), calls(3)
+        extra = {name: three[name] - two[name] for name in three | two}
+        steps = 4  # batches of 32, 32, 32 and 4 rows
+        assert {name: n for name, n in extra.items() if n} == {"_cosine_lr": steps}
+
+
+class TestCorrectionIdentity:
+    """The paper's correction identity through the training path.  On an
+    exact-population sample, whose noisy label counts are exactly
+    100 * ((1 - sum(e)) * p + e) for clean counts 100 * p, the corrected
+    objective's full-batch gradient is (1 - sum(e)) times the clean one,
+    so the network trained on noisy labels with the objective correction
+    at lr0 equals the clean network trained at lr0 * (1 - sum(e))."""
+
+    E = (0.1, 0.05, 0.15)
+    P_TENTHS = np.array(
+        [[1, 2, 7], [3, 3, 4], [5, 4, 1], [2, 6, 2], [8, 1, 1], [4, 1, 5]]
+    )
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    @pytest.mark.parametrize("head", ["simplex", "raw_t"])
+    def test_corrected_network_equals_clean_one(self, head, div_id):
+        X = np.repeat(np.random.default_rng(5).normal(size=(6, 4)), 100, axis=0)
+
+        def sample(counts):
+            labels = np.concatenate([np.repeat(np.arange(3), c) for c in counts])
+            return LabeledDataset(X, labels, 3)
+
+        clean = sample(10 * self.P_TENTHS)
+        noisy = sample(7 * self.P_TENTHS + np.array([10, 5, 15]))
+        noise = NoiseParams.uniform_offdiag(self.E)
+        model = init(head_spec((4, 8, 3), head, div_id, "tanh"), seed=0)
+        tc = TrainConfig(epochs=200, batch_size=600, lr0=0.05, seed=0)
+        scaled = replace(tc, lr0=tc.lr0 * (1.0 - sum(self.E)))
+
+        def trained(ds, cfg, train_config):
+            [result] = _train_members([(model, ds, cfg, train_config)])
+            return result
+
+        target = trained(clean, ObjectiveConfig(div_id), scaled)
+
+        def gap(other):
+            return max(
+                np.abs(a - b).max()
+                for la, lb in zip(target.params, other.params)
+                for a, b in zip(la, lb)
+            )
+
+        corrected = trained(noisy, ObjectiveConfig(div_id, "objective", noise), tc)
+        uncorrected = trained(noisy, ObjectiveConfig(div_id), tc)
+        assert gap(corrected) <= 1e-12
+        assert gap(uncorrected) > 0.05
 
 
 class TestEvaluate:
