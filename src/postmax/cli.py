@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
@@ -25,6 +26,7 @@ from .model import (
     MlpSpec,
     TrainConfig,
     _check,
+    _evaluate_modes,
     _train_members,
     evaluate,
     init,
@@ -178,29 +180,39 @@ def make_synthetic(
     return ds, posterior
 
 
+# The most floats the synthetic draw's n x d features may hold (1 GiB),
+# so a draw no memory holds is refused before it starts.
+MAX_SYNTHETIC_FLOATS = 2**27
+
 # The synthetic draw's rules, checked in this order: key -> (its type,
-# its least value given k, what it must be); every value must also be
-# finite and equal its value as that type, and k equidistant means span
-# k - 1 dimensions.  _sample_synthetic and parse_config both check by
-# this table.
+# its least and its most value given the keys before it, what it must
+# be); every value must also equal its value as that type.  k
+# equidistant means span k - 1 dimensions, the features take n x d
+# floats and the means' frame k x k, and a separation must be a float.
+# _sample_synthetic and parse_config both check by this table.
 _SYNTHETIC = {
-    "k": (int, lambda k: 2, "an integer of at least 2"),
-    "n": (int, lambda k: k, "an integer of at least {least} for k = {k}"),
-    "d": (int, lambda k: max(1, k - 1),
-          "an integer of at least {least} dimensions for k = {k}"),
-    "class_separation": (float, lambda k: 0.0, "finite and nonnegative"),
+    "k": (int, lambda p: (2, math.isqrt(MAX_SYNTHETIC_FLOATS)),
+          "an integer from {least} to {most}"),
+    "n": (int, lambda p: (p["k"], MAX_SYNTHETIC_FLOATS // max(1, p["k"] - 1)),
+          "an integer from {least} to {most} for k = {k}"),
+    "d": (int, lambda p: (max(1, p["k"] - 1), MAX_SYNTHETIC_FLOATS // p["n"]),
+          "an integer from {least} to {most} dimensions for k = {k} and n = {n}"),
+    "class_separation": (float, lambda p: (0.0, sys.float_info.max),
+                         "finite and nonnegative"),
 }
 
 
 def _synthetic_fault(params: dict) -> Optional[tuple[str, str]]:
     """(key, what it must be) of the first _SYNTHETIC rule params break."""
-    k = params["k"]
-    for key, (kind, least, requirement) in _SYNTHETIC.items():
-        bound, value = least(k), params[key]
-        # NaN fails the range, so only a finite value reaches kind()
-        if not (bound <= value < math.inf and kind(value) == value):
-            what = requirement.format(least=bound, k=k)
+    checked = {}  # the keys before this one, as their types
+    for key, (kind, bounds, requirement) in _SYNTHETIC.items():
+        (least, most), value = bounds(checked), params[key]
+        # NaN and values past the largest float fail the range, so only a
+        # value that float() holds reaches kind()
+        if not (least <= value <= most and kind(value) == value):
+            what = requirement.format(least=least, most=most, **checked)
             return key, f"must be {what}, got {value!r}"
+        checked[key] = kind(value)
     return None
 
 
@@ -286,6 +298,13 @@ def _real(value):
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
         raise ValueError(f"expected a number, got {value!r}")
     return value
+
+
+def _real_text(value):
+    """_real, or a string float() reads as that float, as _number reads
+    one; for the separation, whose _SYNTHETIC rule refuses an int past
+    the largest float, which float() would raise on."""
+    return float(value) if isinstance(value, str) else _real(value)
 
 
 def _number(value) -> float:
@@ -374,7 +393,7 @@ _CONFIG = {
     ("dataset", "k"): (_real, 2, ("source", "synthetic")),
     ("dataset", "n"): (_real, 600, ("source", "synthetic")),
     ("dataset", "d"): (_real, 10, ("source", "synthetic")),
-    ("dataset", "class_separation"): (_number, 4.0, ("source", "synthetic")),
+    ("dataset", "class_separation"): (_real_text, 4.0, ("source", "synthetic")),
     ("dataset", "split_seed"): (_seed, 0, None),
     ("model", "hidden"): (_list(_ruled("width", _integer)), (32,), None),
     ("model", "activation"): (_choice(_ACTIVATIONS), "relu", None),
@@ -586,11 +605,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     corrupted), train the clean baseline and one network per distinct
     training objective, and evaluate every correction mode on the clean
     test split.  Posterior correction acts only at evaluation, so the
-    `none` and `posterior` modes share one noisy training.  Every seed's
-    networks train in one lockstep call, with no per-epoch metrics.  The
-    wall time of each record is that call's time divided by the number of
-    seeds, plus the record's own evaluation.  Identical configs and seeds
-    give identical records apart from wall time.  A sweep whose one-hot
+    `none` and `posterior` modes share one noisy training, and one scoring
+    pass gives both their accuracies and the uncorrected objective they
+    share.  Every seed's networks train in one lockstep call, with no
+    per-epoch metrics.  The wall time of each record is that call's time
+    divided by the number of seeds, plus an equal share of the scoring
+    pass that gave the record: without noise, the clean network's pass
+    shares among every mode; with noise, the noisy network's pass shares
+    among the modes it serves.  Identical configs and seeds give
+    identical records apart from wall time.  A sweep whose one-hot
     training labels would take more than MAX_ONEHOT_BYTES is refused with
     a ConfigError: before the draw for a synthetic source, whose shape the
     config gives, and once the file is read for a CSV one.
@@ -628,20 +651,27 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     records = []
     for i, seed in enumerate(cfg.seeds):
         clean_model, *noisy = trained[i * per_seed : (i + 1) * per_seed]
-        noisy_models = dict(zip(noisy_modes, noisy))
         t0 = time.perf_counter()
         clean_acc, clean_obj = evaluate(clean_model, test_ds, plain)
-        clean_wall = train_wall + time.perf_counter() - t0
+        clean_s = time.perf_counter() - t0
+        # mode -> (accuracy, objective, wall time)
+        scored = {
+            mode: (clean_acc, clean_obj, train_wall + clean_s / len(cfg.corrections))
+            for mode in cfg.corrections
+        }
+        for train_as, network in zip(noisy_modes, noisy):
+            modes = [mode for mode in cfg.corrections if train_mode[mode] == train_as]
+            t0 = time.perf_counter()
+            results = _evaluate_modes(
+                network, test_ds,
+                [ObjectiveConfig(cfg.divergence, mode, cfg.noise) for mode in modes],
+            )
+            wall = train_wall + (time.perf_counter() - t0) / len(modes)
+            scored.update(
+                (mode, (acc, obj, wall)) for mode, (acc, obj) in zip(modes, results)
+            )
         for mode in cfg.corrections:
-            if cfg.noise is None:
-                acc, obj = clean_acc, clean_obj
-                wall = clean_wall
-            else:
-                t0 = time.perf_counter()
-                m = noisy_models[train_mode[mode]]
-                ocfg = ObjectiveConfig(cfg.divergence, mode, cfg.noise)
-                acc, obj = evaluate(m, test_ds, ocfg)
-                wall = train_wall + time.perf_counter() - t0
+            acc, obj, wall = scored[mode]
             records.append(
                 ResultRecord(
                     seed=seed,

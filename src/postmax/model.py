@@ -105,6 +105,37 @@ found three exceptions: batches over 384 rows, where dgemm sums db in
 blocks; a hidden layer with 16 or more inputs whose width is 1 to 4 mod
 8 (9-12, 20 or 100, say); and, under ten features, batches of one or two
 rows, and with one feature most batches.
+
+Scoring runs in row blocks.  evaluate(), forward(), train()'s per-epoch
+record and a sweep's final check all call one scorer, _score, which runs
+the unfolded forward pass (matmul, then bias add) over blocks of at most
+1,024 rows, into workspaces allocated once per call.  Its memory is then
+O(block x width), plus (N,) arrays of per-row predictions and objective
+terms, and forward()'s (N, K) result.  One pass gives an accuracy for
+each posterior correction asked for, so a network scored for the none
+and posterior modes runs forward once.  The scalars are the reductions
+the whole-array pass took (np.mean of the matches, one mean of the
+per-row values), so they keep its bits wherever each row does.  The
+scorer's softmax takes its row max as a running np.maximum over the K
+column views, exact and, at K >= 3 and a block's rows, several times
+faster than the reduction (2.9 against 43.8 us at (1024, 3), 14.1
+against 44.2 at (1024, 10), 2-vCPU Xeon, numpy 2.4).  A row keeps its
+bits while its block is served as the whole set is, and with OpenBLAS
+0.3.31 (SkylakeX kernels) two things decide that.  dgemm tiles rows, and
+a row in a ragged tile rounds differently: a 16-2 layer moved 2 rows in
+a block of 834.  So the blocks split N as evenly as whole units of 64
+rows allow, and every block but the last starts and ends on a multiple
+of 64.  And dgemm serves a product with d_in x d_out x rows <= 10^6
+through a small-matrix kernel that rounds differently from the large
+one.  Blocks of a set over 1,024 rows hold 512 to 1,024 rows, so a layer
+with d_in x d_out of at most 1,953 can get the small kernel in blocks
+and the large one over the whole set.  A scan moved rows only where that
+layer had 16 or more inputs: the 16-2 output layer of 10-16-2 past
+31,250 rows, 16-20 at 7,000, the 100-10 layer of 50-100-10 at 1,500.
+Their accuracies and mean objectives kept their bits in every probe, but
+nothing holds them there.  The wide shape (100-256-10) has no such
+layer, and the desk shape and golden pins score under 1,025 rows, one
+block.
 """
 
 from __future__ import annotations
@@ -123,12 +154,12 @@ from postmax.noise import LabeledDataset, _check_labels
 from postmax.objective import (
     POSTERIOR_FLOOR,
     ObjectiveConfig,
-    _bias_simplex,
-    _jf_simplex,
+    _bias_simplex_rows,
+    _jf_simplex_rows,
     _onehot,
     _rate_terms,
     _raw_logit_grad,
-    _raw_value,
+    _raw_rows,
     _row_max_op,
     _row_sum_op,
     _run,
@@ -284,14 +315,28 @@ def _softmax(v: np.ndarray, out=None, col=None) -> np.ndarray:
     return out
 
 
-def _softmax_program(v, out, col) -> tuple:
-    """_softmax's program over given out and col."""
+def _softmax_program(v, out, col, running: bool = False) -> tuple:
+    """_softmax's program over given out and col; with running, the row
+    max is _running_max_program's, the scorer's form."""
+    row_max = _running_max_program(v, col) if running else (_row_max_op(v, col),)
     return (
-        _row_max_op(v, col),
+        *row_max,
         partial(np.subtract, v, col, out),
         partial(np.exp, out, out),
         _row_sum_op(out, col),
         partial(np.divide, out, col, out),
+    )
+
+
+def _running_max_program(a, out) -> tuple:
+    """np.maximum.reduce over the last axis of a, keeping it, into out, as
+    a running np.maximum over a's column views.  A max is exact, so a
+    softmax over it gets the reduction's bits; only the sign of a zero
+    maximum may differ, which no softmax entry reads."""
+    cols = [a[..., j : j + 1] for j in range(a.shape[-1])]
+    return (
+        partial(np.maximum, cols[0], cols[1], out=out),
+        *(partial(np.maximum, out, c, out=out) for c in cols[2:]),
     )
 
 
@@ -353,11 +398,12 @@ def _forward_parts(spec: MlpSpec, params, X: np.ndarray):
 
 def forward(model: NetworkModel, X) -> np.ndarray:
     """Head outputs for a feature matrix: simplex rows or T = link(v)."""
-    X = _check_features(model.spec, X)
-    _, v = _forward_parts(model.spec, model.params, X)
-    if model.spec.head == "simplex":
-        return _softmax(v)
-    return get_divergence(model.spec.divergence).link(v)
+    spec = model.spec
+    X = _check_features(spec, X)
+    heads = np.empty((X.shape[0], spec.k))
+    div = get_divergence(spec.divergence) if spec.head == "raw_t" else None
+    _score(spec, div, model.params, X, heads=heads)
+    return heads
 
 
 def _check_features(spec: MlpSpec, X) -> np.ndarray:
@@ -391,15 +437,28 @@ def _rates(cfg: ObjectiveConfig, k: int, mode: str) -> Optional[np.ndarray]:
 def _head_value(div: DivergenceSpec, v, D, labels, e) -> float:
     """Mean objective of final outputs v with checked labels and rates;
     D holds the simplex head's softmax rows and is None for the raw head."""
+    return _mean_value(*_head_rows(div, v, D, labels, e))
+
+
+def _head_rows(div: DivergenceSpec, v, D, labels, e) -> tuple:
+    """_head_value's per-row terms: the objective's and, for the simplex
+    head with rates, the bias's, else None; _mean_value reduces them."""
     if D is None:
-        return _raw_value(div, v, labels, e)
+        return _raw_rows(div, v, labels, e), None
     # Optimizers may legitimately drive off-label probabilities to the
     # simplex boundary; floor them so the logged value (not the
     # gradient) stays finite.
     safe = np.maximum(D, POSTERIOR_FLOOR)
-    value = _jf_simplex(div, safe, labels)
-    if e is not None:
-        value -= _bias_simplex(div, safe, e)
+    bias = None if e is None else _bias_simplex_rows(div, safe, e)
+    return _jf_simplex_rows(div, safe, labels), bias
+
+
+def _mean_value(values, bias) -> float:
+    """The mean objective of _head_rows' terms: the raw head's rows hold
+    the bias already, the simplex head's mean minus the bias's mean."""
+    value = float(values.mean())
+    if bias is not None:
+        value -= float(bias.mean())
     return value
 
 
@@ -801,10 +860,33 @@ def evaluate(model: NetworkModel, dataset: LabeledDataset, cfg: ObjectiveConfig)
     the estimated posteriors before the argmax; the reported objective is
     the uncorrected one the model was trained on in that mode.
     """
-    _check_compat(model.spec, cfg)
+    [result] = _evaluate_modes(model, dataset, [cfg])
+    return result
+
+
+def _evaluate_modes(model: NetworkModel, dataset: LabeledDataset, cfgs) -> list:
+    """evaluate() under each of cfgs, from one scoring pass: one
+    (accuracy, objective) per config, each its evaluate() call's.  The
+    configs share one objective, so they must share the divergence, and
+    either none corrects the objective or all correct it for the same
+    noise; "none" and "posterior" configs always may share a pass."""
+    objectives = [
+        (cfg.divergence, cfg.noise if cfg.correction == "objective" else None)
+        for cfg in cfgs
+    ]
+    if any(objective != objectives[0] for objective in objectives):
+        raise ValueError("configs scored in one pass must share the objective")
+    for cfg in cfgs:
+        _check_compat(model.spec, cfg)
     _check_fits(model.spec, dataset)
-    div = get_divergence(cfg.divergence)
-    return _evaluate(model.spec, div, model.params, cfg, dataset)
+    k = model.spec.k
+    accs, value = _score(
+        model.spec, get_divergence(cfgs[0].divergence), model.params,
+        dataset.features, dataset.labels,
+        ranks=[_rates(cfg, k, "posterior") for cfg in cfgs],
+        objective=True, e=_rates(cfgs[0], k, "objective"),
+    )
+    return [(acc, value) for acc in accs]
 
 
 def _evaluate(
@@ -814,18 +896,83 @@ def _evaluate(
     """evaluate() on bare parameters and a dataset whose shapes the caller
     has checked; div is cfg's divergence.  The objective is None unless
     asked for."""
-    _, v = _forward_parts(spec, params, dataset.features)
-    D = _softmax(v) if spec.head == "simplex" else None
-    # every raw posterior map is increasing in v, so v has its argmax
-    scores = v if D is None else D
-    e_eval = _rates(cfg, spec.k, "posterior")
-    if e_eval is not None:
-        scores = div.raw_rank(v, e_eval) if D is None else D - e_eval
-    acc = accuracy(np.argmax(scores, axis=1), dataset.labels)
-    if not objective:
-        return acc, None
-    e = _rates(cfg, spec.k, "objective")
-    return acc, _head_value(div, v, D, dataset.labels, e)
+    k = spec.k
+    [acc], value = _score(
+        spec, div, params, dataset.features, dataset.labels,
+        ranks=[_rates(cfg, k, "posterior")],
+        objective=objective, e=_rates(cfg, k, "objective"),
+    )
+    return acc, value
+
+
+# A scoring pass's row blocks: at most _BLOCK_ROWS rows each, every one
+# but the last a whole number of _BLOCK_ALIGN rows; see the module docstring.
+_BLOCK_ROWS = 1024
+_BLOCK_ALIGN = 64
+
+
+def _row_blocks(n: int) -> list:
+    """(start, stop) of each block of a scoring pass over n rows: the
+    fewest blocks of at most _BLOCK_ROWS rows, as even as whole units of
+    _BLOCK_ALIGN rows allow, the last ending at n."""
+    blocks = -(-n // _BLOCK_ROWS)
+    units = -(-n // _BLOCK_ALIGN)
+    edges = [_BLOCK_ALIGN * (units * i // blocks) for i in range(blocks)] + [n]
+    return list(zip(edges, edges[1:]))
+
+
+def _score(
+    spec: MlpSpec, div: Optional[DivergenceSpec], params, X, labels=None,
+    ranks=(), objective: bool = False, e=None, heads=None,
+) -> tuple:
+    """Score a network on features X in row blocks: (accuracies, value).
+
+    Each of _row_blocks' blocks runs the unfolded forward pass (matmul,
+    then bias add) into workspaces allocated once per call.  ranks holds
+    one entry per accuracy: None ranks the head outputs, a rate row their
+    posterior correction.  With objective, value is the mean objective
+    with labels, minus the bias of rates e when given, and None otherwise.
+    heads, an (N, K) array, takes the head outputs when given.  Every
+    per-row prediction and objective term is written to an (N,) array,
+    which one reduction reads, so each scalar gets the whole-array pass's
+    bits while every block is served by the BLAS kernel the whole set is
+    (see the module docstring).  div is the divergence; the simplex head
+    reads it only for the objective.
+    """
+    n, k = X.shape[0], spec.k
+    simplex = spec.head == "simplex"
+    spans = _row_blocks(n)
+    rows = max((hi - lo for lo, hi in spans), default=0)
+    hidden = [np.empty((rows, w)) for w in spec.layer_sizes[1:-1]]
+    v_buf, col_buf = np.empty((rows, k)), np.empty((rows, 1))
+    D_buf = np.empty((rows, k)) if simplex and heads is None else None
+    preds = [np.empty(n, np.intp) for _ in ranks]
+    values = np.empty(n) if objective else None
+    bias = np.empty(n) if objective and simplex and e is not None else None
+    for lo, hi in spans:
+        m = hi - lo
+        v = v_buf[:m]
+        hs = [X[lo:hi], *(h[:m] for h in hidden)]
+        _forward_into(spec.activation, *_forward_ops(params, hs, v))
+        D = None
+        if simplex:
+            D = D_buf[:m] if heads is None else heads[lo:hi]
+            _run(_softmax_program(v, D, col_buf[:m], running=True))
+        elif heads is not None:
+            heads[lo:hi] = div.link(v)
+        for p, r in zip(preds, ranks):
+            # every raw posterior map is increasing in v, so v has its argmax
+            scores = v if D is None else D
+            if r is not None:
+                scores = div.raw_rank(v, r) if D is None else D - r
+            np.argmax(scores, axis=1, out=p[lo:hi])
+        if objective:
+            block_values, block_bias = _head_rows(div, v, D, labels[lo:hi], e)
+            values[lo:hi] = block_values
+            if bias is not None:
+                bias[lo:hi] = block_bias
+    accs = [accuracy(p, labels) for p in preds]
+    return accs, _mean_value(values, bias) if objective else None
 
 
 def save_model(model: NetworkModel, path) -> None:

@@ -172,8 +172,12 @@ def bias_multiclass(spec, T, e) -> float:
 
 def _bias(spec: DivergenceSpec, T, e) -> float:
     """bias_multiclass on outputs, rates and a spec the caller has checked."""
-    per_sample = T @ e - e.sum() * spec.conj(T).sum(axis=1)
-    return float(np.mean(per_sample))
+    return float(np.mean(_bias_rows(spec, T, e)))
+
+
+def _bias_rows(spec: DivergenceSpec, T, e) -> np.ndarray:
+    """_bias's per-sample terms, one per row of T."""
+    return T @ e - e.sum() * spec.conj(T).sum(axis=1)
 
 
 def corrected_jf_batch(spec, T, labels, e) -> float:
@@ -266,8 +270,12 @@ def jf_simplex_batch(div_id, D, labels) -> float:
 
 def _jf_simplex(spec: DivergenceSpec, D, labels) -> float:
     """jf_simplex_batch on rows, labels and a spec the caller has checked."""
-    Dy = D[np.arange(D.shape[0]), labels]
-    return float(spec.simplex_value(D, Dy).mean())
+    return float(_jf_simplex_rows(spec, D, labels).mean())
+
+
+def _jf_simplex_rows(spec: DivergenceSpec, D, labels) -> np.ndarray:
+    """_jf_simplex's per-row terms."""
+    return spec.simplex_value(D, D[np.arange(D.shape[0]), labels])
 
 
 def bias_simplex_batch(div_id, D, e) -> float:
@@ -284,7 +292,12 @@ def bias_simplex_batch(div_id, D, e) -> float:
 def _bias_simplex(spec: DivergenceSpec, D, e) -> float:
     """bias_simplex_batch on rows and rates the caller has checked; the
     registered f' are finite on strictly positive finite rows."""
-    return _bias(spec, spec.f_prime(D), e)
+    return float(np.mean(_bias_simplex_rows(spec, D, e)))
+
+
+def _bias_simplex_rows(spec: DivergenceSpec, D, e) -> np.ndarray:
+    """_bias_simplex's per-row terms."""
+    return _bias_rows(spec, spec.f_prime(D), e)
 
 
 def jf_simplex_logit_grad_batch(div_id, D, labels, e=None) -> np.ndarray:
@@ -419,12 +432,17 @@ def _raw_value(spec: DivergenceSpec, v, labels, e) -> float:
     """Mean objective at T = link(v) of raw outputs v (N, K), minus the
     bias of rate row e when given, without input checks; the conjugate
     enters in closed form in v, so gan and sl take every finite v."""
+    return float(_raw_rows(spec, v, labels, e).mean())
+
+
+def _raw_rows(spec: DivergenceSpec, v, labels, e) -> np.ndarray:
+    """_raw_value's per-row terms."""
     T = spec.link(v)
     conj = spec.raw_conj(v).sum(axis=1)
     value = T[np.arange(v.shape[0]), labels] - conj
     if e is not None:
         value -= T @ e - e.sum() * conj
-    return float(value.mean())
+    return value
 
 
 def _raw_logit_grad(spec: DivergenceSpec, v, onehot, rates, out=None) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -708,6 +709,32 @@ class TestRunExperiment:
                 by_mode[seed, "none"].final_objective
                 == by_mode[seed, "posterior"].final_objective
             )
+
+    def test_one_scoring_pass_per_trained_network(self, monkeypatch):
+        import postmax.model as model_mod
+
+        rows = []
+        real_score = model_mod._score
+
+        def counting_score(spec, div, params, X, *args, **kwargs):
+            rows.append(X.shape[0])
+            return real_score(spec, div, params, X, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "_score", counting_score)
+        tree = config_tree(
+            objective={
+                "divergence": "kl",
+                "correction": ["none", "objective", "posterior"],
+            },
+            noise={"kind": "uniform_offdiag", "e": [0.1, 0.3]},
+            train={"epochs": 2, "batch_size": 32},
+            seeds=[0, 1],
+        )
+        run_experiment(parse_config(tree))
+        # 160 training rows: each network's final check; 40 test rows: the
+        # clean network, the noisy one for none and posterior together,
+        # and the objective-corrected one, per seed
+        assert Counter(rows) == {160: 2 * 3, 40: 2 * 3}
 
     @pytest.mark.parametrize(
         "model, objective, noise",

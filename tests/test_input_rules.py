@@ -202,6 +202,14 @@ SYNTHETIC = {
         (3.0, 3, 2, 1.0), (3, 4.0, 2, 1.0), (3, 3, 2.0, 1.0),
     ]
 }
+# values no draw can hold: n x d past MAX_SYNTHETIC_FLOATS, and a
+# separation float() cannot hold; each is refused under its own key
+TOO_LARGE = {
+    "n": {"k": 2, "n": 10**400, "d": 2, "class_separation": 1.0},
+    "d": {"k": 2, "n": 10, "d": 10**400, "class_separation": 1.0},
+    "class_separation": {"k": 2, "n": 10, "d": 2, "class_separation": 10**400},
+}
+SYNTHETIC.update({f"{key}-10**400": params for key, params in TOO_LARGE.items()})
 
 
 def as_taken(rows, ndim: int) -> np.ndarray:
@@ -326,6 +334,14 @@ def test_synthetic_config_and_sampler_share_one_rule(case):
         assert str(refused.value) == f"invalid 'dataset.{key}': must be {requirement}"
     else:
         assert parse_config(synthetic_tree(params)).synthetic == params
+
+
+@pytest.mark.parametrize("key", list(TOO_LARGE))
+def test_synthetic_value_no_draw_holds_is_refused_under_its_key(key):
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        make_synthetic(**TOO_LARGE[key], seed=0)
+    with pytest.raises(ConfigError, match=rf"^invalid 'dataset\.{key}': must be "):
+        parse_config(synthetic_tree(TOO_LARGE[key]))
 
 
 @pytest.mark.parametrize("case", ["k2-n2-d1-sep0.0", "k3-n3-d2-sep0.0"])

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from postmax.model import (
     _backprop_into,
     _backprop_ops,
     _cosine_lr,
+    _evaluate_modes,
     _folded_layers,
     _forward_into,
     _forward_ops,
@@ -32,6 +34,7 @@ from postmax.model import (
     _layer_blocks,
     _seed_groups,
     _softmax,
+    _softmax_program,
     _train_members,
     evaluate,
     forward,
@@ -48,10 +51,13 @@ from postmax.objective import (
     _rate_terms,
     _raw_logit_grad,
     _raw_value,
+    _run,
+    bias_simplex_batch,
     corrected_grad_batch,
     corrected_jf_batch,
     jf_batch,
     jf_grad_batch,
+    jf_simplex_batch,
 )
 
 
@@ -1074,6 +1080,93 @@ class TestEvaluate:
         acc, _ = evaluate(model, ds, ObjectiveConfig("kl"))
         bayes = counts.max(axis=1).sum() / n
         assert acc == bayes == 0.6
+
+
+def full_array_scores(model, dataset, cfg):
+    """evaluate() and forward() as one pass over whole (N, width) arrays,
+    the form block scoring replaced: (accuracy, objective, head outputs)."""
+    spec, labels = model.spec, dataset.labels
+    div = get_divergence(cfg.divergence)
+    _, v = _forward_parts(spec, model.params, dataset.features)
+    D = _softmax(v) if spec.head == "simplex" else None
+    heads = div.link(v) if D is None else D
+    scores = v if D is None else D
+    if cfg.correction == "posterior":
+        e = cfg.noise.flip_rates(spec.k)
+        scores = div.raw_rank(v, e) if D is None else D - e
+    acc = float(np.mean(np.argmax(scores, axis=1) == labels))
+    e = cfg.noise.flip_rates(spec.k) if cfg.correction == "objective" else None
+    if D is None:
+        return acc, _raw_value(div, v, labels, e), heads
+    safe = np.maximum(D, 1e-12)
+    value = jf_simplex_batch(div.id, safe, labels)
+    if e is not None:
+        value -= bias_simplex_batch(div.id, safe, e)
+    return acc, value, heads
+
+
+class TestBlockScoring:
+    """evaluate() and forward() run in row blocks of at most 1,024 rows,
+    and every scalar and head output keeps the full-array pass's bits."""
+
+    @pytest.mark.parametrize(
+        "sizes, activation",
+        [((10, 16, 2), "relu"), ((100, 256, 10), "relu"), ((6, 12, 8, 3), "tanh")],
+        ids=["10-16-2-relu", "100-256-10-relu", "6-12-8-3-tanh"],
+    )
+    @pytest.mark.parametrize("head", ["simplex", "raw_t"])
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_blocks_keep_the_full_array_bits(self, sizes, activation, head, div_id):
+        rng = np.random.default_rng(71)
+        k = sizes[-1]
+        n = 2500  # three blocks of 832, 832 and 836 rows
+        ds = LabeledDataset(rng.normal(size=(n, sizes[0])), rng.integers(0, k, n), k)
+        model = init(head_spec(sizes, head, div_id, activation), seed=5)
+        noise = NoiseParams.uniform_offdiag(rng.uniform(0.02, 0.3 / k, k))
+        for mode in ("none", "objective", "posterior"):
+            cfg = ObjectiveConfig(div_id, mode, None if mode == "none" else noise)
+            acc, value, heads = full_array_scores(model, ds, cfg)
+            assert evaluate(model, ds, cfg) == (acc, value), mode
+            assert same_bits(forward(model, ds.features), heads)
+
+    def test_one_pass_scores_each_mode_as_its_own_call(self):
+        rng = np.random.default_rng(73)
+        ds = gaussian_blobs(rng, 40, rng.normal(size=(3, 4)))
+        model = init(MlpSpec((4, 8, 3)), seed=2)
+        noise = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15])
+        cfgs = [ObjectiveConfig("kl", m, noise) for m in ("none", "posterior")]
+        one_pass = _evaluate_modes(model, ds, cfgs)
+        assert one_pass == [evaluate(model, ds, cfg) for cfg in cfgs]
+        mixed = [*cfgs, ObjectiveConfig("kl", "objective", noise)]
+        with pytest.raises(ValueError, match="share the objective"):
+            _evaluate_modes(model, ds, mixed)
+
+    @pytest.mark.parametrize("head", ["simplex", "raw_t"])
+    def test_memory_stays_within_a_block(self, head):
+        # 20,000 x 256 hidden activations alone would take 41 MB
+        rng = np.random.default_rng(79)
+        n = 20000
+        ds = LabeledDataset(rng.normal(size=(n, 100)), rng.integers(0, 10, n), 10)
+        model = init(head_spec((100, 256, 10), head, "gan"), seed=0)
+        noise = NoiseParams.uniform_offdiag(np.full(10, 0.02))
+        cfg = ObjectiveConfig("gan", "objective", noise)
+        tracemalloc.start()
+        try:
+            evaluate(model, ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_running_row_max_keeps_the_reductions_softmax(self, k):
+        rng = np.random.default_rng(k)
+        v = rng.normal(size=(300, k)) * 30.0
+        v[:50] = rng.integers(-2, 3, size=(50, k))  # ties in the row max
+        v[50:100] = rng.choice([0.0, -0.0, -1.0], size=(50, k))  # signed zeros
+        out, col = np.empty(v.shape), np.empty((300, 1))
+        _run(_softmax_program(v, out, col, running=True))
+        assert same_bits(out, _softmax(v))
 
 
 class TestSerialization:
