@@ -56,16 +56,16 @@ equal shapes (2-vCPU Xeon, numpy 2.4).  Python glue around the calls
 tests) costs too.  So each step is a program built once per training: a
 tuple of zero-argument functools.partial calls, each a numpy function
 with every operand and out bound, which the step runs in order before
-the finiteness guard, and nothing else.  It holds the gather, the
-forward pass, the softmax, the head gradient, the division by the batch
-size, backprop and the momentum update.  Built with it, once per
-training, are the rate terms at the step's (M, batch, K) shape, the
-transposed weights, the momentum as a float64 and the guard's bool
-buffer, and once per batch size the workspace views, each layer's
-operands over them and the batch size as a float64.  Each epoch refills
-in place the batch orders, every member's labels in that order as rows
-of the K x K identity, and the learning rates, which the programs read
-as slices and 0-d views.
+the finiteness guard, and nothing else.  It holds the gathers of the
+features and of the labels' rows of the K x K identity, the forward
+pass, the softmax, the head gradient, the division by the batch size,
+backprop and the momentum update.  Built with it, once per training, are
+the rate terms at the step's (M, batch, K) shape, the transposed
+weights, the momentum as a float64 and the guard's bool buffer, and once
+per batch size the workspace views, each layer's operands over them and
+the batch size as a float64.  Each epoch refills in place the batch
+orders, every member's label indices in that order, and the learning
+rates, which the programs read as slices and 0-d views.
 _forward_into, _backprop_into, _softmax and objective._simplex_logit_grad
 run the programs their builders return, so the direct callers run the
 step's arithmetic.  out is bound positionally, about 0.35 us a call
@@ -742,17 +742,17 @@ def _train_members(members, on_epoch=None) -> list:
     # One generator per distinct seed, in order of first use; group s
     # reads its mini-batches from row seed_row[s] of the epoch's orders.
     # Each epoch writes the orders into `order` and the members' labels,
-    # in their group's order, as rows of the k x k identity into
-    # `onehot`, so a step reads its indices and one-hot labels as slices
-    # of the two.  Member (s, g)'s labels start at offsets[s, g, 0] of
-    # the flat labels, so one take gathers every member's in order.
+    # in their group's order, into `epoch_labels`, so a step reads its
+    # indices and labels as slices of the two.  Member (s, g)'s labels
+    # start at offsets[s, g, 0] of the flat labels, so one take gathers
+    # every member's in order.
     group_seeds = member_seeds[::G]
     seeds = list(dict.fromkeys(group_seeds))
     rngs = [np.random.default_rng(s) for s in seeds]
     seed_row = np.array([seeds.index(s) for s in group_seeds])
     perms = np.empty((len(seeds), n), dtype=np.intp)
     order = np.empty((S, n), dtype=np.intp)
-    onehot = np.empty((S, G, n, k))
+    epoch_labels = np.empty_like(labels)
     identity = np.eye(k)
     flat_labels = labels.ravel()
     offsets = n * np.arange(S * G).reshape(S, G, 1)
@@ -762,10 +762,10 @@ def _train_members(members, on_epoch=None) -> list:
     # matmul broadcasts over each group, then each hidden layer's
     # activations; deltas, zeroed as no matmul writes their last column,
     # and activation derivatives (relu's as a bool mask) of the same
-    # widths; final outputs, head outputs, head gradients and the head's
-    # scratch, and one (S, G, B, 1) column for row maxima and sums.  A
-    # ragged last batch uses the first rows of each, and of the rate
-    # terms.
+    # widths; final outputs, head outputs, head gradients, the head's
+    # scratch, the labels as rows of the k x k identity, and one
+    # (S, G, B, 1) column for row maxima and sums.  A ragged last batch
+    # uses the first rows of each, and of the rate terms.
     hidden = spec.layer_sizes[1:-1]
     mask_type = bool if spec.activation == "relu" else float
     workspaces = [
@@ -773,14 +773,14 @@ def _train_members(members, on_epoch=None) -> list:
         + [np.ones((S, G, B, w + 1)) for w in hidden],
         [np.zeros((S, G, B, w + 1)) for w in hidden],
         [np.empty((S, G, B, w + 1), mask_type) for w in hidden],
-        [np.empty((S, G, B, k)) for _ in range(4)] + [np.empty((S, G, B, 1))],
+        [np.empty((S, G, B, k)) for _ in range(5)] + [np.empty((S, G, B, 1))],
     ]
     # One program per step of an epoch: every call of the step, with its
     # operands bound, built once per training.  Views of the workspaces
-    # and rate terms, and the forward, softmax and backprop programs over
-    # them, are built once per batch size; each step binds its slices of
-    # `order` and `onehot` and its element of `lrs`, which every epoch
-    # refills in place.  The update is four passes over the (M, P) rows.
+    # and rate terms, and the forward, softmax, head and backprop programs
+    # over them, are built once per batch size; each step binds its slices
+    # of `order` and `epoch_labels` and its element of `lrs`, which every
+    # epoch refills in place.  The update is four passes over the (M, P) rows.
     starts = range(0, n, tc.batch_size)
     lrs = np.empty(len(starts))
     sized = {}
@@ -789,31 +789,29 @@ def _train_members(members, on_epoch=None) -> list:
         stop = min(start + tc.batch_size, n)
         nb = stop - start
         if nb not in sized:
-            hs, deltas, masks, (v, D, g_v, tmp, col) = (
+            hs, deltas, masks, (v, D, g_v, tmp, onehot, col) = (
                 [a[..., :nb, :] for a in ws] for ws in workspaces
             )
             e_nb = None if e_terms is None else tuple(t[..., :nb, :] for t in e_terms)
             sized[nb] = (
                 hs[0][:, 0, :, : spec.d_in],
+                onehot,
                 _forward_program(spec.activation, *_forward_ops(layers, hs, v))
-                + (_softmax_program(v, D, col) if simplex else ()),
-                # the head's program, given the step's one-hot rows
-                partial(
-                    _head_grad_program, div, v, D if simplex else None,
-                    rates=e_nb, out=g_v, work=(tmp, col),
-                ),
-                (partial(np.divide, g_v, np.float64(nb), g_v),)
+                + (_softmax_program(v, D, col) if simplex else ())
+                + _head_grad_program(
+                    div, v, D if simplex else None, onehot, e_nb, g_v, (tmp, col)
+                )
+                + (partial(np.divide, g_v, np.float64(nb), g_v),)
                 + _backprop_program(
                     spec.activation,
                     _backprop_ops(weights_T, hs, g_v, grad_layers, deltas, masks),
                 ),
             )
-        x, forward, head, backward = sized[nb]
+        x, onehot, step = sized[nb]
         programs.append((
             partial(X.take, order[:, start:stop], 0, x, "clip"),
-            *forward,
-            *head(onehot[..., start:stop, :]),
-            *backward,
+            partial(identity.take, epoch_labels[..., start:stop], 0, onehot, "clip"),
+            *step,
             partial(np.multiply, velocity, momentum, velocity),
             partial(np.add, velocity, grad, velocity),
             partial(np.multiply, velocity, lrs[i, ...], scratch),
@@ -830,10 +828,7 @@ def _train_members(members, on_epoch=None) -> list:
         for r, rng in enumerate(rngs):
             perms[r] = rng.permutation(n)
         perms.take(seed_row, axis=0, out=order)
-        identity.take(
-            flat_labels.take(offsets + order[:, None, :]),
-            axis=0, out=onehot, mode="clip",
-        )
+        flat_labels.take(offsets + order[:, None, :], out=epoch_labels, mode="clip")
         for i in range(len(programs)):
             lrs[i] = _cosine_lr(tc.lr0, first + i, total_steps)
         for i, program in enumerate(programs):

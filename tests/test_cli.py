@@ -21,7 +21,7 @@ import postmax
 from postmax.cli import (
     _CONFIG,
     MAX_CSV_CLASSES,
-    MAX_ONEHOT_BYTES,
+    MAX_SWEEP_LABELS,
     RECORD_COLUMNS,
     ConfigError,
     ResultRecord,
@@ -1022,8 +1022,9 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("command", ["corrupt", "sweep"])
     def test_csv_label_past_the_class_maximum_exits_one(self, tmp_path, command):
-        # 600 KB: 100,000 rows, so K = 100,000 passes the row bound, and a
-        # one-hot label buffer or a K x K noise matrix would be 80 GB
+        # 600 KB: 100,000 rows, so K = 100,000 passes the row bound, a K x K
+        # noise matrix would be 80 GB, and the output layer and the step's
+        # workspaces would be 100,000 wide
         data = tmp_path / "wide.csv"
         data.write_text("0.5,0\n" * 99_999 + "0.5,99999\n")
         tree = config_tree(
@@ -1045,20 +1046,20 @@ class TestCommandLine:
         )
         assert not out.exists()
 
-    def test_sweep_past_the_onehot_bound_exits_one(self, tmp_path, monkeypatch):
+    def test_sweep_past_the_label_bound_exits_one(self, tmp_path, monkeypatch):
         import postmax.cli as cli_mod
 
-        # 100,000 rows of K = 1000 classes: a five-seed, three-network sweep
-        # would hold 15 x 80,000 x 1000 one-hot floats, 9.6 GB
+        # 100,000 rows of K = 2 classes: a 560-seed, three-network sweep
+        # would hold 1,680 x 80,000 training labels, past 2**27
         data = tmp_path / "classes.csv"
-        data.write_text("".join(f"0.5,{i % 1000}\n" for i in range(100_000)))
+        data.write_text("".join(f"0.5,{i % 2}\n" for i in range(100_000)))
         tree = config_tree(
             dataset={"source": "csv", "path": str(data)},
             objective={
                 "divergence": "kl", "correction": ["none", "objective", "posterior"]
             },
             noise={"kind": "symmetric", "eta": 0.2},
-            seeds=[0, 1, 2, 3, 4],
+            seeds=list(range(560)),
         )
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(tree))
@@ -1074,19 +1075,18 @@ class TestCommandLine:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output == (
-            "error: one-hot training labels of 15 networks x 80000 rows x 1000 "
-            f"classes would take 9.6 GB, over the {MAX_ONEHOT_BYTES / 1e9:.1f} GB "
-            "a sweep may use\n"
+            "error: training labels of 1680 networks x 80000 rows would be "
+            f"134400000, over the {MAX_SWEEP_LABELS} a sweep may hold\n"
         )
         assert called == [] and not out.exists()
 
-    def test_synthetic_sweep_past_the_onehot_bound_is_refused_undrawn(
+    def test_synthetic_sweep_past_the_label_bound_is_refused_undrawn(
         self, monkeypatch
     ):
         import postmax.cli as cli_mod
 
         # 203 rows split into 162 training rows (41 test rows, 20% rounded):
-        # 15 networks x 162 rows x 2 classes x 8 bytes = 38,880 bytes
+        # 15 networks x 162 rows = 2,430 training labels
         cfg = parse_config(
             config_tree(
                 dataset={"source": "synthetic", "k": 2, "n": 203, "d": 1},
@@ -1103,14 +1103,14 @@ class TestCommandLine:
             raise AssertionError("drew the synthetic data")
 
         monkeypatch.setattr(cli_mod, "_sample_synthetic", drawn)
-        monkeypatch.setattr(cli_mod, "MAX_ONEHOT_BYTES", 38_879)
+        monkeypatch.setattr(cli_mod, "MAX_SWEEP_LABELS", 2_429)
         with pytest.raises(ConfigError) as refused:
             run_experiment(cfg)
         assert str(refused.value) == (
-            "one-hot training labels of 15 networks x 162 rows x 2 classes "
-            "would take 0.0 GB, over the 0.0 GB a sweep may use"
+            "training labels of 15 networks x 162 rows would be 2430, "
+            "over the 2429 a sweep may hold"
         )
-        monkeypatch.setattr(cli_mod, "MAX_ONEHOT_BYTES", 38_880)
+        monkeypatch.setattr(cli_mod, "MAX_SWEEP_LABELS", 2_430)
         with pytest.raises(AssertionError, match="drew"):
             run_experiment(cfg)
 

@@ -926,6 +926,27 @@ class TestTrainMembers:
         with pytest.raises(RuntimeError, match=r"non-finite after epoch 2: nan"):
             _train_members([member])
 
+    def test_memory_has_no_row_by_class_array(self):
+        # K = 1000: labels held one-hot for all 8,000 rows of three members
+        # would alone take 192 MB; one batch's one-hot rows, the K x K
+        # identity and the other (3, 32, K) workspaces take about 13 MB
+        def peak(n):
+            rng = np.random.default_rng(83)
+            ds = LabeledDataset(rng.normal(size=(n, 4)), rng.integers(0, 1000, n), 1000)
+            tc = TrainConfig(epochs=1, batch_size=32)
+            model = init(MlpSpec((4, 8, 1000)), seed=0)
+            member = (model, ds, ObjectiveConfig("kl"), tc)
+            tracemalloc.start()
+            try:
+                _train_members([member] * 3, on_epoch=lambda *a: None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2000), peak(8000)
+        assert large < 32 * 2**20
+        assert large - small < 2 * 2**20
+
 
 class TestStepProgram:
     """A kl step is one prebuilt program of numpy calls: no postmax
