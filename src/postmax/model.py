@@ -60,26 +60,28 @@ the finiteness guard, and nothing else.  It holds the gathers of the
 features and of the labels' rows of the K x K identity, the forward
 pass, the softmax, the head gradient, the division by the batch size,
 backprop and the momentum update.  Built with it, once per training, are
-the rate terms at the step's (M, batch, K) shape, the transposed
-weights, the momentum as a float64 and the guard's bool buffer, and once
-per batch size the workspace views, each layer's operands over them and
-the batch size as a float64.  Each epoch refills in place the batch
+the rate terms at the step's (M, batch, K) shape, the momentum as a
+float64 and the guard's bool buffer, and once per batch size the
+transposed weights, the workspace views, each layer's operands over them
+and the batch size as a float64.  Each epoch refills in place the batch
 orders, every member's label indices in that order, and the learning
 rates, which the programs read as slices and 0-d views.
-_forward_into, _backprop_into, _softmax and objective._simplex_logit_grad
-run the programs their builders return, so the direct callers run the
-step's arithmetic.  out is bound positionally, about 0.35 us a call
-cheaper than by keyword, except for np.maximum and np.minimum, where
-numpy 2.4 deprecates a third positional argument and each warning costs
-about 1.4 us.  The kl head allocates nothing: the softmax, the drift of
-the rate terms and the head gradient are ufunc calls into (M, batch, K)
-and (M, batch, 1) workspaces, while the gan and sl simplex forms and the
-raw forms allocate, and each runs as one call.  Over two classes, the
-row max and row sums are one np.maximum or np.add of the two column
-views, about 2 us a call against 3-6 us for a reduction over the class
-axis; from three classes the sum is faster as a reduction at a step's
-few rows, so every reduction over K >= 3 classes is numpy's, written
-into the workspace.
+objective_and_gradients builds and runs the program of one full-batch
+step, (S, G) = (1, 1), so its gradient is the one training takes.  out
+is bound positionally, about 0.35 us a call cheaper than by keyword,
+except for np.maximum and np.minimum, where numpy 2.4 deprecates a third
+positional argument and each warning costs about 1.4 us.  The kl head
+allocates nothing: the softmax, the drift of the rate terms and the head
+gradient are ufunc calls into (M, batch, K) and (M, batch, 1)
+workspaces, while the gan and sl simplex forms and the raw forms
+allocate, and each runs as one call.  Over two classes, the row max and
+row sums are one np.maximum or np.add of the two column views, about
+2 us a call against 3-6 us for a reduction over the class axis.  From
+three classes the row max is _row_max_program's: a running np.maximum
+over the column views where it was timed faster, up to 24 classes at 20
+or more rows per class, else numpy's reduction, both exact; the sum,
+faster as a reduction at a step's few rows, is numpy's, written into the
+workspace.
 
 Each layer input in the step's workspaces ends in a column of ones: the
 gathered features, written into the first d_in columns (X itself is not
@@ -116,10 +118,10 @@ each posterior correction asked for, so a network scored for the none
 and posterior modes runs forward once.  The scalars are the reductions
 the whole-array pass took (np.mean of the matches, one mean of the
 per-row values), so they keep its bits wherever each row does.  The
-scorer's softmax takes its row max as a running np.maximum over the K
-column views, exact and, at K >= 3 and a block's rows, several times
-faster than the reduction (2.9 against 43.8 us at (1024, 3), 14.1
-against 44.2 at (1024, 10), 2-vCPU Xeon, numpy 2.4).  A row keeps its
+scorer takes the step's softmax, whose row max at a block's rows is the
+running one for K <= 24, several times faster than the reduction (2.9
+against 43.8 us at (1024, 3), 14.1 against 44.2 at (1024, 10), 2-vCPU
+Xeon, numpy 2.4).  A row keeps its
 bits while its block is served as the whole set is, and with OpenBLAS
 0.3.31 (SkylakeX kernels) two things decide that.  dgemm tiles rows, and
 a row in a ragged tile rounds differently: a 16-2 layer moved 2 rows in
@@ -160,12 +162,12 @@ from postmax.objective import (
     _rate_terms,
     _raw_logit_grad,
     _raw_rows,
-    _row_max_op,
     _row_sum_op,
     _run,
+    _row_max_program,
     _simplex_logit_grad_program,
 )
-from postmax.posterior import accuracy
+from postmax.posterior import _batch_mean, accuracy
 
 # Unused here; perfbench/spans.py wraps these names in this module.
 from postmax.objective import (
@@ -306,37 +308,16 @@ def init(spec: MlpSpec, seed: int) -> NetworkModel:
     return NetworkModel(spec, tuple(params))
 
 
-def _softmax(v: np.ndarray, out=None, col=None) -> np.ndarray:
-    """Row softmax over the last axis, into out when given; col is a
-    scratch column shaped (..., 1) for the row max and then the row sum."""
-    out = np.empty(v.shape) if out is None else out
-    col = np.empty(v.shape[:-1] + (1,)) if col is None else col
-    _run(_softmax_program(v, out, col))
-    return out
-
-
-def _softmax_program(v, out, col, running: bool = False) -> tuple:
-    """_softmax's program over given out and col; with running, the row
-    max is _running_max_program's, the scorer's form."""
-    row_max = _running_max_program(v, col) if running else (_row_max_op(v, col),)
+def _softmax_program(v, out, col) -> tuple:
+    """A program that writes the row softmax of v over the last axis into
+    out; col is a scratch column shaped (..., 1) for the row max and then
+    the row sum."""
     return (
-        *row_max,
+        *_row_max_program(v, col),
         partial(np.subtract, v, col, out),
         partial(np.exp, out, out),
         _row_sum_op(out, col),
         partial(np.divide, out, col, out),
-    )
-
-
-def _running_max_program(a, out) -> tuple:
-    """np.maximum.reduce over the last axis of a, keeping it, into out, as
-    a running np.maximum over a's column views.  A max is exact, so a
-    softmax over it gets the reduction's bits; only the sign of a zero
-    maximum may differ, which no softmax entry reads."""
-    cols = [a[..., j : j + 1] for j in range(a.shape[-1])]
-    return (
-        partial(np.maximum, cols[0], cols[1], out=out),
-        *(partial(np.maximum, out, c, out=out) for c in cols[2:]),
     )
 
 
@@ -345,7 +326,7 @@ _ONE = np.float64(1.0)
 
 
 def _forward_ops(layers, hs, v):
-    """_forward_into's operands: (W, b, input, output, activation array)
+    """_forward_program's operands: (W, b, input, output, activation array)
     of each hidden layer, and (W, b, input, output) of the output layer.
 
     layers are (W, b) pairs whose b broadcasts against the layer's
@@ -364,17 +345,12 @@ def _forward_ops(layers, hs, v):
     return hidden, (W, b, h_in, v)
 
 
-def _forward_into(activation: str, hidden, last) -> None:
-    """Forward pass over _forward_ops' operands, over any leading member
-    axes: each hidden layer writes its linear output to its output array
-    and applies the activation there in place, so that array ends as the
-    next layer's input; the output layer writes the final linear outputs.
-    """
-    _run(_forward_program(activation, hidden, last))
-
-
 def _forward_program(activation: str, hidden, last) -> tuple:
-    """_forward_into's program."""
+    """The forward pass over _forward_ops' operands, over any leading
+    member axes: each hidden layer writes its linear output to its output
+    array and applies the activation there in place, so that array ends
+    as the next layer's input; the output layer writes the final linear
+    outputs."""
     ops = []
     for W, b, h_in, z, h in hidden:
         ops.append(partial(np.matmul, h_in, W, z))
@@ -386,14 +362,6 @@ def _forward_program(activation: str, hidden, last) -> tuple:
             ops.append(partial(np.tanh, z, z))
     W, b, h_in, v = last
     return (*ops, partial(np.matmul, h_in, W, v), partial(np.add, v, b, v))
-
-
-def _forward_parts(spec: MlpSpec, params, X: np.ndarray):
-    """All layer inputs, plus final linear outputs."""
-    hs = [X] + [np.empty((X.shape[0], w)) for w in spec.layer_sizes[1:-1]]
-    v = np.empty((X.shape[0], spec.k))
-    _forward_into(spec.activation, *_forward_ops(params, hs, v))
-    return hs, v
 
 
 def forward(model: NetworkModel, X) -> np.ndarray:
@@ -456,16 +424,16 @@ def _head_rows(div: DivergenceSpec, v, D, labels, e) -> tuple:
 def _mean_value(values, bias) -> float:
     """The mean objective of _head_rows' terms: the raw head's rows hold
     the bias already, the simplex head's mean minus the bias's mean."""
-    value = float(values.mean())
+    value = _batch_mean(values)
     if bias is not None:
-        value -= float(bias.mean())
+        value -= _batch_mean(bias)
     return value
 
 
 def _head_grad_program(div: DivergenceSpec, v, D, onehot, rates, out, work) -> tuple:
     """The program that writes the summed-objective gradient w.r.t. final
     outputs v, with the _rate_terms rates, into out; D as _head_value's,
-    work as _simplex_logit_grad's, both arrays given.  raw_slopes
+    work as _simplex_logit_grad_program's, both arrays given.  raw_slopes
     allocates, so the raw head is one call."""
     if D is None:
         return (partial(_raw_logit_grad, div, v, onehot, rates, out),)
@@ -473,46 +441,36 @@ def _head_grad_program(div: DivergenceSpec, v, D, onehot, rates, out, work) -> t
 
 
 def _backprop_ops(weights_T, hs, g_v, grads, deltas, masks) -> list:
-    """_backprop_into's operands, from the output layer down: per layer
-    (input^T, output gradient, dW, db, down), down being None for layer
-    0 and (W^T, input, derivative, input gradient, its first d_in
+    """_backprop_program's operands, from the output layer down: per layer
+    (input^T, output gradient, gradient block, down), down being None for
+    layer 0 and (W^T, input, derivative, input gradient, its first d_in
     columns) above it.
 
     weights_T are the layers' transposed weights (layer 0's is not
-    read), hs are _forward_into's layer inputs and g_v the output
-    gradient; each layer's (dW, db) is written into the arrays of grads,
-    and deltas and masks are scratch shaped like the hidden layers' hs,
-    masks bool for relu and float for tanh.  Where a layer's input ends
-    in a column of ones, its db is None and its dW the (d_in + 1, d_out)
-    block [dW; db], so one matmul writes both; the input gradient's
-    column under the ones, which the caller zeroes, stays zero.
+    read), hs are the layer inputs, each ending in a column of ones, and
+    g_v the output gradient; grads are the layers' (d_in + 1, d_out)
+    gradient blocks [dW; db], so one matmul writes both.  deltas and
+    masks are scratch shaped like the hidden layers' hs, masks bool for
+    relu and float for tanh; the input gradient's column under the ones,
+    which the caller zeroes, stays zero.
     """
     outputs = [*deltas, g_v]
     ops = []
     for i in range(len(grads) - 1, -1, -1):
-        gW, gb = grads[i]
         down = None
         if i > 0:
             W_T, delta = weights_T[i], deltas[i - 1]
             down = (W_T, hs[i], masks[i - 1], delta, delta[..., : W_T.shape[-1]])
-        g = outputs[i][..., : gW.shape[-1]]
-        ops.append((hs[i].swapaxes(-1, -2), g, gW, gb, down))
+        g = outputs[i][..., : grads[i].shape[-1]]
+        ops.append((hs[i].swapaxes(-1, -2), g, grads[i], down))
     return ops
 
 
-def _backprop_into(activation: str, ops) -> None:
-    """Backpropagate over _backprop_ops' operands, over any leading member
-    axes."""
-    _run(_backprop_program(activation, ops))
-
-
 def _backprop_program(activation: str, ops) -> tuple:
-    """_backprop_into's program."""
+    """Backprop over _backprop_ops' operands, over any leading member axes."""
     calls = []
-    for h_T, g, gW, gb, down in ops:
+    for h_T, g, gW, down in ops:
         calls.append(partial(np.matmul, h_T, g, gW))
-        if gb is not None:
-            calls.append(partial(np.add.reduce, g, -2, None, gb))
         if down is not None:
             W_T, h, d, delta, delta_in = down
             calls.append(partial(np.matmul, g, W_T, delta_in))
@@ -527,43 +485,34 @@ def _backprop_program(activation: str, ops) -> tuple:
     return tuple(calls)
 
 
-def _backprop(spec: MlpSpec, params, hs, g_v):
-    """Per-layer (dW, db) of the output gradient g_v, in new arrays."""
-    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in params]
-    hidden = hs[1:]
-    deltas = [np.empty_like(h) for h in hidden]
-    mask_type = bool if spec.activation == "relu" else float
-    masks = [np.empty(h.shape, mask_type) for h in hidden]
-    weights_T = [W.swapaxes(-1, -2) for W, _ in params]
-    _backprop_into(
-        spec.activation, _backprop_ops(weights_T, hs, g_v, grads, deltas, masks)
-    )
-    return grads
-
-
 def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig):
     """Batch-mean objective and its ascent gradient for every parameter.
 
-    The returned gradients are the ones a training step takes, so they
-    can be compared against finite differences of the value; the step's
-    folded bias can round them differently in the last bits at some
-    layer shapes (see the module docstring).
+    Runs the program of one full-batch training step over the rows in
+    their order, so the gradients are bit for bit the ones a training
+    step on that batch takes, and can be compared against finite
+    differences of the value.
     """
-    _check_compat(model.spec, cfg)
-    X = _check_features(model.spec, X)
-    k = model.spec.k
-    labels = _check_labels(labels, X.shape[0], k)
+    spec = model.spec
+    _check_compat(spec, cfg)
+    X = _check_features(spec, X)
+    n, k = X.shape[0], spec.k
+    labels = _check_labels(labels, n, k)
     div = get_divergence(cfg.divergence)
     e = _rates(cfg, k, "objective")
-    hs, v = _forward_parts(model.spec, model.params, X)
-    D = _softmax(v) if model.spec.head == "simplex" else None
-    value = _head_value(div, v, D, labels, e)
-    g_v = np.empty(v.shape)
-    work = np.empty(v.shape), np.empty((X.shape[0], 1))
-    _run(_head_grad_program(div, v, D, _onehot(labels, k), _rate_terms(e), g_v, work))
-    g_v /= X.shape[0]
-    grads = _backprop(model.spec, model.params, hs, g_v)
-    return value, grads
+    theta = _flat_params(model.params).reshape(1, 1, -1)
+    grad = np.empty_like(theta)
+    workspaces = _step_workspaces(spec, 1, 1, n)
+    e_terms = None if e is None else _rate_terms(e.reshape(1, 1, k), n)
+    x, onehot, program = _step_program(
+        spec, div, theta, grad, model.params, workspaces, e_terms, n
+    )
+    x[...] = X
+    onehot[...] = _onehot(labels, k)
+    _run(program)
+    v, D = (a[0, 0] for a in workspaces[-1][:2])  # final and head outputs
+    value = _head_value(div, v, D if spec.head == "simplex" else None, labels, e)
+    return value, _layer_views(grad[0, 0], model.params)
 
 
 def _cosine_lr(lr0: float, step: int, total_steps: int) -> float:
@@ -601,6 +550,66 @@ def _folded_layers(blocks):
 def _layer_views(buf: np.ndarray, params) -> list:
     """(W, b) views into the last axis of a flat buffer, as _layer_blocks'."""
     return [(blk[..., :-1, :], blk[..., -1, :]) for blk in _layer_blocks(buf, params)]
+
+
+def _flat_params(params) -> np.ndarray:
+    """One flat row of (W, b) pairs, laid out as _layer_blocks reads it."""
+    return np.concatenate([a.ravel() for layer in params for a in layer])
+
+
+def _step_workspaces(spec: MlpSpec, S: int, G: int, B: int) -> list:
+    """The workspaces of a step of S groups of G members and at most B
+    rows: layer inputs, each with its ones column: the gathered features,
+    one (S, 1, B, d_in + 1) buffer that matmul broadcasts over each group,
+    then each hidden layer's activations; deltas, zeroed as no matmul
+    writes their last column, and activation derivatives (relu's as a
+    bool mask) of the same widths; final outputs, head outputs, head
+    gradients, the head's scratch, the labels as one-hot rows, and one
+    (S, G, B, 1) column for row maxima and sums.  A step of fewer rows
+    uses the first rows of each."""
+    hidden, k = spec.layer_sizes[1:-1], spec.k
+    mask_type = bool if spec.activation == "relu" else float
+    return [
+        [np.ones((S, 1, B, spec.d_in + 1))]
+        + [np.ones((S, G, B, w + 1)) for w in hidden],
+        [np.zeros((S, G, B, w + 1)) for w in hidden],
+        [np.empty((S, G, B, w + 1), mask_type) for w in hidden],
+        [np.empty((S, G, B, k)) for _ in range(5)] + [np.empty((S, G, B, 1))],
+    ]
+
+
+def _step_program(spec, div, theta, grad, params, workspaces, e_terms, nb) -> tuple:
+    """(features, one-hot rows, program) of a step of nb rows.
+
+    theta holds the parameters and grad takes the batch-mean ascent
+    gradient, both (S, G, P) with rows laid out as _flat_params lays out
+    params; workspaces are _step_workspaces', and e_terms the rate terms
+    at their (S, G, B, K) shape, or None.  The caller writes the batch's
+    features and one-hot label rows into the two views, then runs the
+    program: the forward pass, the softmax, the head gradient, the
+    division by nb and backprop.  Each layer input ends in a column of
+    ones, so a layer's [W; b] block serves as its weights and its
+    gradient."""
+    layers, weights_T = _folded_layers(_layer_blocks(theta, params))
+    grads = _layer_blocks(grad, params)
+    hs, deltas, masks, (v, D, g_v, tmp, onehot, col) = (
+        [a[..., :nb, :] for a in ws] for ws in workspaces
+    )
+    e_nb = None if e_terms is None else tuple(t[..., :nb, :] for t in e_terms)
+    simplex = spec.head == "simplex"
+    program = (
+        _forward_program(spec.activation, *_forward_ops(layers, hs, v))
+        + (_softmax_program(v, D, col) if simplex else ())
+        + _head_grad_program(
+            div, v, D if simplex else None, onehot, e_nb, g_v, (tmp, col)
+        )
+        + (partial(np.divide, g_v, np.float64(nb), g_v),)
+        + _backprop_program(
+            spec.activation,
+            _backprop_ops(weights_T, hs, g_v, grads, deltas, masks),
+        )
+    )
+    return hs[0][:, 0, :, : spec.d_in], onehot, program
 
 
 def train(
@@ -696,7 +705,6 @@ def _train_members(members, on_epoch=None) -> list:
 
     div = get_divergence(cfg0.divergence)
     n, k = X.shape[0], spec.k
-    simplex = spec.head == "simplex"
     B = min(tc.batch_size, n)
     # The members form S groups of G that share a seed, so the step
     # gathers one mini-batch per group; every other operand leads with
@@ -718,25 +726,12 @@ def _train_members(members, on_epoch=None) -> list:
 
     # Member m's parameters are row m of one (M, P) buffer, so the update
     # and the finiteness guard are one pass each over all members.
-    theta = np.stack(
-        [
-            np.concatenate([a.ravel() for layer in model.params for a in layer])
-            for model, _, _, _ in members
-        ]
-    )
+    theta = np.stack([_flat_params(model.params) for model, _, _, _ in members])
     velocity = np.zeros_like(theta)
     grad = np.empty_like(theta)
     scratch = np.empty_like(theta)
     finite = np.empty(theta.shape, bool)
     momentum = np.float64(tc.momentum)
-    # Each layer input ends in a column of ones (see the workspaces), so a
-    # layer's [W; b] block serves as its weights and its gradient.
-    layers, weights_T = _folded_layers(
-        _layer_blocks(theta.reshape(S, G, -1), model0.params)
-    )
-    grad_layers = [
-        (g, None) for g in _layer_blocks(grad.reshape(S, G, -1), model0.params)
-    ]
     member_params = [_layer_views(row, model0.params) for row in theta]
 
     # One generator per distinct seed, in order of first use; group s
@@ -757,24 +752,9 @@ def _train_members(members, on_epoch=None) -> list:
     flat_labels = labels.ravel()
     offsets = n * np.arange(S * G).reshape(S, G, 1)
 
-    # Workspaces for the largest batch: layer inputs, each with its ones
-    # column: the gathered features, one (S, 1, B, d_in + 1) buffer that
-    # matmul broadcasts over each group, then each hidden layer's
-    # activations; deltas, zeroed as no matmul writes their last column,
-    # and activation derivatives (relu's as a bool mask) of the same
-    # widths; final outputs, head outputs, head gradients, the head's
-    # scratch, the labels as rows of the k x k identity, and one
-    # (S, G, B, 1) column for row maxima and sums.  A ragged last batch
-    # uses the first rows of each, and of the rate terms.
-    hidden = spec.layer_sizes[1:-1]
-    mask_type = bool if spec.activation == "relu" else float
-    workspaces = [
-        [np.ones((S, 1, B, spec.d_in + 1))]
-        + [np.ones((S, G, B, w + 1)) for w in hidden],
-        [np.zeros((S, G, B, w + 1)) for w in hidden],
-        [np.empty((S, G, B, w + 1), mask_type) for w in hidden],
-        [np.empty((S, G, B, k)) for _ in range(5)] + [np.empty((S, G, B, 1))],
-    ]
+    # Workspaces for the largest batch; a ragged last batch uses the first
+    # rows of each, and of the rate terms.
+    workspaces = _step_workspaces(spec, S, G, B)
     # One program per step of an epoch: every call of the step, with its
     # operands bound, built once per training.  Views of the workspaces
     # and rate terms, and the forward, softmax, head and backprop programs
@@ -789,23 +769,9 @@ def _train_members(members, on_epoch=None) -> list:
         stop = min(start + tc.batch_size, n)
         nb = stop - start
         if nb not in sized:
-            hs, deltas, masks, (v, D, g_v, tmp, onehot, col) = (
-                [a[..., :nb, :] for a in ws] for ws in workspaces
-            )
-            e_nb = None if e_terms is None else tuple(t[..., :nb, :] for t in e_terms)
-            sized[nb] = (
-                hs[0][:, 0, :, : spec.d_in],
-                onehot,
-                _forward_program(spec.activation, *_forward_ops(layers, hs, v))
-                + (_softmax_program(v, D, col) if simplex else ())
-                + _head_grad_program(
-                    div, v, D if simplex else None, onehot, e_nb, g_v, (tmp, col)
-                )
-                + (partial(np.divide, g_v, np.float64(nb), g_v),)
-                + _backprop_program(
-                    spec.activation,
-                    _backprop_ops(weights_T, hs, g_v, grad_layers, deltas, masks),
-                ),
+            sized[nb] = _step_program(
+                spec, div, theta.reshape(S, G, -1), grad.reshape(S, G, -1),
+                model0.params, workspaces, e_terms, nb,
             )
         x, onehot, step = sized[nb]
         programs.append((
@@ -948,11 +914,11 @@ def _score(
         m = hi - lo
         v = v_buf[:m]
         hs = [X[lo:hi], *(h[:m] for h in hidden)]
-        _forward_into(spec.activation, *_forward_ops(params, hs, v))
+        _run(_forward_program(spec.activation, *_forward_ops(params, hs, v)))
         D = None
         if simplex:
             D = D_buf[:m] if heads is None else heads[lo:hi]
-            _run(_softmax_program(v, D, col_buf[:m], running=True))
+            _run(_softmax_program(v, D, col_buf[:m]))
         elif heads is not None:
             heads[lo:hi] = div.link(v)
         for p, r in zip(preds, ranks):

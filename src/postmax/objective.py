@@ -48,7 +48,7 @@ from postmax.noise import (
     _check_rates,
     _row_labels,
 )
-from postmax.posterior import _as_rows, _check_probability_rows
+from postmax.posterior import _as_rows, _batch_mean, _check_probability_rows
 
 POSTERIOR_FLOOR = 1e-12  # degenerate posteriors are floored here by oracles
 
@@ -138,7 +138,7 @@ def jf_batch(spec, T, labels) -> float:
 def _jf(spec: DivergenceSpec, T, labels) -> float:
     """jf_batch on outputs, labels and a spec the caller has checked."""
     n = np.arange(T.shape[0])
-    return float(np.mean(T[n, labels] - spec.conj(T).sum(axis=1)))
+    return _batch_mean(T[n, labels] - spec.conj(T).sum(axis=1))
 
 
 def jf_grad_sample(spec, T_row, label) -> np.ndarray:
@@ -172,7 +172,7 @@ def bias_multiclass(spec, T, e) -> float:
 
 def _bias(spec: DivergenceSpec, T, e) -> float:
     """bias_multiclass on outputs, rates and a spec the caller has checked."""
-    return float(np.mean(_bias_rows(spec, T, e)))
+    return _batch_mean(_bias_rows(spec, T, e))
 
 
 def _bias_rows(spec: DivergenceSpec, T, e) -> np.ndarray:
@@ -270,7 +270,7 @@ def jf_simplex_batch(div_id, D, labels) -> float:
 
 def _jf_simplex(spec: DivergenceSpec, D, labels) -> float:
     """jf_simplex_batch on rows, labels and a spec the caller has checked."""
-    return float(_jf_simplex_rows(spec, D, labels).mean())
+    return _batch_mean(_jf_simplex_rows(spec, D, labels))
 
 
 def _jf_simplex_rows(spec: DivergenceSpec, D, labels) -> np.ndarray:
@@ -292,7 +292,7 @@ def bias_simplex_batch(div_id, D, e) -> float:
 def _bias_simplex(spec: DivergenceSpec, D, e) -> float:
     """bias_simplex_batch on rows and rates the caller has checked; the
     registered f' are finite on strictly positive finite rows."""
-    return float(np.mean(_bias_simplex_rows(spec, D, e)))
+    return _batch_mean(_bias_simplex_rows(spec, D, e))
 
 
 def _bias_simplex_rows(spec: DivergenceSpec, D, e) -> np.ndarray:
@@ -314,7 +314,10 @@ def jf_simplex_logit_grad_batch(div_id, D, labels, e=None) -> np.ndarray:
     labels = _check_labels(labels, D.shape[0], D.shape[1])
     if e is not None:
         e = _check_rates(e, D.shape[1])
-    return _simplex_logit_grad(spec, D, _onehot(labels, D.shape[1]), _rate_terms(e))
+    out, work = np.empty(D.shape), (np.empty(D.shape), np.empty((D.shape[0], 1)))
+    onehot = _onehot(labels, D.shape[1])
+    _run(_simplex_logit_grad_program(spec, D, onehot, _rate_terms(e), out, work))
+    return out
 
 
 def _onehot(labels, k: int) -> np.ndarray:
@@ -326,16 +329,6 @@ def _run(program) -> None:
     """Run a program: a sequence of zero-argument calls, in order."""
     for op in program:
         op()
-
-
-def _row_max_op(a, out=None):
-    """A call that writes np.maximum.reduce over the last axis of a,
-    keeping it, into out (a new array for None) and returns it; see
-    _row_sum_op.  np.maximum takes out by keyword only: numpy 2.4
-    deprecates a third positional argument there."""
-    if a.shape[-1] == 2:
-        return partial(np.maximum, a[..., :1], a[..., 1:], out=out)
-    return partial(np.maximum.reduce, a, -1, None, out, True)
 
 
 def _row_sum_op(a, out=None):
@@ -351,6 +344,25 @@ def _row_sum_op(a, out=None):
     if a.shape[-1] == 2:
         return partial(np.add, a[..., :1], a[..., 1:], out)
     return partial(np.add.reduce, a, -1, None, out, True)
+
+
+def _row_max_program(a, out) -> tuple:
+    """A program that writes np.maximum.reduce over the last axis of a,
+    keeping it, into out: one np.maximum of two column views, and from
+    three a running np.maximum over them where timeit found it faster (at
+    most 24 columns, at least 20 rows per column), else the reduction.  A
+    max is exact, so a softmax gets the same bits from either; only the
+    sign of a zero maximum may differ, which no softmax entry reads.
+    np.maximum takes out by keyword only: numpy 2.4 deprecates a third
+    positional argument there."""
+    k = a.shape[-1]
+    if k > 2 and (k > 24 or a.size // k < 20 * k):
+        return (partial(np.maximum.reduce, a, -1, None, out, True),)
+    cols = [a[..., j : j + 1] for j in range(k)]
+    return (
+        partial(np.maximum, cols[0], cols[1], out=out),
+        *(partial(np.maximum, out, c, out=out) for c in cols[2:]),
+    )
 
 
 def _rate_terms(e, rows=None):
@@ -369,32 +381,19 @@ def _rate_terms(e, rows=None):
     return tuple(np.broadcast_to(t, shape).copy() for t in terms)
 
 
-def _simplex_logit_grad(
-    spec: DivergenceSpec, D, onehot, rates, out=None, work=(None, None)
-) -> np.ndarray:
-    """jf_simplex_logit_grad_batch without input checks.
+def _simplex_logit_grad_program(spec: DivergenceSpec, D, onehot, rates, out, work):
+    """A program that writes jf_simplex_logit_grad_batch into out, without
+    input checks.
 
     For callers that have validated labels and rates once and feed
     softmax rows: D and the one-hot label rows share a shape (..., N, K),
     and rates is None or _rate_terms of one rate row per leading index,
     shape (..., K), broadcast or at D's shape.  A zero rate row adds no
-    drift and leaves its rows' gradients unchanged bit for bit.  The
-    result goes to out when given, which must not be onehot; work is a
-    (..., N, K) and a (..., N, 1) scratch array, or Nones.
-    """
-    tmp, col = work
-    out = np.empty(D.shape) if out is None else out
-    tmp = np.empty(D.shape) if tmp is None else tmp
-    col = np.empty(D.shape[:-1] + (1,)) if col is None else col
-    _run(_simplex_logit_grad_program(spec, D, onehot, rates, out, (tmp, col)))
-    return out
-
-
-def _simplex_logit_grad_program(spec: DivergenceSpec, D, onehot, rates, out, work):
-    """_simplex_logit_grad into out, as a program over bound operands;
-    work's two scratch arrays are given.  kl's identity forms add no call,
-    so its program is plain ufunc calls; the gan and sl forms allocate,
-    and run as one call that writes the drifted score into the scratch."""
+    drift and leaves its rows' gradients unchanged bit for bit.  out must
+    not be onehot; work is a (..., N, K) and a (..., N, 1) scratch array.
+    kl's identity forms add no call, so its program is plain ufunc calls;
+    the gan and sl forms allocate, and run as one call that writes the
+    drifted score into the scratch."""
     tmp, col = work
     ops = []
     if rates is not None:
@@ -428,15 +427,10 @@ def _simplex_forms(spec: DivergenceSpec, D, onehot, drifted: bool, out) -> None:
         np.copyto(out, s)
 
 
-def _raw_value(spec: DivergenceSpec, v, labels, e) -> float:
-    """Mean objective at T = link(v) of raw outputs v (N, K), minus the
+def _raw_rows(spec: DivergenceSpec, v, labels, e) -> np.ndarray:
+    """Per-row objective at T = link(v) of raw outputs v (N, K), minus the
     bias of rate row e when given, without input checks; the conjugate
     enters in closed form in v, so gan and sl take every finite v."""
-    return float(_raw_rows(spec, v, labels, e).mean())
-
-
-def _raw_rows(spec: DivergenceSpec, v, labels, e) -> np.ndarray:
-    """_raw_value's per-row terms."""
     T = spec.link(v)
     conj = spec.raw_conj(v).sum(axis=1)
     value = T[np.arange(v.shape[0]), labels] - conj
@@ -446,9 +440,10 @@ def _raw_rows(spec: DivergenceSpec, v, labels, e) -> np.ndarray:
 
 
 def _raw_logit_grad(spec: DivergenceSpec, v, onehot, rates, out=None) -> np.ndarray:
-    """Ascent gradient of _raw_value's per-sample terms w.r.t. v, without
+    """Ascent gradient of _raw_rows' per-sample terms w.r.t. v, without
     input checks: (onehot - e) * link'(v) - (1 - sum(e)) * raw_score(v).
-    Shapes, rates, the zero rate row and out are _simplex_logit_grad's."""
+    Shapes, rates, the zero rate row and out are
+    _simplex_logit_grad_program's."""
     link_prime, score = spec.raw_slopes(v)
     if rates is not None:
         row, _, keep = rates

@@ -112,7 +112,13 @@ def accuracy(preds, labels) -> float:
     labels = np.asarray(labels)
     if preds.shape != labels.shape or preds.ndim != 1:
         raise ValueError("predictions and labels must be equal-length vectors")
-    if preds.shape[0] == 0:
-        raise ValueError("cannot score an empty batch")
-    return float(np.mean(preds == labels))
+    return _batch_mean(preds == labels)
+
+
+def _batch_mean(rows) -> float:
+    """The mean of a batch's per-row terms, the one rule of every batch
+    mean: a batch has at least one row, so none reads an empty slice."""
+    if rows.shape[0] == 0:
+        raise ValueError("a batch mean needs at least one row")
+    return float(rows.mean())
 

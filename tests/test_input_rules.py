@@ -5,7 +5,9 @@ posterior._check_probability_rows, and every one that takes network
 outputs objective._check_T.  The config reader and the synthetic sampler
 refuse the same synthetic parameters by one rule table.  pyproject.toml
 turns warnings into errors, so a case that raised a numpy warning instead
-of a ValueError fails here."""
+of a ValueError fails here.  Every batch mean refuses a batch of no
+rows by the one rule of posterior._batch_mean, and the per-row functions
+return no rows."""
 
 import math
 
@@ -15,7 +17,7 @@ import pytest
 from postmax.analysis import training_bias_expression
 from postmax.cli import ConfigError, make_synthetic, parse_config
 from postmax.divergence import optimal_T_from_posterior
-from postmax.model import MlpSpec, init, objective_and_gradients
+from postmax.model import MlpSpec, forward, init, objective_and_gradients
 from postmax.noise import LabeledDataset, NoiseParams, uniform_offdiag_matrix
 from postmax.objective import (
     DiscreteJoint,
@@ -38,7 +40,7 @@ from postmax.objective import (
     jf_simplex_kl_logit_grad,
     jf_simplex_logit_grad_batch,
 )
-from postmax.posterior import noisy_posterior_forward, posterior_correct
+from postmax.posterior import accuracy, noisy_posterior_forward, posterior_correct
 
 K = 3
 E = [0.1, 0.05, 0.2]
@@ -184,6 +186,28 @@ GOOD_OUTPUTS = {
     "near_domain_bottom": defect(T_SL, -1.0 + 1e-15),
 }
 
+# entry point -> function of its first n rows of inputs, a batch mean
+BATCH_MEANS = {
+    "accuracy": lambda n: accuracy([0] * n, [0] * n),
+    "jf_batch": lambda n: jf_batch("kl", T[:n], [0] * n),
+    "bias_multiclass": lambda n: bias_multiclass("kl", T[:n], E),
+    "corrected_jf_batch": lambda n: corrected_jf_batch("kl", T[:n], [0] * n, E),
+    "jf_simplex_batch": lambda n: jf_simplex_batch("kl", D[:n], [0] * n),
+    "bias_simplex_batch": lambda n: bias_simplex_batch("kl", D[:n], E),
+    "objective_and_gradients": lambda n: objective_and_gradients(
+        MODEL, X[:n], [0] * n, CORRECTED
+    ),
+}
+# entry point -> function of its first n rows of inputs, one result row each
+PER_ROW = {
+    "jf_grad_batch": lambda n: jf_grad_batch("kl", T[:n], [0] * n),
+    "corrected_grad_batch": lambda n: corrected_grad_batch("kl", T[:n], [0] * n, E),
+    "jf_simplex_logit_grad_batch": lambda n: jf_simplex_logit_grad_batch(
+        "kl", D[:n], [0] * n, E
+    ),
+    "forward": lambda n: forward(MODEL, X[:n]),
+}
+
 # case -> make_synthetic's parameters, every combination of k in {1, 2, 3},
 # n at k - 1 and k, d at 0, k - 2 and k - 1, and a class separation of
 # -1, 0, NaN or infinity
@@ -312,6 +336,19 @@ def test_output_entry_rejects_bad_rows(entry, case):
 def test_output_entry_takes_good_rows(entry, case):
     fn, ndim = OUTPUT_ROWS[entry]
     assert np.all(np.isfinite(flat(fn(as_taken(GOOD_OUTPUTS[case], ndim)))))
+
+
+@pytest.mark.parametrize("entry", list(BATCH_MEANS))
+def test_batch_mean_rejects_no_rows(entry):
+    with pytest.raises(ValueError, match="at least one row"):
+        BATCH_MEANS[entry](0)
+    assert np.all(np.isfinite(flat(BATCH_MEANS[entry](2))))
+
+
+@pytest.mark.parametrize("entry", list(PER_ROW))
+def test_per_row_entry_returns_no_rows_for_none(entry):
+    assert PER_ROW[entry](0).shape == (0, K)
+    assert PER_ROW[entry](2).shape == (2, K)
 
 
 def synthetic_tree(params) -> dict:

@@ -48,9 +48,10 @@ from postmax.objective import (
     _onehot,
     _rate_terms,
     _raw_logit_grad,
-    _row_max_op,
     _row_sum_op,
-    _simplex_logit_grad,
+    _run,
+    _row_max_program,
+    _simplex_logit_grad_program,
 )
 from postmax.noise import _check_rates, _row_labels
 from postmax.posterior import _as_rows, _check_probability_rows
@@ -696,6 +697,13 @@ class TestSimplexBatch:
             jf_simplex_batch("kl", [row], [1])
 
 
+def simplex_logit_grad(spec, D, onehot, rates):
+    """_simplex_logit_grad_program run into new arrays, with no checks."""
+    out, work = np.empty(D.shape), (np.empty(D.shape), np.empty(D.shape[:-1] + (1,)))
+    _run(_simplex_logit_grad_program(spec, D, onehot, rates, out, work))
+    return out
+
+
 class TestSimplexLogitGrad:
     def interior_rows(self, seed, n=25, k=4):
         rng = np.random.default_rng(seed)
@@ -787,7 +795,7 @@ class TestSimplexLogitGrad:
         D[:3] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.4, 0.0], [0.0, 0.0, 0.0, 1.0]]
         e = None if rates is None else np.array(rates)
         assert np.array_equal(
-            _simplex_logit_grad(
+            simplex_logit_grad(
                 get_divergence(div_id), D, _onehot(labels, 4), _rate_terms(e)
             ),
             jf_simplex_logit_grad_batch(div_id, D, labels, rates),
@@ -803,7 +811,7 @@ class TestSimplexLogitGrad:
         onehot = np.stack([_onehot(labels, 4) for _, labels in slices])
         rates = [None, np.array([0.1, 0.05, 0.15, 0.02]), np.array([0.2, 0, 0.1, 0.1])]
         e = np.stack([np.zeros(4) if r is None else r for r in rates])
-        stacked = _simplex_logit_grad(spec, D, onehot, _rate_terms(e))
+        stacked = simplex_logit_grad(spec, D, onehot, _rate_terms(e))
         for m, ((rows, labels), r) in enumerate(zip(slices, rates)):
             assert np.array_equal(
                 stacked[m], jf_simplex_logit_grad_batch(div_id, rows, labels, r)
@@ -836,8 +844,8 @@ def same_bits(a, b) -> bool:
 
 
 class TestRowReductions:
-    """_row_max_op's and _row_sum_op's calls against numpy's own last-axis
-    reductions."""
+    """_row_max_program's and _row_sum_op's calls against numpy's own
+    last-axis reductions."""
 
     def spread(self, rng, shape):
         # entries over 16 decades, and zeros of both signs
@@ -854,13 +862,30 @@ class TestRowReductions:
         return [full, full[:, :7, :], self.spread(rng, (15, 32, k))[:, :31],
                 self.spread(rng, (800, k)), self.spread(rng, (1, 2, k))]
 
-    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("k", [*range(2, 13), 24, 25, 1000])
     def test_row_max_equals_maximum_reduce(self, k):
         for a in self.arrays(k):
             want = np.maximum.reduce(a, axis=-1, keepdims=True)
-            assert same_bits(_row_max_op(a)(), want)
             out = np.empty(a.shape[:-1] + (1,))
-            assert _row_max_op(a, out)() is out and same_bits(out, want)
+            _run(_row_max_program(a, out))
+            assert same_bits(out, want)
+
+    @pytest.mark.parametrize(
+        "shape, calls",
+        [
+            ((3, 32, 2), 1),  # two columns: one np.maximum
+            ((1, 1, 32, 2), 1),
+            ((3, 32, 4), 3),  # 96 rows >= 20 x 4: running
+            ((3, 32, 5), 1),  # 96 rows < 20 x 5: the reduction
+            ((10, 32, 16), 15),
+            ((1024, 24), 23),
+            ((1024, 25), 1),  # past 24 columns: the reduction
+            ((3, 32, 1000), 1),
+        ],
+    )
+    def test_row_max_runs_where_it_was_timed_faster(self, shape, calls):
+        a = np.zeros(shape)
+        assert len(_row_max_program(a, np.empty(shape[:-1] + (1,)))) == calls
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_row_sum_equals_add_reduce(self, k):
