@@ -19,6 +19,7 @@ import numpy as np
 from postmax.divergence import (
     DIVERGENCE_IDS,
     _as_spec,
+    _integer,
     conj_second,
     get_divergence,
     optimal_T_from_posterior,
@@ -203,9 +204,12 @@ def _uniform(u, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _check_count(name: str, value: int, least: int = 1) -> None:
+def _check_count(name: str, value: int, least: int = 1) -> int:
+    """value as an int, under the integer rule, and at least least."""
+    value = _integer(value, name)
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 _IDENTITY_POINTS = 8  # points x of each identity trial's joint
@@ -287,7 +291,7 @@ def check_binary_identity(
     takes every trial at once: pmf and T (trials, 8, K), conj_rows
     (trials, 8) and e (trials, K), returning one bias per trial.
     """
-    _check_count("trials", trials)
+    trials = _check_count("trials", trials)
     gaps = _binary_identity_gaps(seed, trials, bias_fn)
     return _report("binary_objective_identity", gaps.size, np.max(gaps), 1e-12)
 
@@ -300,8 +304,8 @@ def check_multiclass_identity(
     bias_fn gets every trial at once, pmf and T (trials, 8, K), conj_rows
     (trials, 8) and e (trials, K), and returns one bias per trial.
     """
-    _check_count("trials", trials)
-    _check_count("k", k, least=2)
+    trials = _check_count("trials", trials)
+    k = _check_count("k", k, least=2)
     gaps = _multiclass_identity_gaps(seed, trials, k, bias_fn)
     return _report("multiclass_objective_identity", gaps.size, np.max(gaps), 1e-12)
 
@@ -313,7 +317,7 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
     Half the configs target the noisy posterior (1 - sum(e)) * p + e of
     drawn flip-in rates e, the rest the clean posterior p.
     """
-    _check_count("configs", configs)
+    configs = _check_count("configs", configs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for div_id in DIVERGENCE_IDS:
@@ -389,7 +393,7 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
     same two IEEE operations, (1 - sum(e)) * p then + e, as
     noisy_posterior_forward's.
     """
-    _check_count("n_vectors", n_vectors)
+    n_vectors = _check_count("n_vectors", n_vectors)
     rng = np.random.default_rng(seed)
     total = 0
     mismatched = 0
@@ -412,7 +416,7 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
 
 def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport:
     """Subtracting flip-in rates restores the clean argmax exactly."""
-    _check_count("trials", trials)
+    trials = _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     per_k = max(1, -(-trials // 9))  # ceil: never undershoot the request
     total = 0
@@ -432,7 +436,7 @@ def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport
 
 def check_posterior_gap_bound(seed: int, trials: int = 10_000) -> TheoremReport:
     """The curvature bound covers the posterior gap near convergence."""
-    _check_count("trials", trials)
+    trials = _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     worst_fraction = 0.0
     k = 4
@@ -462,7 +466,7 @@ def check_first_order_bias(seed: int, trials: int = 1_000) -> TheoremReport:
     The expression drops quadratic terms, so its residual against the
     directly computed bias must fall at least 3x when delta is halved.
     """
-    _check_count("trials", trials)
+    trials = _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     k = 3

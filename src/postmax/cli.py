@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import DIVERGENCE_IDS
+from .divergence import DIVERGENCE_IDS, _integer
 from .model import (
     _ACTIVATIONS,
     _HEADS,
@@ -279,16 +279,8 @@ class ExperimentConfig:
 
 
 # Converters from a config value to a field value.  Each takes the value
-# as YAML gives it and raises ValueError naming what it expected.
-
-
-def _integer(value) -> int:
-    """An int or an integral float, never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+# as YAML gives it and raises ValueError naming what it expected; the
+# integer rule, _integer, is divergence's, which the library's counts share.
 
 
 def _real(value):

@@ -284,6 +284,18 @@ def _as_spec(spec) -> DivergenceSpec:
     return get_divergence(spec)
 
 
+def _integer(value, name: Optional[str] = None) -> int:
+    """The integer rule of every count, in the config and in the library:
+    an int or an integral float, never a bool, read as an int.  Anything
+    else raises ValueError, naming the argument if a name is given."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    rule = f"{name} must be an integer" if name else "expected an integer"
+    raise ValueError(f"{rule}, got {value!r}")
+
+
 def _prepare(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     return arr, (arr.ndim == 0)
@@ -343,56 +355,113 @@ def posterior_from_T(spec, t: Scalar) -> Scalar:
     return conj_prime(spec, t)
 
 
-# The grid oracle's last log grid u, keyed on (u_max, n_grid), and its
-# last f(u), keyed on (spec, u_max, n_grid): one slot each, read-only, so
-# at most one of each is held at a time.  f(u) is built into one array,
-# _ORACLE_BUILD points at a time, so f's temporaries are block-sized and
-# stay in cache; f is elementwise, so the bits are those of one call on
-# the whole grid.  The grid is cut into blocks of _ORACLE_CHUNK points,
-# and the f(u) slot also holds each block's least f(u) and least and
-# greatest u, from which brute_force_conjugate bounds the block's values
-# u*t - f(u) without reading them (rounding is monotone; see there).  A
-# block is scanned through one buffer.
-_oracle_u_slot: list = []
-_oracle_grid_slot: list = []
-_ORACLE_CHUNK = 2**13
+# The grid oracle holds no grid.  Its log grid u of (u_max, n_grid) is cut
+# into blocks of _ORACLE_CHUNK points, and for each (spec, u_max, n_grid)
+# only four numbers per block are kept, built _ORACLE_BUILD points at a
+# time (_build_oracle_bounds).  At most _ORACLE_KEYS keys are held, the
+# oldest dropped first.  From these brute_force_conjugate bounds each
+# block's values u*t - f(u) without reading them (_oracle_ceilings), and
+# it computes u and f(u) again, at most _ORACLE_BUILD points at a time,
+# only for the blocks that can hold the maximum.  _oracle_u gives
+# logspace's bits at any index and f is elementwise, so every value read
+# is the one a scan of the whole grid reads.
+_ORACLE_CHUNK = 2**9
 _ORACLE_BUILD = 2**15
+_ORACLE_KEYS = 8
+# far above the relative error of the few roundings between a computed
+# value fl(fl(u*t) - f(u)) and the real numbers its ceiling is built from
+_ORACLE_MARGIN = 1e-12
+_oracle_bounds: dict = {}
 
 
-def _oracle_u(u_max: float, n_grid: int) -> np.ndarray:
-    key = (u_max, n_grid)
-    if _oracle_u_slot and _oracle_u_slot[0][0] == key:
-        return _oracle_u_slot[0][1]
-    _oracle_u_slot.clear()
-    u = np.logspace(-6.0, np.log10(u_max), n_grid)
-    u.setflags(write=False)
-    _oracle_u_slot.append((key, u))
-    return u
+def _oracle_u(u_max: float, n_grid: int, index: np.ndarray) -> np.ndarray:
+    """np.logspace(-6, log10(u_max), n_grid)[index], bit for bit, computed
+    as numpy's linspace computes its points: i * step + start, with the
+    last point set to stop, then 10**y in place."""
+    start, stop = -6.0, np.log10(u_max)
+    y = index * ((stop - start) / (n_grid - 1))
+    y += start
+    y[index == n_grid - 1] = stop
+    return np.power(10.0, y, out=y)
 
 
-def _oracle_grid(spec: DivergenceSpec, u_max: float, n_grid: int):
-    """(u, f(u), and per block: least f(u), least u, greatest u)."""
+def _build_oracle_bounds(spec: DivergenceSpec, u_max: float, n_grid: int):
+    """Rows of per-block least u, greatest u, chord slope s of f, and a
+    lower bound on every f(u) - u*s: the least computed one, less
+    _ORACLE_MARGIN times the block's greatest |f(u)| + u*|s|, and less
+    1e-290 for roundings below the normal range.  An infinite or NaN
+    f(u) makes the last row -inf or NaN."""
+    bounds = np.empty((4, -(-n_grid // _ORACLE_CHUNK)))
+    starts = np.arange(0, _ORACLE_BUILD, _ORACLE_CHUNK)
+    for first in range(0, n_grid, _ORACLE_BUILD):
+        index = np.arange(first, min(first + _ORACLE_BUILD, n_grid))
+        u = _oracle_u(u_max, n_grid, index)
+        fu = spec.f(u)
+        local = starts[: -(-u.shape[0] // _ORACLE_CHUNK)]
+        ends = np.append(local[1:], u.shape[0]) - 1
+        block = first // _ORACLE_CHUNK
+        u_lo, u_hi, slope, low = bounds[:, block : block + local.shape[0]]
+        np.minimum.reduceat(u, local, out=u_lo)
+        np.maximum.reduceat(u, local, out=u_hi)
+        with np.errstate(all="ignore"):  # NaN and inf only force a read
+            np.divide(fu[ends] - fu[local], u[ends] - u[local], out=slope)
+            size = np.maximum.reduceat(np.abs(fu), local) + u_hi * np.abs(slope)
+            chord_gap = fu - u * np.repeat(slope, ends - local + 1)
+            np.minimum.reduceat(chord_gap, local, out=low)
+            low -= _ORACLE_MARGIN * size + 1e-290
+    bounds.setflags(write=False)
+    return bounds
+
+
+def _oracle_block_bounds(spec: DivergenceSpec, u_max: float, n_grid: int):
+    """The bounds of (spec, u_max, n_grid), built on its first use."""
     key = (spec, u_max, n_grid)
-    if _oracle_grid_slot and _oracle_grid_slot[0][0] == key:
-        return _oracle_grid_slot[0][1]
-    _oracle_grid_slot.clear()  # free the old f(u) before building the next
-    u = _oracle_u(u_max, n_grid)
-    fu = np.empty_like(u)
-    for start in range(0, n_grid, _ORACLE_BUILD):
-        block = slice(start, start + _ORACLE_BUILD)
-        fu[block] = spec.f(u[block])
-    starts = np.arange(0, n_grid, _ORACLE_CHUNK)
-    grid = (
-        u,
-        fu,
-        np.minimum.reduceat(fu, starts),
-        np.minimum.reduceat(u, starts),
-        np.maximum.reduceat(u, starts),
-    )
-    for arr in grid:
-        arr.setflags(write=False)
-    _oracle_grid_slot.append((key, grid))
-    return grid
+    if key not in _oracle_bounds:
+        if len(_oracle_bounds) >= _ORACLE_KEYS:
+            del _oracle_bounds[next(iter(_oracle_bounds))]
+        _oracle_bounds[key] = _build_oracle_bounds(spec, u_max, n_grid)
+    return _oracle_bounds[key]
+
+
+def _oracle_ceilings(bounds: np.ndarray, t: float) -> np.ndarray:
+    """Per block, a number that none of its computed values
+    fl(fl(u*t) - f(u)) exceeds where it is finite; a NaN or infinite
+    value, or an overflow on the way, makes it NaN or infinite.
+
+    With s the block's chord slope, u*t - f(u) = u*(t - s) - (f(u) - u*s):
+    the first term is at most its larger value at the block's least and
+    greatest u, and the second at least the block's lower bound.  Their
+    difference, plus _ORACLE_MARGIN times |t| times the greatest u,
+    exceeds what rounding can add to a value; that last product also
+    overflows wherever some u*t does.  Near the maximizer t is close to
+    s, so a block's ceiling is close to its maximum.
+    """
+    u_lo, u_hi, slope, low = bounds
+    with np.errstate(all="ignore"):  # NaN and inf only force a read
+        w = t - slope
+        ceilings = np.maximum(u_lo * w, u_hi * w)
+        ceilings -= low
+        reach = u_hi * abs(t)
+        reach *= _ORACLE_MARGIN
+        ceilings += reach
+    return ceilings
+
+
+def _oracle_max(spec, u_max, n_grid, blocks, t: float, best: float) -> float:
+    """The largest of best and the values u*t - f(u) of the given blocks,
+    or the first NaN value met."""
+    per_build = _ORACLE_BUILD // _ORACLE_CHUNK
+    offsets = np.arange(_ORACLE_CHUNK)
+    for i in range(0, blocks.shape[0], per_build):
+        index = (blocks[i : i + per_build, None] * _ORACLE_CHUNK + offsets).ravel()
+        u = _oracle_u(u_max, n_grid, index[index < n_grid])
+        values = u * t
+        values -= spec.f(u)
+        top = float(values.max())
+        if np.isnan(top):
+            return top
+        best = max(best, top)
+    return best
 
 
 def brute_force_conjugate(
@@ -403,42 +472,36 @@ def brute_force_conjugate(
     Maximizes u*t - f(u) over a log-spaced grid of u in (1e-6, u_max).
     Used to cross-check conj and, through finite differences, conj_prime.
     Derivative comparisons are immune to any additive constant between
-    this supremum and the implemented conjugate formula.  The grid of the
-    last (u_max, n_grid) and f(u) of the last (spec, u_max, n_grid) are
-    kept for the next call.  A NaN anywhere on the grid gives NaN.
+    this supremum and the implemented conjugate formula.  t is one real
+    number and n_grid an integer of at least 10^4.  No grid is kept:
+    only per-block bounds of the last few (spec, u_max, n_grid), and a
+    call computes u and f(u) for the blocks it reads.  A NaN anywhere on
+    the grid gives NaN.
 
     The result is the maximum of every grid value, computed as
-    fl(fl(u*t) - f(u)), but not every value is read.  Rounding is
-    monotone, so a block's values are at most its bound
-    fl(fl(u_end*t) - min f), with u_end its greatest u for t >= 0 and its
-    least u below.  Blocks are scanned in descending bound order until a
-    bound is at most the best value found.  A NaN value makes its block's
-    bound NaN or +inf, so every such block is scanned first.
+    fl(fl(u*t) - f(u)), but not every value is read.  Each block has a
+    ceiling that none of its values exceeds, or a NaN or infinite one.  A
+    first pass reads every block whose ceiling is not finite, and the
+    block of the highest finite ceiling; a second pass reads every other
+    block whose ceiling exceeds the best value found.
     """
     spec = _as_spec(spec)
+    n_grid = _integer(n_grid, "n_grid")
     if n_grid < 10**4:
         raise ValueError("n_grid must be at least 10^4")
     if not (1e-6 < u_max < np.inf):  # the grid runs up from 1e-6; NaN fails
         raise ValueError("u_max must be finite and above 1e-6")
-    arr, _ = _prepare(t)
+    arr, scalar = _prepare(t)
+    if not scalar:
+        raise ValueError("t must be a single number")
     _check_in_domain(spec, arr)
-    u, fu, f_min, u_lo, u_hi = _oracle_grid(spec, float(u_max), int(n_grid))
-    t = float(arr)
-    bounds = (u_hi if t >= 0.0 else u_lo) * t
-    bounds -= f_min
-    # NaN and +inf bounds sort first and never stop the scan
-    order = np.argsort(np.where(bounds < np.inf, -bounds, -np.inf))
-    buf = np.empty(min(_ORACLE_CHUNK, u.shape[0]))
-    best = -np.inf
-    for block in order:
-        if bounds[block] <= best and bounds[block] < np.inf:
-            break
-        start = block * _ORACLE_CHUNK
-        u_block = u[start : start + _ORACLE_CHUNK]
-        values = np.multiply(u_block, t, out=buf[: u_block.shape[0]])
-        values -= fu[start : start + _ORACLE_CHUNK]
-        top = values.max()
-        if np.isnan(top):
-            return float(top)
-        best = max(best, top)
-    return float(best)
+    t, u_max = float(arr), float(u_max)
+    ceilings = _oracle_ceilings(_oracle_block_bounds(spec, u_max, n_grid), t)
+    read = ~np.isfinite(ceilings)
+    finite = np.where(read, -np.inf, ceilings)
+    read[finite.argmax()] = True
+    first = np.flatnonzero(read)
+    best = _oracle_max(spec, u_max, n_grid, first, t, -np.inf)
+    # a NaN best compares false, so no block is read after it
+    finite[first] = -np.inf
+    return _oracle_max(spec, u_max, n_grid, np.flatnonzero(finite > best), t, best)

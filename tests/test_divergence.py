@@ -8,6 +8,7 @@ frozen here.
 import dataclasses
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,17 +162,17 @@ class TestGridOracleCache:
 
     def test_maximum_in_a_last_partial_chunk(self):
         chunk = divergence._ORACLE_CHUNK
-        n_grid = 2 * chunk + chunk // 3
-        # kl's maximizer is u = exp(t - 1) = 500, near the top of the grid
-        t = 1.0 + np.log(500.0)
+        n_grid = 40 * chunk + chunk // 3
         u = np.logspace(-6.0, np.log10(1e3), n_grid)
-        assert np.argmax(u * t - KL.f(u)) >= 2 * chunk
+        # kl's maximizer u = exp(t - 1) lies near the top of the grid
+        t = 1.0 + np.log(u[-chunk // 6])
+        assert np.argmax(u * t - KL.f(u)) >= 40 * chunk
         got = brute_force_conjugate("kl", t, n_grid=n_grid)
         assert got == uncached_grid_max(KL, t, 1e3, n_grid)
 
     def test_nan_on_the_grid_propagates(self):
         chunk = divergence._ORACLE_CHUNK
-        n_grid = 2 * chunk + 17
+        n_grid = 64 * chunk + 17
         u = np.logspace(-6.0, np.log10(1e3), n_grid)
         bad = u[chunk + 5]
         custom = dataclasses.replace(
@@ -189,41 +190,126 @@ class TestGridOracleCache:
         assert got != registry_value
 
     @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
-    def test_blockwise_f_equals_one_call(self, div_id):
+    def test_blockwise_f_equals_one_call(self, monkeypatch, div_id):
+        # bounds built _ORACLE_BUILD points at a time equal those built
+        # from one f call on the whole grid
         spec = get_divergence(div_id)
-        u, fu, *_ = divergence._oracle_grid(spec, 1e3, 10**6)
-        assert fu.shape == (10**6,)
-        assert np.array_equal(fu, spec.f(np.logspace(-6.0, 3.0, 10**6)))
+        n_grid = 10**6
+        blockwise = divergence._build_oracle_bounds(spec, 1e3, n_grid)
+        monkeypatch.setattr(divergence, "_ORACLE_BUILD", 2**20)
+        whole = divergence._build_oracle_bounds(spec, 1e3, n_grid)
+        assert np.array_equal(blockwise, whole)
+        u = np.logspace(-6.0, 3.0, n_grid)
+        starts = np.arange(0, n_grid, divergence._ORACLE_CHUNK)
+        assert np.array_equal(blockwise[0], np.minimum.reduceat(u, starts))
+        assert np.array_equal(blockwise[1], np.maximum.reduceat(u, starts))
+
+    @pytest.mark.parametrize("n_grid", [10**4, 10**6])
+    def test_no_value_exceeds_its_block_ceiling(self, n_grid):
+        chunk = divergence._ORACLE_CHUNK
+        rng = np.random.default_rng(n_grid + 1)
+        u = np.logspace(-6.0, np.log10(1e3), n_grid)
+        starts = np.arange(0, n_grid, chunk)
+        for spec in ALL_SPECS:
+            fu = spec.f(u)
+            bounds = divergence._build_oracle_bounds(spec, 1e3, n_grid)
+            for t in rng.uniform(*SCAN_T_WINDOWS[spec.id], size=20):
+                tops = np.maximum.reduceat(u * t - fu, starts)
+                ceilings = divergence._oracle_ceilings(bounds, t)
+                assert np.all(tops <= ceilings), (spec.id, t)
+                # and they are tight: few blocks reach above the maximum
+                assert np.count_nonzero(ceilings > tops.max()) <= 8, (spec.id, t)
 
     def test_f_sees_blocks_and_no_held_grid(self):
         seen = []
 
         def f(u):
-            seen.append((u.shape[0], len(divergence._oracle_grid_slot)))
+            seen.append(u.shape[0])
             return u * np.log(u)
 
-        block = divergence._ORACLE_BUILD
+        block, chunk = divergence._ORACLE_BUILD, divergence._ORACLE_CHUNK
         n_grid = 2 * block + 17
         custom = dataclasses.replace(KL, f=f)
         got = brute_force_conjugate(custom, 0.5, n_grid=n_grid)
-        assert seen == [(block, 0), (block, 0), (17, 0)]
         assert got == uncached_grid_max(KL, 0.5, 1e3, n_grid)
+        # the bounds are built in blocks, then the scan reads a few chunks
+        assert seen[:3] == [block, block, 17]
+        assert seen[3:] and sum(seen[3:]) <= 4 * chunk
+        # what is held per key is four numbers per chunk, no grid
+        held = divergence._oracle_bounds[(custom, 1e3, n_grid)]
+        assert held.shape == (4, -(-n_grid // chunk))
+        assert all(a.size < n_grid for a in divergence._oracle_bounds.values())
 
-    def test_at_most_one_grid_held(self):
-        held_while_building = []
+    def test_bounds_held_never_exceed_the_cap(self):
+        cap = divergence._ORACLE_KEYS
+        divergence._oracle_bounds.clear()
+        keys = []
+        for i in range(cap + 3):
+            u_max = 100.0 + i
+            brute_force_conjugate("gan", -0.5, u_max=u_max, n_grid=10**4)
+            keys.append((GAN, u_max, 10**4))
+            assert len(divergence._oracle_bounds) <= cap
+        # the oldest keys went first
+        assert list(divergence._oracle_bounds) == keys[-cap:]
 
-        def f(u):
-            held_while_building.append(len(divergence._oracle_grid_slot))
-            return u * np.log(u)
+    def test_alternating_specs_build_each_key_once(self, monkeypatch):
+        built = []
+        build = divergence._build_oracle_bounds
 
-        custom = dataclasses.replace(get_divergence("kl"), f=f)
-        brute_force_conjugate("gan", -0.5, n_grid=10**4)
-        brute_force_conjugate(custom, 0.5, n_grid=10**4)
-        brute_force_conjugate(custom, 0.7, n_grid=10**4)
-        assert held_while_building and set(held_while_building) == {0}
-        assert len(divergence._oracle_grid_slot) == 1
-        brute_force_conjugate("sl", -0.5, n_grid=10**4)
-        assert len(divergence._oracle_grid_slot) == 1
+        def counted(spec, u_max, n_grid):
+            built.append((spec.id, u_max, n_grid))
+            return build(spec, u_max, n_grid)
+
+        monkeypatch.setattr(divergence, "_build_oracle_bounds", counted)
+        divergence._oracle_bounds.clear()
+        for _ in range(3):
+            for div_id, t in (("kl", 0.5), ("gan", -0.5), ("sl", -0.5)):
+                brute_force_conjugate(div_id, t)
+        assert built == [("kl", 1e3, 10**6), ("gan", 1e3, 10**6), ("sl", 1e3, 10**6)]
+
+    @pytest.mark.parametrize("u_max", [50.0, 1e3])
+    @pytest.mark.parametrize(
+        "n_grid", [10**4, 3 * divergence._ORACLE_BUILD + 101, 10**6]
+    )
+    def test_oracle_u_is_logspace_bit_for_bit(self, n_grid, u_max):
+        want = np.logspace(-6.0, np.log10(u_max), n_grid)
+        whole = divergence._oracle_u(u_max, n_grid, np.arange(n_grid))
+        assert whole.tobytes() == want.tobytes()
+        # in build blocks and in gathered chunks, last partial one included
+        for size in (divergence._ORACLE_BUILD, divergence._ORACLE_CHUNK):
+            for first in range(0, n_grid, 7 * size):
+                index = np.arange(first, min(first + size, n_grid))
+                got = divergence._oracle_u(u_max, n_grid, index)
+                assert got.tobytes() == want[index].tobytes()
+            index = np.arange(n_grid - (n_grid % size or size), n_grid)
+            got = divergence._oracle_u(u_max, n_grid, index)
+            assert got.tobytes() == want[index].tobytes()
+            assert got[-1] == want[-1]
+        scattered = np.sort(np.random.default_rng(n_grid).choice(n_grid, 999))
+        got = divergence._oracle_u(u_max, n_grid, scattered)
+        assert got.tobytes() == want[scattered].tobytes()
+
+    def test_one_call_holds_no_grid(self):
+        # a fresh key at 10^6 points: a call allocates its bounds and the
+        # chunks it reads, never an 8 MB array of the whole grid
+        custom = dataclasses.replace(KL)
+        tracemalloc.start()
+        try:
+            got = brute_force_conjugate(custom, 0.5, u_max=777.0, n_grid=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+        assert got == uncached_grid_max(KL, 0.5, 777.0, 10**6)
+
+    def test_t_must_be_one_number(self, monkeypatch):
+        def no_bounds(*args):
+            raise AssertionError("built bounds for a bad t")
+
+        monkeypatch.setattr(divergence, "_build_oracle_bounds", no_bounds)
+        for t in ([0.5, 0.6], np.array([0.5]), [[0.5]]):
+            with pytest.raises(ValueError, match="t must be a single number"):
+                brute_force_conjugate("kl", t, u_max=321.0, n_grid=10**4)
 
 
 # t windows that put the grid maximizer anywhere from the bottom of the
@@ -236,7 +322,7 @@ class TestBoundedScan:
     still return the full scan's value."""
 
     @pytest.mark.parametrize(
-        "n_grid", [10**4, 2 * divergence._ORACLE_CHUNK + 17, 10**6]
+        "n_grid", [10**4, 32 * divergence._ORACLE_CHUNK + 17, 10**6]
     )
     def test_equals_full_scan(self, n_grid):
         rng = np.random.default_rng(n_grid)
@@ -254,7 +340,7 @@ class TestBoundedScan:
                 assert brute_force_conjugate(spec, t, n_grid=n_grid) == want, t
 
     def test_minus_inf_f_gives_plus_inf(self):
-        u = np.logspace(-6.0, np.log10(1e3), 3 * divergence._ORACLE_CHUNK)
+        u = np.logspace(-6.0, np.log10(1e3), 40 * divergence._ORACLE_CHUNK)
         bad = u[divergence._ORACLE_CHUNK + 7]
         custom = dataclasses.replace(
             KL, f=lambda u: np.where(u == bad, -np.inf, u * np.log(u))
@@ -265,8 +351,8 @@ class TestBoundedScan:
 
     def test_plus_inf_f_over_a_block(self):
         chunk = divergence._ORACLE_CHUNK
-        u = np.logspace(-6.0, np.log10(1e3), 3 * chunk)
-        # kl's maximizer u = exp(t - 1) lies in the middle block, where
+        u = np.logspace(-6.0, np.log10(1e3), 40 * chunk)
+        # kl's maximizer u = exp(t - 1) lies in the second block, where
         # f is +inf, so the maximum comes from a neighbouring block
         t = 1.0 + np.log(u[chunk + chunk // 2])
         lo, hi = u[chunk], u[2 * chunk - 1]
@@ -281,7 +367,7 @@ class TestBoundedScan:
 
     def test_nan_in_a_block_its_bound_would_skip(self):
         chunk = divergence._ORACLE_CHUNK
-        n_grid = 2 * chunk + 17
+        n_grid = 64 * chunk + 17
         u = np.logspace(-6.0, np.log10(1e3), n_grid)
         bad = u[5]
         custom = dataclasses.replace(
@@ -307,6 +393,14 @@ class TestBoundedScan:
             assert math.isnan(uncached_grid_max(custom, 1e10, 1e300, n_grid))
             got = brute_force_conjugate(custom, 1e10, u_max=1e300, n_grid=n_grid)
         assert math.isnan(got)
+
+
+    def test_overflowing_u_t_gives_plus_inf(self):
+        # u*t overflows at the top of the grid, where f stays finite
+        with np.errstate(over="ignore"):
+            want = uncached_grid_max(KL, 1e10, 1e300, 10**4)
+            got = brute_force_conjugate("kl", 1e10, u_max=1e300, n_grid=10**4)
+        assert got == want == np.inf
 
 
 class TestConjugateDerivatives:

@@ -7,16 +7,26 @@ refuse the same synthetic parameters by one rule table.  pyproject.toml
 turns warnings into errors, so a case that raised a numpy warning instead
 of a ValueError fails here.  Every batch mean refuses a batch of no
 rows by the one rule of posterior._batch_mean, and the per-row functions
-return no rows."""
+return no rows.  Every count argument takes the config reader's integer
+rule, divergence._integer: an int or an integral float, never a bool."""
 
 import math
 
 import numpy as np
 import pytest
 
-from postmax.analysis import training_bias_expression
+from postmax.analysis import (
+    check_argmax_invariance,
+    check_binary_identity,
+    check_correction_exactness,
+    check_first_order_bias,
+    check_multiclass_identity,
+    check_pointwise_optimum,
+    check_posterior_gap_bound,
+    training_bias_expression,
+)
 from postmax.cli import ConfigError, make_synthetic, parse_config
-from postmax.divergence import optimal_T_from_posterior
+from postmax.divergence import brute_force_conjugate, optimal_T_from_posterior
 from postmax.model import MlpSpec, forward, init, objective_and_gradients
 from postmax.noise import LabeledDataset, NoiseParams, uniform_offdiag_matrix
 from postmax.objective import (
@@ -208,6 +218,41 @@ PER_ROW = {
     "forward": lambda n: forward(MODEL, X[:n]),
 }
 
+# entry point-count argument -> (function of that count, a count it takes)
+COUNTS = {
+    "brute_force_conjugate-n_grid": (
+        lambda n: brute_force_conjugate("kl", 0.5, n_grid=n),
+        10**4,
+    ),
+    "check_binary_identity-trials": (lambda n: check_binary_identity(0, trials=n), 2),
+    "check_multiclass_identity-trials": (
+        lambda n: check_multiclass_identity(0, trials=n),
+        2,
+    ),
+    "check_multiclass_identity-k": (
+        lambda n: check_multiclass_identity(0, trials=2, k=n),
+        3,
+    ),
+    "check_pointwise_optimum-configs": (
+        lambda n: check_pointwise_optimum(0, configs=n),
+        2,
+    ),
+    "check_argmax_invariance-n_vectors": (
+        lambda n: check_argmax_invariance(0, n_vectors=n),
+        10,
+    ),
+    "check_correction_exactness-trials": (
+        lambda n: check_correction_exactness(0, trials=n),
+        9,
+    ),
+    "check_posterior_gap_bound-trials": (
+        lambda n: check_posterior_gap_bound(0, trials=n),
+        10,
+    ),
+    "check_first_order_bias-trials": (lambda n: check_first_order_bias(0, trials=n), 2),
+}
+BAD_COUNTS = [2.5, 10000.7, math.nan, math.inf, -math.inf, True, np.True_, "3", None]
+
 # case -> make_synthetic's parameters, every combination of k in {1, 2, 3},
 # n at k - 1 and k, d at 0, k - 2 and k - 1, and a class separation of
 # -1, 0, NaN or infinity
@@ -349,6 +394,22 @@ def test_batch_mean_rejects_no_rows(entry):
 def test_per_row_entry_returns_no_rows_for_none(entry):
     assert PER_ROW[entry](0).shape == (0, K)
     assert PER_ROW[entry](2).shape == (2, K)
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS, ids=repr)
+@pytest.mark.parametrize("entry", list(COUNTS))
+def test_count_rejects_non_integer(entry, bad):
+    name = entry.partition("-")[2]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        COUNTS[entry][0](bad)
+
+
+@pytest.mark.parametrize("entry", list(COUNTS))
+def test_count_reads_integral_floats_as_ints(entry):
+    fn, count = COUNTS[entry]
+    want = fn(count)
+    for same in (float(count), np.float64(count), np.int64(count)):
+        assert fn(same) == want
 
 
 def synthetic_tree(params) -> dict:
