@@ -71,6 +71,9 @@ class TheoremReport:
     threshold: float
     passed: bool
 
+    def __post_init__(self):
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", least=0))
+
     def to_dict(self) -> dict:
         return {
             "theorem_id": self.theorem_id,
@@ -204,14 +207,6 @@ def _uniform(u, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _check_count(name: str, value: int, least: int = 1) -> int:
-    """value as an int, under the integer rule, and at least least."""
-    value = _integer(value, name)
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
 _IDENTITY_POINTS = 8  # points x of each identity trial's joint
 
 
@@ -264,7 +259,8 @@ def _identity_gaps(pmf, entries, e, scale, posteriors, bias_fn) -> np.ndarray:
 
 def _binary_identity_gaps(seed: int, trials: int, bias_fn=_exact_bias) -> np.ndarray:
     """check_binary_identity's gaps, one row per trial."""
-    e, pmf, posteriors = _identity_draws(np.random.default_rng(seed), trials, 2, 0.45)
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    e, pmf, posteriors = _identity_draws(rng, trials, 2, 0.45)
     e0, e1 = e[:, 0], e[:, 1]
     entries = np.stack([1.0 - e1, e1, e0, 1.0 - e0], axis=1).reshape(trials, 2, 2)
     return _identity_gaps(pmf, entries, e, 1.0 - e0 - e1, posteriors, bias_fn)
@@ -274,9 +270,8 @@ def _multiclass_identity_gaps(
     seed: int, trials: int, k: int, bias_fn=_exact_bias
 ) -> np.ndarray:
     """check_multiclass_identity's gaps, one row per trial."""
-    e, pmf, posteriors = _identity_draws(
-        np.random.default_rng(seed), trials, k, 0.9 / k
-    )
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    e, pmf, posteriors = _identity_draws(rng, trials, k, 0.9 / k)
     return _identity_gaps(
         pmf, _offdiag_entries(e), e, 1.0 - e.sum(axis=1), posteriors, bias_fn
     )
@@ -291,7 +286,7 @@ def check_binary_identity(
     takes every trial at once: pmf and T (trials, 8, K), conj_rows
     (trials, 8) and e (trials, K), returning one bias per trial.
     """
-    trials = _check_count("trials", trials)
+    trials = _integer(trials, "trials", least=1)
     gaps = _binary_identity_gaps(seed, trials, bias_fn)
     return _report("binary_objective_identity", gaps.size, np.max(gaps), 1e-12)
 
@@ -304,8 +299,8 @@ def check_multiclass_identity(
     bias_fn gets every trial at once, pmf and T (trials, 8, K), conj_rows
     (trials, 8) and e (trials, K), and returns one bias per trial.
     """
-    trials = _check_count("trials", trials)
-    k = _check_count("k", k, least=2)
+    trials = _integer(trials, "trials", least=1)
+    k = _integer(k, "k", least=2)
     gaps = _multiclass_identity_gaps(seed, trials, k, bias_fn)
     return _report("multiclass_objective_identity", gaps.size, np.max(gaps), 1e-12)
 
@@ -317,8 +312,8 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
     Half the configs target the noisy posterior (1 - sum(e)) * p + e of
     drawn flip-in rates e, the rest the clean posterior p.
     """
-    configs = _check_count("configs", configs)
-    rng = np.random.default_rng(seed)
+    configs = _integer(configs, "configs", least=1)
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
     worst = 0.0
     for div_id in DIVERGENCE_IDS:
         targets = []
@@ -393,8 +388,8 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
     same two IEEE operations, (1 - sum(e)) * p then + e, as
     noisy_posterior_forward's.
     """
-    n_vectors = _check_count("n_vectors", n_vectors)
-    rng = np.random.default_rng(seed)
+    n_vectors = _integer(n_vectors, "n_vectors", least=1)
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
     total = 0
     mismatched = 0
     for k in range(2, 11):
@@ -416,8 +411,8 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
 
 def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport:
     """Subtracting flip-in rates restores the clean argmax exactly."""
-    trials = _check_count("trials", trials)
-    rng = np.random.default_rng(seed)
+    trials = _integer(trials, "trials", least=1)
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
     per_k = max(1, -(-trials // 9))  # ceil: never undershoot the request
     total = 0
     mismatched = 0
@@ -436,8 +431,8 @@ def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport
 
 def check_posterior_gap_bound(seed: int, trials: int = 10_000) -> TheoremReport:
     """The curvature bound covers the posterior gap near convergence."""
-    trials = _check_count("trials", trials)
-    rng = np.random.default_rng(seed)
+    trials = _integer(trials, "trials", least=1)
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
     worst_fraction = 0.0
     k = 4
     for div_id in DIVERGENCE_IDS:
@@ -466,8 +461,8 @@ def check_first_order_bias(seed: int, trials: int = 1_000) -> TheoremReport:
     The expression drops quadratic terms, so its residual against the
     directly computed bias must fall at least 3x when delta is halved.
     """
-    trials = _check_count("trials", trials)
-    rng = np.random.default_rng(seed)
+    trials = _integer(trials, "trials", least=1)
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
     worst_ratio = 0.0
     k = 3
     for div_id in DIVERGENCE_IDS:

@@ -15,11 +15,12 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import DIVERGENCE_IDS, _integer
+from .divergence import DIVERGENCE_IDS, _integer, _is_real
 from .model import (
     _ACTIVATIONS,
     _HEADS,
@@ -149,7 +150,7 @@ def split_dataset(
     n_test = int(round(TEST_FRACTION * ds.n))
     if n_test < 1 or ds.n - n_test < 1:
         raise ConfigError(f"cannot split {ds.n} rows into nonempty train and test parts")
-    perm = np.random.default_rng(seed).permutation(ds.n)
+    perm = np.random.default_rng(_integer(seed, "seed", least=0)).permutation(ds.n)
     make = lambda idx: replace(ds, features=ds.features[idx], labels=ds.labels[idx])
     return make(perm[n_test:]), make(perm[:n_test])
 
@@ -183,41 +184,45 @@ def make_synthetic(
 # so a draw no memory holds is refused before it starts.
 MAX_SYNTHETIC_FLOATS = 2**27
 
-# The synthetic draw's rules, checked in this order: key -> (its type,
-# its least and its most value given the keys before it, what it must
-# be); every value must also equal its value as that type.  k
-# equidistant means span k - 1 dimensions, the features take n x d
-# floats and the means' frame k x k, and a separation must be a float.
-# _sample_synthetic and parse_config both check by this table.
+
+def _separation(value, name: str, least: float, most: float) -> float:
+    """A class separation as a float: an int or a float in [least, most]."""
+    if not (_is_real(value) and least <= value <= most):
+        raise ValueError(f"{name} must be in [{least}, {most}]")
+    return float(value)
+
+
+# The synthetic draw's rules, checked in this order: key -> (its rule,
+# taking the value, key, least and most, then its least and most value
+# given the keys before it, and what it must be).  k equidistant means
+# span k - 1 dimensions, the features take n x d floats and the means'
+# frame k x k, and a separation must be a float.  _sample_synthetic and
+# parse_config both check by this table.
 _SYNTHETIC = {
-    "k": (int, lambda p: (2, math.isqrt(MAX_SYNTHETIC_FLOATS)),
+    "k": (_integer, lambda p: (2, math.isqrt(MAX_SYNTHETIC_FLOATS)),
           "an integer from {least} to {most}"),
-    "n": (int, lambda p: (p["k"], MAX_SYNTHETIC_FLOATS // max(1, p["k"] - 1)),
+    "n": (_integer, lambda p: (p["k"], MAX_SYNTHETIC_FLOATS // max(1, p["k"] - 1)),
           "an integer from {least} to {most} for k = {k}"),
-    "d": (int, lambda p: (max(1, p["k"] - 1), MAX_SYNTHETIC_FLOATS // p["n"]),
+    "d": (_integer, lambda p: (max(1, p["k"] - 1), MAX_SYNTHETIC_FLOATS // p["n"]),
           "an integer from {least} to {most} dimensions for k = {k} and n = {n}"),
-    "class_separation": (float, lambda p: (0.0, sys.float_info.max),
+    "class_separation": (_separation, lambda p: (0.0, sys.float_info.max),
                          "finite and nonnegative"),
 }
 
 
-def _synthetic_fault(params: dict) -> Optional[tuple[str, str]]:
-    """(key, what it must be) of the first _SYNTHETIC rule params break."""
-    checked = {}  # the keys before this one, as their types
-    for key, (kind, bounds, requirement) in _SYNTHETIC.items():
+def _checked_synthetic(params: dict, fault: str = "{key} must be {what}") -> dict:
+    """params as their _SYNTHETIC rules read them.  The first that breaks
+    its rule raises ConfigError, fault naming the key and what it must be."""
+    checked = {}  # the keys before this one, as their rules read them
+    for key, (rule, bounds, requirement) in _SYNTHETIC.items():
         (least, most), value = bounds(checked), params[key]
-        # NaN and values past the largest float fail the range, so only a
-        # value that float() holds reaches kind()
-        if not (least <= value <= most and kind(value) == value):
+        try:
+            checked[key] = rule(value, key, least, most)
+        except ValueError:
             what = requirement.format(least=least, most=most, **checked)
-            return key, f"must be {what}, got {value!r}"
-        checked[key] = kind(value)
-    return None
-
-
-def _synthetic_params(params: dict) -> dict:
-    """params as their _SYNTHETIC types, once _synthetic_fault passes them."""
-    return {key: kind(params[key]) for key, (kind, _, _) in _SYNTHETIC.items()}
+            message = fault.format(key=key, what=what)
+            raise ConfigError(f"{message}, got {value!r}") from None
+    return checked
 
 
 def _sample_synthetic(
@@ -227,12 +232,9 @@ def _sample_synthetic(
     posterior reads; for callers that need the samples only.  A parameter
     that breaks its _SYNTHETIC rule raises ConfigError naming it."""
     params = dict(k=k, n=n, d=d, class_separation=class_separation)
-    fault = _synthetic_fault(params)
-    if fault:
-        raise ConfigError(" ".join(fault))
-    k, n, d, class_separation = _synthetic_params(params).values()
+    k, n, d, class_separation = _checked_synthetic(params).values()
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
     # Regular simplex with unit-free coordinates: center the k standard
     # basis vectors, keep the k-1 informative directions, then rotate
     # into d dimensions with a random orthonormal frame.
@@ -279,40 +281,28 @@ class ExperimentConfig:
 
 
 # Converters from a config value to a field value.  Each takes the value
-# as YAML gives it and raises ValueError naming what it expected; the
-# integer rule, _integer, is divergence's, which the library's counts share.
+# as YAML gives it and raises ValueError naming what it expected.  Every
+# integer is read by divergence._integer, the library's one integer rule.
 
 
-def _real(value):
-    """An int or a float as it is, never a bool; for the keys whose rules
-    read integrality, which _SYNTHETIC states."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
-        raise ValueError(f"expected a number, got {value!r}")
+def _as_given(value):
+    """value itself; for the synthetic draw's keys, which _SYNTHETIC reads."""
     return value
 
 
 def _real_text(value):
-    """_real, or a string float() reads as that float, as _number reads
-    one; for the separation, whose _SYNTHETIC rule refuses an int past
-    the largest float, which float() would raise on."""
-    return float(value) if isinstance(value, str) else _real(value)
+    """A string float() reads as that float, as _number reads one, and
+    any other value as it is; for the separation, whose _SYNTHETIC rule
+    refuses an int past the largest float, which float() would raise on."""
+    return float(value) if isinstance(value, str) else value
 
 
 def _number(value) -> float:
     """An int, a float or a string float() reads, never a bool.  PyYAML
     reads an exponent without a point, such as 1e-3, as a string."""
-    if isinstance(value, bool) or not isinstance(
-        value, (int, float, str, np.integer)
-    ):
+    if not (_is_real(value) or isinstance(value, str)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
-
-
-def _seed(value) -> int:
-    seed = _integer(value)
-    if seed < 0:
-        raise ValueError(f"expected an integer >= 0, got {seed}")
-    return seed
 
 
 def _string(value) -> str:
@@ -378,15 +368,19 @@ _REQUIRED = object()  # the default of a key that every config gives
 # root.  A key with a variant (key, value) is read only when its section
 # gives that key that value, and is unknown otherwise.
 _CONFIG = {
-    (None, "seeds"): (lambda seeds: _distinct(_list(_seed)(seeds)), (0,), None),
+    (None, "seeds"): (
+        lambda seeds: _distinct(_list(partial(_integer, name="seed", least=0))(seeds)),
+        (0,),
+        None,
+    ),
     ("dataset", "source"): (_choice(("csv", "synthetic")), _REQUIRED, None),
     ("dataset", "path"): (_readable_path, _REQUIRED, ("source", "csv")),
-    ("dataset", "k"): (_real, 2, ("source", "synthetic")),
-    ("dataset", "n"): (_real, 600, ("source", "synthetic")),
-    ("dataset", "d"): (_real, 10, ("source", "synthetic")),
+    ("dataset", "k"): (_as_given, 2, ("source", "synthetic")),
+    ("dataset", "n"): (_as_given, 600, ("source", "synthetic")),
+    ("dataset", "d"): (_as_given, 10, ("source", "synthetic")),
     ("dataset", "class_separation"): (_real_text, 4.0, ("source", "synthetic")),
-    ("dataset", "split_seed"): (_seed, 0, None),
-    ("model", "hidden"): (_list(_ruled("width", _integer)), (32,), None),
+    ("dataset", "split_seed"): (partial(_integer, name="split_seed", least=0), 0, None),
+    ("model", "hidden"): (_list(partial(_integer, name="width", least=1)), (32,), None),
     ("model", "activation"): (_choice(_ACTIVATIONS), "relu", None),
     ("model", "head"): (_choice(_HEADS), "simplex", None),
     ("objective", "divergence"): (_choice(DIVERGENCE_IDS), _REQUIRED, None),
@@ -398,8 +392,8 @@ _CONFIG = {
         ("kind", "symmetric"),
     ),
     ("noise", "e"): (_rates, _REQUIRED, ("kind", "uniform_offdiag")),
-    ("train", "epochs"): (_ruled("epochs", _integer), 100, None),
-    ("train", "batch_size"): (_ruled("batch_size", _integer), 32, None),
+    ("train", "epochs"): (partial(_integer, name="epochs", least=0), 100, None),
+    ("train", "batch_size"): (partial(_integer, name="batch_size", least=1), 32, None),
     ("train", "lr0"): (_ruled("lr0", _number), 0.02, None),
     ("train", "momentum"): (_ruled("momentum", _number), 0.9, None),
     ("output", "path"): (_string, None, None),
@@ -454,11 +448,10 @@ def parse_config(tree: dict) -> ExperimentConfig:
     dataset = _read(tree, "dataset")
     synthetic = None
     if dataset["source"] == "synthetic":
-        synthetic = {key: dataset[key] for key in _SYNTHETIC}
-        fault = _synthetic_fault(synthetic)
-        if fault:
-            raise ConfigError("invalid 'dataset.{}': {}".format(*fault))
-        synthetic = _synthetic_params(synthetic)
+        synthetic = _checked_synthetic(
+            {key: dataset[key] for key in _SYNTHETIC},
+            "invalid 'dataset.{key}': must be {what}",
+        )
     model = _read(tree, "model")
     objective = _read(tree, "objective")
     output = _read(tree, "output")
@@ -531,6 +524,7 @@ class ResultRecord:
     wall_seconds: float
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
         if self.divergence not in DIVERGENCE_IDS:
             raise ValueError(f"unknown divergence {self.divergence!r}")
         if self.correction not in _CORRECTIONS:

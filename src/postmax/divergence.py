@@ -284,16 +284,28 @@ def _as_spec(spec) -> DivergenceSpec:
     return get_divergence(spec)
 
 
-def _integer(value, name: Optional[str] = None) -> int:
-    """The integer rule of every count, in the config and in the library:
-    an int or an integral float, never a bool, read as an int.  Anything
-    else raises ValueError, naming the argument if a name is given."""
+def _integer(value, name: str, least=None, most=None) -> int:
+    """The integer rule of every count, width, size and seed, in the
+    config and in the library: an int or an integral float, never a bool,
+    in [least, most] where they are given, read as an int.  Anything else
+    raises ValueError naming the argument."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    rule = f"{name} must be an integer" if name else "expected an integer"
-    raise ValueError(f"{rule}, got {value!r}")
+        value = int(value)
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+    else:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
+
+
+def _is_real(value) -> bool:
+    """Whether value is an int or a float, numpy's included, and no bool."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    return real and not isinstance(value, bool)
 
 
 def _prepare(x) -> tuple[np.ndarray, bool]:
@@ -486,9 +498,7 @@ def brute_force_conjugate(
     block whose ceiling exceeds the best value found.
     """
     spec = _as_spec(spec)
-    n_grid = _integer(n_grid, "n_grid")
-    if n_grid < 10**4:
-        raise ValueError("n_grid must be at least 10^4")
+    n_grid = _integer(n_grid, "n_grid", least=10**4)
     if not (1e-6 < u_max < np.inf):  # the grid runs up from 1e-6; NaN fails
         raise ValueError("u_max must be finite and above 1e-6")
     arr, scalar = _prepare(t)

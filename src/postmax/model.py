@@ -145,13 +145,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from postmax.divergence import DivergenceSpec, get_divergence
+from postmax.divergence import DivergenceSpec, _integer, _is_real, get_divergence
 from postmax.noise import LabeledDataset, _check_labels
 from postmax.objective import (
     POSTERIOR_FLOOR,
@@ -196,7 +196,7 @@ class MlpSpec:
     divergence: Optional[str] = None
 
     def __post_init__(self):
-        sizes = tuple(_check("width", int(s)) for s in self.layer_sizes)
+        sizes = tuple(_integer(s, "layer_sizes", least=1) for s in self.layer_sizes)
         if len(sizes) < 2:
             raise ValueError("layer_sizes needs at least two widths")
         if sizes[-1] < 2:
@@ -231,19 +231,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name in _RULES:
-                _check(f.name, getattr(self, f.name))
+        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            value = _integer(getattr(self, name), name, least)
+            object.__setattr__(self, name, value)
+        for name in _RULES:
+            _check(name, getattr(self, name))
 
 
-# Single-field rules, name -> (test, what the value must be).  MlpSpec
-# checks each layer width and TrainConfig each field that has a rule; the
-# config reader checks a config value by the same rule.
+# The real-valued fields' rules, name -> (test, what the value must be),
+# by which TrainConfig and the config reader both check; a rule's test
+# sees only an int or a float, never a bool.
 _RULES = {
-    "width": (lambda v: v >= 1, "at least 1"),
-    "epochs": (lambda v: int(v) == v and v >= 0, "a nonnegative integer"),
-    "batch_size": (lambda v: int(v) == v and v >= 1, "a positive integer"),
-    "lr0": (lambda v: v > 0.0, "positive"),
+    "lr0": (lambda v: 0.0 < v < math.inf, "finite and positive"),
     "momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 }
 
@@ -251,8 +250,8 @@ _RULES = {
 def _check(rule: str, value):
     """value, or a ValueError if it breaks the rule of that name."""
     test, requirement = _RULES[rule]
-    if not test(value):
-        raise ValueError(f"{rule} must be {requirement}")
+    if not (_is_real(value) and test(value)):
+        raise ValueError(f"{rule} must be {requirement}, got {value!r}")
     return value
 
 
@@ -298,7 +297,7 @@ def _freeze_params(params) -> tuple:
 
 def init(spec: MlpSpec, seed: int) -> NetworkModel:
     """Fan-in-scaled uniform weights, zero biases, deterministic per seed."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", least=0))
     params = []
     widths = spec.layer_sizes
     for i in range(len(widths) - 1):

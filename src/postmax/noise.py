@@ -22,6 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from postmax.divergence import _integer, _is_real
+
 ROW_SUM_TOL = 1e-12
 
 
@@ -122,7 +124,7 @@ class NoiseParams:
 
     def __post_init__(self):
         if self.kind == "symmetric":
-            if self.eta is None or not (math.isfinite(self.eta) and self.eta >= 0.0):
+            if not (_is_real(self.eta) and math.isfinite(self.eta) and self.eta >= 0.0):
                 raise ValueError("symmetric noise requires a finite eta >= 0")
         elif self.kind == "uniform_offdiag":
             if self.e is None:
@@ -187,8 +189,7 @@ class LabeledDataset:
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError("features must be a nonempty N x D matrix")
-        if self.k < 2:
-            raise ValueError("need at least two classes")
+        object.__setattr__(self, "k", _integer(self.k, "k", least=2))
         labs = _check_labels(self.labels, feats.shape[0], self.k)
         if self.provenance not in ("clean", "corrupted"):
             raise ValueError("provenance must be 'clean' or 'corrupted'")
@@ -234,9 +235,7 @@ def _counter_uniforms(seed: int, n: int) -> np.ndarray:
     # Philox is counter-based: with a fixed key, stream position i always
     # yields the same variate, so sample i's draw is a pure function of
     # (seed, i) and corruption is order-independent.
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen = np.random.Generator(np.random.Philox(key=_integer(seed, "seed", least=0)))
     return gen.random(n)
 
 

@@ -568,6 +568,7 @@ class TestConfig:
                 {"objective": {"divergence": "kl", "correction": ["none", "posterior"]}},
                 "objective.correction",
             ),
+            ({"train": {"lr0": math.inf}}, "train.lr0"),
         ],
     )
     def test_malformed_values_name_their_key(self, overrides, key):
@@ -1189,6 +1190,26 @@ class TestCommandLine:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "error: " in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "width, bad", [(2, 2.5), (1, True), (2, "2")], ids=["2.5", "true", "'2'"]
+    )
+    def test_eval_model_of_non_integer_width_exits_one(
+        self, tmp_path, cli_config, width, bad
+    ):
+        # the file's parameters fit the width that int(bad) reads
+        model_path = tmp_path / "model.json"
+        save_model(init(MlpSpec((3, width, 2)), seed=0), model_path)
+        payload = json.loads(model_path.read_text())
+        payload["spec"]["layer_sizes"][1] = bad
+        model_path.write_text(json.dumps(payload))
+        result = CliRunner().invoke(
+            main, ["eval", "--config", str(cli_config), "--model", str(model_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: layer_sizes must be an integer, got {bad!r}" in result.output
         assert "Traceback" not in result.output
 
     def test_eval_class_count_mismatch_exits_one(self, tmp_path, cli_config):

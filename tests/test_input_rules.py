@@ -7,15 +7,23 @@ refuse the same synthetic parameters by one rule table.  pyproject.toml
 turns warnings into errors, so a case that raised a numpy warning instead
 of a ValueError fails here.  Every batch mean refuses a batch of no
 rows by the one rule of posterior._batch_mean, and the per-row functions
-return no rows.  Every count argument takes the config reader's integer
-rule, divergence._integer: an int or an integral float, never a bool."""
+return no rows.  Every count, width, size and seed argument takes the
+one integer rule, divergence._integer: an int or an integral float,
+never a bool, and every real-valued setting refuses a non-number with a
+ValueError."""
 
+import dataclasses
+import inspect
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+import postmax
 from postmax.analysis import (
+    TheoremReport,
     check_argmax_invariance,
     check_binary_identity,
     check_correction_exactness,
@@ -24,11 +32,31 @@ from postmax.analysis import (
     check_pointwise_optimum,
     check_posterior_gap_bound,
     training_bias_expression,
+    verify_theorems,
 )
-from postmax.cli import ConfigError, make_synthetic, parse_config
+from postmax.cli import (
+    ConfigError,
+    ResultRecord,
+    load_csv,
+    make_synthetic,
+    parse_config,
+    split_dataset,
+)
 from postmax.divergence import brute_force_conjugate, optimal_T_from_posterior
-from postmax.model import MlpSpec, forward, init, objective_and_gradients
-from postmax.noise import LabeledDataset, NoiseParams, uniform_offdiag_matrix
+from postmax.model import (
+    MlpSpec,
+    TrainConfig,
+    forward,
+    init,
+    objective_and_gradients,
+    train,
+)
+from postmax.noise import (
+    LabeledDataset,
+    NoiseParams,
+    corrupt,
+    uniform_offdiag_matrix,
+)
 from postmax.objective import (
     DiscreteJoint,
     ObjectiveConfig,
@@ -250,8 +278,74 @@ COUNTS = {
         10,
     ),
     "check_first_order_bias-trials": (lambda n: check_first_order_bias(0, trials=n), 2),
+    "MlpSpec-layer_sizes": (lambda n: MlpSpec((n, 3, 2)), 2),
+    "TrainConfig-epochs": (lambda n: TrainConfig(epochs=n, batch_size=4), 2),
+    "TrainConfig-batch_size": (lambda n: TrainConfig(epochs=1, batch_size=n), 4),
+    "LabeledDataset-k": (lambda n: LabeledDataset(X, [0, 1], n).k, 3),
+    "TheoremReport-trials": (lambda n: TheoremReport("t", n, 0.0, 1.0, True), 2),
+    "make_synthetic-k": (lambda n: synthetic_bits(k=n), 3),
+    "make_synthetic-n": (lambda n: synthetic_bits(n=n), 10),
+    "make_synthetic-d": (lambda n: synthetic_bits(d=n), 2),
 }
 BAD_COUNTS = [2.5, 10000.7, math.nan, math.inf, -math.inf, True, np.True_, "3", None]
+
+
+def synthetic_bits(k=3, n=10, d=2, seed=0) -> bytes:
+    """Every number make_synthetic draws, as bytes."""
+    ds, posterior = make_synthetic(k, n, d, 1.0, seed=seed)
+    return flat([ds.features, ds.labels, posterior]).tobytes()
+
+
+def csv_split_bits(seed) -> bytes:
+    """Every number of load_csv's splits of a 10-row CSV file, as bytes."""
+    rows = np.column_stack([np.arange(20.0).reshape(10, 2), [0, 1] * 5])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        np.savetxt(path, rows, delimiter=",")
+        parts = load_csv(path, seed=seed)
+    return flat([[part.features, part.labels] for part in parts]).tobytes()
+
+
+TEN = LabeledDataset(np.arange(20.0).reshape(10, 2), [0, 1] * 5, 2)
+
+# entry point -> function of its seed, with tiny trial counts
+SEEDS = {
+    "TrainConfig": lambda s: TrainConfig(epochs=1, batch_size=4, seed=s),
+    "ResultRecord": lambda s: ResultRecord(s, "kl", "none", "none", 1.0, 1.0, 0.0, 0.0),
+    "init": lambda s: flat(init(MlpSpec((2, 4, K)), seed=s).params).tobytes(),
+    "corrupt": lambda s: corrupt(
+        TEN, uniform_offdiag_matrix([0.2, 0.3]), seed=s
+    ).labels.tobytes(),
+    "split_dataset": lambda s: flat(
+        [[part.features, part.labels] for part in split_dataset(TEN, seed=s)]
+    ).tobytes(),
+    "load_csv": csv_split_bits,
+    "make_synthetic": lambda s: synthetic_bits(seed=s),
+    "check_binary_identity": lambda s: check_binary_identity(s, trials=2),
+    "check_multiclass_identity": lambda s: check_multiclass_identity(s, trials=2),
+    "check_pointwise_optimum": lambda s: check_pointwise_optimum(s, configs=2),
+    "check_argmax_invariance": lambda s: check_argmax_invariance(s, n_vectors=10),
+    "check_correction_exactness": lambda s: check_correction_exactness(s, trials=9),
+    "check_posterior_gap_bound": lambda s: check_posterior_gap_bound(s, trials=10),
+    "check_first_order_bias": lambda s: check_first_order_bias(s, trials=2),
+    "verify_theorems": verify_theorems,
+}
+BAD_SEEDS = [2.5, -1, True, np.True_, math.nan, math.inf, "3", None]
+
+# the argument names whose every public entry point needs a row in COUNTS
+# or, for seed, in SEEDS
+INTEGER_ARGUMENTS = {
+    "seed", "trials", "configs", "n_vectors", "k", "n", "d", "n_grid", "epochs",
+    "batch_size", "layer_sizes",
+}
+
+# entry point-real argument -> function of that value
+REALS = {
+    "TrainConfig-lr0": lambda v: TrainConfig(epochs=1, batch_size=4, lr0=v),
+    "TrainConfig-momentum": lambda v: TrainConfig(epochs=1, batch_size=4, momentum=v),
+    "NoiseParams-eta": lambda v: NoiseParams(kind="symmetric", eta=v),
+}
+BAD_REALS = ["0.1", math.inf, math.nan, True, None]
 
 # case -> make_synthetic's parameters, every combination of k in {1, 2, 3},
 # n at k - 1 and k, d at 0, k - 2 and k - 1, and a class separation of
@@ -400,16 +494,69 @@ def test_per_row_entry_returns_no_rows_for_none(entry):
 @pytest.mark.parametrize("entry", list(COUNTS))
 def test_count_rejects_non_integer(entry, bad):
     name = entry.partition("-")[2]
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+    # the synthetic sizes state their range, as _SYNTHETIC words it
+    rule = f"^{name} must be an integer( from .*)?, got "
+    with pytest.raises(ValueError, match=rule):
         COUNTS[entry][0](bad)
 
 
 @pytest.mark.parametrize("entry", list(COUNTS))
 def test_count_reads_integral_floats_as_ints(entry):
     fn, count = COUNTS[entry]
-    want = fn(count)
+    want = repr(fn(count))
     for same in (float(count), np.float64(count), np.int64(count)):
-        assert fn(same) == want
+        assert repr(fn(same)) == want
+
+
+@pytest.mark.parametrize("bad", BAD_SEEDS, ids=repr)
+@pytest.mark.parametrize("entry", list(SEEDS))
+def test_seed_rejects_non_integer(entry, bad):
+    with pytest.raises(ValueError, match="^seed must be (an integer|at least 0), got "):
+        SEEDS[entry](bad)
+
+
+@pytest.mark.parametrize("entry", list(SEEDS))
+def test_seed_reads_integral_floats_and_numpy_ints_bit_for_bit(entry):
+    want = repr(SEEDS[entry](3))
+    for same in (3.0, np.float64(3.0), np.int64(3)):
+        assert repr(SEEDS[entry](same)) == want
+
+
+def test_integral_float_epochs_train_as_ints():
+    def trained(epochs):
+        tc = TrainConfig(epochs=epochs, batch_size=4, seed=1)
+        model0 = init(MlpSpec((2, 4, 2)), seed=0)
+        model, trace = train(model0, TEN, ObjectiveConfig("kl"), tc)
+        return flat(model.params).tobytes(), trace
+
+    assert trained(2.0) == trained(2)
+
+
+def test_every_public_integer_argument_has_a_row():
+    """Each count, width, size or seed that a name in postmax.__all__
+    takes, as a parameter or a dataclass field, has a row above, and
+    each row names one."""
+    found = set()
+    for name in postmax.__all__:
+        obj = getattr(postmax, name)
+        if dataclasses.is_dataclass(obj):
+            arguments = [f.name for f in dataclasses.fields(obj)]
+        elif inspect.isfunction(obj):
+            arguments = list(inspect.signature(obj).parameters)
+        else:
+            continue
+        found |= {(name, a) for a in arguments if a in INTEGER_ARGUMENTS}
+    rows = {tuple(entry.split("-", 1)) for entry in COUNTS}
+    rows |= {(entry, "seed") for entry in SEEDS}
+    assert found - rows == set(), "no row for these arguments"
+    assert rows - found == set(), "these rows name no public argument"
+
+
+@pytest.mark.parametrize("bad", BAD_REALS, ids=repr)
+@pytest.mark.parametrize("entry", list(REALS))
+def test_real_setting_rejects_non_number_or_out_of_range(entry, bad):
+    with pytest.raises(ValueError, match=entry.partition("-")[2]):
+        REALS[entry](bad)
 
 
 def synthetic_tree(params) -> dict:
