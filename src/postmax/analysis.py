@@ -18,8 +18,10 @@ import numpy as np
 
 from postmax.divergence import (
     DIVERGENCE_IDS,
+    MAX_SEED,
     _as_spec,
     _integer,
+    _seed,
     conj_second,
     get_divergence,
     optimal_T_from_posterior,
@@ -259,7 +261,7 @@ def _identity_gaps(pmf, entries, e, scale, posteriors, bias_fn) -> np.ndarray:
 
 def _binary_identity_gaps(seed: int, trials: int, bias_fn=_exact_bias) -> np.ndarray:
     """check_binary_identity's gaps, one row per trial."""
-    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    rng = np.random.default_rng(_seed(seed))
     e, pmf, posteriors = _identity_draws(rng, trials, 2, 0.45)
     e0, e1 = e[:, 0], e[:, 1]
     entries = np.stack([1.0 - e1, e1, e0, 1.0 - e0], axis=1).reshape(trials, 2, 2)
@@ -270,7 +272,7 @@ def _multiclass_identity_gaps(
     seed: int, trials: int, k: int, bias_fn=_exact_bias
 ) -> np.ndarray:
     """check_multiclass_identity's gaps, one row per trial."""
-    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    rng = np.random.default_rng(_seed(seed))
     e, pmf, posteriors = _identity_draws(rng, trials, k, 0.9 / k)
     return _identity_gaps(
         pmf, _offdiag_entries(e), e, 1.0 - e.sum(axis=1), posteriors, bias_fn
@@ -313,7 +315,7 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
     drawn flip-in rates e, the rest the clean posterior p.
     """
     configs = _integer(configs, "configs", least=1)
-    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    rng = np.random.default_rng(_seed(seed))
     worst = 0.0
     for div_id in DIVERGENCE_IDS:
         targets = []
@@ -389,7 +391,7 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
     noisy_posterior_forward's.
     """
     n_vectors = _integer(n_vectors, "n_vectors", least=1)
-    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    rng = np.random.default_rng(_seed(seed))
     total = 0
     mismatched = 0
     for k in range(2, 11):
@@ -412,7 +414,7 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
 def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport:
     """Subtracting flip-in rates restores the clean argmax exactly."""
     trials = _integer(trials, "trials", least=1)
-    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    rng = np.random.default_rng(_seed(seed))
     per_k = max(1, -(-trials // 9))  # ceil: never undershoot the request
     total = 0
     mismatched = 0
@@ -432,7 +434,7 @@ def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport
 def check_posterior_gap_bound(seed: int, trials: int = 10_000) -> TheoremReport:
     """The curvature bound covers the posterior gap near convergence."""
     trials = _integer(trials, "trials", least=1)
-    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    rng = np.random.default_rng(_seed(seed))
     worst_fraction = 0.0
     k = 4
     for div_id in DIVERGENCE_IDS:
@@ -462,7 +464,7 @@ def check_first_order_bias(seed: int, trials: int = 1_000) -> TheoremReport:
     directly computed bias must fall at least 3x when delta is halved.
     """
     trials = _integer(trials, "trials", least=1)
-    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    rng = np.random.default_rng(_seed(seed))
     worst_ratio = 0.0
     k = 3
     for div_id in DIVERGENCE_IDS:
@@ -495,16 +497,21 @@ def check_first_order_bias(seed: int, trials: int = 1_000) -> TheoremReport:
 
 
 def verify_theorems(seed: int, report_path=None) -> list:
-    """Run every identity and bound check; failures are reported, not raised."""
-    reports = [
-        check_binary_identity(seed),
-        check_multiclass_identity(seed + 1),
-        check_pointwise_optimum(seed + 2),
-        check_argmax_invariance(seed + 3),
-        check_correction_exactness(seed + 4),
-        check_posterior_gap_bound(seed + 5),
-        check_first_order_bias(seed + 6),
-    ]
+    """Run every identity and bound check; failures are reported, not raised.
+
+    The i-th check, counting from 0, takes seed + i, wrapped past MAX_SEED
+    to 0."""
+    seed = _seed(seed)
+    checks = (
+        check_binary_identity,
+        check_multiclass_identity,
+        check_pointwise_optimum,
+        check_argmax_invariance,
+        check_correction_exactness,
+        check_posterior_gap_bound,
+        check_first_order_bias,
+    )
+    reports = [check((seed + i) % (MAX_SEED + 1)) for i, check in enumerate(checks)]
     if report_path is not None:
         with open(report_path, "w") as fh:
             json.dump([r.to_dict() for r in reports], fh, indent=2)

@@ -20,14 +20,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import DIVERGENCE_IDS, _integer, _is_real
+from .divergence import DIVERGENCE_IDS, _integer, _is_real, _seed
 from .model import (
     _ACTIVATIONS,
+    _BLOCK_ROWS,
     _HEADS,
     MlpSpec,
     TrainConfig,
     _check,
+    _check_budget,
     _evaluate_modes,
+    _step_floats,
     _train_members,
     evaluate,
     init,
@@ -42,15 +45,6 @@ TABLE_COLUMNS = ("No Cor.", "O.F. Cor.", "P. Cor.", "No Noise")
 
 _FORMATS = ("csv", "json", "table")  # what report writes
 
-# The most classes a CSV may hold.  The noise matrix is K x K, and the
-# output layer and the training step's workspaces are K wide, so bounding
-# K keeps memory linear in the file.
-MAX_CSV_CLASSES = 1000
-
-# The most training labels a sweep may hold (1 GiB of 8-byte indices):
-# n per network of every seed, which the seeds list alone can multiply.
-MAX_SWEEP_LABELS = 2**27
-
 
 class ConfigError(ValueError):
     """A config file or config tree is malformed."""
@@ -64,9 +58,10 @@ def _csv_dataset(path) -> LabeledDataset:
     """Read a CSV file into a dataset of K = largest label + 1 classes.
 
     The last column is the label; a single header line is allowed.  K
-    must be at least 2 and at most both the number of data rows and
-    MAX_CSV_CLASSES, so a label must be below both.  Any malformed
-    content is reported with its line number.
+    must be at least 2 and at most the number of data rows, so a label
+    must be below it.  Any malformed content is reported with its line
+    number.  The memory of a run on the file, K x K matrices among it, is
+    model.MAX_RUN_FLOATS' to judge, once the file is read.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -117,11 +112,6 @@ def _csv_dataset(path) -> LabeledDataset:
             f"{path}: line {lineno}: label {cell} makes more classes than "
             f"the {len(rows)} data rows"
         )
-    if largest >= MAX_CSV_CLASSES:
-        raise ConfigError(
-            f"{path}: line {lineno}: label {cell} makes more than the "
-            f"{MAX_CSV_CLASSES} classes a CSV may hold"
-        )
     if largest < 1:
         raise ConfigError(f"{path}: labels must cover at least two classes")
     return LabeledDataset(np.asarray(rows, dtype=float), labels, int(largest) + 1)
@@ -134,7 +124,13 @@ def load_csv(path, seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
     are standardized per column using statistics of the training split
     only; constant columns are left unscaled.
     """
-    train_ds, test_ds = split_dataset(_csv_dataset(path), seed)
+    return _standardized(*split_dataset(_csv_dataset(path), seed))
+
+
+def _standardized(
+    train_ds: LabeledDataset, test_ds: LabeledDataset
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Both splits standardized as load_csv standardizes them."""
     mean = train_ds.features.mean(axis=0)
     std = train_ds.features.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
@@ -150,7 +146,7 @@ def split_dataset(
     n_test = int(round(TEST_FRACTION * ds.n))
     if n_test < 1 or ds.n - n_test < 1:
         raise ConfigError(f"cannot split {ds.n} rows into nonempty train and test parts")
-    perm = np.random.default_rng(_integer(seed, "seed", least=0)).permutation(ds.n)
+    perm = np.random.default_rng(_seed(seed)).permutation(ds.n)
     make = lambda idx: replace(ds, features=ds.features[idx], labels=ds.labels[idx])
     return make(perm[n_test:]), make(perm[:n_test])
 
@@ -164,9 +160,15 @@ def make_synthetic(
     distance ``class_separation``, embedded in a seeded random frame
     (this needs d >= k-1).  Returns the dataset together with the exact
     posterior of each sample under the generating mixture, so learned
-    posteriors can be compared against the best achievable ones.
+    posteriors can be compared against the best achievable ones.  A draw
+    whose arrays, the posterior's among them, would hold more than
+    model.MAX_RUN_FLOATS floats is refused before it starts.
     """
-    ds, means, counts = _sample_synthetic(k, n, d, class_separation, seed)
+    params = dict(k=k, n=n, d=d, class_separation=class_separation)
+    k, n, d, _ = _checked_synthetic(params).values()
+    terms = {**_draw_terms(k, n, d), "posterior": 3 * n * k}
+    _check_budget(terms, "make_synthetic", ConfigError)
+    ds, means, counts = _sample_synthetic(**params, seed=seed)
     # Exact mixture posterior: unit-variance components with priors
     # proportional to the class counts.  Squared distances go one class
     # at a time, so no (n, k, d) difference is held.
@@ -180,33 +182,26 @@ def make_synthetic(
     return ds, posterior
 
 
-# The most floats the synthetic draw's n x d features may hold (1 GiB),
-# so a draw no memory holds is refused before it starts.
-MAX_SYNTHETIC_FLOATS = 2**27
-
-
-def _separation(value, name: str, least: float, most: float) -> float:
-    """A class separation as a float: an int or a float in [least, most]."""
-    if not (_is_real(value) and least <= value <= most):
-        raise ValueError(f"{name} must be in [{least}, {most}]")
+def _separation(value, name: str, least: float) -> float:
+    """A class separation as a float: an int or a float from least to the
+    largest float."""
+    if not (_is_real(value) and least <= value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite float of at least {least}")
     return float(value)
 
 
 # The synthetic draw's rules, checked in this order: key -> (its rule,
-# taking the value, key, least and most, then its least and most value
-# given the keys before it, and what it must be).  k equidistant means
-# span k - 1 dimensions, the features take n x d floats and the means'
-# frame k x k, and a separation must be a float.  _sample_synthetic and
-# parse_config both check by this table.
+# taking the value, key and least, then its least value given the keys
+# before it, and what it must be).  k equidistant means span k - 1
+# dimensions, every class has a row, and a separation must be a float;
+# how large a draw may be is model.MAX_RUN_FLOATS' to judge.
+# _sample_synthetic and parse_config both check by this table.
 _SYNTHETIC = {
-    "k": (_integer, lambda p: (2, math.isqrt(MAX_SYNTHETIC_FLOATS)),
-          "an integer from {least} to {most}"),
-    "n": (_integer, lambda p: (p["k"], MAX_SYNTHETIC_FLOATS // max(1, p["k"] - 1)),
-          "an integer from {least} to {most} for k = {k}"),
-    "d": (_integer, lambda p: (max(1, p["k"] - 1), MAX_SYNTHETIC_FLOATS // p["n"]),
-          "an integer from {least} to {most} dimensions for k = {k} and n = {n}"),
-    "class_separation": (_separation, lambda p: (0.0, sys.float_info.max),
-                         "finite and nonnegative"),
+    "k": (_integer, lambda p: 2, "an integer from {least} up"),
+    "n": (_integer, lambda p: p["k"], "an integer from {least} up for k = {k}"),
+    "d": (_integer, lambda p: max(1, p["k"] - 1),
+          "an integer from {least} dimensions up for k = {k}"),
+    "class_separation": (_separation, lambda p: 0.0, "finite and nonnegative"),
 }
 
 
@@ -214,15 +209,22 @@ def _checked_synthetic(params: dict, fault: str = "{key} must be {what}") -> dic
     """params as their _SYNTHETIC rules read them.  The first that breaks
     its rule raises ConfigError, fault naming the key and what it must be."""
     checked = {}  # the keys before this one, as their rules read them
-    for key, (rule, bounds, requirement) in _SYNTHETIC.items():
-        (least, most), value = bounds(checked), params[key]
+    for key, (rule, bound, requirement) in _SYNTHETIC.items():
+        least, value = bound(checked), params[key]
         try:
-            checked[key] = rule(value, key, least, most)
+            checked[key] = rule(value, key, least)
         except ValueError:
-            what = requirement.format(least=least, most=most, **checked)
+            what = requirement.format(least=least, **checked)
             message = fault.format(key=key, what=what)
             raise ConfigError(f"{message}, got {value!r}") from None
     return checked
+
+
+def _draw_terms(k: int, n: int, d: int) -> dict:
+    """The floats of the synthetic draw's large arrays: the features with
+    their temporaries and split, which peak at 3.0-3.7 n x d, and the
+    means' frame, its k x k and d x (k - 1) factors."""
+    return {"features": 4 * n * d, "synthetic frame": 5 * k * k + 3 * d * k}
 
 
 def _sample_synthetic(
@@ -234,7 +236,7 @@ def _sample_synthetic(
     params = dict(k=k, n=n, d=d, class_separation=class_separation)
     k, n, d, class_separation = _checked_synthetic(params).values()
 
-    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    rng = np.random.default_rng(_seed(seed))
     # Regular simplex with unit-free coordinates: center the k standard
     # basis vectors, keep the k-1 informative directions, then rotate
     # into d dimensions with a random orthonormal frame.
@@ -369,7 +371,7 @@ _REQUIRED = object()  # the default of a key that every config gives
 # gives that key that value, and is unknown otherwise.
 _CONFIG = {
     (None, "seeds"): (
-        lambda seeds: _distinct(_list(partial(_integer, name="seed", least=0))(seeds)),
+        lambda seeds: _distinct(_list(_seed)(seeds)),
         (0,),
         None,
     ),
@@ -379,7 +381,7 @@ _CONFIG = {
     ("dataset", "n"): (_as_given, 600, ("source", "synthetic")),
     ("dataset", "d"): (_as_given, 10, ("source", "synthetic")),
     ("dataset", "class_separation"): (_real_text, 4.0, ("source", "synthetic")),
-    ("dataset", "split_seed"): (partial(_integer, name="split_seed", least=0), 0, None),
+    ("dataset", "split_seed"): (partial(_seed, name="split_seed"), 0, None),
     ("model", "hidden"): (_list(partial(_integer, name="width", least=1)), (32,), None),
     ("model", "activation"): (_choice(_ACTIVATIONS), "relu", None),
     ("model", "head"): (_choice(_HEADS), "simplex", None),
@@ -524,7 +526,7 @@ class ResultRecord:
     wall_seconds: float
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.divergence not in DIVERGENCE_IDS:
             raise ValueError(f"unknown divergence {self.divergence!r}")
         if self.correction not in _CORRECTIONS:
@@ -556,29 +558,59 @@ def describe_noise(noise: Optional[NoiseParams]) -> str:
     return f"uniform_offdiag(e={rates})"
 
 
-def _load_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    if cfg.source == "csv":
-        return load_csv(cfg.csv_path, seed=cfg.split_seed)
-    ds, _, _ = _sample_synthetic(seed=cfg.split_seed, **cfg.synthetic)
-    return split_dataset(ds, seed=cfg.split_seed)
-
-
-def _mlp_spec(cfg: ExperimentConfig, train_ds: LabeledDataset) -> MlpSpec:
+def _mlp_spec(cfg: ExperimentConfig, d: int, k: int) -> MlpSpec:
+    """The network of cfg for data of d features and k classes."""
     return MlpSpec(
-        layer_sizes=(train_ds.d, *cfg.hidden, train_ds.k),
+        layer_sizes=(d, *cfg.hidden, k),
         activation=cfg.activation,
         head=cfg.head,
         divergence=cfg.divergence if cfg.head == "raw_t" else None,
     )
 
 
-def _check_sweep_labels(networks: int, rows: int) -> None:
-    """ConfigError unless networks x rows labels fit MAX_SWEEP_LABELS."""
-    if networks * rows > MAX_SWEEP_LABELS:
-        raise ConfigError(
-            f"training labels of {networks} networks x {rows} rows would be "
-            f"{networks * rows}, over the {MAX_SWEEP_LABELS} a sweep may hold"
-        )
+def _run_terms(cfg: ExperimentConfig, n: int, d: int, k: int) -> dict:
+    """The floats of the large arrays of cfg's run as run_experiment runs
+    it, by what holds them, from the config and the data's n rows, d
+    features and k classes alone, in integer arithmetic.  Each term bounds
+    its arrays' peak, counting all n rows where a split holds fewer; a
+    network's parameter rows are its initial and trained ones and the
+    step's parameters, velocity, gradient and scratch."""
+    S = len(cfg.seeds)
+    # a clean network per seed, and a noisy one per distinct training mode
+    G = 1 if cfg.noise is None else 1 + len({m == "objective" for m in cfg.corrections})
+    B = min(cfg.train.batch_size, n)
+    sizes = (d, *cfg.hidden, k)
+    params = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    rows = min(_BLOCK_ROWS, n)
+    data = {"features": 4 * n * d} if cfg.source == "csv" else _draw_terms(k, n, d)
+    return {
+        **data,
+        "noise matrix": 0 if cfg.noise is None else 2 * k * k,
+        "one-hot identity": k * k,
+        "training labels": 3 * (S * G + S) * n,
+        "parameters": 6 * S * G * params,
+        "step workspaces": _step_floats(_mlp_spec(cfg, d, k), S, G, B)
+        + 8 * S * G * B * k,
+        "scoring blocks": rows * (sum(cfg.hidden) + 6 * k + 1) + 4 * n,
+    }
+
+
+def _dataset(cfg: ExperimentConfig) -> LabeledDataset:
+    """cfg's whole dataset, once its run's _run_terms fit the budget: a
+    synthetic run is checked before the draw, a CSV one once the file is
+    read.  A run past it raises ConfigError."""
+    ds = _csv_dataset(cfg.csv_path) if cfg.source == "csv" else None
+    shape = (cfg.synthetic[key] for key in "ndk") if ds is None else (ds.n, ds.d, ds.k)
+    _check_budget(_run_terms(cfg, *shape), "the run", ConfigError)
+    if ds is None:
+        ds, _, _ = _sample_synthetic(seed=cfg.split_seed, **cfg.synthetic)
+    return ds
+
+
+def _load_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
+    """_dataset's (train, test) splits, a CSV's standardized."""
+    splits = split_dataset(_dataset(cfg), seed=cfg.split_seed)
+    return _standardized(*splits) if cfg.source == "csv" else splits
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -601,10 +633,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     pass that gave the record: without noise, the clean network's pass
     shares among every mode; with noise, the noisy network's pass shares
     among the modes it serves.  Identical configs and seeds give
-    identical records apart from wall time.  A sweep that would hold more
-    than MAX_SWEEP_LABELS training labels is refused with a ConfigError:
-    before the draw for a synthetic source, whose shape the config gives,
-    and once the file is read for a CSV one.
+    identical records apart from wall time.  A run whose _run_terms sum
+    past model.MAX_RUN_FLOATS is refused with a ConfigError naming the
+    total and the largest term: before the draw for a synthetic source,
+    whose shape the config gives, and once the file is read for a CSV one.
     """
     # only the objective correction changes the gradient
     train_mode = {
@@ -616,13 +648,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
         noisy_modes = list(dict.fromkeys(train_mode.values()))
     noisy_cfgs = [ObjectiveConfig(cfg.divergence, t, cfg.noise) for t in noisy_modes]
     per_seed = 1 + len(noisy_modes)
-    networks = len(cfg.seeds) * per_seed
-    if cfg.synthetic is not None:
-        n = cfg.synthetic["n"]
-        _check_sweep_labels(networks, n - int(round(TEST_FRACTION * n)))
     train_ds, test_ds = _load_splits(cfg)
-    _check_sweep_labels(networks, train_ds.n)  # a CSV's rows, once read
-    spec = _mlp_spec(cfg, train_ds)
+    spec = _mlp_spec(cfg, train_ds.d, train_ds.k)
     plain = ObjectiveConfig(cfg.divergence)
     noise_desc = describe_noise(cfg.noise)
     members = []  # per seed: the clean baseline, then each noisy mode

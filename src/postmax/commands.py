@@ -67,7 +67,7 @@ def main():
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def corrupt_cmd(config_path, seed, out_path):
     """Corrupt a dataset's labels and write the result as CSV."""
-    from .cli import ConfigError, _csv_dataset, _sample_synthetic
+    from .cli import ConfigError, _dataset
     from .noise import corrupt
 
     cfg = _config_from_flag(config_path)
@@ -75,10 +75,7 @@ def corrupt_cmd(config_path, seed, out_path):
         _fail("corrupt requires a noise section in the config")
     run_seed = cfg.seeds[0] if seed is None else seed
     try:
-        if cfg.source == "csv":
-            ds = _csv_dataset(cfg.csv_path)
-        else:
-            ds, _, _ = _sample_synthetic(seed=cfg.split_seed, **cfg.synthetic)
+        ds = _dataset(cfg)
         noisy = corrupt(ds, cfg.noise.to_matrix(ds.k), seed=run_seed)
     except (ConfigError, ValueError) as err:
         _fail(str(err))
@@ -107,7 +104,7 @@ def train_cmd(config_path, seed, out_path):
     _check_writable(out_path)
     try:
         train_ds, test_ds = _load_splits(cfg)
-        spec = _mlp_spec(cfg, train_ds)
+        spec = _mlp_spec(cfg, train_ds.d, train_ds.k)
         mode = cfg.corrections[0]
         ocfg = ObjectiveConfig(cfg.divergence, mode, cfg.noise)
         if cfg.noise is not None:
@@ -175,9 +172,12 @@ def eval_cmd(config_path, model_path, out_format):
 def verify_cmd(seed, out_path):
     """Check the library's core identities on fresh random trials."""
     from .analysis import verify_theorems
+    from .divergence import MAX_SEED
 
     if seed < 0:
         _fail(f"--seed must be a non-negative integer, got {seed}")
+    if seed > MAX_SEED:
+        _fail(f"--seed must be at most {MAX_SEED}, got {seed}")
     if out_path is not None:
         _check_writable(out_path)
     try:

@@ -302,6 +302,17 @@ def _integer(value, name: str, least=None, most=None) -> int:
     return value
 
 
+# The largest seed: corrupt keys numpy's Philox generator with it, and a
+# Philox key holds 128 bits.
+MAX_SEED = 2**128 - 1
+
+
+def _seed(value, name: str = "seed") -> int:
+    """The seed rule of the config and the library: _integer's, from 0 to
+    MAX_SEED."""
+    return _integer(value, name, least=0, most=MAX_SEED)
+
+
 def _is_real(value) -> bool:
     """Whether value is an int or a float, numpy's included, and no bool."""
     real = isinstance(value, (int, float, np.integer, np.floating))

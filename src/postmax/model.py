@@ -151,7 +151,9 @@ from typing import Optional
 
 import numpy as np
 
-from postmax.divergence import DivergenceSpec, _integer, _is_real, get_divergence
+from postmax.divergence import (
+    MAX_SEED, DivergenceSpec, _integer, _is_real, _seed, get_divergence,
+)
 from postmax.noise import LabeledDataset, _check_labels
 from postmax.objective import (
     POSTERIOR_FLOOR,
@@ -180,6 +182,24 @@ _ACTIVATIONS = ("relu", "tanh")
 _HEADS = ("raw_t", "simplex")
 
 SERIAL_VERSION = 1
+
+# The most floats a run may hold at once: 2 GiB of float64.  Each caller
+# counts its large arrays from their sizes alone, by what holds them, and
+# _check_budget refuses a total past this before any of them is allocated.
+MAX_RUN_FLOATS = 2**28
+
+
+def _check_budget(terms: dict, what: str, error=ValueError) -> None:
+    """Raise error unless terms, name -> floats, sum to at most
+    MAX_RUN_FLOATS; its message names what, the total and the largest
+    term."""
+    total = sum(terms.values())
+    if total > MAX_RUN_FLOATS:
+        name = max(terms, key=terms.get)
+        raise error(
+            f"{what} would hold {total:,} floats, over MAX_RUN_FLOATS = "
+            f"{MAX_RUN_FLOATS:,}; its largest term is {name}, {terms[name]:,} floats"
+        )
 
 
 @dataclass(frozen=True)
@@ -231,8 +251,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            value = _integer(getattr(self, name), name, least)
+        for name, least, most in (
+            ("epochs", 0, None), ("batch_size", 1, None), ("seed", 0, MAX_SEED)
+        ):
+            value = _integer(getattr(self, name), name, least, most)
             object.__setattr__(self, name, value)
         for name in _RULES:
             _check(name, getattr(self, name))
@@ -297,7 +319,7 @@ def _freeze_params(params) -> tuple:
 
 def init(spec: MlpSpec, seed: int) -> NetworkModel:
     """Fan-in-scaled uniform weights, zero biases, deterministic per seed."""
-    rng = np.random.default_rng(_integer(seed, "seed", least=0))
+    rng = np.random.default_rng(_seed(seed))
     params = []
     widths = spec.layer_sizes
     for i in range(len(widths) - 1):
@@ -490,12 +512,17 @@ def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig
     Runs the program of one full-batch training step over the rows in
     their order, so the gradients are bit for bit the ones a training
     step on that batch takes, and can be compared against finite
-    differences of the value.
+    differences of the value.  Its workspaces grow as N x width, so an N
+    whose arrays would pass MAX_RUN_FLOATS raises ValueError first.
     """
     spec = model.spec
     _check_compat(spec, cfg)
     X = _check_features(spec, X)
     n, k = X.shape[0], spec.k
+    # besides the workspaces, (N, K) one-hot rows, rate terms and the
+    # head's and the value's temporaries
+    terms = {"step workspaces": _step_floats(spec, 1, 1, n), "label rows": 12 * n * k}
+    _check_budget(terms, f"objective_and_gradients over {n} rows")
     labels = _check_labels(labels, n, k)
     div = get_divergence(cfg.divergence)
     e = _rates(cfg, k, "objective")
@@ -556,25 +583,44 @@ def _flat_params(params) -> np.ndarray:
     return np.concatenate([a.ravel() for layer in params for a in layer])
 
 
-def _step_workspaces(spec: MlpSpec, S: int, G: int, B: int) -> list:
+def _step_layout(spec: MlpSpec, S: int, G: int, B: int) -> list:
     """The workspaces of a step of S groups of G members and at most B
-    rows: layer inputs, each with its ones column: the gathered features,
-    one (S, 1, B, d_in + 1) buffer that matmul broadcasts over each group,
-    then each hidden layer's activations; deltas, zeroed as no matmul
-    writes their last column, and activation derivatives (relu's as a
-    bool mask) of the same widths; final outputs, head outputs, head
-    gradients, the head's scratch, the labels as one-hot rows, and one
-    (S, G, B, 1) column for row maxima and sums.  A step of fewer rows
-    uses the first rows of each."""
+    rows, each as (fill, shape, dtype), in _step_workspaces' groups: layer
+    inputs, each with its ones column: the gathered features, one (S, 1,
+    B, d_in + 1) buffer that matmul broadcasts over each group, then each
+    hidden layer's activations; deltas, zeroed as no matmul writes their
+    last column, and activation derivatives (relu's as a bool mask) of
+    the same widths; final outputs, head outputs, head gradients, the
+    head's scratch, the labels as one-hot rows, and one (S, G, B, 1)
+    column for row maxima and sums.  A step of fewer rows uses the first
+    rows of each."""
     hidden, k = spec.layer_sizes[1:-1], spec.k
     mask_type = bool if spec.activation == "relu" else float
     return [
-        [np.ones((S, 1, B, spec.d_in + 1))]
-        + [np.ones((S, G, B, w + 1)) for w in hidden],
-        [np.zeros((S, G, B, w + 1)) for w in hidden],
-        [np.empty((S, G, B, w + 1), mask_type) for w in hidden],
-        [np.empty((S, G, B, k)) for _ in range(5)] + [np.empty((S, G, B, 1))],
+        [(np.ones, (S, 1, B, spec.d_in + 1), float)]
+        + [(np.ones, (S, G, B, w + 1), float) for w in hidden],
+        [(np.zeros, (S, G, B, w + 1), float) for w in hidden],
+        [(np.empty, (S, G, B, w + 1), mask_type) for w in hidden],
+        [(np.empty, (S, G, B, k), float)] * 5 + [(np.empty, (S, G, B, 1), float)],
     ]
+
+
+def _step_workspaces(spec: MlpSpec, S: int, G: int, B: int) -> list:
+    """_step_layout's workspaces, allocated."""
+    return [
+        [fill(shape, dtype) for fill, shape, dtype in group]
+        for group in _step_layout(spec, S, G, B)
+    ]
+
+
+def _step_floats(spec: MlpSpec, S: int, G: int, B: int) -> int:
+    """The floats _step_workspaces would allocate, a bool an eighth."""
+    bytes_ = sum(
+        math.prod(shape) * (1 if dtype is bool else 8)
+        for group in _step_layout(spec, S, G, B)
+        for _, shape, dtype in group
+    )
+    return -(-bytes_ // 8)
 
 
 def _step_program(spec, div, theta, grad, params, workspaces, e_terms, nb) -> tuple:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from postmax.divergence import _integer, _is_real
+from postmax.divergence import _integer, _is_real, _seed
 
 ROW_SUM_TOL = 1e-12
 
@@ -126,9 +126,12 @@ class NoiseParams:
         if self.kind == "symmetric":
             if not (_is_real(self.eta) and math.isfinite(self.eta) and self.eta >= 0.0):
                 raise ValueError("symmetric noise requires a finite eta >= 0")
+            object.__setattr__(self, "eta", float(self.eta))
         elif self.kind == "uniform_offdiag":
             if self.e is None:
                 raise ValueError("uniform off-diagonal noise requires a rate vector e")
+            if not all(map(_is_real, np.asarray(self.e, dtype=object).ravel())):
+                raise ValueError(f"flip rates must be numbers, got {self.e!r}")
             e = np.asarray(self.e, dtype=float)
             if e.ndim != 1 or e.shape[0] < 2:
                 raise ValueError("flip rates must be a vector of length K >= 2")
@@ -138,7 +141,7 @@ class NoiseParams:
 
     @classmethod
     def symmetric(cls, eta: float) -> "NoiseParams":
-        return cls(kind="symmetric", eta=float(eta))
+        return cls(kind="symmetric", eta=eta)
 
     @classmethod
     def uniform_offdiag(cls, e: Sequence[float]) -> "NoiseParams":
@@ -235,7 +238,7 @@ def _counter_uniforms(seed: int, n: int) -> np.ndarray:
     # Philox is counter-based: with a fixed key, stream position i always
     # yields the same variate, so sample i's draw is a pure function of
     # (seed, i) and corruption is order-independent.
-    gen = np.random.Generator(np.random.Philox(key=_integer(seed, "seed", least=0)))
+    gen = np.random.Generator(np.random.Philox(key=_seed(seed)))
     return gen.random(n)
 
 
@@ -253,7 +256,17 @@ def corrupt(ds: LabeledDataset, tm: TransitionMatrix, seed: int) -> LabeledDatas
     if ds.provenance != "clean":
         raise ValueError("refusing to corrupt an already corrupted dataset")
     u = _counter_uniforms(seed, ds.n)
-    cum = np.cumsum(tm.entries, axis=1)[ds.labels]
-    new_labels = np.minimum((u[:, None] >= cum).sum(axis=1), ds.k - 1)
+    # A row's new label is the count of its class's cumulative
+    # probabilities at or below its variate, clamped to K - 1: one sorted
+    # search per class, over the rows of that class, so no (n, K) array
+    # is built.
+    order = np.argsort(ds.labels, kind="stable")
+    ends = np.cumsum(np.bincount(ds.labels, minlength=ds.k)).tolist()
+    new_labels = np.empty(ds.n, np.int64)
+    for c, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        rows = order[lo:hi]
+        cum = np.cumsum(tm.entries[c])
+        new_labels[rows] = np.searchsorted(cum, u[rows], side="right")
+    np.minimum(new_labels, ds.k - 1, out=new_labels)
     return LabeledDataset(ds.features, new_labels, ds.k, provenance="corrupted")
 

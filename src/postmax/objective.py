@@ -50,7 +50,10 @@ from postmax.noise import (
 )
 from postmax.posterior import _as_rows, _batch_mean, _check_probability_rows
 
-POSTERIOR_FLOOR = 1e-12  # degenerate posteriors are floored here by oracles
+# The floor of the simplex head's rows where the objective's value is
+# taken from them (model._head_rows), so a row driven to the boundary
+# keeps the value finite; the gradient reads the rows unfloored.
+POSTERIOR_FLOOR = 1e-12
 
 _CORRECTIONS = ("none", "objective", "posterior")
 

@@ -373,6 +373,20 @@ class TestCheckDrivers:
         b = verify_theorems(seed=5)
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
+    def test_check_seeds_wrap_past_the_largest_seed(self, monkeypatch):
+        import postmax.analysis as analysis_mod
+
+        seeds = []
+        for name in (
+            "check_binary_identity", "check_multiclass_identity",
+            "check_pointwise_optimum", "check_argmax_invariance",
+            "check_correction_exactness", "check_posterior_gap_bound",
+            "check_first_order_bias",
+        ):
+            monkeypatch.setattr(analysis_mod, name, seeds.append)
+        verify_theorems(2**128 - 3)
+        assert seeds == [2**128 - 3, 2**128 - 2, 2**128 - 1, 0, 1, 2, 3]
+
     def test_report_serialization(self, tmp_path):
         path = tmp_path / "reports.json"
         reports = verify_theorems(seed=0, report_path=path)

@@ -3,11 +3,13 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +22,10 @@ from hypothesis import strategies as st
 import postmax
 from postmax.cli import (
     _CONFIG,
-    MAX_CSV_CLASSES,
-    MAX_SWEEP_LABELS,
     RECORD_COLUMNS,
     ConfigError,
     ResultRecord,
+    _run_terms,
     _sample_synthetic,
     describe_noise,
     load_config,
@@ -193,14 +194,16 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_class_maximum(self, tmp_path):
-        # more rows than the maximum, so only the class bound applies
+        # K may reach the row count and has no bound of its own: the
+        # memory of a run on the file is the run budget's to judge
         path = tmp_path / "k.csv"
-        rows = "0.5,0\n" * MAX_CSV_CLASSES
-        path.write_text(rows + f"0.5,{MAX_CSV_CLASSES - 1}\n")
-        assert load_csv(path)[0].k == MAX_CSV_CLASSES
-        path.write_text(rows + f"0.5,{MAX_CSV_CLASSES}\n")
-        line = MAX_CSV_CLASSES + 1
-        with pytest.raises(ConfigError, match=f"line {line}: .* more than the"):
+        rows = "0.5,0\n" * 1000
+        path.write_text(rows + "0.5,1000\n")
+        assert load_csv(path)[0].k == 1001
+        path.write_text(rows + "0.5,1001\n")
+        with pytest.raises(
+            ConfigError, match="line 1001: label 1001 makes more classes than the 1001"
+        ):
             load_csv(path)
 
     def test_label_below_the_row_count_accepted(self, tmp_path):
@@ -1023,9 +1026,10 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("command", ["corrupt", "sweep"])
     def test_csv_label_past_the_class_maximum_exits_one(self, tmp_path, command):
-        # 600 KB: 100,000 rows, so K = 100,000 passes the row bound, a K x K
-        # noise matrix would be 80 GB, and the output layer and the step's
-        # workspaces would be 100,000 wide
+        # 600 KB: 100,000 rows, so K = 100,000 passes the row bound, and the
+        # run budget refuses its K x K noise matrix, 160 GB, once the file
+        # is read; the output layer and the step's workspaces would be
+        # 100,000 wide
         data = tmp_path / "wide.csv"
         data.write_text("0.5,0\n" * 99_999 + "0.5,99999\n")
         tree = config_tree(
@@ -1038,12 +1042,13 @@ class TestCommandLine:
         result = CliRunner().invoke(
             main, [command, "--config", str(path), "--out", str(out)]
         )
-        # the reader's error, so nothing sized by K was built
+        # the budget's error, so nothing sized by K was built
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
+        total = sum(_run_terms(parse_config(tree), 100_000, 1, 100_000).values())
         assert result.output == (
-            f"error: {data}: line 100000: label 99999 makes more than the "
-            f"{MAX_CSV_CLASSES} classes a CSV may hold\n"
+            f"error: the run would hold {total:,} floats, over MAX_RUN_FLOATS = "
+            "268,435,456; its largest term is noise matrix, 20,000,000,000 floats\n"
         )
         assert not out.exists()
 
@@ -1051,7 +1056,8 @@ class TestCommandLine:
         import postmax.cli as cli_mod
 
         # 100,000 rows of K = 2 classes: a 560-seed, three-network sweep
-        # would hold 1,680 x 80,000 training labels, past 2**27
+        # would hold 1,680 networks' training labels and 560 seeds' epoch
+        # orders, 3 x 2,240 x 100,000 indices counted, past the budget
         data = tmp_path / "classes.csv"
         data.write_text("".join(f"0.5,{i % 2}\n" for i in range(100_000)))
         tree = config_tree(
@@ -1075,9 +1081,10 @@ class TestCommandLine:
         )
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
+        total = sum(_run_terms(parse_config(tree), 100_000, 1, 2).values())
         assert result.output == (
-            "error: training labels of 1680 networks x 80000 rows would be "
-            f"134400000, over the {MAX_SWEEP_LABELS} a sweep may hold\n"
+            f"error: the run would hold {total:,} floats, over MAX_RUN_FLOATS = "
+            "268,435,456; its largest term is training labels, 672,000,000 floats\n"
         )
         assert called == [] and not out.exists()
 
@@ -1085,9 +1092,10 @@ class TestCommandLine:
         self, monkeypatch
     ):
         import postmax.cli as cli_mod
+        import postmax.model as model_mod
 
-        # 203 rows split into 162 training rows (41 test rows, 20% rounded):
-        # 15 networks x 162 rows = 2,430 training labels
+        # 15 networks of 203 rows: with the budget one float below the
+        # run's total the draw is refused, and at the total it is drawn
         cfg = parse_config(
             config_tree(
                 dataset={"source": "synthetic", "k": 2, "n": 203, "d": 1},
@@ -1104,14 +1112,17 @@ class TestCommandLine:
             raise AssertionError("drew the synthetic data")
 
         monkeypatch.setattr(cli_mod, "_sample_synthetic", drawn)
-        monkeypatch.setattr(cli_mod, "MAX_SWEEP_LABELS", 2_429)
+        terms = _run_terms(cfg, 203, 1, 2)
+        total = sum(terms.values())
+        assert terms["training labels"] == 3 * (15 + 5) * 203
+        monkeypatch.setattr(model_mod, "MAX_RUN_FLOATS", total - 1)
         with pytest.raises(ConfigError) as refused:
             run_experiment(cfg)
-        assert str(refused.value) == (
-            "training labels of 15 networks x 162 rows would be 2430, "
-            "over the 2429 a sweep may hold"
+        assert str(refused.value).startswith(
+            f"the run would hold {total:,} floats, "
+            f"over MAX_RUN_FLOATS = {total - 1:,}; "
         )
-        monkeypatch.setattr(cli_mod, "MAX_SWEEP_LABELS", 2_430)
+        monkeypatch.setattr(model_mod, "MAX_RUN_FLOATS", total)
         with pytest.raises(AssertionError, match="drew"):
             run_experiment(cfg)
 
@@ -1468,6 +1479,18 @@ class TestCommandLine:
         assert "error: --seed must be a non-negative integer, got -1" in result.output
         assert "Traceback" not in result.output
 
+    def test_verify_seed_past_the_largest_exits_one(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("ran with a seed past 2**128 - 1")
+
+        monkeypatch.setattr("postmax.analysis.verify_theorems", never)
+        result = CliRunner().invoke(main, ["verify", "--seed", str(2**128)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: --seed must be at most {2**128 - 1}, got {2**128}\n"
+        )
+
     def test_verify_failure_exits_two(self, monkeypatch):
         from postmax.analysis import TheoremReport
 
@@ -1511,3 +1534,106 @@ class TestCommandLine:
         )
         assert result.exit_code == 1
         assert "--config" in result.output
+
+
+# input -> (config tree overrides, its run's largest term): the k = 11,585
+# draw, whose k x k frame alone is 1.07 GB; a hidden layer of 10**9 units;
+# and a CSV of K = 1,000 classes, which the test refuses by patching the
+# budget one float below its run's total
+OVERSIZED = {
+    "k11585": (
+        {"dataset": {"source": "synthetic", "k": 11_585, "n": 11_585, "d": 11_584}},
+        "synthetic frame",
+    ),
+    "hidden1e9": ({"model": {"hidden": [10**9]}}, "scoring blocks"),
+    "csv-k1000": ({}, "scoring blocks"),
+}
+
+
+class TestOversizedRuns:
+    """Every command that runs from a config refuses a run past the
+    budget before it draws, corrupts, initializes or trains anything."""
+
+    @pytest.mark.parametrize("case", list(OVERSIZED))
+    @pytest.mark.parametrize("command", ["sweep", "train", "eval", "corrupt"])
+    def test_run_past_the_budget_exits_one(self, tmp_path, monkeypatch, command, case):
+        import postmax.cli as cli_mod
+        import postmax.model as model_mod
+        import postmax.noise as noise_mod
+
+        overrides, largest = OVERSIZED[case]
+        tree = config_tree(noise={"kind": "symmetric", "eta": 0.2}, **overrides)
+        if case == "csv-k1000":
+            data = tmp_path / "k1000.csv"
+            data.write_text("".join(f"{i / 7},{i % 1000}\n" for i in range(2000)))
+            tree["dataset"] = {"source": "csv", "path": str(data)}
+            total = sum(_run_terms(parse_config(tree), 2000, 1, 1000).values())
+            monkeypatch.setattr(model_mod, "MAX_RUN_FLOATS", total - 1)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(tree))
+
+        def never(*args, **kwargs):
+            raise AssertionError("allocated for the run")
+
+        for module, name in [
+            (cli_mod, "_sample_synthetic"), (cli_mod, "corrupt"), (cli_mod, "init"),
+            (cli_mod, "_train_members"), (noise_mod, "corrupt"), (model_mod, "init"),
+            (model_mod, "_train_members"),
+        ]:
+            monkeypatch.setattr(module, name, never)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config)]
+        if command == "eval":
+            model = tmp_path / "model.json"
+            save_model(init(MlpSpec((3, 4, 2)), seed=0), model)
+            argv += ["--model", str(model)]
+        else:
+            argv += ["--out", str(out)]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        first = result.output.splitlines()[0]
+        assert first.startswith("error: the run would hold ")
+        assert f"; its largest term is {largest}, " in first
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["csv-4-8-1000", "synthetic-10-4096-2", "draw"])
+    def test_total_bounds_the_peak(self, tmp_path, monkeypatch, case):
+        # where arrays dominate, the total the budget counts is at least
+        # the tracemalloc peak and at most three times it
+        import postmax.model as model_mod
+
+        if case == "draw":  # n x d = 2**22
+            run = partial(make_synthetic, 10, 2**16, 64, 4.0, seed=0)
+        else:
+            tree = config_tree(
+                noise={"kind": "symmetric", "eta": 0.2},
+                objective={
+                    "divergence": "kl", "correction": ["none", "objective", "posterior"]
+                },
+                train={"epochs": 1, "batch_size": 64},
+                model={"hidden": [4096]},
+                dataset={"source": "synthetic", "k": 2, "n": 600, "d": 10},
+                seeds=[0, 1, 2, 3, 4],
+            )
+            if case == "csv-4-8-1000":
+                data = tmp_path / "k1000.csv"
+                rows = [f"{i % 7},{i % 5},{i % 3},{i % 11},{i % 1000}" for i in range(8000)]
+                data.write_text("\n".join(rows) + "\n")
+                tree |= {"dataset": {"source": "csv", "path": str(data)}, "seeds": [0]}
+                tree["model"] = {"hidden": [8]}
+                tree["train"] = {"epochs": 1, "batch_size": 256}
+            run = partial(run_experiment, parse_config(tree))
+        monkeypatch.setattr(model_mod, "MAX_RUN_FLOATS", 0)
+        with pytest.raises(ConfigError) as refused:
+            run()
+        monkeypatch.undo()
+        [total] = re.findall(r"would hold ([0-9,]+) floats", str(refused.value))
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * int(total.replace(",", "")) <= 3 * peak

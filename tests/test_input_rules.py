@@ -40,6 +40,7 @@ from postmax.cli import (
     load_csv,
     make_synthetic,
     parse_config,
+    run_experiment,
     split_dataset,
 )
 from postmax.divergence import brute_force_conjugate, optimal_T_from_posterior
@@ -330,7 +331,8 @@ SEEDS = {
     "check_first_order_bias": lambda s: check_first_order_bias(s, trials=2),
     "verify_theorems": verify_theorems,
 }
-BAD_SEEDS = [2.5, -1, True, np.True_, math.nan, math.inf, "3", None]
+# 2**128 is one past the largest seed, MAX_SEED
+BAD_SEEDS = [2.5, -1, 2**128, True, np.True_, math.nan, math.inf, "3", None]
 
 # the argument names whose every public entry point needs a row in COUNTS
 # or, for seed, in SEEDS
@@ -344,6 +346,10 @@ REALS = {
     "TrainConfig-lr0": lambda v: TrainConfig(epochs=1, batch_size=4, lr0=v),
     "TrainConfig-momentum": lambda v: TrainConfig(epochs=1, batch_size=4, momentum=v),
     "NoiseParams-eta": lambda v: NoiseParams(kind="symmetric", eta=v),
+    "NoiseParams.symmetric-eta": NoiseParams.symmetric,
+    "NoiseParams.uniform_offdiag-flip rates": lambda v: NoiseParams.uniform_offdiag(
+        [v, 0.2]
+    ),
 }
 BAD_REALS = ["0.1", math.inf, math.nan, True, None]
 
@@ -365,8 +371,9 @@ SYNTHETIC = {
         (3.0, 3, 2, 1.0), (3, 4.0, 2, 1.0), (3, 3, 2.0, 1.0),
     ]
 }
-# values no draw can hold: n x d past MAX_SYNTHETIC_FLOATS, and a
-# separation float() cannot hold; each is refused under its own key
+# values no draw can hold: n x d past the run budget, MAX_RUN_FLOATS,
+# which make_synthetic and a run refuse before they draw, and a
+# separation float() cannot hold, which its key's rule refuses
 TOO_LARGE = {
     "n": {"k": 2, "n": 10**400, "d": 2, "class_separation": 1.0},
     "d": {"k": 2, "n": 10, "d": 10**400, "class_separation": 1.0},
@@ -511,7 +518,8 @@ def test_count_reads_integral_floats_as_ints(entry):
 @pytest.mark.parametrize("bad", BAD_SEEDS, ids=repr)
 @pytest.mark.parametrize("entry", list(SEEDS))
 def test_seed_rejects_non_integer(entry, bad):
-    with pytest.raises(ValueError, match="^seed must be (an integer|at least 0), got "):
+    rule = f"^seed must be (an integer|at least 0|at most {2**128 - 1}), got "
+    with pytest.raises(ValueError, match=rule):
         SEEDS[entry](bad)
 
 
@@ -573,6 +581,10 @@ def test_synthetic_config_and_sampler_share_one_rule(case):
     try:
         make_synthetic(**params, seed=0)
     except ConfigError as err:
+        if str(err).startswith("make_synthetic would hold "):
+            # past the budget, which the run judges: every key's rule holds
+            assert parse_config(synthetic_tree(params)).synthetic == params
+            return
         key, _, requirement = str(err).partition(" must be ")
         with pytest.raises(ConfigError) as refused:
             parse_config(synthetic_tree(params))
@@ -581,12 +593,23 @@ def test_synthetic_config_and_sampler_share_one_rule(case):
         assert parse_config(synthetic_tree(params)).synthetic == params
 
 
-@pytest.mark.parametrize("key", list(TOO_LARGE))
+@pytest.mark.parametrize("key", ["class_separation"])
 def test_synthetic_value_no_draw_holds_is_refused_under_its_key(key):
     with pytest.raises(ConfigError, match=f"^{key} must be "):
         make_synthetic(**TOO_LARGE[key], seed=0)
     with pytest.raises(ConfigError, match=rf"^invalid 'dataset\.{key}': must be "):
         parse_config(synthetic_tree(TOO_LARGE[key]))
+
+
+@pytest.mark.parametrize("key", ["n", "d"])
+def test_synthetic_draw_past_the_budget_is_refused(key):
+    rule = "would hold [0-9,]+ floats, over MAX_RUN_FLOATS = 268,435,456; "
+    largest = "its largest term is features"
+    with pytest.raises(ConfigError, match=f"^make_synthetic {rule}{largest}"):
+        make_synthetic(**TOO_LARGE[key], seed=0)
+    cfg = parse_config(synthetic_tree(TOO_LARGE[key]))
+    with pytest.raises(ConfigError, match=f"^the run {rule}"):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("case", ["k2-n2-d1-sep0.0", "k3-n3-d2-sep0.0"])

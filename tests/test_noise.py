@@ -1,5 +1,7 @@
 """Tests for transition matrices, noise parameters, and corruption."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from postmax.noise import (
     NoiseParams,
     TransitionMatrix,
     _check_stochastic,
+    _counter_uniforms,
     corrupt,
     symmetric_matrix,
     uniform_offdiag_matrix,
@@ -169,6 +172,32 @@ class TestCorrupt:
         head = LabeledDataset(ds.features[:100], ds.labels[:100], k=3)
         part = corrupt(head, tm, seed=21)
         np.testing.assert_array_equal(part.labels, full.labels[:100])
+
+    @pytest.mark.parametrize("k", [2, 10, 1000])
+    def test_labels_equal_the_cumulative_comparison(self, k):
+        # the (n, K) reference: a row's new label counts its class's
+        # cumulative probabilities at or below its variate
+        ds = make_dataset(5000, k, seed=k)
+        rng = np.random.default_rng(k)
+        entries = rng.random((k, k)) ** 4
+        tm = TransitionMatrix(entries / entries.sum(axis=1, keepdims=True))
+        u = _counter_uniforms(13, ds.n)
+        cum = np.cumsum(tm.entries, axis=1)[ds.labels]
+        want = np.minimum((u[:, None] >= cum).sum(axis=1), k - 1)
+        np.testing.assert_array_equal(corrupt(ds, tm, seed=13).labels, want)
+
+    def test_memory_is_linear_in_the_rows(self):
+        # an (n, K) float array would be 160 MB here
+        n, k = 20_000, 1000
+        ds = LabeledDataset(np.zeros((n, 1)), np.arange(n) % k, k)
+        tm = symmetric_matrix(k, 0.2)
+        tracemalloc.start()
+        try:
+            corrupt(ds, tm, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n  # eight 8-byte values per row
 
     def test_rejects_recorruption(self):
         ds = make_dataset(50, 2)

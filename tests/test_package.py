@@ -155,3 +155,26 @@ def test_sweep_command_does_not_load_the_theorem_checks(tmp_path):
     loaded = modules_after(run_command(["sweep", "--config", str(config)]))
     assert {"yaml", "postmax.model"} <= loaded
     assert "postmax.analysis" not in loaded
+
+
+# the memory bounds the run budget replaced
+RETIRED_BOUNDS = (
+    "MAX_CSV_CLASSES",
+    "MAX_SWEEP_LABELS",
+    "MAX_SYNTHETIC_FLOATS",
+    "_check_sweep_labels",
+)
+
+
+def test_readme_states_the_run_budget_and_no_retired_bound():
+    from postmax.model import MAX_RUN_FLOATS
+
+    text = README.read_text(encoding="utf-8")
+    [exponent] = re.findall(r"`MAX_RUN_FLOATS = 2\*\*(\d+)`", text)
+    assert 2 ** int(exponent) == MAX_RUN_FLOATS
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    assert sources
+    for path in [README, *sources]:
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            named = [bound for bound in RETIRED_BOUNDS if bound in line]
+            assert named == [], f"{path.name}:{lineno} names {named}"
