@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Optional, Sequence
@@ -61,10 +62,10 @@ def _csv_dataset(path) -> LabeledDataset:
     must be at least 2 and at most the number of data rows, so a label
     must be below it.  Any malformed content is reported with its line
     number.  The memory of a run on the file, K x K matrices among it, is
-    model.MAX_RUN_FLOATS' to judge, once the file is read.
+    model.MAX_RUN_FLOATS' to judge, once the file is read; reading holds
+    about 2 x N x D floats, the rows' one flat array and the features.
     """
-    rows: list[list[float]] = []
-    labels: list[int] = []
+    table = array("d")  # every data row's values, one row after another
     width: Optional[int] = None
     top = (-1.0, 0, "")  # the largest label so far, its line and its cell
     # utf-8-sig drops a byte order mark, which would make line 1 a header
@@ -81,7 +82,7 @@ def _csv_dataset(path) -> LabeledDataset:
             try:
                 values = [float(p) for p in parts]
             except ValueError:
-                if not rows and lineno == 1:
+                if not table and lineno == 1:
                     continue  # header line
                 raise ConfigError(
                     f"{path}: line {lineno}: non-numeric value"
@@ -102,10 +103,10 @@ def _csv_dataset(path) -> LabeledDataset:
                 )
             if label > top[0]:
                 top = (label, lineno, parts[-1])
-            rows.append(values[:-1])
-            labels.append(int(label))
-    if not rows:
+            table.extend(values)
+    if not table:
         raise ConfigError(f"{path}: no data rows")
+    rows = np.frombuffer(table).reshape(-1, width)
     largest, lineno, cell = top
     if largest >= len(rows):
         raise ConfigError(
@@ -114,7 +115,7 @@ def _csv_dataset(path) -> LabeledDataset:
         )
     if largest < 1:
         raise ConfigError(f"{path}: labels must cover at least two classes")
-    return LabeledDataset(np.asarray(rows, dtype=float), labels, int(largest) + 1)
+    return LabeledDataset(rows[:, :-1], rows[:, -1], int(largest) + 1)
 
 
 def load_csv(path, seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
@@ -576,8 +577,7 @@ def _run_terms(cfg: ExperimentConfig, n: int, d: int, k: int) -> dict:
     network's parameter rows are its initial and trained ones and the
     step's parameters, velocity, gradient and scratch."""
     S = len(cfg.seeds)
-    # a clean network per seed, and a noisy one per distinct training mode
-    G = 1 if cfg.noise is None else 1 + len({m == "objective" for m in cfg.corrections})
+    G = 1 + len(_noisy_trainings(cfg))  # the networks each seed trains
     B = min(cfg.train.batch_size, n)
     sizes = (d, *cfg.hidden, k)
     params = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
@@ -593,6 +593,19 @@ def _run_terms(cfg: ExperimentConfig, n: int, d: int, k: int) -> dict:
         + 8 * S * G * B * k,
         "scoring blocks": rows * (sum(cfg.hidden) + 6 * k + 1) + 4 * n,
     }
+
+
+def _noisy_trainings(cfg: ExperimentConfig) -> dict:
+    """The noisy networks a seed trains besides its clean one, in order of
+    first use: each one's training config, mapped to the configs of the
+    modes it is scored for.  Only the objective correction changes the
+    gradient, so none and posterior share one; it is empty without noise."""
+    trainings = {}
+    for mode in cfg.corrections if cfg.noise is not None else ():
+        scored = ObjectiveConfig(cfg.divergence, mode, cfg.noise)
+        trained = scored if mode == "objective" else replace(scored, correction="none")
+        trainings.setdefault(trained, []).append(scored)
+    return trainings
 
 
 def _dataset(cfg: ExperimentConfig) -> LabeledDataset:
@@ -638,16 +651,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     total and the largest term: before the draw for a synthetic source,
     whose shape the config gives, and once the file is read for a CSV one.
     """
-    # only the objective correction changes the gradient
-    train_mode = {
-        mode: "objective" if mode == "objective" else "none"
-        for mode in cfg.corrections
-    }
-    noisy_modes = []  # distinct training modes, in order of first use
-    if cfg.noise is not None:
-        noisy_modes = list(dict.fromkeys(train_mode.values()))
-    noisy_cfgs = [ObjectiveConfig(cfg.divergence, t, cfg.noise) for t in noisy_modes]
-    per_seed = 1 + len(noisy_modes)
+    trainings = _noisy_trainings(cfg)
+    per_seed = 1 + len(trainings)
     train_ds, test_ds = _load_splits(cfg)
     spec = _mlp_spec(cfg, train_ds.d, train_ds.k)
     plain = ObjectiveConfig(cfg.divergence)
@@ -659,7 +664,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
         members.append((model0, train_ds, plain, tc))
         if cfg.noise is not None:
             noisy_train = corrupt(train_ds, cfg.noise.to_matrix(train_ds.k), seed=seed)
-            members += [(model0, noisy_train, c, tc) for c in noisy_cfgs]
+            members += [(model0, noisy_train, c, tc) for c in trainings]
     t0 = time.perf_counter()
     trained = _train_members(members)
     train_wall = (time.perf_counter() - t0) / len(cfg.seeds)
@@ -674,17 +679,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
             mode: (clean_acc, clean_obj, train_wall + clean_s / len(cfg.corrections))
             for mode in cfg.corrections
         }
-        for train_as, network in zip(noisy_modes, noisy):
-            modes = [mode for mode in cfg.corrections if train_mode[mode] == train_as]
+        for modes, network in zip(trainings.values(), noisy):
             t0 = time.perf_counter()
-            results = _evaluate_modes(
-                network, test_ds,
-                [ObjectiveConfig(cfg.divergence, mode, cfg.noise) for mode in modes],
-            )
+            results = _evaluate_modes(network, test_ds, modes)
             wall = train_wall + (time.perf_counter() - t0) / len(modes)
-            scored.update(
-                (mode, (acc, obj, wall)) for mode, (acc, obj) in zip(modes, results)
-            )
+            for mode_cfg, (acc, obj) in zip(modes, results):
+                scored[mode_cfg.correction] = (acc, obj, wall)
         for mode in cfg.corrections:
             acc, obj, wall = scored[mode]
             records.append(

@@ -74,6 +74,7 @@ def corrupt_cmd(config_path, seed, out_path):
     if cfg.noise is None:
         _fail("corrupt requires a noise section in the config")
     run_seed = cfg.seeds[0] if seed is None else seed
+    _check_writable(out_path)
     try:
         ds = _dataset(cfg)
         noisy = corrupt(ds, cfg.noise.to_matrix(ds.k), seed=run_seed)
@@ -246,7 +247,8 @@ def report_cmd(in_path, out_format):
     from .cli import parse_report, report
 
     try:
-        with open(in_path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte order mark, which would hide either format
+        with open(in_path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         _fail(f"cannot read records: {err}")

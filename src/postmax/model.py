@@ -346,43 +346,33 @@ _ZERO = np.float64(0.0)
 _ONE = np.float64(1.0)
 
 
-def _forward_ops(layers, hs, v):
-    """_forward_program's operands: (W, b, input, output, activation array)
-    of each hidden layer, and (W, b, input, output) of the output layer.
+def _forward_program(activation: str, layers, hs, v) -> tuple:
+    """The forward pass over any leading member axes: each hidden layer
+    writes its linear output to its output array and applies the
+    activation there in place, so that array ends as the next layer's
+    input; the output layer writes the final linear outputs.
 
     layers are (W, b) pairs whose b broadcasts against the layer's
     outputs; hs are the layer inputs, hs[0] the features, and v takes the
-    final linear outputs.  An input may end in a column of ones: its
-    layer's b is then None and its W the (d_in + 1, d_out) block [W; b],
-    so the matmul adds the bias.  A hidden layer writes the first d_out
-    columns of the next input and takes its activation over all of it.
+    final linear outputs.  An input may end in a column of ones, which
+    its layer reads only when its b is None and its W the (d_in + 1,
+    d_out) block [W; b], so the matmul adds the bias.  A hidden layer
+    writes the first d_out columns of the next input and takes its
+    activation over all of it.
     """
-    ops = []
+    calls = []
     for (W, b), h_in, h in zip(layers, hs, [*hs[1:], v]):
+        z = h[..., : W.shape[-1]]
+        calls.append(partial(np.matmul, h_in[..., : W.shape[-2]], W, z))
         if b is not None:
-            h_in = h_in[..., : W.shape[-2]]
-        ops.append((W, b, h_in, h[..., : W.shape[-1]], h))
-    *hidden, (W, b, h_in, v, _) = ops
-    return hidden, (W, b, h_in, v)
-
-
-def _forward_program(activation: str, hidden, last) -> tuple:
-    """The forward pass over _forward_ops' operands, over any leading
-    member axes: each hidden layer writes its linear output to its output
-    array and applies the activation there in place, so that array ends
-    as the next layer's input; the output layer writes the final linear
-    outputs."""
-    ops = []
-    for W, b, h_in, z, h in hidden:
-        ops.append(partial(np.matmul, h_in, W, z))
-        if b is not None:
-            ops.append(partial(np.add, z, b, z))
+            calls.append(partial(np.add, z, b, z))
+        if h is v:  # the output layer takes no activation
+            break
         if activation == "relu":  # relu(1) = 1 keeps a ones column
-            ops.append(partial(np.maximum, h, _ZERO, out=h))
+            calls.append(partial(np.maximum, h, _ZERO, out=h))
         else:
-            ops.append(partial(np.tanh, z, z))
-    W, b, h_in, v = last
-    return (*ops, partial(np.matmul, h_in, W, v), partial(np.add, v, b, v))
+            calls.append(partial(np.tanh, z, z))
+    return tuple(calls)
 
 
 def forward(model: NetworkModel, X) -> np.ndarray:
@@ -423,15 +413,11 @@ def _rates(cfg: ObjectiveConfig, k: int, mode: str) -> Optional[np.ndarray]:
     return cfg.noise.flip_rates(k) if cfg.correction == mode else None
 
 
-def _head_value(div: DivergenceSpec, v, D, labels, e) -> float:
-    """Mean objective of final outputs v with checked labels and rates;
-    D holds the simplex head's softmax rows and is None for the raw head."""
-    return _mean_value(*_head_rows(div, v, D, labels, e))
-
-
 def _head_rows(div: DivergenceSpec, v, D, labels, e) -> tuple:
-    """_head_value's per-row terms: the objective's and, for the simplex
-    head with rates, the bias's, else None; _mean_value reduces them."""
+    """The per-row terms of the objective of final outputs v with checked
+    labels and rates e: the objective's and, for the simplex head with
+    rates, the bias's, else None; _mean_value reduces them.  D holds the
+    simplex head's softmax rows and is None for the raw head."""
     if D is None:
         return _raw_rows(div, v, labels, e), None
     # Optimizers may legitimately drive off-label probabilities to the
@@ -453,7 +439,7 @@ def _mean_value(values, bias) -> float:
 
 def _head_grad_program(div: DivergenceSpec, v, D, onehot, rates, out, work) -> tuple:
     """The program that writes the summed-objective gradient w.r.t. final
-    outputs v, with the _rate_terms rates, into out; D as _head_value's,
+    outputs v, with the _rate_terms rates, into out; D as _head_rows',
     work as _simplex_logit_grad_program's, both arrays given.  raw_slopes
     allocates, so the raw head is one call."""
     if D is None:
@@ -461,11 +447,10 @@ def _head_grad_program(div: DivergenceSpec, v, D, onehot, rates, out, work) -> t
     return _simplex_logit_grad_program(div, D, onehot, rates, out, work)
 
 
-def _backprop_ops(weights_T, hs, g_v, grads, deltas, masks) -> list:
-    """_backprop_program's operands, from the output layer down: per layer
-    (input^T, output gradient, gradient block, down), down being None for
-    layer 0 and (W^T, input, derivative, input gradient, its first d_in
-    columns) above it.
+def _backprop_program(activation: str, weights_T, hs, g_v, grads, deltas, masks):
+    """Backprop over any leading member axes, from the output layer down:
+    each layer's gradient block, then, above layer 0, its input gradient
+    times the activation's derivative.
 
     weights_T are the layers' transposed weights (layer 0's is not
     read), hs are the layer inputs, each ending in a column of ones, and
@@ -476,33 +461,22 @@ def _backprop_ops(weights_T, hs, g_v, grads, deltas, masks) -> list:
     which the caller zeroes, stays zero.
     """
     outputs = [*deltas, g_v]
-    ops = []
-    for i in range(len(grads) - 1, -1, -1):
-        down = None
-        if i > 0:
-            W_T, delta = weights_T[i], deltas[i - 1]
-            down = (W_T, hs[i], masks[i - 1], delta, delta[..., : W_T.shape[-1]])
-        g = outputs[i][..., : grads[i].shape[-1]]
-        ops.append((hs[i].swapaxes(-1, -2), g, grads[i], down))
-    return ops
-
-
-def _backprop_program(activation: str, ops) -> tuple:
-    """Backprop over _backprop_ops' operands, over any leading member axes."""
     calls = []
-    for h_T, g, gW, down in ops:
-        calls.append(partial(np.matmul, h_T, g, gW))
-        if down is not None:
-            W_T, h, d, delta, delta_in = down
-            calls.append(partial(np.matmul, g, W_T, delta_in))
-            if activation == "relu":
-                # relu(z) > 0 exactly where z > 0, NaN and -0.0 included;
-                # the kink at 0 is measure-zero under continuous inputs
-                calls.append(partial(np.greater, h, _ZERO, d))
-            else:
-                calls.append(partial(np.multiply, h, h, d))
-                calls.append(partial(np.subtract, _ONE, d, d))
-            calls.append(partial(np.multiply, delta, d, delta))
+    for i in range(len(grads) - 1, -1, -1):
+        g = outputs[i][..., : grads[i].shape[-1]]
+        calls.append(partial(np.matmul, hs[i].swapaxes(-1, -2), g, grads[i]))
+        if i == 0:
+            break
+        W_T, h, d, delta = weights_T[i], hs[i], masks[i - 1], deltas[i - 1]
+        calls.append(partial(np.matmul, g, W_T, delta[..., : W_T.shape[-1]]))
+        if activation == "relu":
+            # relu(z) > 0 exactly where z > 0, NaN and -0.0 included;
+            # the kink at 0 is measure-zero under continuous inputs
+            calls.append(partial(np.greater, h, _ZERO, d))
+        else:
+            calls.append(partial(np.multiply, h, h, d))
+            calls.append(partial(np.subtract, _ONE, d, d))
+        calls.append(partial(np.multiply, delta, d, delta))
     return tuple(calls)
 
 
@@ -537,8 +511,8 @@ def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig
     onehot[...] = _onehot(labels, k)
     _run(program)
     v, D = (a[0, 0] for a in workspaces[-1][:2])  # final and head outputs
-    value = _head_value(div, v, D if spec.head == "simplex" else None, labels, e)
-    return value, _layer_views(grad[0, 0], model.params)
+    rows = _head_rows(div, v, D if spec.head == "simplex" else None, labels, e)
+    return _mean_value(*rows), _layer_views(grad[0, 0], model.params)
 
 
 def _cosine_lr(lr0: float, step: int, total_steps: int) -> float:
@@ -563,11 +537,12 @@ def _layer_blocks(buf: np.ndarray, params) -> list:
 
 
 def _folded_layers(blocks):
-    """_forward_ops' layers and _backprop_ops' transposed weights over
-    _layer_blocks' blocks, for layer inputs that end in a column of ones:
-    each hidden layer's bias is added by its matmul, and the output
-    layer's by an add, as the matmul would round it differently.  The
-    input gradients take W^T alone, for the same reason."""
+    """_forward_program's layers and _backprop_program's transposed
+    weights over _layer_blocks' blocks, for layer inputs that end in a
+    column of ones: each hidden layer's bias is added by its matmul, and
+    the output layer's by an add, as the matmul would round it
+    differently.  The input gradients take W^T alone, for the same
+    reason."""
     *hidden, last = blocks
     layers = [(W, None) for W in hidden] + [(last[..., :-1, :], last[..., -1:, :])]
     return layers, [W[..., :-1, :].swapaxes(-1, -2) for W in blocks]
@@ -631,10 +606,11 @@ def _step_program(spec, div, theta, grad, params, workspaces, e_terms, nb) -> tu
     params; workspaces are _step_workspaces', and e_terms the rate terms
     at their (S, G, B, K) shape, or None.  The caller writes the batch's
     features and one-hot label rows into the two views, then runs the
-    program: the forward pass, the softmax, the head gradient, the
-    division by nb and backprop.  Each layer input ends in a column of
-    ones, so a layer's [W; b] block serves as its weights and its
-    gradient."""
+    program, one builder's calls per phase in order: _forward_program,
+    _softmax_program (the simplex head's only), _head_grad_program, the
+    division by nb and _backprop_program.  Each layer input ends in a
+    column of ones, so a layer's [W; b] block serves as its weights and
+    its gradient."""
     layers, weights_T = _folded_layers(_layer_blocks(theta, params))
     grads = _layer_blocks(grad, params)
     hs, deltas, masks, (v, D, g_v, tmp, onehot, col) = (
@@ -643,16 +619,13 @@ def _step_program(spec, div, theta, grad, params, workspaces, e_terms, nb) -> tu
     e_nb = None if e_terms is None else tuple(t[..., :nb, :] for t in e_terms)
     simplex = spec.head == "simplex"
     program = (
-        _forward_program(spec.activation, *_forward_ops(layers, hs, v))
+        _forward_program(spec.activation, layers, hs, v)
         + (_softmax_program(v, D, col) if simplex else ())
         + _head_grad_program(
             div, v, D if simplex else None, onehot, e_nb, g_v, (tmp, col)
         )
         + (partial(np.divide, g_v, np.float64(nb), g_v),)
-        + _backprop_program(
-            spec.activation,
-            _backprop_ops(weights_T, hs, g_v, grads, deltas, masks),
-        )
+        + _backprop_program(spec.activation, weights_T, hs, g_v, grads, deltas, masks)
     )
     return hs[0][:, 0, :, : spec.d_in], onehot, program
 
@@ -682,11 +655,11 @@ def train(
         objectives.append(obj)
         train_accs.append(acc)
         if eval_dataset is not None:
-            test_accs.append(
-                _evaluate(
-                    spec, div, params, objective_config, eval_dataset, objective=False
-                )[0]
+            [test_acc], _ = _score(
+                spec, div, params, eval_dataset.features, eval_dataset.labels,
+                [objective_config],
             )
+            test_accs.append(test_acc)
 
     member = (model, dataset, objective_config, train_config)
     [trained] = _train_members([member], on_epoch=record)
@@ -700,7 +673,9 @@ def train(
 def _checked_metrics(spec, div, params, cfg, dataset, epoch):
     """Training-set accuracy and objective of one member after epoch;
     raises if the objective is non-finite."""
-    acc, obj = _evaluate(spec, div, params, cfg, dataset)
+    [acc], obj = _score(
+        spec, div, params, dataset.features, dataset.labels, [cfg], objective=True
+    )
     if not math.isfinite(obj):
         raise RuntimeError(f"objective became non-finite after epoch {epoch}: {obj}")
     return acc, obj
@@ -885,30 +860,11 @@ def _evaluate_modes(model: NetworkModel, dataset: LabeledDataset, cfgs) -> list:
     for cfg in cfgs:
         _check_compat(model.spec, cfg)
     _check_fits(model.spec, dataset)
-    k = model.spec.k
     accs, value = _score(
         model.spec, get_divergence(cfgs[0].divergence), model.params,
-        dataset.features, dataset.labels,
-        ranks=[_rates(cfg, k, "posterior") for cfg in cfgs],
-        objective=True, e=_rates(cfgs[0], k, "objective"),
+        dataset.features, dataset.labels, cfgs, objective=True,
     )
     return [(acc, value) for acc in accs]
-
-
-def _evaluate(
-    spec: MlpSpec, div: DivergenceSpec, params, cfg: ObjectiveConfig,
-    dataset: LabeledDataset, objective: bool = True,
-):
-    """evaluate() on bare parameters and a dataset whose shapes the caller
-    has checked; div is cfg's divergence.  The objective is None unless
-    asked for."""
-    k = spec.k
-    [acc], value = _score(
-        spec, div, params, dataset.features, dataset.labels,
-        ranks=[_rates(cfg, k, "posterior")],
-        objective=objective, e=_rates(cfg, k, "objective"),
-    )
-    return acc, value
 
 
 # A scoring pass's row blocks: at most _BLOCK_ROWS rows each, every one
@@ -929,23 +885,27 @@ def _row_blocks(n: int) -> list:
 
 def _score(
     spec: MlpSpec, div: Optional[DivergenceSpec], params, X, labels=None,
-    ranks=(), objective: bool = False, e=None, heads=None,
+    cfgs=(), objective: bool = False, heads=None,
 ) -> tuple:
     """Score a network on features X in row blocks: (accuracies, value).
 
     Each of _row_blocks' blocks runs the unfolded forward pass (matmul,
-    then bias add) into workspaces allocated once per call.  ranks holds
-    one entry per accuracy: None ranks the head outputs, a rate row their
-    posterior correction.  With objective, value is the mean objective
-    with labels, minus the bias of rates e when given, and None otherwise.
-    heads, an (N, K) array, takes the head outputs when given.  Every
-    per-row prediction and objective term is written to an (N,) array,
-    which one reduction reads, so each scalar gets the whole-array pass's
-    bits while every block is served by the BLAS kernel the whole set is
-    (see the module docstring).  div is the divergence; the simplex head
-    reads it only for the objective.
+    then bias add) into workspaces allocated once per call.  cfgs are
+    objective configs, checked by the caller against the network and
+    each other, one per accuracy: one that corrects the posterior ranks
+    the head outputs less its flip rates, any other the head outputs.
+    With objective, value is the mean objective with labels, minus the
+    bias of cfgs[0]'s rates when it corrects the objective, and None
+    otherwise.  heads, an (N, K) array, takes the head outputs when
+    given.  Every per-row prediction and objective term is written to an
+    (N,) array, which one reduction reads, so each scalar gets the
+    whole-array pass's bits while every block is served by the BLAS
+    kernel the whole set is (see the module docstring).  div is the
+    divergence; the simplex head reads it only for the objective.
     """
     n, k = X.shape[0], spec.k
+    ranks = [_rates(cfg, k, "posterior") for cfg in cfgs]
+    e = _rates(cfgs[0], k, "objective") if objective else None
     simplex = spec.head == "simplex"
     spans = _row_blocks(n)
     rows = max((hi - lo for lo, hi in spans), default=0)
@@ -959,7 +919,7 @@ def _score(
         m = hi - lo
         v = v_buf[:m]
         hs = [X[lo:hi], *(h[:m] for h in hidden)]
-        _run(_forward_program(spec.activation, *_forward_ops(params, hs, v)))
+        _run(_forward_program(spec.activation, params, hs, v))
         D = None
         if simplex:
             D = D_buf[:m] if heads is None else heads[lo:hi]

@@ -268,16 +268,12 @@ def jf_simplex_batch(div_id, D, labels) -> float:
     """Mean change-of-variable objective over a batch of simplex rows."""
     spec = _as_spec(div_id)
     D, labels = _check_probability_rows(D, labels)
-    return _jf_simplex(spec, D, labels)
-
-
-def _jf_simplex(spec: DivergenceSpec, D, labels) -> float:
-    """jf_simplex_batch on rows, labels and a spec the caller has checked."""
     return _batch_mean(_jf_simplex_rows(spec, D, labels))
 
 
 def _jf_simplex_rows(spec: DivergenceSpec, D, labels) -> np.ndarray:
-    """_jf_simplex's per-row terms."""
+    """jf_simplex_batch's per-row terms, on rows, labels and a spec the
+    caller has checked."""
     return spec.simplex_value(D, D[np.arange(D.shape[0]), labels])
 
 
@@ -288,18 +284,14 @@ def bias_simplex_batch(div_id, D, e) -> float:
     e = _check_rates(e, D.shape[1])
     spec = _as_spec(div_id)
     with np.errstate(all="ignore"):  # a conjugate that overflows fails _finish
-        bias = _bias_simplex(spec, D, e)
+        bias = _batch_mean(_bias_simplex_rows(spec, D, e))
     return _finish(bias, True, f"noise bias of {spec.id!r}")
 
 
-def _bias_simplex(spec: DivergenceSpec, D, e) -> float:
-    """bias_simplex_batch on rows and rates the caller has checked; the
-    registered f' are finite on strictly positive finite rows."""
-    return _batch_mean(_bias_simplex_rows(spec, D, e))
-
-
 def _bias_simplex_rows(spec: DivergenceSpec, D, e) -> np.ndarray:
-    """_bias_simplex's per-row terms."""
+    """bias_simplex_batch's per-row terms, on rows and rates the caller has
+    checked; the registered f' are finite on strictly positive finite
+    rows."""
     return _bias_rows(spec, spec.f_prime(D), e)
 
 

@@ -34,7 +34,8 @@ def noisy_posterior_forward(clean_p, e) -> np.ndarray:
     """
     p = np.asarray(clean_p, dtype=float)
     p = _check_probability_rows(p, ndim=1 if p.ndim == 1 else 2)
-    return _noisy_forward(p, _check_rates(e, p.shape[-1]))
+    e = _check_rates(e, p.shape[-1])
+    return (1.0 - e.sum()) * p + e
 
 
 def _as_rows(x, what: str, ndim: int = 2) -> np.ndarray:
@@ -81,11 +82,6 @@ def _check_probability_rows(p, labels=None, ndim: int = 2):
     if not np.all(rows[np.arange(rows.shape[0]), labels] > 0.0):
         raise ValueError("the row's component at the label must be positive")
     return p, labels
-
-
-def _noisy_forward(rows, e) -> np.ndarray:
-    """noisy_posterior_forward on rows and rates the caller has checked."""
-    return (1.0 - e.sum()) * rows + e
 
 
 def posterior_correct(noisy_p, e, rescale: bool = False) -> np.ndarray:

@@ -25,6 +25,7 @@ from postmax.cli import (
     RECORD_COLUMNS,
     ConfigError,
     ResultRecord,
+    _csv_dataset,
     _run_terms,
     _sample_synthetic,
     describe_noise,
@@ -132,6 +133,26 @@ class TestLoadCsv:
         path.write_bytes(b"\xef\xbb\xbf" + headless.encode())
         train, test = load_csv(path)
         assert train.n + test.n == 6
+
+    def test_reader_peak_stays_inside_the_features_term(self, tmp_path):
+        # the run budget counts a CSV's features as 4 x n x d floats; a
+        # reader that held each row as a Python list peaked near 7 x n x d
+        n, d = 20000, 10
+        rng = np.random.default_rng(17)
+        features, labels = rng.normal(size=(n, d)), rng.integers(0, 3, size=n)
+        path = tmp_path / "wide.csv"
+        write_csv(path, features, labels)
+        tree = config_tree(dataset={"source": "csv", "path": str(path)})
+        features_term = _run_terms(parse_config(tree), n, d, 3)["features"]
+        tracemalloc.start()
+        try:
+            ds = _csv_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
+        assert peak <= 8 * features_term == 8 * 4 * n * d
 
     def test_parse_error_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1384,6 +1405,16 @@ class TestCommandLine:
         assert f"error: invalid records file: {where}" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_report_reads_records_after_a_byte_order_mark(self, tmp_path, out_format):
+        records = TestReport().records()
+        path = tmp_path / f"records.{out_format}"
+        path.write_text(report(records, format=out_format), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        result = CliRunner().invoke(main, ["report", str(path), "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        assert result.output == report(records, format="csv")
+
     def test_report_undecodable_records_exit_one(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_bytes(b"\xff\xfe" + ",".join(RECORD_COLUMNS).encode())
@@ -1404,8 +1435,7 @@ class TestCommandLine:
         ids=lambda args: args[0],
     )
     def test_unwritable_out_exits_one(self, tmp_path, cli_config, args, monkeypatch):
-        # the path is checked before any training or theorem check runs,
-        # except for corrupt, which writes right after its fast draw
+        # the path is checked before any data is loaded, trained or checked
         def never(*args, **kwargs):
             raise AssertionError("ran before --out was checked")
 
@@ -1422,6 +1452,22 @@ class TestCommandLine:
         assert isinstance(result.exception, SystemExit)
         assert f"error: cannot write {out}" in result.output
         assert "Traceback" not in result.output
+
+    def test_corrupt_checks_out_before_it_loads_or_draws(
+        self, tmp_path, cli_config, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("loaded or corrupted before --out was checked")
+
+        for name in ("postmax.cli._dataset", "postmax.noise.corrupt"):
+            monkeypatch.setattr(name, never)
+        out = tmp_path / "missing" / "noisy.csv"
+        argv = ["corrupt", "--config", str(cli_config), "--out", str(out)]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: cannot write {out}: ")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize(
         "args, runner",

@@ -21,12 +21,10 @@ from postmax.model import (
     MlpSpec,
     NetworkModel,
     TrainConfig,
-    _backprop_ops,
     _backprop_program,
     _cosine_lr,
     _evaluate_modes,
     _folded_layers,
-    _forward_ops,
     _forward_program,
     _head_grad_program,
     _layer_blocks,
@@ -74,7 +72,7 @@ def forward_parts(spec, params, X):
     inputs, plus the final linear outputs."""
     hs = [X] + [np.empty((X.shape[0], w)) for w in spec.layer_sizes[1:-1]]
     v = np.empty((X.shape[0], spec.k))
-    _run(_forward_program(spec.activation, *_forward_ops(params, hs, v)))
+    _run(_forward_program(spec.activation, params, hs, v))
     return hs, v
 
 
@@ -512,7 +510,7 @@ class TestInPlaceActivations:
                 assert (z0 == 0.0).all()
                 assert np.signbit(z0).any() and not np.signbit(z0).all()
 
-            _run(_forward_program(activation, *_forward_ops(layers, hs, v)))
+            _run(_forward_program(activation, layers, hs, v))
             assert same_bits(v, ref_v)
             for h, ref in zip(hs, ref_hs):
                 assert same_bits(h, ref)
@@ -597,12 +595,12 @@ class TestOnesColumnStep:
                     assert np.signbit(z0).any() and not np.signbit(z0).all()
             ref_grads = reference_backprop(activation, layers, ref_hs, ref_zs, g_v)
 
-            _run(_forward_program(activation, *_forward_ops(folded, hs, v)))
+            _run(_forward_program(activation, folded, hs, v))
             assert same_bits(v, ref_v)
             for h, ref in zip(hs, ref_hs):
                 assert same_bits(h[..., :-1], ref) and (h[..., -1] == 1.0).all()
             _run(_backprop_program(
-                activation, _backprop_ops(weights_T, hs, g_v, grads, deltas, masks)
+                activation, weights_T, hs, g_v, grads, deltas, masks
             ))
             for g, (rW, rb) in zip(grads, ref_grads):
                 assert same_bits(g[:, :-1, :], rW) and same_bits(g[:, -1, :], rb)
@@ -676,6 +674,24 @@ class TestTrain:
         )
         assert len(trace.test_accuracy) == 4
         assert len(trace.objective) == 4
+
+    @pytest.mark.parametrize("head", ["simplex", "raw_t"])
+    @pytest.mark.parametrize("mode", ["none", "objective", "posterior"])
+    def test_trace_ends_where_evaluate_scores(self, head, mode):
+        # train()'s per-epoch record and evaluate() are one scorer, so the
+        # last epoch's entries are the trained model's scores bit for bit
+        rng = np.random.default_rng(29)
+        means = rng.normal(scale=2.0, size=(3, 2))
+        ds, held = gaussian_blobs(rng, 20, means), gaussian_blobs(rng, 10, means)
+        noise = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15])
+        cfg = ObjectiveConfig("sl", mode, None if mode == "none" else noise)
+        model = init(head_spec((2, 4, 3), head, "sl"), seed=3)
+        trained, trace = train(
+            model, ds, cfg, TrainConfig(epochs=3, batch_size=8), eval_dataset=held
+        )
+        scores = [trace.train_accuracy[-1], trace.objective[-1]]
+        assert same_bits(scores, evaluate(trained, ds, cfg))
+        assert same_bits(trace.test_accuracy[-1], evaluate(trained, held, cfg)[0])
 
     def test_divergence_aborts_with_diagnostic(self):
         # The simplex head trains through an unchecked kernel, so its
@@ -915,7 +931,7 @@ class TestTrainMembers:
         ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.0]])
         member = (init(MlpSpec((2, 4, 2)), seed=3), ds, ObjectiveConfig("kl"),
                   TrainConfig(epochs=3, batch_size=8))
-        monkeypatch.setattr(model_mod, "_evaluate", lambda *a, **kw: (1.0, math.nan))
+        monkeypatch.setattr(model_mod, "_score", lambda *a, **kw: ([1.0], math.nan))
         with pytest.raises(RuntimeError, match=r"non-finite after epoch 0: nan"):
             train(*member)
         # no per-epoch pass: the check runs once, after the final epoch
@@ -1196,10 +1212,11 @@ class TestBlockScoring:
             assert evaluate(model, ds, cfg) == (acc, value), mode
             assert same_bits(forward(model, ds.features), heads)
 
-    def test_one_pass_scores_each_mode_as_its_own_call(self):
+    @pytest.mark.parametrize("head", ["simplex", "raw_t"])
+    def test_one_pass_scores_each_mode_as_its_own_call(self, head):
         rng = np.random.default_rng(73)
         ds = gaussian_blobs(rng, 40, rng.normal(size=(3, 4)))
-        model = init(MlpSpec((4, 8, 3)), seed=2)
+        model = init(head_spec((4, 8, 3), head, "kl"), seed=2)
         noise = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15])
         cfgs = [ObjectiveConfig("kl", m, noise) for m in ("none", "posterior")]
         one_pass = _evaluate_modes(model, ds, cfgs)

@@ -12,7 +12,6 @@ from postmax.divergence import (
 )
 from postmax.noise import NoiseParams
 from postmax.posterior import (
-    _noisy_forward,
     accuracy,
     noisy_posterior_forward,
     posterior_correct,
@@ -85,15 +84,6 @@ class TestNoisyForward:
         for i in range(20):
             np.testing.assert_array_equal(
                 out[i], noisy_posterior_forward(rows[i], e)
-            )
-
-    def test_unchecked_twin_equals_public_function(self):
-        rng = np.random.default_rng(13)
-        for k in (2, 5, 10):
-            rows = random_simplex(rng, 300, k)
-            e = rng.uniform(0.01, 0.9 / k, size=k)
-            np.testing.assert_array_equal(
-                _noisy_forward(rows, e), noisy_posterior_forward(rows, e)
             )
 
     def test_dyadic_rows_and_rates_exact(self):
