@@ -252,7 +252,8 @@ def report_cmd(in_path, out_format):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         _fail(f"cannot read records: {err}")
-    in_format = "json" if text.lstrip().startswith("{") else "csv"
+    # an object or an array is JSON, so the JSON reader names what is wrong
+    in_format = "json" if text.lstrip().startswith(("{", "[")) else "csv"
     try:
         records = parse_report(text, in_format)
         out = report(records, format=out_format)

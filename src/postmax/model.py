@@ -50,38 +50,38 @@ where its own train() call would.
 A desk-sized step is bound by per-call overhead, not arithmetic.  A
 numpy call costs more when it broadcasts an operand or converts a Python
 scalar, and more again when a view must be made for it first: at
-(3, 32, 2) a broadcast subtract takes about 2.4 us against 0.9 us for
-equal shapes (2-vCPU Xeon, numpy 2.4).  Python glue around the calls
-(nested kernel calls, operand unpacking, activation and class-count
-tests) costs too.  So each step is a program built once per training: a
-tuple of zero-argument functools.partial calls, each a numpy function
-with every operand and out bound, which the step runs in order before
-the finiteness guard, and nothing else.  It holds the gathers of the
-features and of the labels' rows of the K x K identity, the forward
-pass, the softmax, the head gradient, the division by the batch size,
-backprop and the momentum update.  Built with it, once per training, are
-the rate terms at the step's (M, batch, K) shape, the momentum as a
-float64 and the guard's bool buffer, and once per batch size the
-transposed weights, the workspace views, each layer's operands over them
-and the batch size as a float64.  Each epoch refills in place the batch
-orders, every member's label indices in that order, and the learning
-rates, which the programs read as slices and 0-d views.
-objective_and_gradients builds and runs the program of one full-batch
-step, (S, G) = (1, 1), so its gradient is the one training takes.  out
-is bound positionally, about 0.35 us a call cheaper than by keyword,
-except for np.maximum and np.minimum, where numpy 2.4 deprecates a third
-positional argument and each warning costs about 1.4 us.  The kl head
-allocates nothing: the softmax, the drift of the rate terms and the head
-gradient are ufunc calls into (M, batch, K) and (M, batch, 1)
-workspaces, while the gan and sl simplex forms and the raw forms
-allocate, and each runs as one call.  Over two classes, the row max and
-row sums are one np.maximum or np.add of the two column views, about
-2 us a call against 3-6 us for a reduction over the class axis.  From
-three classes the row max is _row_max_program's: a running np.maximum
-over the column views where it was timed faster, up to 24 classes at 20
-or more rows per class, else numpy's reduction, both exact; the sum,
-faster as a reduction at a step's few rows, is numpy's, written into the
-workspace.
+(3, 32, 2) a subtract that broadcasts a (3, 32, 1) column takes about
+0.9 us against 0.26 us for equal shapes (2-vCPU Xeon, numpy 2.4.6).
+Python glue around the calls (nested kernel calls, operand unpacking,
+activation and class-count tests) costs too.  So each step is a program
+built once per training: a tuple of zero-argument functools.partial
+calls, each a numpy function with every operand and out bound.  It holds
+the gathers of the features and of the labels' rows of the K x K
+identity, the forward pass, the softmax, the head gradient, the division
+by the batch size, backprop and the momentum update.  An epoch runs its
+steps' calls as one flat tuple, then the finiteness guard once (see
+_train_members).  Built once per training are the rate terms at
+the step's (M, batch, K) shape, the momentum as a float64 and the
+guard's bool buffer, and once per batch size the transposed weights,
+the workspace views, each layer's operands over them and the batch size
+as a float64.  Each epoch refills in place the batch orders, every
+member's label indices in that order, and the learning rates, which the
+programs read as slices and 0-d views.  objective_and_gradients builds
+and runs the program of one full-batch step, (S, G) = (1, 1), so its
+gradient is the one training takes.  out is bound positionally, about
+0.35 us a call cheaper than by keyword, except for np.maximum and
+np.minimum, where numpy 2.4 deprecates a third positional argument and
+each warning costs about 1.4 us.  The kl head allocates nothing: the
+softmax, the drift of the rate terms and the head gradient are ufunc
+calls into (M, batch, K) workspaces and a column for row maxima and
+sums, while the gan and sl simplex forms and the raw forms allocate, and
+each runs as one call.  Over two classes the column is two wide, both
+entries filled by one np.maximum or np.add of the rows and their columns
+reversed, so the calls that read it run on equal shapes.  From three
+classes the row max is _row_max_program's: a running np.maximum over the
+column views where it was timed faster, up to 24 classes at 20 or more
+rows per class, else numpy's reduction, both exact; the sum, faster as a
+reduction at a step's few rows, is numpy's.
 
 Each layer input in the step's workspaces ends in a column of ones: the
 gathered features, written into the first d_in columns (X itself is not
@@ -159,14 +159,15 @@ from postmax.objective import (
     POSTERIOR_FLOOR,
     ObjectiveConfig,
     _bias_simplex_rows,
+    _column_width,
     _jf_simplex_rows,
     _onehot,
     _rate_terms,
     _raw_logit_grad,
     _raw_rows,
+    _row_max_program,
     _row_sum_op,
     _run,
-    _row_max_program,
     _simplex_logit_grad_program,
 )
 from postmax.posterior import _batch_mean, accuracy
@@ -331,8 +332,8 @@ def init(spec: MlpSpec, seed: int) -> NetworkModel:
 
 def _softmax_program(v, out, col) -> tuple:
     """A program that writes the row softmax of v over the last axis into
-    out; col is a scratch column shaped (..., 1) for the row max and then
-    the row sum."""
+    out; col is a scratch column, (..., _column_width(K)), for the row max
+    and then the row sum."""
     return (
         *_row_max_program(v, col),
         partial(np.subtract, v, col, out),
@@ -553,9 +554,9 @@ def _layer_views(buf: np.ndarray, params) -> list:
     return [(blk[..., :-1, :], blk[..., -1, :]) for blk in _layer_blocks(buf, params)]
 
 
-def _flat_params(params) -> np.ndarray:
-    """One flat row of (W, b) pairs, laid out as _layer_blocks reads it."""
-    return np.concatenate([a.ravel() for layer in params for a in layer])
+def _flat_params(params, out=None) -> np.ndarray:
+    """One flat row of (W, b) pairs, as _layer_blocks reads it, in out."""
+    return np.concatenate([a.ravel() for layer in params for a in layer], out=out)
 
 
 def _step_layout(spec: MlpSpec, S: int, G: int, B: int) -> list:
@@ -566,9 +567,9 @@ def _step_layout(spec: MlpSpec, S: int, G: int, B: int) -> list:
     hidden layer's activations; deltas, zeroed as no matmul writes their
     last column, and activation derivatives (relu's as a bool mask) of
     the same widths; final outputs, head outputs, head gradients, the
-    head's scratch, the labels as one-hot rows, and one (S, G, B, 1)
-    column for row maxima and sums.  A step of fewer rows uses the first
-    rows of each."""
+    head's scratch, the labels as one-hot rows, and one (S, G, B,
+    _column_width(K)) column for row maxima and sums.  A step of fewer
+    rows uses the first rows of each."""
     hidden, k = spec.layer_sizes[1:-1], spec.k
     mask_type = bool if spec.activation == "relu" else float
     return [
@@ -576,7 +577,8 @@ def _step_layout(spec: MlpSpec, S: int, G: int, B: int) -> list:
         + [(np.ones, (S, G, B, w + 1), float) for w in hidden],
         [(np.zeros, (S, G, B, w + 1), float) for w in hidden],
         [(np.empty, (S, G, B, w + 1), mask_type) for w in hidden],
-        [(np.empty, (S, G, B, k), float)] * 5 + [(np.empty, (S, G, B, 1), float)],
+        [(np.empty, (S, G, B, k), float)] * 5
+        + [(np.empty, (S, G, B, _column_width(k)), float)],
     ]
 
 
@@ -746,8 +748,8 @@ def _train_members(members, on_epoch=None) -> list:
 
     # Member m's parameters are row m of one (M, P) buffer, so the update
     # and the finiteness guard are one pass each over all members.
-    theta = np.stack([_flat_params(model.params) for model, _, _, _ in members])
-    velocity = np.zeros_like(theta)
+    theta = np.empty((len(members), _flat_params(model0.params).size))
+    velocity = np.empty_like(theta)
     grad = np.empty_like(theta)
     scratch = np.empty_like(theta)
     finite = np.empty(theta.shape, bool)
@@ -763,7 +765,6 @@ def _train_members(members, on_epoch=None) -> list:
     # every member's in order.
     group_seeds = member_seeds[::G]
     seeds = list(dict.fromkeys(group_seeds))
-    rngs = [np.random.default_rng(s) for s in seeds]
     seed_row = np.array([seeds.index(s) for s in group_seeds])
     perms = np.empty((len(seeds), n), dtype=np.intp)
     order = np.empty((S, n), dtype=np.intp)
@@ -784,7 +785,7 @@ def _train_members(members, on_epoch=None) -> list:
     starts = range(0, n, tc.batch_size)
     lrs = np.empty(len(starts))
     sized = {}
-    programs = []
+    steps = []
     for i, start in enumerate(starts):
         stop = min(start + tc.batch_size, n)
         nb = stop - start
@@ -794,7 +795,7 @@ def _train_members(members, on_epoch=None) -> list:
                 model0.params, workspaces, e_terms, nb,
             )
         x, onehot, step = sized[nb]
-        programs.append((
+        steps.append((
             partial(X.take, order[:, start:stop], 0, x, "clip"),
             partial(identity.take, epoch_labels[..., start:stop], 0, onehot, "clip"),
             *step,
@@ -802,31 +803,46 @@ def _train_members(members, on_epoch=None) -> list:
             partial(np.add, velocity, grad, velocity),
             partial(np.multiply, velocity, lrs[i, ...], scratch),
             partial(np.add, theta, scratch, theta),
-            partial(np.isfinite, theta, finite),
         ))
-    all_finite = partial(np.logical_and.reduce, finite, None)
+    total_steps = tc.epochs * len(steps)
 
-    total_steps = tc.epochs * len(programs)
-    # Plain loops, not comprehensions: an epoch calls no Python function
-    # but one _cosine_lr per step.
-    for epoch in range(tc.epochs):
-        first = epoch * len(programs)
-        for r, rng in enumerate(rngs):
-            perms[r] = rng.permutation(n)
-        perms.take(seed_row, axis=0, out=order)
-        flat_labels.take(offsets + order[:, None, :], out=epoch_labels, mode="clip")
-        for i in range(len(programs)):
-            lrs[i] = _cosine_lr(tc.lr0, first + i, total_steps)
-        for i, program in enumerate(programs):
-            for op in program:
-                op()
-            if not all_finite():
-                raise RuntimeError(
-                    f"parameters became non-finite at epoch {epoch} step "
-                    f"{first + i}; lower lr0 or check the data"
-                )
-        if on_epoch is not None:
-            on_epoch(epoch, member_params)
+    def run(programs, on_epoch):
+        """Train from the initial parameters, the guard after each of an
+        epoch's programs: (epoch, program) where it first fails, or None.
+        An epoch calls no Python function but _cosine_lr and on_epoch."""
+        for row, (model, _, _, _) in zip(theta, members):
+            _flat_params(model.params, row)
+        velocity.fill(0.0)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        for epoch in range(tc.epochs):
+            first = epoch * len(steps)
+            for r, rng in enumerate(rngs):
+                perms[r] = rng.permutation(n)
+            perms.take(seed_row, axis=0, out=order)
+            flat_labels.take(offsets + order[:, None, :], out=epoch_labels, mode="clip")
+            for i in range(len(steps)):
+                lrs[i] = _cosine_lr(tc.lr0, first + i, total_steps)
+            for i, program in enumerate(programs):
+                for op in program:
+                    op()
+                np.isfinite(theta, finite)
+                if not np.logical_and.reduce(finite, None):
+                    return epoch, i
+            if on_epoch is not None:
+                on_epoch(epoch, member_params)
+        return None
+
+    # One guard per epoch (1.1 us a step less at the desk shape): a
+    # non-finite parameter stays so under every later update (inf + x is
+    # inf or NaN), so it fails after the epochs a guard per step fails in.
+    # A replay with a guard per step names the step; no step writes the
+    # workspaces' ones and zero columns it reads.
+    if run((tuple(itertools.chain.from_iterable(steps)),), on_epoch) is not None:
+        epoch, i = run(steps, None)
+        raise RuntimeError(
+            f"parameters became non-finite at epoch {epoch} step "
+            f"{epoch * len(steps) + i}; lower lr0 or check the data"
+        )
 
     if on_epoch is None and tc.epochs > 0:
         for (_, dataset, cfg, _), params in zip(members, member_params):
@@ -910,7 +926,7 @@ def _score(
     spans = _row_blocks(n)
     rows = max((hi - lo for lo, hi in spans), default=0)
     hidden = [np.empty((rows, w)) for w in spec.layer_sizes[1:-1]]
-    v_buf, col_buf = np.empty((rows, k)), np.empty((rows, 1))
+    v_buf, col_buf = np.empty((rows, k)), np.empty((rows, _column_width(k)))
     D_buf = np.empty((rows, k)) if simplex and heads is None else None
     preds = [np.empty(n, np.intp) for _ in ranks]
     values = np.empty(n) if objective else None
@@ -961,7 +977,10 @@ def save_model(model: NetworkModel, path) -> None:
 
 def load_model(path) -> NetworkModel:
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError(f"model file is not JSON: {err}") from None
     if not isinstance(payload, dict):
         raise ValueError("a model file must hold a JSON object")
     if payload.get("version") != SERIAL_VERSION:
@@ -980,6 +999,8 @@ def load_model(path) -> NetworkModel:
             (np.array(p["W"], dtype=float), np.array(p["b"], dtype=float))
             for p in payload["params"]
         )
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
+        raise ValueError(f"malformed model file: missing key {err}") from None
+    except TypeError as err:
         raise ValueError(f"malformed model file: {err!r}") from None
     return NetworkModel(spec, params)

@@ -309,7 +309,8 @@ def jf_simplex_logit_grad_batch(div_id, D, labels, e=None) -> np.ndarray:
     labels = _check_labels(labels, D.shape[0], D.shape[1])
     if e is not None:
         e = _check_rates(e, D.shape[1])
-    out, work = np.empty(D.shape), (np.empty(D.shape), np.empty((D.shape[0], 1)))
+    col = np.empty((D.shape[0], _column_width(D.shape[1])))
+    out, work = np.empty(D.shape), (np.empty(D.shape), col)
     onehot = _onehot(labels, D.shape[1])
     _run(_simplex_logit_grad_program(spec, D, onehot, _rate_terms(e), out, work))
     return out
@@ -326,32 +327,40 @@ def _run(program) -> None:
         op()
 
 
-def _row_sum_op(a, out=None):
-    """A call that writes np.add.reduce over the last axis of a, keeping
-    it, into out (a new array for None) and returns it.
+def _column_width(k: int) -> int:
+    """The width of _row_max_program's and _row_sum_op's column for rows
+    of k entries: 2 at k = 2, both holding the row's value, else 1."""
+    return 2 if k == 2 else 1
 
-    Two columns are one np.add of the column views, which costs less per
+
+def _row_sum_op(a, out=None):
+    """A call that writes the row sums over the last axis of a into out,
+    a _column_width column (a new array for None), and returns it.
+
+    Two columns are one np.add of a and a[..., ::-1], which costs less per
     call than a reduction at every row count; from three the reduction
     is faster at a step's few rows.  The reduction starts from +0.0, so
     a row of two -0.0 sums to -0.0 here and to +0.0 there; every other
     row gets the reduction's bits.
     """
     if a.shape[-1] == 2:
-        return partial(np.add, a[..., :1], a[..., 1:], out)
+        return partial(np.add, a, a[..., ::-1], out)
     return partial(np.add.reduce, a, -1, None, out, True)
 
 
 def _row_max_program(a, out) -> tuple:
-    """A program that writes np.maximum.reduce over the last axis of a,
-    keeping it, into out: one np.maximum of two column views, and from
-    three a running np.maximum over them where timeit found it faster (at
-    most 24 columns, at least 20 rows per column), else the reduction.  A
-    max is exact, so a softmax gets the same bits from either; only the
-    sign of a zero maximum may differ, which no softmax entry reads.
-    np.maximum takes out by keyword only: numpy 2.4 deprecates a third
-    positional argument there."""
+    """A program that writes the row maxima over the last axis of a into
+    out, a _column_width column: one np.maximum of a and a[..., ::-1] for
+    two columns, and from three a running np.maximum over the column
+    views where timeit found it faster (at most 24 columns, at least 20
+    rows per column), else the reduction.  A max is exact, so a softmax
+    gets the same bits from each; only the sign of a zero maximum may
+    differ, which no softmax entry reads.  np.maximum takes out by
+    keyword only: numpy 2.4 deprecates a third positional argument."""
     k = a.shape[-1]
-    if k > 2 and (k > 24 or a.size // k < 20 * k):
+    if k == 2:
+        return (partial(np.maximum, a, a[..., ::-1], out=out),)
+    if k > 24 or a.size // k < 20 * k:
         return (partial(np.maximum.reduce, a, -1, None, out, True),)
     cols = [a[..., j : j + 1] for j in range(k)]
     return (
@@ -385,7 +394,7 @@ def _simplex_logit_grad_program(spec: DivergenceSpec, D, onehot, rates, out, wor
     and rates is None or _rate_terms of one rate row per leading index,
     shape (..., K), broadcast or at D's shape.  A zero rate row adds no
     drift and leaves its rows' gradients unchanged bit for bit.  out must
-    not be onehot; work is a (..., N, K) and a (..., N, 1) scratch array.
+    not be onehot; work is a (..., N, K) array and a _column_width column.
     kl's identity forms add no call, so its program is plain ufunc calls;
     the gan and sl forms allocate, and run as one call that writes the
     drifted score into the scratch."""

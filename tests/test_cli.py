@@ -1225,6 +1225,26 @@ class TestCommandLine:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"version": 1}', "malformed model file: missing key 'spec'"),
+            ("hello", "model file is not JSON: Expecting value: line 1 column 1"),
+        ],
+        ids=["missing-key", "not-json"],
+    )
+    def test_eval_model_file_error_names_the_fault(
+        self, tmp_path, cli_config, text, message
+    ):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text)
+        result = CliRunner().invoke(
+            main, ["eval", "--config", str(cli_config), "--model", str(model_path)]
+        )
+        assert result.exit_code == 1
+        assert f"error: {message}" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
         "width, bad", [(2, 2.5), (1, True), (2, "2")], ids=["2.5", "true", "'2'"]
     )
     def test_eval_model_of_non_integer_width_exits_one(
@@ -1414,6 +1434,17 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["report", str(path), "--format", "csv"])
         assert result.exit_code == 0, result.output
         assert result.output == report(records, format="csv")
+
+    def test_report_reads_a_json_array_as_json(self, tmp_path):
+        # the JSON reader's message, not the csv header's
+        path = tmp_path / "records.json"
+        path.write_text(" [1, 2]")
+        result = CliRunner().invoke(main, ["report", str(path)])
+        assert result.exit_code == 1
+        assert result.output == (
+            "error: invalid records file: "
+            "expected a JSON object with a 'records' list\n"
+        )
 
     def test_report_undecodable_records_exit_one(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -42,6 +42,7 @@ from postmax.model import (
 from postmax.noise import LabeledDataset, NoiseParams, corrupt, symmetric_matrix
 from postmax.objective import (
     ObjectiveConfig,
+    _column_width,
     _onehot,
     _rate_terms,
     _raw_logit_grad,
@@ -53,6 +54,7 @@ from postmax.objective import (
     jf_batch,
     jf_grad_batch,
     jf_simplex_batch,
+    jf_simplex_logit_grad_batch,
 )
 
 
@@ -78,7 +80,8 @@ def forward_parts(spec, params, X):
 
 def softmax(v):
     """_softmax_program run into new arrays."""
-    out, col = np.empty(v.shape), np.empty(v.shape[:-1] + (1,))
+    col = np.empty(v.shape[:-1] + (_column_width(v.shape[-1]),))
+    out = np.empty(v.shape)
     _run(_softmax_program(v, out, col))
     return out
 
@@ -410,7 +413,7 @@ class TestStepHead:
             assert all(t.shape == (self.M, self.B, k) for t in step_rates)
         spec = get_divergence(div_id)
         workspaces = [np.empty((self.M, self.B, k)) for _ in range(5)]
-        workspaces.append(np.empty((self.M, self.B, 1)))
+        workspaces.append(np.empty((self.M, self.B, _column_width(k))))
         for nb in (self.B, 7):
             if with_rates == "step":
                 rates = tuple(t[:, :nb, :] for t in step_rates)
@@ -938,6 +941,47 @@ class TestTrainMembers:
         with pytest.raises(RuntimeError, match=r"non-finite after epoch 2: nan"):
             _train_members([member])
 
+    def test_guard_runs_once_per_epoch_and_a_replay_names_the_step(self):
+        # Only the member whose initial weights are scaled by 1e148
+        # diverges, at step 13, the fourth of epoch 2's five; a guard after
+        # every step reports the same pair.
+        rng = np.random.default_rng(31)
+        ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.0]], scale=5.0)
+        spec = MlpSpec((2, 4, 2))
+        model = init(spec, seed=3)
+        big = NetworkModel(spec, tuple((W * 1e148, b) for W, b in model.params))
+        tc = TrainConfig(epochs=6, batch_size=8, lr0=3.0, seed=0)
+        cfg = ObjectiveConfig("kl")
+        _train_members([(model, ds, cfg, tc)] * 2)  # the others stay finite
+        members = [(model, ds, cfg, tc), (big, ds, cfg, tc), (model, ds, cfg, tc)]
+        reductions, epochs = [0], []
+
+        def profile(frame, event, arg):
+            if (
+                event == "c_call"
+                and getattr(arg, "__self__", None) is np.logical_and
+                and arg.__name__ == "reduce"
+            ):
+                reductions[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(
+                    RuntimeError, match=r"^parameters became non-finite at epoch 2 step 13;"
+                ):
+                    _train_members(
+                        members, on_epoch=lambda epoch, _: epochs.append(
+                            (epoch, reductions[0])
+                        ),
+                    )
+        finally:
+            sys.setprofile(None)
+        # one guard per epoch, and no on_epoch call for the failing epoch
+        assert epochs == [(0, 1), (1, 2)]
+        # the three epochs' guards, then the replay's, one per step to 13
+        assert reductions[0] == 3 + 14
+
     def test_memory_has_no_row_by_class_array(self):
         # K = 1000: labels held one-hot for all 8,000 rows of three members
         # would alone take 192 MB; one batch's one-hot rows, the K x K
@@ -958,6 +1002,52 @@ class TestTrainMembers:
         small, large = peak(2000), peak(8000)
         assert large < 32 * 2**20
         assert large - small < 2 * 2**20
+
+
+class TestTwoClassColumn:
+    """At K = 2 the row max and the row sum fill a two-wide column, which
+    the softmax and the head gradient read at equal shapes; every row
+    keeps the bits of the (N, 1) column formulas below."""
+
+    # ties, zeros of both signs and logits of +-700, whose softmax rows
+    # hold exact zeros
+    LOGITS = np.array([
+        [0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [3.5, 3.5],
+        [-2.0, -2.0], [700.0, -700.0], [-700.0, 700.0], [700.0, 700.0],
+        [-700.0, -700.0], [700.0, 0.0], [-0.0, -700.0], [1.25, -0.5],
+    ])
+
+    @staticmethod
+    def column_softmax(v):
+        z = np.exp(v - np.maximum(v[:, :1], v[:, 1:]))
+        return z / (z[:, :1] + z[:, 1:])
+
+    @staticmethod
+    def column_grad(div_id, D, y, e):
+        s = SIMPLEX_SCORE[div_id](D, y)
+        if e is not None:
+            s = s - SIMPLEX_DRIFT[div_id](D, e - e.sum() * D)
+        return s - D * (s[:, :1] + s[:, 1:])
+
+    def test_softmax_rows(self):
+        v = np.concatenate([self.LOGITS, np.random.default_rng(5).normal(size=(50, 2))])
+        assert same_bits(softmax(v), self.column_softmax(v))
+        # forward's rows, through a 2-2 network's matmul and bias add
+        W, b = np.array([[1.0, -0.5], [0.0, 1.0]]), np.array([-0.0, 0.0])
+        model = NetworkModel(MlpSpec((2, 2)), ((W, b),))
+        assert same_bits(forward(model, v), self.column_softmax(v @ W + b))
+
+    @pytest.mark.parametrize("rates", [None, (0.1, 0.25)], ids=["no-rates", "rates"])
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_logit_grad_rows(self, div_id, rates):
+        D = np.concatenate([
+            self.column_softmax(self.LOGITS),
+            [[1.0, -0.0], [-0.0, 1.0], [0.5, 0.5]],
+        ])
+        labels = np.arange(len(D)) % 2
+        e = None if rates is None else np.array(rates)
+        got = jf_simplex_logit_grad_batch(div_id, D, labels, e)
+        assert same_bits(got, self.column_grad(div_id, D, _onehot(labels, 2), e))
 
 
 class TestStepProgram:

@@ -42,6 +42,7 @@ from postmax.objective import (
 from postmax.objective import (
     _bias_simplex_rows,
     _check_pmf,
+    _column_width,
     _exact_bias,
     _exact_jf,
     _jf_simplex_rows,
@@ -701,7 +702,8 @@ class TestSimplexBatch:
 
 def simplex_logit_grad(spec, D, onehot, rates):
     """_simplex_logit_grad_program run into new arrays, with no checks."""
-    out, work = np.empty(D.shape), (np.empty(D.shape), np.empty(D.shape[:-1] + (1,)))
+    col = np.empty(D.shape[:-1] + (_column_width(D.shape[-1]),))
+    out, work = np.empty(D.shape), (np.empty(D.shape), col)
     _run(_simplex_logit_grad_program(spec, D, onehot, rates, out, work))
     return out
 
@@ -847,7 +849,11 @@ def same_bits(a, b) -> bool:
 
 class TestRowReductions:
     """_row_max_program's and _row_sum_op's calls against numpy's own
-    last-axis reductions."""
+    last-axis reductions, in every entry of their _column_width column."""
+
+    @staticmethod
+    def column(a):
+        return np.empty(a.shape[:-1] + (_column_width(a.shape[-1]),))
 
     def spread(self, rng, shape):
         # entries over 16 decades, and zeros of both signs
@@ -867,10 +873,10 @@ class TestRowReductions:
     @pytest.mark.parametrize("k", [*range(2, 13), 24, 25, 1000])
     def test_row_max_equals_maximum_reduce(self, k):
         for a in self.arrays(k):
+            out = self.column(a)
             want = np.maximum.reduce(a, axis=-1, keepdims=True)
-            out = np.empty(a.shape[:-1] + (1,))
             _run(_row_max_program(a, out))
-            assert same_bits(out, want)
+            assert same_bits(out, np.broadcast_to(want, out.shape))
 
     @pytest.mark.parametrize(
         "shape, calls",
@@ -887,20 +893,20 @@ class TestRowReductions:
     )
     def test_row_max_runs_where_it_was_timed_faster(self, shape, calls):
         a = np.zeros(shape)
-        assert len(_row_max_program(a, np.empty(shape[:-1] + (1,)))) == calls
+        assert len(_row_max_program(a, self.column(a))) == calls
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_row_sum_equals_add_reduce(self, k):
         for a in self.arrays(k):
-            want = np.add.reduce(a, axis=-1, keepdims=True)
+            out = self.column(a)
+            want = np.broadcast_to(np.add.reduce(a, axis=-1, keepdims=True), out.shape)
             assert same_bits(_row_sum_op(a)(), want)
-            out = np.empty(a.shape[:-1] + (1,))
             assert _row_sum_op(a, out)() is out and same_bits(out, want)
 
     def test_two_negative_zeros_keep_their_sign(self):
         # the one row where two columns' sum differs from the reduction's
         a = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])
-        assert same_bits(_row_sum_op(a)(), [[-0.0], [0.0], [0.0]])
+        assert same_bits(_row_sum_op(a)(), [[-0.0, -0.0], [0.0, 0.0], [0.0, 0.0]])
         assert same_bits(np.add.reduce(a, axis=-1, keepdims=True), np.zeros((3, 1)))
 
 
