@@ -76,7 +76,6 @@ _SOURCES = {
         "uniform_offdiag_matrix",
     ),
     "objective": (
-        "POSTERIOR_FLOOR",
         "DiscreteJoint",
         "ObjectiveConfig",
         "bias_simplex_batch",

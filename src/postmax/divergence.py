@@ -50,12 +50,16 @@ rather than as one minus the other, which would cancel in the tail
 vignette, 2012).
 
 A simplex head (softmax rows D) trains on the objective at T = f'(D),
-written in D directly; the fused score s = D * dJ/dD and the drift
+written in D directly.  Its value is objective._rows of the terms that
+simplex_terms gives from D and log D, which the head takes from the
+logits, finite at every finite output: kl's a = log D and c = -1, gan's
+log D - log1p(D) and -sum log1p(D), sl's -1/(1+D) and sum(-1/(1+D) -
+log1p(D)).  The fused score s = D * dJ/dD and the drift
 D * f''(D) * (e - sum(e) * D) of the noise-bias gradient are written so
 every 1/D factor cancels, keeping them finite where a softmax component
-has underflowed to zero.  For kl the score is the one-hot label rows and
-the drift term the drift itself, so its entry holds None for both and
-the head gradient runs plain ufunc calls in their place.
+has underflowed to zero.  For kl the score is the one-hot label rows and the drift term
+the drift itself, so its entry holds None for both and the head gradient
+runs plain ufunc calls in their place.
 
 All operations are pure.  Inputs outside the stated domains raise
 ValueError, and non-finite results are treated as domain errors rather
@@ -91,7 +95,8 @@ class DivergenceSpec:
     raw_posterior: Callable  # v -> (f*)'(link(v))
     raw_rank: Callable  # (v, e) -> rows with the argmax of raw_posterior(v) - e
     raw_conj: Callable  # v -> f*(link(v))
-    simplex_value: Callable  # (D, Dy) -> per-row objective at T = f'(D)
+    # (D, log D) -> (a, c): the objective at T = f'(D) is a[y] + c at label y
+    simplex_terms: Callable
     # (D, onehot) -> s = D * dJ/dD and (D, drift) -> D * f''(D) * drift;
     # both None where they are the one-hot rows and the drift themselves
     simplex_score: Optional[Callable]
@@ -218,7 +223,7 @@ _KL = DivergenceSpec(
     raw_posterior=_kl_conj,
     raw_rank=_exp_rank(1.0),
     raw_conj=_kl_conj,
-    simplex_value=lambda D, Dy: np.log(Dy) - 1.0,
+    simplex_terms=lambda D, log_D: (log_D, -1.0),
     simplex_score=None,  # s = onehot
     simplex_drift=None,  # the drift itself
 )
@@ -236,9 +241,7 @@ _GAN = DivergenceSpec(
     raw_posterior=np.exp,
     raw_rank=_exp_rank(0.0),
     raw_conj=_softplus,
-    simplex_value=lambda D, Dy: (
-        np.log(Dy / (Dy + 1.0)) - np.log1p(D).sum(axis=1)
-    ),
+    simplex_terms=lambda D, log_D: (log_D - np.log1p(D), -np.log1p(D).sum(axis=1)),
     simplex_score=lambda D, onehot: (onehot - D) / (1.0 + D),
     simplex_drift=lambda D, drift: drift / (1.0 + D),
 )
@@ -256,8 +259,8 @@ _SL = DivergenceSpec(
     raw_posterior=_softplus,
     raw_rank=lambda v, e: _softplus(v) - e,
     raw_conj=_sl_raw_conj,
-    simplex_value=lambda D, Dy: (
-        -1.0 / (Dy + 1.0) + (-1.0 / (D + 1.0) - np.log1p(D)).sum(axis=1)
+    simplex_terms=lambda D, log_D: (
+        -1.0 / (1.0 + D), (-1.0 / (1.0 + D) - np.log1p(D)).sum(axis=1)
     ),
     simplex_score=lambda D, onehot: D * (onehot - D) / (1.0 + D) ** 2,
     simplex_drift=lambda D, drift: D * drift / (1.0 + D) ** 2,

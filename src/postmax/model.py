@@ -1,17 +1,18 @@
 """Small feedforward networks trained by maximizing the divergence objective.
 
-The network is a stack of linear layers with relu or tanh activations and
-one of two output heads.  The simplex head squashes the final linear
+The network is a stack of linear layers with relu or tanh activations
+and one of two output heads.  The simplex head squashes the final linear
 outputs into a strictly positive probability row via exponential
 normalization and trains on the change-of-variable objectives; it is the
-default for multi-class problems.  The raw head reads final outputs v
-as T = link(v) for the chosen divergence, and trains and evaluates on
-that divergence's closed forms in v (see postmax.divergence), so every
-finite v is evaluable for gan and sl.  Labels and rates are validated
-once, where datasets, noise parameters and bare labels enter; the step
-loop and the per-epoch metrics run unchecked kernels.  Posterior
-correction ranks raw outputs through the divergence's raw_rank, which
-cannot overflow.
+default for multi-class problems.  The raw head reads final outputs v as
+T = link(v) for the chosen divergence, and trains and evaluates on that
+divergence's closed forms in v (see postmax.divergence), so every finite
+v is evaluable for gan and sl.  Both heads' values come from one rule,
+objective._rows; the simplex head's read log D off the logits, finite at
+every finite v.  Labels and rates are validated once, where datasets,
+noise parameters and bare labels enter; the step loop and the per-epoch
+metrics run unchecked kernels.  Posterior correction ranks raw outputs
+through the divergence's raw_rank, which cannot overflow.
 
 Training is plain mini-batch ascent with SGD momentum and a cosine
 learning-rate schedule annealed to zero, deterministic per seed.  All
@@ -156,17 +157,15 @@ from postmax.divergence import (
 )
 from postmax.noise import LabeledDataset, _check_labels
 from postmax.objective import (
-    POSTERIOR_FLOOR,
     ObjectiveConfig,
-    _bias_simplex_rows,
     _column_width,
-    _jf_simplex_rows,
     _onehot,
     _rate_terms,
     _raw_logit_grad,
     _raw_rows,
     _row_max_program,
     _row_sum_op,
+    _rows,
     _run,
     _simplex_logit_grad_program,
 )
@@ -414,28 +413,16 @@ def _rates(cfg: ObjectiveConfig, k: int, mode: str) -> Optional[np.ndarray]:
     return cfg.noise.flip_rates(k) if cfg.correction == mode else None
 
 
-def _head_rows(div: DivergenceSpec, v, D, labels, e) -> tuple:
-    """The per-row terms of the objective of final outputs v with checked
-    labels and rates e: the objective's and, for the simplex head with
-    rates, the bias's, else None; _mean_value reduces them.  D holds the
-    simplex head's softmax rows and is None for the raw head."""
+def _head_rows(div: DivergenceSpec, v, D, labels, e) -> np.ndarray:
+    """objective._rows of final outputs v (N, K), checked labels and rates
+    e or None.  D holds the simplex head's softmax rows, None for the raw
+    head; log D = v - max - log sum exp(v - max) is finite at every finite
+    v, so no simplex row needs a floor."""
     if D is None:
-        return _raw_rows(div, v, labels, e), None
-    # Optimizers may legitimately drive off-label probabilities to the
-    # simplex boundary; floor them so the logged value (not the
-    # gradient) stays finite.
-    safe = np.maximum(D, POSTERIOR_FLOOR)
-    bias = None if e is None else _bias_simplex_rows(div, safe, e)
-    return _jf_simplex_rows(div, safe, labels), bias
-
-
-def _mean_value(values, bias) -> float:
-    """The mean objective of _head_rows' terms: the raw head's rows hold
-    the bias already, the simplex head's mean minus the bias's mean."""
-    value = _batch_mean(values)
-    if bias is not None:
-        value -= _batch_mean(bias)
-    return value
+        return _raw_rows(div, v, labels, e)
+    log_D = v - v.max(axis=1, keepdims=True)
+    log_D -= np.log(np.exp(log_D).sum(axis=1, keepdims=True))
+    return _rows(*div.simplex_terms(D, log_D), labels, e)
 
 
 def _head_grad_program(div: DivergenceSpec, v, D, onehot, rates, out, work) -> tuple:
@@ -513,7 +500,7 @@ def objective_and_gradients(model: NetworkModel, X, labels, cfg: ObjectiveConfig
     _run(program)
     v, D = (a[0, 0] for a in workspaces[-1][:2])  # final and head outputs
     rows = _head_rows(div, v, D if spec.head == "simplex" else None, labels, e)
-    return _mean_value(*rows), _layer_views(grad[0, 0], model.params)
+    return _batch_mean(rows), _layer_views(grad[0, 0], model.params)
 
 
 def _cosine_lr(lr0: float, step: int, total_steps: int) -> float:
@@ -930,7 +917,6 @@ def _score(
     D_buf = np.empty((rows, k)) if simplex and heads is None else None
     preds = [np.empty(n, np.intp) for _ in ranks]
     values = np.empty(n) if objective else None
-    bias = np.empty(n) if objective and simplex and e is not None else None
     for lo, hi in spans:
         m = hi - lo
         v = v_buf[:m]
@@ -949,12 +935,9 @@ def _score(
                 scores = div.raw_rank(v, r) if D is None else D - r
             np.argmax(scores, axis=1, out=p[lo:hi])
         if objective:
-            block_values, block_bias = _head_rows(div, v, D, labels[lo:hi], e)
-            values[lo:hi] = block_values
-            if bias is not None:
-                bias[lo:hi] = block_bias
+            values[lo:hi] = _head_rows(div, v, D, labels[lo:hi], e)
     accs = [accuracy(p, labels) for p in preds]
-    return accs, _mean_value(values, bias) if objective else None
+    return accs, _batch_mean(values) if objective else None
 
 
 def save_model(model: NetworkModel, path) -> None:
@@ -976,6 +959,7 @@ def save_model(model: NetworkModel, path) -> None:
 
 
 def load_model(path) -> NetworkModel:
+    """The model in a save_model file; ValueError names a missing or mistyped key."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -987,20 +971,37 @@ def load_model(path) -> NetworkModel:
         raise ValueError(
             f"unsupported model container version {payload.get('version')!r}"
         )
-    try:
-        s = payload["spec"]
-        spec = MlpSpec(
-            layer_sizes=tuple(s["layer_sizes"]),
-            activation=s["activation"],
-            head=s["head"],
-            divergence=s["divergence"],
+    s = _entry(payload, "spec", dict, "an object")
+    text, optional = (str, "a string"), ((str, type(None)), "a string or null")
+    spec = MlpSpec(
+        layer_sizes=tuple(_entry(s, "layer_sizes", list, "a list", "spec.")),
+        activation=_entry(s, "activation", *text, "spec."),
+        head=_entry(s, "head", *text, "spec."),
+        divergence=_entry(s, "divergence", *optional, "spec."),
+    )
+    params = []
+    for i, layer in enumerate(_entry(payload, "params", list, "a list")):
+        where = f"params[{i}]"
+        layer = _entry({where: layer}, where, dict, "an object")  # a one-key tree
+        W, b = (_entry(layer, key, list, "a list", f"{where}.") for key in "Wb")
+        try:
+            params.append((np.array(W, dtype=float), np.array(b, dtype=float)))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"malformed model file: {where}'s W and b must hold numbers "
+                "in nested lists of equal lengths"
+            ) from None
+    return NetworkModel(spec, tuple(params))
+
+
+def _entry(tree: dict, key: str, kind, what: str, where: str = ""):
+    """tree[key] of a model file, at where in it, if it is a kind, else
+    ValueError naming the key; what says what it must be."""
+    if key not in tree:
+        raise ValueError(f"malformed model file: missing key {where + key!r}")
+    if not isinstance(tree[key], kind):
+        raise ValueError(
+            f"malformed model file: {where + key!r} must be {what}, "
+            f"got {type(tree[key]).__name__}"
         )
-        params = tuple(
-            (np.array(p["W"], dtype=float), np.array(p["b"], dtype=float))
-            for p in payload["params"]
-        )
-    except KeyError as err:
-        raise ValueError(f"malformed model file: missing key {err}") from None
-    except TypeError as err:
-        raise ValueError(f"malformed model file: {err!r}") from None
-    return NetworkModel(spec, params)
+    return tree[key]

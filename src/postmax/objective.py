@@ -11,6 +11,12 @@ of this objective decomposes into a scaled clean value plus a bias that
 depends only on the flip rates; subtracting an estimate of that bias
 during training makes the noisy maximizer coincide with the clean one.
 
+One rule, _rows, gives every head's per-row objective, a[y] + c at label
+y, from per-label terms a (T itself for outputs T) and a row term c (-sum
+f*(T)), and the bias of rates e as the e-weighted objective at every
+label.  So for any a and c, the mean corrected row over labels drawn from
+(1 - sum(e)) * p + e is (1 - sum(e)) times the mean row under p.
+
 Each row input has one rule.  Network outputs pass _check_T (one row or
 an N x K matrix, K >= 2, in the conjugate domain); simplex rows pass
 posterior._check_probability_rows, which also rejects a zero at the
@@ -49,11 +55,6 @@ from postmax.noise import (
     _row_labels,
 )
 from postmax.posterior import _as_rows, _batch_mean, _check_probability_rows
-
-# The floor of the simplex head's rows where the objective's value is
-# taken from them (model._head_rows), so a row driven to the boundary
-# keeps the value finite; the gradient reads the rows unfloored.
-POSTERIOR_FLOOR = 1e-12
 
 _CORRECTIONS = ("none", "objective", "posterior")
 
@@ -140,8 +141,23 @@ def jf_batch(spec, T, labels) -> float:
 
 def _jf(spec: DivergenceSpec, T, labels) -> float:
     """jf_batch on outputs, labels and a spec the caller has checked."""
-    n = np.arange(T.shape[0])
-    return _batch_mean(T[n, labels] - spec.conj(T).sum(axis=1))
+    return _batch_mean(_rows(T, -spec.conj(T).sum(axis=1), labels))
+
+
+def _rows(a, c, labels, e=None) -> np.ndarray:
+    """The one objective-row rule, without input checks: per-label terms a
+    (N, K) and a row term c, (N,) or a scalar, give a[n, y_n] + c[n], less
+    with rate row e the bias, the e-weighted objective at every label."""
+    value = a[np.arange(a.shape[0]), labels] + c
+    if e is not None:
+        value -= _bias_rows(a, c, e)
+    return value
+
+
+def _bias_rows(a, c, e) -> np.ndarray:
+    """The bias of _rows' terms a and c under rate row e, per row:
+    sum_y e_y * (a[y] + c) = a @ e + sum(e) * c."""
+    return a @ e + e.sum() * c
 
 
 def jf_grad_sample(spec, T_row, label) -> np.ndarray:
@@ -175,12 +191,7 @@ def bias_multiclass(spec, T, e) -> float:
 
 def _bias(spec: DivergenceSpec, T, e) -> float:
     """bias_multiclass on outputs, rates and a spec the caller has checked."""
-    return _batch_mean(_bias_rows(spec, T, e))
-
-
-def _bias_rows(spec: DivergenceSpec, T, e) -> np.ndarray:
-    """_bias's per-sample terms, one per row of T."""
-    return T @ e - e.sum() * spec.conj(T).sum(axis=1)
+    return _batch_mean(_bias_rows(T, -spec.conj(T).sum(axis=1), e))
 
 
 def corrected_jf_batch(spec, T, labels, e) -> float:
@@ -268,31 +279,21 @@ def jf_simplex_batch(div_id, D, labels) -> float:
     """Mean change-of-variable objective over a batch of simplex rows."""
     spec = _as_spec(div_id)
     D, labels = _check_probability_rows(D, labels)
-    return _batch_mean(_jf_simplex_rows(spec, D, labels))
-
-
-def _jf_simplex_rows(spec: DivergenceSpec, D, labels) -> np.ndarray:
-    """jf_simplex_batch's per-row terms, on rows, labels and a spec the
-    caller has checked."""
-    return spec.simplex_value(D, D[np.arange(D.shape[0]), labels])
+    with np.errstate(divide="ignore"):  # a zero off the label is never read
+        log_D = np.log(D)
+    return _batch_mean(_rows(*spec.simplex_terms(D, log_D), labels))
 
 
 def bias_simplex_batch(div_id, D, e) -> float:
-    """Mean noise bias over rows in the domain of f', in the simplex variable."""
+    """Mean noise bias at T = f'(D) over rows D in the domain of f'; for kl
+    it exceeds the simplex head's bias by sum(e), for gan and sl not at all."""
     D = _as_rows(D, "positive values")
     _check_positive(D)
     e = _check_rates(e, D.shape[1])
     spec = _as_spec(div_id)
     with np.errstate(all="ignore"):  # a conjugate that overflows fails _finish
-        bias = _batch_mean(_bias_simplex_rows(spec, D, e))
+        bias = _bias(spec, spec.f_prime(D), e)
     return _finish(bias, True, f"noise bias of {spec.id!r}")
-
-
-def _bias_simplex_rows(spec: DivergenceSpec, D, e) -> np.ndarray:
-    """bias_simplex_batch's per-row terms, on rows and rates the caller has
-    checked; the registered f' are finite on strictly positive finite
-    rows."""
-    return _bias_rows(spec, spec.f_prime(D), e)
 
 
 def jf_simplex_logit_grad_batch(div_id, D, labels, e=None) -> np.ndarray:
@@ -432,15 +433,10 @@ def _simplex_forms(spec: DivergenceSpec, D, onehot, drifted: bool, out) -> None:
 
 
 def _raw_rows(spec: DivergenceSpec, v, labels, e) -> np.ndarray:
-    """Per-row objective at T = link(v) of raw outputs v (N, K), minus the
-    bias of rate row e when given, without input checks; the conjugate
-    enters in closed form in v, so gan and sl take every finite v."""
-    T = spec.link(v)
-    conj = spec.raw_conj(v).sum(axis=1)
-    value = T[np.arange(v.shape[0]), labels] - conj
-    if e is not None:
-        value -= T @ e - e.sum() * conj
-    return value
+    """_rows at T = link(v) of raw outputs v (N, K), without input checks;
+    the conjugate enters in closed form in v, so gan and sl take every
+    finite v."""
+    return _rows(spec.link(v), -spec.raw_conj(v).sum(axis=1), labels, e)
 
 
 def _raw_logit_grad(spec: DivergenceSpec, v, onehot, rates, out=None) -> np.ndarray:

@@ -1245,6 +1245,37 @@ class TestCommandLine:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(spec=[]), "'spec' must be an object, got list"),
+            (
+                lambda p: p["params"][0].update(W="x"),
+                "'params[0].W' must be a list, got str",
+            ),
+            (lambda p: p.update(params=3), "'params' must be a list, got int"),
+            (
+                lambda p: p["params"][1].update(b=[[0.0], 1.0]),
+                "params[1]'s W and b must hold numbers in nested lists of equal lengths",
+            ),
+        ],
+        ids=["list-spec", "string-W", "int-params", "ragged-b"],
+    )
+    def test_eval_model_of_wrong_types_names_the_key(
+        self, tmp_path, cli_config, edit, message
+    ):
+        model_path = tmp_path / "model.json"
+        save_model(init(MlpSpec((3, 8, 2)), seed=0), model_path)
+        payload = json.loads(model_path.read_text())
+        edit(payload)
+        model_path.write_text(json.dumps(payload))
+        result = CliRunner().invoke(
+            main, ["eval", "--config", str(cli_config), "--model", str(model_path)]
+        )
+        assert result.exit_code == 1
+        assert f"error: malformed model file: {message}" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
         "width, bad", [(2, 2.5), (1, True), (2, "2")], ids=["2.5", "true", "'2'"]
     )
     def test_eval_model_of_non_integer_width_exits_one(

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from decimal import Decimal, localcontext
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -27,6 +28,7 @@ from postmax.model import (
     _folded_layers,
     _forward_program,
     _head_grad_program,
+    _head_rows,
     _layer_blocks,
     _seed_groups,
     _softmax_program,
@@ -47,13 +49,12 @@ from postmax.objective import (
     _rate_terms,
     _raw_logit_grad,
     _raw_rows,
+    _rows,
     _run,
-    bias_simplex_batch,
     corrected_grad_batch,
     corrected_jf_batch,
     jf_batch,
     jf_grad_batch,
-    jf_simplex_batch,
     jf_simplex_logit_grad_batch,
 )
 
@@ -1187,6 +1188,89 @@ class TestCorrectionIdentity:
         assert gap(uncorrected) > 0.05
 
 
+class TestLoggedValueIdentity:
+    """The corrected value the scorer logs holds the paper's identity: with
+    noisy label posteriors (1 - sum(e)) * p + e, the mean over labels of
+    the corrected rows that evaluate() reduces is (1 - sum(e)) times the
+    uncorrected rows' mean under p, for every head and divergence."""
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    @pytest.mark.parametrize("head", ["simplex", "raw_t"])
+    def test_noisy_value_less_bias_is_the_scaled_clean_value(self, head, div_id):
+        rng = np.random.default_rng(29)
+        n, k = 50, 3
+        v = rng.normal(scale=2.0, size=(n, k))
+        p = rng.dirichlet(np.ones(k), size=n)
+        e = np.array([0.05, 0.1, 0.15])
+        p_noisy = (1.0 - e.sum()) * p + e
+        div = get_divergence(div_id)
+        D = softmax(v) if head == "simplex" else None
+
+        def expected(posteriors, rates):
+            rows = [_head_rows(div, v, D, np.full(n, y), rates) for y in range(k)]
+            return sum(posteriors[:, y] * rows[y] for y in range(k))
+
+        gap = expected(p_noisy, e) - (1.0 - e.sum()) * expected(p, None)
+        assert np.abs(gap).max() <= 1e-12
+
+
+def decimal_simplex_value(div_id, logits, labels, e):
+    """The mean simplex-head objective at T = f'(D) of logit rows, less the
+    e-weighted objective at every label when e is given, in 50-digit
+    decimal arithmetic from each divergence's f' and f*; kl's simplex value
+    is one below its T-space value."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        one = Decimal(1)
+        total = Decimal(0)
+        for row, y in zip(logits, labels):
+            v = [Decimal(float(x)) for x in row]
+            top = max(v)
+            log_sum = sum((x - top).exp() for x in v).ln()
+            D = [(x - top - log_sum).exp() for x in v]
+            if div_id == "kl":  # f'(u) = log u + 1, f*(t) = exp(t - 1)
+                T = [d.ln() + one for d in D]
+                conj = sum((t - one).exp() for t in T) + one
+            elif div_id == "gan":  # f'(u) = log(u/(u+1)), f*(t) = -log(1 - e^t)
+                T = [(d / (d + one)).ln() for d in D]
+                conj = sum(-(one - t.exp()).ln() for t in T)
+            else:  # f'(u) = -1/(u+1), f*(t) = -(log(-t) + t)
+                T = [-one / (d + one) for d in D]
+                conj = sum(-((-t).ln() + t) for t in T)
+            J = [t - conj for t in T]
+            value = J[y]
+            if e is not None:
+                value -= sum(Decimal(float(r)) * j for r, j in zip(e, J))
+            total += value
+        return float(total / len(labels))
+
+
+class TestExtremeSimplexOutputs:
+    """The simplex head's logged value reads log D from the logits, so it is
+    finite, warning-free and exact at logit gaps where softmax entries
+    underflow to zero; a floor on D would freeze it from a gap of about 28."""
+
+    E = (0.1, 0.2, 0.0)  # one rate of zero, at the lowest class
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    @pytest.mark.parametrize("mode", ["none", "objective"])
+    @pytest.mark.parametrize("gap", [10.0, 30.0, 100.0, 800.0, 1e6, 1e300])
+    def test_value_is_finite_and_exact(self, gap, mode, div_id):
+        logits = np.array([[0.0, -gap, -2.0 * gap]])
+        model = NetworkModel(MlpSpec((1, 3)), ((logits, np.zeros(3)),))
+        X, labels = np.ones((3, 1)), np.array([0, 1, 2])
+        noise = NoiseParams.uniform_offdiag(self.E)
+        cfg = ObjectiveConfig(div_id, mode, None if mode == "none" else noise)
+        _, value = evaluate(model, LabeledDataset(X, labels, 3), cfg)
+        public, grads = objective_and_gradients(model, X, labels, cfg)
+        assert math.isfinite(value) and public == value
+        assert all(np.isfinite(g).all() for layer in grads for g in layer)
+        if gap <= 800.0:
+            e = None if mode == "none" else self.E
+            want = decimal_simplex_value(div_id, np.repeat(logits, 3, 0), labels, e)
+            assert abs(value - want) <= 1e-12 * abs(want)
+
+
 class TestEvaluate:
     def test_zero_rate_posterior_correction_is_identity(self):
         rng = np.random.default_rng(43)
@@ -1271,11 +1355,10 @@ def full_array_scores(model, dataset, cfg):
     e = cfg.noise.flip_rates(spec.k) if cfg.correction == "objective" else None
     if D is None:
         return acc, float(_raw_rows(div, v, labels, e).mean()), heads
-    safe = np.maximum(D, 1e-12)
-    value = jf_simplex_batch(div.id, safe, labels)
-    if e is not None:
-        value -= bias_simplex_batch(div.id, safe, e)
-    return acc, value, heads
+    # log D from the logits, v - max - log sum exp(v - max)
+    log_D = v - v.max(axis=1, keepdims=True)
+    log_D -= np.log(np.exp(log_D).sum(axis=1, keepdims=True))
+    return acc, float(_rows(*div.simplex_terms(D, log_D), labels, e).mean()), heads
 
 
 class TestBlockScoring:

@@ -15,7 +15,6 @@ from postmax.divergence import (
 )
 from postmax.noise import NoiseParams, TransitionMatrix, uniform_offdiag_matrix
 from postmax.objective import (
-    POSTERIOR_FLOOR,
     DiscreteJoint,
     ObjectiveConfig,
     _check_T,
@@ -40,18 +39,17 @@ from postmax.objective import (
     noisy_joint,
 )
 from postmax.objective import (
-    _bias_simplex_rows,
     _check_pmf,
     _column_width,
     _exact_bias,
     _exact_jf,
-    _jf_simplex_rows,
     _onehot,
     _rate_terms,
     _raw_logit_grad,
     _row_sum_op,
     _run,
     _row_max_program,
+    _rows,
     _simplex_logit_grad_program,
 )
 from postmax.noise import _check_rates, _row_labels
@@ -670,19 +668,23 @@ class TestSimplexBatch:
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
-    def test_unchecked_twins_match_public(self, div_id):
-        # floored softmax rows, as the per-epoch training objective sees them
+    def test_batch_is_the_mean_of_the_one_rule_rows(self, div_id):
         rng = np.random.default_rng(167)
         D = rng.uniform(0.05, 1.0, size=(30, 4))
         D[:2] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]]
-        D = np.maximum(D / D.sum(axis=1, keepdims=True), POSTERIOR_FLOOR)
+        D = D / D.sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, size=30)
+        labels[:2] = [0, 2]  # zeros only off the label
         e = np.array([0.1, 0.05, 0.15, 0.02])
         spec = get_divergence(div_id)
-        # the rows the product path reads, reduced as the public functions reduce
-        jf_rows = _jf_simplex_rows(spec, D, labels)
-        assert jf_rows.mean() == jf_simplex_batch(div_id, D, labels)
-        assert _bias_simplex_rows(spec, D, e).mean() == bias_simplex_batch(div_id, D, e)
+        # the rows the simplex head's scorer reduces, from the same terms
+        with np.errstate(divide="ignore"):
+            log_D = np.log(D)
+        rows = _rows(*spec.simplex_terms(D, log_D), labels)
+        assert rows.mean() == jf_simplex_batch(div_id, D, labels)
+        # the simplex bias is the T-space bias at T = f'(D), on positive rows
+        T = optimal_T_from_posterior(div_id, D[2:])
+        assert bias_simplex_batch(div_id, D[2:], e) == bias_multiclass(div_id, T, e)
 
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):

@@ -157,8 +157,9 @@ def test_sweep_command_does_not_load_the_theorem_checks(tmp_path):
     assert "postmax.analysis" not in loaded
 
 
-# the memory bounds the run budget replaced, and the pass-through helpers
-# that one builder per step phase and one scoring entry replaced
+# the memory bounds the run budget replaced, the pass-through helpers
+# that one builder per step phase and one scoring entry replaced, and the
+# simplex value forms and floor that the one objective-row rule replaced
 RETIRED_NAMES = (
     "MAX_CSV_CLASSES",
     "MAX_SWEEP_LABELS",
@@ -171,8 +172,13 @@ RETIRED_NAMES = (
     "_jf_simplex",
     "_bias_simplex",
     "_noisy_forward",
+    "POSTERIOR_FLOOR",
+    "simplex_value",
+    "_jf_simplex_rows",
+    "_bias_simplex_rows",
+    "_mean_value",
 )
-# whole words only: _evaluate_modes and _jf_simplex_rows are current names
+# whole words only: _evaluate_modes and simplex_terms are current names
 RETIRED = re.compile(r"\b(" + "|".join(RETIRED_NAMES) + r")\b")
 
 
