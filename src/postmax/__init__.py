@@ -73,20 +73,17 @@ _SOURCES = {
         "NoiseParams",
         "TransitionMatrix",
         "corrupt",
-        "uniform_offdiag_matrix",
     ),
     "objective": (
         "DiscreteJoint",
         "ObjectiveConfig",
         "bias_simplex_batch",
         "corrected_jf_batch",
-        "cross_entropy",
         "exact_bias",
         "exact_jf",
         "jf_batch",
         "jf_grad_batch",
         "jf_simplex_batch",
-        "jf_simplex_kl",
         "jf_simplex_logit_grad_batch",
     ),
     "posterior": (

@@ -273,12 +273,12 @@ DIVERGENCE_IDS = tuple(sorted(_REGISTRY))
 
 def get_divergence(div_id: str) -> DivergenceSpec:
     """Look up a divergence by its string id ("kl" | "gan" | "sl")."""
-    try:
-        return _REGISTRY[div_id]
-    except KeyError:
+    spec = _REGISTRY.get(div_id) if isinstance(div_id, str) else None
+    if spec is None:
         raise ValueError(
             f"unknown divergence id {div_id!r}; expected one of {DIVERGENCE_IDS}"
-        ) from None
+        )
+    return spec
 
 
 def _as_spec(spec) -> DivergenceSpec:

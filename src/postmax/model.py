@@ -809,12 +809,14 @@ def _train_members(members, on_epoch=None) -> list:
             flat_labels.take(offsets + order[:, None, :], out=epoch_labels, mode="clip")
             for i in range(len(steps)):
                 lrs[i] = _cosine_lr(tc.lr0, first + i, total_steps)
-            for i, program in enumerate(programs):
-                for op in program:
-                    op()
-                np.isfinite(theta, finite)
-                if not np.logical_and.reduce(finite, None):
-                    return epoch, i
+            # a diverging step overflows; the guard, not numpy, reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, program in enumerate(programs):
+                    for op in program:
+                        op()
+                    np.isfinite(theta, finite)
+                    if not np.logical_and.reduce(finite, None):
+                        return epoch, i
             if on_epoch is not None:
                 on_epoch(epoch, member_params)
         return None
@@ -985,8 +987,12 @@ def load_model(path) -> NetworkModel:
         layer = _entry({where: layer}, where, dict, "an object")  # a one-key tree
         W, b = (_entry(layer, key, list, "a list", f"{where}.") for key in "Wb")
         try:
+            # numpy reads "1.5" and true as numbers too; only JSON numbers pass
+            values = (v for x in (W, b) for v in np.array(x, dtype=object).flat)
+            if not all(map(_is_real, values)):
+                raise ValueError("not a number")
             params.append((np.array(W, dtype=float), np.array(b, dtype=float)))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 f"malformed model file: {where}'s W and b must hold numbers "
                 "in nested lists of equal lengths"

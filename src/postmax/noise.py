@@ -3,7 +3,8 @@
 Labels are 0-based integers everywhere.  A transition matrix entry
 entries[i][j] is the probability that a clean label i is observed as j.
 NoiseParams describes symmetric or uniform off-diagonal noise, the two
-models with per-class flip-in rates; corrupt takes any transition matrix.
+models with per-class flip-in rates, and to_matrix builds either one's
+transition matrix; corrupt takes any transition matrix.
 The two inputs the corrections read besides the network's rows each
 have one rule, owned here: _check_labels for labels and _check_rates for
 flip-in rates, whose length K >= 2 NoiseParams checks when it is built.
@@ -52,14 +53,6 @@ def _check_labels(labels, n: int, k: int) -> np.ndarray:
     if not valid:
         raise ValueError(f"labels must be integers in [0, {k})")
     return labs.astype(np.int64)
-
-
-def _row_labels(labels, rows: np.ndarray):
-    """The label rule for checked rows of K >= 2 entries: one label, as an
-    np.int64, for one row; one per row, as an int64 array, for a matrix."""
-    if rows.ndim == 1:
-        return _check_labels([labels], 1, rows.shape[0])[0]
-    return _check_labels(labels, rows.shape[0], rows.shape[1])
 
 
 def _check_rates(e, k: int, lead: tuple = ()) -> np.ndarray:
@@ -212,20 +205,9 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-def symmetric_matrix(k: int, eta: float) -> TransitionMatrix:
-    """Matrix that keeps a label with probability 1-eta and spreads eta evenly."""
-    return NoiseParams.symmetric(eta).to_matrix(k)
-
-
-def uniform_offdiag_matrix(e: Sequence[float]) -> TransitionMatrix:
-    """Matrix whose off-diagonal column j is constant e[j]."""
-    params = NoiseParams.uniform_offdiag(e)
-    return params.to_matrix(len(params.e))
-
-
 def _offdiag_entries(e: np.ndarray) -> np.ndarray:
-    """uniform_offdiag_matrix's entries for rate rows e (..., K), unchecked:
-    one (..., K, K) matrix per row."""
+    """Uniform off-diagonal matrix entries for rate rows e (..., K),
+    unchecked: one (..., K, K) matrix per row; column j is e[j] off the diagonal."""
     k = e.shape[-1]
     entries = np.repeat(e[..., None, :], k, axis=-2)
     # row i keeps the label with probability 1 - sum_{j != i} e_j

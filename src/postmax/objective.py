@@ -17,16 +17,17 @@ f*(T)), and the bias of rates e as the e-weighted objective at every
 label.  So for any a and c, the mean corrected row over labels drawn from
 (1 - sum(e)) * p + e is (1 - sum(e)) times the mean row under p.
 
-Each row input has one rule.  Network outputs pass _check_T (one row or
-an N x K matrix, K >= 2, in the conjugate domain); simplex rows pass
+Each row input is an N x K matrix, K >= 2, and has one rule: network
+outputs pass _check_T (inside the conjugate domain); simplex rows pass
 posterior._check_probability_rows, which also rejects a zero at the
-label where a function takes its log or divides by it; the rows of
+label, where jf_simplex_batch takes its log; the rows of
 bias_simplex_batch, off the simplex, lie in the domain of f'.
 
-The per-sample gradients here are derived analytically and validated
-against centered finite differences in the test suite rather than
-trusted.  DiscreteJoint supports exact (closed-sum) expectations on
-finite domains, which is what the identity oracles are built on.
+The gradients here are derived analytically, and the test suite checks
+them against centered finite differences and against the per-row
+references of tests/references.py, which import nothing from this module.
+DiscreteJoint supports exact (closed-sum) expectations on finite
+domains, which is what the identity oracles are built on.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from postmax.noise import (
     TransitionMatrix,
     _check_labels,
     _check_rates,
-    _row_labels,
 )
 from postmax.posterior import _as_rows, _batch_mean, _check_probability_rows
 
@@ -124,13 +124,13 @@ class DiscreteJoint:
         return self.pmf / self.p_x[:, None]
 
 
-def _check_T(spec: DivergenceSpec, T, labels=None, ndim: int = 2):
-    """The network-output rule: T is one row or an N x K matrix (_as_rows)
-    inside spec's open conjugate domain.  Returns T as floats, and with
-    labels given, one per row (one for one row), them checked too."""
-    T = _as_rows(T, "network outputs", ndim)
+def _check_T(spec: DivergenceSpec, T, labels=None):
+    """The network-output rule: T is an N x K matrix (_as_rows) inside
+    spec's open conjugate domain.  Returns T as floats, and with labels
+    given, one per row, them checked too."""
+    T = _as_rows(T, "network outputs")
     _check_in_domain(spec, T)
-    return T if labels is None else (T, _row_labels(labels, T))
+    return T if labels is None else (T, _check_labels(labels, *T.shape))
 
 
 def jf_batch(spec, T, labels) -> float:
@@ -160,15 +160,6 @@ def _bias_rows(a, c, e) -> np.ndarray:
     return a @ e + e.sum() * c
 
 
-def jf_grad_sample(spec, T_row, label) -> np.ndarray:
-    """Ascent gradient of one sample's objective term in T."""
-    spec = _as_spec(spec)
-    T, label = _check_T(spec, T_row, label, ndim=1)
-    grad = -spec.conj_prime(T)
-    grad[label] += 1.0
-    return grad
-
-
 def jf_grad_batch(spec, T, labels) -> np.ndarray:
     """Per-sample ascent gradients, one row per sample."""
     spec = _as_spec(spec)
@@ -182,15 +173,8 @@ def _jf_grad(spec: DivergenceSpec, T, labels) -> np.ndarray:
     return grad
 
 
-def bias_multiclass(spec, T, e) -> float:
-    """Noise-induced bias of the objective under per-class flip-in rates e."""
-    spec = _as_spec(spec)
-    T = _check_T(spec, T)
-    return _bias(spec, T, _check_rates(e, T.shape[1]))
-
-
 def _bias(spec: DivergenceSpec, T, e) -> float:
-    """bias_multiclass on outputs, rates and a spec the caller has checked."""
+    """The mean noise bias of rates e at outputs T, all caller-checked."""
     return _batch_mean(_bias_rows(T, -spec.conj(T).sum(axis=1), e))
 
 
@@ -201,78 +185,13 @@ def corrected_jf_batch(spec, T, labels, e) -> float:
     return _jf(spec, T, labels) - _bias(spec, T, _check_rates(e, T.shape[1]))
 
 
-def corrected_grad_sample(spec, T_row, label, e) -> np.ndarray:
-    """Ascent gradient of one sample's bias-corrected objective term."""
-    spec = _as_spec(spec)
-    T, label = _check_T(spec, T_row, label, ndim=1)
-    e = _check_rates(e, T.shape[0])
-    cp = _finish(spec.conj_prime(T), False, f"conjugate derivative of {spec.id!r}")
-    grad = -cp
-    grad[label] += 1.0
-    return grad - (e - e.sum() * cp)
-
-
 def corrected_grad_batch(spec, T, labels, e) -> np.ndarray:
     """Per-sample gradients of the bias-corrected objective."""
     spec = _as_spec(spec)
     T = _check_T(spec, T)
     e = _check_rates(e, T.shape[1])
-    grad = _jf_grad(spec, T, _row_labels(labels, T))
+    grad = _jf_grad(spec, T, _check_labels(labels, *T.shape))
     return grad - (e[None, :] - e.sum() * spec.conj_prime(T))
-
-
-def active_passive_split(spec, T_row, label) -> tuple[float, float]:
-    """Split one sample's objective term into label-only and rest-only parts.
-
-    The first component depends only on the output at the label, the
-    second only on the outputs at the other classes, and they sum to the
-    sample's objective term exactly.
-    """
-    spec = _as_spec(spec)
-    T, label = _check_T(spec, T_row, label, ndim=1)
-    conj_vals = spec.conj(T)
-    active = float(T[label] - conj_vals[label])
-    # every output but the label's, in order; never touches the label output
-    others = np.concatenate((conj_vals[:label], conj_vals[label + 1 :]))
-    passive = float(-others.sum())
-    return active, passive
-
-
-def jf_simplex_kl(D_row, label) -> float:
-    """KL objective of one sample under a simplex-valued head.
-
-    Equals log of the label's probability minus one, i.e. the negative
-    cross-entropy minus one; the raw substitution T = log(D)+1 gives a
-    value one unit higher, a constant that never affects maximization.
-    """
-    D, label = _check_probability_rows(D_row, label, ndim=1)
-    return float(np.log(D[label]) - 1.0)
-
-
-def cross_entropy(D_row, label) -> float:
-    """Reference cross-entropy of one simplex row, for equivalence checks."""
-    D, label = _check_probability_rows(D_row, label, ndim=1)
-    return float(-np.log(D[label]))
-
-
-def cross_entropy_logit_grad(D_row, label) -> np.ndarray:
-    """Gradient of the cross-entropy w.r.t. pre-softmax logits."""
-    D, label = _check_probability_rows(D_row, label, ndim=1)
-    grad = D.copy()
-    grad[label] -= 1.0
-    return grad
-
-
-def jf_simplex_kl_logit_grad(D_row, label) -> np.ndarray:
-    """Gradient of jf_simplex_kl w.r.t. pre-softmax logits.
-
-    Derived through the generic chain dJ/dD -> softmax, independently of
-    the cross-entropy shortcut, so the two can be compared.
-    """
-    D, label = _check_probability_rows(D_row, label, ndim=1)
-    g = np.zeros_like(D)
-    g[label] = 1.0 / D[label]  # dJ/dD
-    return D * (g - np.dot(g, D))
 
 
 def jf_simplex_batch(div_id, D, labels) -> float:
@@ -452,13 +371,6 @@ def _raw_logit_grad(spec: DivergenceSpec, v, onehot, rates, out=None) -> np.ndar
     return np.subtract(onehot * link_prime, score, out=out)
 
 
-def noisy_joint(joint: DiscreteJoint, tm: TransitionMatrix) -> DiscreteJoint:
-    """Joint over (x, noisy label) obtained by pushing labels through tm."""
-    if joint.k != tm.k:
-        raise ValueError("class counts differ")
-    return DiscreteJoint(joint.pmf @ tm.entries)
-
-
 def _checked_table(spec, joint: DiscreteJoint, T_table):
     """The spec and T table of an exact oracle, checked against the joint."""
     spec = _as_spec(spec)
@@ -492,7 +404,9 @@ def _row_dot(a, b):
 
 def exact_jf_noisy(spec, joint: DiscreteJoint, tm: TransitionMatrix, T_table) -> float:
     """Closed-sum objective value with labels pushed through tm."""
-    return exact_jf(spec, noisy_joint(joint, tm), T_table)
+    if joint.k != tm.k:
+        raise ValueError("class counts differ")
+    return exact_jf(spec, DiscreteJoint(joint.pmf @ tm.entries), T_table)
 
 
 def exact_bias(spec, joint: DiscreteJoint, T_table, e) -> float:

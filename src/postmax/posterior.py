@@ -6,6 +6,8 @@ divergence.posterior_from_T computes.  Under uniform
 off-diagonal label noise the estimated posterior is an affine map of the
 clean one, so subtracting the per-class flip-in rates recovers a vector
 with the clean argmax.  Posterior rows and flip rates are plain arrays.
+Every row input is an N x K matrix with K >= 2, the shape rule of
+_as_rows; noisy_posterior_forward alone also reads one row, as 1 x K.
 Corrected values may dip slightly below zero at finite sample size; they
 are kept as-is, since clamping before the argmax could flip predictions.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from postmax.divergence import conj_prime  # unused here; perfbench/spans.py wraps it
-from postmax.noise import _check_rates, _row_labels
+from postmax.noise import _check_labels, _check_rates
 
 
 def predict(p) -> np.ndarray:
@@ -29,36 +31,35 @@ def predict(p) -> np.ndarray:
 def noisy_posterior_forward(clean_p, e) -> np.ndarray:
     """Posterior over noisy labels implied by flip-in rates e.
 
-    Accepts one simplex row or a stack of rows; component i becomes
-    (1 - sum(e)) * p_i + e_i, which stays on the simplex.
+    Accepts one simplex row or a stack of rows, and returns the input's
+    shape; component i becomes (1 - sum(e)) * p_i + e_i, which stays on
+    the simplex.
     """
     p = np.asarray(clean_p, dtype=float)
-    p = _check_probability_rows(p, ndim=1 if p.ndim == 1 else 2)
-    e = _check_rates(e, p.shape[-1])
-    return (1.0 - e.sum()) * p + e
+    rows = _check_probability_rows(p[None] if p.ndim == 1 else p)
+    e = _check_rates(e, rows.shape[1])
+    return ((1.0 - e.sum()) * rows + e).reshape(p.shape)
 
 
-def _as_rows(x, what: str, ndim: int = 2) -> np.ndarray:
-    """The shape rule of every row input: x as floats, if it is one row
-    (ndim 1) or an N x K matrix (ndim 2) of K >= 2 entries."""
+def _as_rows(x, what: str) -> np.ndarray:
+    """The shape rule of every row input: x as floats, if it is an N x K
+    matrix of K >= 2 entries."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != ndim or arr.shape[-1] < 2:
-        shape = "one row" if ndim == 1 else "an N x K matrix"
-        raise ValueError(f"expected {shape} of {what} with K >= 2")
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise ValueError(f"expected an N x K matrix of {what} with K >= 2")
     return arr
 
 
-def _check_probability_rows(p, labels=None, ndim: int = 2):
+def _check_probability_rows(p, labels=None):
     """The probability-row rule, the one check of every input that must
-    lie on the simplex: p is one row or an N x K matrix (_as_rows), every
-    entry is >= 0 and each row sums to 1 within 1e-9; NaN and +-inf fail.
+    lie on the simplex: p is an N x K matrix (_as_rows), every entry is
+    >= 0 and each row sums to 1 within 1e-9; NaN and +-inf fail.
 
-    Returns p as floats.  Given labels, one per row (one for one row), it
-    also returns them checked, and each row's component at its label must
-    be positive: the callers that pass labels divide by it or take its log.
+    Returns p as floats.  Given labels, one per row, it also returns them
+    checked, and each row's component at its label must be positive: the
+    callers that pass labels take its log.
     """
-    p = _as_rows(p, "probabilities", ndim)
-    rows = np.atleast_2d(p)
+    rows = _as_rows(p, "probabilities")
     # NaN and -inf fail the sign test, so no sum meets them; +inf and a
     # sum that overflows fail the tolerance; a stack of no rows passes
     valid = np.all(rows >= 0.0)
@@ -77,29 +78,25 @@ def _check_probability_rows(p, labels=None, ndim: int = 2):
             "the simplex within 1e-9"
         )
     if labels is None:
-        return p
-    labels = _row_labels(labels, p)
+        return rows
+    labels = _check_labels(labels, *rows.shape)
     if not np.all(rows[np.arange(rows.shape[0]), labels] > 0.0):
         raise ValueError("the row's component at the label must be positive")
-    return p, labels
+    return rows, labels
 
 
-def posterior_correct(noisy_p, e, rescale: bool = False) -> np.ndarray:
+def posterior_correct(noisy_p, e) -> np.ndarray:
     """Subtract flip-in rates from estimated noisy posteriors.
 
-    noisy_p is an N x K matrix of finite values with K >= 2.  With
-    rescale, rows are divided by (1 - sum(e)); a positive constant, so
-    predictions are unchanged either way.  Negative components are
+    noisy_p is an N x K matrix of finite values with K >= 2.  The result
+    is (1 - sum(e)) times the clean posterior; dividing by that positive
+    constant leaves predictions unchanged.  Negative components are
     preserved: clamping before the argmax could flip predictions.
     """
     vals = _as_rows(noisy_p, "posterior estimates")
     if not np.all(np.isfinite(vals)):
         raise ValueError("posterior estimates must be finite")
-    e = _check_rates(e, vals.shape[1])
-    corrected = vals - e
-    if rescale:
-        corrected = corrected / (1.0 - e.sum())
-    return corrected
+    return vals - _check_rates(e, vals.shape[1])
 
 
 def accuracy(preds, labels) -> float:

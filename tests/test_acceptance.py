@@ -29,18 +29,20 @@ from postmax.model import MlpSpec, init, objective_and_gradients
 from postmax.noise import NoiseParams
 from postmax.objective import (
     ObjectiveConfig,
-    active_passive_split,
     bias_simplex_batch,
-    corrected_grad_sample,
     corrected_jf_batch,
+    jf_batch,
+    jf_simplex_batch,
+    jf_simplex_logit_grad_batch,
+)
+from references import (
+    active_passive_split,
+    corrected_grad_sample,
     cross_entropy,
     cross_entropy_logit_grad,
-    jf_batch,
     jf_grad_sample,
-    jf_simplex_batch,
     jf_simplex_kl,
     jf_simplex_kl_logit_grad,
-    jf_simplex_logit_grad_batch,
 )
 
 # Interior sampling windows for finite differences against the grid

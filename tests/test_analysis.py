@@ -31,14 +31,14 @@ from postmax.divergence import (
     optimal_T_from_posterior,
     posterior_from_T,
 )
-from postmax.noise import TransitionMatrix, uniform_offdiag_matrix
+from postmax.noise import NoiseParams, TransitionMatrix
 from postmax.objective import (
     DiscreteJoint,
     _exact_bias,
     exact_bias,
     exact_jf,
-    noisy_joint,
 )
+from references import noisy_joint
 
 
 def _target_posterior(joint, tm):
@@ -73,7 +73,7 @@ class TestSolveOptimalT:
         # the searched route must land on the same noisy posterior as
         # the affine closed form
         joint = DiscreteJoint([[0.7, 0.3]])
-        tm = uniform_offdiag_matrix([0.1, 0.3])
+        tm = NoiseParams.uniform_offdiag([0.1, 0.3]).to_matrix(2)
         for div_id in DIVERGENCE_IDS:
             sol = solve_optimal_T_discrete(div_id, joint, tm)
             np.testing.assert_allclose(
@@ -99,7 +99,7 @@ class TestSolveOptimalT:
         for div_id in DIVERGENCE_IDS:
             pmf = rng.uniform(0.1, 1.0, size=(4, 3))
             joint = DiscreteJoint(pmf / pmf.sum())
-            tm = uniform_offdiag_matrix([0.1, 0.05, 0.15])
+            tm = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15]).to_matrix(3)
             sol = solve_optimal_T_discrete(div_id, joint, tm)
             assert sol.max_posterior_gap(div_id) <= 1e-6
 
@@ -110,7 +110,7 @@ class TestSolveOptimalT:
             DiscreteJoint(pmf / pmf.sum())
             for pmf in (rng.uniform(0.1, 1.0, size=(m, 3)) for m in (2, 5, 3))
         ]
-        tm = uniform_offdiag_matrix([0.1, 0.05, 0.15])
+        tm = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15]).to_matrix(3)
         for div_id in DIVERGENCE_IDS:
             single = [solve_optimal_T_discrete(div_id, j, tm) for j in joints]
             targets = np.concatenate([_target_posterior(j, tm) for j in joints])
@@ -412,7 +412,7 @@ def reference_identity_gaps(seed, trials, k, binary):
             scale = 1.0 - e0 - e1
         else:
             e = rng.uniform(0.01, 0.9 / k, size=k)
-            tm = uniform_offdiag_matrix(e)
+            tm = NoiseParams.uniform_offdiag(e).to_matrix(len(e))
             scale = 1.0 - e.sum()
         pmf = rng.uniform(0.1, 1.0, size=(8, k))
         joint = DiscreteJoint(pmf / pmf.sum())

@@ -1257,8 +1257,19 @@ class TestCommandLine:
                 lambda p: p["params"][1].update(b=[[0.0], 1.0]),
                 "params[1]'s W and b must hold numbers in nested lists of equal lengths",
             ),
+            (
+                lambda p: p["params"][0]["W"][0].__setitem__(0, "1.5"),
+                "params[0]'s W and b must hold numbers in nested lists of equal lengths",
+            ),
+            (
+                lambda p: p["params"][1]["b"].__setitem__(0, True),
+                "params[1]'s W and b must hold numbers in nested lists of equal lengths",
+            ),
         ],
-        ids=["list-spec", "string-W", "int-params", "ragged-b"],
+        ids=[
+            "list-spec", "string-W", "int-params", "ragged-b", "string-entry",
+            "true-entry",
+        ],
     )
     def test_eval_model_of_wrong_types_names_the_key(
         self, tmp_path, cli_config, edit, message
@@ -1575,6 +1586,26 @@ class TestCommandLine:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         assert "all checks passed" in done.stdout
+
+    def test_diverging_training_prints_only_its_error(self, tmp_path):
+        # the step's overflow reaches the finiteness guard, which names the
+        # step; numpy prints no warning of its own on the way
+        config = tmp_path / "config.yaml"
+        train = {"epochs": 10, "batch_size": 32, "lr0": 1.0e9}
+        config.write_text(yaml.safe_dump(config_tree(train=train)))
+        env = dict(os.environ)
+        src = str(Path(postmax.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["train", "--config", str(config), "--out", str(tmp_path / "m.json")]
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "postmax", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: parameters became non-finite at epoch 3 step 19; "
+            "lower lr0 or check the data\n"
+        )
 
     def test_verify_negative_seed_exits_one(self, monkeypatch):
         def never(*args, **kwargs):

@@ -8,6 +8,7 @@ frozen here.
 import dataclasses
 import decimal
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,8 @@ from postmax.divergence import (
     optimal_T_from_posterior,
     posterior_from_T,
 )
+from postmax.model import MlpSpec
+from postmax.objective import ObjectiveConfig
 
 ALL_SPECS = [get_divergence(i) for i in DIVERGENCE_IDS]
 KL, GAN, SL = (get_divergence(i) for i in ("kl", "gan", "sl"))
@@ -486,6 +489,21 @@ class TestLookup:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             get_divergence("pearson")
+
+    @pytest.mark.parametrize("bad", [["kl"], {"kl"}, b"kl"], ids=repr)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            get_divergence,
+            ObjectiveConfig,
+            lambda d: MlpSpec((4, 3), head="raw_t", divergence=d),
+        ],
+        ids=["get_divergence", "ObjectiveConfig", "MlpSpec"],
+    )
+    def test_non_string_id_names_the_known_ids(self, entry, bad):
+        want = f"unknown divergence id {bad!r}; expected one of ('gan', 'kl', 'sl')"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            entry(bad)
 
     def test_scalar_in_scalar_out(self):
         out = conj_prime("kl", 0.25)

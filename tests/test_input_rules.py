@@ -56,27 +56,18 @@ from postmax.noise import (
     LabeledDataset,
     NoiseParams,
     corrupt,
-    uniform_offdiag_matrix,
 )
 from postmax.objective import (
     DiscreteJoint,
     ObjectiveConfig,
-    active_passive_split,
-    bias_multiclass,
     bias_simplex_batch,
     corrected_grad_batch,
-    corrected_grad_sample,
     corrected_jf_batch,
-    cross_entropy,
-    cross_entropy_logit_grad,
     exact_bias,
     exact_jf,
     jf_batch,
     jf_grad_batch,
-    jf_grad_sample,
     jf_simplex_batch,
-    jf_simplex_kl,
-    jf_simplex_kl_logit_grad,
     jf_simplex_logit_grad_batch,
 )
 from postmax.posterior import accuracy, noisy_posterior_forward, posterior_correct
@@ -102,16 +93,6 @@ BATCH_LABELS = {
     "corrected_jf_batch": lambda y: corrected_jf_batch("kl", T, y, E),
     "corrected_grad_batch": lambda y: corrected_grad_batch("kl", T, y, E),
 }
-# entry point -> function of one label
-SCALAR_LABEL = {
-    "jf_grad_sample": lambda y: jf_grad_sample("kl", T[0], y),
-    "corrected_grad_sample": lambda y: corrected_grad_sample("kl", T[0], y, E),
-    "active_passive_split": lambda y: active_passive_split("kl", T[0], y),
-    "jf_simplex_kl": lambda y: jf_simplex_kl(D[0], y),
-    "cross_entropy": lambda y: cross_entropy(D[0], y),
-    "cross_entropy_logit_grad": lambda y: cross_entropy_logit_grad(D[0], y),
-    "jf_simplex_kl_logit_grad": lambda y: jf_simplex_kl_logit_grad(D[0], y),
-}
 BAD_LABELS = [1.5, -1, K, math.nan, math.inf, 1e30, 10**400]
 
 # entry point -> function of one rate vector for K classes
@@ -119,11 +100,8 @@ RATES = {
     "NoiseParams.uniform_offdiag": lambda e: (
         NoiseParams.uniform_offdiag(e).flip_rates(K)
     ),
-    "uniform_offdiag_matrix": uniform_offdiag_matrix,
-    "bias_multiclass": lambda e: bias_multiclass("kl", T, e),
     "corrected_jf_batch": lambda e: corrected_jf_batch("kl", T, [0, 1], e),
     "corrected_grad_batch": lambda e: corrected_grad_batch("kl", T, [0, 1], e),
-    "corrected_grad_sample": lambda e: corrected_grad_sample("kl", T[0], 0, e),
     "bias_simplex_batch": lambda e: bias_simplex_batch("kl", D, e),
     "jf_simplex_logit_grad_batch": lambda e: jf_simplex_logit_grad_batch(
         "kl", D, [0, 1], e
@@ -144,22 +122,16 @@ BAD_RATES = {
 }
 
 
-# entry point -> (function of probability rows, the rows' ndim: one row
-# or an N x K matrix); the label is 0 throughout
+# entry point -> function of an N x K matrix of probability rows; the
+# label is 0 throughout
 SIMPLEX_ROWS = {
-    "jf_simplex_kl": (lambda p: jf_simplex_kl(p, 0), 1),
-    "cross_entropy": (lambda p: cross_entropy(p, 0), 1),
-    "cross_entropy_logit_grad": (lambda p: cross_entropy_logit_grad(p, 0), 1),
-    "jf_simplex_kl_logit_grad": (lambda p: jf_simplex_kl_logit_grad(p, 0), 1),
-    "jf_simplex_batch": (lambda p: jf_simplex_batch("gan", p, [0] * len(p)), 2),
-    "jf_simplex_logit_grad_batch": (
-        lambda p: jf_simplex_logit_grad_batch("kl", p, [0] * len(p)),
-        2,
+    "jf_simplex_batch": lambda p: jf_simplex_batch("gan", p, [0] * len(p)),
+    "jf_simplex_logit_grad_batch": lambda p: jf_simplex_logit_grad_batch(
+        "kl", p, [0] * len(p)
     ),
-    # takes one row too, so only ndim 3 and up is wrong for it
-    "noisy_posterior_forward": (
-        lambda p: noisy_posterior_forward(p, np.zeros(p.shape[-1])),
-        2,
+    # takes one row too, so of the shapes here only 3-D is wrong for it
+    "noisy_posterior_forward": lambda p: noisy_posterior_forward(
+        p, np.zeros(np.shape(p)[-1])
     ),
 }
 SIMPLEX_RULE = "K >= 2|probability vectors"
@@ -172,7 +144,6 @@ def defect(rows, value, at=(0, -1)) -> np.ndarray:
     return rows
 
 
-# the first row carries each defect, so the one-row entry points see it
 BAD_SIMPLEX = {
     "nan": defect(D, math.nan),
     "inf": defect(D, math.inf),
@@ -191,23 +162,16 @@ GOOD_SIMPLEX = {
     "two_classes": [[0.25, 0.75], [0.5, 0.5]],
 }
 
-# entry point -> (function of sl network outputs, their ndim), as above
+# entry point -> function of an N x K matrix of sl network outputs
 T_SL = optimal_T_from_posterior("sl", D)  # inside (-1, 0)
 JOINT = DiscreteJoint(D / 2.0)
 OUTPUT_ROWS = {
-    "jf_batch": (lambda T: jf_batch("sl", T, [0] * len(T)), 2),
-    "jf_grad_batch": (lambda T: jf_grad_batch("sl", T, [0] * len(T)), 2),
-    "bias_multiclass": (lambda T: bias_multiclass("sl", T, E), 2),
-    "corrected_jf_batch": (lambda T: corrected_jf_batch("sl", T, [0] * len(T), E), 2),
-    "corrected_grad_batch": (
-        lambda T: corrected_grad_batch("sl", T, [0] * len(T), E),
-        2,
-    ),
-    "exact_jf": (lambda T: exact_jf("sl", JOINT, T), 2),
-    "exact_bias": (lambda T: exact_bias("sl", JOINT, T, E), 2),
-    "jf_grad_sample": (lambda T: jf_grad_sample("sl", T, 0), 1),
-    "corrected_grad_sample": (lambda T: corrected_grad_sample("sl", T, 0, E), 1),
-    "active_passive_split": (lambda T: active_passive_split("sl", T, 0), 1),
+    "jf_batch": lambda T: jf_batch("sl", T, [0] * len(T)),
+    "jf_grad_batch": lambda T: jf_grad_batch("sl", T, [0] * len(T)),
+    "corrected_jf_batch": lambda T: corrected_jf_batch("sl", T, [0] * len(T), E),
+    "corrected_grad_batch": lambda T: corrected_grad_batch("sl", T, [0] * len(T), E),
+    "exact_jf": lambda T: exact_jf("sl", JOINT, T),
+    "exact_bias": lambda T: exact_bias("sl", JOINT, T, E),
 }
 OUTPUT_RULE = "K >= 2|conjugate domain"
 BAD_OUTPUTS = {
@@ -229,7 +193,6 @@ GOOD_OUTPUTS = {
 BATCH_MEANS = {
     "accuracy": lambda n: accuracy([0] * n, [0] * n),
     "jf_batch": lambda n: jf_batch("kl", T[:n], [0] * n),
-    "bias_multiclass": lambda n: bias_multiclass("kl", T[:n], E),
     "corrected_jf_batch": lambda n: corrected_jf_batch("kl", T[:n], [0] * n, E),
     "jf_simplex_batch": lambda n: jf_simplex_batch("kl", D[:n], [0] * n),
     "bias_simplex_batch": lambda n: bias_simplex_batch("kl", D[:n], E),
@@ -315,7 +278,7 @@ SEEDS = {
     "ResultRecord": lambda s: ResultRecord(s, "kl", "none", "none", 1.0, 1.0, 0.0, 0.0),
     "init": lambda s: flat(init(MlpSpec((2, 4, K)), seed=s).params).tobytes(),
     "corrupt": lambda s: corrupt(
-        TEN, uniform_offdiag_matrix([0.2, 0.3]), seed=s
+        TEN, NoiseParams.uniform_offdiag([0.2, 0.3]).to_matrix(2), seed=s
     ).labels.tobytes(),
     "split_dataset": lambda s: flat(
         [[part.features, part.labels] for part in split_dataset(TEN, seed=s)]
@@ -382,13 +345,6 @@ TOO_LARGE = {
 SYNTHETIC.update({f"{key}-10**400": params for key, params in TOO_LARGE.items()})
 
 
-def as_taken(rows, ndim: int) -> np.ndarray:
-    """rows in the form an entry point of that ndim takes: the first row
-    for one row, all of them for a matrix."""
-    rows = np.asarray(rows, dtype=float)
-    return rows[0] if ndim == 1 else rows
-
-
 def label_id(label) -> str:
     """A label's test id: its repr, or its digit count for a long int."""
     text = repr(label)
@@ -409,37 +365,12 @@ def test_batch_entry_rejects_bad_label(entry, bad):
         BATCH_LABELS[entry](np.array([0, bad]))
 
 
-@pytest.mark.parametrize("bad", BAD_LABELS, ids=label_id)
-@pytest.mark.parametrize("entry", list(SCALAR_LABEL))
-def test_scalar_entry_rejects_bad_label(entry, bad):
-    with pytest.raises(ValueError, match="labels"):
-        SCALAR_LABEL[entry](bad)
-
-
 @pytest.mark.parametrize("entry", list(BATCH_LABELS))
 def test_batch_entry_reads_floats_and_bools_as_ints(entry):
     fn = BATCH_LABELS[entry]
     want = flat(fn(np.array([1, 0])))
     for same in (np.array([1.0, 0.0]), np.array([True, False])):
         np.testing.assert_array_equal(flat(fn(same)), want)
-
-
-@pytest.mark.parametrize("entry", list(SCALAR_LABEL))
-def test_scalar_entry_reads_floats_and_bools_as_ints(entry):
-    fn = SCALAR_LABEL[entry]
-    want = flat(fn(1))
-    for same in (1.0, np.float64(1.0), True, np.True_):
-        np.testing.assert_array_equal(flat(fn(same)), want)
-
-
-@pytest.mark.parametrize(
-    "fn",
-    [jf_simplex_kl, cross_entropy, cross_entropy_logit_grad, jf_simplex_kl_logit_grad],
-)
-def test_per_row_reference_rejects_zero_at_label(fn):
-    with pytest.raises(ValueError, match="label"):
-        fn([1.0, 0.0, 0.0], 1)
-    fn([1.0, 0.0, 0.0], 0)  # zeros away from the label are fine
 
 
 @pytest.mark.parametrize("case", list(BAD_RATES))
@@ -457,31 +388,27 @@ def test_rate_entry_takes_good_rates(entry):
 @pytest.mark.parametrize("case", list(BAD_SIMPLEX))
 @pytest.mark.parametrize("entry", list(SIMPLEX_ROWS))
 def test_simplex_entry_rejects_bad_rows(entry, case):
-    fn, ndim = SIMPLEX_ROWS[entry]
     with pytest.raises(ValueError, match=SIMPLEX_RULE):
-        fn(as_taken(BAD_SIMPLEX[case], ndim))
+        SIMPLEX_ROWS[entry](BAD_SIMPLEX[case])
 
 
 @pytest.mark.parametrize("case", list(GOOD_SIMPLEX))
 @pytest.mark.parametrize("entry", list(SIMPLEX_ROWS))
 def test_simplex_entry_takes_good_rows(entry, case):
-    fn, ndim = SIMPLEX_ROWS[entry]
-    assert np.all(np.isfinite(flat(fn(as_taken(GOOD_SIMPLEX[case], ndim)))))
+    assert np.all(np.isfinite(flat(SIMPLEX_ROWS[entry](GOOD_SIMPLEX[case]))))
 
 
 @pytest.mark.parametrize("case", list(BAD_OUTPUTS))
 @pytest.mark.parametrize("entry", list(OUTPUT_ROWS))
 def test_output_entry_rejects_bad_rows(entry, case):
-    fn, ndim = OUTPUT_ROWS[entry]
     with pytest.raises(ValueError, match=OUTPUT_RULE):
-        fn(as_taken(BAD_OUTPUTS[case], ndim))
+        OUTPUT_ROWS[entry](BAD_OUTPUTS[case])
 
 
 @pytest.mark.parametrize("case", list(GOOD_OUTPUTS))
 @pytest.mark.parametrize("entry", list(OUTPUT_ROWS))
 def test_output_entry_takes_good_rows(entry, case):
-    fn, ndim = OUTPUT_ROWS[entry]
-    assert np.all(np.isfinite(flat(fn(as_taken(GOOD_OUTPUTS[case], ndim)))))
+    assert np.all(np.isfinite(flat(OUTPUT_ROWS[entry](GOOD_OUTPUTS[case]))))
 
 
 @pytest.mark.parametrize("entry", list(BATCH_MEANS))

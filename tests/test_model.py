@@ -41,7 +41,7 @@ from postmax.model import (
     save_model,
     train,
 )
-from postmax.noise import LabeledDataset, NoiseParams, corrupt, symmetric_matrix
+from postmax.noise import LabeledDataset, NoiseParams, corrupt
 from postmax.objective import (
     ObjectiveConfig,
     _column_width,
@@ -794,7 +794,7 @@ class TestTrainMembers:
         last batch of 12."""
         rng = np.random.default_rng(53)
         ds = gaussian_blobs(rng, 20, self.MEANS)
-        noisy = corrupt(ds, symmetric_matrix(3, 0.3), seed=tc.seed)
+        noisy = corrupt(ds, NoiseParams.symmetric(0.3).to_matrix(3), seed=tc.seed)
         pairs = [(ds, ObjectiveConfig(div_id)), (noisy, ObjectiveConfig(div_id))]
         if rates:
             pairs += [
@@ -1062,7 +1062,7 @@ class TestStepProgram:
         seed's three networks adds, per step."""
         rng = np.random.default_rng(61)
         ds = gaussian_blobs(rng, 50, rng.normal(size=(2, 10)))  # 100 rows
-        noisy = corrupt(ds, symmetric_matrix(2, 0.2), seed=0)
+        noisy = corrupt(ds, NoiseParams.symmetric(0.2).to_matrix(2), seed=0)
         rates = NoiseParams.uniform_offdiag([0.1, 0.1])
         model = init(head_spec((10, 16, 2), head, div_id), seed=0)
         package = str(Path(postmax.__file__).parent)
@@ -1448,6 +1448,20 @@ class TestSerialization:
         payload["params"][0]["b"][1] = math.nan
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "bad", ["1.5", True, 10**400], ids=["str", "true", "10**400"]
+    )
+    def test_load_rejects_a_parameter_no_float_holds(self, tmp_path, bad):
+        # numpy reads the first two as 1.5 and 1.0, and overflows on the third
+        path = tmp_path / "model.json"
+        save_model(init(MlpSpec((3, 2)), seed=2), path)
+        payload = json.loads(path.read_text())
+        payload["params"][0]["W"][0][1] = bad
+        path.write_text(json.dumps(payload))
+        want = r"^malformed model file: params\[0\]'s W and b must hold numbers"
+        with pytest.raises(ValueError, match=want):
             load_model(path)
 
     def test_version_check(self, tmp_path):

@@ -12,8 +12,6 @@ from postmax.noise import (
     _check_stochastic,
     _counter_uniforms,
     corrupt,
-    symmetric_matrix,
-    uniform_offdiag_matrix,
 )
 
 
@@ -28,53 +26,53 @@ def make_dataset(n, k, seed=0):
 
 class TestSymmetricMatrix:
     def test_binary_forty_percent(self):
-        tm = symmetric_matrix(2, 0.4)
+        tm = NoiseParams.symmetric(0.4).to_matrix(2)
         np.testing.assert_allclose(tm.entries, [[0.6, 0.4], [0.4, 0.6]])
 
     def test_zero_noise_is_identity(self):
-        tm = symmetric_matrix(10, 0.0)
+        tm = NoiseParams.symmetric(0.0).to_matrix(10)
         np.testing.assert_allclose(tm.entries, np.eye(10))
 
     def test_four_class_spread(self):
-        tm = symmetric_matrix(4, 0.6)
+        tm = NoiseParams.symmetric(0.6).to_matrix(4)
         assert tm.entries[0, 0] == pytest.approx(0.4)
         assert tm.entries[0, 1] == pytest.approx(0.2)
 
     def test_rate_bounds(self):
         with pytest.raises(ValueError):
-            symmetric_matrix(2, 0.5)
+            NoiseParams.symmetric(0.5).to_matrix(2)
         with pytest.raises(ValueError):
-            symmetric_matrix(2, -0.1)
+            NoiseParams.symmetric(-0.1).to_matrix(2)
         with pytest.raises(ValueError):
-            symmetric_matrix(2, float("nan"))
-        symmetric_matrix(10, 0.89)  # just under (K-1)/K
+            NoiseParams.symmetric(float("nan")).to_matrix(2)
+        NoiseParams.symmetric(0.89).to_matrix(10)  # just under (K-1)/K
 
     def test_rows_stochastic(self):
-        tm = symmetric_matrix(7, 0.3)
+        tm = NoiseParams.symmetric(0.3).to_matrix(7)
         np.testing.assert_allclose(tm.entries.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestUniformOffdiagMatrix:
     def test_binary_example(self):
-        tm = uniform_offdiag_matrix([0.1, 0.3])
+        tm = NoiseParams.uniform_offdiag([0.1, 0.3]).to_matrix(2)
         np.testing.assert_allclose(tm.entries, [[0.7, 0.3], [0.1, 0.9]])
 
     def test_zeros_is_identity(self):
-        tm = uniform_offdiag_matrix([0.0, 0.0, 0.0])
+        tm = NoiseParams.uniform_offdiag([0.0, 0.0, 0.0]).to_matrix(3)
         np.testing.assert_allclose(tm.entries, np.eye(3))
 
     def test_equal_rates_match_symmetric(self):
-        tm = uniform_offdiag_matrix([0.1, 0.1, 0.1])
-        sym = symmetric_matrix(3, 0.2)
+        tm = NoiseParams.uniform_offdiag([0.1, 0.1, 0.1]).to_matrix(3)
+        sym = NoiseParams.symmetric(0.2).to_matrix(3)
         np.testing.assert_allclose(tm.entries, sym.entries, atol=1e-15)
 
     def test_rate_sum_bound(self):
         with pytest.raises(ValueError):
-            uniform_offdiag_matrix([0.5, 0.5])
+            NoiseParams.uniform_offdiag([0.5, 0.5]).to_matrix(2)
         with pytest.raises(ValueError):
-            uniform_offdiag_matrix([-0.1, 0.2])
+            NoiseParams.uniform_offdiag([-0.1, 0.2]).to_matrix(2)
         with pytest.raises(ValueError, match="finite"):
-            uniform_offdiag_matrix([float("nan"), 0.2])
+            NoiseParams.uniform_offdiag([float("nan"), 0.2]).to_matrix(2)
 
 
 class TestTransitionMatrixValidation:
@@ -91,7 +89,7 @@ class TestTransitionMatrixValidation:
             TransitionMatrix(np.full((2, 2), np.nan))
 
     def test_stacked_checks_every_matrix(self):
-        good = np.stack([np.eye(3), symmetric_matrix(3, 0.3).entries])
+        good = np.stack([np.eye(3), NoiseParams.symmetric(0.3).to_matrix(3).entries])
         _check_stochastic(good)
         for index, value, match in (
             ((1, 2, 0), -0.1, r"\[0, 1\]"),
@@ -108,7 +106,7 @@ class TestTransitionMatrixValidation:
             TransitionMatrix(np.ones((2, 3)) / 3.0)
 
     def test_entries_read_only(self):
-        tm = symmetric_matrix(3, 0.1)
+        tm = NoiseParams.symmetric(0.1).to_matrix(3)
         with pytest.raises(ValueError):
             tm.entries[0, 0] = 0.0
 
@@ -116,46 +114,46 @@ class TestTransitionMatrixValidation:
 class TestCorrupt:
     def test_identity_matrix_keeps_labels(self):
         ds = make_dataset(500, 4)
-        out = corrupt(ds, symmetric_matrix(4, 0.0), seed=3)
+        out = corrupt(ds, NoiseParams.symmetric(0.0).to_matrix(4), seed=3)
         np.testing.assert_array_equal(out.labels, ds.labels)
         assert out.provenance == "corrupted"
 
     def test_deterministic(self):
         ds = make_dataset(1000, 3)
-        tm = symmetric_matrix(3, 0.3)
+        tm = NoiseParams.symmetric(0.3).to_matrix(3)
         a = corrupt(ds, tm, seed=11)
         b = corrupt(ds, tm, seed=11)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_seed_changes_outcome(self):
         ds = make_dataset(1000, 3)
-        tm = symmetric_matrix(3, 0.3)
+        tm = NoiseParams.symmetric(0.3).to_matrix(3)
         a = corrupt(ds, tm, seed=11)
         b = corrupt(ds, tm, seed=12)
         assert np.any(a.labels != b.labels)
 
     def test_features_bit_exact(self):
         ds = make_dataset(200, 2)
-        out = corrupt(ds, symmetric_matrix(2, 0.4), seed=0)
+        out = corrupt(ds, NoiseParams.symmetric(0.4).to_matrix(2), seed=0)
         assert np.array_equal(out.features, ds.features)
 
     def test_shares_the_clean_feature_array(self):
         ds = make_dataset(200, 3)
-        out = corrupt(ds, symmetric_matrix(3, 0.4), seed=0)
+        out = corrupt(ds, NoiseParams.symmetric(0.4).to_matrix(3), seed=0)
         assert out.features is ds.features
         assert not out.features.flags.writeable
 
     def test_flip_fraction_concentrates(self):
         n = 100_000
         ds = make_dataset(n, 2, seed=5)
-        out = corrupt(ds, symmetric_matrix(2, 0.4), seed=7)
+        out = corrupt(ds, NoiseParams.symmetric(0.4).to_matrix(2), seed=7)
         flipped = np.mean(out.labels != ds.labels)
         assert abs(flipped - 0.4) <= 3.0 * np.sqrt(0.4 * 0.6 / n)
 
     def test_recovers_generating_matrix(self):
         n = 1_000_000
         ds = make_dataset(n, 5, seed=1)
-        tm = symmetric_matrix(5, 0.3)
+        tm = NoiseParams.symmetric(0.3).to_matrix(5)
         noisy = corrupt(ds, tm, seed=2)
         counts = np.zeros((5, 5))
         np.add.at(counts, (ds.labels, noisy.labels), 1.0)
@@ -167,7 +165,7 @@ class TestCorrupt:
         # full corruption, because each sample's draw depends only on
         # (seed, sample index)
         ds = make_dataset(400, 3, seed=9)
-        tm = symmetric_matrix(3, 0.5)
+        tm = NoiseParams.symmetric(0.5).to_matrix(3)
         full = corrupt(ds, tm, seed=21)
         head = LabeledDataset(ds.features[:100], ds.labels[:100], k=3)
         part = corrupt(head, tm, seed=21)
@@ -190,7 +188,7 @@ class TestCorrupt:
         # an (n, K) float array would be 160 MB here
         n, k = 20_000, 1000
         ds = LabeledDataset(np.zeros((n, 1)), np.arange(n) % k, k)
-        tm = symmetric_matrix(k, 0.2)
+        tm = NoiseParams.symmetric(0.2).to_matrix(k)
         tracemalloc.start()
         try:
             corrupt(ds, tm, seed=0)
@@ -201,7 +199,7 @@ class TestCorrupt:
 
     def test_rejects_recorruption(self):
         ds = make_dataset(50, 2)
-        tm = symmetric_matrix(2, 0.2)
+        tm = NoiseParams.symmetric(0.2).to_matrix(2)
         once = corrupt(ds, tm, seed=0)
         with pytest.raises(ValueError):
             corrupt(once, tm, seed=0)
@@ -209,14 +207,14 @@ class TestCorrupt:
     def test_rejects_class_mismatch(self):
         ds = make_dataset(50, 2)
         with pytest.raises(ValueError):
-            corrupt(ds, symmetric_matrix(3, 0.2), seed=0)
+            corrupt(ds, NoiseParams.symmetric(0.2).to_matrix(3), seed=0)
 
 
 class TestNoiseParams:
     def test_symmetric_rates(self):
         p = NoiseParams.symmetric(0.3)
         np.testing.assert_allclose(p.flip_rates(4), [0.1, 0.1, 0.1, 0.1])
-        np.testing.assert_allclose(p.to_matrix(4).entries, symmetric_matrix(4, 0.3).entries)
+        np.testing.assert_allclose(p.to_matrix(4).entries, 0.1 + 0.6 * np.eye(4))
 
     def test_uniform_offdiag_rates(self):
         p = NoiseParams.uniform_offdiag([0.1, 0.3])

@@ -13,30 +13,21 @@ from postmax.divergence import (
     get_divergence,
     optimal_T_from_posterior,
 )
-from postmax.noise import NoiseParams, TransitionMatrix, uniform_offdiag_matrix
+from postmax.noise import NoiseParams, TransitionMatrix
 from postmax.objective import (
     DiscreteJoint,
     ObjectiveConfig,
     _check_T,
-    active_passive_split,
-    bias_multiclass,
     bias_simplex_batch,
     corrected_grad_batch,
-    corrected_grad_sample,
     corrected_jf_batch,
-    cross_entropy,
-    cross_entropy_logit_grad,
     exact_bias,
     exact_jf,
     exact_jf_noisy,
     jf_batch,
     jf_grad_batch,
-    jf_grad_sample,
     jf_simplex_batch,
-    jf_simplex_kl,
-    jf_simplex_kl_logit_grad,
     jf_simplex_logit_grad_batch,
-    noisy_joint,
 )
 from postmax.objective import (
     _check_pmf,
@@ -52,8 +43,19 @@ from postmax.objective import (
     _rows,
     _simplex_logit_grad_program,
 )
-from postmax.noise import _check_rates, _row_labels
+from postmax.noise import _check_rates
 from postmax.posterior import _as_rows, _check_probability_rows
+from references import (
+    active_passive_split,
+    bias_multiclass,
+    corrected_grad_sample,
+    cross_entropy,
+    cross_entropy_logit_grad,
+    jf_grad_sample,
+    jf_simplex_kl,
+    jf_simplex_kl_logit_grad,
+    noisy_joint,
+)
 
 # Reference formulas for the checks below, written from the closed forms
 # per divergence and never from the DivergenceSpec table, so comparing the
@@ -74,9 +76,9 @@ def bias_binary(spec, T, e0: float, e1: float) -> float:
 def positive_row(D_row, label):
     """One strictly positive finite row, on the simplex or off it, and its
     label, checked as bias_simplex_batch checks its rows."""
-    D = _as_rows(D_row, "positive values", ndim=1)
+    D = np.asarray(D_row, dtype=float)
     _check_positive(D)
-    return D, _row_labels(label, D)
+    return D, label
 
 
 def jf_simplex_gan(D_row, label) -> float:
@@ -289,11 +291,6 @@ class TestGradients:
             )
             np.testing.assert_allclose(expected, np.zeros(4), atol=1e-9)
 
-    def test_rejects_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            jf_grad_sample("kl", [1.0, 1.0], 2)
-
-
 class TestBias:
     def test_binary_frozen_value(self):
         # 0.1 + 0.3 at T = 1 minus 0.4 * (two unit conjugates) = -0.4
@@ -313,8 +310,6 @@ class TestBias:
             bias_binary("kl", T, 0.6, 0.5)
         with pytest.raises(ValueError):
             bias_binary("kl", T, -0.1, 0.2)
-        with pytest.raises(ValueError):
-            bias_multiclass("kl", T, [0.1, 0.2, 0.3])
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
@@ -411,29 +406,6 @@ class TestCorrections:
         rng = np.random.default_rng(43)
         fn(random_T("sl", rng, (6, 3)), rng.integers(0, 3, size=6), [0.05, 0.1, 0.02])
         assert len(calls) == 1
-
-
-@pytest.mark.parametrize("row", [[[1.0, 1.0], [1.0, 1.0]], [1.0]], ids=["2-D", "K=1"])
-@pytest.mark.parametrize(
-    "fn",
-    [
-        lambda T: jf_grad_sample("kl", T, 0),
-        lambda T: corrected_grad_sample("kl", T, 0, [0.1, 0.1]),
-        lambda T: active_passive_split("kl", T, 0),
-    ],
-    ids=["jf_grad_sample", "corrected_grad_sample", "active_passive_split"],
-)
-def test_T_row_references_reject_anything_but_one_row(fn, row):
-    with pytest.raises(ValueError, match="one row of network outputs"):
-        fn(row)
-
-
-def test_corrected_grad_sample_rejects_a_non_finite_gradient():
-    # exp overflows past kl's outputs near 710: the row is in the domain,
-    # and the gradient it gives is not finite
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="conjugate derivative of 'kl' produced"):
-            corrected_grad_sample("kl", [800.0, 0.0], 0, [0.1, 0.1])
 
 
 class TestActivePassive:
@@ -575,16 +547,6 @@ class TestSimplexForms:
             jf_simplex_gan([1.0, 0.0], 0)
         with pytest.raises(ValueError):
             jf_simplex_sl([1.0, 0.0], 0)
-
-    def test_kl_rejects_non_simplex(self):
-        with pytest.raises(ValueError):
-            jf_simplex_kl([0.5, 0.6], 0)
-        # a NaN component passes both the sign and the sum comparison
-        for fn in (jf_simplex_kl, cross_entropy, jf_simplex_kl_logit_grad,
-                   cross_entropy_logit_grad):
-            for row in ([np.nan, 1.0], [np.inf, 1.0]):
-                with pytest.raises(ValueError, match="finite"):
-                    fn(row, 1)
 
     def test_grad_D_rejects_unknown_id(self):
         with pytest.raises(ValueError):
@@ -1033,7 +995,7 @@ class TestExactOracles:
         rng = np.random.default_rng(89)
         for trial in range(10):
             e = rng.uniform(0.01, 0.15, size=5)
-            tm = uniform_offdiag_matrix(e)
+            tm = NoiseParams.uniform_offdiag(e).to_matrix(len(e))
             joint = random_joint(rng, 4, 5)
             for div_id in DIVERGENCE_IDS:
                 T = random_T(div_id, rng, (4, 5))
@@ -1046,7 +1008,7 @@ class TestExactOracles:
     def test_correction_recovers_scaled_clean_value(self):
         rng = np.random.default_rng(97)
         e = np.array([0.1, 0.2, 0.05])
-        tm = uniform_offdiag_matrix(e)
+        tm = NoiseParams.uniform_offdiag(e).to_matrix(len(e))
         joint = random_joint(rng, 5, 3)
         for div_id in DIVERGENCE_IDS:
             T = random_T(div_id, rng, (5, 3))
@@ -1070,7 +1032,7 @@ class TestExactOracles:
             assert _exact_bias(joint.pmf, T, conj_rows, e) == exact_bias(
                 div_id, joint, T, e
             )
-            tm = uniform_offdiag_matrix(e)
+            tm = NoiseParams.uniform_offdiag(e).to_matrix(len(e))
             assert _exact_jf(
                 joint.pmf @ tm.entries, T, conj_rows
             ) == exact_jf_noisy(div_id, joint, tm, T)
@@ -1115,8 +1077,8 @@ class TestExactOracles:
         joint = DiscreteJoint([[0.5, 0.5]])
         with pytest.raises(ValueError):
             exact_jf("kl", joint, np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            noisy_joint(joint, TransitionMatrix(np.eye(3)))
+        with pytest.raises(ValueError, match="class counts differ"):
+            exact_jf_noisy("kl", joint, TransitionMatrix(np.eye(3)), np.ones((1, 2)))
 
 
 class TestObjectiveConfig:

@@ -5,6 +5,7 @@ loads."""
 import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 import yaml
 
 import postmax
+import references
 from postmax.cli import _CONFIG, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,26 +55,28 @@ def test_all_is_sorted_unique_and_resolves():
     assert missing == []
 
 
-# module -> per-row references and oracles that only tests read
-NOT_EXPORTED = {
-    "noise": ("symmetric_matrix",),
-    "objective": (
-        "active_passive_split",
-        "bias_multiclass",
-        "corrected_grad_sample",
-        "cross_entropy_logit_grad",
-        "jf_grad_sample",
-        "jf_simplex_kl_logit_grad",
-        "noisy_joint",
-    ),
-}
+# the per-row references the tests compare the batch kernels against
+REFERENCES = (
+    "jf_grad_sample",
+    "corrected_grad_sample",
+    "active_passive_split",
+    "jf_simplex_kl",
+    "cross_entropy",
+    "cross_entropy_logit_grad",
+    "jf_simplex_kl_logit_grad",
+    "bias_multiclass",
+    "noisy_joint",
+)
 
 
-@pytest.mark.parametrize("module", list(NOT_EXPORTED))
-def test_test_only_names_are_importable_but_not_exported(module):
-    for name in NOT_EXPORTED[module]:
-        assert name not in postmax.__all__
-        assert callable(getattr(importlib.import_module(f"postmax.{module}"), name))
+def test_per_row_references_live_beside_the_tests_only():
+    assert all(callable(getattr(references, name)) for name in REFERENCES)
+    modules = [m.name for m in pkgutil.iter_modules(postmax.__path__)]
+    modules = [name for name in modules if not name.startswith("__")]
+    assert {"noise", "objective", "posterior"} <= set(modules)
+    for name in modules:
+        module = importlib.import_module(f"postmax.{name}")
+        assert [n for n in REFERENCES if hasattr(module, n)] == [], name
 
 
 def test_all_is_listed_by_dir_and_unknown_names_raise():
@@ -159,7 +163,9 @@ def test_sweep_command_does_not_load_the_theorem_checks(tmp_path):
 
 # the memory bounds the run budget replaced, the pass-through helpers
 # that one builder per step phase and one scoring entry replaced, and the
-# simplex value forms and floor that the one objective-row rule replaced
+# simplex value forms and floor that the one objective-row rule replaced;
+# also the per-row references, matrix wrappers and one-row label rule that
+# left the product for tests/references.py and NoiseParams.to_matrix
 RETIRED_NAMES = (
     "MAX_CSV_CLASSES",
     "MAX_SWEEP_LABELS",
@@ -177,6 +183,10 @@ RETIRED_NAMES = (
     "_jf_simplex_rows",
     "_bias_simplex_rows",
     "_mean_value",
+    *REFERENCES,
+    "symmetric_matrix",
+    "uniform_offdiag_matrix",
+    "_row_labels",
 )
 # whole words only: _evaluate_modes and simplex_terms are current names
 RETIRED = re.compile(r"\b(" + "|".join(RETIRED_NAMES) + r")\b")

@@ -145,7 +145,7 @@ class TestPosteriorCorrect:
         P = random_simplex(rng, 100, 4)
         e = [0.1, 0.05, 0.2, 0.15]
         noisy = noisy_posterior_forward(P, e)
-        back = posterior_correct(noisy, e, rescale=True)
+        back = posterior_correct(noisy, e) / (1.0 - sum(e))
         np.testing.assert_allclose(back, P, rtol=1e-12)
 
     def test_zero_rates_unchanged(self):
