@@ -2,7 +2,9 @@
 one label rule of noise._check_labels and the one rate rule of
 noise._check_rates; every one that takes probability rows applies
 posterior._check_probability_rows, and every one that takes network
-outputs objective._check_T.  The config reader and the synthetic sampler
+outputs objective._check_T.  A lone row or a lone label, the shapes the
+per-row references take, is refused by every entry point that takes a
+matrix; only noisy_posterior_forward reads a lone row, as one 1 x K row.  The config reader and the synthetic sampler
 refuse the same synthetic parameters by one rule table.  pyproject.toml
 turns warnings into errors, so a case that raised a numpy warning instead
 of a ValueError fails here.  Every batch mean refuses a batch of no
@@ -93,12 +95,25 @@ BATCH_LABELS = {
     "corrected_jf_batch": lambda y: corrected_jf_batch("kl", T, y, E),
     "corrected_grad_batch": lambda y: corrected_grad_batch("kl", T, y, E),
 }
-BAD_LABELS = [1.5, -1, K, math.nan, math.inf, 1e30, 10**400]
+BAD_LABELS = [1.5, -1, K, math.nan, math.inf, 1e30, 10**400, "1", None, 1j]
+# labels that are not one per row of the two-row inputs above; a lone
+# label, the shape the one-row entry points took, is among them
+BAD_LABEL_SHAPES = {
+    "scalar": 0,
+    "one_short": [0],
+    "one_long": [0, 1, 0],
+    "column": [[0], [1]],
+    "row_matrix": [[0, 1]],
+    "none": [],
+}
 
 # entry point -> function of one rate vector for K classes
 RATES = {
     "NoiseParams.uniform_offdiag": lambda e: (
         NoiseParams.uniform_offdiag(e).flip_rates(K)
+    ),
+    "NoiseParams.uniform_offdiag.to_matrix": lambda e: (
+        NoiseParams.uniform_offdiag(e).to_matrix(K).entries
     ),
     "corrected_jf_batch": lambda e: corrected_jf_batch("kl", T, [0, 1], e),
     "corrected_grad_batch": lambda e: corrected_grad_batch("kl", T, [0, 1], e),
@@ -187,6 +202,16 @@ GOOD_OUTPUTS = {
     "posterior_map": T_SL,
     "near_domain_top": defect(T_SL, -1e-300),
     "near_domain_bottom": defect(T_SL, -1.0 + 1e-15),
+}
+
+# every entry point that takes an N x K matrix only, so a lone row, the
+# shape the per-row references took, is refused by the shape rule
+ONE_ROW = {
+    **{name: (fn, D[0]) for name, fn in SIMPLEX_ROWS.items()
+       if name != "noisy_posterior_forward"},
+    "bias_simplex_batch": (lambda p: bias_simplex_batch("kl", p, E), D[0]),
+    "posterior_correct": (lambda p: posterior_correct(p, E), D[0]),
+    **{name: (fn, T_SL[0]) for name, fn in OUTPUT_ROWS.items()},
 }
 
 # entry point -> function of its first n rows of inputs, a batch mean
@@ -365,6 +390,13 @@ def test_batch_entry_rejects_bad_label(entry, bad):
         BATCH_LABELS[entry](np.array([0, bad]))
 
 
+@pytest.mark.parametrize("case", list(BAD_LABEL_SHAPES))
+@pytest.mark.parametrize("entry", list(BATCH_LABELS))
+def test_batch_entry_rejects_labels_not_one_per_row(entry, case):
+    with pytest.raises(ValueError, match="^labels must be one integer per sample$"):
+        BATCH_LABELS[entry](BAD_LABEL_SHAPES[case])
+
+
 @pytest.mark.parametrize("entry", list(BATCH_LABELS))
 def test_batch_entry_reads_floats_and_bools_as_ints(entry):
     fn = BATCH_LABELS[entry]
@@ -396,6 +428,29 @@ def test_simplex_entry_rejects_bad_rows(entry, case):
 @pytest.mark.parametrize("entry", list(SIMPLEX_ROWS))
 def test_simplex_entry_takes_good_rows(entry, case):
     assert np.all(np.isfinite(flat(SIMPLEX_ROWS[entry](GOOD_SIMPLEX[case]))))
+
+
+@pytest.mark.parametrize("case", [c for c in BAD_SIMPLEX if c != "wrong_ndim"])
+def test_one_row_of_noisy_posterior_forward_takes_the_matrix_rule(case):
+    # its one-row form is one 1 x K row; every defect sits in the first row
+    with pytest.raises(ValueError, match=SIMPLEX_RULE):
+        noisy_posterior_forward(BAD_SIMPLEX[case][0], np.zeros(K))
+
+
+@pytest.mark.parametrize("case", list(GOOD_SIMPLEX))
+def test_one_row_of_noisy_posterior_forward_is_the_matrix_row(case):
+    rows = np.asarray(GOOD_SIMPLEX[case], dtype=float)
+    e = np.linspace(0.05, 0.1, rows.shape[1])
+    out = noisy_posterior_forward(rows[0], e)
+    assert out.shape == rows[0].shape
+    np.testing.assert_array_equal(out, noisy_posterior_forward(rows, e)[0])
+
+
+@pytest.mark.parametrize("entry", list(ONE_ROW))
+def test_matrix_entry_rejects_one_row(entry):
+    fn, row = ONE_ROW[entry]
+    with pytest.raises(ValueError, match="^expected an N x K matrix of .* with K >= 2$"):
+        fn(row)
 
 
 @pytest.mark.parametrize("case", list(BAD_OUTPUTS))

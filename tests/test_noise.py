@@ -233,6 +233,21 @@ class TestNoiseParams:
             with pytest.raises(ValueError, match="finite"):
                 NoiseParams.uniform_offdiag([0.1, bad])
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    @pytest.mark.parametrize("kind", ["symmetric", "uniform_offdiag"])
+    def test_matrix_flips_into_each_class_at_its_rate(self, kind, k):
+        # the matrix corrupt draws from and the rates the correction
+        # subtracts describe one noise: off the diagonal, column j is e_j
+        if kind == "symmetric":
+            params = NoiseParams.symmetric(0.4 * (k - 1) / k)
+        else:
+            params = NoiseParams.uniform_offdiag(np.linspace(0.01, 0.3, k) / k)
+        e = params.flip_rates(k)
+        entries = params.to_matrix(k).entries
+        off = ~np.eye(k, dtype=bool)
+        np.testing.assert_array_equal(entries[off], np.broadcast_to(e, (k, k))[off])
+        np.testing.assert_allclose(entries.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("e", [[], [0.2], [[0.1, 0.2]], 0.1])
     def test_construction_rejects_anything_but_k_rates(self, e):
         # the length rule K >= 2 holds when the parameters are built, not

@@ -279,6 +279,10 @@ class TestGradients:
                 batch[n], jf_grad_sample("gan", T[n], labels[n])
             )
 
+    def test_rejects_label_out_of_range(self):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            jf_grad_batch("kl", [[1.0, 1.0]], [2])
+
     def test_expected_gradient_vanishes_at_posterior(self):
         # drawing labels from p, the mean gradient at the matching T is zero
         rng = np.random.default_rng(17)
@@ -541,6 +545,15 @@ class TestSimplexForms:
             [0.0, 0.0, 2.0],
             rtol=1e-15,
         )
+
+    def test_kl_rejects_non_simplex(self):
+        with pytest.raises(ValueError):
+            jf_simplex_batch("kl", [[0.5, 0.6]], [0])
+        # a NaN component passes both the sign and the sum comparison
+        for fn in (jf_simplex_batch, jf_simplex_logit_grad_batch):
+            for row in ([np.nan, 1.0], [np.inf, 1.0]):
+                with pytest.raises(ValueError, match="finite"):
+                    fn("kl", [row], [1])
 
     def test_rejects_zero_component(self):
         with pytest.raises(ValueError):
