@@ -223,8 +223,9 @@ def _checked_synthetic(params: dict, fault: str = "{key} must be {what}") -> dic
 
 def _draw_terms(k: int, n: int, d: int) -> dict:
     """The floats of the synthetic draw's large arrays: the features with
-    their temporaries and split, which peak at 3.0-3.7 n x d, and the
-    means' frame, its k x k and d x (k - 1) factors."""
+    their temporaries and split, which peak at about 2.1 n x d in the draw
+    and 2.7 n x d in the split, and the means' frame, its k x k and
+    d x (k - 1) factors."""
     return {"features": 4 * n * d, "synthetic frame": 5 * k * k + 3 * d * k}
 
 
@@ -250,9 +251,15 @@ def _sample_synthetic(
     base, extra = divmod(n, k)
     counts = np.array([base + (1 if c < extra else 0) for c in range(k)])
     labels = np.repeat(np.arange(k), counts)
-    features = means[labels] + rng.normal(size=(n, d))
+    # each class's mean added to its run of rows in place: the bits of
+    # means[labels] + normal, without an (n, d) array of means
+    features = rng.normal(size=(n, d))
+    for c, stop in enumerate(np.cumsum(counts)):
+        features[stop - counts[c] : stop] += means[c]
     order = rng.permutation(n)
-    return LabeledDataset(features[order], labels[order], k), means, counts
+    shuffled = features[order]
+    shuffled.setflags(write=False)  # so the dataset holds it, not a copy
+    return LabeledDataset(shuffled, labels[order], k), means, counts
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +582,7 @@ def _run_terms(cfg: ExperimentConfig, n: int, d: int, k: int) -> dict:
     features and k classes alone, in integer arithmetic.  Each term bounds
     its arrays' peak, counting all n rows where a split holds fewer; a
     network's parameter rows are its initial and trained ones and the
-    step's parameters, velocity, gradient and scratch."""
+    step's parameters, velocity and gradient, which the update reuses."""
     S = len(cfg.seeds)
     G = 1 + len(_noisy_trainings(cfg))  # the networks each seed trains
     B = min(cfg.train.batch_size, n)
@@ -588,7 +595,7 @@ def _run_terms(cfg: ExperimentConfig, n: int, d: int, k: int) -> dict:
         "noise matrix": 0 if cfg.noise is None else 2 * k * k,
         "one-hot identity": k * k,
         "training labels": 3 * (S * G + S) * n,
-        "parameters": 6 * S * G * params,
+        "parameters": 5 * S * G * params,
         "step workspaces": _step_floats(_mlp_spec(cfg, d, k), S, G, B)
         + 8 * S * G * B * k,
         "scoring blocks": rows * (sum(cfg.hidden) + 6 * k + 1) + 4 * n,

@@ -40,13 +40,13 @@ rows it would per member, and each member's matmul still reads the same
 operands.  Each hidden layer has one
 activation workspace: its linear output is written there and the
 activation applied in place, so no pre-activation is kept.  Backprop
-reads relu's derivative off the activation as a bool mask, relu(z) > 0
-being z > 0 bit for bit, and tanh's as 1 - h**2.  Per-epoch metrics are
-computed only by an on_epoch consumer: train() installs the one that
-builds its TrainTrace, and a sweep installs none, so its members'
-training objective is computed and checked once, after the final epoch.
-A single-member call is train() itself, so each member ends bit for bit
-where its own train() call would.
+reads relu's derivative off it as a bool mask, relu(z) > 0 being z > 0
+bit for bit, or tanh's as 1 - h**2, then writes the input gradient over
+it.  Per-epoch metrics are computed only by an on_epoch consumer:
+train() installs the one that builds its TrainTrace, and a sweep
+installs none, so its members' training objective is computed and
+checked once, after the final epoch.  A single-member call is train()
+itself, so each member ends bit for bit where its own train() call would.
 
 A desk-sized step is bound by per-call overhead, not arithmetic.  A
 numpy call costs more when it broadcasts an operand or converts a Python
@@ -76,13 +76,8 @@ each warning costs about 1.4 us.  The kl head allocates nothing: the
 softmax, the drift of the rate terms and the head gradient are ufunc
 calls into (M, batch, K) workspaces and a column for row maxima and
 sums, while the gan and sl simplex forms and the raw forms allocate, and
-each runs as one call.  Over two classes the column is two wide, both
-entries filled by one np.maximum or np.add of the rows and their columns
-reversed, so the calls that read it run on equal shapes.  From three
-classes the row max is _row_max_program's: a running np.maximum over the
-column views where it was timed faster, up to 24 classes at 20 or more
-rows per class, else numpy's reduction, both exact; the sum, faster as a
-reduction at a step's few rows, is numpy's.
+each runs as one call.  The column's width, and the calls that take its
+row maxima and sums, are objective._row_max_program's and _row_sum_op's.
 
 Each layer input in the step's workspaces ends in a column of ones: the
 gathered features, written into the first d_in columns (X itself is not
@@ -99,15 +94,8 @@ folded would round differently at the benchmark's shapes (at K = 2
 about half the outputs move), and the input gradients multiply by W^T
 alone, which keeps their bits at every shape.  Whether a folded sum
 rounds as the add and the reduction did depends on the BLAS kernel that
-serves the shape.  With OpenBLAS 0.3.31 (SkylakeX kernels) the records
-equal the unfolded step's at the desk shape (10-16-2, batches of 32),
-the wide shape (100-256-10, batches of 256 and 160) and the golden pins'
-shapes (5-8-K, batches of 16 and 24).  A scan of 1 to 100 features,
-hidden widths from 8 to 256 and eight batch sizes from 1 to 512 rows
-found three exceptions: batches over 384 rows, where dgemm sums db in
-blocks; a hidden layer with 16 or more inputs whose width is 1 to 4 mod
-8 (9-12, 20 or 100, say); and, under ten features, batches of one or two
-rows, and with one feature most batches.
+serves the shape; README.md lists the shapes where the records were
+checked equal and the exceptions a scan found.
 
 Scoring runs in row blocks.  evaluate(), forward(), train()'s per-epoch
 record and a sweep's final check all call one scorer, _score, which runs
@@ -307,14 +295,10 @@ class NetworkModel:
 
 
 def _freeze_params(params) -> tuple:
-    out = []
-    for W, b in params:
-        W = np.asarray(W, dtype=float).copy()
-        b = np.asarray(b, dtype=float).copy()
-        W.setflags(write=False)
-        b.setflags(write=False)
-        out.append((W, b))
-    return tuple(out)
+    out = tuple((np.array(W, dtype=float), np.array(b, dtype=float)) for W, b in params)
+    for a in itertools.chain.from_iterable(out):
+        a.setflags(write=False)
+    return out
 
 
 def init(spec: MlpSpec, seed: int) -> NetworkModel:
@@ -435,36 +419,40 @@ def _head_grad_program(div: DivergenceSpec, v, D, onehot, rates, out, work) -> t
     return _simplex_logit_grad_program(div, D, onehot, rates, out, work)
 
 
-def _backprop_program(activation: str, weights_T, hs, g_v, grads, deltas, masks):
+def _backprop_program(activation: str, weights_T, hs, g_v, grads, masks):
     """Backprop over any leading member axes, from the output layer down:
     each layer's gradient block, then, above layer 0, its input gradient
-    times the activation's derivative.
+    times the activation's derivative, written over the layer's input.
 
     weights_T are the layers' transposed weights (layer 0's is not
     read), hs are the layer inputs, each ending in a column of ones, and
     g_v the output gradient; grads are the layers' (d_in + 1, d_out)
-    gradient blocks [dW; db], so one matmul writes both.  deltas and
-    masks are scratch shaped like the hidden layers' hs, masks bool for
-    relu and float for tanh; the input gradient's column under the ones,
-    which the caller zeroes, stays zero.
+    gradient blocks [dW; db], so one matmul writes both.  masks are
+    scratch shaped like the hidden layers' hs, bool for relu and float
+    for tanh.  A hidden layer's activations are spent once its gradient
+    block and derivative have read them, so its input gradient overwrites
+    them; the ones column ends at 1.0, as relu's mask is True there and
+    tanh's derivative, 0 there, multiplies the other columns only.
     """
-    outputs = [*deltas, g_v]
+    outputs = [*hs[1:], g_v]
     calls = []
     for i in range(len(grads) - 1, -1, -1):
         g = outputs[i][..., : grads[i].shape[-1]]
         calls.append(partial(np.matmul, hs[i].swapaxes(-1, -2), g, grads[i]))
         if i == 0:
             break
-        W_T, h, d, delta = weights_T[i], hs[i], masks[i - 1], deltas[i - 1]
-        calls.append(partial(np.matmul, g, W_T, delta[..., : W_T.shape[-1]]))
+        W_T, h, d = weights_T[i], hs[i], masks[i - 1]
+        delta = h[..., : W_T.shape[-1]]
         if activation == "relu":
             # relu(z) > 0 exactly where z > 0, NaN and -0.0 included;
             # the kink at 0 is measure-zero under continuous inputs
             calls.append(partial(np.greater, h, _ZERO, d))
         else:
+            h, d = delta, d[..., : W_T.shape[-1]]
             calls.append(partial(np.multiply, h, h, d))
             calls.append(partial(np.subtract, _ONE, d, d))
-        calls.append(partial(np.multiply, delta, d, delta))
+        calls.append(partial(np.matmul, g, W_T, delta))
+        calls.append(partial(np.multiply, h, d, h))
     return tuple(calls)
 
 
@@ -551,8 +539,8 @@ def _step_layout(spec: MlpSpec, S: int, G: int, B: int) -> list:
     rows, each as (fill, shape, dtype), in _step_workspaces' groups: layer
     inputs, each with its ones column: the gathered features, one (S, 1,
     B, d_in + 1) buffer that matmul broadcasts over each group, then each
-    hidden layer's activations; deltas, zeroed as no matmul writes their
-    last column, and activation derivatives (relu's as a bool mask) of
+    hidden layer's activations, which backprop overwrites with their
+    input gradients; activation derivatives (relu's as a bool mask) of
     the same widths; final outputs, head outputs, head gradients, the
     head's scratch, the labels as one-hot rows, and one (S, G, B,
     _column_width(K)) column for row maxima and sums.  A step of fewer
@@ -562,7 +550,6 @@ def _step_layout(spec: MlpSpec, S: int, G: int, B: int) -> list:
     return [
         [(np.ones, (S, 1, B, spec.d_in + 1), float)]
         + [(np.ones, (S, G, B, w + 1), float) for w in hidden],
-        [(np.zeros, (S, G, B, w + 1), float) for w in hidden],
         [(np.empty, (S, G, B, w + 1), mask_type) for w in hidden],
         [(np.empty, (S, G, B, k), float)] * 5
         + [(np.empty, (S, G, B, _column_width(k)), float)],
@@ -602,7 +589,7 @@ def _step_program(spec, div, theta, grad, params, workspaces, e_terms, nb) -> tu
     its gradient."""
     layers, weights_T = _folded_layers(_layer_blocks(theta, params))
     grads = _layer_blocks(grad, params)
-    hs, deltas, masks, (v, D, g_v, tmp, onehot, col) = (
+    hs, masks, (v, D, g_v, tmp, onehot, col) = (
         [a[..., :nb, :] for a in ws] for ws in workspaces
     )
     e_nb = None if e_terms is None else tuple(t[..., :nb, :] for t in e_terms)
@@ -614,7 +601,7 @@ def _step_program(spec, div, theta, grad, params, workspaces, e_terms, nb) -> tu
             div, v, D if simplex else None, onehot, e_nb, g_v, (tmp, col)
         )
         + (partial(np.divide, g_v, np.float64(nb), g_v),)
-        + _backprop_program(spec.activation, weights_T, hs, g_v, grads, deltas, masks)
+        + _backprop_program(spec.activation, weights_T, hs, g_v, grads, masks)
     )
     return hs[0][:, 0, :, : spec.d_in], onehot, program
 
@@ -738,7 +725,6 @@ def _train_members(members, on_epoch=None) -> list:
     theta = np.empty((len(members), _flat_params(model0.params).size))
     velocity = np.empty_like(theta)
     grad = np.empty_like(theta)
-    scratch = np.empty_like(theta)
     finite = np.empty(theta.shape, bool)
     momentum = np.float64(tc.momentum)
     member_params = [_layer_views(row, model0.params) for row in theta]
@@ -768,7 +754,8 @@ def _train_members(members, on_epoch=None) -> list:
     # and rate terms, and the forward, softmax, head and backprop programs
     # over them, are built once per batch size; each step binds its slices
     # of `order` and `epoch_labels` and its element of `lrs`, which every
-    # epoch refills in place.  The update is four passes over the (M, P) rows.
+    # epoch refills in place.  The update is four passes over the (M, P)
+    # rows; lr times velocity goes into grad, which backprop rewrites.
     starts = range(0, n, tc.batch_size)
     lrs = np.empty(len(starts))
     sized = {}
@@ -788,8 +775,8 @@ def _train_members(members, on_epoch=None) -> list:
             *step,
             partial(np.multiply, velocity, momentum, velocity),
             partial(np.add, velocity, grad, velocity),
-            partial(np.multiply, velocity, lrs[i, ...], scratch),
-            partial(np.add, theta, scratch, theta),
+            partial(np.multiply, velocity, lrs[i, ...], grad),
+            partial(np.add, theta, grad, theta),
         ))
     total_steps = tc.epochs * len(steps)
 
@@ -824,13 +811,19 @@ def _train_members(members, on_epoch=None) -> list:
     # One guard per epoch (1.1 us a step less at the desk shape): a
     # non-finite parameter stays so under every later update (inf + x is
     # inf or NaN), so it fails after the epochs a guard per step fails in.
-    # A replay with a guard per step names the step; no step writes the
-    # workspaces' ones and zero columns it reads.
+    # A replay with a guard per step names the step; every step rewrites
+    # the ones columns it reads with 1.0, so it replays the same calls.
     if run((tuple(itertools.chain.from_iterable(steps)),), on_epoch) is not None:
         epoch, i = run(steps, None)
+        runaway = any(e is not None and f for e, f in zip(rates, (~finite).any(1)))
+        cause = (
+            "the objective correction is the likely cause, as its estimate can "
+            "grow without bound on a finite sample; train with another correction "
+            "or lower lr0" if runaway else "lower lr0 or check the data"
+        )
         raise RuntimeError(
             f"parameters became non-finite at epoch {epoch} step "
-            f"{epoch * len(steps) + i}; lower lr0 or check the data"
+            f"{epoch * len(steps) + i}; {cause}"
         )
 
     if on_epoch is None and tc.epochs > 0:

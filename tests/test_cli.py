@@ -327,6 +327,25 @@ class TestMakeSynthetic:
         assert means.shape == (k, d)
         assert counts.tolist() == np.bincount(ds.labels, minlength=k).tolist()
 
+    @pytest.mark.parametrize("k, n, d, seed", [(3, 20001, 40, 2), (10, 2**14, 64, 3)])
+    def test_in_place_draw_keeps_the_bits_of_the_broadcast_sum(self, k, n, d, seed):
+        # each class's mean is added to its rows of the normal draw in
+        # place, which holds at most two n x d arrays at once, where the
+        # sum means[labels] + normal held three
+        tracemalloc.start()
+        try:
+            ds, means, counts = _sample_synthetic(k, n, d, 4.0, seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rng = np.random.default_rng(seed)
+        rng.normal(size=(d, k - 1))  # the frame's draw
+        normal = rng.normal(size=(n, d))
+        order = rng.permutation(n)
+        summed = means[np.repeat(np.arange(k), counts)] + normal
+        assert ds.features.tobytes() == summed[order].tobytes()
+        assert peak < 2.5 * 8 * n * d
+
     def test_deterministic(self):
         a, pa = make_synthetic(k=2, n=50, d=3, class_separation=1.0, seed=9)
         b, pb = make_synthetic(k=2, n=50, d=3, class_separation=1.0, seed=9)

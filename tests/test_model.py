@@ -546,7 +546,10 @@ class TestOnesColumnStep:
     with each layer's [W; b] block as its weights, keep the bits of
     separate bias adds and db reductions, and relu's bool mask those of a
     float mask, at the desk and wide shapes, a small two-hidden-layer
-    shape and their ragged batches, and leave every ones column at 1."""
+    shape and their ragged batches, and leave every ones column at 1:
+    after the forward pass, and after backprop has written the input
+    gradients over the activations, so the ragged pass runs on the
+    buffers the full one overwrote."""
 
     M = 3
 
@@ -575,13 +578,10 @@ class TestOnesColumnStep:
         grads = _layer_blocks(np.empty_like(theta), shapes)
         mask_type = bool if activation == "relu" else float
         hs_ws = [np.ones((M, B, w + 1)) for w in sizes[:-1]]
-        deltas_ws = [np.zeros((M, B, w + 1)) for w in sizes[1:-1]]
         masks_ws = [np.empty((M, B, w + 1), mask_type) for w in sizes[1:-1]]
         v_ws = np.empty((M, B, sizes[-1]))
         for nb in (B, ragged):
-            hs, deltas, masks = (
-                [a[:, :nb, :] for a in ws] for ws in (hs_ws, deltas_ws, masks_ws)
-            )
+            hs, masks = ([a[:, :nb, :] for a in ws] for ws in (hs_ws, masks_ws))
             v = v_ws[:, :nb, :]
             x = hs[0][..., : sizes[0]]
             x[...] = rng.normal(scale=2.0, size=x.shape)
@@ -603,11 +603,11 @@ class TestOnesColumnStep:
             assert same_bits(v, ref_v)
             for h, ref in zip(hs, ref_hs):
                 assert same_bits(h[..., :-1], ref) and (h[..., -1] == 1.0).all()
-            _run(_backprop_program(
-                activation, weights_T, hs, g_v, grads, deltas, masks
-            ))
+            _run(_backprop_program(activation, weights_T, hs, g_v, grads, masks))
             for g, (rW, rb) in zip(grads, ref_grads):
                 assert same_bits(g[:, :-1, :], rW) and same_bits(g[:, -1, :], rb)
+            for h in hs_ws:
+                assert (h[..., -1] == 1.0).all()
 
 
 class TestCosineSchedule:
@@ -983,6 +983,34 @@ class TestTrainMembers:
         # the three epochs' guards, then the replay's, one per step to 13
         assert reductions[0] == 3 + 14
 
+    def test_a_diverging_objective_member_names_the_correction(self):
+        # The member scaled by 1e148 diverges, at step 14 with the
+        # objective correction and at 13 without; when it trains with the
+        # correction, the message names the correction, and when only a
+        # finite member does, it keeps the text that blames lr0.
+        rng = np.random.default_rng(31)
+        ds = gaussian_blobs(rng, 20, [[-1.0, 0.0], [1.0, 0.0]], scale=5.0)
+        spec = MlpSpec((2, 4, 2))
+        model = init(spec, seed=3)
+        big = NetworkModel(spec, tuple((W * 1e148, b) for W, b in model.params))
+        tc = TrainConfig(epochs=6, batch_size=8, lr0=3.0, seed=0)
+        plain = ObjectiveConfig("kl")
+        corrected = ObjectiveConfig("kl", "objective", NoiseParams.symmetric(0.2))
+        _train_members([(model, ds, corrected, tc)])  # finite by itself
+        cases = [
+            ((plain, corrected), 14, "the objective correction is the likely cause, as "
+             "its estimate can grow without bound on a finite sample; train with "
+             "another correction or lower lr0"),
+            ((corrected, plain), 13, "lower lr0 or check the data"),
+        ]
+        for (small_cfg, big_cfg), step, cause in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(RuntimeError) as failed:
+                    _train_members([(model, ds, small_cfg, tc), (big, ds, big_cfg, tc)])
+            assert str(failed.value) == (
+                f"parameters became non-finite at epoch 2 step {step}; {cause}"
+            )
+
     def test_memory_has_no_row_by_class_array(self):
         # K = 1000: labels held one-hot for all 8,000 rows of three members
         # would alone take 192 MB; one batch's one-hot rows, the K x K
@@ -1212,6 +1240,38 @@ class TestLoggedValueIdentity:
 
         gap = expected(p_noisy, e) - (1.0 - e.sum()) * expected(p, None)
         assert np.abs(gap).max() <= 1e-12
+
+
+class TestRunawayDecomposition:
+    """The corrected value the scorer logs is the sum over labels j of
+    R_j = mean_n[(1{y_n = j} - e_j) * (a_n[j] + c_n)], a and c the head's
+    per-label and row terms, for every head and divergence; a runaway of
+    the logged value on a finite sample is a runaway of these parts."""
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    @pytest.mark.parametrize("head", ["simplex", "raw_t"])
+    def test_label_parts_sum_to_the_logged_value(self, head, div_id):
+        rng = np.random.default_rng(41)
+        clean = gaussian_blobs(rng, 30, [[-2.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        noise = NoiseParams.uniform_offdiag([0.1, 0.05, 0.15])
+        ds = corrupt(clean, noise.to_matrix(3), seed=3)
+        cfg = ObjectiveConfig(div_id, "objective", noise)
+        tc = TrainConfig(epochs=20, batch_size=16, lr0=0.02, seed=0)
+        model = init(head_spec((2, 8, 3), head, div_id), seed=1)
+        trained, trace = train(model, ds, cfg, tc)
+        div = get_divergence(div_id)
+        _, v = forward_parts(trained.spec, trained.params, ds.features)
+        if head == "simplex":
+            log_D = v - v.max(axis=1, keepdims=True)
+            log_D -= np.log(np.exp(log_D).sum(axis=1, keepdims=True))
+            a, c = div.simplex_terms(softmax(v), log_D)
+        else:
+            a, c = div.link(v), -div.raw_conj(v).sum(axis=1)
+        e = noise.flip_rates(3)
+        parts = [np.mean(((ds.labels == j) - e[j]) * (a[:, j] + c)) for j in range(3)]
+        logged = trace.objective[-1]
+        assert logged == evaluate(trained, ds, cfg)[1]
+        assert math.fsum(parts) == pytest.approx(logged, rel=1e-12, abs=0.0)
 
 
 def decimal_simplex_value(div_id, logits, labels, e):
