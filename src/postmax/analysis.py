@@ -6,6 +6,15 @@ golden-section maximization of the exact objective term.  On top of
 those sit the first-order bias bound, the iteration-bias expression, and
 seeded drivers that sweep each claimed identity and emit structured
 pass/fail reports.
+
+Each driver validates its own arguments once.  On the values it draws,
+which lie inside every domain by construction, it calls the divergence
+table's kernels (f_prime, conj_prime, conj_second) directly, and sums or
+takes maxima over a row's classes as running passes over the class
+columns (_row_sums, _row_max).  The public maps are called where they are
+what a check is about: the correction round trip and the iteration-bias
+expression.  A non-finite kernel value fails the report it reaches, with
+a NaN max_error, instead of raising.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from postmax.divergence import (
     _seed,
     conj_second,
     get_divergence,
+    # unused here; perfbench/spans.py wraps analysis.<name> for these two
     optimal_T_from_posterior,
     posterior_from_T,
 )
@@ -37,12 +47,7 @@ from postmax.objective import (
     exact_jf,
     exact_jf_noisy,
 )
-from postmax.posterior import (
-    _check_probability_rows,
-    noisy_posterior_forward,
-    posterior_correct,
-    predict,
-)
+from postmax.posterior import noisy_posterior_forward, posterior_correct, predict
 
 GOLDEN_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -60,8 +65,9 @@ class PointwiseSolution:
     searched: np.ndarray
 
     def max_posterior_gap(self, spec) -> float:
-        a = posterior_from_T(spec, self.closed_form)
-        b = posterior_from_T(spec, self.searched)
+        spec = _as_spec(spec)
+        a = spec.conj_prime(self.closed_form)
+        b = spec.conj_prime(self.searched)
         return float(np.max(np.abs(a - b)))
 
 
@@ -169,7 +175,7 @@ def _bracket(spec, q, guess):
 
 def _solve_pointwise(spec, q) -> PointwiseSolution:
     """Closed form f'(q) and the searched maximizer for each entry of q."""
-    closed = optimal_T_from_posterior(spec, q)
+    closed = spec.f_prime(q)
     flat_q = q.ravel()
     lo, hi = _bracket(spec, flat_q, closed.ravel())
     searched = _golden_section_max(spec, flat_q, lo, hi).reshape(q.shape)
@@ -329,32 +335,49 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
                 e = rng.uniform(0.01, 0.9 / k, size=k)
                 target = (1.0 - e.sum()) * target + e
             targets.append(target.ravel())
-        sol = _solve_pointwise(_as_spec(div_id), np.concatenate(targets))
-        worst = max(worst, sol.max_posterior_gap(div_id))
+        spec = get_divergence(div_id)
+        sol = _solve_pointwise(spec, np.concatenate(targets))
+        worst = np.maximum(worst, sol.max_posterior_gap(spec))
     return _report(
         "pointwise_optimum_consistency", configs * len(DIVERGENCE_IDS), worst, 1e-6
     )
+
+
+def _row_sums(rows) -> np.ndarray:
+    """rows.sum(axis=1) of (n, K) rows with the same bits.
+
+    numpy runs an op along a short last axis as one inner loop per row,
+    while each op over a column view is one long pass.  numpy adds a last
+    axis shorter than 8 from left to right, starting from +0.0 (so a row
+    of -0.0 sums to +0.0), and the running add over the columns gives its
+    bits; from 8 it keeps eight partial sums, and the sum is its own.
+    """
+    if rows.shape[1] >= 8:
+        return rows.sum(axis=1)
+    total = rows[:, 0] + 0.0
+    for j in range(1, rows.shape[1]):
+        total += rows[:, j]
+    return total
+
+
+def _row_max(rows) -> np.ndarray:
+    """rows.max(axis=1) of nonnegative (n, K) rows, K >= 2, by a running
+    np.maximum over the columns; a NaN in a row is its max."""
+    top = np.maximum(rows[:, 0], rows[:, 1])
+    for j in range(2, rows.shape[1]):
+        np.maximum(top, rows[:, j], out=top)
+    return top
 
 
 def _untied_simplex(rng, n: int, k: int) -> np.ndarray:
     """n simplex rows drawn from rng, less those whose two largest
     components lie within 1e-9 of each other.
 
-    The row sums below K = 8 and the top two come from running ops over
-    the K column views: numpy runs a per-row op, such as a sum or a sort
-    along axis 1, as one short inner loop per row, while each column op
-    is one long pass.  numpy adds a last axis shorter than 8 from left to
-    right, so the running add gives its bits; from 8 it keeps eight
-    partial sums.
+    The row sums and the top two come from running ops over the K column
+    views, as in _row_sums.
     """
     rows = rng.uniform(0.01, 1.0, size=(n, k))
-    if k < 8:
-        total = rows[:, 0] + rows[:, 1]
-        for j in range(2, k):
-            total += rows[:, j]
-        rows = rows / total[:, None]
-    else:
-        rows = rows / rows.sum(axis=1, keepdims=True)
+    rows = rows / _row_sums(rows)[:, None]
     top = np.maximum(rows[:, 0], rows[:, 1])
     second = np.minimum(rows[:, 0], rows[:, 1])
     below_top = np.empty_like(top)
@@ -383,12 +406,12 @@ def _first_max(cols) -> np.ndarray:
 def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport:
     """Symmetric noise below the tolerance edge never moves the argmax.
 
-    Each k's rows are checked once and pushed through every eta's noise
-    unchecked; every eta lies below the edge by construction.  The rows
-    are held class-major, a (k, n) array, because numpy runs an op along
-    a short last axis as one inner loop per row; the noise map is the
-    same two IEEE operations, (1 - sum(e)) * p then + e, as
-    noisy_posterior_forward's.
+    Each k's rows are simplex rows by construction, and they are pushed
+    through every eta's noise unchecked; every eta lies below the edge by
+    construction.  The rows are held class-major, a (k, n) array, because
+    numpy runs an op along a short last axis as one inner loop per row;
+    the noise map is the same two IEEE operations, (1 - sum(e)) * p then
+    + e, as noisy_posterior_forward's.
     """
     n_vectors = _integer(n_vectors, "n_vectors", least=1)
     rng = np.random.default_rng(_seed(seed))
@@ -396,7 +419,6 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
     mismatched = 0
     for k in range(2, 11):
         rows = _untied_simplex(rng, n_vectors, k)
-        _check_probability_rows(rows)
         cols = np.ascontiguousarray(rows.T)
         clean = _first_max(cols)
         noisy = np.empty_like(cols)
@@ -432,26 +454,29 @@ def check_correction_exactness(seed: int, trials: int = 10_000) -> TheoremReport
 
 
 def check_posterior_gap_bound(seed: int, trials: int = 10_000) -> TheoremReport:
-    """The curvature bound covers the posterior gap near convergence."""
+    """The curvature bound covers the posterior gap near convergence.
+
+    T* = f'(p) of p in [0.05, 0.95] moved by |delta| <= 1e-2 stays inside
+    every conjugate domain, so the kernels run unchecked; a divergence
+    with a non-finite gap or bound reports NaN.
+    """
     trials = _integer(trials, "trials", least=1)
     rng = np.random.default_rng(_seed(seed))
     worst_fraction = 0.0
     k = 4
     for div_id in DIVERGENCE_IDS:
+        spec = get_divergence(div_id)
         p = rng.uniform(0.05, 0.95, size=(trials, k))
-        T_star = optimal_T_from_posterior(div_id, p)
+        T_star = spec.f_prime(p)
         delta = rng.uniform(-1e-2, 1e-2, size=(trials, k))
         T_i = T_star - delta
-        curv = conj_second(div_id, T_i)
-        bound = np.sqrt(np.sum(delta**2, axis=1)) * np.sqrt(
-            np.sum(curv**2, axis=1)
-        )
-        gap = np.sum(
-            np.abs(posterior_from_T(div_id, T_star) - posterior_from_T(div_id, T_i)),
-            axis=1,
-        )
+        curv = spec.conj_second(T_i)
+        bound = np.sqrt(_row_sums(delta**2)) * np.sqrt(_row_sums(curv**2))
+        gap = _row_sums(np.abs(spec.conj_prime(T_star) - spec.conj_prime(T_i)))
         violations = float(np.mean(gap > bound))
-        worst_fraction = max(worst_fraction, violations)
+        if not (np.isfinite(gap).all() and np.isfinite(bound).all()):
+            violations = math.nan  # gap > bound is False at a NaN
+        worst_fraction = np.maximum(worst_fraction, violations)
     return _report(
         "posterior_gap_bound", trials * len(DIVERGENCE_IDS), worst_fraction, 0.01
     )
@@ -462,12 +487,15 @@ def check_first_order_bias(seed: int, trials: int = 1_000) -> TheoremReport:
 
     The expression drops quadratic terms, so its residual against the
     directly computed bias must fall at least 3x when delta is halved.
+    The noisy posterior q and q's optimum moved by |delta| <= 1e-3 lie
+    inside every domain, so the direct bias runs the kernels unchecked.
     """
     trials = _integer(trials, "trials", least=1)
     rng = np.random.default_rng(_seed(seed))
     worst_ratio = 0.0
     k = 3
     for div_id in DIVERGENCE_IDS:
+        spec = get_divergence(div_id)
         # row t holds the draws a per-trial loop takes, in its order:
         # uniform(0.1, 1, k), uniform(0, 1, k), uniform(0.05, 0.4) and
         # uniform(-1e-3, 1e-3, k); uniform(lo, hi) is lo + (hi - lo) * random()
@@ -476,18 +504,18 @@ def check_first_order_bias(seed: int, trials: int = 1_000) -> TheoremReport:
         raw = _uniform(u[:, k : 2 * k], 0.0, 1.0)
         scale = _uniform(u[:, 2 * k : 2 * k + 1], 0.05, 0.4)
         delta = _uniform(u[:, 2 * k + 1 :], -1e-3, 1e-3)
-        p /= p.sum(axis=1, keepdims=True)
-        e = raw / raw.sum(axis=1, keepdims=True) * scale
-        q = (1.0 - e.sum(axis=1, keepdims=True)) * p + e
-        T_noisy = optimal_T_from_posterior(div_id, q)
+        p /= _row_sums(p)[:, None]
+        e = raw / _row_sums(raw)[:, None] * scale
+        q = (1.0 - _row_sums(e)[:, None]) * p + e
+        T_noisy = spec.f_prime(q)
         residuals = []
         for d in (delta, delta / 2.0):
-            expr = training_bias_expression(div_id, p, e, d, T_noisy)
-            direct = p - posterior_from_T(div_id, T_noisy - d)
-            residuals.append(np.max(np.abs(expr - direct), axis=1))
+            expr = training_bias_expression(spec, p, e, d, T_noisy)
+            direct = p - spec.conj_prime(T_noisy - d)
+            residuals.append(_row_max(np.abs(expr - direct)))
         res_full, res_half = residuals
         ratio = float(res_half.mean() / res_full.mean())
-        worst_ratio = max(worst_ratio, ratio)
+        worst_ratio = np.maximum(worst_ratio, ratio)
     return _report(
         "first_order_bias_residual",
         trials * len(DIVERGENCE_IDS),
@@ -499,8 +527,9 @@ def check_first_order_bias(seed: int, trials: int = 1_000) -> TheoremReport:
 def verify_theorems(seed: int, report_path=None) -> list:
     """Run every identity and bound check; failures are reported, not raised.
 
-    The i-th check, counting from 0, takes seed + i, wrapped past MAX_SEED
-    to 0."""
+    A non-finite value a check computes is one such failure: the report
+    carries a NaN max_error and does not pass.  The i-th check, counting
+    from 0, takes seed + i, wrapped past MAX_SEED to 0."""
     seed = _seed(seed)
     checks = (
         check_binary_identity,

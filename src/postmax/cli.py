@@ -148,7 +148,12 @@ def split_dataset(
     if n_test < 1 or ds.n - n_test < 1:
         raise ConfigError(f"cannot split {ds.n} rows into nonempty train and test parts")
     perm = np.random.default_rng(_seed(seed)).permutation(ds.n)
-    make = lambda idx: replace(ds, features=ds.features[idx], labels=ds.labels[idx])
+
+    def make(idx):
+        features = ds.features[idx]
+        features.setflags(write=False)  # so the dataset holds it, not a copy
+        return replace(ds, features=features, labels=ds.labels[idx])
+
     return make(perm[n_test:]), make(perm[:n_test])
 
 
@@ -224,8 +229,8 @@ def _checked_synthetic(params: dict, fault: str = "{key} must be {what}") -> dic
 def _draw_terms(k: int, n: int, d: int) -> dict:
     """The floats of the synthetic draw's large arrays: the features with
     their temporaries and split, which peak at about 2.1 n x d in the draw
-    and 2.7 n x d in the split, and the means' frame, its k x k and
-    d x (k - 1) factors."""
+    and 2.0 n x d in the split, its input included, and the means' frame,
+    its k x k and d x (k - 1) factors."""
     return {"features": 4 * n * d, "synthetic frame": 5 * k * k + 3 * d * k}
 
 

@@ -1,5 +1,6 @@
 """Tests for pointwise optima, bias bounds, and theorem-verification drivers."""
 
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,8 @@ from postmax.analysis import (
     _first_max,
     _golden_section_max,
     _multiclass_identity_gaps,
+    _row_max,
+    _row_sums,
     _solve_pointwise,
     _untied_simplex,
     check_argmax_invariance,
@@ -26,6 +29,7 @@ from postmax.analysis import (
     verify_theorems,
 )
 from postmax.divergence import (
+    _REGISTRY,
     DIVERGENCE_IDS,
     get_divergence,
     optimal_T_from_posterior,
@@ -387,6 +391,22 @@ class TestCheckDrivers:
         verify_theorems(2**128 - 3)
         assert seeds == [2**128 - 3, 2**128 - 2, 2**128 - 1, 0, 1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "check",
+        [check_pointwise_optimum, check_posterior_gap_bound, check_first_order_bias],
+    )
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_a_non_finite_kernel_fails_the_report(self, monkeypatch, div_id, check):
+        # the checks call the kernels unchecked, so a NaN reaches the report,
+        # whichever divergence it comes from
+        nan_prime = dataclasses.replace(
+            get_divergence(div_id), conj_prime=lambda t: np.full_like(t, np.nan)
+        )
+        monkeypatch.setitem(_REGISTRY, div_id, nan_prime)
+        report = check(0, 20)
+        assert report.passed is False
+        assert math.isnan(report.max_error)
+
     def test_report_serialization(self, tmp_path):
         path = tmp_path / "reports.json"
         reports = verify_theorems(seed=0, report_path=path)
@@ -500,6 +520,33 @@ class TestFirstMax:
         got = _first_max(np.ascontiguousarray(rows.T))
         assert got.tolist() == [0, 0, 1, 0, 1, 0, 1]
         assert np.array_equal(got, np.argmax(rows, axis=1))
+
+
+class TestColumnPasses:
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("n", [1, 7, 1_000])
+    def test_row_sums_keep_the_bits_of_the_row_sum(self, k, n):
+        rng = np.random.default_rng(100 * k + n)
+        for rows in (rng.choice(TIE_VALUES, size=(n, k)), rng.random((n, k))):
+            got = _row_sums(rows)
+            assert got.tobytes() == rows.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("n", [1, 7, 1_000])
+    def test_row_max_is_the_max_of_nonnegative_rows(self, k, n):
+        rng = np.random.default_rng(100 * k + n)
+        for rows in (np.abs(rng.choice(TIE_VALUES, size=(n, k))), rng.random((n, k))):
+            got = _row_max(rows)
+            assert got.tobytes() == rows.max(axis=1).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_row_max_carries_a_nan(self, k):
+        rows = np.random.default_rng(k).random((4 * k, k))
+        for j in range(k):
+            rows[2 * j, j] = np.nan
+        got = _row_max(rows)
+        assert np.isnan(got[::2][:k]).all()
+        assert np.array_equal(got, rows.max(axis=1), equal_nan=True)
 
 
 def untied_simplex_by_sort(rng, n, k):

@@ -384,6 +384,24 @@ class TestSplitDataset:
             np.sort(merged, axis=0), np.sort(ds.features, axis=0)
         )
 
+    @pytest.mark.parametrize("k, n, d", [(10, 20000, 50), (2, 20000, 50)])
+    def test_split_holds_one_copy_of_the_rows(self, k, n, d):
+        # each split's indexed rows are read-only, so the dataset keeps
+        # them: about n x d new floats, where a copy of each made 1.65
+        ds, _, _ = _sample_synthetic(k, n, d, 4.0, seed=1)
+        tracemalloc.start()
+        try:
+            train, test = split_dataset(ds, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        perm = np.random.default_rng(3).permutation(n)
+        n_test = int(round(0.2 * n))
+        for part, idx in ((train, perm[n_test:]), (test, perm[:n_test])):
+            assert part.features.tobytes() == ds.features[idx].tobytes()
+            assert np.array_equal(part.labels, ds.labels[idx])
+        assert peak < 1.1 * 8 * n * d
+
 
 def config_tree(**overrides):
     tree = {
@@ -978,6 +996,25 @@ def cli_config(tmp_path):
 
 RECORD_ROW = dict(
     zip(RECORD_COLUMNS, (0, "kl", "none", "none", 1.0, 1.0, 0.0, 0.0))
+)
+
+
+VERIFY_SEED_0_STDOUT = (
+    "binary_objective_identity      trials=300    max_error=8.882e-16  "
+    "threshold=1.000e-12  pass\n"
+    "multiclass_objective_identity  trials=300    max_error=1.776e-15  "
+    "threshold=1.000e-12  pass\n"
+    "pointwise_optimum_consistency  trials=300    max_error=4.500e-08  "
+    "threshold=1.000e-06  pass\n"
+    "symmetric_argmax_invariance    trials=360000 max_error=0.000e+00  "
+    "threshold=0.000e+00  pass\n"
+    "correction_restores_argmax     trials=10008  max_error=0.000e+00  "
+    "threshold=0.000e+00  pass\n"
+    "posterior_gap_bound            trials=30000  max_error=5.000e-03  "
+    "threshold=1.000e-02  pass\n"
+    "first_order_bias_residual      trials=3000   max_error=2.500e-01  "
+    "threshold=3.333e-01  pass\n"
+    "all checks passed\n"
 )
 
 
@@ -1592,6 +1629,12 @@ class TestCommandLine:
         assert result.exit_code == 0
         assert result.output.count("pass") >= 7
         assert "all checks passed" in result.output
+
+    def test_verify_seed_0_stdout_is_pinned(self):
+        # the reports' every printed digit, byte for byte
+        result = CliRunner().invoke(main, ["verify", "--seed", "0"])
+        assert result.exit_code == 0
+        assert result.stdout == VERIFY_SEED_0_STDOUT
 
     def test_python_dash_m_postmax_runs_without_warnings(self):
         # the package's own __main__, so runpy finds no half-imported cli

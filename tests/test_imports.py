@@ -13,7 +13,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # Bound on purpose and unused: perfbench/spans.py replaces these names in
 # their modules with timing wrappers, so they must stay bound there.
 WRAPPED_BY_NAME = {
-    "src/postmax/analysis.py": {"exact_bias", "exact_jf", "exact_jf_noisy"},
+    "src/postmax/analysis.py": {
+        "exact_bias",
+        "exact_jf",
+        "exact_jf_noisy",
+        "optimal_T_from_posterior",
+        "posterior_from_T",
+    },
     "src/postmax/cli.py": {"train"},
     "src/postmax/objective.py": {"conj_prime", "conj_second"},
     "src/postmax/posterior.py": {"conj_prime"},
