@@ -126,11 +126,12 @@ def _golden_section_max(spec, q, lo, hi, tol: float = GOLDEN_TOL) -> np.ndarray:
         # lower interior point and probes a new upper one
         a = np.where(left, a, c)
         b = np.where(left, d, b)
-        new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        width = b - a
+        new = np.where(left, b - _INVPHI * width, a + _INVPHI * width)
         f_new = q * new - spec.conj(new)
         c, d = np.where(left, new, d), np.where(left, c, new)
         fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-        still_open = b - a > tol
+        still_open = width > tol
         if not still_open.all():
             closed = ~still_open
             out[live[closed]] = 0.5 * (a[closed] + b[closed])
@@ -373,19 +374,21 @@ def _untied_simplex(rng, n: int, k: int) -> np.ndarray:
     """n simplex rows drawn from rng, less those whose two largest
     components lie within 1e-9 of each other.
 
-    The row sums and the top two come from running ops over the K column
-    views, as in _row_sums.
+    The row sums come from the drawn rows, as in _row_sums; the rows are
+    normalised into one class-major (K, n) array, the top two run over its
+    class rows, and the kept rows return as the .T view of a (K, m) array.
     """
     rows = rng.uniform(0.01, 1.0, size=(n, k))
-    rows = rows / _row_sums(rows)[:, None]
-    top = np.maximum(rows[:, 0], rows[:, 1])
-    second = np.minimum(rows[:, 0], rows[:, 1])
+    cols = np.divide(rows.T, _row_sums(rows), order="C")
+    del rows
+    top = np.maximum(cols[0], cols[1])
+    second = np.minimum(cols[0], cols[1])
     below_top = np.empty_like(top)
-    for j in range(2, k):
-        np.minimum(top, rows[:, j], out=below_top)
+    for col in cols[2:]:
+        np.minimum(top, col, out=below_top)
         np.maximum(second, below_top, out=second)
-        np.maximum(top, rows[:, j], out=top)
-    return rows.compress(top - second > 1e-9, axis=0)
+        np.maximum(top, col, out=top)
+    return cols.compress(top - second > 1e-9, axis=1).T
 
 
 def _first_max(cols) -> np.ndarray:
@@ -408,18 +411,18 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
 
     Each k's rows are simplex rows by construction, and they are pushed
     through every eta's noise unchecked; every eta lies below the edge by
-    construction.  The rows are held class-major, a (k, n) array, because
-    numpy runs an op along a short last axis as one inner loop per row;
-    the noise map is the same two IEEE operations, (1 - sum(e)) * p then
-    + e, as noisy_posterior_forward's.
+    construction.  The rows are held class-major, the (k, n) array behind
+    _untied_simplex's view, because numpy runs an op along a short last
+    axis as one inner loop per row; the noise map is the same two IEEE
+    operations, (1 - sum(e)) * p then + e, as noisy_posterior_forward's,
+    into one buffer.  Each k's arrays are released before the next draw.
     """
     n_vectors = _integer(n_vectors, "n_vectors", least=1)
     rng = np.random.default_rng(_seed(seed))
     total = 0
     mismatched = 0
     for k in range(2, 11):
-        rows = _untied_simplex(rng, n_vectors, k)
-        cols = np.ascontiguousarray(rows.T)
+        cols = _untied_simplex(rng, n_vectors, k).T
         clean = _first_max(cols)
         noisy = np.empty_like(cols)
         edge = (k - 1) / k
@@ -429,6 +432,7 @@ def check_argmax_invariance(seed: int, n_vectors: int = 10_000) -> TheoremReport
             noisy += e[:, None]
             mismatched += int(np.count_nonzero(_first_max(noisy) != clean))
             total += cols.shape[1]
+        del cols, clean, noisy
     frac = mismatched / total
     return _report("symmetric_argmax_invariance", total, frac, 0.0)
 
@@ -458,7 +462,8 @@ def check_posterior_gap_bound(seed: int, trials: int = 10_000) -> TheoremReport:
 
     T* = f'(p) of p in [0.05, 0.95] moved by |delta| <= 1e-2 stays inside
     every conjugate domain, so the kernels run unchecked; a divergence
-    with a non-finite gap or bound reports NaN.
+    with a non-finite gap or bound reports NaN.  Each divergence's arrays
+    are released before the next draw.
     """
     trials = _integer(trials, "trials", least=1)
     rng = np.random.default_rng(_seed(seed))
@@ -466,13 +471,17 @@ def check_posterior_gap_bound(seed: int, trials: int = 10_000) -> TheoremReport:
     k = 4
     for div_id in DIVERGENCE_IDS:
         spec = get_divergence(div_id)
-        p = rng.uniform(0.05, 0.95, size=(trials, k))
-        T_star = spec.f_prime(p)
+        T_star = spec.f_prime(rng.uniform(0.05, 0.95, size=(trials, k)))
         delta = rng.uniform(-1e-2, 1e-2, size=(trials, k))
         T_i = T_star - delta
         curv = spec.conj_second(T_i)
-        bound = np.sqrt(_row_sums(delta**2)) * np.sqrt(_row_sums(curv**2))
-        gap = _row_sums(np.abs(spec.conj_prime(T_star) - spec.conj_prime(T_i)))
+        bound = np.sqrt(_row_sums(np.square(delta, out=delta)))
+        bound *= np.sqrt(_row_sums(np.square(curv, out=curv)))
+        del delta, curv
+        diff = spec.conj_prime(T_star)
+        diff -= spec.conj_prime(T_i)
+        gap = _row_sums(np.abs(diff, out=diff))
+        del T_star, T_i, diff
         violations = float(np.mean(gap > bound))
         if not (np.isfinite(gap).all() and np.isfinite(bound).all()):
             violations = math.nan  # gap > bound is False at a NaN

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -597,11 +598,42 @@ class TestUntiedSimplex:
             assert np.array_equal(got, untied_simplex_as_before(make(k), n, k))
 
     @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_class_rows_are_contiguous(self, k):
+        # the argmax check takes (K, n) class rows as the result's .T
+        rows = _untied_simplex(np.random.default_rng(k), 1_000, k)
+        assert rows.shape[1] == k
+        assert rows.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
     def test_tied_rows_are_dropped(self, k):
         rows = _untied_simplex(TenthsRng(0), 2_000, k)
         assert 0 < rows.shape[0] < 2_000
         top_two = np.sort(rows, axis=1)[:, -2:]
         assert np.all(top_two[:, 1] - top_two[:, 0] > 1e-9)
+
+
+def traced_peak(check) -> int:
+    """check(0)'s tracemalloc peak in bytes, after one untraced call."""
+    check(0)
+    tracemalloc.start()
+    try:
+        check(0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Each class count's, or each divergence's, arrays are released
+    before the next draw, so a check holds one draw's working set."""
+
+    def test_argmax_check_holds_three_draws(self):
+        largest_draw = 8 * 10_000 * 10  # n_vectors rows of K = 10
+        assert traced_peak(check_argmax_invariance) <= 3 * largest_draw
+
+    def test_gap_bound_holds_six_arrays(self):
+        array = 8 * 10_000 * 4  # one (trials, 4) table
+        assert traced_peak(check_posterior_gap_bound) <= 6 * array
 
 
 COUNT_CASES = [

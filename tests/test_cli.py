@@ -1,5 +1,6 @@
 """Dataset loading, experiment protocol, reporting, and the CLI surface."""
 
+import contextlib
 import json
 import math
 import os
@@ -40,6 +41,7 @@ from postmax.cli import (
     summarize,
 )
 from postmax.commands import main
+from postmax.divergence import DIVERGENCE_IDS
 from postmax.model import MlpSpec, init, load_model, save_model, train
 from postmax.noise import LabeledDataset, NoiseParams, corrupt
 from postmax.objective import ObjectiveConfig
@@ -1735,6 +1737,120 @@ class TestCommandLine:
         )
         assert result.exit_code == 1
         assert "--config" in result.output
+
+
+# What a records field or a model entry may be set to: JSON's values,
+# the numbers and names the files hold, and cells that are not numbers
+file_values = yaml_values | st.sampled_from(
+    [*DIVERGENCE_IDS, "none", "objective", "posterior", "nan", "-inf", "1e400",
+     10**400, -1, 2**64, 0.5, "", '"', ",", "\n", "\ufeff"]
+)
+
+
+@st.composite
+def records_texts(draw):
+    """A records file: csv or JSON rows of RECORD_ROW with up to three
+    fields set, dropped or added, or an arbitrary JSON document."""
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        row = dict(RECORD_ROW)
+        for key in draw(st.lists(st.sampled_from(RECORD_COLUMNS + ("x",)), max_size=3)):
+            if draw(st.booleans()):
+                row[key] = draw(file_values)
+            else:
+                row.pop(key, None)
+        rows.append(row)
+    kind = draw(st.sampled_from(["csv", "json", "tree"]))
+    if kind == "tree":
+        return json.dumps(draw(file_values))
+    if kind == "json":
+        return json.dumps({"records": rows})
+    header = RECORD_COLUMNS
+    if draw(st.integers(0, 7)) == 7:
+        header = draw(st.sampled_from([RECORD_COLUMNS[:-1], ("seed",), ()]))
+    lines = [",".join(header)]
+    lines += [",".join(str(row.get(c, "")) for c in RECORD_COLUMNS) for row in rows]
+    return draw(st.sampled_from(["", "\ufeff"])) + "\n".join(lines) + "\n"
+
+
+MODEL_PAYLOAD = {
+    "version": 1,
+    "spec": {
+        "layer_sizes": [3, 4, 2], "activation": "relu", "head": "simplex",
+        "divergence": None,
+    },
+    "params": [
+        {"W": [[0.1] * 4] * 3, "b": [0.0] * 4},
+        {"W": [[0.2] * 2] * 4, "b": [0.0] * 2},
+    ],
+}
+# where an edit may land in MODEL_PAYLOAD: None is the whole file
+MODEL_PATHS = [
+    None, ("version",), ("spec",), ("params",),
+    *[("spec", key) for key in MODEL_PAYLOAD["spec"]],
+    ("spec", "layer_sizes", 0), ("spec", "layer_sizes", 1), ("params", 0),
+    ("params", 1, "W"), ("params", 1, "b"), ("params", 0, "W", 2),
+    ("params", 0, "W", 0, 1), ("params", 1, "b", 0),
+]
+
+
+@st.composite
+def model_texts(draw):
+    """A model file: MODEL_PAYLOAD with up to three entries set to
+    arbitrary values, or that payload's text cut short."""
+    payload = json.loads(json.dumps(MODEL_PAYLOAD))
+    for path in draw(st.lists(st.sampled_from(MODEL_PATHS), max_size=3)):
+        value = draw(file_values)
+        if path is None:
+            payload = value
+            continue
+        *parents, last = path
+        # an entry an earlier edit replaced is left as that edit made it
+        with contextlib.suppress(LookupError, TypeError):
+            node = payload
+            for key in parents:
+                node = node[key]
+            node[last] = value
+    text = json.dumps(payload)
+    if draw(st.integers(0, 7)) < 7:
+        return text
+    return text[: draw(st.integers(0, len(text)))]
+
+
+class TestFileFuzz:
+    """Every records file and model file the commands are given ends in
+    exit 0, or exit 1 with one error: line and no traceback."""
+
+    @staticmethod
+    def assert_clean_exit(result):
+        assert result.exit_code in (0, 1), result.output
+        assert "Traceback" not in result.output
+        if result.exit_code == 1:
+            assert isinstance(result.exception, SystemExit), result.exception
+            assert result.output.startswith("error: "), result.output
+            assert result.output.count("\n") == 1
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(text=records_texts(), out_format=st.sampled_from(["csv", "json", "table"]))
+    def test_report_records_files(self, tmp_path_factory, text, out_format):
+        path = tmp_path_factory.getbasetemp() / "fuzz-records"
+        path.write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(main, ["report", str(path), "--format", out_format])
+        self.assert_clean_exit(result)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(text=model_texts())
+    def test_eval_model_files(self, tmp_path_factory, text):
+        base = tmp_path_factory.getbasetemp()
+        config, model = base / "fuzz-config.yaml", base / "fuzz-model.json"
+        if not config.exists():
+            dataset = {"source": "synthetic", "k": 2, "n": 40, "d": 3}
+            config.write_text(yaml.safe_dump(config_tree(dataset=dataset)))
+        model.write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["eval", "--config", str(config), "--model", str(model)]
+        )
+        self.assert_clean_exit(result)
 
 
 # input -> (config tree overrides, its run's largest term): the k = 11,585
