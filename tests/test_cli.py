@@ -42,7 +42,7 @@ from postmax.cli import (
 )
 from postmax.commands import main
 from postmax.divergence import DIVERGENCE_IDS
-from postmax.model import MlpSpec, init, load_model, save_model, train
+from postmax.model import SERIAL_VERSION, MlpSpec, init, load_model, save_model, train
 from postmax.noise import LabeledDataset, NoiseParams, corrupt
 from postmax.objective import ObjectiveConfig
 from postmax.posterior import accuracy, predict
@@ -1774,7 +1774,7 @@ def records_texts(draw):
 
 
 MODEL_PAYLOAD = {
-    "version": 1,
+    "version": SERIAL_VERSION,
     "spec": {
         "layer_sizes": [3, 4, 2], "activation": "relu", "head": "simplex",
         "divergence": None,
