@@ -587,7 +587,10 @@ def _run_terms(cfg: ExperimentConfig, n: int, d: int, k: int) -> dict:
     features and k classes alone, in integer arithmetic.  Each term bounds
     its arrays' peak, counting all n rows where a split holds fewer; a
     network's parameter rows are its initial and trained ones and the
-    step's parameters, velocity and gradient, which the update reuses."""
+    step's parameters, velocity and gradient, which the update reuses.
+    Training releases the step's workspaces, velocity and gradient before
+    the final train-set check's scoring blocks are allocated; the budget
+    still sums every term, so it stays an upper bound on the peak."""
     S = len(cfg.seeds)
     G = 1 + len(_noisy_trainings(cfg))  # the networks each seed trains
     B = min(cfg.train.batch_size, n)

@@ -45,7 +45,8 @@ bit for bit, or tanh's as 1 - h**2, then writes the input gradient over
 it.  Per-epoch metrics are computed only by an on_epoch consumer:
 train() installs the one that builds its TrainTrace, and a sweep
 installs none, so its members' training objective is computed and
-checked once, after the final epoch.  A single-member call is train()
+checked once, after the final epoch, with the step's workspaces,
+velocity and gradient released.  A single-member call is train()
 itself, so each member ends bit for bit where its own train() call would.
 
 A desk-sized step is bound by per-call overhead, not arithmetic.  A
@@ -681,7 +682,8 @@ def _train_members(members, on_epoch=None) -> list:
     After every epoch, on_epoch(epoch, member_params) receives each
     member's parameters as (W, b) views that the next step overwrites.
     Without a consumer, each member's training objective is computed once,
-    after the final epoch, and checked as train() checks it.
+    after the final epoch, and checked as train() checks it, once
+    _train_epochs has released the step's workspaces, velocity and gradient.
     """
     model0, dataset0, cfg0, tc = members[0]
     spec, X = model0.spec, dataset0.features
@@ -700,7 +702,19 @@ def _train_members(members, on_epoch=None) -> list:
             raise ValueError("members must share the training schedule")
 
     div = get_divergence(cfg0.divergence)
-    n, k = X.shape[0], spec.k
+    member_params = _train_epochs(members, spec, div, on_epoch)
+    if on_epoch is None and tc.epochs > 0:
+        for (_, dataset, cfg, _), params in zip(members, member_params):
+            _checked_metrics(spec, div, params, cfg, dataset, tc.epochs - 1)
+    return [NetworkModel(spec, tuple(params)) for params in member_params]
+
+
+def _train_epochs(members, spec, div, on_epoch) -> list:
+    """_train_members' epochs: each member's trained (W, b) views into one
+    (M, P) array.  All else the steps hold (programs, workspaces, rate
+    terms, velocity, gradient, guard buffer) is released on return."""
+    model0, dataset0, _, tc = members[0]
+    X, n, k = dataset0.features, dataset0.n, spec.k
     B = min(tc.batch_size, n)
     # The members form S groups of G that share a seed, so the step
     # gathers one mini-batch per group; every other operand leads with
@@ -825,11 +839,7 @@ def _train_members(members, on_epoch=None) -> list:
             f"parameters became non-finite at epoch {epoch} step "
             f"{epoch * len(steps) + i}; {cause}"
         )
-
-    if on_epoch is None and tc.epochs > 0:
-        for (_, dataset, cfg, _), params in zip(members, member_params):
-            _checked_metrics(spec, div, params, cfg, dataset, tc.epochs - 1)
-    return [NetworkModel(spec, tuple(params)) for params in member_params]
+    return member_params
 
 
 def evaluate(model: NetworkModel, dataset: LabeledDataset, cfg: ObjectiveConfig):

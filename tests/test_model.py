@@ -32,6 +32,7 @@ from postmax.model import (
     _layer_blocks,
     _seed_groups,
     _softmax_program,
+    _step_floats,
     _train_members,
     evaluate,
     forward,
@@ -1031,6 +1032,28 @@ class TestTrainMembers:
         small, large = peak(2000), peak(8000)
         assert large < 32 * 2**20
         assert large - small < 2 * 2**20
+
+    def test_final_check_runs_after_the_step_state_is_released(self):
+        # Without a consumer the final train-set check scores 4,000 rows in
+        # blocks after the step's workspaces, velocity and gradient are
+        # gone: the peak is about 2.3 step workspaces, and 3.3 when they
+        # are still held at the check.
+        rng = np.random.default_rng(97)
+        n, k = 4000, 10
+        ds = LabeledDataset(rng.normal(size=(n, 100)), rng.integers(0, k, n), k)
+        spec = MlpSpec((100, 256, k), head="raw_t", divergence="gan")
+        model, tc = init(spec, seed=0), TrainConfig(epochs=1, batch_size=256)
+        corrected = ObjectiveConfig("gan", "objective", NoiseParams.symmetric(0.2))
+        cfgs = [ObjectiveConfig("gan"), ObjectiveConfig("gan"), corrected]
+        members = [(model, ds, cfg, tc) for cfg in cfgs]
+        _train_members(members)
+        tracemalloc.start()
+        try:
+            _train_members(members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 8 * _step_floats(spec, 1, 3, 256)
 
 
 class TestTwoClassColumn:
