@@ -161,6 +161,80 @@ def golden_section_by_scatter(spec, q, lo, hi, tol):
     return 0.5 * (a + b)
 
 
+def bracket_by_two_loops(spec, q, guess):
+    """_bracket as it was first written, one expansion loop per side.
+
+    Also returns how many entries each side's loop grew."""
+    dom_lo, dom_hi = spec.conj_domain
+
+    lo = guess - 1.0
+    if dom_lo > -math.inf:
+        lo = np.where(lo <= dom_lo, dom_lo + 0.5 * (guess - dom_lo), lo)
+    grow = np.flatnonzero(q - spec.conj_prime(lo) <= 0.0)
+    grown_lo = grow.size
+    while grow.size:
+        if dom_lo == -math.inf:
+            lo[grow] = guess[grow] - 2.0 * (guess[grow] - lo[grow])
+        else:
+            lo[grow] = dom_lo + 0.5 * (lo[grow] - dom_lo)
+        grow = grow[q[grow] - spec.conj_prime(lo[grow]) <= 0.0]
+
+    hi = guess + 1.0
+    if dom_hi < math.inf:
+        hi = np.where(hi >= dom_hi, dom_hi - 0.5 * (dom_hi - guess), hi)
+    grow = np.flatnonzero(q - spec.conj_prime(hi) >= 0.0)
+    grown_hi = grow.size
+    while grow.size:
+        if dom_hi == math.inf:
+            hi[grow] = guess[grow] + 2.0 * (hi[grow] - guess[grow])
+        else:
+            hi[grow] = dom_hi - 0.5 * (dom_hi - hi[grow])
+        grow = grow[q[grow] - spec.conj_prime(hi[grow]) >= 0.0]
+    return lo, hi, (grown_lo, grown_hi)
+
+
+class TestBracket:
+    SHIFTS = (-50.0, -10.0, -1.5, 0.0, 1.5, 10.0, 50.0)
+
+    def _cases(self, div_id):
+        """Guesses moved from the maximizer f'(q) by each of SHIFTS; one
+        that leaves a finite domain lands between the maximizer and that
+        edge, 1 .. 1e-9 of the way from the edge."""
+        spec = get_divergence(div_id)
+        rng = np.random.default_rng(5)
+        q = np.tile(rng.uniform(0.01, 0.99, size=5000), len(self.SHIFTS))
+        best = optimal_T_from_posterior(spec, q)
+        guess = best + np.repeat(self.SHIFTS, 5000)
+        near = 10.0 ** -rng.uniform(0.0, 9.0, size=q.size)
+        for edge in spec.conj_domain:
+            if math.isfinite(edge):
+                out = (guess - edge) * (best - edge) <= 0.0
+                guess[out] = edge + near[out] * (best[out] - edge)
+        return spec, q, guess
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_brackets_the_sign_change(self, div_id):
+        spec, q, guess = self._cases(div_id)
+        lo, hi = _bracket(spec, q, guess)
+        assert np.all(q - spec.conj_prime(lo) > 0.0)
+        assert np.all(q - spec.conj_prime(hi) < 0.0)
+        dom_lo, dom_hi = spec.conj_domain
+        assert np.all((dom_lo < lo) & (lo < hi) & (hi < dom_hi))
+
+    @pytest.mark.parametrize("div_id", DIVERGENCE_IDS)
+    def test_equals_the_two_loops(self, div_id):
+        spec, q, guess = self._cases(div_id)
+        lo, hi = _bracket(spec, q, guess)
+        want_lo, want_hi, grown = bracket_by_two_loops(spec, q, guess)
+        assert np.array_equal(lo, want_lo)
+        assert np.array_equal(hi, want_hi)
+        # every side's loop grows thousands of entries but sl's upper one:
+        # sl's maximizers lie in (-1, -1/2), so the upper end's clipped
+        # start guess / 2 is always above them
+        grown_lo, grown_hi = grown
+        assert grown_lo > 2000 and (grown_hi > 2000 or div_id == "sl")
+
+
 class TestGoldenSectionMax:
     TOL = 1e-10
 
