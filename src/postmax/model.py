@@ -743,17 +743,14 @@ def _train_epochs(members, spec, div, on_epoch) -> list:
     momentum = np.float64(tc.momentum)
     member_params = [_layer_views(row, model0.params) for row in theta]
 
-    # One generator per distinct seed, in order of first use; group s
-    # reads its mini-batches from row seed_row[s] of the epoch's orders.
+    # Each seed group draws its batch order from its own generator, seeded
+    # with the group's seed; two groups with one seed draw the same orders.
     # Each epoch writes the orders into `order` and the members' labels,
     # in their group's order, into `epoch_labels`, so a step reads its
     # indices and labels as slices of the two.  Member (s, g)'s labels
     # start at offsets[s, g, 0] of the flat labels, so one take gathers
     # every member's in order.
     group_seeds = member_seeds[::G]
-    seeds = list(dict.fromkeys(group_seeds))
-    seed_row = np.array([seeds.index(s) for s in group_seeds])
-    perms = np.empty((len(seeds), n), dtype=np.intp)
     order = np.empty((S, n), dtype=np.intp)
     epoch_labels = np.empty_like(labels)
     identity = np.eye(k)
@@ -801,12 +798,11 @@ def _train_epochs(members, spec, div, on_epoch) -> list:
         for row, (model, _, _, _) in zip(theta, members):
             _flat_params(model.params, row)
         velocity.fill(0.0)
-        rngs = [np.random.default_rng(s) for s in seeds]
+        rngs = [np.random.default_rng(s) for s in group_seeds]
         for epoch in range(tc.epochs):
             first = epoch * len(steps)
-            for r, rng in enumerate(rngs):
-                perms[r] = rng.permutation(n)
-            perms.take(seed_row, axis=0, out=order)
+            for s, rng in enumerate(rngs):
+                order[s] = rng.permutation(n)
             flat_labels.take(offsets + order[:, None, :], out=epoch_labels, mode="clip")
             for i in range(len(steps)):
                 lrs[i] = _cosine_lr(tc.lr0, first + i, total_steps)

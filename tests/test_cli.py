@@ -180,6 +180,30 @@ class TestLoadCsv:
         with pytest.raises(ConfigError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("blank", ["", "  \t"], ids=["empty", "spaces"])
+    def test_blank_line_skipped(self, tmp_path, blank):
+        path = tmp_path / "blank.csv"
+        rows = SIX_ROWS.format(label=2)
+        path.write_text(rows)
+        want = _csv_dataset(path)
+        spaced = rows.replace("1.5,1\n", f"1.5,1\n{blank}\n")
+        path.write_text(spaced)
+        got = _csv_dataset(path)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(got.labels, want.labels) and got.k == want.k
+        # a line after it keeps its line number in the file
+        path.write_text(spaced.replace("3.5", "x"))
+        with pytest.raises(ConfigError, match="line 6: non-numeric value"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("line", ["7", " 7.5 "], ids=["bare", "padded"])
+    def test_one_column_line_rejected(self, tmp_path, line):
+        path = tmp_path / "one_column.csv"
+        path.write_text(SIX_ROWS.format(label=2).replace("1.5,1\n", f"1.5,1\n{line}\n"))
+        want = f"^{re.escape(str(path))}: line 4: expected at least two columns$"
+        with pytest.raises(ConfigError, match=want):
+            load_csv(path)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cell_rejected(self, tmp_path, cell):
         # float() parses these, and one such cell would turn its whole
@@ -1055,6 +1079,19 @@ class TestCommandLine:
         assert isinstance(result.exception, SystemExit)
         assert f"error: invalid '{key}': " in result.output
         assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_corrupt_without_noise_exits_one(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(config_tree()))
+        out = tmp_path / "noisy.csv"
+        result = CliRunner().invoke(
+            main, ["corrupt", "--config", str(path), "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        want = "error: corrupt requires a noise section in the config\n"
+        assert result.output == want
         assert not out.exists()
 
     def test_corrupt_reads_a_csv_source(self, tmp_path, csv_569):

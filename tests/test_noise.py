@@ -248,6 +248,28 @@ class TestNoiseParams:
         np.testing.assert_array_equal(entries[off], np.broadcast_to(e, (k, k))[off])
         np.testing.assert_allclose(entries.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (
+                lambda: NoiseParams(kind="uniform_offdiag"),
+                "uniform off-diagonal noise requires a rate vector e",
+            ),
+            (
+                lambda: NoiseParams.symmetric(0.1).to_matrix(1),
+                "need at least two classes",
+            ),
+            (
+                lambda: NoiseParams.uniform_offdiag([0.1, 0.2]).flip_rates(1),
+                "need at least two classes",
+            ),
+        ],
+        ids=["no-rates", "to_matrix-one-class", "flip_rates-one-class"],
+    )
+    def test_rejects_with_its_message(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     @pytest.mark.parametrize("e", [[], [0.2], [[0.1, 0.2]], 0.1])
     def test_construction_rejects_anything_but_k_rates(self, e):
         # the length rule K >= 2 holds when the parameters are built, not
@@ -257,6 +279,21 @@ class TestNoiseParams:
 
 
 class TestLabeledDataset:
+    @pytest.mark.parametrize(
+        "features, provenance, message",
+        [
+            (np.ones((0, 2)), "clean", "features must be a nonempty N x D matrix"),
+            (np.ones((2, 0)), "clean", "features must be a nonempty N x D matrix"),
+            (np.ones(2), "clean", "features must be a nonempty N x D matrix"),
+            (np.ones((2, 2)), "noisy", "provenance must be 'clean' or 'corrupted'"),
+        ],
+        ids=["no-rows", "no-columns", "vector", "provenance"],
+    )
+    def test_rejects_with_its_message(self, features, provenance, message):
+        labels = np.zeros(len(features), dtype=int)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LabeledDataset(features, labels, k=2, provenance=provenance)
+
     def test_label_range_enforced(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.ones((3, 2)), np.array([0, 1, 2]), k=2)

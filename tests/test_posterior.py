@@ -50,6 +50,13 @@ class TestPredict:
         assert predict([[0.5, 0.5]]).tolist() == [0]
         assert predict([[0.2, 0.4, 0.4]]).tolist() == [1]
 
+    @pytest.mark.parametrize(
+        "rows", [0.5, [0.2, 0.8], [[[0.2, 0.8]]]], ids=["0-d", "1-d", "3-d"]
+    )
+    def test_rejects_all_but_a_matrix(self, rows):
+        with pytest.raises(ValueError, match="^expected an N x K matrix$"):
+            predict(rows)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         rows = random_simplex(rng, 100, 4)
