@@ -188,15 +188,18 @@ class TestInit:
     @pytest.mark.parametrize(
         "params, message",
         [
-            (lambda W, b: ((W, b), (W, b)), "parameter count does not match"),
-            (lambda W, b: ((W.T, b),), "layer 0 parameter shapes do not match"),
-            (lambda W, b: ((W, b[:1]),), "layer 0 parameter shapes do not match"),
+            (
+                lambda W, b: ((W, b), (W, b)),
+                "parameter count does not match layer_sizes",
+            ),
+            (lambda W, b: ((W.T, b),), "layer 0 parameter shapes do not match spec"),
+            (lambda W, b: ((W, b[:1]),), "layer 0 parameter shapes do not match spec"),
         ],
         ids=["count", "W-shape", "b-shape"],
     )
     def test_params_off_the_spec_rejected(self, params, message):
         model = init(MlpSpec((3, 2)), seed=0)
-        with pytest.raises(ValueError, match=f"^{message} (layer_sizes|spec)$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             NetworkModel(model.spec, params(*model.params[0]))
 
 
