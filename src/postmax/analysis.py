@@ -11,10 +11,10 @@ Each driver validates its own arguments once.  On the values it draws,
 which lie inside every domain by construction, it calls the divergence
 table's kernels (f_prime, conj_prime, conj_second) directly, and sums or
 takes maxima over a row's classes as running passes over the class
-columns (_row_sums, _row_max).  The public maps are called where they are
-what a check is about: the correction round trip and the iteration-bias
-expression.  A non-finite kernel value fails the report it reaches, with
-a NaN max_error, instead of raising.
+columns (posterior._row_sums, _row_max).  The public maps are called
+where they are what a check is about: the correction round trip and the
+iteration-bias expression.  A non-finite kernel value fails the report
+it reaches, with a NaN max_error, instead of raising.
 """
 
 from __future__ import annotations
@@ -47,7 +47,12 @@ from postmax.objective import (
     exact_jf,
     exact_jf_noisy,
 )
-from postmax.posterior import noisy_posterior_forward, posterior_correct, predict
+from postmax.posterior import (
+    _row_sums,
+    noisy_posterior_forward,
+    posterior_correct,
+    predict,
+)
 
 GOLDEN_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -322,23 +327,6 @@ def check_pointwise_optimum(seed: int, configs: int = 100) -> TheoremReport:
     return _report(
         "pointwise_optimum_consistency", configs * len(DIVERGENCE_IDS), worst, 1e-6
     )
-
-
-def _row_sums(rows) -> np.ndarray:
-    """rows.sum(axis=1) of (n, K) rows with the same bits.
-
-    numpy runs an op along a short last axis as one inner loop per row,
-    while each op over a column view is one long pass.  numpy adds a last
-    axis shorter than 8 from left to right, starting from +0.0 (so a row
-    of -0.0 sums to +0.0), and the running add over the columns gives its
-    bits; from 8 it keeps eight partial sums, and the sum is its own.
-    """
-    if rows.shape[1] >= 8:
-        return rows.sum(axis=1)
-    total = rows[:, 0] + 0.0
-    for j in range(1, rows.shape[1]):
-        total += rows[:, j]
-    return total
 
 
 def _row_max(rows) -> np.ndarray:

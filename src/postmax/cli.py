@@ -516,6 +516,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {err}") from None
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}: {err}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: YAML nested too deeply") from None
     if tree is None:
         raise ConfigError(f"{path}: empty config")
     return parse_config(tree)
@@ -825,55 +827,53 @@ def report(records: Sequence[ResultRecord], format: str = "table") -> str:
     raise ValueError(f"format must be one of {', '.join(_FORMATS)}")
 
 
+def _record_fields(row, format: str) -> dict:
+    """A parsed report row's fields by column: a csv row's cells, read, or
+    a JSON row, an object with every column at its type."""
+    if format == "csv":
+        if len(row) != len(RECORD_COLUMNS):
+            raise ValueError(f"expected {len(RECORD_COLUMNS)} fields, got {len(row)}")
+        cells = zip(_RECORD_TYPES.items(), row)
+        return {c: read(cell) for (c, (read, _)), cell in cells}
+    if not isinstance(row, dict) or sorted(row) != sorted(RECORD_COLUMNS):
+        keys = ", ".join(RECORD_COLUMNS)
+        raise ValueError(f"expected an object with the keys {keys}")
+    mistyped = [
+        c
+        for c, (_, types) in _RECORD_TYPES.items()
+        if not isinstance(row[c], types) or isinstance(row[c], bool)
+    ]
+    if mistyped:
+        raise ValueError(f"mistyped {', '.join(mistyped)}")
+    return row
+
+
 def parse_report(text: str, format: str) -> list[ResultRecord]:
     """Read records back from report output (csv or json only).
 
     A malformed record raises ValueError naming its 1-based position.
     """
-    records = []
     if format == "csv":
         lines = [
             ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")
         ]
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if header != list(RECORD_COLUMNS):
+        rows = csv.reader(lines)
+        if next(rows, None) != list(RECORD_COLUMNS):
             raise ValueError("unrecognized record csv header")
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(RECORD_COLUMNS):
-                raise ValueError(
-                    f"record {i}: expected {len(RECORD_COLUMNS)} fields, "
-                    f"got {len(row)}"
-                )
-            cells = zip(_RECORD_TYPES.values(), row)
-            try:
-                record = ResultRecord(*(read(c) for (read, _), c in cells))
-            except ValueError as err:
-                raise ValueError(f"record {i}: {err}") from None
-            records.append(record)
-        return records
-    if format == "json":
-        payload = json.loads(text)
+    elif format == "json":
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("the JSON is nested too deeply") from None
         rows = payload.get("records") if isinstance(payload, dict) else None
         if not isinstance(rows, list):
             raise ValueError("expected a JSON object with a 'records' list")
-        for i, row in enumerate(rows, start=1):
-            if not isinstance(row, dict) or sorted(row) != sorted(RECORD_COLUMNS):
-                raise ValueError(
-                    f"record {i}: expected an object with the keys "
-                    + ", ".join(RECORD_COLUMNS)
-                )
-            mistyped = [
-                c
-                for c, (_, types) in _RECORD_TYPES.items()
-                if not isinstance(row[c], types) or isinstance(row[c], bool)
-            ]
-            if mistyped:
-                raise ValueError(f"record {i}: mistyped {', '.join(mistyped)}")
-            try:
-                record = ResultRecord(**row)
-            except ValueError as err:
-                raise ValueError(f"record {i}: {err}") from None
-            records.append(record)
-        return records
-    raise ValueError("only csv and json reports can be parsed back")
+    else:
+        raise ValueError("only csv and json reports can be parsed back")
+    records = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            records.append(ResultRecord(**_record_fields(row, format)))
+        except ValueError as err:
+            raise ValueError(f"record {i}: {err}") from None
+    return records

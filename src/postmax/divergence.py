@@ -40,7 +40,7 @@ entry, raw_slopes, which builds what the two share once: gan's one
 exponential, sl's softplus, sigmoid and (1+s)**2.
 Posterior correction ranks classes by posterior(v) - e, which raw_rank
 computes per row scaled so that kl's and gan's exponentials cannot
-overflow.
+overflow; no entry holds the posterior alone.
 
 Softplus and sigmoid are computed from t = exp(-|v|), which never
 overflows: softplus(v) = max(v, 0) + log1p(t), and sigmoid(v) is
@@ -92,8 +92,7 @@ class DivergenceSpec:
     conj_domain: tuple[float, float]  # open interval of valid t
     link: Callable[[np.ndarray], np.ndarray]  # raw output v -> t in domain
     raw_slopes: Callable  # v -> (link'(v), (f*)'(link(v)) * link'(v))
-    raw_posterior: Callable  # v -> (f*)'(link(v))
-    raw_rank: Callable  # (v, e) -> rows with the argmax of raw_posterior(v) - e
+    raw_rank: Callable  # (v, e) -> rows with the argmax of (f*)'(link(v)) - e
     raw_conj: Callable  # v -> f*(link(v))
     # (D, log D) -> (a, c): the objective at T = f'(D) is a[y] + c at label y
     simplex_terms: Callable
@@ -220,7 +219,6 @@ _KL = DivergenceSpec(
     conj_domain=(-np.inf, np.inf),
     link=lambda v: v,
     raw_slopes=_kl_raw_slopes,
-    raw_posterior=_kl_conj,
     raw_rank=_exp_rank(1.0),
     raw_conj=_kl_conj,
     simplex_terms=lambda D, log_D: (log_D, -1.0),
@@ -238,7 +236,6 @@ _GAN = DivergenceSpec(
     conj_domain=(-np.inf, 0.0),
     link=lambda v: -_softplus(-v),
     raw_slopes=_gan_raw_slopes,
-    raw_posterior=np.exp,
     raw_rank=_exp_rank(0.0),
     raw_conj=_softplus,
     simplex_terms=lambda D, log_D: (log_D - np.log1p(D), -np.log1p(D).sum(axis=1)),
@@ -256,7 +253,6 @@ _SL = DivergenceSpec(
     conj_domain=(-1.0, 0.0),
     link=lambda v: -1.0 / (1.0 + _softplus(v)),
     raw_slopes=_sl_raw_slopes,
-    raw_posterior=_softplus,
     raw_rank=lambda v, e: _softplus(v) - e,
     raw_conj=_sl_raw_conj,
     simplex_terms=lambda D, log_D: (

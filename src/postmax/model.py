@@ -410,16 +410,6 @@ def _head_rows(div: DivergenceSpec, v, D, labels, e) -> np.ndarray:
     return _rows(*div.simplex_terms(D, log_D), labels, e)
 
 
-def _head_grad_program(div: DivergenceSpec, v, D, onehot, rates, out, work) -> tuple:
-    """The program that writes the summed-objective gradient w.r.t. final
-    outputs v, with the _rate_terms rates, into out; D as _head_rows',
-    work as _simplex_logit_grad_program's, both arrays given.  raw_slopes
-    allocates, so the raw head is one call."""
-    if D is None:
-        return (partial(_raw_logit_grad, div, v, onehot, rates, out),)
-    return _simplex_logit_grad_program(div, D, onehot, rates, out, work)
-
-
 def _backprop_program(activation: str, weights_T, hs, g_v, grads, masks):
     """Backprop over any leading member axes, from the output layer down:
     each layer's gradient block, then, above layer 0, its input gradient
@@ -583,24 +573,26 @@ def _step_program(spec, div, theta, grad, params, workspaces, e_terms, nb) -> tu
     params; workspaces are _step_workspaces', and e_terms the rate terms
     at their (S, G, B, K) shape, or None.  The caller writes the batch's
     features and one-hot label rows into the two views, then runs the
-    program, one builder's calls per phase in order: _forward_program,
-    _softmax_program (the simplex head's only), _head_grad_program, the
-    division by nb and _backprop_program.  Each layer input ends in a
-    column of ones, so a layer's [W; b] block serves as its weights and
-    its gradient."""
+    program, one builder's calls per phase in order: _forward_program;
+    the simplex head's _softmax_program and _simplex_logit_grad_program,
+    or a raw head's one _raw_logit_grad call; the division by nb; and
+    _backprop_program.  Each layer input ends in a column of ones, so a
+    layer's [W; b] block serves as its weights and its gradient."""
     layers, weights_T = _folded_layers(_layer_blocks(theta, params))
     grads = _layer_blocks(grad, params)
     hs, masks, (v, D, g_v, tmp, onehot, col) = (
         [a[..., :nb, :] for a in ws] for ws in workspaces
     )
     e_nb = None if e_terms is None else tuple(t[..., :nb, :] for t in e_terms)
-    simplex = spec.head == "simplex"
+    if spec.head == "simplex":
+        head = _softmax_program(v, D, col) + _simplex_logit_grad_program(
+            div, D, onehot, e_nb, g_v, (tmp, col)
+        )
+    else:
+        head = (partial(_raw_logit_grad, div, v, onehot, e_nb, g_v),)
     program = (
         _forward_program(spec.activation, layers, hs, v)
-        + (_softmax_program(v, D, col) if simplex else ())
-        + _head_grad_program(
-            div, v, D if simplex else None, onehot, e_nb, g_v, (tmp, col)
-        )
+        + head
         + (partial(np.divide, g_v, np.float64(nb), g_v),)
         + _backprop_program(spec.activation, weights_T, hs, g_v, grads, masks)
     )
@@ -966,6 +958,8 @@ def load_model(path) -> NetworkModel:
             payload = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"model file is not JSON: {err}") from None
+        except RecursionError:
+            raise ValueError("model file is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("a model file must hold a JSON object")
     if payload.get("version") != SERIAL_VERSION:
@@ -991,7 +985,8 @@ def load_model(path) -> NetworkModel:
             if not all(map(_is_real, values)):
                 raise ValueError("not a number")
             params.append((np.array(W, dtype=float), np.array(b, dtype=float)))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, RuntimeError):
+            # RuntimeError: numpy iterates no array of more than 32 dimensions
             raise ValueError(
                 f"malformed model file: {where}'s W and b must hold numbers "
                 "in nested lists of equal lengths"

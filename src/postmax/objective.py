@@ -108,10 +108,6 @@ class DiscreteJoint:
         object.__setattr__(self, "pmf", arr)
 
     @property
-    def m(self) -> int:
-        return self.pmf.shape[0]
-
-    @property
     def k(self) -> int:
         return self.pmf.shape[1]
 

@@ -10,6 +10,7 @@ Every row input is an N x K matrix with K >= 2, the shape rule of
 _as_rows; noisy_posterior_forward alone also reads one row, as 1 x K.
 Corrected values may dip slightly below zero at finite sample size; they
 are kept as-is, since clamping before the argmax could flip predictions.
+_row_sums sums rows here and in analysis, by class columns below K = 8.
 """
 
 from __future__ import annotations
@@ -50,6 +51,23 @@ def _as_rows(x, what: str) -> np.ndarray:
     return arr
 
 
+def _row_sums(rows) -> np.ndarray:
+    """rows.sum(axis=1) of (n, K) rows with the same bits.
+
+    numpy runs an op along a short last axis as one inner loop per row,
+    while each op over a column view is one long pass.  numpy adds a last
+    axis shorter than 8 from left to right, starting from +0.0 (so a row
+    of -0.0 sums to +0.0), and the running add over the columns gives its
+    bits; from 8 it keeps eight partial sums, and the sum is its own.
+    """
+    if rows.shape[1] >= 8:
+        return rows.sum(axis=1)
+    total = rows[:, 0] + 0.0
+    for j in range(1, rows.shape[1]):
+        total += rows[:, j]
+    return total
+
+
 def _check_probability_rows(p, labels=None):
     """The probability-row rule, the one check of every input that must
     lie on the simplex: p is an N x K matrix (_as_rows), every entry is
@@ -64,14 +82,8 @@ def _check_probability_rows(p, labels=None):
     # sum that overflows fail the tolerance; a stack of no rows passes
     valid = np.all(rows >= 0.0)
     if valid:
-        # the sums run over column views, one long pass per class, since
-        # numpy sums along a short last axis one inner loop per row; only
-        # the tolerance reads them, so their order reaches no output
-        sums = rows[:, 0].copy()
         with np.errstate(over="ignore"):
-            for j in range(1, rows.shape[1]):
-                sums += rows[:, j]
-        valid = np.all(np.abs(sums - 1.0) <= 1e-9)
+            valid = np.all(np.abs(_row_sums(rows) - 1.0) <= 1e-9)
     if not valid:
         raise ValueError(
             "rows must be probability vectors: finite, nonnegative and on "

@@ -16,7 +16,6 @@ from postmax.analysis import (
     _golden_section_max,
     _multiclass_identity_gaps,
     _row_max,
-    _row_sums,
     _solve_pointwise,
     _untied_simplex,
     check_argmax_invariance,
@@ -43,6 +42,7 @@ from postmax.objective import (
     exact_bias,
     exact_jf,
 )
+from postmax.posterior import _row_sums
 from references import noisy_joint
 
 

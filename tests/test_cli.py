@@ -1540,6 +1540,12 @@ class TestCommandLine:
                 ",".join(RECORD_COLUMNS) + "\n0,kl,none,none,0.9,0.9,0.5,-inf\n",
                 "record 1: wall_seconds must be finite, got -inf",
             ),
+            (
+                "i.json",
+                json.dumps({"records": [list(RECORD_ROW.values())]}),
+                "record 1: expected an object with the keys "
+                + ", ".join(RECORD_COLUMNS),
+            ),
         ],
         ids=[
             "json-non-object",
@@ -1551,6 +1557,7 @@ class TestCommandLine:
             "csv-unknown-divergence",
             "json-nan-objective",
             "csv-infinite-wall",
+            "json-list-row",
         ],
     )
     def test_report_malformed_records_exit_one(self, tmp_path, name, text, where):
@@ -1561,6 +1568,48 @@ class TestCommandLine:
         assert isinstance(result.exception, SystemExit)
         assert f"error: invalid records file: {where}" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["corrupt", "train", "verify", "sweep"])
+    def test_full_disk_exits_one(self, tmp_path, command):
+        tree = config_tree(
+            noise={"kind": "symmetric", "eta": 0.2}, train={"epochs": 1}
+        )
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        args = [command, "--out", "/dev/full"]
+        if command != "verify":
+            args += ["--config", str(path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        want = "error: cannot write /dev/full: No space left on device\n"
+        assert result.output == want
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_sweep_records_round_trip_through_stdout(self, tmp_path, out_format):
+        tree = config_tree(
+            noise={"kind": "symmetric", "eta": 0.2},
+            objective={"divergence": "kl", "correction": ["none", "posterior"]},
+            train={"epochs": 2, "batch_size": 32},
+            seeds=[0, 1],
+        )
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        result = CliRunner().invoke(
+            main, ["sweep", "--config", str(path), "--format", out_format]
+        )
+        assert result.exit_code == 0, result.output
+        assert os.listdir(tmp_path) == ["config.yaml"]
+        want = run_experiment(load_config(path))
+        assert len(want) == 4
+
+        def timeless(records):
+            # report writes records in its own order
+            runs = [replace(r, wall_seconds=0.0) for r in records]
+            return sorted(runs, key=lambda r: (r.seed, r.correction))
+
+        assert timeless(parse_report(result.output, out_format)) == timeless(want)
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_report_reads_records_after_a_byte_order_mark(self, tmp_path, out_format):
@@ -1888,6 +1937,41 @@ class TestFileFuzz:
             main, ["eval", "--config", str(config), "--model", str(model)]
         )
         self.assert_clean_exit(result)
+
+    @pytest.mark.parametrize("command", ["sweep", "report", "eval"])
+    def test_deeply_nested_files(self, tmp_path, command):
+        config = tmp_path / "config.yaml"
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        if command == "sweep":
+            config.write_text("[" * 5_000 + "]" * 5_000)
+            args = ["sweep", "--config", str(config)]
+        elif command == "report":
+            args = ["report", str(deep)]
+        else:
+            dataset = {"source": "synthetic", "k": 2, "n": 40, "d": 3}
+            config.write_text(yaml.safe_dump(config_tree(dataset=dataset)))
+            args = ["eval", "--config", str(config), "--model", str(deep)]
+        result = CliRunner().invoke(main, args)
+        self.assert_clean_exit(result)
+        assert result.exit_code == 1
+        assert "nested too deeply" in result.output
+
+    @pytest.mark.parametrize("depth", [33, 900])
+    def test_eval_weights_nested_past_32_dimensions(self, tmp_path, depth):
+        config, model = tmp_path / "config.yaml", tmp_path / "model.json"
+        dataset = {"source": "synthetic", "k": 2, "n": 40, "d": 3}
+        config.write_text(yaml.safe_dump(config_tree(dataset=dataset)))
+        payload = json.loads(json.dumps(MODEL_PAYLOAD))
+        payload["params"][0]["W"] = json.loads("[" * depth + "0.5" + "]" * depth)
+        model.write_text(json.dumps(payload))
+        result = CliRunner().invoke(
+            main, ["eval", "--config", str(config), "--model", str(model)]
+        )
+        self.assert_clean_exit(result)
+        assert result.output.startswith(
+            "error: malformed model file: params[0]'s W and b must hold numbers"
+        )
 
 
 # input -> (config tree overrides, its run's largest term): the k = 11,585

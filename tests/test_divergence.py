@@ -567,6 +567,15 @@ def _decimal_links(v: float) -> dict:
 RAW_V = [-700.0, -100.0, -30.0, -1.0, -1e-8, 0.0, 1e-8, 1.0, 30.0, 100.0, 700.0]
 
 
+# each divergence's raw-head posterior (f*)'(link(v)), in v; raw_rank
+# ranks classes by it less the rates
+RAW_POSTERIOR = {
+    "kl": lambda v: np.exp(v - 1.0),
+    "gan": np.exp,
+    "sl": divergence._softplus,
+}
+
+
 class TestRawVForms:
     @pytest.mark.parametrize("v", RAW_V)
     def test_match_decimal_reference(self, v):
@@ -574,7 +583,8 @@ class TestRawVForms:
         x = np.array(v)
         for spec in ALL_SPECS:
             _, score = spec.raw_slopes(x)
-            got = [float(spec.raw_posterior(x)), float(spec.raw_conj(x)), float(score)]
+            posterior = RAW_POSTERIOR[spec.id](x)
+            got = [float(posterior), float(spec.raw_conj(x)), float(score)]
             np.testing.assert_allclose(got, ref[spec.id], rtol=1e-14, err_msg=spec.id)
         ref_links = _decimal_links(v)
         for spec in ALL_SPECS:
@@ -585,18 +595,18 @@ class TestRawVForms:
             )
 
     def test_raw_rank_orders_as_posterior_minus_rates(self):
-        # where raw_posterior(v) - e is finite, raw_rank has the same row
+        # where the posterior less e is finite, raw_rank has the same row
         # argmax; rows with every v at or below the shift keep its bits
         rng = np.random.default_rng(71)
         v = rng.uniform(-30.0, 30.0, size=(500, 4))
         e = rng.uniform(0.0, 0.2, size=4)
         for spec in ALL_SPECS:
-            want = spec.raw_posterior(v) - e
+            want = RAW_POSTERIOR[spec.id](v) - e
             got = spec.raw_rank(v, e)
             np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
             low = v - v.max(axis=1, keepdims=True) - 1.0
             np.testing.assert_array_equal(
-                spec.raw_rank(low, e), spec.raw_posterior(low) - e
+                spec.raw_rank(low, e), RAW_POSTERIOR[spec.id](low) - e
             )
 
     @pytest.mark.parametrize("scale", [1.0, -1.0])

@@ -7,6 +7,7 @@ from decimal import Decimal, localcontext
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from postmax.model import (
     _evaluate_modes,
     _folded_layers,
     _forward_program,
-    _head_grad_program,
     _head_rows,
     _layer_blocks,
     _seed_groups,
@@ -52,6 +52,7 @@ from postmax.objective import (
     _raw_rows,
     _rows,
     _run,
+    _simplex_logit_grad_program,
     corrected_grad_batch,
     corrected_jf_batch,
     jf_batch,
@@ -447,7 +448,12 @@ class TestStepHead:
             else:
                 D = None
                 want = reference_raw_grad(div_id, v, y, e_rows)
-            for op in _head_grad_program(spec, v, D, y, rates, g, (tmp, col)):
+            program = (
+                _simplex_logit_grad_program(spec, D, y, rates, g, (tmp, col))
+                if head == "simplex"
+                else (partial(_raw_logit_grad, spec, v, y, rates, g),)
+            )
+            for op in program:
                 op()
             assert same_bits(g, want)
 

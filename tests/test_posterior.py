@@ -1,5 +1,6 @@
 """Tests for posterior estimation, prediction, and noise correction."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +140,28 @@ class TestNoisyForward:
         rows[-1, -1] = bad
         with pytest.raises(ValueError, match="probability"):
             noisy_posterior_forward(rows, np.zeros(k))
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_sum_tolerance_edge(self, k):
+        # k < 8 sums by a pass over the class columns, k >= 8 by numpy's
+        # own row sum; both read 1e-9 the same way
+        rows = random_simplex(np.random.default_rng(k), 6, k)
+        within = rows.copy()
+        within[np.arange(6), np.arange(6) % k] += 5e-10
+        noisy_posterior_forward(within, np.zeros(k))
+        for r in range(6):
+            past = rows.copy()
+            past[r, r % k] += 2e-9
+            with pytest.raises(ValueError, match="probability"):
+                noisy_posterior_forward(past, np.zeros(k))
+
+    def test_overflowing_sum_is_refused_without_a_warning(self):
+        rows = random_simplex(np.random.default_rng(12), 6, 12)
+        rows[-1, :2] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="probability vectors"):
+                noisy_posterior_forward(rows, np.zeros(12))
 
 
 class TestPosteriorCorrect:
